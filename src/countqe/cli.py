@@ -11,8 +11,10 @@ Subcommands:
                 seeded random assignments
 
 Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation,
-3 verification failure.  Diagnostics go to stderr; stdout is deterministic
-for fixed inputs, flags and seed.
+3 verification failure, 4 internal error (an input nested too deeply for the
+interpreter's recursion limit; reported on one line, without a traceback).
+Diagnostics go to stderr; stdout is deterministic for fixed inputs, flags and
+seed.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_SYNTAX = 1
 EXIT_CONTRACT = 2
 EXIT_VERIFICATION = 3
+EXIT_INTERNAL = 4
 
 
 def _read_input(path_or_expr: str, is_path: bool) -> str:
@@ -360,6 +363,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    except RecursionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -234,16 +234,42 @@ class Or(_NaryConnective):
     """n-ary disjunction; nested disjunctions are flattened at construction."""
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
+@dataclass(frozen=True, eq=False)
+class _Quantifier(Formula):
+    """A first-order quantifier binding ``var`` in ``body``.
+
+    Equality and hashing walk a chain of nested quantifiers in a loop, so a
+    prefix hundreds of binders deep compares without deep recursion.
+    """
+
     var: str
     body: Formula
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, _Quantifier):
+            if type(a) is not type(b) or a.var != b.var:
+                return False
+            a, b = a.body, b.body
+        return a == b
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+    def __hash__(self):
+        binders = []
+        f = self
+        while isinstance(f, _Quantifier):
+            binders.append((type(f).__name__, f.var))
+            f = f.body
+        return hash((tuple(binders), f))
+
+
+class Exists(_Quantifier):
+    """E var . body"""
+
+
+class Forall(_Quantifier):
+    """A var . body"""
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,19 @@ Everything here is computed over arbitrary-precision integers (rationals only
 appear in intermediate eliminations), so results are exact at any magnitude.
 The module provides just what the engine needs: ranks, determinants,
 full-rank row selections and Cramer-style inverse data for small dense
-systems.  Matrices are tiny (the number of periods of a presentation), so the
-classic O(n^3)/O(n^5) dense algorithms are the right tool.
+systems.  Those matrices are tiny (the number of periods of a presentation),
+so the classic O(n^3)/O(n^5) dense algorithms are the right tool.  The one
+exception is :func:`solve_unique`, which also decides the existential blocks
+of eliminated formulas: hundreds of unknowns, nearly diagonal, so it
+eliminates sparsely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import lcm
 from typing import Optional, Sequence
 
@@ -268,36 +273,75 @@ def solve_unique(
 ) -> Optional[tuple[Fraction, ...]]:
     """Solve ``rows * c = rhs`` exactly when the solution is unique.
 
-    Returns None if the system is inconsistent and raises
-    :class:`DegenerateInputError` if it is consistent but underdetermined.
+    Sparse Gauss elimination over the rationals.  Each row is held as a map
+    from column to nonzero coefficient.  Every step pivots on an active row
+    with the fewest nonzeros (ties: lowest row index), in its column shared
+    by the fewest active rows (ties: lowest column), and updates only the
+    active rows containing that column; back-substitution then reads the
+    pivot rows in reverse order.  A row with a single unknown therefore pins
+    it at once, so the nearly diagonal blocks of eliminated formulas cost
+    time linear in their nonzeros.  All arithmetic is exact.
+
+    Three outcomes:
+
+    * the unique solution, as a tuple of :class:`~fractions.Fraction`;
+    * None if the system is inconsistent (some combination of rows reads
+      ``0 = b`` with ``b != 0``), even when it is also rank deficient;
+    * :class:`DegenerateInputError` if it is consistent but underdetermined.
     """
     if not rows:
         raise DimensionError("empty system")
     width = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if pivot is None:
+    coeffs: list[dict[int, Fraction]] = []
+    consts: list[Fraction] = []
+    holders: dict[int, set[int]] = {}  # column -> active rows containing it
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        entries = {j: Fraction(row[j]) for j in compress(range(width), row)}
+        coeffs.append(entries)
+        consts.append(Fraction(b))
+        for j in entries:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(entries), i) for i, entries in enumerate(coeffs)]
+    heapify(heap)
+    active = set(range(len(coeffs)))
+    order: list[tuple[int, int]] = []  # (pivot row, pivot column)
+    while heap:
+        size, i = heappop(heap)
+        if i not in active or size != len(coeffs[i]):
+            continue  # stale entry: the row was pivoted or has changed
+        active.discard(i)
+        pivot_row = coeffs[i]
+        if not pivot_row:
+            if consts[i]:
+                return None
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][width]:
-            return None
-    if len(pivots) < width:
+        col = min(pivot_row, key=lambda j: (len(holders[j]), j))
+        for j in pivot_row:
+            holders[j].discard(i)
+        inv = 1 / pivot_row[col]
+        for k in list(holders[col]):
+            target = coeffs[k]
+            factor = target[col] * inv
+            for j, v in pivot_row.items():
+                value = target.get(j, 0) - factor * v
+                if value:
+                    if j not in target:
+                        holders[j].add(k)
+                    target[j] = value
+                else:
+                    del target[j]
+                    holders[j].discard(k)
+            consts[k] -= factor * consts[i]
+            heappush(heap, (len(target), k))
+        order.append((i, col))
+    if len(order) < width:
         raise DegenerateInputError("system is underdetermined")
     solution = [Fraction(0)] * width
-    for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][width]
+    for i, col in reversed(order):
+        pivot_row = coeffs[i]
+        total = consts[i]
+        for j, v in pivot_row.items():
+            if j != col:
+                total -= v * solution[j]
+        solution[col] = total / pivot_row[col]
     return tuple(solution)

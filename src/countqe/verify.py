@@ -120,18 +120,21 @@ def _solve_linear_block(
     env = {**env, **{v: 0 for v in chain if v not in env and v not in occurring}}
     if not unknowns:
         return all(_eval_atom(atom, env) for atom in atoms)
+    index = {name: i for i, name in enumerate(unknowns)}
     rows = []
     rhs = []
     for atom in atoms:
         if not isinstance(atom, Eq):
             continue
         combined = atom.lhs - atom.rhs
-        row = [combined.coeffs.get(u, 0) for u in unknowns]
+        row = [0] * len(unknowns)
         total = combined.constant
         for name, coef in combined.coeffs.items():
             if name in env:
                 total += coef * env[name]
-            elif name not in unknowns:
+            elif name in index:
+                row[index[name]] = coef
+            else:
                 raise UnboundVariableError(f"no value for variable {name!r}")
         rows.append(row)
         rhs.append(-total)

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from countqe import cli
 from countqe.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -29,6 +30,22 @@ class TestParseCommand:
         code, out, err = run(capsys, "parse", "x <= ?")
         assert code == 1
         assert "syntax error" in err
+
+    def test_roundtrip_of_deep_binder_chain(self, capsys):
+        text = "".join(f"E c{i} . " for i in range(400)) + "c0 = c399"
+        code, out, err = run(capsys, "parse", text, "--roundtrip")
+        assert code == 0, err
+        assert out == text + "\n"
+
+    def test_recursion_error_is_an_internal_error(self, capsys, monkeypatch):
+        def too_deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_parse", too_deep)
+        code, out, err = run(capsys, "parse", "x = 1")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "internal error: maximum recursion depth exceeded\n"
 
     def test_unicode_display(self, capsys):
         code, out, err = run(capsys, "parse", "x = 1 & y = 2", "--unicode")

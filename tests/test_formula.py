@@ -280,6 +280,33 @@ class TestMisc:
         assert contains_counting(Exists("x", Le(x, y))) is False
 
 
+class TestBinderChains:
+    @staticmethod
+    def chain(depth, innermost=Le(x, y), kinds=(Exists,)):
+        body = innermost
+        for i in reversed(range(depth)):
+            body = kinds[i % len(kinds)](f"_c{i}", body)
+        return body
+
+    def test_deep_chain_equality_and_hash(self):
+        # 400 binders: deeper than the recursion limit allows for a
+        # recursive comparison.
+        a, b = self.chain(400), self.chain(400)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != self.chain(400, innermost=Le(y, x))
+        assert a != self.chain(399)
+        assert a != self.chain(400, kinds=(Exists, Forall))
+        assert self.chain(400, kinds=(Exists, Forall)) == self.chain(400, kinds=(Exists, Forall))
+
+    def test_binder_mismatches(self):
+        assert Exists("x", Le(x, y)) != Forall("x", Le(x, y))
+        assert Exists("x", Le(x, y)) != Exists("z", Le(x, y))
+        assert Exists("x", Le(x, y)) != Le(x, y)
+        assert Exists("x", Exists("y", Le(x, y))) != Exists("x", Forall("y", Le(x, y)))
+        assert len({Exists("x", Le(x, y)), Exists("x", Le(x, y)), Forall("x", Le(x, y))}) == 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-6, 6))
 def test_interval_atom_semantics(a, b, v):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -188,3 +189,119 @@ class TestSolveUnique:
     def test_overdetermined_consistent(self):
         sol = solve_unique([(1, 0), (0, 1), (1, 1)], (2, 3, 5))
         assert sol == (2, 3)
+
+
+def _dense_solve_unique(rows, rhs):
+    """Reference: dense Gauss-Jordan over Fractions, first nonzero pivot.
+
+    Same contract as :func:`solve_unique`: the unique solution, None when
+    inconsistent, DegenerateInputError when consistent but underdetermined.
+    """
+    if not rows:
+        raise DimensionError("empty system")
+    width = len(rows[0])
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(width):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = Fraction(1) / aug[r][col]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(aug):
+            break
+    for i in range(r, len(aug)):
+        if aug[i][width]:
+            return None
+    if len(pivots) < width:
+        raise DegenerateInputError("system is underdetermined")
+    solution = [Fraction(0)] * width
+    for row_idx, col in enumerate(pivots):
+        solution[col] = aug[row_idx][width]
+    return tuple(solution)
+
+
+def _outcome(solver, rows, rhs):
+    try:
+        return solver(rows, rhs)
+    except DegenerateInputError:
+        return "underdetermined"
+
+
+def _random_system(rng):
+    """A small random system of one of several shapes, with its right side."""
+    shape = rng.choice(["square", "tall", "wide", "duplicate", "zero-row", "width-0", "sparse"])
+    width = 0 if shape == "width-0" else rng.randint(1, 5)
+    height = {
+        "square": width,
+        "tall": width + rng.randint(1, 3),
+        "wide": max(1, width - rng.randint(1, 2)),
+    }.get(shape, rng.randint(1, 6))
+    density = 0.3 if shape == "sparse" else 0.8
+    rows = [
+        [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(width)]
+        for _ in range(height)
+    ]
+    if shape == "duplicate":
+        rows.append(list(rows[rng.randrange(height)]))
+    if shape == "zero-row":
+        rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+    if rng.random() < 0.5:
+        # Consistent by construction: the right side of an integer point.
+        point = [rng.randint(-4, 4) for _ in range(width)]
+        rhs = [sum(a * x for a, x in zip(row, point)) for row in rows]
+    else:
+        rhs = [rng.randint(-4, 4) for _ in rows]
+    return rows, rhs
+
+
+class TestSolveUniqueAgainstDense:
+    def test_random_systems(self):
+        rng = random.Random(2410)
+        seen = set()
+        for _ in range(600):
+            rows, rhs = _random_system(rng)
+            expected = _outcome(_dense_solve_unique, rows, rhs)
+            got = _outcome(solve_unique, rows, rhs)
+            assert got == expected, (rows, rhs)
+            if isinstance(got, tuple):
+                assert all(type(v) is Fraction for v in got)
+            seen.add("solved" if isinstance(got, tuple) else str(got))
+        assert seen == {"solved", "None", "underdetermined"}
+
+    def test_inconsistent_and_rank_deficient(self):
+        # Rank 1 in two unknowns, and 0 = 1 after eliminating: None wins.
+        rows, rhs = [(1, 1), (2, 2)], (1, 3)
+        assert _dense_solve_unique(rows, rhs) is None
+        assert solve_unique(rows, rhs) is None
+        rows, rhs = [(0, 0, 0), (1, 2, 0)], (5, 1)
+        assert solve_unique(rows, rhs) is None
+
+    def test_width_zero(self):
+        assert solve_unique([[], []], (0, 0)) == ()
+        assert solve_unique([[]], (1,)) is None
+
+    def test_zero_column(self):
+        with pytest.raises(DegenerateInputError):
+            solve_unique([(1, 0), (2, 0)], (1, 2))
+
+    def test_fractional_solution(self):
+        assert solve_unique([(2, 0), (1, 3)], (1, 1)) == (Fraction(1, 2), Fraction(1, 6))
+
+    def test_pinned_block_shape(self):
+        # Unit equations c_i = i plus one row summing them: a half-line block.
+        n = 400
+        rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+        rows.append([1] * n)
+        rhs = list(range(n)) + [n * (n - 1) // 2]
+        assert solve_unique(rows, rhs) == tuple(Fraction(i) for i in range(n))
+        rhs[-1] += 1
+        assert solve_unique(rows, rhs) is None

@@ -4,7 +4,7 @@ import pytest
 
 import countqe.elim
 from countqe.elim import eliminate, eliminate_simple
-from countqe.formula import Eq, constant, evaluate, variable
+from countqe.formula import And, Eq, Exists, Le, constant, evaluate, variable
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation
 from countqe.verify import (
     PinnedEvaluationError,
@@ -83,6 +83,34 @@ class TestEvaluatePinned:
         loose = Exists("v", Le(variable("v"), constant(3)))
         with pytest.raises(PinnedEvaluationError):
             evaluate_pinned(loose, {})
+
+    def test_large_pinned_block(self):
+        # The shape of a half-line elimination once the free coordinates are
+        # folded in: n unknowns, each pinned by a unit equation, and one row
+        # summing them into the count.
+        n = 120
+        names = [f"_c{i}" for i in range(n)]
+        unknowns = [variable(c) for c in names]
+        values = [i % 7 for i in range(n)]
+
+        def block(pins):
+            atoms = [Le(constant(0), c) for c in unknowns] + pins
+            atoms.append(Eq(sum(unknowns, constant(0)), variable("y")))
+            body = And(tuple(atoms))
+            for c in reversed(names):
+                body = Exists(c, body)
+            return body
+
+        pins = [Eq(c, constant(v)) for c, v in zip(unknowns, values)]
+        pinned = block(pins)
+        assert evaluate_pinned(pinned, {"y": sum(values)}) is True
+        assert evaluate_pinned(pinned, {"y": sum(values) + 1}) is False
+        # Pin _c5 to 7/2 and _c6 to 1/2: the sum stays integral, so at this
+        # count the block has a unique rational solution, but no integer one.
+        pins[5] = Eq(2 * unknowns[5], constant(7))
+        pins[6] = Eq(2 * unknowns[6], constant(1))
+        rest = sum(values) - values[5] - values[6]
+        assert evaluate_pinned(block(pins), {"y": rest + 4}) is False
 
     def test_natural_domain_respects_nonnegativity(self):
         comp = LinearSetPresentation(base=(2,), periods=(), domain=DomainTag.N)
@@ -181,6 +209,20 @@ class TestRunCheck:
         outcome = run_check(union(comp), result=result, trials=30, box_radius=20, seed=3)
         assert outcome.mismatches > 0
         assert not outcome.ok()
+
+    def test_half_line_blocks(self):
+        # Periods (1, 1) and (0, 100): for x1 < 0 the slice is empty and the
+        # formula is decided by a 100-unknown pinned block; for x1 >= 0 it is
+        # infinite and the oracle reports an unstable point.
+        s = union(LinearSetPresentation(base=(0, 0), periods=((1, 1), (0, 100))))
+        result = eliminate(s, "y")
+        decided = []
+        for seed in range(3):
+            outcome = run_check(s, result=result, trials=4, box_radius=100, seed=seed)
+            assert outcome.mismatches == 0
+            assert outcome.ok(strict=True)
+            decided += [r for r in outcome.records if r.verdict == "ok"]
+        assert decided and all(r.assignment["x1"] < 0 for r in decided)
 
     def test_formula_count_values_scan(self):
         result = eliminate(union(THREE_PERIOD_SET), "y")
