@@ -69,7 +69,6 @@ from .formula import (
 from .linalg import (
     CramerSolution,
     IntMatrix,
-    RowSelection,
     cramer_solve,
     determinant,
     find_full_rank_submatrix,

@@ -27,7 +27,6 @@ from .elim import eliminate, estimate_result_nodes
 from .errors import ContractError, CountQEError, ParameterError
 from .formula import count_witnesses, evaluate, free_vars
 from .sets import (
-    DomainTag,
     IntBox,
     LinearSetPresentation,
     SemilinearPresentation,
@@ -79,10 +78,6 @@ def _parse_assignment(spec: str) -> dict:
         except ValueError:
             raise ContractError(f"assignment value for {name!r} is not an integer") from None
     return assignment
-
-
-def _domain(tag: str) -> DomainTag:
-    return DomainTag(tag)
 
 
 def _load_presentation(path: str) -> SemilinearPresentation:
@@ -170,7 +165,7 @@ def cmd_eval(args) -> int:
     value = evaluate(
         formula,
         assignment,
-        domain=_domain(args.domain),
+        domain=args.domain,
         quant_bound=args.quant_bound,
     )
     _write_output(("true" if value else "false") + "\n", args.output)
@@ -187,7 +182,7 @@ def cmd_count(args) -> int:
         body,
         args.var,
         assignment,
-        domain=_domain(args.domain),
+        domain=args.domain,
         window=(-args.box_radius, args.box_radius),
         margin=args.margin,
         quant_bound=args.quant_bound,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 from typing import Callable, Optional, Sequence
 
 from . import formula as fm
@@ -392,6 +392,15 @@ def build_permutation_branches(
 # --- subtraction-free normalisation -------------------------------------------
 
 
+def _nat_atom(atom: Formula) -> Formula:
+    if isinstance(atom, Cong):
+        m = atom.modulus
+        fixed = Term(atom.term.constant % m, {n: c % m for n, c in atom.term.coeffs.items()})
+        return Cong(fixed, atom.residue, m)
+    diff = atom.lhs - atom.rhs
+    return type(atom)(diff.positive_part(), diff.negative_part())
+
+
 def normalize_for_nat(f: Formula) -> Formula:
     """Rewrite a quantifier-free formula so every atom is subtraction-free.
 
@@ -399,47 +408,25 @@ def normalize_for_nat(f: Formula) -> Formula:
     congruence terms take their coefficients modulo the modulus; the result
     is equivalent over the naturals (and over the integers).
     """
-    tf = type(f)
-    if tf in (fm.TrueF, fm.FalseF):
-        return f
-    if tf in (Le, Lt, Eq):
-        diff = f.lhs - f.rhs
-        return tf(diff.positive_part(), diff.negative_part())
-    if tf is Cong:
-        m = f.modulus
-        fixed = Term(
-            f.term.constant % m, {n: c % m for n, c in f.term.coeffs.items()}
-        )
-        return Cong(fixed, f.residue, m)
-    if tf is fm.Not:
-        return fm.Not(normalize_for_nat(f.body))
-    if tf in (fm.And, fm.Or):
-        return tf(tuple(normalize_for_nat(p) for p in f.parts))
-    raise ParameterError("normalisation applies to quantifier-free formulas only")
+    nodes = fm.traverse(f)[0]
+    if any(g.binds for g in nodes):
+        raise ParameterError("normalisation applies to quantifier-free formulas only")
+    done = {}  # id(node) -> its rewrite; descendants come first in reverse
+    for g in reversed(nodes):
+        if g.terms:
+            done[id(g)] = _nat_atom(g)
+        else:
+            done[id(g)] = g.rebuild([done[id(c)] for c in g.children])
+    return done[id(f)]
 
 
 def is_subtraction_free(f: Formula) -> bool:
     """Structural check: every atom has nonnegative coefficients/constants."""
-
-    def term_ok(t: Term) -> bool:
-        return t.constant >= 0 and all(c >= 0 for c in t.coeffs.values())
-
-    tf = type(f)
-    if tf in (fm.TrueF, fm.FalseF):
-        return True
-    if tf in (Le, Lt, Eq):
-        return term_ok(f.lhs) and term_ok(f.rhs)
-    if tf is Cong:
-        return term_ok(f.term)
-    if tf is fm.Not:
-        return is_subtraction_free(f.body)
-    if tf in (fm.And, fm.Or):
-        return all(is_subtraction_free(p) for p in f.parts)
-    if tf in (Exists, fm.Forall):
-        return is_subtraction_free(f.body)
-    if tf is fm.CountEq:
-        return is_subtraction_free(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return all(
+        t.constant >= 0 and all(c >= 0 for c in t.coeffs.values())
+        for g in fm.traverse(f)[0]
+        for t in g.terms
+    )
 
 
 # --- reports -------------------------------------------------------------------
@@ -448,22 +435,23 @@ def is_subtraction_free(f: Formula) -> bool:
 @dataclass(frozen=True)
 class ComponentReport:
     """Trace of one component's elimination.  Row and coefficient indices
-    are reported 1-based."""
+    are reported 1-based.  A single-witness component has no square core,
+    so the core fields keep their defaults."""
 
     index: int
     case: str  # "single-witness" or "interval-count"
     count_var: str
-    denom: Optional[int]
-    multiplier: Optional[int]
-    selected_rows: tuple[int, ...]
-    dropped_rows: tuple[int, ...]
-    upper_rows: tuple[int, ...]
-    lower_rows: tuple[int, ...]
-    sign_rows: tuple[int, ...]
-    residue_cases: int
-    feasible_cases: int
-    branches: int
     nodes: int
+    denom: Optional[int] = None
+    multiplier: Optional[int] = None
+    selected_rows: tuple[int, ...] = ()
+    dropped_rows: tuple[int, ...] = ()
+    upper_rows: tuple[int, ...] = ()
+    lower_rows: tuple[int, ...] = ()
+    sign_rows: tuple[int, ...] = ()
+    residue_cases: int = 0
+    feasible_cases: int = 0
+    branches: int = 0
 
 
 @dataclass(frozen=True)
@@ -537,37 +525,52 @@ def _dropped_row_relation(
     return Eq(lhs, rhs_term)
 
 
+def _plan_core(presentation: LinearSetPresentation, names: Sequence[str]):
+    """The square core of a component, or None when it is single-witness.
+
+    A component is single-witness when it has no periods or some full-rank
+    row subsystem avoids the counted (last) row.  Otherwise the core is the
+    least row basis of the other rows plus the counted row.  Returns the
+    core's free rows and the dropped rows (0-based), its Cramer data and its
+    bound classification, with free coordinates named from ``names``.
+    """
+    matrix = presentation.period_matrix()
+    n = presentation.dimension
+    if matrix is None or find_full_rank_submatrix(matrix, forbidden_row=n - 1) is not None:
+        return None
+    free_rows = greedy_row_basis(matrix, n - 1)
+    assert len(free_rows) == matrix.cols - 1, "core reduction expects row rank p-1"
+    core_rows = free_rows + [n - 1]
+    solution = cramer_solve(
+        matrix.select_rows(core_rows), [presentation.base[i] for i in core_rows]
+    )
+    bounds = classify_bounds(solution, [names[i] for i in free_rows])
+    dropped = [j for j in range(n - 1) if j not in free_rows]
+    return free_rows, dropped, solution, bounds
+
+
 def _case_interval(
     presentation: LinearSetPresentation,
     count_var: str,
     names: Sequence[str],
     fresh: FreshNames,
+    core: tuple,
 ) -> tuple[list, Formula, dict]:
     """The square-core construction for a component whose every full-rank
     row subsystem uses the counted row."""
+    free_rows, dropped, solution, bc = core
     matrix = presentation.period_matrix()
-    assert matrix is not None
     n, p = matrix.rows, matrix.cols
     nat = presentation.domain is DomainTag.N
     norm = normalize_for_nat if nat else (lambda f: f)
-
-    selected_first = greedy_row_basis(matrix, n - 1)
-    assert len(selected_first) == p - 1, "core reduction expects row rank p-1"
-    core_rows = selected_first + [n - 1]
-    dropped = [j for j in range(n - 1) if j not in set(selected_first)]
     relations = conj(
         [
-            norm(_dropped_row_relation(matrix, presentation.base, names, selected_first, j))
+            norm(_dropped_row_relation(matrix, presentation.base, names, free_rows, j))
             for j in dropped
         ]
     )
-
-    core_matrix = matrix.select_rows(core_rows)
-    core_offset = [presentation.base[i] for i in core_rows]
-    solution = cramer_solve(core_matrix, core_offset)
     denom = solution.denom
-    free_names = [names[i] for i in selected_first]
-    bc = classify_bounds(solution, free_names)
+    free_names = [names[i] for i in free_rows]
     if nat:
         # Nonnegative periods make an all-nonpositive counted column of the
         # inverse impossible, so lower bounds always exist over the naturals.
@@ -655,9 +658,10 @@ def _case_interval(
             ]
         )
     trace = {
+        "case": "interval-count",
         "denom": denom,
         "multiplier": bc.multiplier,
-        "selected_rows": tuple(i + 1 for i in core_rows),
+        "selected_rows": tuple(i + 1 for i in free_rows + [n - 1]),
         "dropped_rows": tuple(i + 1 for i in dropped),
         "upper_rows": tuple(i + 1 for i in bc.upper_rows),
         "lower_rows": tuple(i + 1 for i in bc.lower_rows),
@@ -676,40 +680,49 @@ def _component_parts(
     fresh: FreshNames,
     index: int,
 ) -> tuple[list, Formula, ComponentReport]:
-    if not check_simple(presentation):
-        raise UnsupportedPresentationError(
-            "elimination requires simple components (independent periods)"
-        )
-    matrix = presentation.period_matrix()
-    single = matrix is None or find_full_rank_submatrix(
-        matrix, forbidden_row=presentation.dimension - 1
-    ) is not None
-    if single:
+    core = _plan_core(presentation, names)
+    if core is None:
         prefix, body = _case_single(presentation, count_var, names)
-        trace = {
-            "denom": None,
-            "multiplier": None,
-            "selected_rows": (),
-            "dropped_rows": (),
-            "upper_rows": (),
-            "lower_rows": (),
-            "sign_rows": (),
-            "residue_cases": 0,
-            "feasible_cases": 0,
-            "branches": 0,
-        }
-        case_name = "single-witness"
+        trace = {"case": "single-witness"}
     else:
-        prefix, body, trace = _case_interval(presentation, count_var, names, fresh)
-        case_name = "interval-count"
+        prefix, body, trace = _case_interval(presentation, count_var, names, fresh, core)
     report = ComponentReport(
         index=index,
-        case=case_name,
         count_var=count_var,
         nodes=fm.node_count(body) + len(prefix),
         **trace,
     )
     return prefix, body, report
+
+
+def _checked_names(presentation, count_var: str, domain, var_names) -> list[str]:
+    """The coordinate names, once the arguments both entries share are valid."""
+    if domain is not None and fm.as_domain(domain) is not presentation.domain:
+        raise ContractError(
+            f"domain {fm.as_domain(domain).value} does not match presentation domain "
+            f"{presentation.domain.value}"
+        )
+    names = (
+        list(var_names) if var_names is not None else coordinate_names(presentation.dimension)
+    )
+    if len(names) != presentation.dimension:
+        raise ContractError("variable name list does not match dimension")
+    if count_var in names:
+        raise ContractError("count variable clashes with a coordinate name")
+    return names
+
+
+def _single_result(
+    component: LinearSetPresentation, count_var: str, names: Sequence[str], fresh: FreshNames
+) -> EliminationResult:
+    prefix, body, report = _component_parts(component, count_var, names, fresh, index=1)
+    return EliminationResult(
+        formula=_close(prefix, body),
+        count_var=count_var,
+        # node_count(Exists v . g) = 1 + node_count(g): the component's count
+        # already covers the closed formula.
+        report=EliminationReport(count_var=count_var, components=(report,), nodes=report.nodes),
+    )
 
 
 def eliminate_simple(
@@ -727,31 +740,14 @@ def eliminate_simple(
     counted coordinate placing the point in the set (with the convention
     that an infinite witness set satisfies no count value).
     """
-    if domain is not None and domain is not presentation.domain:
-        raise ContractError(
-            f"domain {domain.value} does not match presentation domain "
-            f"{presentation.domain.value}"
+    names = _checked_names(presentation, count_var, domain, var_names)
+    if not check_simple(presentation):
+        raise UnsupportedPresentationError(
+            "elimination requires simple components (independent periods)"
         )
-    names = (
-        list(var_names) if var_names is not None else coordinate_names(presentation.dimension)
-    )
-    if len(names) != presentation.dimension:
-        raise ContractError("variable name list does not match dimension")
-    if count_var in names:
-        raise ContractError("count variable clashes with a coordinate name")
     if fresh is None:
         fresh = FreshNames(set(names) | {count_var})
-    prefix, body, report = _component_parts(presentation, count_var, names, fresh, index=1)
-    formula = _close(prefix, body)
-    return EliminationResult(
-        formula=formula,
-        count_var=count_var,
-        report=EliminationReport(
-            count_var=count_var,
-            components=(report,),
-            nodes=fm.node_count(formula),
-        ),
-    )
+    return _single_result(presentation, count_var, names, fresh)
 
 
 def eliminate(
@@ -768,26 +764,10 @@ def eliminate(
     overlapping inputs the sum over-counts shared witnesses.
     """
     presentation.require_asserted()
-    if domain is not None and domain is not presentation.domain:
-        raise ContractError(
-            f"domain {domain.value} does not match presentation domain "
-            f"{presentation.domain.value}"
-        )
-    names = (
-        list(var_names)
-        if var_names is not None
-        else coordinate_names(presentation.dimension)
-    )
-    if len(names) != presentation.dimension:
-        raise ContractError("variable name list does not match dimension")
-    if count_var in names:
-        raise ContractError("count variable clashes with a coordinate name")
-    if len(presentation.components) == 1:
-        result = eliminate_simple(
-            presentation.components[0], count_var, var_names=names
-        )
-        return result
+    names = _checked_names(presentation, count_var, domain, var_names)
     fresh = FreshNames(set(names) | {count_var})
+    if len(presentation.components) == 1:
+        return _single_result(presentation.components[0], count_var, names, fresh)
     prefix: list[str] = []
     bodies: list[Formula] = []
     reports = []
@@ -827,24 +807,15 @@ def estimate_result_nodes(presentation: SemilinearPresentation) -> int:
             raise UnsupportedPresentationError(
                 "elimination requires simple components (independent periods)"
             )
-        matrix = component.period_matrix()
         n = component.dimension
         p = component.num_periods
-        if matrix is None or find_full_rank_submatrix(matrix, forbidden_row=n - 1):
+        core = _plan_core(component, coordinate_names(n))
+        if core is None:
             total += 6 + 2 * n * (p + 2)
             continue
-        selected = greedy_row_basis(matrix, n - 1)
-        core_rows = selected + [n - 1]
-        solution = cramer_solve(
-            matrix.select_rows(core_rows), [component.base[i] for i in core_rows]
-        )
-        bc = classify_bounds(solution, [f"v{i}" for i in range(p - 1)])
+        _, _, solution, bc = core
         step = bc.multiplier * solution.denom
-        branches = 1
-        for k in range(2, len(bc.upper_rows) + 1):
-            branches *= k
-        for k in range(2, len(bc.lower_rows) + 1):
-            branches *= k
+        branches = factorial(len(bc.upper_rows)) * factorial(len(bc.lower_rows))
         delta_nodes = 8 * step * step + 6 * step + 16
         guard_nodes = 4 * p + 8
         total += solution.denom**p * (branches * (delta_nodes + guard_nodes) + 12)

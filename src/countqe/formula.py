@@ -12,14 +12,43 @@ over a finite window and the counting quantifier is answered by
 flag when witnesses crowd the window edges.  That makes the evaluator an
 independent desk-scale oracle for the elimination engine rather than a
 decision procedure.
+
+Every node class answers a small traversal protocol: ``children`` (direct
+subformulas), ``terms`` (an atom's operands), ``binds`` (names bound over
+the children), ``refs`` (names read outside its terms: a counting
+quantifier's count variable) and ``rebuild`` (the node over new children).
+:func:`traverse` lists a tree's nodes by a loop over an explicit stack, so
+the walkers built on it (:func:`free_vars`, :func:`all_variable_names`,
+:func:`node_count`, :func:`max_abs_coefficient`, :func:`contains_counting`)
+work at any binder depth.  Hand dispatch on the node type stays where each
+type does something different: :func:`simplify` (``check``'s hot path,
+folding atoms and collapsing connectives as it rebuilds), the evaluators,
+and :func:`substitute` (which renames binders to avoid capture).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import ParameterError, UnboundVariableError
+
+
+class DomainTag(Enum):
+    """The ambient structure: integers (Z) or naturals (N)."""
+
+    Z = "Z"
+    N = "N"
+
+
+def as_domain(domain) -> DomainTag:
+    """The tag for ``domain``, given as a tag or as its value ``"Z"``/``"N"``."""
+    try:
+        return DomainTag(domain)
+    except ValueError:
+        raise ParameterError(f"unknown domain {domain!r}") from None
 
 
 class Term:
@@ -77,9 +106,6 @@ class Term:
 
     __rmul__ = __mul__
 
-    def variables(self) -> set:
-        return set(self.coeffs)
-
     def is_constant(self) -> bool:
         return not self.coeffs
 
@@ -124,9 +150,17 @@ def _as_term(value: Union[Term, int, str]) -> Term:
 
 
 class Formula:
-    """Base class for all formula nodes.  Instances are immutable."""
+    """Base class for all formula nodes.  Instances are immutable; the
+    traversal protocol's defaults describe a node without operands."""
 
     __slots__ = ()
+    children: tuple = ()
+    terms: tuple = ()
+    binds: tuple = ()
+    refs: tuple = ()
+
+    def rebuild(self, children) -> "Formula":
+        return self
 
 
 @dataclass(frozen=True)
@@ -145,7 +179,7 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _Comparison(Formula):
     lhs: Term
     rhs: Term
@@ -154,11 +188,7 @@ class _Comparison(Formula):
         object.__setattr__(self, "lhs", _as_term(self.lhs))
         object.__setattr__(self, "rhs", _as_term(self.rhs))
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.lhs == other.lhs and self.rhs == other.rhs
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.lhs, self.rhs))
+    terms = property(attrgetter("lhs", "rhs"))
 
 
 class Le(_Comparison):
@@ -173,7 +203,7 @@ class Eq(_Comparison):
     """lhs = rhs"""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Cong(Formula):
     """term = residue (mod modulus); the residue is stored canonically."""
 
@@ -187,24 +217,31 @@ class Cong(Formula):
             raise ParameterError(f"congruence modulus must be positive, got {self.modulus}")
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cong)
-            and self.term == other.term
-            and self.residue == other.residue
-            and self.modulus == other.modulus
-        )
+    @property
+    def terms(self):
+        return (self.term,)
 
-    def __hash__(self):
-        return hash((self.term, self.residue, self.modulus))
+
+class _WithBody(Formula):
+    """The protocol of a node whose one subformula is its ``body`` field."""
+
+    __slots__ = ()
+
+    @property
+    def children(self):
+        return (self.body,)
+
+    def rebuild(self, children):
+        (body,) = children
+        return replace(self, body=body)
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class Not(_WithBody):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _NaryConnective(Formula):
     parts: tuple
 
@@ -219,11 +256,10 @@ class _NaryConnective(Formula):
             raise ParameterError(f"{type(self).__name__} needs at least two parts")
         object.__setattr__(self, "parts", tuple(flat))
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.parts == other.parts
+    children = property(attrgetter("parts"))
 
-    def __hash__(self):
-        return hash((type(self).__name__, self.parts))
+    def rebuild(self, children):
+        return type(self)(tuple(children))
 
 
 class And(_NaryConnective):
@@ -235,7 +271,7 @@ class Or(_NaryConnective):
 
 
 @dataclass(frozen=True, eq=False)
-class _Quantifier(Formula):
+class _Quantifier(_WithBody):
     """A first-order quantifier binding ``var`` in ``body``.
 
     Equality and hashing walk a chain of nested quantifiers in a loop, so a
@@ -263,6 +299,10 @@ class _Quantifier(Formula):
             f = f.body
         return hash((tuple(binders), f))
 
+    @property
+    def binds(self):
+        return (self.var,)
+
 
 class Exists(_Quantifier):
     """E var . body"""
@@ -273,13 +313,21 @@ class Forall(_Quantifier):
 
 
 @dataclass(frozen=True)
-class CountEq(Formula):
+class CountEq(_WithBody):
     """Counting quantifier: the number of counted_var values satisfying the
     body equals the value of count_var (which is free in the construct)."""
 
     counted_var: str
     count_var: str
     body: Formula
+
+    @property
+    def binds(self):
+        return (self.counted_var,)
+
+    @property
+    def refs(self):
+        return (self.count_var,)
 
 
 @dataclass(frozen=True)
@@ -335,47 +383,62 @@ def iff(left: Formula, right: Formula) -> Formula:
     return conj([implies(left, right), implies(right, left)])
 
 
+def traverse(f: Formula) -> tuple[list, list]:
+    """Every node of ``f`` (parents first) and, in a parallel list, its scope:
+    None at the top, ``(names, outer scope)`` below a binder (see
+    :func:`bound_names`).  Flat lists and one pair per binder keep the cost
+    linear at any depth and spare the garbage collector on large trees."""
+    nodes, scopes = [], []
+    todo, todo_scopes = [f], [None]
+    while todo:
+        g = todo.pop()
+        scope = todo_scopes.pop()
+        nodes.append(g)
+        scopes.append(scope)
+        children = g.children
+        if children:
+            if g.binds:
+                scope = (g.binds, scope)
+            todo.extend(children)
+            todo_scopes.extend([scope] * len(children))
+    return nodes, scopes
+
+
+def bound_names(scope) -> frozenset:
+    """The names bound in a scope from :func:`traverse`."""
+    names = []
+    while scope is not None:
+        binds, scope = scope
+        names.extend(binds)
+    return frozenset(names)
+
+
 def free_vars(f: Formula) -> set:
-    if isinstance(f, (TrueF, FalseF)):
-        return set()
-    if isinstance(f, _Comparison):
-        return f.lhs.variables() | f.rhs.variables()
-    if isinstance(f, Cong):
-        return f.term.variables()
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, _NaryConnective):
-        out = set()
-        for part in f.parts:
-            out |= free_vars(part)
-        return out
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, CountEq):
-        return (free_vars(f.body) - {f.counted_var}) | {f.count_var}
-    raise TypeError(f"not a formula: {f!r}")
+    out = set()
+    last, bound = (), None  # siblings share a scope: resolve it once per run
+    for g, scope in zip(*traverse(f)):
+        terms, refs = g.terms, g.refs
+        if terms or refs:
+            if scope is not last:
+                last, bound = scope, bound_names(scope)
+            for t in terms:
+                for name in t.coeffs:
+                    if name not in bound:
+                        out.add(name)
+            for name in refs:
+                if name not in bound:
+                    out.add(name)
+    return out
 
 
 def all_variable_names(f: Formula) -> set:
     """Every variable name occurring in the formula, bound or free."""
-    if isinstance(f, (TrueF, FalseF)):
-        return set()
-    if isinstance(f, _Comparison):
-        return f.lhs.variables() | f.rhs.variables()
-    if isinstance(f, Cong):
-        return f.term.variables()
-    if isinstance(f, Not):
-        return all_variable_names(f.body)
-    if isinstance(f, _NaryConnective):
-        out = set()
-        for part in f.parts:
-            out |= all_variable_names(part)
-        return out
-    if isinstance(f, (Exists, Forall)):
-        return all_variable_names(f.body) | {f.var}
-    if isinstance(f, CountEq):
-        return all_variable_names(f.body) | {f.counted_var, f.count_var}
-    raise TypeError(f"not a formula: {f!r}")
+    out = set()
+    for g in traverse(f)[0]:
+        out.update(g.binds, g.refs)
+        for t in g.terms:
+            out.update(t.coeffs)
+    return out
 
 
 class FreshNames:
@@ -385,9 +448,6 @@ class FreshNames:
     def __init__(self, reserved: Iterable[str] = ()):
         self._used = set(reserved)
         self._counter = 0
-
-    def reserve(self, names: Iterable[str]) -> None:
-        self._used.update(names)
 
     def fresh(self, kind: str = "q") -> str:
         while True:
@@ -414,7 +474,7 @@ def substitute(f: Formula, var: str, replacement: Union[Term, int, str]) -> Form
     variable requires the replacement to be a plain variable.
     """
     replacement = _as_term(replacement)
-    fresh = FreshNames(all_variable_names(f) | replacement.variables() | {var})
+    fresh = FreshNames(all_variable_names(f) | set(replacement.coeffs) | {var})
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, (TrueF, FalseF)):
@@ -464,30 +524,11 @@ def substitute(f: Formula, var: str, replacement: Union[Term, int, str]) -> Form
 
 # --- bounded evaluation -----------------------------------------------------
 
-# Domain tags live in the sets module conceptually, but evaluation only needs
-# to know whether values start at zero; accept the tag duck-typed by name.
-
-
-def _domain_is_nat(domain) -> bool:
-    name = getattr(domain, "name", None) or str(domain)
-    if name in ("N", "DomainTag.N"):
-        return True
-    if name in ("Z", "DomainTag.Z"):
-        return False
-    raise ParameterError(f"unknown domain {domain!r}")
-
-
-def _quantifier_range(domain, bound: int) -> range:
-    if bound < 1:
-        raise ParameterError("quantifier bound must be positive")
-    lo = 0 if _domain_is_nat(domain) else -bound
-    return range(lo, bound + 1)
-
 
 def evaluate(
     f: Formula,
     assignment: Mapping[str, int],
-    domain="Z",
+    domain: Union[DomainTag, str] = DomainTag.Z,
     quant_bound: int = 64,
     margin: Optional[int] = None,
 ) -> bool:
@@ -503,10 +544,11 @@ def evaluate(
     missing = free_vars(f) - set(env)
     if missing:
         raise UnboundVariableError(f"no value for variable(s) {sorted(missing)}")
-    return _eval(f, env, domain, quant_bound, margin)
+    return _eval(f, env, as_domain(domain), quant_bound, margin)
 
 
-def _eval(f, env, domain, bound, margin) -> bool:
+def evaluate_atom(f: Formula, env: Mapping[str, int]) -> bool:
+    """Truth value of an atom (a node without children) under ``env``."""
     tf = type(f)
     if tf is Le:
         return f.lhs.evaluate(env) <= f.rhs.evaluate(env)
@@ -516,22 +558,29 @@ def _eval(f, env, domain, bound, margin) -> bool:
         return f.lhs.evaluate(env) == f.rhs.evaluate(env)
     if tf is Cong:
         return f.term.evaluate(env) % f.modulus == f.residue
+    if tf is TrueF:
+        return True
+    if tf is FalseF:
+        return False
+    raise TypeError(f"not an atom: {f!r}")
+
+
+def _eval(f, env, domain, bound, margin) -> bool:
+    tf = type(f)
     if tf is And:
         return all(_eval(p, env, domain, bound, margin) for p in f.parts)
     if tf is Or:
         return any(_eval(p, env, domain, bound, margin) for p in f.parts)
     if tf is Not:
         return not _eval(f.body, env, domain, bound, margin)
-    if tf is TrueF:
-        return True
-    if tf is FalseF:
-        return False
     if tf is Exists or tf is Forall:
         var = f.var
         saved = env.get(var)
         had = var in env
         hit = tf is Forall
-        for value in _quantifier_range(domain, bound):
+        if bound < 1:
+            raise ParameterError("quantifier bound must be positive")
+        for value in range(0 if domain is DomainTag.N else -bound, bound + 1):
             env[var] = value
             result = _eval(f.body, env, domain, bound, margin)
             if result != (tf is Forall):
@@ -544,29 +593,18 @@ def _eval(f, env, domain, bound, margin) -> bool:
         return hit
     if tf is CountEq:
         target = env[f.count_var]
-        window = (0 if _domain_is_nat(domain) else -bound, bound)
+        window = (0 if domain is DomainTag.N else -bound, bound)
         result = _count(f.body, f.counted_var, env, domain, window, margin, bound)
         return result.stable and result.count == target
-    raise TypeError(f"not a formula: {f!r}")
+    return evaluate_atom(f, env)
 
 
 def max_abs_coefficient(f: Formula) -> int:
     """Largest absolute coefficient appearing in any atom of the formula."""
-    if isinstance(f, _Comparison):
-        values = list(f.lhs.coeffs.values()) + list(f.rhs.coeffs.values())
-    elif isinstance(f, Cong):
-        values = list(f.term.coeffs.values())
-    elif isinstance(f, Not):
-        return max_abs_coefficient(f.body)
-    elif isinstance(f, _NaryConnective):
-        return max((max_abs_coefficient(p) for p in f.parts), default=0)
-    elif isinstance(f, (Exists, Forall)):
-        return max_abs_coefficient(f.body)
-    elif isinstance(f, CountEq):
-        return max_abs_coefficient(f.body)
-    else:
-        values = []
-    return max((abs(v) for v in values), default=0)
+    return max(
+        (abs(c) for g in traverse(f)[0] for t in g.terms for c in t.coeffs.values()),
+        default=0,
+    )
 
 
 def default_margin(body: Formula) -> int:
@@ -578,7 +616,7 @@ def count_witnesses(
     body: Formula,
     counted_var: str,
     assignment: Mapping[str, int],
-    domain="Z",
+    domain: Union[DomainTag, str] = DomainTag.Z,
     window: tuple[int, int] = (-64, 64),
     margin: Optional[int] = None,
     quant_bound: int = 64,
@@ -600,13 +638,13 @@ def count_witnesses(
         margin = default_margin(body)
     if margin < 1:
         raise ParameterError("margin must be positive")
-    return _count(body, counted_var, env, domain, window, margin, quant_bound)
+    return _count(body, counted_var, env, as_domain(domain), window, margin, quant_bound)
 
 
 def _count(body, counted_var, env, domain, window, margin, bound) -> CountResult:
     lo, hi = window
     lower_truncates = True
-    if _domain_is_nat(domain):
+    if domain is DomainTag.N:
         if lo <= 0:
             lo = 0
             lower_truncates = False
@@ -693,31 +731,14 @@ def simplify(f: Formula, assignment: Mapping[str, int]) -> Formula:
 
 def node_count(f: Formula) -> int:
     """Size measure: formula nodes plus one per term coefficient."""
-    if isinstance(f, (TrueF, FalseF)):
-        return 1
-    if isinstance(f, _Comparison):
-        return 1 + len(f.lhs.coeffs) + len(f.rhs.coeffs)
-    if isinstance(f, Cong):
-        return 1 + len(f.term.coeffs)
-    if isinstance(f, Not):
-        return 1 + node_count(f.body)
-    if isinstance(f, _NaryConnective):
-        return 1 + sum(node_count(p) for p in f.parts)
-    if isinstance(f, (Exists, Forall)):
-        return 1 + node_count(f.body)
-    if isinstance(f, CountEq):
-        return 1 + node_count(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    total = 0
+    for g in traverse(f)[0]:
+        total += 1
+        for t in g.terms:
+            total += len(t.coeffs)
+    return total
 
 
 def contains_counting(f: Formula) -> bool:
     """Structural scan for any counting-quantifier node."""
-    if isinstance(f, CountEq):
-        return True
-    if isinstance(f, Not):
-        return contains_counting(f.body)
-    if isinstance(f, _NaryConnective):
-        return any(contains_counting(p) for p in f.parts)
-    if isinstance(f, (Exists, Forall)):
-        return contains_counting(f.body)
-    return False
+    return any(isinstance(g, CountEq) for g in traverse(f)[0])

@@ -18,7 +18,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, SingularMatrixError
 
@@ -51,10 +51,6 @@ class IntMatrix:
         height = len(columns[0])
         return cls.from_rows([[col[i] for col in columns] for i in range(height)])
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -66,30 +62,8 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([self.column(j) for j in range(self.cols)])
-
     def select_rows(self, indices: Sequence[int]) -> "IntMatrix":
         return IntMatrix.from_rows([self.entries[i] for i in indices])
-
-    def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise DimensionError("vector length does not match column count")
-        return tuple(sum(r * x for r, x in zip(row, v)) for row in self.entries)
-
-
-@dataclass(frozen=True)
-class RowSelection:
-    """A strictly increasing choice of row indices into a source matrix."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise DimensionError("row selection must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -145,14 +119,28 @@ def _reduce_against_basis(
     return None
 
 
-def rank_over_rationals(m: IntMatrix) -> int:
-    """Rank of the matrix over the rationals, by exact elimination."""
+def _independent_rows(m: IntMatrix, candidates: Iterable[int]) -> list[int]:
+    """The candidate rows, in order, that enlarge the span of those before.
+
+    By the matroid exchange property this greedy choice is the
+    lexicographically least row basis of the candidates.  It stops at
+    ``m.cols`` rows, when no further row can be independent.
+    """
     basis: list[list[Fraction]] = []
-    for i in range(m.rows):
+    chosen: list[int] = []
+    for i in candidates:
         residual = _reduce_against_basis(basis, m.row(i))
         if residual is not None:
             basis.append(residual)
-    return len(basis)
+            chosen.append(i)
+            if len(chosen) == m.cols:
+                break
+    return chosen
+
+
+def rank_over_rationals(m: IntMatrix) -> int:
+    """Rank of the matrix over the rationals, by exact elimination."""
+    return len(_independent_rows(m, range(m.rows)))
 
 
 def determinant(m: IntMatrix) -> int:
@@ -181,41 +169,21 @@ def determinant(m: IntMatrix) -> int:
 
 def find_full_rank_submatrix(
     m: IntMatrix, forbidden_row: Optional[int] = None
-) -> Optional[RowSelection]:
+) -> Optional[tuple[int, ...]]:
     """Lexicographically least selection of ``cols`` independent rows.
 
-    Rows are scanned in index order and greedily added when they enlarge the
-    span; by the matroid exchange property the greedy basis is the
-    lexicographically least one.  ``forbidden_row`` (if given) is skipped.
-    Returns None when no selection avoiding the forbidden row reaches full
-    column rank.
+    The row indices come in increasing order; ``forbidden_row`` (if given) is
+    skipped.  Returns None when no selection avoiding the forbidden row
+    reaches full column rank.
     """
-    target = m.cols
-    basis: list[list[Fraction]] = []
-    chosen: list[int] = []
-    for i in range(m.rows):
-        if i == forbidden_row:
-            continue
-        residual = _reduce_against_basis(basis, m.row(i))
-        if residual is not None:
-            basis.append(residual)
-            chosen.append(i)
-            if len(chosen) == target:
-                return RowSelection(tuple(chosen))
-    return None
+    chosen = _independent_rows(m, (i for i in range(m.rows) if i != forbidden_row))
+    return tuple(chosen) if len(chosen) == m.cols else None
 
 
 def greedy_row_basis(m: IntMatrix, limit: int) -> list[int]:
     """Lexicographically least independent subset of the first ``limit`` rows
     spanning their row space."""
-    basis: list[list[Fraction]] = []
-    chosen: list[int] = []
-    for i in range(limit):
-        residual = _reduce_against_basis(basis, m.row(i))
-        if residual is not None:
-            basis.append(residual)
-            chosen.append(i)
-    return chosen
+    return _independent_rows(m, range(limit))
 
 
 def _adjugate(entries: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -16,19 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 from . import formula as fm
 from .errors import ContractError, DimensionError, ParameterError, UnsupportedPresentationError
+from .formula import DomainTag
 from .linalg import CramerSolution, IntMatrix, cramer_solve, find_full_rank_submatrix, rank_over_rationals
-
-
-class DomainTag(Enum):
-    """The ambient structure: integers (Z) or naturals (N)."""
-
-    Z = "Z"
-    N = "N"
 
 
 def coordinate_names(dimension: int) -> list[str]:
@@ -46,6 +39,7 @@ class LinearSetPresentation:
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(int(v) for v in self.base))
+        object.__setattr__(self, "domain", fm.as_domain(self.domain))
         object.__setattr__(
             self, "periods", tuple(tuple(int(v) for v in row) for row in self.periods)
         )
@@ -178,9 +172,8 @@ class MembershipTester:
             self.cramer: Optional[CramerSolution] = None
             self.rest_rows: tuple[int, ...] = tuple(range(presentation.dimension))
         else:
-            selection = find_full_rank_submatrix(matrix)
-            assert selection is not None  # guaranteed by simplicity
-            self.selection = selection.indices
+            self.selection = find_full_rank_submatrix(matrix)
+            assert self.selection is not None  # guaranteed by simplicity
             sub = matrix.select_rows(self.selection)
             offsets = [presentation.base[i] for i in self.selection]
             self.cramer = cramer_solve(sub, offsets)

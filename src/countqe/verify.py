@@ -25,18 +25,13 @@ from .elim import EliminationResult, eliminate
 from .errors import CountQEError, UnboundVariableError
 from .formula import (
     And,
-    Cong,
     CountEq,
     Eq,
     Exists,
-    FalseF,
     Forall,
     Formula,
-    Le,
-    Lt,
     Not,
     Or,
-    TrueF,
 )
 from .linalg import solve_unique
 from .sets import (
@@ -56,70 +51,39 @@ class PinnedEvaluationError(CountQEError):
 # --- solving evaluator --------------------------------------------------------
 
 
-def _is_nat(domain) -> bool:
-    return (getattr(domain, "name", None) or str(domain)) in ("N", "DomainTag.N")
-
-
-def _candidate_values(var: str, f: Formula, env: Mapping[str, int], out: set) -> None:
-    tf = type(f)
-    if tf is Eq:
-        combined = f.lhs - f.rhs
-        if var in combined.coeffs:
-            total = combined.constant
-            for name, coef in combined.coeffs.items():
-                if name == var:
-                    continue
-                value = env.get(name)
-                if value is None:
-                    return
-                total += coef * value
-            c = combined.coeffs[var]
+def _candidate_values(var: str, f: Formula, env: Mapping[str, int]) -> set:
+    """Values of ``var`` that some equation of ``f`` outside a binder of
+    ``var`` forces, given the other variables' values in ``env``."""
+    out = set()
+    for g, scope in zip(*fm.traverse(f)):
+        if not isinstance(g, Eq) or (var not in g.lhs.coeffs and var not in g.rhs.coeffs):
+            continue
+        combined = g.lhs - g.rhs
+        c = combined.coeffs.get(var)
+        others = [name for name in combined.coeffs if name != var]
+        if c and all(name in env for name in others) and var not in fm.bound_names(scope):
+            total = combined.constant + sum(combined.coeffs[n] * env[n] for n in others)
             if total % c == 0:
                 out.add(-(total // c))
-        return
-    if tf in (And, Or):
-        for part in f.parts:
-            _candidate_values(var, part, env, out)
-    elif tf is Not:
-        _candidate_values(var, f.body, env, out)
-    elif tf in (Exists, Forall):
-        if f.var != var:
-            _candidate_values(var, f.body, env, out)
-    elif tf is CountEq:
-        if f.counted_var != var:
-            _candidate_values(var, f.body, env, out)
+    return out
 
 
 def _atoms_only(f: Formula) -> Optional[list]:
     """The atom list when the formula is a conjunction of atoms, else None."""
-    if isinstance(f, (Le, Lt, Eq, Cong, TrueF, FalseF)):
-        return [f]
-    if isinstance(f, And):
-        atoms = []
-        for part in f.parts:
-            if isinstance(part, (Le, Lt, Eq, Cong, TrueF, FalseF)):
-                atoms.append(part)
-            else:
-                return None
-        return atoms
-    return None
+    parts = f.parts if isinstance(f, And) else (f,)
+    return None if any(p.children for p in parts) else list(parts)
 
 
 def _solve_linear_block(
     chain: Sequence[str], atoms: Sequence[Formula], env: dict, domain
 ) -> bool:
-    occurring: set = set()
-    for atom in atoms:
-        if isinstance(atom, (Le, Lt, Eq)):
-            occurring |= atom.lhs.variables() | atom.rhs.variables()
-        elif isinstance(atom, Cong):
-            occurring |= atom.term.variables()
+    occurring = {name for atom in atoms for t in atom.terms for name in t.coeffs}
     unknowns = [v for v in chain if v not in env and v in occurring]
     # Chain variables absent from every atom are unconstrained; zero works
     # in either domain.
     env = {**env, **{v: 0 for v in chain if v not in env and v not in occurring}}
     if not unknowns:
-        return all(_eval_atom(atom, env) for atom in atoms)
+        return all(fm.evaluate_atom(atom, env) for atom in atoms)
     index = {name: i for i, name in enumerate(unknowns)}
     rows = []
     rhs = []
@@ -151,31 +115,16 @@ def _solve_linear_block(
         if value.denominator != 1:
             return False
         concrete = int(value)
-        if _is_nat(domain) and concrete < 0:
+        if domain is DomainTag.N and concrete < 0:
             return False
         values[name] = concrete
     extended = {**env, **values}
-    return all(_eval_atom(atom, extended) for atom in atoms)
+    return all(fm.evaluate_atom(atom, extended) for atom in atoms)
 
 
-def _eval_atom(f: Formula, env: Mapping[str, int]) -> bool:
-    tf = type(f)
-    if tf is Le:
-        return f.lhs.evaluate(env) <= f.rhs.evaluate(env)
-    if tf is Lt:
-        return f.lhs.evaluate(env) < f.rhs.evaluate(env)
-    if tf is Eq:
-        return f.lhs.evaluate(env) == f.rhs.evaluate(env)
-    if tf is Cong:
-        return f.term.evaluate(env) % f.modulus == f.residue
-    if tf is TrueF:
-        return True
-    if tf is FalseF:
-        return False
-    raise TypeError(f"not an atom: {f!r}")
-
-
-def evaluate_pinned(f: Formula, assignment: Mapping[str, int], domain=DomainTag.Z) -> bool:
+def evaluate_pinned(
+    f: Formula, assignment: Mapping[str, int], domain: DomainTag | str = DomainTag.Z
+) -> bool:
     """Exact evaluation for formulas whose bound variables are pinned.
 
     Every existential variable must be determined by equations over outer
@@ -185,13 +134,13 @@ def evaluate_pinned(f: Formula, assignment: Mapping[str, int], domain=DomainTag.
     rather than guessing.
     """
     env = dict(assignment)
-    return _eval_pinned(f, env, domain)
+    return _eval_pinned(f, env, fm.as_domain(domain))
 
 
 def _eval_pinned(f: Formula, env: dict, domain) -> bool:
     tf = type(f)
-    if tf in (Le, Lt, Eq, Cong, TrueF, FalseF):
-        return _eval_atom(f, env)
+    if not f.children:
+        return fm.evaluate_atom(f, env)
     if tf is And:
         return all(_eval_pinned(p, env, domain) for p in f.parts)
     if tf is Or:
@@ -209,11 +158,10 @@ def _eval_pinned(f: Formula, env: dict, domain) -> bool:
         atoms = _atoms_only(inner)
         if atoms is not None and any(v not in env for v in chain):
             return _solve_linear_block(chain, atoms, env, domain)
-        candidates: set = set()
-        _candidate_values(f.var, f.body, env, candidates)
+        candidates = _candidate_values(f.var, f.body, env)
         candidates.add(0)
         for value in sorted(candidates):
-            if _is_nat(domain) and value < 0:
+            if domain is DomainTag.N and value < 0:
                 continue
             env[f.var] = value
             if _eval_pinned(f.body, env, domain):
@@ -230,17 +178,18 @@ def formula_count_values(
     result: EliminationResult,
     assignment: Mapping[str, int],
     candidates: Sequence[int],
-    domain=DomainTag.Z,
+    domain: DomainTag | str = DomainTag.Z,
 ) -> list[int]:
     """The candidate count values satisfying the eliminated formula.
 
     Folds the assignment into the formula once, then decides each candidate
     with the solving evaluator.
     """
+    domain = fm.as_domain(domain)
     residual = fm.simplify(result.formula, assignment)
     hits = []
     for k in candidates:
-        if _is_nat(domain) and k < 0:
+        if domain is DomainTag.N and k < 0:
             continue
         if evaluate_pinned(residual, {result.count_var: k}, domain):
             hits.append(k)

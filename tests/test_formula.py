@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countqe.elim import is_subtraction_free, normalize_for_nat
 from countqe.errors import ParameterError, UnboundVariableError
 from countqe.formula import (
     FALSE,
@@ -12,8 +13,10 @@ from countqe.formula import (
     Cong,
     CountEq,
     CountResult,
+    DomainTag,
     Eq,
     Exists,
+    FalseF,
     Forall,
     FreshNames,
     Le,
@@ -21,6 +24,9 @@ from countqe.formula import (
     Not,
     Or,
     Term,
+    TrueF,
+    all_variable_names,
+    bound_names,
     conj,
     constant,
     contains_counting,
@@ -30,9 +36,11 @@ from countqe.formula import (
     evaluate,
     free_vars,
     implies,
+    max_abs_coefficient,
     node_count,
     simplify,
     substitute,
+    traverse,
     variable,
 )
 
@@ -94,6 +102,9 @@ class TestFreeVars:
     def test_counting_quantifier(self):
         f = CountEq("x", "y", interval_body(-1, 3))
         assert free_vars(f) == {"y"}
+        # The count variable is read outside the counting binder.
+        assert free_vars(CountEq("x", "x", Le(x, y))) == {"x", "y"}
+        assert free_vars(Exists("n", CountEq("w", "n", Le(variable("w"), y)))) == {"y"}
 
     def test_atom(self):
         assert free_vars(Eq(x, constant(5))) == {"x"}
@@ -172,6 +183,19 @@ class TestEvaluate:
         f = CountEq("x", "y", FALSE)
         assert evaluate(f, {"y": 0}) is True
         assert evaluate(f, {"y": -1}) is False
+
+    def test_domain_given_as_tag_or_value(self):
+        f = Forall("x", Le(constant(0), x))
+        assert evaluate(f, {}, domain=DomainTag.N, quant_bound=5) is True
+        assert evaluate(f, {}, domain="N", quant_bound=5) is True
+        assert evaluate(f, {}, domain="Z", quant_bound=5) is False
+        # Any other value is refused at the entry, even where no quantifier
+        # would consult it.
+        for bad in ("Q", "DomainTag.N", None):
+            with pytest.raises(ParameterError):
+                evaluate(Le(x, y), {"x": 0, "y": 1}, domain=bad)
+            with pytest.raises(ParameterError):
+                count_witnesses(Le(x, y), "x", {"y": 1}, domain=bad)
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError):
@@ -279,6 +303,51 @@ class TestMisc:
         assert contains_counting(f) is True
         assert contains_counting(Exists("x", Le(x, y))) is False
 
+    # One formula with all twelve node classes.
+    ALL_KINDS = Exists(
+        "e",
+        Forall(
+            "a",
+            And(
+                (
+                    Or((Le(x, 2 * y), Lt(-3 * x, variable("e")))),
+                    Not(Eq(variable("a"), constant(1))),
+                    Cong(x + variable("a"), 1, 4),
+                    CountEq("w", "n", Or((TRUE, FALSE, Le(variable("w"), variable("e") - 5)))),
+                )
+            ),
+        ),
+    )
+
+    def test_protocol_walkers_on_every_node_class(self):
+        f = self.ALL_KINDS
+        nodes, scopes = traverse(f)
+        kinds = {type(g) for g in nodes}
+        assert kinds == {
+            Exists, Forall, And, Or, Le, Lt, Not, Eq, Cong, CountEq, TrueF, FalseF
+        }
+        assert len(nodes) == 14
+        # Counted by hand: 14 nodes plus the coefficients x, 2y; -3x, e; a;
+        # x, a; w, e.
+        assert node_count(f) == 23
+        # e, a and w are bound; the count variable n is free.
+        assert free_vars(f) == {"x", "y", "n"}
+        assert all_variable_names(f) == {"e", "a", "w", "x", "y", "n"}
+        assert max_abs_coefficient(f) == 3
+        assert contains_counting(f) is True
+        assert is_subtraction_free(f) is False
+        assert is_subtraction_free(Forall("a", Le(x, 2 * variable("a") + 1))) is True
+        innermost = next(g for g in nodes if g == Le(variable("w"), variable("e") - 5))
+        assert bound_names(scopes[nodes.index(innermost)]) == {"e", "a", "w"}
+        assert bound_names(scopes[0]) == frozenset()
+        for g in nodes:
+            assert g.rebuild(g.children) == g
+        with pytest.raises(ParameterError):
+            normalize_for_nat(f)
+        assert normalize_for_nat(Not(Or((Le(x, 2 * y), Lt(-3 * x, y))))) == Not(
+            Or((Le(x, 2 * y), Lt(constant(0), 3 * x + y)))
+        )
+
 
 class TestBinderChains:
     @staticmethod
@@ -298,6 +367,17 @@ class TestBinderChains:
         assert a != self.chain(399)
         assert a != self.chain(400, kinds=(Exists, Forall))
         assert self.chain(400, kinds=(Exists, Forall)) == self.chain(400, kinds=(Exists, Forall))
+
+    def test_walkers_at_any_depth(self):
+        # 5,000 binders: far deeper than the recursion limit.  The walkers
+        # run on one explicit stack.
+        f = self.chain(5000, innermost=Le(2 * x, variable("_c0") + 3), kinds=(Exists, Forall))
+        assert node_count(f) == 5000 + 3
+        assert free_vars(f) == {"x"}
+        assert all_variable_names(f) == {"x"} | {f"_c{i}" for i in range(5000)}
+        assert max_abs_coefficient(f) == 2
+        assert contains_counting(f) is False
+        assert is_subtraction_free(f) is True
 
     def test_binder_mismatches(self):
         assert Exists("x", Le(x, y)) != Forall("x", Le(x, y))

@@ -21,6 +21,10 @@ from countqe.linalg import (
 THREE_PERIOD_MATRIX = IntMatrix.from_columns([(1, 2, 2, 1), (2, 4, 1, 1), (-1, -2, 0, -1)])
 
 
+def identity(n):
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def _cofactor_determinant(rows):
     if len(rows) == 1:
         return rows[0][0]
@@ -35,7 +39,7 @@ def _cofactor_determinant(rows):
 
 class TestRank:
     def test_identity(self):
-        assert rank_over_rationals(IntMatrix.identity(3)) == 3
+        assert rank_over_rationals(identity(3)) == 3
 
     def test_three_period_matrix(self):
         assert rank_over_rationals(THREE_PERIOD_MATRIX) == 3
@@ -51,7 +55,7 @@ class TestRank:
             m = IntMatrix.from_rows(
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             )
-            assert rank_over_rationals(m) == rank_over_rationals(m.transpose())
+            assert rank_over_rationals(m) == rank_over_rationals(IntMatrix.from_columns(m.entries))
 
 
 class TestDeterminant:
@@ -61,7 +65,7 @@ class TestDeterminant:
 
     def test_identity(self):
         for n in range(1, 5):
-            assert determinant(IntMatrix.identity(n)) == 1
+            assert determinant(identity(n)) == 1
 
     def test_diagonal(self):
         assert determinant(IntMatrix.from_rows([(2, 0), (0, 3)])) == 6
@@ -82,11 +86,11 @@ class TestRowSelection:
     def test_worked_example_selection(self):
         # Forbidding the second row (index 1) picks rows 1, 3, 4 (0-based 0, 2, 3).
         sel = find_full_rank_submatrix(THREE_PERIOD_MATRIX, forbidden_row=1)
-        assert sel is not None and sel.indices == (0, 2, 3)
+        assert sel == (0, 2, 3)
 
     def test_identity_all_rows(self):
-        sel = find_full_rank_submatrix(IntMatrix.identity(4))
-        assert sel is not None and sel.indices == (0, 1, 2, 3)
+        sel = find_full_rank_submatrix(identity(4))
+        assert sel == (0, 1, 2, 3)
 
     def test_absent_when_only_usable_row_forbidden(self):
         m = IntMatrix.from_rows([(0,), (1,)])
@@ -109,7 +113,7 @@ class TestRowSelection:
                     best = combo
                     break
             got = find_full_rank_submatrix(m, forbidden_row=forbidden)
-            assert (got.indices if got else None) == best
+            assert got == best
 
     def test_greedy_row_basis_spans_prefix(self):
         basis = greedy_row_basis(THREE_PERIOD_MATRIX, 3)
@@ -126,7 +130,7 @@ class TestCramerSolve:
         assert sol.offset == (0, 0, 0)
 
     def test_identity(self):
-        sol = cramer_solve(IntMatrix.identity(3), (0, 0, 0))
+        sol = cramer_solve(identity(3), (0, 0, 0))
         assert sol.denom == 1
         assert sol.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert sol.offset == (0, 0, 0)
@@ -153,7 +157,7 @@ class TestCramerSolve:
                 continue
             a = [rng.randint(-5, 5) for _ in range(n)]
             z = [rng.randint(-6, 6) for _ in range(n)]
-            x = [v + b for v, b in zip(m.mul_vector(z), a)]
+            x = [sum(r * v for r, v in zip(row, z)) + b for row, b in zip(m.entries, a)]
             sol = cramer_solve(m, a)
             assert sol.numerators(x) == tuple(sol.denom * zi for zi in z)
             done += 1
