@@ -384,8 +384,9 @@ def iff(left: Formula, right: Formula) -> Formula:
 
 
 def traverse(f: Formula) -> tuple[list, list]:
-    """Every node of ``f`` (parents first) and, in a parallel list, its scope:
-    None at the top, ``(names, outer scope)`` below a binder (see
+    """Every node of ``f`` (parents first; a node with children is directly
+    followed by its last child) and, in a parallel list, its scope: None at
+    the top, ``(names, outer scope)`` below a binder (see
     :func:`bound_names`).  Flat lists and one pair per binder keep the cost
     linear at any depth and spare the garbage collector on large trees."""
     nodes, scopes = [], []

@@ -10,6 +10,12 @@ The formula surface syntax is ASCII-only so files stay portable:
 Precedence from loose to tight: <-> , -> , | , & , unary.  A quantifier
 body extends through exactly one unary item; parenthesise for more.
 
+The lexer is one regular expression whose matches are the tokens, kept as
+plain strings in a flat list; the parser walks an index into it and reads a
+run of ``!``/quantifier heads in a loop, as the printer prints one, so a
+binder chain of any depth costs no stack.  A :class:`SourceSpan` is only
+computed on the error path, by matching the text again up to the token.
+
 Presentation files are line oriented: a header (``domain Z|N``, ``dim n``,
 optional ``disjoint``/``simple`` flags) followed by components, each a
 ``component`` line, one ``base`` line and any number of ``period`` lines.
@@ -19,7 +25,9 @@ optional ``disjoint``/``simple`` flags) followed by components, each a
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from . import formula as fm
@@ -39,8 +47,6 @@ from .formula import (
     Or,
     Term,
     TrueF,
-    conj,
-    disj,
     iff,
     implies,
 )
@@ -69,246 +75,201 @@ class ParseError(CountQEError):
 
 
 _KEYWORDS = {"true", "false", "mod"}
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<int>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><->|->|<=|>=|==|<|>|=|&|\||!|\+|-|\*|\(|\)|\.)
-    """,
-    re.VERBOSE,
-)
+_DIGITS = frozenset("0123456789")
+_WORD_START = frozenset(string.ascii_letters + "_")
+_COMPARISONS = {"<=": Le, "<": Lt, "=": Eq, ">=": Le, ">": Lt}
+# One token per match; the last branch catches any other visible character,
+# which _BAD_CHAR reports before parsing starts.
+_LEXEME = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|<->|->|<=|>=|==|[<>=&|!+\-*().]|\S")
+_BAD_CHAR = re.compile(r"[^\sA-Za-z0-9_<>=&|!+\-*().]")
+_LOOKAHEAD = 5  # end sentinels: a quantifier head is decided on five tokens
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "ident" | "op" | "keyword" | "end"
-    text: str
-    span: SourceSpan
+def _is_ident(token: str) -> bool:
+    return token[:1] in _WORD_START and token not in _KEYWORDS
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        kind = match.lastgroup
-        value = match.group()
-        if kind == "ws":
-            line += value.count("\n")
-            if "\n" in value:
-                line_start = match.start() + value.rfind("\n") + 1
-            pos = match.end()
-            continue
-        span = SourceSpan(match.start(), match.end(), line, match.start() - line_start + 1)
-        if kind == "ident" and value in _KEYWORDS:
-            kind = "keyword"
-        tokens.append(_Token(kind, value, span))
-        pos = match.end()
-    end_span = SourceSpan(len(text), len(text), line, len(text) - line_start + 1)
-    tokens.append(_Token("end", "", end_span))
-    return tokens
+def _found(token: str) -> str:
+    return f"found {token!r}" if token else "unexpected end of input"
+
+
+def _span(text: str, begin: int, end: int) -> SourceSpan:
+    return SourceSpan(begin, end, text.count("\n", 0, begin) + 1, begin - text.rfind("\n", 0, begin))
 
 
 class _FormulaParser:
+    """Recursive descent over a flat list of token strings.  A token's kind
+    is read off its first character (digit, letter or ``_``, else operator)
+    and the empty string ends the input; only errors compute a span."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        bad = _BAD_CHAR.search(text)
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad.group()!r}", _span(text, bad.start(), bad.end()))
+        self.text = text
+        self.tokens = _LEXEME.findall(text) + [""] * _LOOKAHEAD
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
-            self.pos += 1
-        return token
+    def span(self, index: int) -> SourceSpan:
+        text = self.text
+        if index >= len(self.tokens) - _LOOKAHEAD:
+            return _span(text, len(text), len(text))
+        match = next(islice(_LEXEME.finditer(text), index, None))
+        return _span(text, match.start(), match.end())
 
     def error(self, message: str, expected: str = "") -> ParseError:
-        return ParseError(message, self.peek().span, expected)
+        return ParseError(message, self.span(self.pos), expected)
 
-    def expect_op(self, op: str) -> _Token:
-        token = self.peek()
-        if token.kind != "op" or token.text != op:
-            raise self.error(f"found {token.text!r}" if token.text else "unexpected end of input", f"'{op}'")
-        return self.advance()
+    def expect(self, token: str) -> None:
+        if self.tokens[self.pos] != token:
+            raise self.error(_found(self.tokens[self.pos]), f"'{token}'")
+        self.pos += 1
 
-    def expect_ident(self) -> _Token:
-        token = self.peek()
-        if token.kind != "ident":
-            raise self.error(
-                f"found {token.text!r}" if token.text else "unexpected end of input",
-                "identifier",
-            )
-        return self.advance()
-
-    # grammar: formula := iff ; iff := impl ("<->" impl)*
+    # grammar: formula := iff ; iff := impl ("<->" impl)* ; impl := disj ("->" impl)?
     def parse_formula(self) -> Formula:
         left = self.parse_impl()
-        while self.peek().kind == "op" and self.peek().text == "<->":
-            self.advance()
-            right = self.parse_impl()
-            left = iff(left, right)
+        while self.tokens[self.pos] == "<->":
+            self.pos += 1
+            left = iff(left, self.parse_impl())
         return left
 
     def parse_impl(self) -> Formula:
-        left = self.parse_disj()
-        if self.peek().kind == "op" and self.peek().text == "->":
-            self.advance()
-            right = self.parse_impl()  # right associative
-            return implies(left, right)
-        return left
+        parts = [self.parse_disj()]
+        while self.tokens[self.pos] == "->":
+            self.pos += 1
+            parts.append(self.parse_disj())
+        result = parts.pop()
+        while parts:  # right associative
+            result = implies(parts.pop(), result)
+        return result
 
     def parse_disj(self) -> Formula:
         parts = [self.parse_conj()]
-        while self.peek().kind == "op" and self.peek().text == "|":
-            self.advance()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             parts.append(self.parse_conj())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_conj(self) -> Formula:
         parts = [self.parse_unary()]
-        while self.peek().kind == "op" and self.peek().text == "&":
-            self.advance()
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             parts.append(self.parse_unary())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    def _at_quantifier(self) -> bool:
-        head = self.peek()
-        if head.kind != "ident" or head.text not in ("E", "A", "C"):
-            return False
-        if head.text in ("E", "A"):
-            return (
-                self.peek(1).kind == "ident"
-                and self.peek(2).kind == "op"
-                and self.peek(2).text == "."
-            )
-        return (
-            self.peek(1).kind == "ident"
-            and self.peek(2).kind == "op"
-            and self.peek(2).text == "="
-            and self.peek(3).kind == "ident"
-            and self.peek(4).kind == "op"
-            and self.peek(4).text == "."
-        )
-
     def parse_unary(self) -> Formula:
-        token = self.peek()
-        if token.kind == "op" and token.text == "!":
-            self.advance()
-            return Not(self.parse_unary())
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            inner = self.parse_formula()
-            self.expect_op(")")
-            return inner
-        if token.kind == "keyword" and token.text == "true":
-            self.advance()
-            return fm.TRUE
-        if token.kind == "keyword" and token.text == "false":
-            self.advance()
-            return fm.FALSE
-        if self._at_quantifier():
-            kind = self.advance().text
-            bound = self.expect_ident().text
-            if kind == "C":
-                self.expect_op("=")
-                count_var = self.expect_ident().text
-                self.expect_op(".")
-                body = self.parse_unary()
-                return CountEq(bound, count_var, body)
-            self.expect_op(".")
-            body = self.parse_unary()
-            return Exists(bound, body) if kind == "E" else Forall(bound, body)
-        return self.parse_atom()
+        """Prefixes (``!``, ``E x .``, ``A x .``, ``C x = y .``) are read in
+        a loop and wrapped around their body from the inside out, so a
+        binder chain costs no stack depth."""
+        tokens = self.tokens
+        heads = []
+        while True:
+            i = self.pos
+            token = tokens[i]
+            if token == "!":
+                heads.append((Not,))
+                self.pos = i + 1
+            elif token in ("E", "A") and _is_ident(tokens[i + 1]) and tokens[i + 2] == ".":
+                heads.append((Exists if token == "E" else Forall, tokens[i + 1]))
+                self.pos = i + 3
+            elif (
+                token == "C" and _is_ident(tokens[i + 1]) and tokens[i + 2] == "="
+                and _is_ident(tokens[i + 3]) and tokens[i + 4] == "."
+            ):
+                heads.append((CountEq, tokens[i + 1], tokens[i + 3]))
+                self.pos = i + 5
+            else:
+                break
+        if token == "(":
+            self.pos += 1
+            body = self.parse_formula()
+            self.expect(")")
+        elif token == "true" or token == "false":
+            self.pos += 1
+            body = fm.TRUE if token == "true" else fm.FALSE
+        else:
+            body = self.parse_atom()
+        for make, *names in reversed(heads):
+            body = make(*names, body)
+        return body
 
     def parse_atom(self) -> Formula:
         left = self.parse_term()
-        token = self.peek()
-        if token.kind != "op" or token.text not in ("<=", "<", "=", ">=", ">", "=="):
-            raise self.error(
-                f"found {token.text!r}" if token.text else "unexpected end of input",
-                "comparison operator",
-            )
-        op = self.advance().text
+        op = self.tokens[self.pos]
+        if op not in _COMPARISONS and op != "==":
+            raise self.error(_found(op), "comparison operator")
+        self.pos += 1
         if op == "==":
             residue = self.parse_integer()
-            key = self.peek()
-            if key.kind != "keyword" or key.text != "mod":
-                raise self.error(f"found {key.text!r}", "'mod'")
-            self.advance()
-            mod_token = self.peek()
+            if self.tokens[self.pos] != "mod":
+                raise self.error(f"found {self.tokens[self.pos]!r}", "'mod'")
+            self.pos += 1
+            mod_index = self.pos
             modulus = self.parse_integer()
             if modulus < 1:
-                raise ParseError("modulus must be positive", mod_token.span)
+                raise ParseError("modulus must be positive", self.span(mod_index))
             return Cong(left, residue, modulus)
         right = self.parse_term()
-        if op == "<=":
-            return Le(left, right)
-        if op == "<":
-            return Lt(left, right)
-        if op == "=":
-            return Eq(left, right)
-        if op == ">=":
-            return Le(right, left)
-        return Lt(right, left)
+        if op[0] == ">":
+            left, right = right, left
+        return _COMPARISONS[op](left, right)
 
     def parse_integer(self) -> int:
-        negative = False
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            negative = True
-        token = self.peek()
-        if token.kind != "int":
-            raise self.error(
-                f"found {token.text!r}" if token.text else "unexpected end of input",
-                "integer",
-            )
-        self.advance()
-        value = int(token.text)
-        return -value if negative else value
+        negative = self.tokens[self.pos] == "-"
+        if negative:
+            self.pos += 1
+        token = self.tokens[self.pos]
+        if token[:1] not in _DIGITS:
+            raise self.error(_found(token), "integer")
+        self.pos += 1
+        return -int(token) if negative else int(token)
 
     def parse_term(self) -> Term:
-        total = self._parse_addend(negative=self._take_minus())
+        """``[-] addend (("+"|"-") addend)*`` summed into one coefficient
+        map; a coefficient that cancels to zero leaves the map, so the map
+        keeps the key order of a left-to-right sum of terms."""
+        tokens = self.tokens
+        i = self.pos
+        constant = 0
+        coeffs = {}
+        sign = 1
+        if tokens[i] == "-":
+            sign = -1
+            i += 1
         while True:
-            token = self.peek()
-            if token.kind == "op" and token.text in ("+", "-"):
-                self.advance()
-                total = total + self._parse_addend(negative=token.text == "-")
+            token = tokens[i]
+            if token[:1] in _DIGITS:
+                if tokens[i + 1] != "*":
+                    constant += sign * int(token)
+                    name = None
+                    i += 1
+                else:
+                    value = sign * int(token)
+                    name = tokens[i + 2]
+                    if name[:1] not in _WORD_START or name in _KEYWORDS:
+                        self.pos = i + 2
+                        raise self.error(_found(name), "identifier")
+                    i += 3
+            elif token[:1] in _WORD_START and token not in _KEYWORDS:
+                name, value = token, sign
+                i += 1
             else:
-                return total
-
-    def _take_minus(self) -> bool:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return True
-        return False
-
-    def _parse_addend(self, negative: bool) -> Term:
-        token = self.peek()
-        sign = -1 if negative else 1
-        if token.kind == "int":
-            self.advance()
-            value = int(token.text)
-            if self.peek().kind == "op" and self.peek().text == "*":
-                self.advance()
-                name = self.expect_ident().text
-                return Term(0, {name: sign * value})
-            return Term(sign * value)
-        if token.kind == "ident":
-            self.advance()
-            return Term(0, {token.text: sign})
-        raise self.error(
-            f"found {token.text!r}" if token.text else "unexpected end of input",
-            "integer or identifier",
-        )
+                self.pos = i
+                raise self.error(_found(token), "integer or identifier")
+            if name is not None:
+                if name not in coeffs:
+                    if value:
+                        coeffs[name] = value
+                elif coeffs[name] + value:
+                    coeffs[name] += value
+                else:
+                    del coeffs[name]
+            token = tokens[i]
+            if token != "+" and token != "-":
+                self.pos = i
+                return Term(constant, coeffs)
+            sign = 1 if token == "+" else -1
+            i += 1
 
 
 def parse_formula(text: str) -> Formula:
@@ -317,10 +278,9 @@ def parse_formula(text: str) -> Formula:
     try:
         result = parser.parse_formula()
     except ParameterError as exc:
-        raise ParseError(str(exc), parser.peek().span) from exc
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise parser.error(f"trailing input {tail.text!r}")
+        raise ParseError(str(exc), parser.span(parser.pos)) from exc
+    if parser.tokens[parser.pos]:
+        raise parser.error(f"trailing input {parser.tokens[parser.pos]!r}")
     return result
 
 
@@ -368,9 +328,6 @@ def _print(f: Formula, level: int, u: bool) -> str:
         if u:
             return f"{_print_term(f.term, u)} ≡ {f.residue} (mod {f.modulus})"
         return f"{_print_term(f.term, u)} == {f.residue} mod {f.modulus}"
-    if isinstance(f, Not):
-        mark = "¬" if u else "!"
-        return mark + _print(f.body, _LEVEL_UNARY, u)
     if isinstance(f, And):
         sep = " ∧ " if u else " & "
         body = sep.join(_print(p, _LEVEL_AND, u) for p in f.parts)
@@ -379,19 +336,24 @@ def _print(f: Formula, level: int, u: bool) -> str:
         sep = " ∨ " if u else " | "
         body = sep.join(_print(p, _LEVEL_OR + 1, u) for p in f.parts)
         return f"({body})" if level > _LEVEL_OR else body
-    if isinstance(f, Exists):
-        head = f"∃{f.var}. " if u else f"E {f.var} . "
-        return head + _print(f.body, _LEVEL_UNARY, u)
-    if isinstance(f, Forall):
-        head = f"∀{f.var}. " if u else f"A {f.var} . "
-        return head + _print(f.body, _LEVEL_UNARY, u)
-    if isinstance(f, CountEq):
-        if u:
-            head = f"∃^={f.count_var} {f.counted_var}. "
+    if not isinstance(f, (Not, Exists, Forall, CountEq)):
+        raise TypeError(f"not a formula: {f!r}")
+    heads = []  # a run of unary heads is printed in a loop, not a frame each
+    while True:
+        if isinstance(f, Not):
+            heads.append("¬" if u else "!")
+        elif isinstance(f, Exists):
+            heads.append(f"∃{f.var}. " if u else f"E {f.var} . ")
+        elif isinstance(f, Forall):
+            heads.append(f"∀{f.var}. " if u else f"A {f.var} . ")
+        elif isinstance(f, CountEq):
+            if u:
+                heads.append(f"∃^={f.count_var} {f.counted_var}. ")
+            else:
+                heads.append(f"C {f.counted_var} = {f.count_var} . ")
         else:
-            head = f"C {f.counted_var} = {f.count_var} . "
-        return head + _print(f.body, _LEVEL_UNARY, u)
-    raise TypeError(f"not a formula: {f!r}")
+            return "".join(heads) + _print(f, _LEVEL_UNARY, u)
+        f = f.body
 
 
 def print_formula(f: Formula, unicode_mode: bool = False) -> str:
@@ -455,12 +417,11 @@ def parse_presentation(text: str) -> SemilinearPresentation:
         return tuple(values)
 
     offset = 0
-    line_no = 0
     last_span = SourceSpan(0, 0, 1, 1)
-    for raw in text.splitlines():
-        line_no += 1
+    lines = zip(text.splitlines(), text.splitlines(keepends=True))
+    for line_no, (raw, ended) in enumerate(lines, 1):
         span = _line_span(offset, raw, line_no)
-        offset += len(raw) + 1
+        offset += len(ended)
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -122,8 +122,38 @@ def _solve_linear_block(
     return all(fm.evaluate_atom(atom, extended) for atom in atoms)
 
 
+def _vacuous_binders(f: Formula) -> set:
+    """The ids of the ``Exists`` nodes of ``f`` whose variable is not free
+    in their body, from one traversal: every name an atom reads is resolved
+    to the scope of its innermost binder, and a binder no name resolves to
+    is vacuous."""
+    nodes, scopes = fm.traverse(f)
+    used = set()
+    last, owners = (), {}
+    for g, scope in zip(nodes, scopes):
+        names = [name for t in g.terms for name in t.coeffs]
+        names.extend(g.refs)
+        if not names:
+            continue
+        if scope is not last:
+            last, owners, inner = scope, {}, scope
+            while inner is not None:
+                for name in inner[0]:
+                    owners.setdefault(name, id(inner))
+                inner = inner[1]
+        used.update(owners[name] for name in names if name in owners)
+    # traverse lists a node with children directly before its last child,
+    # whose scope is the one the node opens
+    return {
+        id(g) for k, g in enumerate(nodes) if type(g) is Exists and id(scopes[k + 1]) not in used
+    }
+
+
 def evaluate_pinned(
-    f: Formula, assignment: Mapping[str, int], domain: DomainTag | str = DomainTag.Z
+    f: Formula,
+    assignment: Mapping[str, int],
+    domain: DomainTag | str = DomainTag.Z,
+    vacuous: Optional[set] = None,
 ) -> bool:
     """Exact evaluation for formulas whose bound variables are pinned.
 
@@ -131,25 +161,28 @@ def evaluate_pinned(
     variables (as in eliminated formulas), or sit in a prefix over a plain
     conjunction of atoms with a unique rational solution (as in membership
     formulas).  Unsupported shapes raise :class:`PinnedEvaluationError`
-    rather than guessing.
+    rather than guessing.  ``vacuous`` is ``_vacuous_binders(f)``, passed
+    by callers that evaluate one formula many times.
     """
+    if vacuous is None:
+        vacuous = _vacuous_binders(f)
     env = dict(assignment)
-    return _eval_pinned(f, env, fm.as_domain(domain))
+    return _eval_pinned(f, env, fm.as_domain(domain), vacuous)
 
 
-def _eval_pinned(f: Formula, env: dict, domain) -> bool:
+def _eval_pinned(f: Formula, env: dict, domain, vacuous: set) -> bool:
     tf = type(f)
     if not f.children:
         return fm.evaluate_atom(f, env)
     if tf is And:
-        return all(_eval_pinned(p, env, domain) for p in f.parts)
+        return all(_eval_pinned(p, env, domain, vacuous) for p in f.parts)
     if tf is Or:
-        return any(_eval_pinned(p, env, domain) for p in f.parts)
+        return any(_eval_pinned(p, env, domain, vacuous) for p in f.parts)
     if tf is Not:
-        return not _eval_pinned(f.body, env, domain)
+        return not _eval_pinned(f.body, env, domain, vacuous)
     if tf is Exists:
-        if f.var not in fm.free_vars(f.body):
-            return _eval_pinned(f.body, env, domain)
+        if id(f) in vacuous:
+            return _eval_pinned(f.body, env, domain, vacuous)
         chain = [f.var]
         inner = f.body
         while isinstance(inner, Exists):
@@ -164,7 +197,7 @@ def _eval_pinned(f: Formula, env: dict, domain) -> bool:
             if domain is DomainTag.N and value < 0:
                 continue
             env[f.var] = value
-            if _eval_pinned(f.body, env, domain):
+            if _eval_pinned(f.body, env, domain, vacuous):
                 del env[f.var]
                 return True
         env.pop(f.var, None)
@@ -187,11 +220,12 @@ def formula_count_values(
     """
     domain = fm.as_domain(domain)
     residual = fm.simplify(result.formula, assignment)
+    vacuous = _vacuous_binders(residual)
     hits = []
     for k in candidates:
         if domain is DomainTag.N and k < 0:
             continue
-        if evaluate_pinned(residual, {result.count_var: k}, domain):
+        if evaluate_pinned(residual, {result.count_var: k}, domain, vacuous):
             hits.append(k)
     return hits
 

@@ -37,6 +37,13 @@ class TestParseCommand:
         assert code == 0, err
         assert out == text + "\n"
 
+    def test_file_roundtrip_of_5000_binders(self, capsys, tmp_path):
+        text = "".join(f"{'EA'[i % 2]} c{i} . " for i in range(5000)) + "c0 = c4999"
+        path = tmp_path / "chain.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "parse", str(path), "--file", "--roundtrip")
+        assert (code, out, err) == (0, text + "\n", "")
+
     def test_recursion_error_is_an_internal_error(self, capsys, monkeypatch):
         def too_deep(args):
             raise RecursionError("maximum recursion depth exceeded")

@@ -4,10 +4,12 @@ import pytest
 
 import countqe.elim
 from countqe.elim import eliminate, eliminate_simple
-from countqe.formula import And, Eq, Exists, Le, constant, evaluate, variable
+from countqe.formula import And, Eq, Exists, Le, constant, evaluate, free_vars, traverse, variable
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation
+from helpers import random_ast
 from countqe.verify import (
     PinnedEvaluationError,
+    _vacuous_binders,
     count_set_witnesses,
     evaluate_pinned,
     formula_count_values,
@@ -111,6 +113,19 @@ class TestEvaluatePinned:
         pins[6] = Eq(2 * unknowns[6], constant(1))
         rest = sum(values) - values[5] - values[6]
         assert evaluate_pinned(block(pins), {"y": rest + 4}) is False
+
+    def test_vacuous_binders_match_free_vars(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(400):
+            f = random_ast(rng, rng.randint(1, 6))
+            vacuous = _vacuous_binders(f)
+            for g in traverse(f)[0]:
+                if type(g) is Exists:
+                    expected = g.var not in free_vars(g.body)
+                    assert (id(g) in vacuous) == expected, g
+                    seen.add(expected)
+        assert seen == {True, False}
 
     def test_natural_domain_respects_nonnegativity(self):
         comp = LinearSetPresentation(base=(2,), periods=(), domain=DomainTag.N)
