@@ -11,8 +11,11 @@ the period matrix avoids the counted row, the counted coordinate is a
 function of the others and the witness count is 0 or 1.  Otherwise the
 component reduces to a square core: Cramer data expresses the period
 coefficients as integer linear forms over the coordinates divided by the
-determinant's absolute value, integrality becomes a finite split over
-residue classes, nonnegativity becomes interval bounds on the counted
+determinant's absolute value D, integrality becomes a finite split over
+residue classes modulo D (only D^(p-1) of the D^p classes are feasible, and
+:func:`feasible_residue_cases` solves for them, one congruence per row
+merged by the Chinese remainder theorem, instead of testing every class),
+nonnegativity becomes interval bounds on the counted
 coordinate, and the number of lattice points of a residue class inside an
 interval is definable once the interval endpoints are case-split by their
 own residues.  Components combine by summing per-component count variables.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from . import formula as fm
@@ -303,7 +306,12 @@ class ResidueCase:
 
 
 def build_residue_cases(denom: int, size: int) -> list[ResidueCase]:
-    """All residue cases for a core of ``size`` coordinates, lexicographically."""
+    """All residue cases for a core of ``size`` coordinates, lexicographically.
+
+    The eliminator does not build this list: it is the reference that
+    :func:`feasible_residue_cases` is tested against (filtered by
+    :func:`residue_case_feasible`).
+    """
     if denom < 1 or size < 1:
         raise ParameterError("denominator and size must be positive")
     return [
@@ -321,6 +329,48 @@ def residue_case_feasible(solution: CramerSolution, case: ResidueCase) -> bool:
     d = solution.denom
     point = list(case.free_residues) + [case.counted_residue]
     return all(num % d == 0 for num in solution.numerators(point))
+
+
+def _congruence_coset(coeff: int, rhs: int, modulus: int):
+    """The solutions of ``coeff*k = rhs (mod modulus)`` as ``(k0, step)``,
+    the coset k0 + step*Z with 0 <= k0 < step; None when there are none."""
+    g = gcd(coeff, modulus)
+    if rhs % g:
+        return None
+    step = modulus // g
+    return rhs // g * pow(coeff // g, -1, step) % step, step
+
+
+def feasible_residue_cases(solution: CramerSolution) -> list[ResidueCase]:
+    """The residue cases on which every solved coefficient is integral.
+
+    Row i's numerator at free residues f and counted residue a is
+    ``N_i(f, 0) + lam_i*a``, with lam the counted column of the Cramer
+    matrix, so each row restricts a to a coset modulo ``denom /
+    gcd(lam_i, denom)`` or rules f out.  The rows' congruences are merged
+    one by one (the generalised Chinese remainder theorem) into one coset
+    r + step*Z, and the cases are a = r, r + step, ... below ``denom``.
+    Since ``denom*Z^p`` lies in the period lattice, exactly ``denom**(p-1)``
+    of the ``denom**p`` cases come out, in the order of
+    :func:`build_residue_cases`.
+    """
+    d = solution.denom
+    p = solution.size
+    rows = [(row[: p - 1], row[p - 1], g) for row, g in zip(solution.matrix, solution.offset)]
+    cases = []
+    for f in itertools.product(range(d), repeat=p - 1):
+        r, step = 0, 1
+        for free_part, lam, offset in rows:
+            # a = r + step*k makes row i integral when
+            # lam*step*k = -N_i(f, r) (mod d).
+            numerator = sum(c * v for c, v in zip(free_part, f)) + offset + lam * r
+            shift = _congruence_coset(lam * step, -numerator, d)
+            if shift is None:
+                break
+            r, step = r + step * shift[0], step * shift[1]
+        else:
+            cases.extend(ResidueCase(free_residues=f, counted_residue=a) for a in range(r, d, step))
+    return cases
 
 
 # --- permutation branches -----------------------------------------------------
@@ -576,8 +626,13 @@ def _case_interval(
         # inverse impossible, so lower bounds always exist over the naturals.
         assert bc.lower_rows, "natural-domain core without lower bounds"
 
-    cases = build_residue_cases(denom, p)
-    feasible = [case for case in cases if residue_case_feasible(solution, case)]
+    feasible = feasible_residue_cases(solution)
+    # Soundness check on the enumerator: denom**(p-1) integrality tests
+    # instead of the denom**p a filter over all cases would make.
+    assert len(feasible) == denom ** (p - 1), "feasible residue cases miscounted"
+    assert all(residue_case_feasible(solution, case) for case in feasible), (
+        "enumerated residue case is not integral"
+    )
     convention = not bc.upper_rows or not bc.lower_rows
     sign_atoms = [norm(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows]
 
@@ -666,7 +721,7 @@ def _case_interval(
         "upper_rows": tuple(i + 1 for i in bc.upper_rows),
         "lower_rows": tuple(i + 1 for i in bc.lower_rows),
         "sign_rows": tuple(i + 1 for i in bc.sign_rows),
-        "residue_cases": len(cases),
+        "residue_cases": denom**p,
         "feasible_cases": len(feasible),
         "branches": branch_count,
     }
@@ -796,10 +851,14 @@ def eliminate(
 
 
 def estimate_result_nodes(presentation: SemilinearPresentation) -> int:
-    """Cheap upper bound on the size of the eliminated formula.
+    """Cheap estimate of the size of the eliminated formula.
 
-    Used by the command-line driver to warn before a blow-up; counts residue
-    cases without checking feasibility, so it errs on the large side.
+    Used by the command-line driver to warn before a blow-up.  A core with
+    an empty bound family costs one guard per feasible residue case
+    (``denom**(p-1)`` of them), which bounds its size from above.  A
+    two-sided core counts all ``denom**p`` residue cases, each with every
+    permutation branch and progression formula; that is a heuristic, not a
+    bound.
     """
     total = 0
     for component in presentation.components:
@@ -813,7 +872,15 @@ def estimate_result_nodes(presentation: SemilinearPresentation) -> int:
         if core is None:
             total += 6 + 2 * n * (p + 2)
             continue
-        _, _, solution, bc = core
+        _, dropped, solution, bc = core
+        if not bc.upper_rows or not bc.lower_rows:
+            # Per case: its binder, nonnegativity, the negated guard (at most
+            # p-1 congruences and the sign atoms), "= 0" and its summand.  The
+            # dropped-row relations appear twice, asserted and negated.
+            guard_nodes = 1 + 2 * (p - 1) + p * len(bc.sign_rows)
+            relation_nodes = 2 * len(dropped) * (p + 1) + 7 if dropped else 0
+            total += solution.denom ** (p - 1) * (7 + guard_nodes) + relation_nodes + 12
+            continue
         step = bc.multiplier * solution.denom
         branches = factorial(len(bc.upper_rows)) * factorial(len(bc.lower_rows))
         delta_nodes = 8 * step * step + 6 * step + 16

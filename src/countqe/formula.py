@@ -223,7 +223,13 @@ class Cong(Formula):
 
 
 class _WithBody(Formula):
-    """The protocol of a node whose one subformula is its ``body`` field."""
+    """The protocol of a node whose one subformula is its ``body`` field.
+
+    Equality and hashing walk a run of such heads (``!``, ``E``, ``A``,
+    ``C``) in a loop, so a chain thousands of heads deep compares without
+    deep recursion.  A head's fields besides the body are its ``binds`` and
+    ``refs``.
+    """
 
     __slots__ = ()
 
@@ -235,8 +241,26 @@ class _WithBody(Formula):
         (body,) = children
         return replace(self, body=body)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, _WithBody):
+            if type(a) is not type(b) or a.binds != b.binds or a.refs != b.refs:
+                return False
+            a, b = a.body, b.body
+        return a == b
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        heads = []
+        f = self
+        while isinstance(f, _WithBody):
+            heads.append((type(f).__name__, f.binds, f.refs))
+            f = f.body
+        return hash((tuple(heads), f))
+
+
+@dataclass(frozen=True, eq=False)
 class Not(_WithBody):
     body: Formula
 
@@ -272,32 +296,10 @@ class Or(_NaryConnective):
 
 @dataclass(frozen=True, eq=False)
 class _Quantifier(_WithBody):
-    """A first-order quantifier binding ``var`` in ``body``.
-
-    Equality and hashing walk a chain of nested quantifiers in a loop, so a
-    prefix hundreds of binders deep compares without deep recursion.
-    """
+    """A first-order quantifier binding ``var`` in ``body``."""
 
     var: str
     body: Formula
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        a, b = self, other
-        while isinstance(a, _Quantifier):
-            if type(a) is not type(b) or a.var != b.var:
-                return False
-            a, b = a.body, b.body
-        return a == b
-
-    def __hash__(self):
-        binders = []
-        f = self
-        while isinstance(f, _Quantifier):
-            binders.append((type(f).__name__, f.var))
-            f = f.body
-        return hash((tuple(binders), f))
 
     @property
     def binds(self):
@@ -312,7 +314,7 @@ class Forall(_Quantifier):
     """A var . body"""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountEq(_WithBody):
     """Counting quantifier: the number of counted_var values satisfying the
     body equals the value of count_var (which is free in the construct)."""
@@ -710,21 +712,29 @@ def simplify(f: Formula, assignment: Mapping[str, int]) -> Formula:
             if t.is_constant():
                 return TRUE if t.constant % g.modulus == g.residue else FALSE
             return Cong(t, g.residue, g.modulus)
-        if tg is Not:
-            return negate(walk(g.body, shadowed))
         if tg is And:
             return conj([walk(p, shadowed) for p in g.parts])
         if tg is Or:
             return disj([walk(p, shadowed) for p in g.parts])
-        if tg in (Exists, Forall):
-            body = walk(g.body, shadowed | {g.var})
-            if isinstance(body, (TrueF, FalseF)):
-                return body
-            return tg(g.var, body)
-        if tg is CountEq:
-            return CountEq(
-                g.counted_var, g.count_var, walk(g.body, shadowed | {g.counted_var})
-            )
+        if isinstance(g, _WithBody):
+            # A run of unary heads is collected in a loop and rebuilt inside
+            # out, so a binder chain of any depth costs one Python frame.
+            heads = []
+            names = []
+            while isinstance(g, _WithBody):
+                heads.append(g)
+                names.extend(g.binds)
+                g = g.body
+            body = walk(g, shadowed.union(names))
+            for h in reversed(heads):
+                th = type(h)
+                if th is Not:
+                    body = negate(body)
+                elif th is CountEq:
+                    body = CountEq(h.counted_var, h.count_var, body)
+                elif not isinstance(body, (TrueF, FalseF)):
+                    body = th(h.var, body)
+            return body
         raise TypeError(f"not a formula: {g!r}")
 
     return walk(f, frozenset())

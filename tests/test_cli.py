@@ -44,6 +44,12 @@ class TestParseCommand:
         code, out, err = run(capsys, "parse", str(path), "--file", "--roundtrip")
         assert (code, out, err) == (0, text + "\n", "")
 
+    def test_roundtrip_of_1200_mixed_heads(self, capsys):
+        heads = ("E c{} . ", "A c{} . ", "!", "C c{} = n . ")
+        text = "".join(heads[i % 4].format(i) for i in range(1200)) + "c0 = n"
+        code, out, err = run(capsys, "parse", text, "--roundtrip")
+        assert (code, out, err) == (0, text + "\n", "")
+
     def test_recursion_error_is_an_internal_error(self, capsys, monkeypatch):
         def too_deep(args):
             raise RecursionError("maximum recursion depth exceeded")
@@ -107,6 +113,16 @@ class TestCountCommand:
         assert "w" in err
 
 
+def half_line(tmp_path, denom):
+    """A presentation file with periods (1, 1) and (0, denom)."""
+    path = tmp_path / f"half_line_{denom}.sl"
+    path.write_text(
+        f"domain Z\ndim 2\ndisjoint\nsimple\ncomponent\nbase 0 0\nperiod 1 1\nperiod 0 {denom}\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 class TestEliminateCommand:
     def test_worked_example_report(self, capsys):
         code, out, _ = run(
@@ -122,6 +138,12 @@ class TestEliminateCommand:
         assert "D=2" in out
         assert "m=6" in out
         assert "feasible=4" in out
+
+    @pytest.mark.parametrize("denom", [100, 400, 1200])
+    def test_half_line_without_budget_warning(self, capsys, tmp_path, denom):
+        code, out, err = run(capsys, "eliminate", half_line(tmp_path, denom), "--report")
+        assert (code, err) == (0, "")
+        assert f"residue-cases={denom**2} feasible={denom} " in out
 
     def test_singleton_report(self, capsys):
         code, out, _ = run(capsys, "eliminate", fixture("singleton.sl"), "--report")
@@ -205,6 +227,12 @@ class TestCheckCommand:
             "20",
         )
         assert code == 0
+
+    def test_half_line_1200(self, capsys, tmp_path):
+        # A 1,200-binder prefix: simplify folds each trial in a loop.
+        code, out, err = run(capsys, "check", half_line(tmp_path, 1200), "--trials", "2")
+        assert (code, err) == (0, "")
+        assert "summary: trials=2 mismatches=0 " in out
 
     def test_overlap_with_verify_disjoint(self, capsys):
         code, _, err = run(

@@ -12,6 +12,7 @@ from countqe.elim import (
     eliminate,
     eliminate_simple,
     estimate_result_nodes,
+    feasible_residue_cases,
     is_subtraction_free,
     normalize_for_nat,
     progression_count_formula,
@@ -32,8 +33,15 @@ from countqe.formula import (
     free_vars,
     variable,
 )
-from countqe.linalg import IntMatrix, cramer_solve
-from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation
+from countqe import elim
+from countqe.linalg import IntMatrix, cramer_solve, determinant
+from countqe.sets import (
+    DomainTag,
+    LinearSetPresentation,
+    SemilinearPresentation,
+    coordinate_names,
+)
+from helpers import random_simple_component
 
 THREE_PERIOD_SET = LinearSetPresentation(
     base=(0, 0, 0, 0),
@@ -47,6 +55,15 @@ CORE_SOLUTION = cramer_solve(
 
 def singleton(*point, domain=DomainTag.Z):
     return LinearSetPresentation(base=point, periods=(), domain=domain)
+
+
+def half_line(denom):
+    """Periods (1, 1) and (0, denom): a one-sided core with D = denom."""
+    return SemilinearPresentation(
+        components=(LinearSetPresentation(base=(0, 0), periods=((1, 1), (0, denom))),),
+        asserted_disjoint=True,
+        asserted_simple=True,
+    )
 
 
 class TestCountInProgression:
@@ -232,6 +249,62 @@ class TestResidueCases:
     def test_unit_denominator_always_feasible(self):
         sol = cramer_solve(IntMatrix.from_rows([(1,)]), (0,))
         assert residue_case_feasible(sol, ResidueCase((), 0)) is True
+
+
+def _filtered_cases(solution):
+    return [
+        case
+        for case in build_residue_cases(solution.denom, solution.size)
+        if residue_case_feasible(solution, case)
+    ]
+
+
+class TestFeasibleResidueCases:
+    def test_worked_example(self):
+        assert feasible_residue_cases(CORE_SOLUTION) == _filtered_cases(CORE_SOLUTION)
+        assert len(feasible_residue_cases(CORE_SOLUTION)) == 4
+
+    def test_matches_filter_on_random_cores(self):
+        # The enumerator against the reference filter, order included.
+        rng = random.Random(2024)
+        seen = dict(negative=0, unit=0, zero_lambda=0, offset=0)
+        sizes = set()
+        for _ in range(2500):
+            p = rng.randint(1, 4)
+            m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(p)] for _ in range(p)])
+            det = determinant(m)
+            if det == 0 or abs(det) ** p > 2_000:
+                continue
+            solution = cramer_solve(m, [rng.randint(-5, 5) for _ in range(p)])
+            got = feasible_residue_cases(solution)
+            assert got == _filtered_cases(solution)
+            assert len(got) == solution.denom ** (p - 1)
+            sizes.add(p)
+            seen["negative"] += det < 0
+            seen["unit"] += solution.denom == 1
+            seen["zero_lambda"] += any(row[p - 1] == 0 for row in solution.matrix)
+            seen["offset"] += solution.denom > 1 and any(g % solution.denom for g in solution.offset)
+        assert sizes == {1, 2, 3, 4}
+        assert min(seen.values()) >= 50, seen
+
+    def test_half_line_is_one_case_per_free_residue(self):
+        solution = cramer_solve(IntMatrix.from_rows([(1, 0), (1, 60)]), (0, 0))
+        cases = feasible_residue_cases(solution)
+        assert [c.free_residues for c in cases] == [(f,) for f in range(60)]
+        assert cases == _filtered_cases(solution)
+
+    def test_elimination_tests_only_the_emitted_cases(self, monkeypatch):
+        calls = []
+        checked = elim.residue_case_feasible
+
+        def counting(solution, case):
+            calls.append(case)
+            return checked(solution, case)
+
+        monkeypatch.setattr(elim, "residue_case_feasible", counting)
+        rep = eliminate(half_line(400), "y").report.components[0]
+        assert (rep.residue_cases, rep.feasible_cases) == (160_000, 400)
+        assert len(calls) == 400
 
 
 class TestPermutationBranches:
@@ -455,3 +528,28 @@ class TestEliminateUnion:
             components=(THREE_PERIOD_SET,), asserted_disjoint=True, asserted_simple=True
         )
         assert estimate_result_nodes(s) > 0
+
+    @pytest.mark.parametrize("denom", [100, 400, 1200])
+    def test_estimate_of_half_lines_is_close_above(self, denom):
+        actual = eliminate(half_line(denom), "y").report.nodes
+        assert actual <= estimate_result_nodes(half_line(denom)) <= 2 * actual
+
+    def test_estimate_bounds_one_sided_cores(self):
+        # Presentations whose every component has a core with an empty bound
+        # family: the estimate is an upper bound there.
+        rng = random.Random(77)
+        tried = 0
+        while tried < 60:
+            domain = rng.choice([DomainTag.Z, DomainTag.N])
+            dim = rng.randint(1, 4)
+            component = random_simple_component(rng, dim, rng.randint(1, dim), domain)
+            core = elim._plan_core(component, coordinate_names(dim))
+            if core is None or (core[3].upper_rows and core[3].lower_rows):
+                continue
+            if core[2].denom ** (component.num_periods - 1) > 200:
+                continue
+            s = SemilinearPresentation(
+                components=(component,), asserted_disjoint=True, asserted_simple=True
+            )
+            assert estimate_result_nodes(s) >= eliminate(s, "y").report.nodes, component
+            tried += 1

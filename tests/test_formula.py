@@ -37,12 +37,15 @@ from countqe.formula import (
     free_vars,
     implies,
     max_abs_coefficient,
+    negate,
     node_count,
     simplify,
     substitute,
     traverse,
     variable,
 )
+
+from helpers import random_ast
 
 x, y, z = variable("x"), variable("y"), variable("z")
 
@@ -379,12 +382,116 @@ class TestBinderChains:
         assert contains_counting(f) is False
         assert is_subtraction_free(f) is True
 
+    def test_mixed_heads_equality_and_hash(self):
+        # 1,200 heads cycling through all four unary kinds.
+        kinds = (
+            Exists,
+            Forall,
+            lambda v, body: Not(body),
+            lambda v, body: CountEq(v, "n", body),
+        )
+        a, b = self.chain(1200, kinds=kinds), self.chain(1200, kinds=kinds)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != self.chain(1200, innermost=Le(y, x), kinds=kinds)
+        assert a != self.chain(1200, kinds=kinds[::-1])
+        other_count = kinds[:3] + (lambda v, body: CountEq(v, "m", body),)
+        assert a != self.chain(1200, kinds=other_count)
+
+    def test_not_and_count_mismatches(self):
+        f = Le(x, y)
+        assert Not(f) == Not(f) and hash(Not(f)) == hash(Not(f))
+        assert Not(f) != f and Not(Not(f)) != Not(f)
+        assert CountEq("x", "n", f) == CountEq("x", "n", f)
+        assert CountEq("x", "n", f) != CountEq("y", "n", f)
+        assert CountEq("x", "n", f) != CountEq("x", "m", f)
+        assert CountEq("x", "n", f) != Exists("x", f)
+        assert Not(Exists("x", f)) != Not(Forall("x", f))
+        assert len({Not(f), Not(f), CountEq("x", "n", f), CountEq("x", "n", f), f}) == 3
+
+    def test_simplify_5000_binders(self):
+        f = self.chain(5000, innermost=Le(2 * x, variable("_c0") + y), kinds=(Exists, Forall))
+        # A bound name shadows the assignment; a free one is folded.
+        got = simplify(f, {"y": 3, "_c0": 100})
+        assert got == self.chain(5000, innermost=Le(2 * x, variable("_c0") + 3), kinds=(Exists, Forall))
+        # A body that folds to a truth value collapses the whole chain.
+        assert simplify(self.chain(5000, innermost=Le(x, y)), {"x": 1, "y": 2}) is TRUE
+        assert simplify(self.chain(5000, innermost=Le(x, y)), {"x": 3, "y": 2}) is FALSE
+
+    def test_simplify_mixed_heads(self):
+        kinds = (
+            Exists,
+            lambda v, body: Not(body),
+            lambda v, body: CountEq(v, "n", body),
+            Forall,
+        )
+        f = self.chain(2000, innermost=Le(x, variable("_c1")), kinds=kinds)
+        assert simplify(f, {"x": 4}) == self.chain(
+            2000, innermost=Le(constant(4), variable("_c1")), kinds=kinds
+        )
+        # Not heads flip a folded truth value; counting heads keep their body.
+        g = Not(Exists("a", Not(Not(CountEq("b", "n", Forall("c", Le(x, y)))))))
+        assert simplify(g, {"x": 0, "y": 1}) == Not(Exists("a", CountEq("b", "n", TRUE)))
+
+    def test_simplify_matches_recursive_reference(self):
+        rng = random.Random(8)
+        names = ["x", "y", "z1", "w_2", "E"]
+        for _ in range(600):
+            f = random_ast(rng, 6)
+            known = {n: rng.randint(-4, 4) for n in names if rng.random() < 0.5}
+            assert simplify(f, known) == _reference_simplify(f, known)
+
     def test_binder_mismatches(self):
         assert Exists("x", Le(x, y)) != Forall("x", Le(x, y))
         assert Exists("x", Le(x, y)) != Exists("z", Le(x, y))
         assert Exists("x", Le(x, y)) != Le(x, y)
         assert Exists("x", Exists("y", Le(x, y))) != Exists("x", Forall("y", Le(x, y)))
         assert len({Exists("x", Le(x, y)), Exists("x", Le(x, y)), Forall("x", Le(x, y))}) == 2
+
+
+def _reference_simplify(f, assignment):
+    """The recursive ``simplify``, one Python frame per node, as reference."""
+
+    def fold_term(t, shadowed):
+        const = t.constant
+        coeffs = {}
+        for name, c in t.coeffs.items():
+            if name in assignment and name not in shadowed:
+                const += c * assignment[name]
+            else:
+                coeffs[name] = c
+        return Term(const, coeffs)
+
+    def walk(g, shadowed):
+        tg = type(g)
+        if tg in (TrueF, FalseF):
+            return g
+        if tg in (Le, Lt, Eq):
+            lhs, rhs = fold_term(g.lhs, shadowed), fold_term(g.rhs, shadowed)
+            if lhs.is_constant() and rhs.is_constant():
+                a, b = lhs.constant, rhs.constant
+                verdict = a <= b if tg is Le else a < b if tg is Lt else a == b
+                return TRUE if verdict else FALSE
+            return tg(lhs, rhs)
+        if tg is Cong:
+            t = fold_term(g.term, shadowed)
+            if t.is_constant():
+                return TRUE if t.constant % g.modulus == g.residue else FALSE
+            return Cong(t, g.residue, g.modulus)
+        if tg is Not:
+            return negate(walk(g.body, shadowed))
+        if tg is And:
+            return conj([walk(p, shadowed) for p in g.parts])
+        if tg is Or:
+            return disj([walk(p, shadowed) for p in g.parts])
+        if tg in (Exists, Forall):
+            body = walk(g.body, shadowed | {g.var})
+            if isinstance(body, (TrueF, FalseF)):
+                return body
+            return tg(g.var, body)
+        return CountEq(g.counted_var, g.count_var, walk(g.body, shadowed | {g.counted_var}))
+
+    return walk(f, frozenset())
 
 
 @settings(max_examples=150, deadline=None)

@@ -528,6 +528,14 @@ class TestBinderChains:
         assert print_formula(again) == text
         assert print_formula(again, unicode_mode=True).startswith("∃^=n v4999. ¬∀v4997. ∃v4996. ")
 
+    def test_roundtrip_equality_of_1200_mixed_heads(self):
+        f = _binder_chain(1200)
+        text = print_formula(f)
+        again = parse_formula(text)
+        assert again == f and hash(again) == hash(f)
+        assert text.endswith(" . v0 = n")
+        assert parse_formula(text[: -len("n")] + "n + 1") != f
+
 
 THREE_PERIOD_TEXT = """\
 # the worked three-period example
