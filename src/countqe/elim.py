@@ -853,14 +853,16 @@ def eliminate(
 def estimate_result_nodes(presentation: SemilinearPresentation) -> int:
     """Cheap estimate of the size of the eliminated formula.
 
-    Used by the command-line driver to warn before a blow-up.  A core with
-    an empty bound family costs one guard per feasible residue case
-    (``denom**(p-1)`` of them), which bounds its size from above.  A
-    two-sided core counts all ``denom**p`` residue cases, each with every
-    permutation branch and progression formula; that is a heuristic, not a
-    bound.
+    Used by the command-line interface to warn before a blow-up.  A
+    single-witness component and the multi-component wrapper are counted
+    exactly.  A core with an empty bound family costs one guard per
+    feasible residue case (``denom**(p-1)`` of them), which bounds its size
+    from above.  A two-sided core counts all ``denom**p`` residue cases,
+    each with every permutation branch and progression formula; that is a
+    heuristic, not a bound.
     """
     total = 0
+    conjunctions = 0  # component bodies that merge into the wrapper's conjunction
     for component in presentation.components:
         if not check_simple(component):
             raise UnsupportedPresentationError(
@@ -870,9 +872,16 @@ def estimate_result_nodes(presentation: SemilinearPresentation) -> int:
         p = component.num_periods
         core = _plan_core(component, coordinate_names(n))
         if core is None:
-            total += 6 + 2 * n * (p + 2)
+            # E x_n . membership_formula, asserted and negated: p binders,
+            # p atoms "0 <= z", n equations reading x_j and the nonzero
+            # period entries, one And when there are two or more atoms; then
+            # the disjunction around it (8 nodes).
+            nonzero = sum(1 for period in component.periods for v in period if v)
+            member = 3 * p + (n + p >= 2) + 2 * n + nonzero
+            total += 2 * (1 + member) + 8
             continue
         _, dropped, solution, bc = core
+        conjunctions += not dropped
         if not bc.upper_rows or not bc.lower_rows:
             # Per case: its binder, nonnegativity, the negated guard (at most
             # p-1 congruences and the sign atoms), "= 0" and its summand.  The
@@ -886,4 +895,9 @@ def estimate_result_nodes(presentation: SemilinearPresentation) -> int:
         delta_nodes = 8 * step * step + 6 * step + 16
         guard_nodes = 4 * p + 8
         total += solution.denom**p * (branches * (delta_nodes + guard_nodes) + 12)
+    k = len(presentation.components)
+    if k > 1:
+        # k count binders, "0 <= y_i" for each, "y_1 + ... + y_k = y" and the
+        # conjunction of it all, into which a conjunctive body merges.
+        total += 4 * k + 3 - conjunctions
     return total

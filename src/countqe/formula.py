@@ -21,9 +21,10 @@ quantifier's count variable) and ``rebuild`` (the node over new children).
 the walkers built on it (:func:`free_vars`, :func:`all_variable_names`,
 :func:`node_count`, :func:`max_abs_coefficient`, :func:`contains_counting`)
 work at any binder depth.  Hand dispatch on the node type stays where each
-type does something different: :func:`simplify` (``check``'s hot path,
-folding atoms and collapsing connectives as it rebuilds), the evaluators,
-and :func:`substitute` (which renames binders to avoid capture).
+type does something different: :func:`simplify` (folding atoms and
+collapsing connectives as it rebuilds; ``check`` no longer calls it, since
+its compiled evaluator reads the assignment directly), the evaluators, and
+:func:`substitute` (which renames binders to avoid capture).
 """
 
 from __future__ import annotations

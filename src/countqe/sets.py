@@ -219,28 +219,6 @@ def membership(presentation: LinearSetPresentation, point: Sequence[int]) -> boo
     return MembershipTester(presentation).contains(point)
 
 
-def _coefficient_bounds(tester: MembershipTester, box: IntBox) -> Optional[int]:
-    """Upper bound for every coefficient of any set point inside the box.
-
-    The solved coefficients are linear in the selected coordinates, so the
-    extreme values over the box are attained at its corners; interval
-    arithmetic over the Cramer rows gives a sound bound.
-    """
-    if tester.cramer is None:
-        return 0
-    d = tester.cramer.denom
-    bound = 0
-    for row, gamma in zip(tester.cramer.matrix, tester.cramer.offset):
-        hi = gamma
-        for c, sel in zip(row, tester.selection):
-            lo_v, hi_v = box.lower[sel], box.upper[sel]
-            hi += max(c * lo_v, c * hi_v)
-        if hi < 0:
-            return None  # that coefficient is negative everywhere in the box
-        bound = max(bound, hi // d)
-    return bound
-
-
 def enumerate_in_box(presentation: SemilinearPresentation, box: IntBox) -> list[tuple[int, ...]]:
     """All points of the union inside the box, once each, lexicographically.
 
@@ -253,29 +231,6 @@ def enumerate_in_box(presentation: SemilinearPresentation, box: IntBox) -> list[
     return [
         point for point in box.points() if any(t.contains(point) for t in testers)
     ]
-
-
-def enumerate_in_box_by_coefficients(
-    presentation: SemilinearPresentation, box: IntBox
-) -> list[tuple[int, ...]]:
-    """Alternative enumeration walking coefficient vectors instead of points.
-
-    Must agree with :func:`enumerate_in_box`; kept as an independent route
-    for cross-checking.
-    """
-    if box.dimension != presentation.dimension:
-        raise DimensionError("box dimension does not match presentation")
-    found = set()
-    for comp in presentation.components:
-        tester = MembershipTester(comp)
-        bound = _coefficient_bounds(tester, box)
-        if bound is None:
-            continue
-        for coeffs in itertools.product(range(bound + 1), repeat=comp.num_periods):
-            point = comp.point_at(coeffs)
-            if all(lo <= v <= hi for v, lo, hi in zip(point, box.lower, box.upper)):
-                found.add(point)
-    return sorted(found)
 
 
 def check_disjoint_in_box(presentation: SemilinearPresentation, box: IntBox) -> bool:

@@ -4,10 +4,40 @@ Two independent routes meet here.  The oracle route enumerates candidate
 values of the counted coordinate over a window sized from the presentation's
 own bound structure and tests each point by exact set membership, flagging
 the count unstable when witnesses crowd a truncating window edge.  The
-formula route evaluates the eliminated formula at candidate count values;
-since every auxiliary count variable the eliminator binds is pinned by an
-equation over already-known values, a small solving evaluator decides the
-formula without scanning quantifier ranges.
+formula route decides the eliminated formula at candidate count values with
+a :class:`PinnedProgram`, compiled once per formula: every existential
+variable the eliminator binds is pinned by the atoms of its chain, so no
+quantifier range is ever scanned.
+
+Compiling reads the free names of every node into an int bitmask.  The
+first time an existential chain is evaluated, the conjuncts of its body are
+planned, tracking which chain names are still undefined:
+
+* *check* a conjunct once it reads no undefined name;
+* *define* a name from an equation with exactly one undefined name, by
+  exact division (a non-integral value, or a negative one over N, makes
+  the branch false);
+* *choose* a name from a compound conjunct that reads no other undefined
+  name, trying the values that satisfy that conjunct alone (a disjunct
+  that does not mention the name offers 0), once no check or definition
+  applies;
+* *split* on a disjunction that reads several undefined names, planning
+  each disjunct together with the remaining conjuncts when first reached;
+* *solve* the remaining equations jointly with
+  :func:`~countqe.linalg.solve_unique`.
+
+A chain name that no conjunct reads never becomes an unknown, and a choice
+with one candidate continues in the loop, so a long chain costs no
+recursion.  Binder values are restored when a chain's evaluation ends.  A
+memo that lives for one evaluation call holds each chain's verdict and each
+candidate list, keyed by the values of the names they read, so the parts of
+a formula that do not read the count variable are decided once per trial,
+not once per tested count.
+
+:class:`PinnedEvaluationError` is raised when evaluation reaches a chain
+whose remaining conjuncts no step applies to, an underdetermined system of
+equations, a compound conjunct none of whose equations pins its name, or a
+``Forall`` or ``CountEq``.
 
 The trial runner drives both routes over seeded random assignments and
 reports agreement; the command-line ``check`` command and the acceptance
@@ -22,7 +52,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import formula as fm
 from .elim import EliminationResult, eliminate
-from .errors import CountQEError, UnboundVariableError
+from .errors import CountQEError, DegenerateInputError, UnboundVariableError
 from .formula import (
     And,
     CountEq,
@@ -32,6 +62,7 @@ from .formula import (
     Formula,
     Not,
     Or,
+    Term,
 )
 from .linalg import solve_unique
 from .sets import (
@@ -41,170 +72,367 @@ from .sets import (
     SemilinearPresentation,
     coordinate_names,
 )
-from .errors import DegenerateInputError
 
 
 class PinnedEvaluationError(CountQEError):
-    """The solving evaluator met a shape it cannot decide exactly."""
+    """The pinned evaluator met a shape it cannot decide exactly."""
 
 
-# --- solving evaluator --------------------------------------------------------
+# --- pinned evaluation ----------------------------------------------------------
+
+_CHECK, _DEFINE, _CHOOSE, _SPLIT, _SOLVE, _STUCK = range(6)
+_UNSET = object()
 
 
-def _candidate_values(var: str, f: Formula, env: Mapping[str, int]) -> set:
-    """Values of ``var`` that some equation of ``f`` outside a binder of
-    ``var`` forces, given the other variables' values in ``env``."""
-    out = set()
-    for g, scope in zip(*fm.traverse(f)):
-        if not isinstance(g, Eq) or (var not in g.lhs.coeffs and var not in g.rhs.coeffs):
-            continue
-        combined = g.lhs - g.rhs
-        c = combined.coeffs.get(var)
-        others = [name for name in combined.coeffs if name != var]
-        if c and all(name in env for name in others) and var not in fm.bound_names(scope):
-            total = combined.constant + sum(combined.coeffs[n] * env[n] for n in others)
-            if total % c == 0:
-                out.add(-(total // c))
-    return out
+class PinnedProgram:
+    """A formula compiled once for repeated exact evaluation.
 
+    Construction reads every node's free names into an int bitmask (one bit
+    per name, keyed by the node's id).  The plan of each existential chain
+    is built the first time the chain is evaluated and kept; the memo of
+    verdicts and candidate lists lives for one call of :meth:`evaluate` or
+    :meth:`count_values`.
+    """
 
-def _atoms_only(f: Formula) -> Optional[list]:
-    """The atom list when the formula is a conjunction of atoms, else None."""
-    parts = f.parts if isinstance(f, And) else (f,)
-    return None if any(p.children for p in parts) else list(parts)
-
-
-def _solve_linear_block(
-    chain: Sequence[str], atoms: Sequence[Formula], env: dict, domain
-) -> bool:
-    occurring = {name for atom in atoms for t in atom.terms for name in t.coeffs}
-    unknowns = [v for v in chain if v not in env and v in occurring]
-    # Chain variables absent from every atom are unconstrained; zero works
-    # in either domain.
-    env = {**env, **{v: 0 for v in chain if v not in env and v not in occurring}}
-    if not unknowns:
-        return all(fm.evaluate_atom(atom, env) for atom in atoms)
-    index = {name: i for i, name in enumerate(unknowns)}
-    rows = []
-    rhs = []
-    for atom in atoms:
-        if not isinstance(atom, Eq):
-            continue
-        combined = atom.lhs - atom.rhs
-        row = [0] * len(unknowns)
-        total = combined.constant
-        for name, coef in combined.coeffs.items():
-            if name in env:
-                total += coef * env[name]
-            elif name in index:
-                row[index[name]] = coef
+    def __init__(self, formula: Formula, domain: DomainTag | str = DomainTag.Z):
+        self.formula = formula
+        self._nat = fm.as_domain(domain) is DomainTag.N
+        self._bits: dict[str, int] = {}
+        self._by_bit: list[str] = []
+        self._masks: dict[int, int] = {}
+        self._mask_names: dict[int, tuple] = {}
+        self._pins: dict = {}  # (id(Eq), name) -> (coefficient, rest of the term)
+        self._plans: dict = {}  # id(chain head) -> (steps, names it writes, key names)
+        self._memo: dict = {}
+        bits, bit, masks = self._bits, self._bit, self._masks
+        for g in reversed(fm.traverse(formula)[0]):  # children before parents
+            m = 0
+            children = g.children
+            if children:
+                for c in children:
+                    m |= masks[id(c)]
+                for name in g.binds:
+                    m &= ~bits.get(name, 0)
+                for name in g.refs:
+                    m |= bit(name)
             else:
-                raise UnboundVariableError(f"no value for variable {name!r}")
-        rows.append(row)
-        rhs.append(-total)
-    if not rows:
-        raise PinnedEvaluationError("existential block without equations")
-    try:
-        solution = solve_unique(rows, rhs)
-    except DegenerateInputError as exc:
-        raise PinnedEvaluationError("existential block is underdetermined") from exc
-    if solution is None:
+                for t in g.terms:
+                    for name in t.coeffs:
+                        m |= bits.get(name) or bit(name)
+            masks[id(g)] = m
+
+    def _bit(self, name: str) -> int:
+        b = self._bits.get(name)
+        if b is None:
+            b = self._bits[name] = 1 << len(self._by_bit)
+            self._by_bit.append(name)
+        return b
+
+    def _names(self, mask: int) -> tuple:
+        names = self._mask_names.get(mask)
+        if names is None:
+            by_bit = self._by_bit
+            names = tuple(by_bit[i] for i in range(mask.bit_length()) if mask >> i & 1)
+            self._mask_names[mask] = names
+        return names
+
+    def free_names(self, node: Formula) -> frozenset:
+        """The names ``node`` (a node of the formula) reads free."""
+        return frozenset(self._names(self._masks[id(node)]))
+
+    def evaluate(self, assignment: Mapping[str, int]) -> bool:
+        self._memo = {}
+        return self._eval(self.formula, dict(assignment))
+
+    def count_values(
+        self, assignment: Mapping[str, int], count_var: str, candidates: Sequence[int]
+    ) -> list[int]:
+        """The candidates for ``count_var`` at which the formula holds, under
+        one memo: parts that do not read the count are decided once."""
+        self._memo = {}
+        env = dict(assignment)
+        hits = []
+        for k in candidates:
+            if self._nat and k < 0:
+                continue
+            env[count_var] = k
+            if self._eval(self.formula, env):
+                hits.append(k)
+        return hits
+
+    # evaluation
+
+    def _eval(self, f: Formula, env: dict) -> bool:
+        tf = type(f)
+        if tf is And:
+            for p in f.parts:
+                if not self._eval(p, env):
+                    return False
+            return True
+        if tf is Or:
+            for p in f.parts:
+                if self._eval(p, env):
+                    return True
+            return False
+        if tf is Not:
+            negated = False
+            while type(f) is Not:
+                negated = not negated
+                f = f.body
+            return self._eval(f, env) is not negated
+        if tf is Exists:
+            return self._exists(f, env)
+        if not f.children:
+            return fm.evaluate_atom(f, env)
+        if tf is Forall or tf is CountEq:
+            raise PinnedEvaluationError(f"unsupported quantifier in pinned evaluation: {tf.__name__}")
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _key(self, head: tuple, names: tuple, env: dict) -> tuple:
+        try:
+            return head + tuple([env[name] for name in names])
+        except KeyError as exc:
+            raise UnboundVariableError(f"no value for variable {exc.args[0]!r}") from None
+
+    def _exists(self, f: Exists, env: dict) -> bool:
+        plan = self._plans.get(id(f))
+        if plan is None:
+            plan = self._plans[id(f)] = self._chain_plan(f)
+        steps, written, key_names = plan
+        key = self._key((id(f),), key_names, env)
+        verdict = self._memo.get(key)
+        if verdict is None:
+            saved = [(name, env.get(name, _UNSET)) for name in written]
+            verdict = self._memo[key] = self._run(steps, env)
+            for name, value in saved:
+                if value is _UNSET:
+                    env.pop(name, None)
+                else:
+                    env[name] = value
+        return verdict
+
+    def _run(self, steps: list, env: dict) -> bool:
+        """Execute a plan; a choice with several candidates leaves a
+        backtracking point on an explicit stack."""
+        nat = self._nat
+        i, n = 0, len(steps)
+        choices = []  # (step index, name, iterator over the other candidates)
+        while i < n:
+            step = steps[i]
+            kind = step[0]
+            if kind == _CHECK:
+                ok = self._eval(step[1], env)
+            elif kind == _DEFINE:
+                _, name, coef, rest = step
+                total = rest.evaluate(env)
+                ok = total % coef == 0
+                if ok:
+                    value = env[name] = -(total // coef)
+                    ok = value >= 0 or not nat
+            elif kind == _CHOOSE:
+                values = self._choices(step, env)
+                ok = bool(values)
+                if ok:
+                    env[step[1]] = values[0]
+                    if len(values) > 1:
+                        choices.append((i, step[1], iter(values[1:])))
+            elif kind == _SPLIT:
+                if self._split(step, env):
+                    return True
+                ok = False
+            elif kind == _SOLVE:
+                ok = self._solve(step, env)
+            else:
+                raise PinnedEvaluationError(step[1])
+            if ok:
+                i += 1
+                continue
+            while choices:
+                j, name, others = choices[-1]
+                value = next(others, None)
+                if value is not None:
+                    env[name] = value
+                    i = j + 1
+                    break
+                choices.pop()
+            else:
+                return False
+        return True
+
+    def _choices(self, step: tuple, env: dict) -> list:
+        _, name, g, key_names = step
+        key = self._key((id(g), name), key_names, env)
+        values = self._memo.get(key)
+        if values is None:
+            found = self._candidates(g, name, self._bits[name], env)
+            values = sorted(v for v in found if v >= 0 or not self._nat)
+            self._memo[key] = values
+        return values
+
+    def _candidates(self, g: Formula, name: str, bit: int, env: dict) -> set:
+        """The values of ``name`` that satisfy ``g`` alone, the other names
+        fixed by ``env``; a disjunct that does not mention the name stands
+        for any value, and contributes 0."""
+        if not self._masks[id(g)] & bit:
+            return {0} if self._eval(g, env) else set()
+        tg = type(g)
+        if tg is Eq:
+            value = self._pinned_value(g, name, env)
+            return set() if value is None else {value}
+        if tg is Or:
+            out = set()
+            for d in g.parts:
+                out |= self._candidates(d, name, bit, env)
+            return out
+        if tg is And:
+            mentioning = []
+            for p in g.parts:
+                if self._masks[id(p)] & bit:
+                    mentioning.append(p)
+                elif not self._eval(p, env):
+                    return set()
+            pin = next((p for p in mentioning if type(p) is Eq), None)
+            if pin is None:
+                pin = next((p for p in mentioning if type(p) is Or), None)
+            if pin is not None:
+                out = set()
+                for value in self._candidates(pin, name, bit, env):
+                    env[name] = value
+                    if all(self._eval(p, env) for p in mentioning if p is not pin):
+                        out.add(value)
+                return out
+        raise PinnedEvaluationError(f"no equation pins {name!r} in {tg.__name__}")
+
+    def _pin(self, eq: Eq, name: str) -> tuple:
+        """``eq`` solved for ``name``: its coefficient and the rest of the
+        term ``lhs - rhs``."""
+        key = (id(eq), name)
+        if key not in self._pins:
+            combined = eq.lhs - eq.rhs
+            rest = {other: c for other, c in combined.coeffs.items() if other != name}
+            coef = combined.coeffs.get(name)  # None when the name cancels out
+            self._pins[key] = None if coef is None else (coef, Term(combined.constant, rest))
+        return self._pins[key]
+
+    def _pinned_value(self, eq: Eq, name: str, env: dict) -> Optional[int]:
+        pin = self._pin(eq, name)
+        if pin is None:
+            raise PinnedEvaluationError(f"{name!r} cancels out of an equation")
+        coef, rest = pin
+        total = rest.evaluate(env)
+        return None if total % coef else -(total // coef)
+
+    def _split(self, step: tuple, env: dict) -> bool:
+        _, disjuncts, rest, undefined, plans = step
+        for k, d in enumerate(disjuncts):
+            if plans[k] is None:
+                parts = list(d.parts) if type(d) is And else [d]
+                plans[k] = self._plan(parts + rest, undefined)
+            if self._run(plans[k], env):
+                return True
         return False
-    values = {}
-    for name, value in zip(unknowns, solution):
-        if value.denominator != 1:
-            return False
-        concrete = int(value)
-        if domain is DomainTag.N and concrete < 0:
-            return False
-        values[name] = concrete
-    extended = {**env, **values}
-    return all(fm.evaluate_atom(atom, extended) for atom in atoms)
 
+    def _solve(self, step: tuple, env: dict) -> bool:
+        _, names, rows, rests = step
+        try:
+            solution = solve_unique(rows, [-r.evaluate(env) for r in rests])
+        except DegenerateInputError as exc:
+            raise PinnedEvaluationError("existential block is underdetermined") from exc
+        if solution is None:
+            return False
+        for name, value in zip(names, solution):
+            if value.denominator != 1 or (self._nat and value < 0):
+                return False
+            env[name] = int(value)
+        return True
 
-def _vacuous_binders(f: Formula) -> set:
-    """The ids of the ``Exists`` nodes of ``f`` whose variable is not free
-    in their body, from one traversal: every name an atom reads is resolved
-    to the scope of its innermost binder, and a binder no name resolves to
-    is vacuous."""
-    nodes, scopes = fm.traverse(f)
-    used = set()
-    last, owners = (), {}
-    for g, scope in zip(nodes, scopes):
-        names = [name for t in g.terms for name in t.coeffs]
-        names.extend(g.refs)
-        if not names:
-            continue
-        if scope is not last:
-            last, owners, inner = scope, {}, scope
-            while inner is not None:
-                for name in inner[0]:
-                    owners.setdefault(name, id(inner))
-                inner = inner[1]
-        used.update(owners[name] for name in names if name in owners)
-    # traverse lists a node with children directly before its last child,
-    # whose scope is the one the node opens
-    return {
-        id(g) for k, g in enumerate(nodes) if type(g) is Exists and id(scopes[k + 1]) not in used
-    }
+    # planning
+
+    def _chain_plan(self, head: Exists) -> tuple:
+        chain = 0
+        body = head
+        while type(body) is Exists:
+            chain |= self._bits.get(body.var, 0)
+            body = body.body
+        mask = self._masks[id(body)]
+        parts = list(body.parts) if type(body) is And else [body]
+        undefined = mask & chain
+        return (
+            self._plan(parts, undefined),
+            self._names(undefined),
+            self._names(self._masks[id(head)]),
+        )
+
+    def _plan(self, parts: list, undefined: int) -> list:
+        """Steps deciding the conjunction of ``parts`` whose ``undefined``
+        names are bound by the chain being planned.  Checks and definitions
+        come first; choices are taken only when neither applies."""
+        masks = self._masks
+        steps: list = []
+        pending = parts
+        choosing = False
+        while pending:
+            rest = []
+            for g in pending:
+                m = masks[id(g)] & undefined
+                if not m:
+                    steps.append((_CHECK, g))
+                    continue
+                if not m & (m - 1):
+                    name = self._by_bit[m.bit_length() - 1]
+                    pin = self._pin(g, name) if type(g) is Eq else None
+                    if pin is not None:
+                        steps.append((_DEFINE, name) + pin)
+                        undefined &= ~m
+                        continue
+                    if choosing and g.children:
+                        steps.append((_CHOOSE, name, g, self._names(masks[id(g)] & ~m)))
+                        undefined &= ~m
+                        continue
+                rest.append(g)
+            progress = len(rest) < len(pending)
+            pending = rest
+            if progress or not choosing:
+                choosing = not progress
+                continue
+            split = next((g for g in pending if type(g) is Or), None)
+            if split is not None:
+                others = [g for g in pending if g is not split]
+                steps.append((_SPLIT, split.parts, others, undefined, [None] * len(split.parts)))
+                return steps
+            equations = [g for g in pending if type(g) is Eq]
+            if not equations:
+                names = ", ".join(self._names(undefined))
+                steps.append((_STUCK, f"no equation pins the existential variables {names}"))
+                return steps
+            unknown = 0
+            for g in equations:
+                unknown |= masks[id(g)] & undefined
+            names = self._names(unknown)
+            rows, rests = [], []
+            for g in equations:
+                combined = g.lhs - g.rhs
+                rows.append([combined.coeffs.get(name, 0) for name in names])
+                rests.append(
+                    Term(combined.constant, {n: c for n, c in combined.coeffs.items() if n not in names})
+                )
+            steps.append((_SOLVE, names, rows, rests))
+            undefined &= ~unknown
+            pending = [g for g in pending if type(g) is not Eq]
+            choosing = False
+        return steps
 
 
 def evaluate_pinned(
-    f: Formula,
-    assignment: Mapping[str, int],
-    domain: DomainTag | str = DomainTag.Z,
-    vacuous: Optional[set] = None,
+    f: Formula, assignment: Mapping[str, int], domain: DomainTag | str = DomainTag.Z
 ) -> bool:
     """Exact evaluation for formulas whose bound variables are pinned.
 
-    Every existential variable must be determined by equations over outer
-    variables (as in eliminated formulas), or sit in a prefix over a plain
-    conjunction of atoms with a unique rational solution (as in membership
-    formulas).  Unsupported shapes raise :class:`PinnedEvaluationError`
-    rather than guessing.  ``vacuous`` is ``_vacuous_binders(f)``, passed
-    by callers that evaluate one formula many times.
+    Every existential variable must be defined by the atoms of its chain
+    (see the module docstring).  Unsupported shapes raise
+    :class:`PinnedEvaluationError` rather than guessing.
     """
-    if vacuous is None:
-        vacuous = _vacuous_binders(f)
-    env = dict(assignment)
-    return _eval_pinned(f, env, fm.as_domain(domain), vacuous)
-
-
-def _eval_pinned(f: Formula, env: dict, domain, vacuous: set) -> bool:
-    tf = type(f)
-    if not f.children:
-        return fm.evaluate_atom(f, env)
-    if tf is And:
-        return all(_eval_pinned(p, env, domain, vacuous) for p in f.parts)
-    if tf is Or:
-        return any(_eval_pinned(p, env, domain, vacuous) for p in f.parts)
-    if tf is Not:
-        return not _eval_pinned(f.body, env, domain, vacuous)
-    if tf is Exists:
-        if id(f) in vacuous:
-            return _eval_pinned(f.body, env, domain, vacuous)
-        chain = [f.var]
-        inner = f.body
-        while isinstance(inner, Exists):
-            chain.append(inner.var)
-            inner = inner.body
-        atoms = _atoms_only(inner)
-        if atoms is not None and any(v not in env for v in chain):
-            return _solve_linear_block(chain, atoms, env, domain)
-        candidates = _candidate_values(f.var, f.body, env)
-        candidates.add(0)
-        for value in sorted(candidates):
-            if domain is DomainTag.N and value < 0:
-                continue
-            env[f.var] = value
-            if _eval_pinned(f.body, env, domain, vacuous):
-                del env[f.var]
-                return True
-        env.pop(f.var, None)
-        return False
-    if tf is Forall or tf is CountEq:
-        raise PinnedEvaluationError(f"unsupported quantifier in pinned evaluation: {tf.__name__}")
-    raise TypeError(f"not a formula: {f!r}")
+    return PinnedProgram(f, domain).evaluate(assignment)
 
 
 def formula_count_values(
@@ -213,21 +441,9 @@ def formula_count_values(
     candidates: Sequence[int],
     domain: DomainTag | str = DomainTag.Z,
 ) -> list[int]:
-    """The candidate count values satisfying the eliminated formula.
-
-    Folds the assignment into the formula once, then decides each candidate
-    with the solving evaluator.
-    """
-    domain = fm.as_domain(domain)
-    residual = fm.simplify(result.formula, assignment)
-    vacuous = _vacuous_binders(residual)
-    hits = []
-    for k in candidates:
-        if domain is DomainTag.N and k < 0:
-            continue
-        if evaluate_pinned(residual, {result.count_var: k}, domain, vacuous):
-            hits.append(k)
-    return hits
+    """The candidate count values satisfying the eliminated formula."""
+    program = PinnedProgram(result.formula, domain)
+    return program.count_values(assignment, result.count_var, candidates)
 
 
 # --- witness-count oracle -------------------------------------------------------
@@ -446,6 +662,7 @@ def run_check(
         result = eliminate(presentation, count_var, var_names=names)
     domain = presentation.domain
     testers = [MembershipTester(c) for c in presentation.components]
+    program = PinnedProgram(result.formula, domain)
     rng = random.Random(seed)
     records = []
     mismatches = overlaps = unstable = unstable_bad = 0
@@ -453,9 +670,7 @@ def run_check(
         assignment = random_assignment(rng, names[:-1], box_radius, domain)
         oracle = count_set_witnesses(presentation, assignment, names, testers)
         tested = tested_counts(rng, oracle.count)
-        satisfied = tuple(
-            formula_count_values(result, assignment, tested, domain)
-        )
+        satisfied = tuple(program.count_values(assignment, result.count_var, tested))
         if oracle.overlap:
             verdict = "overlap"
             overlaps += 1

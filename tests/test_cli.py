@@ -229,10 +229,25 @@ class TestCheckCommand:
         assert code == 0
 
     def test_half_line_1200(self, capsys, tmp_path):
-        # A 1,200-binder prefix: simplify folds each trial in a loop.
+        # A 1,200-binder prefix: the pinned plan defines each case variable
+        # in one loop.
         code, out, err = run(capsys, "check", half_line(tmp_path, 1200), "--trials", "2")
         assert (code, err) == (0, "")
         assert "summary: trials=2 mismatches=0 " in out
+
+    def test_vacuous_case_binders(self, capsys, tmp_path):
+        # One-sided core with D = 32, 1,024 feasible cases and dropped row 3
+        # (x3 = -2).  Where that relation fails, no conjunct reads the 1,024
+        # case variables; deciding them once crashed with RecursionError.
+        path = tmp_path / "d32.sl"
+        path.write_text(
+            "domain Z\ndim 4\ndisjoint\nsimple\ncomponent\nbase -2 0 -2 3\n"
+            "period 0 -2 0 -2\nperiod -3 1 0 0\nperiod 1 3 0 -2\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "check", str(path), "--trials", "20")
+        assert (code, err) == (0, "")
+        assert "summary: trials=20 mismatches=0 " in out
 
     def test_overlap_with_verify_disjoint(self, capsys):
         code, _, err = run(

@@ -41,7 +41,7 @@ from countqe.sets import (
     SemilinearPresentation,
     coordinate_names,
 )
-from helpers import random_simple_component
+from helpers import random_disjoint_presentation, random_simple_component
 
 THREE_PERIOD_SET = LinearSetPresentation(
     base=(0, 0, 0, 0),
@@ -553,3 +553,36 @@ class TestEliminateUnion:
             )
             assert estimate_result_nodes(s) >= eliminate(s, "y").report.nodes, component
             tried += 1
+
+    def test_estimate_is_exact_on_single_witness_components(self):
+        # Single-witness components and the multi-component wrapper are
+        # counted exactly, alone and in unions.
+        rng = random.Random(91)
+        seen = {1: 0, 2: 0}
+        while min(seen.values()) < 40:
+            domain = rng.choice([DomainTag.Z, DomainTag.N])
+            s = random_disjoint_presentation(rng, domain, max_dimension=4)
+            result = eliminate(s, "y")
+            if any(r.case != "single-witness" for r in result.report.components):
+                continue
+            assert estimate_result_nodes(s) == result.report.nodes, s
+            seen[len(s.components)] += 1
+
+    @pytest.mark.parametrize(
+        "components, actual",
+        [
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0)))], 44),
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 705),
+        ],
+    )
+    def test_estimate_not_below_single_witness_sizes(self, components, actual):
+        s = SemilinearPresentation(
+            components=tuple(
+                LinearSetPresentation(base=base, periods=periods, domain=DomainTag.N)
+                for base, periods in components
+            ),
+            asserted_disjoint=True,
+            asserted_simple=True,
+        )
+        assert eliminate(s, "y").report.nodes == actual
+        assert estimate_result_nodes(s) >= actual

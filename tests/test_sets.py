@@ -1,4 +1,6 @@
+import itertools
 import random
+from typing import Optional
 
 import pytest
 
@@ -8,12 +10,12 @@ from countqe.sets import (
     DomainTag,
     IntBox,
     LinearSetPresentation,
+    MembershipTester,
     SemilinearPresentation,
     check_disjoint_in_box,
     check_simple,
     coordinate_names,
     enumerate_in_box,
-    enumerate_in_box_by_coefficients,
     membership,
     membership_formula,
 )
@@ -22,6 +24,51 @@ THREE_PERIOD_SET = LinearSetPresentation(
     base=(0, 0, 0, 0),
     periods=((1, 2, 2, 1), (2, 4, 1, 1), (-1, -2, 0, -1)),
 )
+
+
+def _coefficient_bounds(tester: MembershipTester, box: IntBox) -> Optional[int]:
+    """Upper bound for every coefficient of any set point inside the box.
+
+    The solved coefficients are linear in the selected coordinates, so the
+    extreme values over the box are attained at its corners; interval
+    arithmetic over the Cramer rows gives a sound bound.
+    """
+    if tester.cramer is None:
+        return 0
+    d = tester.cramer.denom
+    bound = 0
+    for row, gamma in zip(tester.cramer.matrix, tester.cramer.offset):
+        hi = gamma
+        for c, sel in zip(row, tester.selection):
+            lo_v, hi_v = box.lower[sel], box.upper[sel]
+            hi += max(c * lo_v, c * hi_v)
+        if hi < 0:
+            return None  # that coefficient is negative everywhere in the box
+        bound = max(bound, hi // d)
+    return bound
+
+
+def enumerate_in_box_by_coefficients(
+    presentation: SemilinearPresentation, box: IntBox
+) -> list[tuple[int, ...]]:
+    """Alternative enumeration walking coefficient vectors instead of points.
+
+    Must agree with :func:`enumerate_in_box`; kept here as an independent
+    route for cross-checking it.
+    """
+    if box.dimension != presentation.dimension:
+        raise DimensionError("box dimension does not match presentation")
+    found = set()
+    for comp in presentation.components:
+        tester = MembershipTester(comp)
+        bound = _coefficient_bounds(tester, box)
+        if bound is None:
+            continue
+        for coeffs in itertools.product(range(bound + 1), repeat=comp.num_periods):
+            point = comp.point_at(coeffs)
+            if all(lo <= v <= hi for v, lo, hi in zip(point, box.lower, box.upper)):
+                found.add(point)
+    return sorted(found)
 
 
 def line(base, step, domain=DomainTag.Z):

@@ -1,20 +1,50 @@
 import random
+import sys
+from pathlib import Path
+from typing import Mapping, Optional, Sequence
 
 import pytest
 
 import countqe.elim
+import countqe.formula as fm
+from countqe import verify
 from countqe.elim import eliminate, eliminate_simple
-from countqe.formula import And, Eq, Exists, Le, constant, evaluate, free_vars, traverse, variable
-from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation
-from helpers import random_ast
+from countqe.errors import DegenerateInputError, UnboundVariableError, UnsupportedPresentationError
+from countqe.formula import (
+    And,
+    CountEq,
+    Eq,
+    Exists,
+    Forall,
+    Formula,
+    Le,
+    Lt,
+    Not,
+    Or,
+    constant,
+    evaluate,
+    free_vars,
+    traverse,
+    variable,
+)
+from countqe.linalg import solve_unique
+from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
+from countqe.textio import parse_presentation
+from helpers import random_ast, random_disjoint_presentation
 from countqe.verify import (
     PinnedEvaluationError,
-    _vacuous_binders,
+    PinnedProgram,
     count_set_witnesses,
     evaluate_pinned,
     formula_count_values,
     run_check,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 THREE_PERIOD_SET = LinearSetPresentation(
     base=(0, 0, 0, 0),
@@ -39,6 +69,162 @@ def brute_count(presentation, assignment, lo=-200, hi=200):
         for v in range(lo, hi + 1)
         if any(t.contains(values + [v]) for t in testers)
     )
+
+
+# --- the evaluator this module's differential test compares against ----------
+#
+# The search-based evaluator that decided eliminated formulas before
+# PinnedProgram, kept verbatim: formula_count_values folded the assignment
+# in with simplify on every trial, then tried the forced values of each
+# binder in turn and sent atoms-only blocks to solve_unique.
+
+
+def _reference_candidate_values(var: str, f: Formula, env: Mapping[str, int]) -> set:
+    """Values of ``var`` that some equation of ``f`` outside a binder of
+    ``var`` forces, given the other variables' values in ``env``."""
+    out = set()
+    for g, scope in zip(*fm.traverse(f)):
+        if not isinstance(g, Eq) or (var not in g.lhs.coeffs and var not in g.rhs.coeffs):
+            continue
+        combined = g.lhs - g.rhs
+        c = combined.coeffs.get(var)
+        others = [name for name in combined.coeffs if name != var]
+        if c and all(name in env for name in others) and var not in fm.bound_names(scope):
+            total = combined.constant + sum(combined.coeffs[n] * env[n] for n in others)
+            if total % c == 0:
+                out.add(-(total // c))
+    return out
+
+
+def _reference_atoms_only(f: Formula) -> Optional[list]:
+    """The atom list when the formula is a conjunction of atoms, else None."""
+    parts = f.parts if isinstance(f, And) else (f,)
+    return None if any(p.children for p in parts) else list(parts)
+
+
+def _reference_solve_linear_block(
+    chain: Sequence[str], atoms: Sequence[Formula], env: dict, domain
+) -> bool:
+    occurring = {name for atom in atoms for t in atom.terms for name in t.coeffs}
+    unknowns = [v for v in chain if v not in env and v in occurring]
+    # Chain variables absent from every atom are unconstrained; zero works
+    # in either domain.
+    env = {**env, **{v: 0 for v in chain if v not in env and v not in occurring}}
+    if not unknowns:
+        return all(fm.evaluate_atom(atom, env) for atom in atoms)
+    index = {name: i for i, name in enumerate(unknowns)}
+    rows = []
+    rhs = []
+    for atom in atoms:
+        if not isinstance(atom, Eq):
+            continue
+        combined = atom.lhs - atom.rhs
+        row = [0] * len(unknowns)
+        total = combined.constant
+        for name, coef in combined.coeffs.items():
+            if name in env:
+                total += coef * env[name]
+            elif name in index:
+                row[index[name]] = coef
+            else:
+                raise UnboundVariableError(f"no value for variable {name!r}")
+        rows.append(row)
+        rhs.append(-total)
+    if not rows:
+        raise PinnedEvaluationError("existential block without equations")
+    try:
+        solution = solve_unique(rows, rhs)
+    except DegenerateInputError as exc:
+        raise PinnedEvaluationError("existential block is underdetermined") from exc
+    if solution is None:
+        return False
+    values = {}
+    for name, value in zip(unknowns, solution):
+        if value.denominator != 1:
+            return False
+        concrete = int(value)
+        if domain is DomainTag.N and concrete < 0:
+            return False
+        values[name] = concrete
+    extended = {**env, **values}
+    return all(fm.evaluate_atom(atom, extended) for atom in atoms)
+
+
+def _reference_vacuous_binders(f: Formula) -> set:
+    """The ids of the ``Exists`` nodes of ``f`` whose variable is not free
+    in their body, from one traversal: every name an atom reads is resolved
+    to the scope of its innermost binder, and a binder no name resolves to
+    is vacuous."""
+    nodes, scopes = fm.traverse(f)
+    used = set()
+    last, owners = (), {}
+    for g, scope in zip(nodes, scopes):
+        names = [name for t in g.terms for name in t.coeffs]
+        names.extend(g.refs)
+        if not names:
+            continue
+        if scope is not last:
+            last, owners, inner = scope, {}, scope
+            while inner is not None:
+                for name in inner[0]:
+                    owners.setdefault(name, id(inner))
+                inner = inner[1]
+        used.update(owners[name] for name in names if name in owners)
+    # traverse lists a node with children directly before its last child,
+    # whose scope is the one the node opens
+    return {
+        id(g) for k, g in enumerate(nodes) if type(g) is Exists and id(scopes[k + 1]) not in used
+    }
+
+
+def _reference_eval_pinned(f: Formula, env: dict, domain, vacuous: set) -> bool:
+    tf = type(f)
+    if not f.children:
+        return fm.evaluate_atom(f, env)
+    if tf is And:
+        return all(_reference_eval_pinned(p, env, domain, vacuous) for p in f.parts)
+    if tf is Or:
+        return any(_reference_eval_pinned(p, env, domain, vacuous) for p in f.parts)
+    if tf is Not:
+        return not _reference_eval_pinned(f.body, env, domain, vacuous)
+    if tf is Exists:
+        if id(f) in vacuous:
+            return _reference_eval_pinned(f.body, env, domain, vacuous)
+        chain = [f.var]
+        inner = f.body
+        while isinstance(inner, Exists):
+            chain.append(inner.var)
+            inner = inner.body
+        atoms = _reference_atoms_only(inner)
+        if atoms is not None and any(v not in env for v in chain):
+            return _reference_solve_linear_block(chain, atoms, env, domain)
+        candidates = _reference_candidate_values(f.var, f.body, env)
+        candidates.add(0)
+        for value in sorted(candidates):
+            if domain is DomainTag.N and value < 0:
+                continue
+            env[f.var] = value
+            if _reference_eval_pinned(f.body, env, domain, vacuous):
+                del env[f.var]
+                return True
+        env.pop(f.var, None)
+        return False
+    if tf is Forall or tf is CountEq:
+        raise PinnedEvaluationError(f"unsupported quantifier in pinned evaluation: {tf.__name__}")
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_count_values(result, assignment, candidates, domain):
+    residual = fm.simplify(result.formula, assignment)
+    vacuous = _reference_vacuous_binders(residual)
+    hits = []
+    for k in candidates:
+        if domain is DomainTag.N and k < 0:
+            continue
+        env = {result.count_var: k}
+        if _reference_eval_pinned(residual, env, domain, vacuous):
+            hits.append(k)
+    return hits
 
 
 class TestEvaluatePinned:
@@ -114,23 +300,145 @@ class TestEvaluatePinned:
         rest = sum(values) - values[5] - values[6]
         assert evaluate_pinned(block(pins), {"y": rest + 4}) is False
 
-    def test_vacuous_binders_match_free_vars(self):
+    def test_free_name_masks_match_free_vars(self):
         rng = random.Random(23)
         seen = set()
         for _ in range(400):
             f = random_ast(rng, rng.randint(1, 6))
-            vacuous = _vacuous_binders(f)
+            program = PinnedProgram(f)
             for g in traverse(f)[0]:
+                assert program.free_names(g) == free_vars(g), g
                 if type(g) is Exists:
-                    expected = g.var not in free_vars(g.body)
-                    assert (id(g) in vacuous) == expected, g
-                    seen.add(expected)
+                    seen.add(g.var in free_vars(g.body))
         assert seen == {True, False}
+
+    def test_5000_vacuous_binders(self):
+        body = Eq(variable("y"), constant(0))
+        for i in range(5000):
+            body = Exists(f"_c{i}", body)
+        assert evaluate_pinned(body, {"y": 0}) is True
+        assert evaluate_pinned(body, {"y": 1}) is False
+
+    def test_2000_auxiliaries_pinned_by_choices(self):
+        # Each auxiliary u_i is pinned by its own (g_i & u_i = k_i) | (!g_i &
+        # u_i = 0): a choice with one candidate, which must not recurse.
+        n = 2000
+        names = [f"u{i}" for i in range(n)]
+        parts = []
+        for i, name in enumerate(names):
+            guard = Le(variable("x"), constant(i % 50))
+            u = variable(name)
+            parts.append(
+                Or((And((guard, Eq(u, constant(i % 3)))), And((Not(guard), Eq(u, constant(0))))))
+            )
+        parts.append(Eq(sum((variable(name) for name in names), constant(0)), variable("y")))
+        body = And(tuple(parts))
+        for name in reversed(names):
+            body = Exists(name, body)
+        x = 20
+        total = sum(i % 3 for i in range(n) if x <= i % 50)
+        program = PinnedProgram(body)
+        assert program.count_values({"x": x}, "y", [total - 1, total, total + 1]) == [total]
+
+    def test_memo_is_keyed_by_the_values_read(self):
+        # The candidate list of u and the verdict of the inner chain both
+        # depend on the count y; a memo that ignored the values they read
+        # would reuse the first count's.
+        x, y, u, w = map(variable, "xyuw")
+        choice = Or((And((Le(x, y), Eq(u, y))), And((Lt(y, x), Eq(u, constant(0))))))
+        inner = Exists("w", And((Eq(w, u + 1), Le(w, constant(3)))))
+        f = Exists("u", And((choice, inner)))
+        assert PinnedProgram(f).count_values({"x": 1}, "y", range(6)) == [0, 1, 2]
+
+    def test_equation_defines_before_a_choice(self):
+        # The disjunction alone offers u = 0 (x = 1 holds for any u) or 5;
+        # the equation pins u = 3 and is used first.
+        u = variable("u")
+        either = Or((Eq(variable("x"), constant(1)), Eq(u, constant(5))))
+        f = Exists("u", And((either, Eq(u, constant(3)))))
+        assert evaluate_pinned(f, {"x": 1}) is True
+        assert evaluate_pinned(f, {"x": 2}) is False
+
+    def test_binder_over_an_assigned_name(self):
+        # E x shadows the assigned x; after the chain the outer value is back.
+        f = And((Exists("x", Eq(variable("x"), constant(5))), Eq(variable("x"), constant(3))))
+        assignment = {"x": 3}
+        assert evaluate_pinned(f, assignment) is True
+        assert evaluate_pinned(f, {"x": 5}) is False
+        assert assignment == {"x": 3}
+
+    def test_rejects_other_quantifiers(self):
+        atom = Le(variable("v"), constant(3))
+        with pytest.raises(PinnedEvaluationError):
+            evaluate_pinned(Forall("v", atom), {})
+        with pytest.raises(PinnedEvaluationError):
+            evaluate_pinned(CountEq("v", "y", atom), {"y": 1})
+
+    def test_underdetermined_block(self):
+        u, w = variable("u"), variable("w")
+        f = Exists("u", Exists("w", And((Eq(u + w, constant(3)), Eq(2 * u + 2 * w, constant(6))))))
+        with pytest.raises(PinnedEvaluationError):
+            evaluate_pinned(f, {})
+        solvable = Exists("u", Exists("w", And((Eq(u + w, constant(3)), Eq(u - w, constant(1))))))
+        assert evaluate_pinned(solvable, {}) is True
+        assert evaluate_pinned(solvable, {}, DomainTag.N) is True
+        negative = Exists("u", Exists("w", And((Eq(u + w, constant(1)), Eq(u - w, constant(3))))))
+        assert evaluate_pinned(negative, {}) is True
+        assert evaluate_pinned(negative, {}, DomainTag.N) is False
 
     def test_natural_domain_respects_nonnegativity(self):
         comp = LinearSetPresentation(base=(2,), periods=(), domain=DomainTag.N)
         result = eliminate_simple(comp, "y")
         assert evaluate_pinned(result.formula, {"y": 1}, DomainTag.N) is True
+
+
+def _differential_corpus():
+    """(label, presentation, trials): the fixtures, every presentation of the
+    three benchmark workloads (sweep seed 7) and 200 seeded random draws."""
+    for path in sorted(FIXTURES.glob("*.sl")):
+        yield "fixture", parse_presentation(path.read_text(encoding="utf-8")), 3
+    for name in workloads.WORKLOADS:
+        for item in workloads.make_workload(name, 7).presentations:
+            yield name, parse_presentation(item.text), 2 if name != "sweep" else 3
+    rng = random.Random(61)
+    for domain in (DomainTag.Z, DomainTag.N):
+        for _ in range(100):
+            yield "random", random_disjoint_presentation(rng, domain), 3
+
+
+def _kind(report):
+    if report.case == "single-witness":
+        return "single-witness"
+    return "two-sided" if report.upper_rows and report.lower_rows else "one-sided"
+
+
+class TestAgainstReferenceEvaluator:
+    def test_same_count_values_on_seeded_eliminations(self):
+        rng = random.Random(5)
+        kinds = {}
+        compared = hits = 0
+        for label, presentation, trials in _differential_corpus():
+            try:
+                result = eliminate(presentation, "y")
+            except UnsupportedPresentationError:
+                assert label == "fixture"  # nonsimple.sl
+                continue
+            for report in result.report.components:
+                kinds.setdefault(_kind(report), set()).add(label)
+            names = coordinate_names(presentation.dimension)
+            domain = presentation.domain
+            for _ in range(trials):
+                assignment = verify.random_assignment(rng, names[:-1], 40, domain)
+                oracle = count_set_witnesses(presentation, assignment, names)
+                tested = verify.tested_counts(rng, oracle.count)
+                got = formula_count_values(result, assignment, tested, domain)
+                expected = _reference_count_values(result, assignment, tested, domain)
+                assert got == expected, (label, presentation, assignment)
+                compared += 1
+                hits += bool(got)
+        assert compared > 700 and 0 < hits < compared
+        assert set(kinds) == {"single-witness", "one-sided", "two-sided"}
+        assert all("random" in labels for labels in kinds.values()), kinds
 
 
 class TestCountSetWitnesses:
@@ -238,6 +546,21 @@ class TestRunCheck:
             assert outcome.ok(strict=True)
             decided += [r for r in outcome.records if r.verdict == "ok"]
         assert decided and all(r.assignment["x1"] < 0 for r in decided)
+
+    def test_vacuous_case_binders(self):
+        # D = 32 one-sided core whose dropped row reads x3 = -2: off that
+        # plane the 1,024 case binders are vacuous, on it the cases decide.
+        comp = LinearSetPresentation(
+            base=(-2, 0, -2, 3), periods=((0, -2, 0, -2), (-3, 1, 0, 0), (1, 3, 0, -2))
+        )
+        result = eliminate(union(comp), "y")
+        assert result.report.components[0].feasible_cases == 1024
+        outcome = run_check(union(comp), result=result, trials=5, box_radius=50, seed=4)
+        assert outcome.mismatches == 0 and outcome.ok(strict=True)
+        on_plane = {"x1": -3, "x2": 0, "x3": -2}  # empty slice
+        assert formula_count_values(result, on_plane, range(4)) == [0]
+        on_plane["x1"] = 0  # infinite slice: no count holds
+        assert formula_count_values(result, on_plane, range(16)) == []
 
     def test_formula_count_values_scan(self):
         result = eliminate(union(THREE_PERIOD_SET), "y")
