@@ -10,7 +10,9 @@ Subcommands:
 * ``check``     eliminate, then cross-check against the counting oracle on
                 seeded random assignments
 
-Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation,
+Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation
+(including an out-of-range numeric option such as a negative ``--box-radius``
+or ``--trials``, and a ``--count-var`` that is not an identifier),
 3 verification failure, 4 internal error (an input nested too deeply for the
 interpreter's recursion limit; reported on one line, without a traceback).
 Diagnostics go to stderr; stdout is deterministic for fixed inputs, flags and

@@ -20,8 +20,9 @@ coordinate, and the number of lattice points of a residue class inside an
 interval is definable once the interval endpoints are case-split by their
 own residues.  Components combine by summing per-component count variables.
 
-Over the naturals the same construction runs with every emitted atom kept
-subtraction-free (nonnegative coefficients and constants on both sides).
+Over the naturals the same integer body is built, and :func:`normalize_for_nat`
+makes every atom subtraction-free.  No clamp at 0 is needed: each counted
+value is a point of the component, whose base and periods are nonnegative.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .sets import (
     coordinate_names,
     membership_formula,
 )
+from .textio import is_identifier
 
 
 # --- counting points of a residue class in an interval ----------------------
@@ -138,11 +140,6 @@ def progression_count_formula(
     return disj([empty, conj([Le(lo, hi), disj(by_lo_residue)])])
 
 
-def _shifted_congruence(pos: Term, neg: Term, residue: int, step: int) -> Formula:
-    """Subtraction-free form of ``pos - neg = residue (mod step)``."""
-    return Cong(pos + (step - 1) * neg, residue, step)
-
-
 def progression_count_formula_nat(
     coeff: int,
     residue: int,
@@ -158,70 +155,23 @@ def progression_count_formula_nat(
     Binds ``count_var`` to the number of x in N with
     ``low_bound <= coeff*x + low_shift``, ``high_shift + coeff*x <=
     high_bound`` and ``x = residue (mod modulus)``.  The four endpoint terms
-    must be subtraction-free; every emitted atom is too.  The effective
-    interval for ``coeff*x`` is [max(0, low_bound-low_shift),
-    high_bound-high_shift], handled by a case split on which differences are
-    nonnegative.
+    must be subtraction-free; every emitted atom is too.  It normalises the
+    integer count on [max(0, low_bound - low_shift), high_bound - high_shift].
+    The eliminator does not call it; it normalises its whole integer body.
     """
-    if coeff < 1 or modulus < 1:
-        raise ParameterError("coefficient and modulus must be positive")
-    if not 0 <= residue < modulus:
-        raise ParameterError("residue out of range")
-    step = coeff * modulus
-    target = (coeff * residue) % step
-    u = variable(count_var)
-    y1, y2, z1, z2 = low_bound, low_shift, high_shift, high_bound
-    upper_empty = conj([Lt(z2, z1), Eq(u, constant(0))])
-    has_upper = Le(z1, z2)
-    trivial_lower = Le(y1, y2)
-    real_lower = Lt(y2, y1)
-    interval_empty = Lt(y2 + z2, y1 + z1)
-    interval_ok = Le(y1 + z1, y2 + z2)
-
-    if step == 1:
-        from_zero = conj([has_upper, trivial_lower, Eq(u + z1, z2 + 1)])
-        shifted = conj(
-            [has_upper, real_lower, interval_ok, Eq(u + z1 + y1, z2 + y2 + 1)]
+    high = high_bound - high_shift
+    from_zero = progression_count_formula(coeff, residue, modulus, Term(0), high, count_var)
+    shifted = progression_count_formula(
+        coeff, residue, modulus, low_bound - low_shift, high, count_var
+    )
+    return normalize_for_nat(
+        disj(
+            [
+                conj([Le(low_bound, low_shift), from_zero]),
+                conj([Lt(low_shift, low_bound), shifted]),
+            ]
         )
-        empty_mid = conj([has_upper, real_lower, interval_empty, Eq(u, constant(0))])
-        return disj([upper_empty, from_zero, shifted, empty_mid])
-
-    # Counting from zero: only the upper endpoint's residue matters.
-    zero_cases = []
-    for j in range(step):
-        bump = step if j >= target else 0
-        zero_cases.append(
-            conj(
-                [
-                    _shifted_congruence(z2, z1, j, step),
-                    Eq(step * u + z1 + constant(j), z2 + bump),
-                ]
-            )
-        )
-    from_zero = conj([has_upper, trivial_lower, disj(zero_cases)])
-
-    shifted_by_lo: dict[int, list[Formula]] = {}
-    for i, j, c in _progression_case_constants(step, target):
-        # The endpoint residues already appear explicitly in the equation, so
-        # only the step-multiple part of the case constant remains.
-        step_part = c - (i - j)
-        rise = max(step_part, 0)
-        drop = max(-step_part, 0)
-        shifted_by_lo.setdefault(i, []).append(
-            conj(
-                [
-                    _shifted_congruence(z2, z1, j, step),
-                    Eq(step * u + z1 + y1 + constant(j + drop), z2 + y2 + i + rise),
-                ]
-            )
-        )
-    shifted_cases = [
-        conj([_shifted_congruence(y1, y2, i, step), disj(shifted_by_lo[i])])
-        for i in sorted(shifted_by_lo)
-    ]
-    shifted = conj([has_upper, real_lower, interval_ok, disj(shifted_cases)])
-    empty_mid = conj([has_upper, real_lower, interval_empty, Eq(u, constant(0))])
-    return disj([upper_empty, from_zero, shifted, empty_mid])
+    )
 
 
 # --- classification of the Cramer rows ---------------------------------------
@@ -612,12 +562,8 @@ def _case_interval(
     matrix = presentation.period_matrix()
     n, p = matrix.rows, matrix.cols
     nat = presentation.domain is DomainTag.N
-    norm = normalize_for_nat if nat else (lambda f: f)
     relations = conj(
-        [
-            norm(_dropped_row_relation(matrix, presentation.base, names, free_rows, j))
-            for j in dropped
-        ]
+        [_dropped_row_relation(matrix, presentation.base, names, free_rows, j) for j in dropped]
     )
     denom = solution.denom
     free_names = [names[i] for i in free_rows]
@@ -634,7 +580,7 @@ def _case_interval(
         "enumerated residue case is not integral"
     )
     convention = not bc.upper_rows or not bc.lower_rows
-    sign_atoms = [norm(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows]
+    sign_atoms = [Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]
 
     prefix: list[str] = []
     case_vars: list[str] = []
@@ -662,29 +608,15 @@ def _case_interval(
         branch_parts = []
         branch_sum = Term(0)
         for branch in branches:
-            guard = conj(congruences + sign_atoms + [norm(branch.guard)])
-            if nat:
-                lower = branch.tightest_lower
-                upper = branch.tightest_upper
-                delta = progression_count_formula_nat(
-                    bc.multiplier,
-                    case.counted_residue,
-                    denom,
-                    lower.positive_part(),
-                    lower.negative_part(),
-                    upper.negative_part(),
-                    upper.positive_part(),
-                    branch.count_var,
-                )
-            else:
-                delta = progression_count_formula(
-                    bc.multiplier,
-                    case.counted_residue,
-                    denom,
-                    branch.tightest_lower,
-                    branch.tightest_upper,
-                    branch.count_var,
-                )
+            guard = conj(congruences + sign_atoms + [branch.guard])
+            delta = progression_count_formula(
+                bc.multiplier,
+                case.counted_residue,
+                denom,
+                branch.tightest_lower,
+                branch.tightest_upper,
+                branch.count_var,
+            )
             branch_parts.append(
                 disj(
                     [
@@ -712,6 +644,9 @@ def _case_interval(
                 conj([negate(relations), Eq(variable(count_var), constant(0))]),
             ]
         )
+    if nat:
+        # Each counted value is a point of the component, so >= 0: no clamp.
+        body = normalize_for_nat(body)
     trace = {
         "case": "interval-count",
         "denom": denom,
@@ -752,6 +687,8 @@ def _component_parts(
 
 def _checked_names(presentation, count_var: str, domain, var_names) -> list[str]:
     """The coordinate names, once the arguments both entries share are valid."""
+    if not is_identifier(count_var):
+        raise ContractError(f"count variable {count_var!r} is not an identifier")
     if domain is not None and fm.as_domain(domain) is not presentation.domain:
         raise ContractError(
             f"domain {fm.as_domain(domain).value} does not match presentation domain "

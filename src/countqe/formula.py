@@ -632,7 +632,7 @@ def count_witnesses(
     truncating window edge.  Over the naturals the window is clamped at zero
     and a lower edge at zero is not truncating (the domain really ends
     there), so witnesses at small naturals do not by themselves make the
-    count unstable.
+    count unstable.  An empty window (lo > hi) is a parameter error.
     """
     env = dict(assignment)
     missing = free_vars(body) - set(env) - {counted_var}
@@ -642,6 +642,8 @@ def count_witnesses(
         margin = default_margin(body)
     if margin < 1:
         raise ParameterError("margin must be positive")
+    if window[0] > window[1]:
+        raise ParameterError(f"counting window {window} is empty")
     return _count(body, counted_var, env, as_domain(domain), window, margin, quant_bound)
 
 

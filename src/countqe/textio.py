@@ -78,15 +78,21 @@ _KEYWORDS = {"true", "false", "mod"}
 _DIGITS = frozenset("0123456789")
 _WORD_START = frozenset(string.ascii_letters + "_")
 _COMPARISONS = {"<=": Le, "<": Lt, "=": Eq, ">=": Le, ">": Lt}
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # One token per match; the last branch catches any other visible character,
 # which _BAD_CHAR reports before parsing starts.
-_LEXEME = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|<->|->|<=|>=|==|[<>=&|!+\-*().]|\S")
+_LEXEME = re.compile(r"[0-9]+|" + _WORD.pattern + r"|<->|->|<=|>=|==|[<>=&|!+\-*().]|\S")
 _BAD_CHAR = re.compile(r"[^\sA-Za-z0-9_<>=&|!+\-*().]")
 _LOOKAHEAD = 5  # end sentinels: a quantifier head is decided on five tokens
 
 
 def _is_ident(token: str) -> bool:
     return token[:1] in _WORD_START and token not in _KEYWORDS
+
+
+def is_identifier(name: str) -> bool:
+    """True when ``name`` reads back as one variable: a word that is not a keyword."""
+    return _WORD.fullmatch(name) is not None and name not in _KEYWORDS
 
 
 def _found(token: str) -> str:

@@ -52,7 +52,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import formula as fm
 from .elim import EliminationResult, eliminate
-from .errors import CountQEError, DegenerateInputError, UnboundVariableError
+from .errors import CountQEError, DegenerateInputError, ParameterError, UnboundVariableError
 from .formula import (
     And,
     CountEq,
@@ -653,6 +653,10 @@ def run_check(
     unstable points it must hold nowhere.  Overlapping components detected
     on a tested slice are recorded as contract violations.
     """
+    if trials < 0:
+        raise ParameterError(f"trial count must be nonnegative, got {trials}")
+    if box_radius < 0:
+        raise ParameterError(f"box radius must be nonnegative, got {box_radius}")
     names = (
         list(var_names)
         if var_names is not None

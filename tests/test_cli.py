@@ -112,6 +112,12 @@ class TestCountCommand:
         assert code == 2
         assert "w" in err
 
+    def test_negative_box_radius_exit_2(self, capsys):
+        # The window (4, -4) is empty: counting in it would report "0 stable".
+        code, out, err = run(capsys, "count", "x = 1", "--var", "x", "--box-radius", "-4")
+        assert (code, out) == (2, "")
+        assert "parameter error" in err
+
 
 def half_line(tmp_path, denom):
     """A presentation file with periods (1, 1) and (0, denom)."""
@@ -195,6 +201,21 @@ class TestEliminateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["y+1", "1y", "a b", "mod", "true", "false", ""])
+    def test_count_var_must_be_an_identifier(self, capsys, name):
+        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--count-var", name)
+        assert (code, out) == (2, "")
+        assert "not an identifier" in err
+
+    @pytest.mark.parametrize("name", ["E", "A", "C", "_c", "n2"])
+    def test_count_var_reads_back(self, capsys, name):
+        from countqe.formula import free_vars
+        from countqe.textio import parse_formula
+
+        code, out, _ = run(capsys, "eliminate", fixture("natural.sl"), "--count-var", name)
+        assert code == 0
+        assert free_vars(parse_formula(out.strip())) == {"x1", name}
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "eliminate", fixture("three_periods.sl"))
         code2, out2, _ = run(capsys, "eliminate", fixture("three_periods.sl"))
@@ -227,6 +248,17 @@ class TestCheckCommand:
             "20",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("option", [("--box-radius", "-5"), ("--trials", "-3")])
+    def test_negative_option_exit_2(self, capsys, option):
+        code, out, err = run(capsys, "check", fixture("natural.sl"), *option)
+        assert (code, out) == (2, "")
+        assert "parameter error" in err
+
+    def test_count_var_must_be_an_identifier(self, capsys):
+        code, out, err = run(capsys, "check", fixture("natural.sl"), "--count-var", "y+1")
+        assert (code, out) == (2, "")
+        assert "not an identifier" in err
 
     def test_half_line_1200(self, capsys, tmp_path):
         # A 1,200-binder prefix: the pinned plan defines each case variable

@@ -440,6 +440,11 @@ class TestEliminateSimpleStructure:
         with pytest.raises(ContractError):
             eliminate_simple(singleton(1), "y", domain=DomainTag.N)
 
+    @pytest.mark.parametrize("name", ["y+1", "1y", "a b", "mod", "y\n"])
+    def test_count_variable_not_an_identifier(self, name):
+        with pytest.raises(ContractError):
+            eliminate_simple(singleton(1, 2), name)
+
 
 class TestEliminateSimpleSemantics:
     def _witness_count(self, presentation, asg, lo=-60, hi=60):
