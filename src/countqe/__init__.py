@@ -8,7 +8,9 @@ oracle to verify every elimination.
 
 from .elim import (
     BoundClassification,
+    ComponentPlan,
     ComponentReport,
+    EliminationPlan,
     EliminationReport,
     EliminationResult,
     PermutationBranch,
@@ -18,10 +20,11 @@ from .elim import (
     classify_bounds,
     count_in_progression,
     eliminate,
-    eliminate_simple,
     estimate_result_nodes,
     is_subtraction_free,
     normalize_for_nat,
+    plan_component,
+    plan_elimination,
     progression_count_formula,
     progression_count_formula_nat,
     residue_case_feasible,
@@ -63,7 +66,6 @@ from .formula import (
     implies,
     node_count,
     simplify,
-    substitute,
     variable,
 )
 from .linalg import (

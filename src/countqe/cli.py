@@ -10,9 +10,13 @@ Subcommands:
 * ``check``     eliminate, then cross-check against the counting oracle on
                 seeded random assignments
 
+``eliminate`` and ``check`` plan first; a size estimate from the plan above
+``--node-budget`` only warns on stderr and leaves the exit code unchanged.
+
 Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation
-(including an out-of-range numeric option such as a negative ``--box-radius``
-or ``--trials``, and a ``--count-var`` that is not an identifier),
+(including an out-of-range numeric option such as a negative ``--box-radius``,
+``--trials``, ``--node-budget`` or ``--disjoint-radius``, and a
+``--count-var`` that is not an identifier),
 3 verification failure, 4 internal error (an input nested too deeply for the
 interpreter's recursion limit; reported on one line, without a traceback).
 Diagnostics go to stderr; stdout is deterministic for fixed inputs, flags and
@@ -25,7 +29,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .elim import eliminate, estimate_result_nodes
+from .elim import eliminate, estimate_result_nodes, plan_elimination
 from .errors import ContractError, CountQEError, ParameterError
 from .formula import count_witnesses, evaluate, free_vars
 from .sets import (
@@ -80,10 +84,6 @@ def _parse_assignment(spec: str) -> dict:
         except ValueError:
             raise ContractError(f"assignment value for {name!r} is not an integer") from None
     return assignment
-
-
-def _load_presentation(path: str) -> SemilinearPresentation:
-    return parse_presentation(_read_input(path, is_path=True))
 
 
 def _permute_counted_last(
@@ -195,18 +195,37 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def cmd_eliminate(args) -> int:
-    presentation = _load_presentation(args.input)
+def _plan_input(args):
+    """Load, put the counted coordinate last, plan, and warn when the
+    estimate exceeds ``--node-budget``; returns the plan and the estimate."""
+    if args.node_budget < 0:
+        raise ParameterError(f"--node-budget must be nonnegative, got {args.node_budget}")
+    radius = getattr(args, "disjoint_radius", 0)
+    if radius < 0:
+        raise ParameterError(f"--disjoint-radius must be nonnegative, got {radius}")
+    presentation = parse_presentation(_read_input(args.input, is_path=True))
     counted = args.counted_var or coordinate_names(presentation.dimension)[-1]
     permuted, names = _permute_counted_last(presentation, counted)
-    estimated = estimate_result_nodes(permuted)
+    if getattr(args, "verify_disjoint", False):
+        box = IntBox.cube(permuted.dimension, -args.disjoint_radius, args.disjoint_radius)
+        if not check_disjoint_in_box(permuted, box):
+            raise ContractError(
+                f"components overlap inside the radius-{args.disjoint_radius} box"
+            )
+    plan = plan_elimination(permuted, names)
+    estimated = estimate_result_nodes(plan)
     if estimated > args.node_budget:
         print(
             f"warning: estimated output size {estimated} exceeds node budget "
             f"{args.node_budget}",
             file=sys.stderr,
         )
-    result = eliminate(permuted, args.count_var, var_names=names)
+    return plan, estimated
+
+
+def cmd_eliminate(args) -> int:
+    plan, estimated = _plan_input(args)
+    result = eliminate(plan, args.count_var)
     out = print_formula(result.formula) + "\n"
     if args.report:
         out += _format_report(result, estimated)
@@ -219,29 +238,13 @@ def _format_assignment(assignment: dict) -> str:
 
 
 def cmd_check(args) -> int:
-    presentation = _load_presentation(args.input)
-    counted = args.counted_var or coordinate_names(presentation.dimension)[-1]
-    permuted, names = _permute_counted_last(presentation, counted)
-    if args.verify_disjoint:
-        box = IntBox.cube(permuted.dimension, -args.disjoint_radius, args.disjoint_radius)
-        if not check_disjoint_in_box(permuted, box):
-            raise ContractError(
-                f"components overlap inside the radius-{args.disjoint_radius} box"
-            )
-    estimated = estimate_result_nodes(permuted)
-    if estimated > args.node_budget:
-        print(
-            f"warning: estimated output size {estimated} exceeds node budget "
-            f"{args.node_budget}",
-            file=sys.stderr,
-        )
+    plan, _ = _plan_input(args)
     outcome = run_check(
-        permuted,
+        plan,
         count_var=args.count_var,
         trials=args.trials,
         box_radius=args.box_radius,
         seed=args.seed,
-        var_names=names,
     )
     lines = ["trial | assignment | oracle | stable | formula | verdict"]
     for record in outcome.records:

@@ -20,6 +20,12 @@ coordinate, and the number of lattice points of a residue class inside an
 interval is definable once the interval endpoints are case-split by their
 own residues.  Components combine by summing per-component count variables.
 
+Each component is planned once (:func:`plan_component`: its case, core, Cramer
+data, bound families and size estimate), then built from that plan.
+:func:`eliminate`, :func:`estimate_result_nodes` and
+:func:`countqe.verify.run_check` accept the :class:`EliminationPlan` of
+:func:`plan_elimination` wherever they accept a presentation.
+
 Over the naturals the same integer body is built, and :func:`normalize_for_nat`
 makes every atom subtraction-free.  No clamp at 0 is needed: each counted
 value is a point of the component, whose base and periods are nonnegative.
@@ -30,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial, gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from . import formula as fm
 from .errors import (
@@ -468,6 +474,141 @@ class EliminationResult:
     report: EliminationReport
 
 
+# --- plans ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComponentPlan:
+    """How one component is eliminated, decided before anything is built.
+
+    A single-witness component has no core rows, ``solution`` or ``bounds``.
+    Otherwise the core is ``free_rows`` plus the counted (last) row, the
+    other rows are dropped (all 0-based), and ``branches`` counts the
+    permutation branches per residue case (0 when a bound family is empty).
+    """
+
+    component: LinearSetPresentation
+    case: str  # "single-witness" or "interval-count"
+    estimated_nodes: int
+    free_rows: tuple[int, ...] = ()
+    dropped_rows: tuple[int, ...] = ()
+    solution: Optional[CramerSolution] = None
+    bounds: Optional[BoundClassification] = None
+    branches: int = 0
+
+    def report(self, index: int, count_var: str, nodes: int) -> ComponentReport:
+        """The report of this component, built with ``nodes`` nodes."""
+        if self.solution is None:
+            return ComponentReport(index=index, case=self.case, count_var=count_var, nodes=nodes)
+        bc, denom, p = self.bounds, self.solution.denom, self.solution.size
+        one_based = lambda rows: tuple(i + 1 for i in rows)
+        return ComponentReport(
+            index=index,
+            case=self.case,
+            count_var=count_var,
+            nodes=nodes,
+            denom=denom,
+            multiplier=bc.multiplier,
+            selected_rows=one_based(self.free_rows + (self.component.dimension - 1,)),
+            dropped_rows=one_based(self.dropped_rows),
+            upper_rows=one_based(bc.upper_rows),
+            lower_rows=one_based(bc.lower_rows),
+            sign_rows=one_based(bc.sign_rows),
+            residue_cases=denom**p,
+            feasible_cases=denom ** (p - 1),
+            branches=self.branches,
+        )
+
+
+def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> ComponentPlan:
+    """Decide how ``component`` is eliminated, its coordinates named ``names``.
+
+    A component is single-witness when it has no periods or some full-rank
+    row subsystem avoids the counted (last) row.  Otherwise its core is the
+    least row basis of the other rows plus the counted row, planned with the
+    core's Cramer data and bound classification.  The estimate counts a
+    single-witness component exactly.  A core with an empty bound family
+    costs one guard per feasible residue case (``denom**(p-1)`` of them),
+    which bounds its size from above.  A two-sided core counts all
+    ``denom**p`` residue cases, each with every permutation branch and
+    progression formula; that is a heuristic, not a bound.
+    """
+    if not check_simple(component):
+        raise UnsupportedPresentationError(
+            "elimination requires simple components (independent periods)"
+        )
+    matrix = component.period_matrix()
+    n = component.dimension
+    p = component.num_periods
+    if matrix is None or find_full_rank_submatrix(matrix, forbidden_row=n - 1) is not None:
+        # E x_n . membership_formula, asserted and negated: p binders,
+        # p atoms "0 <= z", n equations reading x_j and the nonzero
+        # period entries, one And when there are two or more atoms; then
+        # the disjunction around it (8 nodes).
+        nonzero = sum(1 for period in component.periods for v in period if v)
+        member = 3 * p + (n + p >= 2) + 2 * n + nonzero
+        return ComponentPlan(component, "single-witness", 2 * (1 + member) + 8)
+    free_rows = greedy_row_basis(matrix, n - 1)
+    assert len(free_rows) == matrix.cols - 1, "core reduction expects row rank p-1"
+    core_rows = free_rows + [n - 1]
+    solution = cramer_solve(
+        matrix.select_rows(core_rows), [component.base[i] for i in core_rows]
+    )
+    bc = classify_bounds(solution, [names[i] for i in free_rows])
+    dropped = tuple(j for j in range(n - 1) if j not in free_rows)
+    if not bc.upper_rows or not bc.lower_rows:
+        # Per case: its binder, nonnegativity, the negated guard (at most
+        # p-1 congruences and the sign atoms), "= 0" and its summand.  The
+        # dropped-row relations appear twice, asserted and negated.
+        branches = 0
+        guard_nodes = 1 + 2 * (p - 1) + p * len(bc.sign_rows)
+        relation_nodes = 2 * len(dropped) * (p + 1) + 7 if dropped else 0
+        estimate = solution.denom ** (p - 1) * (7 + guard_nodes) + relation_nodes + 12
+    else:
+        step = bc.multiplier * solution.denom
+        branches = factorial(len(bc.upper_rows)) * factorial(len(bc.lower_rows))
+        delta_nodes = 8 * step * step + 6 * step + 16
+        guard_nodes = 4 * p + 8
+        estimate = solution.denom**p * (branches * (delta_nodes + guard_nodes) + 12)
+    return ComponentPlan(
+        component, "interval-count", estimate, tuple(free_rows), dropped, solution, bc, branches
+    )
+
+
+@dataclass(frozen=True)
+class EliminationPlan:
+    """The component plans of a presentation whose coordinates are named
+    ``names``, the counted one last."""
+
+    presentation: SemilinearPresentation
+    names: tuple[str, ...]
+    components: tuple[ComponentPlan, ...]
+
+
+def plan_elimination(
+    presentation: Union[SemilinearPresentation, EliminationPlan],
+    var_names: Optional[Sequence[str]] = None,
+) -> EliminationPlan:
+    """Plan every component; a plan is returned unchanged.
+
+    The coordinates are named ``var_names``, by default x1..xn.  Raises
+    :class:`UnsupportedPresentationError` when a component's periods are
+    dependent.
+    """
+    if isinstance(presentation, EliminationPlan):
+        if var_names is not None and tuple(var_names) != presentation.names:
+            raise ContractError("variable name list does not match the plan's")
+        return presentation
+    if var_names is None:
+        var_names = coordinate_names(presentation.dimension)
+    names = tuple(var_names)
+    if len(names) != presentation.dimension:
+        raise ContractError("variable name list does not match dimension")
+    return EliminationPlan(
+        presentation, names, tuple(plan_component(c, names) for c in presentation.components)
+    )
+
+
 # --- the eliminator -------------------------------------------------------------
 
 
@@ -481,18 +622,17 @@ def _case_single(
     presentation: LinearSetPresentation,
     count_var: str,
     names: Sequence[str],
-) -> tuple[list, Formula]:
+) -> Formula:
     """Counted coordinate determined by the others: witness count is 0 or 1."""
     member = membership_formula(presentation, names)
     witness = Exists(names[-1], member)
     y = variable(count_var)
-    body = disj(
+    return disj(
         [
             conj([witness, Eq(y, constant(1))]),
             conj([negate(witness), Eq(y, constant(0))]),
         ]
     )
-    return [], body
 
 
 def _dropped_row_relation(
@@ -525,48 +665,26 @@ def _dropped_row_relation(
     return Eq(lhs, rhs_term)
 
 
-def _plan_core(presentation: LinearSetPresentation, names: Sequence[str]):
-    """The square core of a component, or None when it is single-witness.
-
-    A component is single-witness when it has no periods or some full-rank
-    row subsystem avoids the counted (last) row.  Otherwise the core is the
-    least row basis of the other rows plus the counted row.  Returns the
-    core's free rows and the dropped rows (0-based), its Cramer data and its
-    bound classification, with free coordinates named from ``names``.
-    """
-    matrix = presentation.period_matrix()
-    n = presentation.dimension
-    if matrix is None or find_full_rank_submatrix(matrix, forbidden_row=n - 1) is not None:
-        return None
-    free_rows = greedy_row_basis(matrix, n - 1)
-    assert len(free_rows) == matrix.cols - 1, "core reduction expects row rank p-1"
-    core_rows = free_rows + [n - 1]
-    solution = cramer_solve(
-        matrix.select_rows(core_rows), [presentation.base[i] for i in core_rows]
-    )
-    bounds = classify_bounds(solution, [names[i] for i in free_rows])
-    dropped = [j for j in range(n - 1) if j not in free_rows]
-    return free_rows, dropped, solution, bounds
-
-
 def _case_interval(
-    presentation: LinearSetPresentation,
+    plan: ComponentPlan,
     count_var: str,
     names: Sequence[str],
     fresh: FreshNames,
-    core: tuple,
-) -> tuple[list, Formula, dict]:
+) -> tuple[list, Formula]:
     """The square-core construction for a component whose every full-rank
     row subsystem uses the counted row."""
-    free_rows, dropped, solution, bc = core
+    presentation, solution, bc = plan.component, plan.solution, plan.bounds
     matrix = presentation.period_matrix()
-    n, p = matrix.rows, matrix.cols
+    p = matrix.cols
     nat = presentation.domain is DomainTag.N
     relations = conj(
-        [_dropped_row_relation(matrix, presentation.base, names, free_rows, j) for j in dropped]
+        [
+            _dropped_row_relation(matrix, presentation.base, names, plan.free_rows, j)
+            for j in plan.dropped_rows
+        ]
     )
     denom = solution.denom
-    free_names = [names[i] for i in free_rows]
+    free_names = [names[i] for i in plan.free_rows]
     if nat:
         # Nonnegative periods make an all-nonpositive counted column of the
         # inverse impossible, so lower bounds always exist over the naturals.
@@ -585,7 +703,6 @@ def _case_interval(
     prefix: list[str] = []
     case_vars: list[str] = []
     case_formulas: list[Formula] = []
-    branch_count = 0
     for case in feasible:
         congruences: list[Formula] = []
         if denom > 1:
@@ -603,11 +720,9 @@ def _case_interval(
             case_formulas.append(conj([negate(guard), Eq(variable(case_count), constant(0))]))
             prefix.append(case_count)
             continue
-        branches = build_permutation_branches(bc, namer=lambda: fresh.fresh("u"))
-        branch_count = len(branches)
         branch_parts = []
         branch_sum = Term(0)
-        for branch in branches:
+        for branch in build_permutation_branches(bc, namer=lambda: fresh.fresh("u")):
             guard = conj(congruences + sign_atoms + [branch.guard])
             delta = progression_count_formula(
                 bc.multiplier,
@@ -632,9 +747,7 @@ def _case_interval(
         )
         prefix.append(case_count)
 
-    total = Term(0)
-    for cv in case_vars:
-        total = total + variable(cv)
+    total = Term(0, dict.fromkeys(case_vars, 1))
     nonneg = [Le(constant(0), variable(v)) for v in prefix]
     body = conj(nonneg + case_formulas + [Eq(total, variable(count_var))])
     if not isinstance(relations, fm.TrueF):
@@ -647,194 +760,79 @@ def _case_interval(
     if nat:
         # Each counted value is a point of the component, so >= 0: no clamp.
         body = normalize_for_nat(body)
-    trace = {
-        "case": "interval-count",
-        "denom": denom,
-        "multiplier": bc.multiplier,
-        "selected_rows": tuple(i + 1 for i in free_rows + [n - 1]),
-        "dropped_rows": tuple(i + 1 for i in dropped),
-        "upper_rows": tuple(i + 1 for i in bc.upper_rows),
-        "lower_rows": tuple(i + 1 for i in bc.lower_rows),
-        "sign_rows": tuple(i + 1 for i in bc.sign_rows),
-        "residue_cases": denom**p,
-        "feasible_cases": len(feasible),
-        "branches": branch_count,
-    }
-    return prefix, body, trace
-
-
-def _component_parts(
-    presentation: LinearSetPresentation,
-    count_var: str,
-    names: Sequence[str],
-    fresh: FreshNames,
-    index: int,
-) -> tuple[list, Formula, ComponentReport]:
-    core = _plan_core(presentation, names)
-    if core is None:
-        prefix, body = _case_single(presentation, count_var, names)
-        trace = {"case": "single-witness"}
-    else:
-        prefix, body, trace = _case_interval(presentation, count_var, names, fresh, core)
-    report = ComponentReport(
-        index=index,
-        count_var=count_var,
-        nodes=fm.node_count(body) + len(prefix),
-        **trace,
-    )
-    return prefix, body, report
-
-
-def _checked_names(presentation, count_var: str, domain, var_names) -> list[str]:
-    """The coordinate names, once the arguments both entries share are valid."""
-    if not is_identifier(count_var):
-        raise ContractError(f"count variable {count_var!r} is not an identifier")
-    if domain is not None and fm.as_domain(domain) is not presentation.domain:
-        raise ContractError(
-            f"domain {fm.as_domain(domain).value} does not match presentation domain "
-            f"{presentation.domain.value}"
-        )
-    names = (
-        list(var_names) if var_names is not None else coordinate_names(presentation.dimension)
-    )
-    if len(names) != presentation.dimension:
-        raise ContractError("variable name list does not match dimension")
-    if count_var in names:
-        raise ContractError("count variable clashes with a coordinate name")
-    return names
-
-
-def _single_result(
-    component: LinearSetPresentation, count_var: str, names: Sequence[str], fresh: FreshNames
-) -> EliminationResult:
-    prefix, body, report = _component_parts(component, count_var, names, fresh, index=1)
-    return EliminationResult(
-        formula=_close(prefix, body),
-        count_var=count_var,
-        # node_count(Exists v . g) = 1 + node_count(g): the component's count
-        # already covers the closed formula.
-        report=EliminationReport(count_var=count_var, components=(report,), nodes=report.nodes),
-    )
-
-
-def eliminate_simple(
-    presentation: LinearSetPresentation,
-    count_var: str,
-    domain: Optional[DomainTag] = None,
-    var_names: Optional[Sequence[str]] = None,
-    fresh: Optional[FreshNames] = None,
-) -> EliminationResult:
-    """Eliminate the counting quantifier over one simple component.
-
-    The counted coordinate is the last one; the result formula's free
-    variables are the remaining coordinate names plus ``count_var``, and it
-    holds exactly when the count variable equals the number of values of the
-    counted coordinate placing the point in the set (with the convention
-    that an infinite witness set satisfies no count value).
-    """
-    names = _checked_names(presentation, count_var, domain, var_names)
-    if not check_simple(presentation):
-        raise UnsupportedPresentationError(
-            "elimination requires simple components (independent periods)"
-        )
-    if fresh is None:
-        fresh = FreshNames(set(names) | {count_var})
-    return _single_result(presentation, count_var, names, fresh)
+    return prefix, body
 
 
 def eliminate(
-    presentation: SemilinearPresentation,
+    presentation: Union[SemilinearPresentation, EliminationPlan],
     count_var: str,
-    domain: Optional[DomainTag] = None,
     var_names: Optional[Sequence[str]] = None,
 ) -> EliminationResult:
-    """Eliminate the counting quantifier over a disjoint simple union.
+    """Eliminate the counting quantifier over a disjoint simple union, given
+    as a presentation or as its :class:`EliminationPlan`.
 
-    Every component gets its own fresh count variable holding its exact
-    witness count; the result asserts the component counts sum to
-    ``count_var``.  Disjointness is the caller's asserted precondition: on
-    overlapping inputs the sum over-counts shared witnesses.
+    The counted coordinate is the last one; the result holds exactly when
+    ``count_var`` equals the number of values of the counted coordinate
+    placing the point in the set (no count value satisfies it when that set
+    is infinite).  Each of several components gets a fresh count variable,
+    and these sum to ``count_var``.  Disjointness is the caller's asserted
+    precondition: on overlapping inputs the sum over-counts shared witnesses.
     """
-    presentation.require_asserted()
-    names = _checked_names(presentation, count_var, domain, var_names)
+    plan = plan_elimination(presentation, var_names)
+    plan.presentation.require_asserted()
+    names = plan.names
+    if not is_identifier(count_var):
+        raise ContractError(f"count variable {count_var!r} is not an identifier")
+    if count_var in names:
+        raise ContractError("count variable clashes with a coordinate name")
     fresh = FreshNames(set(names) | {count_var})
-    if len(presentation.components) == 1:
-        return _single_result(presentation.components[0], count_var, names, fresh)
+    single = len(plan.components) == 1
     prefix: list[str] = []
     bodies: list[Formula] = []
     reports = []
-    component_sum = Term(0)
-    for idx, component in enumerate(presentation.components, start=1):
-        part_count = fresh.fresh("y")
-        comp_prefix, comp_body, comp_report = _component_parts(
-            component, part_count, names, fresh, index=idx
-        )
+    for index, comp_plan in enumerate(plan.components, start=1):
+        part_count = count_var if single else fresh.fresh("y")
+        if comp_plan.solution is None:
+            comp_prefix, body = [], _case_single(comp_plan.component, part_count, names)
+        else:
+            comp_prefix, body = _case_interval(comp_plan, part_count, names, fresh)
+        reports.append(comp_plan.report(index, part_count, fm.node_count(body) + len(comp_prefix)))
         prefix.extend(comp_prefix)
-        prefix.append(part_count)
-        bodies.append(conj([Le(constant(0), variable(part_count)), comp_body]))
-        component_sum = component_sum + variable(part_count)
-        reports.append(comp_report)
-    body = conj(bodies + [Eq(component_sum, variable(count_var))])
-    formula = _close(prefix, body)
+        if not single:
+            prefix.append(part_count)
+            body = conj([Le(constant(0), variable(part_count)), body])
+        bodies.append(body)
+    if single:
+        # node_count(Exists v . g) = 1 + node_count(g): the component's count
+        # already covers the closed formula.
+        formula, nodes = _close(prefix, bodies[0]), reports[0].nodes
+    else:
+        component_sum = Term(0, {report.count_var: 1 for report in reports})
+        formula = _close(prefix, conj(bodies + [Eq(component_sum, variable(count_var))]))
+        nodes = fm.node_count(formula)
     return EliminationResult(
         formula=formula,
         count_var=count_var,
-        report=EliminationReport(
-            count_var=count_var,
-            components=tuple(reports),
-            nodes=fm.node_count(formula),
-        ),
+        report=EliminationReport(count_var=count_var, components=tuple(reports), nodes=nodes),
     )
 
 
-def estimate_result_nodes(presentation: SemilinearPresentation) -> int:
+def estimate_result_nodes(presentation: Union[SemilinearPresentation, EliminationPlan]) -> int:
     """Cheap estimate of the size of the eliminated formula.
 
-    Used by the command-line interface to warn before a blow-up.  A
-    single-witness component and the multi-component wrapper are counted
-    exactly.  A core with an empty bound family costs one guard per
-    feasible residue case (``denom**(p-1)`` of them), which bounds its size
-    from above.  A two-sided core counts all ``denom**p`` residue cases,
-    each with every permutation branch and progression formula; that is a
-    heuristic, not a bound.
+    Used by the command-line interface to warn before a blow-up; it sums the
+    components' planned estimates (see :func:`plan_component`), and accepts
+    a plan in place of the presentation.  The multi-component wrapper is
+    counted exactly.
     """
-    total = 0
-    conjunctions = 0  # component bodies that merge into the wrapper's conjunction
-    for component in presentation.components:
-        if not check_simple(component):
-            raise UnsupportedPresentationError(
-                "elimination requires simple components (independent periods)"
-            )
-        n = component.dimension
-        p = component.num_periods
-        core = _plan_core(component, coordinate_names(n))
-        if core is None:
-            # E x_n . membership_formula, asserted and negated: p binders,
-            # p atoms "0 <= z", n equations reading x_j and the nonzero
-            # period entries, one And when there are two or more atoms; then
-            # the disjunction around it (8 nodes).
-            nonzero = sum(1 for period in component.periods for v in period if v)
-            member = 3 * p + (n + p >= 2) + 2 * n + nonzero
-            total += 2 * (1 + member) + 8
-            continue
-        _, dropped, solution, bc = core
-        conjunctions += not dropped
-        if not bc.upper_rows or not bc.lower_rows:
-            # Per case: its binder, nonnegativity, the negated guard (at most
-            # p-1 congruences and the sign atoms), "= 0" and its summand.  The
-            # dropped-row relations appear twice, asserted and negated.
-            guard_nodes = 1 + 2 * (p - 1) + p * len(bc.sign_rows)
-            relation_nodes = 2 * len(dropped) * (p + 1) + 7 if dropped else 0
-            total += solution.denom ** (p - 1) * (7 + guard_nodes) + relation_nodes + 12
-            continue
-        step = bc.multiplier * solution.denom
-        branches = factorial(len(bc.upper_rows)) * factorial(len(bc.lower_rows))
-        delta_nodes = 8 * step * step + 6 * step + 16
-        guard_nodes = 4 * p + 8
-        total += solution.denom**p * (branches * (delta_nodes + guard_nodes) + 12)
-    k = len(presentation.components)
+    plan = plan_elimination(presentation)
+    total = sum(c.estimated_nodes for c in plan.components)
+    k = len(plan.components)
     if k > 1:
         # k count binders, "0 <= y_i" for each, "y_1 + ... + y_k = y" and the
         # conjunction of it all, into which a conjunctive body merges.
+        conjunctions = sum(
+            1 for c in plan.components if c.solution is not None and not c.dropped_rows
+        )
         total += 4 * k + 3 - conjunctions
     return total

@@ -18,13 +18,12 @@ subformulas), ``terms`` (an atom's operands), ``binds`` (names bound over
 the children), ``refs`` (names read outside its terms: a counting
 quantifier's count variable) and ``rebuild`` (the node over new children).
 :func:`traverse` lists a tree's nodes by a loop over an explicit stack, so
-the walkers built on it (:func:`free_vars`, :func:`all_variable_names`,
-:func:`node_count`, :func:`max_abs_coefficient`, :func:`contains_counting`)
-work at any binder depth.  Hand dispatch on the node type stays where each
-type does something different: :func:`simplify` (folding atoms and
-collapsing connectives as it rebuilds; ``check`` no longer calls it, since
-its compiled evaluator reads the assignment directly), the evaluators, and
-:func:`substitute` (which renames binders to avoid capture).
+the walkers built on it (:func:`free_vars`, :func:`node_count`,
+:func:`max_abs_coefficient`, :func:`contains_counting`) work at any binder
+depth.  Hand dispatch on the node type stays where each type does something
+different: :func:`simplify` (folding atoms and collapsing connectives as it
+rebuilds; ``check`` no longer calls it, since its compiled evaluator reads
+the assignment directly) and the evaluators.
 """
 
 from __future__ import annotations
@@ -435,16 +434,6 @@ def free_vars(f: Formula) -> set:
     return out
 
 
-def all_variable_names(f: Formula) -> set:
-    """Every variable name occurring in the formula, bound or free."""
-    out = set()
-    for g in traverse(f)[0]:
-        out.update(g.binds, g.refs)
-        for t in g.terms:
-            out.update(t.coeffs)
-    return out
-
-
 class FreshNames:
     """Deterministic fresh-name supply: one monotone counter, a reserved
     leading underscore, and a short kind tag (``_u3``, ``_y7``, ...)."""
@@ -460,70 +449,6 @@ class FreshNames:
             if name not in self._used:
                 self._used.add(name)
                 return name
-
-
-def _substitute_term(t: Term, var: str, replacement: Term) -> Term:
-    if var not in t.coeffs:
-        return t
-    c = t.coeffs[var]
-    rest = Term(t.constant, {n: v for n, v in t.coeffs.items() if n != var})
-    return rest + c * replacement
-
-
-def substitute(f: Formula, var: str, replacement: Union[Term, int, str]) -> Formula:
-    """Replace free occurrences of ``var`` by a term, avoiding capture.
-
-    Binders whose variable occurs free in the replacement are renamed to a
-    fresh name first.  Substituting for a counting quantifier's count
-    variable requires the replacement to be a plain variable.
-    """
-    replacement = _as_term(replacement)
-    fresh = FreshNames(all_variable_names(f) | set(replacement.coeffs) | {var})
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (TrueF, FalseF)):
-            return g
-        if isinstance(g, _Comparison):
-            return type(g)(
-                _substitute_term(g.lhs, var, replacement),
-                _substitute_term(g.rhs, var, replacement),
-            )
-        if isinstance(g, Cong):
-            return Cong(_substitute_term(g.term, var, replacement), g.residue, g.modulus)
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, _NaryConnective):
-            return type(g)(tuple(walk(p) for p in g.parts))
-        if isinstance(g, (Exists, Forall)):
-            if g.var == var:
-                return g
-            if g.var in replacement.coeffs:
-                renamed = fresh.fresh()
-                body = substitute(g.body, g.var, variable(renamed))
-                return type(g)(renamed, walk(body))
-            return type(g)(g.var, walk(g.body))
-        if isinstance(g, CountEq):
-            counted, body = g.counted_var, g.body
-            if counted != var and counted in replacement.coeffs and var in free_vars(body):
-                renamed = fresh.fresh()
-                body = substitute(body, counted, variable(renamed))
-                counted = renamed
-            count_var = g.count_var
-            if count_var == var:
-                if not (
-                    replacement.constant == 0
-                    and len(replacement.coeffs) == 1
-                    and next(iter(replacement.coeffs.values())) == 1
-                ):
-                    raise ParameterError(
-                        "count variable can only be replaced by a variable"
-                    )
-                count_var = next(iter(replacement.coeffs))
-            new_body = body if counted == var else walk(body)
-            return CountEq(counted, count_var, new_body)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
 
 
 # --- bounded evaluation -----------------------------------------------------

@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from . import formula as fm
-from .elim import EliminationResult, eliminate
+from .elim import EliminationPlan, EliminationResult, eliminate, plan_elimination
 from .errors import CountQEError, DegenerateInputError, ParameterError, UnboundVariableError
 from .formula import (
     And,
@@ -638,7 +638,7 @@ def tested_counts(rng: random.Random, oracle_count: int) -> tuple[int, ...]:
 
 
 def run_check(
-    presentation: SemilinearPresentation,
+    presentation: Union[SemilinearPresentation, EliminationPlan],
     count_var: str = "y",
     trials: int = 100,
     box_radius: int = 100,
@@ -651,19 +651,17 @@ def run_check(
     Runs seeded random assignments; at stable oracle points the formula must
     hold at the oracle count and nowhere else among the tested values, at
     unstable points it must hold nowhere.  Overlapping components detected
-    on a tested slice are recorded as contract violations.
+    on a tested slice are recorded as contract violations.  The presentation
+    may be given as its elimination plan, which is then not planned again.
     """
     if trials < 0:
         raise ParameterError(f"trial count must be nonnegative, got {trials}")
     if box_radius < 0:
         raise ParameterError(f"box radius must be nonnegative, got {box_radius}")
-    names = (
-        list(var_names)
-        if var_names is not None
-        else coordinate_names(presentation.dimension)
-    )
+    plan = plan_elimination(presentation, var_names)
     if result is None:
-        result = eliminate(presentation, count_var, var_names=names)
+        result = eliminate(plan, count_var)
+    presentation, names = plan.presentation, plan.names
     domain = presentation.domain
     testers = [MembershipTester(c) for c in presentation.components]
     program = PinnedProgram(result.formula, domain)

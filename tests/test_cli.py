@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from countqe import cli
+from countqe import cli, elim
 from countqe.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -216,6 +216,11 @@ class TestEliminateCommand:
         assert code == 0
         assert free_vars(parse_formula(out.strip())) == {"x1", name}
 
+    def test_negative_node_budget_exit_2(self, capsys):
+        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "-1")
+        assert (code, out) == (2, "")
+        assert "parameter error: --node-budget" in err
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "eliminate", fixture("three_periods.sl"))
         code2, out2, _ = run(capsys, "eliminate", fixture("three_periods.sl"))
@@ -254,6 +259,14 @@ class TestCheckCommand:
         code, out, err = run(capsys, "check", fixture("natural.sl"), *option)
         assert (code, out) == (2, "")
         assert "parameter error" in err
+
+    @pytest.mark.parametrize(
+        "option", [("--node-budget", "-1"), ("--verify-disjoint", "--disjoint-radius", "-1")]
+    )
+    def test_negative_budget_or_radius_exit_2(self, capsys, option):
+        code, out, err = run(capsys, "check", fixture("natural.sl"), *option)
+        assert (code, out) == (2, "")
+        assert f"parameter error: {option[-2]}" in err
 
     def test_count_var_must_be_an_identifier(self, capsys):
         code, out, err = run(capsys, "check", fixture("natural.sl"), "--count-var", "y+1")
@@ -308,3 +321,34 @@ class TestCheckCommand:
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run(capsys, "check", "-", "--trials", "3")
         assert code == 0
+
+
+TWO_CORES = (
+    "domain Z\ndim 2\ndisjoint\nsimple\n"
+    "component\nbase 0 0\nperiod 1 1\nperiod 0 2\n"
+    "component\nbase 0 1\nperiod 1 1\nperiod 0 2\n"
+)
+
+
+@pytest.mark.parametrize("name, cores", [("three_periods.sl", 1), ("two_cores.sl", 2)])
+def test_each_command_plans_each_component_once(capsys, monkeypatch, tmp_path, name, cores):
+    # One Cramer solution per interval-count component and command: the CLI
+    # plans once and passes the plan on to the estimate and the elimination.
+    (tmp_path / "two_cores.sl").write_text(TWO_CORES, encoding="utf-8")
+    path = str(tmp_path / name) if name == "two_cores.sl" else fixture(name)
+    calls = []
+    solve = elim.cramer_solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(elim, "cramer_solve", counting)
+    code, out, err = run(capsys, "eliminate", path, "--report")
+    assert (code, err) == (0, "")
+    assert out.count("case=interval-count") == cores
+    assert len(calls) == cores
+    calls.clear()
+    code, _, err = run(capsys, "check", path, "--trials", "3")
+    assert (code, err) == (0, "")
+    assert len(calls) == cores

@@ -10,11 +10,11 @@ from countqe.elim import (
     classify_bounds,
     count_in_progression,
     eliminate,
-    eliminate_simple,
     estimate_result_nodes,
     feasible_residue_cases,
     is_subtraction_free,
     normalize_for_nat,
+    plan_elimination,
     progression_count_formula,
     progression_count_formula_nat,
     residue_case_feasible,
@@ -55,6 +55,13 @@ CORE_SOLUTION = cramer_solve(
 
 def singleton(*point, domain=DomainTag.Z):
     return LinearSetPresentation(base=point, periods=(), domain=domain)
+
+
+def union(*components):
+    """The components as an asserted disjoint simple union."""
+    return SemilinearPresentation(
+        components=components, asserted_disjoint=True, asserted_simple=True
+    )
 
 
 def half_line(denom):
@@ -396,7 +403,7 @@ class TestNormalizeForNat:
 
 class TestEliminateSimpleStructure:
     def test_worked_example_report(self):
-        result = eliminate_simple(THREE_PERIOD_SET, "y")
+        result = eliminate(union(THREE_PERIOD_SET), "y")
         rep = result.report.components[0]
         assert rep.case == "interval-count"
         assert rep.denom == 2
@@ -413,7 +420,7 @@ class TestEliminateSimpleStructure:
         assert free_vars(result.formula) <= {"x1", "x2", "x3", "y"}
 
     def test_singleton_uses_single_witness_case(self):
-        result = eliminate_simple(singleton(5, 7), "y")
+        result = eliminate(union(singleton(5, 7)), "y")
         assert result.report.components[0].case == "single-witness"
         # Count 1 exactly at the point's projection, 0 elsewhere.
         assert evaluate(result.formula, {"x1": 5, "y": 1}, quant_bound=10) is True
@@ -423,27 +430,23 @@ class TestEliminateSimpleStructure:
 
     def test_half_line_is_false_for_every_count(self):
         half_line = LinearSetPresentation(base=(0,), periods=((1,),))
-        result = eliminate_simple(half_line, "y")
+        result = eliminate(union(half_line), "y")
         for k in range(-2, 6):
             assert evaluate(result.formula, {"y": k}, quant_bound=8) is False
 
     def test_non_simple_rejected(self):
         bad = LinearSetPresentation(base=(0, 0), periods=((1, 0), (2, 0)))
         with pytest.raises(UnsupportedPresentationError):
-            eliminate_simple(bad, "y")
+            eliminate(union(bad), "y")
 
     def test_count_variable_clash(self):
         with pytest.raises(ContractError):
-            eliminate_simple(singleton(1, 2), "x1")
-
-    def test_domain_mismatch(self):
-        with pytest.raises(ContractError):
-            eliminate_simple(singleton(1), "y", domain=DomainTag.N)
+            eliminate(union(singleton(1, 2)), "x1")
 
     @pytest.mark.parametrize("name", ["y+1", "1y", "a b", "mod", "y\n"])
     def test_count_variable_not_an_identifier(self, name):
         with pytest.raises(ContractError):
-            eliminate_simple(singleton(1, 2), name)
+            eliminate(union(singleton(1, 2)), name)
 
 
 class TestEliminateSimpleSemantics:
@@ -462,7 +465,7 @@ class TestEliminateSimpleSemantics:
     def test_even_interval_component(self):
         # points (x1, x2) with x2 even and 0 <= x2 <= 2*x1
         comp = LinearSetPresentation(base=(0, 0), periods=((1, 0), (1, 2)))
-        result = eliminate_simple(comp, "y")
+        result = eliminate(union(comp), "y")
         for x1 in range(-2, 5):
             expected = self._witness_count(comp, {"x1": x1})
             for k in range(0, 7):
@@ -473,14 +476,14 @@ class TestEliminateSimpleSemantics:
 
     def test_scaled_line_over_naturals(self):
         comp = LinearSetPresentation(base=(1,), periods=(), domain=DomainTag.N)
-        result = eliminate_simple(comp, "y")
+        result = eliminate(union(comp), "y")
         assert evaluate(result.formula, {"y": 1}, domain="N", quant_bound=8) is True
         assert evaluate(result.formula, {"y": 0}, domain="N", quant_bound=8) is False
 
     def test_forced_coordinate_relation(self):
         # periods force x2 = 2*x1 and count x3: base 0, period (1, 2, 0), (0, 0, 3)
         comp = LinearSetPresentation(base=(0, 0, 0), periods=((1, 2, 0), (0, 0, 3)))
-        result = eliminate_simple(comp, "y")
+        result = eliminate(union(comp), "y")
         # x2 != 2*x1: no witnesses at all
         assert evaluate(result.formula, {"x1": 1, "x2": 3, "y": 0}, quant_bound=12) is True
         assert evaluate(result.formula, {"x1": 1, "x2": 3, "y": 1}, quant_bound=12) is False
@@ -520,13 +523,12 @@ class TestEliminateUnion:
         for k in range(0, 6):
             assert evaluate(result.formula, {"y": k}, quant_bound=10) is False
 
-    def test_single_component_matches_eliminate_simple(self):
-        s = SemilinearPresentation(
-            components=(singleton(2, 9),), asserted_disjoint=True, asserted_simple=True
-        )
-        combined = eliminate(s, "y")
-        alone = eliminate_simple(singleton(2, 9), "y")
-        assert combined.formula == alone.formula
+    def test_plan_builds_what_the_presentation_builds(self):
+        for s in (union(singleton(2, 9)), union(THREE_PERIOD_SET), half_line(8)):
+            plan = plan_elimination(s)
+            assert plan_elimination(plan) is plan
+            assert eliminate(plan, "y") == eliminate(s, "y")
+            assert estimate_result_nodes(plan) == estimate_result_nodes(s)
 
     def test_estimate_is_positive(self):
         s = SemilinearPresentation(
@@ -548,10 +550,10 @@ class TestEliminateUnion:
             domain = rng.choice([DomainTag.Z, DomainTag.N])
             dim = rng.randint(1, 4)
             component = random_simple_component(rng, dim, rng.randint(1, dim), domain)
-            core = elim._plan_core(component, coordinate_names(dim))
-            if core is None or (core[3].upper_rows and core[3].lower_rows):
+            plan = elim.plan_component(component, coordinate_names(dim))
+            if plan.solution is None or (plan.bounds.upper_rows and plan.bounds.lower_rows):
                 continue
-            if core[2].denom ** (component.num_periods - 1) > 200:
+            if plan.solution.denom ** (component.num_periods - 1) > 200:
                 continue
             s = SemilinearPresentation(
                 components=(component,), asserted_disjoint=True, asserted_simple=True

@@ -8,7 +8,7 @@ import pytest
 import countqe.elim
 import countqe.formula as fm
 from countqe import verify
-from countqe.elim import eliminate, eliminate_simple
+from countqe.elim import eliminate
 from countqe.errors import DegenerateInputError, UnboundVariableError, UnsupportedPresentationError
 from countqe.formula import (
     And,
@@ -244,7 +244,7 @@ class TestEvaluatePinned:
 
             if not check_simple(comp):
                 continue
-            result = eliminate_simple(comp, "y")
+            result = eliminate(union(comp), "y")
             produced += 1
             names = [f"x{i+1}" for i in range(n - 1)]
             for _ in range(6):
@@ -257,8 +257,8 @@ class TestEvaluatePinned:
                     assert naive == pinned, (comp, asg, k)
 
     def test_solves_membership_blocks(self):
-        result = eliminate_simple(
-            LinearSetPresentation(base=(1, 4), periods=((1, 2),)), "y"
+        result = eliminate(
+            union(LinearSetPresentation(base=(1, 4), periods=((1, 2),))), "y"
         )
         # the one-witness case: x2 = 4 + 2*(x1 - 1) when x1 >= 1
         assert evaluate_pinned(result.formula, {"x1": 3, "y": 1}) is True
@@ -388,7 +388,7 @@ class TestEvaluatePinned:
 
     def test_natural_domain_respects_nonnegativity(self):
         comp = LinearSetPresentation(base=(2,), periods=(), domain=DomainTag.N)
-        result = eliminate_simple(comp, "y")
+        result = eliminate(union(comp), "y")
         assert evaluate_pinned(result.formula, {"y": 1}, DomainTag.N) is True
 
 
