@@ -17,8 +17,10 @@ residue classes modulo D (only D^(p-1) of the D^p classes are feasible, and
 merged by the Chinese remainder theorem, instead of testing every class),
 nonnegativity becomes interval bounds on the counted
 coordinate, and the number of lattice points of a residue class inside an
-interval is definable once the interval endpoints are case-split by their
-own residues.  Components combine by summing per-component count variables.
+interval is definable by splitting the lower endpoint on its residue modulo
+the progression step: in each of the step cases the count is one floor
+quotient, pinned by a pair of order atoms (:func:`progression_count_formula`).
+Components combine by summing per-component count variables.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
 data, bound families and size estimate), then built from that plan.
@@ -93,20 +95,6 @@ def count_in_progression(lo: int, hi: int, residue: int, modulus: int) -> int:
     return (hi - r) // modulus - (lo - 1 - r) // modulus
 
 
-def _progression_case_constants(step: int, target: int):
-    """Endpoint-residue corrections for the closed-form progression count.
-
-    For lo = i (mod step) and hi = j (mod step) the count of
-    t = target (mod step) in a nonempty [lo, hi] satisfies
-    ``step * count = hi - lo + c(i, j)``; this yields c for each (i, j).
-    """
-    for i in range(step):
-        start_floor = 0 if i > target else -1  # floor((i - 1 - target) / step)
-        for j in range(step):
-            end_floor = 0 if j >= target else -1  # floor((j - target) / step)
-            yield i, j, i - j + step * (end_floor - start_floor)
-
-
 def progression_count_formula(
     coeff: int,
     residue: int,
@@ -120,9 +108,13 @@ def progression_count_formula(
     True at an assignment exactly when the count variable equals the number
     of integers x with ``lo <= coeff*x <= hi`` and ``x = residue (mod
     modulus)``.  Scaling by ``coeff`` turns the condition into counting
-    ``t = coeff*residue (mod coeff*modulus)`` inside [lo, hi], and the
-    floor-division closed form becomes one linear equation per residue case
-    of the endpoints.
+    ``t = target (mod step)`` inside [lo, hi], with ``step = coeff*modulus``
+    and ``target = coeff*residue``.  Only the lower endpoint is split by its
+    residue: when ``lo + r = target (mod step)`` with ``0 <= r < step``, the
+    first counted point is ``lo + r`` and the count is ``floor((hi - lo -
+    r)/step) + 1``, which the floor pair ``step*u <= hi - lo - r + step`` and
+    ``hi - lo - r < step*u`` pins.  That is ``step`` disjuncts of three atoms
+    each, and no new binder.
     """
     if coeff < 1 or modulus < 1:
         raise ParameterError("coefficient and modulus must be positive")
@@ -136,13 +128,11 @@ def progression_count_formula(
         full = conj([Le(lo, hi), Eq(u, hi - lo + 1)])
         return disj([empty, full])
     by_lo_residue = []
-    cases: dict[int, list[Formula]] = {}
-    for i, j, c in _progression_case_constants(step, target):
-        cases.setdefault(i, []).append(
-            conj([Cong(hi, j, step), Eq(step * u, hi - lo + c)])
+    for r in range(step):
+        gap = hi - lo - r
+        by_lo_residue.append(
+            conj([Cong(lo, target - r, step), Le(step * u, gap + step), Lt(gap, step * u)])
         )
-    for i in sorted(cases):
-        by_lo_residue.append(conj([Cong(lo, i, step), disj(cases[i])]))
     return disj([empty, conj([Le(lo, hi), disj(by_lo_residue)])])
 
 
@@ -529,9 +519,9 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
     core's Cramer data and bound classification.  The estimate counts a
     single-witness component exactly.  A core with an empty bound family
     costs one guard per feasible residue case (``denom**(p-1)`` of them),
-    which bounds its size from above.  A two-sided core counts all
-    ``denom**p`` residue cases, each with every permutation branch and
-    progression formula; that is a heuristic, not a bound.
+    which bounds its size from above.  A two-sided core counts its feasible
+    residue cases, each with every permutation branch and a progression
+    formula linear in the step; that is a heuristic, not a bound.
     """
     if not check_simple(component):
         raise UnsupportedPresentationError(
@@ -565,11 +555,14 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
         relation_nodes = 2 * len(dropped) * (p + 1) + 7 if dropped else 0
         estimate = solution.denom ** (p - 1) * (7 + guard_nodes) + relation_nodes + 12
     else:
+        # Per feasible case and branch: the progression formula (one
+        # disjunct of three atoms per lower-endpoint residue), its guard
+        # and the "= 0" alternative.
         step = bc.multiplier * solution.denom
         branches = factorial(len(bc.upper_rows)) * factorial(len(bc.lower_rows))
-        delta_nodes = 8 * step * step + 6 * step + 16
+        delta_nodes = 11 * step + 12 if step > 1 else 15
         guard_nodes = 4 * p + 8
-        estimate = solution.denom**p * (branches * (delta_nodes + guard_nodes) + 12)
+        estimate = solution.denom ** (p - 1) * (branches * (delta_nodes + guard_nodes) + 12)
     return ComponentPlan(
         component, "interval-count", estimate, tuple(free_rows), dropped, solution, bc, branches
     )
@@ -779,7 +772,9 @@ def eliminate(
     precondition: on overlapping inputs the sum over-counts shared witnesses.
     """
     plan = plan_elimination(presentation, var_names)
-    plan.presentation.require_asserted()
+    # Planning checked every component's simplicity; only the flags are left.
+    if not (plan.presentation.asserted_disjoint and plan.presentation.asserted_simple):
+        raise ContractError("presentation must be asserted disjoint and simple for elimination")
     names = plan.names
     if not is_identifier(count_var):
         raise ContractError(f"count variable {count_var!r} is not an identifier")

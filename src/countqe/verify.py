@@ -20,7 +20,10 @@ planned, tracking which chain names are still undefined:
 * *choose* a name from a compound conjunct that reads no other undefined
   name, trying the values that satisfy that conjunct alone (a disjunct
   that does not mention the name offers 0), once no check or definition
-  applies;
+  applies.  Within the conjunct, a conjunction offers the value an equation
+  pins, else the values of a disjunction, else the one integer its order
+  atoms leave: a *floor pair* such as ``s*u <= X + s`` and ``X < s*u``
+  bounds ``u`` above and below and pins ``u = floor(X/s) + 1``;
 * *split* on a disjunction that reads several undefined names, planning
   each disjunct together with the remaining conjuncts when first reached;
 * *solve* the remaining equations jointly with
@@ -36,8 +39,9 @@ not once per tested count.
 
 :class:`PinnedEvaluationError` is raised when evaluation reaches a chain
 whose remaining conjuncts no step applies to, an underdetermined system of
-equations, a compound conjunct none of whose equations pins its name, or a
-``Forall`` or ``CountEq``.
+equations, a conjunction with no equation or disjunction mentioning its
+name whose order atoms bound it on one side only or leave it more than one
+integer, or a ``Forall`` or ``CountEq``.
 
 The trial runner drives both routes over seeded random assignments and
 reports agreement; the command-line ``check`` command and the acceptance
@@ -60,6 +64,8 @@ from .formula import (
     Exists,
     Forall,
     Formula,
+    Le,
+    Lt,
     Not,
     Or,
     Term,
@@ -101,7 +107,7 @@ class PinnedProgram:
         self._by_bit: list[str] = []
         self._masks: dict[int, int] = {}
         self._mask_names: dict[int, tuple] = {}
-        self._pins: dict = {}  # (id(Eq), name) -> (coefficient, rest of the term)
+        self._pins: dict = {}  # (id(atom), name) -> (coefficient, rest of the term)
         self._plans: dict = {}  # id(chain head) -> (steps, names it writes, key names)
         self._memo: dict = {}
         bits, bit, masks = self._bits, self._bit, self._masks
@@ -272,7 +278,8 @@ class PinnedProgram:
     def _candidates(self, g: Formula, name: str, bit: int, env: dict) -> set:
         """The values of ``name`` that satisfy ``g`` alone, the other names
         fixed by ``env``; a disjunct that does not mention the name stands
-        for any value, and contributes 0."""
+        for any value, and contributes 0.  A conjunction takes its values
+        from an equation, else a disjunction, else its order atoms."""
         if not self._masks[id(g)] & bit:
             return {0} if self._eval(g, env) else set()
         tg = type(g)
@@ -295,20 +302,50 @@ class PinnedProgram:
             if pin is None:
                 pin = next((p for p in mentioning if type(p) is Or), None)
             if pin is not None:
-                out = set()
-                for value in self._candidates(pin, name, bit, env):
-                    env[name] = value
-                    if all(self._eval(p, env) for p in mentioning if p is not pin):
-                        out.add(value)
-                return out
+                values = self._candidates(pin, name, bit, env)
+            else:
+                values = self._window(mentioning, name, env)
+            out = set()
+            for value in values:
+                env[name] = value
+                if all(self._eval(p, env) for p in mentioning if p is not pin):
+                    out.add(value)
+            return out
         raise PinnedEvaluationError(f"no equation pins {name!r} in {tg.__name__}")
 
-    def _pin(self, eq: Eq, name: str) -> tuple:
-        """``eq`` solved for ``name``: its coefficient and the rest of the
-        term ``lhs - rhs``."""
-        key = (id(eq), name)
+    def _window(self, parts: list, name: str, env: dict) -> set:
+        """The value of ``name`` that the order atoms among ``parts`` leave
+        (a floor pair such as ``s*u <= X + s`` and ``X < s*u``), or none;
+        raises unless they bound it on both sides to at most one integer."""
+        lo = hi = None
+        for p in parts:
+            tp = type(p)
+            if tp is not Le and tp is not Lt:
+                continue
+            pin = self._pin(p, name)
+            if pin is None:
+                continue
+            # coef*name + rest <= 0, or < 0, that is <= -1
+            coef, rest = pin
+            bound = -rest.evaluate(env) - (tp is Lt)
+            if coef > 0:
+                top = bound // coef
+                hi = top if hi is None else min(hi, top)
+            else:
+                bottom = -(bound // -coef)
+                lo = bottom if lo is None else max(lo, bottom)
+        if lo is None or hi is None:
+            raise PinnedEvaluationError(f"no equation or floor pair pins {name!r}")
+        if hi > lo:
+            raise PinnedEvaluationError(f"order atoms leave {name!r} more than one value")
+        return {lo} if lo == hi else set()
+
+    def _pin(self, atom: Formula, name: str) -> tuple:
+        """``atom`` (a comparison) solved for ``name``: its coefficient and
+        the rest of the term ``lhs - rhs``."""
+        key = (id(atom), name)
         if key not in self._pins:
-            combined = eq.lhs - eq.rhs
+            combined = atom.lhs - atom.rhs
             rest = {other: c for other, c in combined.coeffs.items() if other != name}
             coef = combined.coeffs.get(name)  # None when the name cancels out
             self._pins[key] = None if coef is None else (coef, Term(combined.constant, rest))

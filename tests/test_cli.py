@@ -151,6 +151,19 @@ class TestEliminateCommand:
         assert (code, err) == (0, "")
         assert f"residue-cases={denom**2} feasible={denom} " in out
 
+    def test_d8_m2_without_budget_warning(self, capsys, tmp_path):
+        # A two-sided core with D = 8 and step 16: its 64 feasible cases are
+        # estimated, not all 512 residue cases.
+        path = tmp_path / "d8_m2.sl"
+        path.write_text(
+            "domain Z\ndim 3\ndisjoint\nsimple\ncomponent\nbase 2 3 0\n"
+            "period 1 2 -1\nperiod 0 1 -3\nperiod 0 2 2\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "eliminate", str(path), "--report")
+        assert (code, err) == (0, "")
+        assert "residue-cases=512 feasible=64 " in out
+
     def test_singleton_report(self, capsys):
         code, out, _ = run(capsys, "eliminate", fixture("singleton.sl"), "--report")
         assert code == 0

@@ -8,10 +8,19 @@ import pytest
 import countqe.elim
 import countqe.formula as fm
 from countqe import verify
-from countqe.elim import eliminate
+from countqe.elim import (
+    count_in_progression,
+    eliminate,
+    estimate_result_nodes,
+    plan_elimination,
+    progression_count_formula,
+    progression_count_formula_nat,
+)
 from countqe.errors import DegenerateInputError, UnboundVariableError, UnsupportedPresentationError
 from countqe.formula import (
+    FALSE,
     And,
+    Cong,
     CountEq,
     Eq,
     Exists,
@@ -21,7 +30,9 @@ from countqe.formula import (
     Lt,
     Not,
     Or,
+    conj,
     constant,
+    disj,
     evaluate,
     free_vars,
     traverse,
@@ -30,6 +41,7 @@ from countqe.formula import (
 from countqe.linalg import solve_unique
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe.textio import parse_presentation
+import helpers
 from helpers import random_ast, random_disjoint_presentation
 from countqe.verify import (
     PinnedEvaluationError,
@@ -212,6 +224,44 @@ def _reference_eval_pinned(f: Formula, env: dict, domain, vacuous: set) -> bool:
     if tf is Forall or tf is CountEq:
         raise PinnedEvaluationError(f"unsupported quantifier in pinned evaluation: {tf.__name__}")
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_progression_count_formula(coeff, residue, modulus, lo, hi, count_var):
+    """The progression count that elimination emitted before the floor pair,
+    which the reference evaluator decides: both endpoints are case-split by
+    their residues, lo = i and hi = j (mod step), and each of the step**2
+    cases is the one equation ``step*u = hi - lo + c(i, j)``."""
+    step = coeff * modulus
+    target = (coeff * residue) % step
+    u = variable(count_var)
+    empty = conj([Lt(hi, lo), Eq(u, constant(0))])
+    if step == 1:
+        return disj([empty, conj([Le(lo, hi), Eq(u, hi - lo + 1)])])
+    by_lo_residue = []
+    for i in range(step):
+        start_floor = 0 if i > target else -1  # floor((i - 1 - target) / step)
+        cases = []
+        for j in range(step):
+            end_floor = 0 if j >= target else -1  # floor((j - target) / step)
+            c = i - j + step * (end_floor - start_floor)
+            cases.append(conj([Cong(hi, j, step), Eq(step * u, hi - lo + c)]))
+        by_lo_residue.append(conj([Cong(lo, i, step), disj(cases)]))
+    return disj([empty, conj([Le(lo, hi), disj(by_lo_residue)])])
+
+
+def _reference_estimate_result_nodes(presentation):
+    """The node estimate that sized the step**2 count, and so drew the random
+    part of the differential corpus: a two-sided core counted all denom**p
+    residue cases and ``8*step**2 + 6*step + 16`` nodes per progression."""
+    plan = plan_elimination(presentation)
+    total = estimate_result_nodes(plan)
+    for c in plan.components:
+        if c.branches:  # a two-sided core
+            denom, p = c.solution.denom, c.solution.size
+            step = c.bounds.multiplier * denom
+            branch = 8 * step * step + 6 * step + 16 + 4 * p + 8
+            total += denom**p * (c.branches * branch + 12) - c.estimated_nodes
+    return total
 
 
 def _reference_count_values(result, assignment, candidates, domain):
@@ -413,7 +463,14 @@ def _kind(report):
 
 
 class TestAgainstReferenceEvaluator:
-    def test_same_count_values_on_seeded_eliminations(self):
+    def test_same_count_values_on_seeded_eliminations(self, monkeypatch):
+        # The reference evaluator cannot decide a floor pair, so both sides
+        # decide formulas built with the step**2 progression count, on the
+        # corpus that count's own estimate draws.
+        monkeypatch.setattr(
+            countqe.elim, "progression_count_formula", _reference_progression_count_formula
+        )
+        monkeypatch.setattr(helpers, "estimate_result_nodes", _reference_estimate_result_nodes)
         rng = random.Random(5)
         kinds = {}
         compared = hits = 0
@@ -439,6 +496,87 @@ class TestAgainstReferenceEvaluator:
         assert compared > 700 and 0 < hits < compared
         assert set(kinds) == {"single-witness", "one-sided", "two-sided"}
         assert all("random" in labels for labels in kinds.values()), kinds
+
+
+def _chosen(name, g):
+    """``E name . ((g | false) & name <= y & y <= name)``: the chain chooses
+    ``name`` from the values that ``g`` alone allows, as the eliminator's
+    branch counts are chosen.  The disjunction keeps a conjunction ``g``
+    from being flattened into the chain."""
+    v, y = variable(name), variable("y")
+    return Exists(name, And((Or((g, FALSE)), Le(v, y), Le(y, v))))
+
+
+class TestFloorPairPin:
+    def test_progression_counts_over_z(self):
+        rng = random.Random(53)
+        shapes = {"step>=40": 0, "empty": 0, "one point": 0, "negative": 0}
+        for draw in range(240):
+            coeff, modulus = (1, 40) if draw % 12 == 0 else (rng.randint(1, 5), rng.randint(1, 10))
+            residue = rng.randrange(modulus)
+            lo = rng.randint(-60, 60)
+            hi = lo + rng.choice((-rng.randint(1, 5), 0, rng.randint(1, 120)))
+            f = progression_count_formula(coeff, residue, modulus, variable("a"), variable("b"), "u")
+            expected = count_in_progression(lo, hi, coeff * residue, coeff * modulus)
+            got = PinnedProgram(_chosen("u", f)).count_values({"a": lo, "b": hi}, "y", range(-2, expected + 4))
+            assert got == [expected], (coeff, residue, modulus, lo, hi)
+            shapes["step>=40"] += coeff * modulus >= 40
+            shapes["empty"] += hi < lo
+            shapes["one point"] += hi == lo
+            shapes["negative"] += hi < 0
+        assert min(shapes.values()) >= 10, shapes
+
+    def test_progression_counts_over_n(self):
+        rng = random.Random(59)
+        shapes = {"step>=40": 0, "empty": 0, "one point": 0, "clamped": 0}
+        for draw in range(240):
+            coeff, modulus = (4, 10) if draw % 12 == 0 else (rng.randint(1, 5), rng.randint(1, 10))
+            residue = rng.randrange(modulus)
+            y1, y2, z1 = (rng.randint(0, 60) for _ in range(3))
+            lo = max(0, y1 - y2)
+            z2 = z1 + lo + rng.choice((-rng.randint(1, 5), 0, rng.randint(1, 120)))
+            if z2 < 0:
+                z1, z2 = z1 - z2, 0
+            f = progression_count_formula_nat(
+                coeff, residue, modulus, *map(variable, ("y1", "y2", "z1", "z2")), "u"
+            )
+            expected = count_in_progression(lo, z2 - z1, coeff * residue, coeff * modulus)
+            program = PinnedProgram(_chosen("u", f), DomainTag.N)
+            got = program.count_values({"y1": y1, "y2": y2, "z1": z1, "z2": z2}, "y", range(expected + 4))
+            assert got == [expected], (coeff, residue, modulus, y1, y2, z1, z2)
+            shapes["step>=40"] += coeff * modulus >= 40
+            shapes["empty"] += z2 - z1 < lo
+            shapes["one point"] += z2 - z1 == lo
+            shapes["clamped"] += y1 < y2
+        assert min(shapes.values()) >= 10, shapes
+
+    def test_floor_pair_pins_and_empty_window_fails(self):
+        x, u = variable("x"), variable("u")
+        # 2u <= x + 2 and x < 2u: u = floor(x/2) + 1
+        pair = And((Le(2 * u, x + 2), Lt(x, 2 * u)))
+        assert PinnedProgram(_chosen("u", pair)).count_values({"x": 5}, "y", range(-4, 8)) == [3]
+        # x - 1 < 2u <= x leaves no integer when x is odd
+        odd = And((Le(2 * u, x), Lt(x - 1, 2 * u)))
+        assert evaluate_pinned(_chosen("u", odd), {"x": 5, "y": 2}) is False
+        assert evaluate_pinned(_chosen("u", odd), {"x": 6, "y": 3}) is True
+
+    def test_window_of_two_integers_is_rejected(self):
+        x, u = variable("x"), variable("u")
+        wide = Or((And((Le(x, 2 * u), Le(2 * u, x + 3))), And((Lt(x, constant(0)), Eq(u, constant(0))))))
+        with pytest.raises(PinnedEvaluationError):
+            evaluate_pinned(_chosen("u", wide), {"x": 4, "y": 2})
+
+    def test_one_sided_bound_is_rejected(self):
+        x, u = variable("x"), variable("u")
+        below = And((Le(x, 2 * u), Cong(x, 0, 2)))
+        with pytest.raises(PinnedEvaluationError):
+            evaluate_pinned(_chosen("u", below), {"x": 4, "y": 2})
+
+    def test_equation_takes_precedence_over_a_window(self):
+        # The order atoms leave u two values; the equation pins it first.
+        x, u = variable("x"), variable("u")
+        pinned = And((Eq(u, x + 1), Le(x, u), Le(u, x + 1)))
+        assert PinnedProgram(_chosen("u", pinned)).count_values({"x": 4}, "y", range(8)) == [5]
 
 
 class TestCountSetWitnesses:
