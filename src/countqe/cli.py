@@ -15,8 +15,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation
 (including an out-of-range numeric option such as a negative ``--box-radius``,
-``--trials``, ``--node-budget`` or ``--disjoint-radius``, and a
-``--count-var`` that is not an identifier),
+``--trials``, ``--node-budget`` or ``--disjoint-radius``, a ``--count-var``
+that is not an identifier, and an ``--assign`` that names a variable twice),
 3 verification failure, 4 internal error (an input nested too deeply for the
 interpreter's recursion limit; reported on one line, without a traceback).
 Diagnostics go to stderr; stdout is deterministic for fixed inputs, flags and
@@ -79,6 +79,8 @@ def _parse_assignment(spec: str) -> dict:
         value = value.strip()
         if not name or not value:
             raise ContractError(f"malformed assignment entry {piece!r}")
+        if name in assignment:
+            raise ContractError(f"variable {name!r} is assigned more than once")
         try:
             assignment[name] = int(value)
         except ValueError:

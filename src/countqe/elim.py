@@ -20,7 +20,11 @@ coordinate, and the number of lattice points of a residue class inside an
 interval is definable by splitting the lower endpoint on its residue modulo
 the progression step: in each of the step cases the count is one floor
 quotient, pinned by a pair of order atoms (:func:`progression_count_formula`).
-Components combine by summing per-component count variables.
+The only binders are these counts: each permutation branch of each feasible
+case binds one, and they sum straight into the component's count.  A core
+with an empty bound family binds nothing; its count is 0 where every case's
+guard fails, and no count value holds elsewhere.  Components combine by
+summing per-component count variables.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
 data, bound families and size estimate), then built from that plan.
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
 
 from . import formula as fm
@@ -510,18 +514,36 @@ class ComponentPlan:
         )
 
 
+def _atom_nodes(*terms: Term) -> int:
+    """Size of an atom over ``terms``: one node plus one per coefficient."""
+    return 1 + sum(len(t.coeffs) for t in terms)
+
+
+def _conj_nodes(atom_nodes: Sequence[int]) -> int:
+    """Size of the conjunction of one or more atoms of these sizes."""
+    return sum(atom_nodes) + (len(atom_nodes) >= 2)
+
+
+def _progression_nodes(step: int, lo: Term, hi: Term) -> int:
+    """Size of :func:`progression_count_formula` with step ``step``."""
+    ends, gap = 2 * (len(lo.coeffs) + len(hi.coeffs)), len((hi - lo).coeffs)
+    return 9 + ends + gap if step == 1 else 8 + ends + step * (6 + len(lo.coeffs) + 2 * gap)
+
+
 def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> ComponentPlan:
     """Decide how ``component`` is eliminated, its coordinates named ``names``.
 
     A component is single-witness when it has no periods or some full-rank
     row subsystem avoids the counted (last) row.  Otherwise its core is the
     least row basis of the other rows plus the counted row, planned with the
-    core's Cramer data and bound classification.  The estimate counts a
-    single-witness component exactly.  A core with an empty bound family
-    costs one guard per feasible residue case (``denom**(p-1)`` of them),
-    which bounds its size from above.  A two-sided core counts its feasible
-    residue cases, each with every permutation branch and a progression
-    formula linear in the step; that is a heuristic, not a bound.
+    core's Cramer data and bound classification.
+
+    The estimate counts the output atom by atom from the row terms.  It is
+    exact for a single-witness component and, over Z, for a core without
+    dropped rows (each dropped-row relation counts all p-1 free names); over
+    N it is an upper bound.  A one-sided core costs ``1 + guard`` per
+    feasible residue case (``denom**(p-1)`` of them), a two-sided core a
+    binder, a guard and a progression formula per case and branch.
     """
     if not check_simple(component):
         raise UnsupportedPresentationError(
@@ -546,23 +568,30 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
     )
     bc = classify_bounds(solution, [names[i] for i in free_rows])
     dropped = tuple(j for j in range(n - 1) if j not in free_rows)
+    cases = solution.denom ** (p - 1)
+    # A case's guard: p-1 congruences (none when D is 1) and the sign atoms.
+    case_atoms = [2] * (p - 1) if solution.denom > 1 else []
+    case_atoms += [_atom_nodes(bc.row_terms[i]) for i in bc.sign_rows]
+    branches = 0
     if not bc.upper_rows or not bc.lower_rows:
-        # Per case: its binder, nonnegativity, the negated guard (at most
-        # p-1 congruences and the sign atoms), "= 0" and its summand.  The
-        # dropped-row relations appear twice, asserted and negated.
-        branches = 0
-        guard_nodes = 1 + 2 * (p - 1) + p * len(bc.sign_rows)
-        relation_nodes = 2 * len(dropped) * (p + 1) + 7 if dropped else 0
-        estimate = solution.denom ** (p - 1) * (7 + guard_nodes) + relation_nodes + 12
+        # "!guard" per case and "0 = y"; false when the guard is empty.
+        estimate = cases * (1 + _conj_nodes(case_atoms)) + 3 if case_atoms else 1
     else:
-        # Per feasible case and branch: the progression formula (one
-        # disjunct of three atoms per lower-endpoint residue), its guard
-        # and the "= 0" alternative.
-        step = bc.multiplier * solution.denom
-        branches = factorial(len(bc.upper_rows)) * factorial(len(bc.lower_rows))
-        delta_nodes = 11 * step + 12 if step > 1 else 15
-        guard_nodes = 4 * p + 8
-        estimate = solution.denom ** (p - 1) * (branches * (delta_nodes + guard_nodes) + 12)
+        step, bound = bc.multiplier * solution.denom, bc.bound_term
+        estimate = 3  # the conjunction and "u_1 + ... = y" but its summands
+        for sigma in itertools.permutations(bc.upper_rows):
+            for tau in itertools.permutations(bc.lower_rows):
+                # Per case: the binder, "0 <= u", u's summand, the progression
+                # formula and "(guard & delta) | (!guard & u = 0)" around it.
+                pairs = [*zip(sigma, sigma[1:]), *zip(tau, tau[1:])]
+                guard = case_atoms + [_atom_nodes(bound(a), bound(b)) for a, b in pairs]
+                part = 4 + _progression_nodes(step, bound(tau[0]), bound(sigma[0]))
+                estimate += cases * (part + (6 + sum(guard) + _conj_nodes(guard) if guard else 0))
+                branches += 1
+    if dropped:
+        # "(relations & body) | (!relations & y = 0)", each relation an
+        # equation over at most one dropped and p-1 free coordinates.
+        estimate += 2 * len(dropped) * (p + 1) + (len(dropped) >= 2) + 5
     return ComponentPlan(
         component, "interval-count", estimate, tuple(free_rows), dropped, solution, bc, branches
     )
@@ -665,7 +694,13 @@ def _case_interval(
     fresh: FreshNames,
 ) -> tuple[list, Formula]:
     """The square-core construction for a component whose every full-rank
-    row subsystem uses the counted row."""
+    row subsystem uses the counted row: its binders and its body.
+
+    A two-sided core binds one count ``u`` per feasible case and branch, the
+    progression count where the guard holds and 0 elsewhere, with ``sum u =
+    count_var``.  A one-sided core binds nothing: ``!guard`` per feasible
+    case and ``0 = count_var``.
+    """
     presentation, solution, bc = plan.component, plan.solution, plan.bounds
     matrix = presentation.period_matrix()
     p = matrix.cols
@@ -690,33 +725,20 @@ def _case_interval(
     assert all(residue_case_feasible(solution, case) for case in feasible), (
         "enumerated residue case is not integral"
     )
-    convention = not bc.upper_rows or not bc.lower_rows
     sign_atoms = [Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]
-
     prefix: list[str] = []
-    case_vars: list[str] = []
-    case_formulas: list[Formula] = []
+    parts: list[Formula] = []
     for case in feasible:
-        congruences: list[Formula] = []
-        if denom > 1:
-            congruences = [
-                Cong(variable(name), r, denom)
-                for name, r in zip(free_names, case.free_residues)
-            ]
-        case_count = fresh.fresh("c")
-        case_vars.append(case_count)
-        if convention:
-            # One bound family is empty: wherever this case's guard holds the
-            # witness set is infinite, so no count value may satisfy it; where
-            # the guard fails the case is empty and contributes zero.
-            guard = conj(congruences + sign_atoms)
-            case_formulas.append(conj([negate(guard), Eq(variable(case_count), constant(0))]))
-            prefix.append(case_count)
+        congruences = [Cong(variable(x), r, denom) for x, r in zip(free_names, case.free_residues)]
+        case_guard = conj((congruences if denom > 1 else []) + sign_atoms)
+        if not bc.upper_rows or not bc.lower_rows:
+            # One bound family is empty: wherever the guard holds the witness
+            # set is infinite, so no count value may satisfy it; elsewhere the
+            # case is empty and adds nothing to the sum.
+            parts.append(negate(case_guard))
             continue
-        branch_parts = []
-        branch_sum = Term(0)
         for branch in build_permutation_branches(bc, namer=lambda: fresh.fresh("u")):
-            guard = conj(congruences + sign_atoms + [branch.guard])
+            guard = conj([case_guard, branch.guard])
             delta = progression_count_formula(
                 bc.multiplier,
                 case.counted_residue,
@@ -725,31 +747,14 @@ def _case_interval(
                 branch.tightest_upper,
                 branch.count_var,
             )
-            branch_parts.append(
-                disj(
-                    [
-                        conj([guard, delta]),
-                        conj([negate(guard), Eq(variable(branch.count_var), constant(0))]),
-                    ]
-                )
-            )
+            zero = Eq(variable(branch.count_var), constant(0))
+            parts.append(disj([conj([guard, delta]), conj([negate(guard), zero])]))
             prefix.append(branch.count_var)
-            branch_sum = branch_sum + variable(branch.count_var)
-        case_formulas.append(
-            conj(branch_parts + [Eq(branch_sum, variable(case_count))])
-        )
-        prefix.append(case_count)
-
-    total = Term(0, dict.fromkeys(case_vars, 1))
+    y = variable(count_var)
     nonneg = [Le(constant(0), variable(v)) for v in prefix]
-    body = conj(nonneg + case_formulas + [Eq(total, variable(count_var))])
+    body = conj(nonneg + parts + [Eq(Term(0, dict.fromkeys(prefix, 1)), y)])
     if not isinstance(relations, fm.TrueF):
-        body = disj(
-            [
-                conj([relations, body]),
-                conj([negate(relations), Eq(variable(count_var), constant(0))]),
-            ]
-        )
+        body = disj([conj([relations, body]), conj([negate(relations), Eq(y, constant(0))])])
     if nat:
         # Each counted value is a point of the component, so >= 0: no clamp.
         body = normalize_for_nat(body)
@@ -813,21 +818,23 @@ def eliminate(
 
 
 def estimate_result_nodes(presentation: Union[SemilinearPresentation, EliminationPlan]) -> int:
-    """Cheap estimate of the size of the eliminated formula.
+    """The size of the eliminated formula, predicted from the plan.
 
     Used by the command-line interface to warn before a blow-up; it sums the
     components' planned estimates (see :func:`plan_component`), and accepts
-    a plan in place of the presentation.  The multi-component wrapper is
-    counted exactly.
+    a plan in place of the presentation.  It never reads below the output.
+    The multi-component wrapper is counted exactly.
     """
     plan = plan_elimination(presentation)
     total = sum(c.estimated_nodes for c in plan.components)
     k = len(plan.components)
-    if k > 1:
-        # k count binders, "0 <= y_i" for each, "y_1 + ... + y_k = y" and the
-        # conjunction of it all, into which a conjunctive body merges.
-        conjunctions = sum(
-            1 for c in plan.components if c.solution is not None and not c.dropped_rows
-        )
-        total += 4 * k + 3 - conjunctions
-    return total
+    if k == 1:
+        return total
+    if any(c.estimated_nodes == 1 for c in plan.components):
+        # A one-node component body is false, and so is the conjunction of
+        # them all: k count binders over false.
+        return k + 1
+    # k count binders, "0 <= y_i" for each, "y_1 + ... + y_k = y" and the
+    # conjunction of it all, into which a conjunctive body merges.
+    conjunctions = sum(1 for c in plan.components if c.solution is not None and not c.dropped_rows)
+    return total + 4 * k + 3 - conjunctions

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import formula as fm
-from .errors import ContractError, DimensionError, ParameterError, UnsupportedPresentationError
+from .errors import DimensionError, ParameterError, UnsupportedPresentationError
 from .formula import DomainTag
 from .linalg import CramerSolution, IntMatrix, cramer_solve, find_full_rank_submatrix, rank_over_rationals
 
@@ -104,17 +104,6 @@ class SemilinearPresentation:
     @property
     def domain(self) -> DomainTag:
         return self.components[0].domain
-
-    def require_asserted(self) -> None:
-        if not (self.asserted_disjoint and self.asserted_simple):
-            raise ContractError(
-                "presentation must be asserted disjoint and simple for elimination"
-            )
-        for idx, comp in enumerate(self.components):
-            if not check_simple(comp):
-                raise UnsupportedPresentationError(
-                    f"component {idx + 1} asserted simple but its periods are dependent"
-                )
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,18 @@ class TestCountCommand:
         assert code == 2
         assert "w" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "x = 1", "--assign", "x=1,x=2"),
+            ("count", "x <= w", "--var", "x", "--assign", "w=3, w=3"),
+        ],
+    )
+    def test_repeated_assignment_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "more than once" in err
+
     def test_negative_box_radius_exit_2(self, capsys):
         # The window (4, -4) is empty: counting in it would report "0 stable".
         code, out, err = run(capsys, "count", "x = 1", "--var", "x", "--box-radius", "-4")
@@ -295,8 +307,9 @@ class TestCheckCommand:
 
     def test_vacuous_case_binders(self, capsys, tmp_path):
         # One-sided core with D = 32, 1,024 feasible cases and dropped row 3
-        # (x3 = -2).  Where that relation fails, no conjunct reads the 1,024
-        # case variables; deciding them once crashed with RecursionError.
+        # (x3 = -2).  The cases once bound a variable each, which no conjunct
+        # read where that relation fails; deciding them crashed with
+        # RecursionError.
         path = tmp_path / "d32.sl"
         path.write_text(
             "domain Z\ndim 4\ndisjoint\nsimple\ncomponent\nbase -2 0 -2 3\n"

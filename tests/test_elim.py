@@ -24,6 +24,7 @@ from countqe.errors import ContractError, ConventionError, ParameterError, Unsup
 from countqe.formula import (
     Cong,
     Eq,
+    Exists,
     Le,
     Lt,
     Term,
@@ -32,6 +33,7 @@ from countqe.formula import (
     contains_counting,
     evaluate,
     free_vars,
+    traverse,
     variable,
 )
 from countqe import elim, sets
@@ -591,6 +593,22 @@ class TestEliminateUnion:
             assert estimate_result_nodes(s) >= eliminate(s, "y").report.nodes, component
             tried += 1
 
+    def test_estimate_bounds_seeded_sample(self):
+        # An upper bound everywhere; exact over Z when no row is dropped (a
+        # dropped-row relation is counted with all of its p-1 free names).
+        rng = random.Random(3)
+        exact = 0
+        for _ in range(60):
+            domain = rng.choice([DomainTag.Z, DomainTag.N])
+            s = random_disjoint_presentation(rng, domain, max_dimension=4)
+            result = eliminate(s, "y")
+            estimate = estimate_result_nodes(s)
+            assert estimate >= result.report.nodes, s
+            if domain is DomainTag.Z and not any(c.dropped_rows for c in result.report.components):
+                assert estimate == result.report.nodes, s
+                exact += 1
+        assert exact >= 20
+
     def test_estimate_is_exact_on_single_witness_components(self):
         # Single-witness components and the multi-component wrapper are
         # counted exactly, alone and in unions.
@@ -609,7 +627,7 @@ class TestEliminateUnion:
         "components, actual",
         [
             ([((0, 5, 4), ((3, 0, 1), (2, 2, 0)))], 44),
-            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 705),
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 489),
         ],
     )
     def test_estimate_not_below_single_witness_sizes(self, components, actual):
@@ -625,19 +643,64 @@ class TestEliminateUnion:
         assert estimate_result_nodes(s) >= actual
 
 
+def _fixture_or_d8_m2(name):
+    if name == "d8_m2":
+        return union(D8_M2)
+    return parse_presentation((FIXTURES / f"{name}.sl").read_text(encoding="utf-8"))
+
+
+class TestBinders:
+    """The only binders are the progression counts of the two-sided cores'
+    branches, plus one part count per component of a union."""
+
+    @staticmethod
+    def _exists_nodes(formula):
+        return sum(isinstance(g, Exists) for g in traverse(formula)[0])
+
+    @staticmethod
+    def _branch_counts(result):
+        reports = result.report.components
+        parts = len(reports) if len(reports) > 1 else 0
+        return parts + sum(r.feasible_cases * r.branches for r in reports)
+
+    @pytest.mark.parametrize("name", ["three_periods", "natural", "d8_m2"])
+    def test_two_sided_fixtures(self, name):
+        result = eliminate(_fixture_or_d8_m2(name), "y")
+        assert self._exists_nodes(result.formula) == self._branch_counts(result) > 0
+
+    @pytest.mark.parametrize("denom", [2, 100])
+    def test_half_line_has_none(self, denom):
+        assert self._exists_nodes(eliminate(half_line(denom), "y").formula) == 0
+
+    def test_seeded_interval_cores(self):
+        rng = random.Random(17)
+        seen = {"one-sided": 0, "two-sided": 0, "union": 0}
+        while min(seen.values()) < 6:
+            domain = rng.choice([DomainTag.Z, DomainTag.N])
+            s = random_disjoint_presentation(rng, domain, max_dimension=4)
+            result = eliminate(s, "y")
+            reports = result.report.components
+            if any(r.case == "single-witness" for r in reports):
+                continue  # E x_n . membership: a witness binder, not a count
+            assert self._exists_nodes(result.formula) == self._branch_counts(result), s
+            for r in reports:
+                seen["two-sided" if r.branches else "one-sided"] += 1
+            seen["union"] += len(reports) > 1
+
+
 class TestOutputSize:
     # Node ceilings: the sizes measured with the lower-endpoint split of the
     # progression count, rounded up by less than 5 %.  The step**2 split of
-    # both endpoints measured 8,918, 813 and 139,075 nodes here.
+    # both endpoints measured 8,918, 813 and 139,075 nodes here; summing the
+    # branch counts straight into the component's count took the sizes to
+    # 1,406, 237 and 14,787 (TestBinders pins that shape).
     @pytest.mark.parametrize(
         "name, ceiling", [("three_periods", 1_500), ("natural", 265), ("d8_m2", 15_900)]
     )
     def test_two_sided_cores_stay_linear_in_the_step(self, name, ceiling):
-        if name == "d8_m2":
-            s = union(D8_M2)
-        else:
-            s = parse_presentation((FIXTURES / f"{name}.sl").read_text(encoding="utf-8"))
+        s = _fixture_or_d8_m2(name)
         result = eliminate(s, "y")
         (core,) = result.report.components
         assert core.upper_rows and core.lower_rows
         assert result.report.nodes <= ceiling
+        assert estimate_result_nodes(s) >= result.report.nodes

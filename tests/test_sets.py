@@ -4,7 +4,7 @@ from typing import Optional
 
 import pytest
 
-from countqe.errors import ContractError, DimensionError, ParameterError, UnsupportedPresentationError
+from countqe.errors import DimensionError, ParameterError, UnsupportedPresentationError
 from countqe.formula import evaluate
 from countqe.sets import (
     DomainTag,
@@ -85,19 +85,6 @@ class TestPresentations:
             LinearSetPresentation(base=(0, 0), periods=((1,),))
         with pytest.raises(DimensionError):
             SemilinearPresentation(components=())
-
-    def test_require_asserted(self):
-        comp = line((0,), (2,))
-        plain = SemilinearPresentation(components=(comp,))
-        with pytest.raises(ContractError):
-            plain.require_asserted()
-        bad = SemilinearPresentation(
-            components=(LinearSetPresentation(base=(0, 0), periods=((1, 0), (2, 0))),),
-            asserted_disjoint=True,
-            asserted_simple=True,
-        )
-        with pytest.raises(UnsupportedPresentationError):
-            bad.require_asserted()
 
 
 class TestCheckSimple:

@@ -687,7 +687,8 @@ class TestRunCheck:
 
     def test_vacuous_case_binders(self):
         # D = 32 one-sided core whose dropped row reads x3 = -2: off that
-        # plane the 1,024 case binders are vacuous, on it the cases decide.
+        # plane the count is 0, on it the 1,024 cases' guards decide.  (The
+        # cases once bound a variable each, vacuous off the plane.)
         comp = LinearSetPresentation(
             base=(-2, 0, -2, 3), periods=((0, -2, 0, -2), (-3, 1, 0, 0), (1, 3, 0, -2))
         )
