@@ -16,7 +16,6 @@ from .elim import (
     PermutationBranch,
     ResidueCase,
     build_permutation_branches,
-    build_residue_cases,
     classify_bounds,
     count_in_progression,
     eliminate,

@@ -26,6 +26,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -138,8 +139,7 @@ def _format_report(result, estimated: int) -> str:
             fields.append("uppers=" + (",".join(map(str, comp.upper_rows)) or "-"))
             fields.append("lowers=" + (",".join(map(str, comp.lower_rows)) or "-"))
             fields.append("signs=" + (",".join(map(str, comp.sign_rows)) or "-"))
-            fields.append(f"residue-cases={comp.residue_cases}")
-            fields.append(f"feasible={comp.feasible_cases}")
+            fields.append(f"coset-period={comp.coset_period}")
             fields.append(f"branches={comp.branches}")
         fields.append(f"count-var={comp.count_var}")
         fields.append(f"nodes={comp.nodes}")
@@ -283,7 +283,9 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="countqe",
         description="Counting-quantifier elimination over semilinear presentations.",
@@ -303,14 +305,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p_parse, "formula text or path with --file")
     p_parse.add_argument("--roundtrip", action="store_true", help="check print/parse stability")
     p_parse.add_argument("--unicode", action="store_true", help="display-only unicode rendering")
-    p_parse.set_defaults(func=cmd_parse)
 
     p_eval = sub.add_parser("eval", help="evaluate a formula under an assignment")
     add_io(p_eval, "formula text or path with --file")
     p_eval.add_argument("--assign", default="", help='assignment, e.g. "x1=0,x3=2"')
     p_eval.add_argument("--domain", choices=["Z", "N"], default="Z")
     p_eval.add_argument("--quant-bound", type=int, default=64)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_count = sub.add_parser("count", help="brute-force witness count with stability flag")
     add_io(p_count, "formula text or path with --file")
@@ -320,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--box-radius", type=int, default=100)
     p_count.add_argument("--margin", type=int, default=None, help="stability margin (default: auto)")
     p_count.add_argument("--quant-bound", type=int, default=64)
-    p_count.set_defaults(func=cmd_count)
 
     p_elim = sub.add_parser("eliminate", help="eliminate the counting quantifier of a presentation")
     p_elim.add_argument("input", help="presentation path ('-' for stdin)")
@@ -329,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_elim.add_argument("--count-var", default="y", help="name of the count variable")
     p_elim.add_argument("--report", action="store_true", help="append the construction trace")
     p_elim.add_argument("--node-budget", type=int, default=10**6)
-    p_elim.set_defaults(func=cmd_eliminate)
 
     p_check = sub.add_parser("check", help="cross-check an elimination against the oracle")
     p_check.add_argument("input", help="presentation path ('-' for stdin)")
@@ -343,16 +341,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--verify-disjoint", action="store_true", help="pre-check disjointness inside a small box")
     p_check.add_argument("--disjoint-radius", type=int, default=5)
     p_check.add_argument("--node-budget", type=int, default=10**6)
-    p_check.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up on each call, so that a replaced cmd_* function is used.
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

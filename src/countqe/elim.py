@@ -10,21 +10,22 @@ The construction works per component.  When some full-rank row subsystem of
 the period matrix avoids the counted row, the counted coordinate is a
 function of the others and the witness count is 0 or 1.  Otherwise the
 component reduces to a square core: Cramer data expresses the period
-coefficients as integer linear forms over the coordinates divided by the
-determinant's absolute value D, integrality becomes a finite split over
-residue classes modulo D (only D^(p-1) of the D^p classes are feasible, and
-:func:`feasible_residue_cases` solves for them, one congruence per row
-merged by the Chinese remainder theorem, instead of testing every class),
-nonnegativity becomes interval bounds on the counted
-coordinate, and the number of lattice points of a residue class inside an
-interval is definable by splitting the lower endpoint on its residue modulo
-the progression step: in each of the step cases the count is one floor
-quotient, pinned by a pair of order atoms (:func:`progression_count_formula`).
-The only binders are these counts: each permutation branch of each feasible
-case binds one, and they sum straight into the component's count.  A core
-with an empty bound family binds nothing; its count is 0 where every case's
-guard fails, and no count value holds elsewhere.  Components combine by
-summing per-component count variables.
+coefficients as integer linear forms N_i over the coordinates divided by the
+determinant's absolute value D.  Nonnegativity becomes interval bounds on
+the counted coordinate t, and integrality the congruences N_i = 0 (mod D).
+For fixed free coordinates these congruences leave t no value or one coset
+of D'Z, where D' = lcm_i D/gcd(D, lam_i) and lam is the counted column (the
+paper's split into residue classes modulo D, merged by the Chinese remainder
+theorem).  So each permutation branch with tightest bounds ``lo <= m*t <=
+hi`` binds a first witness t0, the coset's one member in ``lo <= m*t0 < lo +
+m*D'``, and counts the members t0, t0 + D', ... with ``m*t <= hi`` by one
+floor quotient pinned by a pair of order atoms
+(:func:`progression_count_formula`).  Where the branch guard fails, or no
+value fills the window, the branch count is 0.  The branch counts sum
+straight into the component's count.  A core with an empty bound family has
+no count where its sign atoms hold and the congruences have a solution, and
+count 0 elsewhere.  Components combine by summing per-component count
+variables.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
 data, bound families and size estimate), then built from that plan.
@@ -33,8 +34,10 @@ data, bound families and size estimate), then built from that plan.
 :func:`plan_elimination` wherever they accept a presentation.
 
 Over the naturals the same integer body is built, and :func:`normalize_for_nat`
-makes every atom subtraction-free.  No clamp at 0 is needed: each counted
-value is a point of the component, whose base and periods are nonnegative.
+makes each quantifier-free piece subtraction-free before it is bound.  No
+clamp at 0 is needed: each counted value is a point of the component, whose
+base and periods are nonnegative, so a first witness below 0 (which no
+natural binder reaches) means the counted range is empty.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ from .sets import (
 from .textio import is_identifier
 
 
-# --- counting points of a residue class in an interval ----------------------
+# --- progression counts --------------------------------------------------------
 
 
 def count_in_progression(lo: int, hi: int, residue: int, modulus: int) -> int:
@@ -99,79 +102,27 @@ def count_in_progression(lo: int, hi: int, residue: int, modulus: int) -> int:
     return (hi - r) // modulus - (lo - 1 - r) // modulus
 
 
-def progression_count_formula(
-    coeff: int,
-    residue: int,
-    modulus: int,
-    lo: Term,
-    hi: Term,
-    count_var: str,
-) -> Formula:
-    """Formula binding ``count_var`` to a scaled progression count.
+def progression_count_formula(first: Term, hi: Term, step: int, count_var: str) -> Formula:
+    """Formula binding ``count_var`` to the number of terms of the progression
+    ``first, first + step, ...`` that are at most ``hi``.
 
-    True at an assignment exactly when the count variable equals the number
-    of integers x with ``lo <= coeff*x <= hi`` and ``x = residue (mod
-    modulus)``.  Scaling by ``coeff`` turns the condition into counting
-    ``t = target (mod step)`` inside [lo, hi], with ``step = coeff*modulus``
-    and ``target = coeff*residue``.  Only the lower endpoint is split by its
-    residue: when ``lo + r = target (mod step)`` with ``0 <= r < step``, the
-    first counted point is ``lo + r`` and the count is ``floor((hi - lo -
-    r)/step) + 1``, which the floor pair ``step*u <= hi - lo - r + step`` and
-    ``hi - lo - r < step*u`` pins.  That is ``step`` disjuncts of three atoms
-    each, and no new binder.
+    The count is 0 when ``hi < first`` and ``floor((hi - first)/step) + 1``
+    otherwise, which the floor pair ``step*u <= hi - first + step`` and ``hi -
+    first < step*u`` pins (one equation when ``step`` is 1).  No binder.
     """
-    if coeff < 1 or modulus < 1:
-        raise ParameterError("coefficient and modulus must be positive")
-    if not 0 <= residue < modulus:
-        raise ParameterError("residue out of range")
-    step = coeff * modulus
-    target = (coeff * residue) % step
+    if step < 1:
+        raise ParameterError("progression step must be positive")
     u = variable(count_var)
-    empty = conj([Lt(hi, lo), Eq(u, constant(0))])
-    if step == 1:
-        full = conj([Le(lo, hi), Eq(u, hi - lo + 1)])
-        return disj([empty, full])
-    by_lo_residue = []
-    for r in range(step):
-        gap = hi - lo - r
-        by_lo_residue.append(
-            conj([Cong(lo, target - r, step), Le(step * u, gap + step), Lt(gap, step * u)])
-        )
-    return disj([empty, conj([Le(lo, hi), disj(by_lo_residue)])])
+    gap = hi - first
+    pin = [Eq(u, gap + 1)] if step == 1 else [Le(step * u, gap + step), Lt(gap, step * u)]
+    return disj([conj([Lt(hi, first), Eq(u, constant(0))]), conj([Le(first, hi)] + pin)])
 
 
-def progression_count_formula_nat(
-    coeff: int,
-    residue: int,
-    modulus: int,
-    low_bound: Term,
-    low_shift: Term,
-    high_shift: Term,
-    high_bound: Term,
-    count_var: str,
-) -> Formula:
-    """Subtraction-free counterpart over the naturals.
-
-    Binds ``count_var`` to the number of x in N with
-    ``low_bound <= coeff*x + low_shift``, ``high_shift + coeff*x <=
-    high_bound`` and ``x = residue (mod modulus)``.  The four endpoint terms
-    must be subtraction-free; every emitted atom is too.  It normalises the
-    integer count on [max(0, low_bound - low_shift), high_bound - high_shift].
-    The eliminator does not call it; it normalises its whole integer body.
-    """
-    high = high_bound - high_shift
-    from_zero = progression_count_formula(coeff, residue, modulus, Term(0), high, count_var)
-    shifted = progression_count_formula(
-        coeff, residue, modulus, low_bound - low_shift, high, count_var
-    )
-    return normalize_for_nat(
-        disj(
-            [
-                conj([Le(low_bound, low_shift), from_zero]),
-                conj([Lt(low_shift, low_bound), shifted]),
-            ]
-        )
-    )
+def progression_count_formula_nat(first: Term, hi: Term, step: int, count_var: str) -> Formula:
+    """:func:`progression_count_formula` with every atom subtraction-free,
+    equivalent over the naturals.  The eliminator does not call it: it
+    normalises each quantifier-free piece of its body."""
+    return normalize_for_nat(progression_count_formula(first, hi, step, count_var))
 
 
 # --- classification of the Cramer rows ---------------------------------------
@@ -255,24 +206,12 @@ class ResidueCase:
     counted_residue: int
 
 
-def build_residue_cases(denom: int, size: int) -> list[ResidueCase]:
-    """All residue cases for a core of ``size`` coordinates, lexicographically.
-
-    The eliminator does not build this list: it is the reference that
-    :func:`feasible_residue_cases` is tested against (filtered by
-    :func:`residue_case_feasible`).
-    """
-    if denom < 1 or size < 1:
-        raise ParameterError("denominator and size must be positive")
-    return [
-        ResidueCase(free_residues=f, counted_residue=a)
-        for f in itertools.product(range(denom), repeat=size - 1)
-        for a in range(denom)
-    ]
-
-
 def residue_case_feasible(solution: CramerSolution, case: ResidueCase) -> bool:
-    """True when every solved coefficient is integral on this residue class."""
+    """True when every solved coefficient is integral on this residue class.
+
+    The eliminator does not enumerate residue cases; this is the reference
+    that the congruences of :func:`_congruence_rows` are tested against.
+    """
     p = solution.size
     if len(case.free_residues) != p - 1:
         raise ParameterError("residue case does not match system size")
@@ -281,46 +220,30 @@ def residue_case_feasible(solution: CramerSolution, case: ResidueCase) -> bool:
     return all(num % d == 0 for num in solution.numerators(point))
 
 
-def _congruence_coset(coeff: int, rhs: int, modulus: int):
-    """The solutions of ``coeff*k = rhs (mod modulus)`` as ``(k0, step)``,
-    the coset k0 + step*Z with 0 <= k0 < step; None when there are none."""
-    g = gcd(coeff, modulus)
-    if rhs % g:
-        return None
-    step = modulus // g
-    return rhs // g * pow(coeff // g, -1, step) % step, step
+def _congruence_rows(solution: CramerSolution) -> list[tuple]:
+    """The distinct integrality conditions ``N_i = 0 (mod D)`` of the core
+    rows, as (coefficients reduced mod D, residue of the constant part).
 
-
-def feasible_residue_cases(solution: CramerSolution) -> list[ResidueCase]:
-    """The residue cases on which every solved coefficient is integral.
-
-    Row i's numerator at free residues f and counted residue a is
-    ``N_i(f, 0) + lam_i*a``, with lam the counted column of the Cramer
-    matrix, so each row restricts a to a coset modulo ``denom /
-    gcd(lam_i, denom)`` or rules f out.  The rows' congruences are merged
-    one by one (the generalised Chinese remainder theorem) into one coset
-    r + step*Z, and the cases are a = r, r + step, ... below ``denom``.
-    Since ``denom*Z^p`` lies in the period lattice, exactly ``denom**(p-1)``
-    of the ``denom**p`` cases come out, in the order of
-    :func:`build_residue_cases`.
+    A row whose coefficients all vanish mod D holds everywhere (its constant
+    is 0 mod D, since every N_i vanishes at the base) and is left out; so is
+    every row when D is 1.
     """
     d = solution.denom
-    p = solution.size
-    rows = [(row[: p - 1], row[p - 1], g) for row, g in zip(solution.matrix, solution.offset)]
-    cases = []
-    for f in itertools.product(range(d), repeat=p - 1):
-        r, step = 0, 1
-        for free_part, lam, offset in rows:
-            # a = r + step*k makes row i integral when
-            # lam*step*k = -N_i(f, r) (mod d).
-            numerator = sum(c * v for c, v in zip(free_part, f)) + offset + lam * r
-            shift = _congruence_coset(lam * step, -numerator, d)
-            if shift is None:
-                break
-            r, step = r + step * shift[0], step * shift[1]
-        else:
-            cases.extend(ResidueCase(free_residues=f, counted_residue=a) for a in range(r, d, step))
-    return cases
+    rows = {}
+    for row, offset in zip(solution.matrix, solution.offset):
+        coeffs = tuple(c % d for c in row)
+        assert any(coeffs) or offset % d == 0, "a constant row must vanish mod D"
+        if any(coeffs):
+            rows[coeffs, -offset % d] = None
+    return list(rows)
+
+
+def _congruences(rows: Sequence[tuple], denom: int, free_names: Sequence[str], witness: Term) -> list:
+    """The atoms of :func:`_congruence_rows`, the counted value ``witness``."""
+    return [
+        Cong(Term(0, dict(zip(free_names, coeffs))) + coeffs[-1] * witness, residue, denom)
+        for coeffs, residue in rows
+    ]
 
 
 # --- permutation branches -----------------------------------------------------
@@ -449,8 +372,7 @@ class ComponentReport:
     upper_rows: tuple[int, ...] = ()
     lower_rows: tuple[int, ...] = ()
     sign_rows: tuple[int, ...] = ()
-    residue_cases: int = 0
-    feasible_cases: int = 0
+    coset_period: Optional[int] = None
     branches: int = 0
 
 
@@ -477,8 +399,12 @@ class ComponentPlan:
 
     A single-witness component has no core rows, ``solution`` or ``bounds``.
     Otherwise the core is ``free_rows`` plus the counted (last) row, the
-    other rows are dropped (all 0-based), and ``branches`` counts the
-    permutation branches per residue case (0 when a bound family is empty).
+    other rows are dropped (all 0-based), ``congruences`` are the core's
+    distinct integrality conditions (see :func:`_congruence_rows`), whose
+    solutions in the counted value form one coset of ``coset_period``, and
+    ``branches`` counts the permutation branches (0 when a bound family is
+    empty).  ``conjunctive`` tells whether the component's body is a
+    conjunction, which a union's conjunction absorbs.
     """
 
     component: LinearSetPresentation
@@ -488,28 +414,30 @@ class ComponentPlan:
     dropped_rows: tuple[int, ...] = ()
     solution: Optional[CramerSolution] = None
     bounds: Optional[BoundClassification] = None
+    congruences: tuple = ()
+    coset_period: int = 1
     branches: int = 0
+    conjunctive: bool = False
 
     def report(self, index: int, count_var: str, nodes: int) -> ComponentReport:
         """The report of this component, built with ``nodes`` nodes."""
         if self.solution is None:
             return ComponentReport(index=index, case=self.case, count_var=count_var, nodes=nodes)
-        bc, denom, p = self.bounds, self.solution.denom, self.solution.size
+        bc = self.bounds
         one_based = lambda rows: tuple(i + 1 for i in rows)
         return ComponentReport(
             index=index,
             case=self.case,
             count_var=count_var,
             nodes=nodes,
-            denom=denom,
+            denom=self.solution.denom,
             multiplier=bc.multiplier,
             selected_rows=one_based(self.free_rows + (self.component.dimension - 1,)),
             dropped_rows=one_based(self.dropped_rows),
             upper_rows=one_based(bc.upper_rows),
             lower_rows=one_based(bc.lower_rows),
             sign_rows=one_based(bc.sign_rows),
-            residue_cases=denom**p,
-            feasible_cases=denom ** (p - 1),
+            coset_period=self.coset_period,
             branches=self.branches,
         )
 
@@ -524,26 +452,19 @@ def _conj_nodes(atom_nodes: Sequence[int]) -> int:
     return sum(atom_nodes) + (len(atom_nodes) >= 2)
 
 
-def _progression_nodes(step: int, lo: Term, hi: Term) -> int:
-    """Size of :func:`progression_count_formula` with step ``step``."""
-    ends, gap = 2 * (len(lo.coeffs) + len(hi.coeffs)), len((hi - lo).coeffs)
-    return 9 + ends + gap if step == 1 else 8 + ends + step * (6 + len(lo.coeffs) + 2 * gap)
-
-
 def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> ComponentPlan:
     """Decide how ``component`` is eliminated, its coordinates named ``names``.
 
     A component is single-witness when it has no periods or some full-rank
     row subsystem avoids the counted (last) row.  Otherwise its core is the
     least row basis of the other rows plus the counted row, planned with the
-    core's Cramer data and bound classification.
+    core's Cramer data, bound classification and congruences.
 
-    The estimate counts the output atom by atom from the row terms.  It is
-    exact for a single-witness component and, over Z, for a core without
-    dropped rows (each dropped-row relation counts all p-1 free names); over
-    N it is an upper bound.  A one-sided core costs ``1 + guard`` per
-    feasible residue case (``denom**(p-1)`` of them), a two-sided core a
-    binder, a guard and a progression formula per case and branch.
+    The estimate counts the output atom by atom from the row terms, in
+    closed form: nothing in it grows with D.  It is exact for a
+    single-witness component and, over Z, for a core without dropped rows
+    (each dropped-row relation counts all p-1 free names); over N it is an
+    upper bound (normalising a guard atom can merge its two sides).
     """
     if not check_simple(component):
         raise UnsupportedPresentationError(
@@ -568,32 +489,46 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
     )
     bc = classify_bounds(solution, [names[i] for i in free_rows])
     dropped = tuple(j for j in range(n - 1) if j not in free_rows)
-    cases = solution.denom ** (p - 1)
-    # A case's guard: p-1 congruences (none when D is 1) and the sign atoms.
-    case_atoms = [2] * (p - 1) if solution.denom > 1 else []
-    case_atoms += [_atom_nodes(bc.row_terms[i]) for i in bc.sign_rows]
+    denom = solution.denom
+    congruences = tuple(_congruence_rows(solution))
+    period = lcm(*(denom // gcd(denom, coeffs[-1]) for coeffs, _ in congruences))
+    congs = [1 + sum(1 for c in coeffs if c) for coeffs, _ in congruences]
+    signs = [_atom_nodes(bc.row_terms[i]) for i in bc.sign_rows]
     branches = 0
     if not bc.upper_rows or not bc.lower_rows:
-        # "!guard" per case and "0 = y"; false when the guard is empty.
-        estimate = cases * (1 + _conj_nodes(case_atoms)) + 3 if case_atoms else 1
+        # "!(signs & E t . 0 <= t & t < D' & congruences) & 0 = y", without
+        # the binder when D' is 1; false when nothing is negated.
+        negated = signs + (congs if period == 1 else [6 + sum(congs)])
+        estimate = 4 + _conj_nodes(negated) if negated else 1
+        conjunctive = True
     else:
-        step, bound = bc.multiplier * solution.denom, bc.bound_term
-        estimate = 3  # the conjunction and "u_1 + ... = y" but its summands
+        step, bound = bc.multiplier * period, bc.bound_term
+        estimate = 0
         for sigma in itertools.permutations(bc.upper_rows):
             for tau in itertools.permutations(bc.lower_rows):
-                # Per case: the binder, "0 <= u", u's summand, the progression
-                # formula and "(guard & delta) | (!guard & u = 0)" around it.
                 pairs = [*zip(sigma, sigma[1:]), *zip(tau, tau[1:])]
-                guard = case_atoms + [_atom_nodes(bound(a), bound(b)) for a, b in pairs]
-                part = 4 + _progression_nodes(step, bound(tau[0]), bound(sigma[0]))
-                estimate += cases * (part + (6 + sum(guard) + _conj_nodes(guard) if guard else 0))
+                guard = signs + [_atom_nodes(bound(a), bound(b)) for a, b in pairs]
+                # "lo <= m*t & m*t < lo + m*D'" and the congruences
+                window = 4 + 2 * len(bound(tau[0]).coeffs) + sum(congs)
+                hi = len(bound(sigma[0]).coeffs)
+                count = 12 + 3 * hi if step == 1 else 15 + 4 * hi
+                # "(guard & window(t0) & count) | ((!guard | !E t1 . window(t1)) & u = 0)"
+                missing = (2 + _conj_nodes(guard) if guard else 0) + 3 + window
+                estimate += sum(guard) + window + count + 5 + missing
                 branches += 1
+        # One branch counts into the component's count and binds t0 only;
+        # several bind u and t0 each and add "u_1 + ... = y" to their
+        # conjunction.
+        estimate += 1 if branches == 1 else 3 * branches + 3
+        conjunctive = branches > 1
     if dropped:
         # "(relations & body) | (!relations & y = 0)", each relation an
         # equation over at most one dropped and p-1 free coordinates.
-        estimate += 2 * len(dropped) * (p + 1) + (len(dropped) >= 2) + 5
+        estimate += 2 * len(dropped) * (p + 1) + (len(dropped) >= 2) + 6 - conjunctive
+        conjunctive = False
     return ComponentPlan(
-        component, "interval-count", estimate, tuple(free_rows), dropped, solution, bc, branches
+        component, "interval-count", estimate, tuple(free_rows), dropped, solution, bc,
+        congruences, period, branches, conjunctive,
     )
 
 
@@ -677,14 +612,9 @@ def _dropped_row_relation(
     assert combo is not None, "dropped row must lie in the selected row span"
     den = lcm(1, *(c.denominator for c in combo))
     weights = [int(c * den) for c in combo]
-    lhs = den * variable(names[dropped])
-    rhs_const = den * base[dropped] - sum(
-        w * base[s] for w, s in zip(weights, selected)
-    )
-    rhs_term = Term(rhs_const)
-    for w, s in zip(weights, selected):
-        rhs_term = rhs_term + w * variable(names[s])
-    return Eq(lhs, rhs_term)
+    rhs_const = den * base[dropped] - sum(w * base[s] for w, s in zip(weights, selected))
+    rhs = Term(rhs_const, {names[s]: w for w, s in zip(weights, selected)})
+    return Eq(den * variable(names[dropped]), rhs)
 
 
 def _case_interval(
@@ -696,68 +626,70 @@ def _case_interval(
     """The square-core construction for a component whose every full-rank
     row subsystem uses the counted row: its binders and its body.
 
-    A two-sided core binds one count ``u`` per feasible case and branch, the
-    progression count where the guard holds and 0 elsewhere, with ``sum u =
-    count_var``.  A one-sided core binds nothing: ``!guard`` per feasible
-    case and ``0 = count_var``.
+    A two-sided core binds per branch its first witness ``t0`` and, when
+    there are several branches, its count ``u`` with ``sum u = count_var``;
+    each branch's zero case reads ``!E t1`` over the same window.  A
+    one-sided core adds no binder to the prefix: its body is ``!(signs & E
+    t . 0 <= t < D' & congruences) & 0 = count_var``.
     """
     presentation, solution, bc = plan.component, plan.solution, plan.bounds
     matrix = presentation.period_matrix()
-    p = matrix.cols
-    nat = presentation.domain is DomainTag.N
-    relations = conj(
-        [
-            _dropped_row_relation(matrix, presentation.base, names, plan.free_rows, j)
-            for j in plan.dropped_rows
-        ]
+    piece = normalize_for_nat if presentation.domain is DomainTag.N else lambda f: f
+    relations = piece(
+        conj(
+            [
+                _dropped_row_relation(matrix, presentation.base, names, plan.free_rows, j)
+                for j in plan.dropped_rows
+            ]
+        )
     )
-    denom = solution.denom
     free_names = [names[i] for i in plan.free_rows]
-    if nat:
+    if presentation.domain is DomainTag.N:
         # Nonnegative periods make an all-nonpositive counted column of the
         # inverse impossible, so lower bounds always exist over the naturals.
         assert bc.lower_rows, "natural-domain core without lower bounds"
+    period = plan.coset_period
 
-    feasible = feasible_residue_cases(solution)
-    # Soundness check on the enumerator: denom**(p-1) integrality tests
-    # instead of the denom**p a filter over all cases would make.
-    assert len(feasible) == denom ** (p - 1), "feasible residue cases miscounted"
-    assert all(residue_case_feasible(solution, case) for case in feasible), (
-        "enumerated residue case is not integral"
-    )
-    sign_atoms = [Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]
-    prefix: list[str] = []
-    parts: list[Formula] = []
-    for case in feasible:
-        congruences = [Cong(variable(x), r, denom) for x, r in zip(free_names, case.free_residues)]
-        case_guard = conj((congruences if denom > 1 else []) + sign_atoms)
-        if not bc.upper_rows or not bc.lower_rows:
-            # One bound family is empty: wherever the guard holds the witness
-            # set is infinite, so no count value may satisfy it; elsewhere the
-            # case is empty and adds nothing to the sum.
-            parts.append(negate(case_guard))
-            continue
-        for branch in build_permutation_branches(bc, namer=lambda: fresh.fresh("u")):
-            guard = conj([case_guard, branch.guard])
-            delta = progression_count_formula(
-                bc.multiplier,
-                case.counted_residue,
-                denom,
-                branch.tightest_lower,
-                branch.tightest_upper,
-                branch.count_var,
-            )
-            zero = Eq(variable(branch.count_var), constant(0))
-            parts.append(disj([conj([guard, delta]), conj([negate(guard), zero])]))
-            prefix.append(branch.count_var)
+    def congruences(witness: Term) -> list:
+        return _congruences(plan.congruences, solution.denom, free_names, witness)
+
+    def window(witness: str, lo: Term, scale: int) -> Formula:
+        # The congruences' coset has one member in it, or none.
+        t = variable(witness)
+        return piece(conj([Le(lo, scale * t), Lt(scale * t, lo + scale * period)] + congruences(t)))
+
+    def has_witness(lo: Term, scale: int) -> Formula:
+        t = fresh.fresh("t")
+        return Exists(t, window(t, lo, scale))
+
+    signs = [Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]
     y = variable(count_var)
-    nonneg = [Le(constant(0), variable(v)) for v in prefix]
-    body = conj(nonneg + parts + [Eq(Term(0, dict.fromkeys(prefix, 1)), y)])
+    prefix: list[str] = []
+    if not bc.upper_rows or not bc.lower_rows:
+        # One bound family is empty: wherever the sign atoms hold and the
+        # congruences have a solution the witness set is infinite, so no
+        # count value may satisfy it; elsewhere it is empty.
+        # When D' is 1 no congruence reads the counted value: no binder.
+        solvable = conj(congruences(constant(0))) if period == 1 else has_witness(constant(0), 1)
+        body = conj([negate(conj([piece(conj(signs)), solvable])), Eq(constant(0), y)])
+    else:
+        m = bc.multiplier
+        namer = (lambda: count_var) if plan.branches == 1 else (lambda: fresh.fresh("u"))
+        parts, branches = [], build_permutation_branches(bc, namer=namer)
+        for branch in branches:
+            t0, u = fresh.fresh("t"), branch.count_var
+            guard = piece(conj(signs + [branch.guard]))
+            lo, hi = branch.tightest_lower, branch.tightest_upper
+            count = piece(progression_count_formula(m * variable(t0), hi, m * period, u))
+            found = conj([guard, window(t0, lo, m), count])
+            missing = disj([negate(guard), negate(has_witness(lo, m))])
+            parts.append(disj([found, conj([missing, Eq(variable(u), constant(0))])]))
+            prefix += [t0] if plan.branches == 1 else [t0, u]
+        if plan.branches > 1:
+            parts.append(Eq(Term(0, {b.count_var: 1 for b in branches}), y))
+        body = conj(parts)
     if not isinstance(relations, fm.TrueF):
         body = disj([conj([relations, body]), conj([negate(relations), Eq(y, constant(0))])])
-    if nat:
-        # Each counted value is a point of the component, so >= 0: no clamp.
-        body = normalize_for_nat(body)
     return prefix, body
 
 
@@ -836,5 +768,4 @@ def estimate_result_nodes(presentation: Union[SemilinearPresentation, Eliminatio
         return k + 1
     # k count binders, "0 <= y_i" for each, "y_1 + ... + y_k = y" and the
     # conjunction of it all, into which a conjunctive body merges.
-    conjunctions = sum(1 for c in plan.components if c.solution is not None and not c.dropped_rows)
-    return total + 4 * k + 3 - conjunctions
+    return total + 4 * k + 3 - sum(c.conjunctive for c in plan.components)

@@ -21,9 +21,14 @@ planned, tracking which chain names are still undefined:
   name, trying the values that satisfy that conjunct alone (a disjunct
   that does not mention the name offers 0), once no check or definition
   applies.  Within the conjunct, a conjunction offers the value an equation
-  pins, else the values of a disjunction, else the one integer its order
-  atoms leave: a *floor pair* such as ``s*u <= X + s`` and ``X < s*u``
-  bounds ``u`` above and below and pins ``u = floor(X/s) + 1``;
+  pins, else the value its window leaves (below), else the values of a
+  disjunction;
+* *window* a name that the order atoms reading no other undefined name
+  bound on both sides, once no choice applies: its value is the one integer
+  of that range in the coset its congruence atoms leave, merged by the
+  Chinese remainder theorem.  A *floor pair* ``s*u <= X + s`` and ``X <
+  s*u`` pins ``u = floor(X/s) + 1``, a first witness ``L <= m*t < L + m*D'``
+  the one member of a coset of period D', or none;
 * *split* on a disjunction that reads several undefined names, planning
   each disjunct together with the remaining conjuncts when first reached;
 * *solve* the remaining equations jointly with
@@ -39,9 +44,9 @@ not once per tested count.
 
 :class:`PinnedEvaluationError` is raised when evaluation reaches a chain
 whose remaining conjuncts no step applies to, an underdetermined system of
-equations, a conjunction with no equation or disjunction mentioning its
-name whose order atoms bound it on one side only or leave it more than one
-integer, or a ``Forall`` or ``CountEq``.
+equations, a window that leaves more than one integer, a conjunction with
+no equation or disjunction mentioning its name whose order atoms bound it
+on one side only, or a ``Forall`` or ``CountEq``.
 
 The trial runner drives both routes over seeded random assignments and
 reports agreement; the command-line ``check`` command and the acceptance
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 from typing import Mapping, Optional, Sequence, Union
 
 from . import formula as fm
@@ -59,6 +65,7 @@ from .elim import EliminationPlan, EliminationResult, eliminate, plan_eliminatio
 from .errors import CountQEError, DegenerateInputError, ParameterError, UnboundVariableError
 from .formula import (
     And,
+    Cong,
     CountEq,
     Eq,
     Exists,
@@ -86,8 +93,18 @@ class PinnedEvaluationError(CountQEError):
 
 # --- pinned evaluation ----------------------------------------------------------
 
-_CHECK, _DEFINE, _CHOOSE, _SPLIT, _SOLVE, _STUCK = range(6)
+_CHECK, _DEFINE, _CHOOSE, _WINDOW, _SPLIT, _SOLVE, _STUCK = range(7)
 _UNSET = object()
+
+
+def _congruence_coset(coeff: int, rhs: int, modulus: int):
+    """The solutions of ``coeff*k = rhs (mod modulus)`` as ``(k0, step)``,
+    the coset k0 + step*Z with 0 <= k0 < step; None when there are none."""
+    g = gcd(coeff, modulus)
+    if rhs % g:
+        return None
+    step = modulus // g
+    return rhs // g * pow(coeff // g, -1, step) % step, step
 
 
 class PinnedProgram:
@@ -242,6 +259,11 @@ class PinnedProgram:
                     env[step[1]] = values[0]
                     if len(values) > 1:
                         choices.append((i, step[1], iter(values[1:])))
+            elif kind == _WINDOW:
+                values = self._window(step[2], step[1], env)
+                ok = bool(values) and (values[0] >= 0 or not nat)
+                if ok:
+                    env[step[1]] = values[0]
             elif kind == _SPLIT:
                 if self._split(step, env):
                     return True
@@ -279,7 +301,7 @@ class PinnedProgram:
         """The values of ``name`` that satisfy ``g`` alone, the other names
         fixed by ``env``; a disjunct that does not mention the name stands
         for any value, and contributes 0.  A conjunction takes its values
-        from an equation, else a disjunction, else its order atoms."""
+        from an equation, else its window, else a disjunction."""
         if not self._masks[id(g)] & bit:
             return {0} if self._eval(g, env) else set()
         tg = type(g)
@@ -299,12 +321,15 @@ class PinnedProgram:
                 elif not self._eval(p, env):
                     return set()
             pin = next((p for p in mentioning if type(p) is Eq), None)
-            if pin is None:
-                pin = next((p for p in mentioning if type(p) is Or), None)
             if pin is not None:
                 values = self._candidates(pin, name, bit, env)
             else:
                 values = self._window(mentioning, name, env)
+                if values is None:
+                    pin = next((p for p in mentioning if type(p) is Or), None)
+                    if pin is None:
+                        raise PinnedEvaluationError(f"no equation, window or disjunction pins {name!r}")
+                    values = self._candidates(pin, name, bit, env)
             out = set()
             for value in values:
                 env[name] = value
@@ -313,20 +338,29 @@ class PinnedProgram:
             return out
         raise PinnedEvaluationError(f"no equation pins {name!r} in {tg.__name__}")
 
-    def _window(self, parts: list, name: str, env: dict) -> set:
-        """The value of ``name`` that the order atoms among ``parts`` leave
-        (a floor pair such as ``s*u <= X + s`` and ``X < s*u``), or none;
-        raises unless they bound it on both sides to at most one integer."""
+    def _window(self, parts: list, name: str, env: dict) -> Optional[list]:
+        """The value of ``name`` that the order atoms among ``parts`` leave in
+        the coset of its congruence atoms among them, or none; None when the
+        order atoms do not bound it on both sides.  Raises when the window
+        holds more than one value."""
         lo = hi = None
+        start, step = 0, 1  # name = start (mod step)
         for p in parts:
             tp = type(p)
-            if tp is not Le and tp is not Lt:
+            if tp is not Le and tp is not Lt and tp is not Cong:
                 continue
             pin = self._pin(p, name)
             if pin is None:
                 continue
-            # coef*name + rest <= 0, or < 0, that is <= -1
+            # coef*name + rest <= 0 (< 0, that is <= -1), or = residue (mod modulus)
             coef, rest = pin
+            if tp is Cong:
+                if step:
+                    # start + step*k solves it when coef*step*k = rhs (mod modulus)
+                    rhs = p.residue - rest.evaluate(env) - coef * start
+                    coset = _congruence_coset(coef * step, rhs, p.modulus)
+                    start, step = (start + step * coset[0], step * coset[1]) if coset else (0, 0)
+                continue
             bound = -rest.evaluate(env) - (tp is Lt)
             if coef > 0:
                 top = bound // coef
@@ -335,17 +369,21 @@ class PinnedProgram:
                 bottom = -(bound // -coef)
                 lo = bottom if lo is None else max(lo, bottom)
         if lo is None or hi is None:
-            raise PinnedEvaluationError(f"no equation or floor pair pins {name!r}")
-        if hi > lo:
-            raise PinnedEvaluationError(f"order atoms leave {name!r} more than one value")
-        return {lo} if lo == hi else set()
+            return None
+        if not step:  # the congruences have no common solution
+            return []
+        value = lo + (start - lo) % step
+        if value + step <= hi:
+            raise PinnedEvaluationError(f"the window leaves {name!r} more than one value")
+        return [value] if value <= hi else []
 
     def _pin(self, atom: Formula, name: str) -> tuple:
-        """``atom`` (a comparison) solved for ``name``: its coefficient and
-        the rest of the term ``lhs - rhs``."""
+        """``atom`` (a comparison or congruence) solved for ``name``: its
+        coefficient and the rest of the term ``lhs - rhs`` (of a congruence,
+        its term)."""
         key = (id(atom), name)
         if key not in self._pins:
-            combined = atom.lhs - atom.rhs
+            combined = atom.term if type(atom) is Cong else atom.lhs - atom.rhs
             rest = {other: c for other, c in combined.coeffs.items() if other != name}
             coef = combined.coeffs.get(name)  # None when the name cancels out
             self._pins[key] = None if coef is None else (coef, Term(combined.constant, rest))
@@ -403,7 +441,8 @@ class PinnedProgram:
     def _plan(self, parts: list, undefined: int) -> list:
         """Steps deciding the conjunction of ``parts`` whose ``undefined``
         names are bound by the chain being planned.  Checks and definitions
-        come first; choices are taken only when neither applies."""
+        come first; choices are taken only when neither applies, and a
+        window only when no choice does."""
         masks = self._masks
         steps: list = []
         pending = parts
@@ -432,6 +471,13 @@ class PinnedProgram:
             if progress or not choosing:
                 choosing = not progress
                 continue
+            window = self._window_step(pending, undefined)
+            if window is not None:
+                steps.append(window)
+                pending = [g for g in pending if all(g is not w for w in window[2])]
+                undefined &= ~self._bits[window[1]]
+                choosing = False
+                continue
             split = next((g for g in pending if type(g) is Or), None)
             if split is not None:
                 others = [g for g in pending if g is not split]
@@ -458,6 +504,23 @@ class PinnedProgram:
             pending = [g for g in pending if type(g) is not Eq]
             choosing = False
         return steps
+
+
+    def _window_step(self, pending: list, undefined: int) -> Optional[tuple]:
+        """A window step for the first name that the order atoms among
+        ``pending`` reading no other undefined name bound on both sides,
+        taking those atoms and the congruences on that name alone."""
+        masks, sides = self._masks, {}
+        for g in pending:
+            m = masks[id(g)] & undefined
+            if type(g) in (Le, Lt) and m and not m & (m - 1):
+                pin = self._pin(g, self._by_bit[m.bit_length() - 1])
+                sides.setdefault(m, set()).add(pin and pin[0] > 0)
+        bit = next((m for m, signs in sides.items() if signs >= {True, False}), None)
+        if bit is None:
+            return None
+        atoms = [g for g in pending if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit]
+        return (_WINDOW, self._by_bit[bit.bit_length() - 1], atoms)
 
 
 def evaluate_pinned(

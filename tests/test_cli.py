@@ -155,17 +155,18 @@ class TestEliminateCommand:
         assert "case=interval-count" in out
         assert "D=2" in out
         assert "m=6" in out
-        assert "feasible=4" in out
+        assert "coset-period=2 branches=2 " in out
 
     @pytest.mark.parametrize("denom", [100, 400, 1200])
     def test_half_line_without_budget_warning(self, capsys, tmp_path, denom):
         code, out, err = run(capsys, "eliminate", half_line(tmp_path, denom), "--report")
         assert (code, err) == (0, "")
-        assert f"residue-cases={denom**2} feasible={denom} " in out
+        # One coset witness, whatever the denominator: 16 nodes.
+        assert f"coset-period={denom} branches=0 count-var=y nodes=16\n" in out
 
     def test_d8_m2_without_budget_warning(self, capsys, tmp_path):
-        # A two-sided core with D = 8 and step 16: its 64 feasible cases are
-        # estimated, not all 512 residue cases.
+        # A two-sided core with D = 8 and m = 2: one branch, whose first
+        # witness has coset period 8.
         path = tmp_path / "d8_m2.sl"
         path.write_text(
             "domain Z\ndim 3\ndisjoint\nsimple\ncomponent\nbase 2 3 0\n"
@@ -174,7 +175,7 @@ class TestEliminateCommand:
         )
         code, out, err = run(capsys, "eliminate", str(path), "--report")
         assert (code, err) == (0, "")
-        assert "residue-cases=512 feasible=64 " in out
+        assert "coset-period=8 branches=1 " in out
 
     def test_singleton_report(self, capsys):
         code, out, _ = run(capsys, "eliminate", fixture("singleton.sl"), "--report")
@@ -299,17 +300,16 @@ class TestCheckCommand:
         assert "not an identifier" in err
 
     def test_half_line_1200(self, capsys, tmp_path):
-        # A 1,200-binder prefix: the pinned plan defines each case variable
-        # in one loop.
+        # A coset witness of period 1,200: one window step decides it.
         code, out, err = run(capsys, "check", half_line(tmp_path, 1200), "--trials", "2")
         assert (code, err) == (0, "")
         assert "summary: trials=2 mismatches=0 " in out
 
     def test_vacuous_case_binders(self, capsys, tmp_path):
-        # One-sided core with D = 32, 1,024 feasible cases and dropped row 3
-        # (x3 = -2).  The cases once bound a variable each, which no conjunct
-        # read where that relation fails; deciding them crashed with
-        # RecursionError.
+        # One-sided core with D = 32 (coset period 16) and dropped row 3
+        # (x3 = -2).  Its 1,024 residue cases once bound a variable each,
+        # which no conjunct read where that relation fails; deciding them
+        # crashed with RecursionError.
         path = tmp_path / "d32.sl"
         path.write_text(
             "domain Z\ndim 4\ndisjoint\nsimple\ncomponent\nbase -2 0 -2 3\n"

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -7,12 +9,10 @@ from countqe.elim import (
     BoundClassification,
     ResidueCase,
     build_permutation_branches,
-    build_residue_cases,
     classify_bounds,
     count_in_progression,
     eliminate,
     estimate_result_nodes,
-    feasible_residue_cases,
     is_subtraction_free,
     normalize_for_nat,
     plan_elimination,
@@ -38,6 +38,7 @@ from countqe.formula import (
 )
 from countqe import elim, sets
 from countqe.linalg import IntMatrix, cramer_solve, determinant
+from countqe.verify import PinnedProgram
 from countqe.sets import (
     DomainTag,
     LinearSetPresentation,
@@ -103,105 +104,73 @@ class TestCountInProgression:
             count_in_progression(0, 1, 0, 0)
 
 
-def _enum_count_int(m, a, d, lo, hi):
-    return sum(1 for x in range(-45, 46) if lo <= m * x <= hi and x % d == a)
-
-
-def _enum_count_nat(m, a, d, y1, y2, z1, z2):
-    return sum(
-        1
-        for x in range(0, 46)
-        if y1 <= m * x + y2 and z1 + m * x <= z2 and x % d == a
-    )
+def _progression_count(first, hi, step):
+    return sum(1 for t in range(first, hi + 1, step))
 
 
 class TestProgressionCountFormula:
-    def _check(self, m, a, d, lo_v, hi_v):
-        f = progression_count_formula(m, a, d, variable("lo"), variable("hi"), "u")
-        expected = _enum_count_int(m, a, d, lo_v, hi_v)
-        asg = {"lo": lo_v, "hi": hi_v}
+    def _check(self, first, hi, step):
+        f = progression_count_formula(variable("lo"), variable("hi"), step, "u")
+        expected = count_in_progression(first, hi, first, step)
+        assert expected == _progression_count(first, hi, step)
+        asg = {"lo": first, "hi": hi}
         assert evaluate(f, asg | {"u": expected}) is True
         for wrong in (expected - 1, expected + 1, expected + 5):
-            if wrong != expected:
-                assert evaluate(f, asg | {"u": wrong}) is False
+            assert evaluate(f, asg | {"u": wrong}) is False
 
     def test_even_example(self):
-        # numbers x with 0 <= 2x <= 24 and x = 0 (mod 6): {0, 6, 12}
-        self._check(2, 0, 6, 0, 24)
+        # 0, 12 and 24 are at most 24
+        self._check(0, 24, 12)
 
     def test_empty_interval(self):
-        self._check(3, 1, 4, 10, 3)
+        self._check(10, 3, 4)
 
     def test_unit_parameters(self):
         # all integers with 0 <= x <= 9
-        self._check(1, 0, 1, 0, 9)
+        self._check(0, 9, 1)
 
     def test_randomised_against_enumeration(self):
         rng = random.Random(37)
         for _ in range(400):
-            m = rng.randint(1, 3)
-            d = rng.randint(1, 4)
-            a = rng.randrange(d)
-            self._check(m, a, d, rng.randint(-25, 25), rng.randint(-25, 25))
+            self._check(rng.randint(-25, 25), rng.randint(-25, 25), rng.randint(1, 12))
 
     def test_no_quantifiers_and_parameter_errors(self):
-        f = progression_count_formula(2, 1, 3, variable("lo"), variable("hi"), "u")
+        f = progression_count_formula(variable("lo"), variable("hi"), 6, "u")
         assert contains_counting(f) is False
         assert free_vars(f) == {"lo", "hi", "u"}
         with pytest.raises(ParameterError):
-            progression_count_formula(2, 3, 3, variable("lo"), variable("hi"), "u")
-        with pytest.raises(ParameterError):
-            progression_count_formula(0, 0, 1, variable("lo"), variable("hi"), "u")
+            progression_count_formula(variable("lo"), variable("hi"), 0, "u")
 
 
 class TestProgressionCountFormulaNat:
-    def _check(self, m, a, d, y1, y2, z1, z2):
-        f = progression_count_formula_nat(
-            m,
-            a,
-            d,
-            variable("y1"),
-            variable("y2"),
-            variable("z1"),
-            variable("z2"),
-            "u",
-        )
-        expected = _enum_count_nat(m, a, d, y1, y2, z1, z2)
-        asg = {"y1": y1, "y2": y2, "z1": z1, "z2": z2}
+    """The count from ``first = a - b`` to ``hi = c - d``, normalised."""
+
+    def _check(self, step, a, b, c, d):
+        first, hi = variable("a") - variable("b"), variable("c") - variable("d")
+        f = progression_count_formula_nat(first, hi, step, "u")
+        expected = _progression_count(a - b, c - d, step)
+        asg = {"a": a, "b": b, "c": c, "d": d}
         assert evaluate(f, asg | {"u": expected}, domain="N") is True
         for wrong in (expected + 1, expected + 3):
             assert evaluate(f, asg | {"u": wrong}, domain="N") is False
 
     def test_even_example(self):
-        self._check(2, 0, 6, 0, 0, 0, 24)
+        self._check(12, 0, 0, 24, 0)
 
     def test_upper_empty(self):
-        self._check(1, 0, 2, 0, 0, 9, 3)
+        self._check(2, 0, 0, 3, 9)
 
     def test_interval_empty_after_shift(self):
-        self._check(1, 0, 1, 10, 0, 0, 4)
+        self._check(1, 10, 0, 4, 0)
 
     def test_subtraction_free(self):
-        f = progression_count_formula_nat(
-            2, 1, 3, variable("y1"), variable("y2"), variable("z1"), variable("z2"), "u"
-        )
+        f = progression_count_formula_nat(variable("a") - variable("b"), variable("c") - 3, 6, "u")
         assert is_subtraction_free(f) is True
 
     def test_randomised_against_enumeration(self):
         rng = random.Random(41)
         for _ in range(400):
-            m = rng.randint(1, 3)
-            d = rng.randint(1, 4)
-            a = rng.randrange(d)
-            self._check(
-                m,
-                a,
-                d,
-                rng.randint(0, 25),
-                rng.randint(0, 25),
-                rng.randint(0, 25),
-                rng.randint(0, 25),
-            )
+            self._check(rng.randint(1, 12), *(rng.randint(0, 25) for _ in range(4)))
 
 
 class TestClassifyBounds:
@@ -233,26 +202,12 @@ class TestClassifyBounds:
 
 
 class TestResidueCases:
-    def test_counts(self):
-        assert len(build_residue_cases(1, 3)) == 1
-        assert len(build_residue_cases(2, 2)) == 4
-        assert len(build_residue_cases(2, 1)) == 2
-
-    def test_lexicographic(self):
-        cases = build_residue_cases(2, 2)
-        assert cases == [
-            ResidueCase((0,), 0),
-            ResidueCase((0,), 1),
-            ResidueCase((1,), 0),
-            ResidueCase((1,), 1),
-        ]
-
     def test_worked_example_feasibility(self):
         assert residue_case_feasible(CORE_SOLUTION, ResidueCase((0, 0), 0)) is True
         assert residue_case_feasible(CORE_SOLUTION, ResidueCase((1, 0), 0)) is False
         feasible = [
             case
-            for case in build_residue_cases(2, 3)
+            for case in _all_residue_cases(2, 3)
             if residue_case_feasible(CORE_SOLUTION, case)
         ]
         # Exactly the residue classes with x1 + x3 + x4 even.
@@ -267,23 +222,45 @@ class TestResidueCases:
         assert residue_case_feasible(sol, ResidueCase((), 0)) is True
 
 
-def _filtered_cases(solution):
+def _all_residue_cases(denom, size):
     return [
-        case
-        for case in build_residue_cases(solution.denom, solution.size)
-        if residue_case_feasible(solution, case)
+        ResidueCase(free_residues=f, counted_residue=a)
+        for f in itertools.product(range(denom), repeat=size - 1)
+        for a in range(denom)
     ]
 
 
-class TestFeasibleResidueCases:
-    def test_worked_example(self):
-        assert feasible_residue_cases(CORE_SOLUTION) == _filtered_cases(CORE_SOLUTION)
-        assert len(feasible_residue_cases(CORE_SOLUTION)) == 4
+class TestFirstWitnessWindow:
+    """The congruences of a core leave the counted value one coset of the
+    coset period D', so each window of D' consecutive values holds exactly
+    the one value that :func:`residue_case_feasible` accepts, or none."""
 
-    def test_matches_filter_on_random_cores(self):
-        # The enumerator against the reference filter, order included.
+    @staticmethod
+    def _window_values(solution, free, lo, scale):
+        rows = elim._congruence_rows(solution)
+        period = lcm(*(solution.denom // gcd(solution.denom, c[-1]) for c, _ in rows))
+        names = [f"x{j}" for j in range(len(free))]
+        atoms = elim._congruences(rows, solution.denom, names, variable("t"))
+        window = conj([Le(constant(lo), scale * variable("t")), Lt(scale * variable("t"), constant(lo + scale * period))] + atoms)
+        asg = dict(zip(names, free))
+        span = range(-((-lo) // scale), -((-lo) // scale) + period)
+        holds = [t for t in span if evaluate(window, asg | {"t": t})]
+        d = solution.denom
+        feasible = [
+            t
+            for t in span
+            if residue_case_feasible(solution, ResidueCase(tuple(v % d for v in free), t % d))
+        ]
+        return holds, feasible, period, window, asg
+
+    def test_worked_example(self):
+        # D = 2 and every row reads the counted value: D' = 2
+        holds, feasible, period, _, _ = self._window_values(CORE_SOLUTION, (1, 0), -3, 6)
+        assert period == 2 and holds == feasible and len(holds) == 1
+
+    def test_matches_residue_cases_on_random_cores(self):
         rng = random.Random(2024)
-        seen = dict(negative=0, unit=0, zero_lambda=0, offset=0)
+        seen = dict(negative=0, unit=0, zero_lambda=0, offset=0, empty=0, pinned=0)
         sizes = set()
         for _ in range(2500):
             p = rng.randint(1, 4)
@@ -292,35 +269,26 @@ class TestFeasibleResidueCases:
             if det == 0 or abs(det) ** p > 2_000:
                 continue
             solution = cramer_solve(m, [rng.randint(-5, 5) for _ in range(p)])
-            got = feasible_residue_cases(solution)
-            assert got == _filtered_cases(solution)
-            assert len(got) == solution.denom ** (p - 1)
+            free = [rng.randint(-20, 20) for _ in range(p - 1)]
+            lo, scale = rng.randint(-30, 30), rng.randint(1, 4)
+            holds, feasible, _, window, asg = self._window_values(solution, free, lo, scale)
+            assert holds == feasible and len(holds) <= 1, (solution, free, lo, scale)
+            # The pinned evaluator decides the window binder by the same value.
+            found = PinnedProgram(Exists("t", window)).evaluate(asg)
+            assert found is bool(holds)
             sizes.add(p)
             seen["negative"] += det < 0
             seen["unit"] += solution.denom == 1
             seen["zero_lambda"] += any(row[p - 1] == 0 for row in solution.matrix)
             seen["offset"] += solution.denom > 1 and any(g % solution.denom for g in solution.offset)
+            seen["empty"] += not holds
+            seen["pinned"] += bool(holds) and solution.denom > 1
         assert sizes == {1, 2, 3, 4}
         assert min(seen.values()) >= 50, seen
 
-    def test_half_line_is_one_case_per_free_residue(self):
-        solution = cramer_solve(IntMatrix.from_rows([(1, 0), (1, 60)]), (0, 0))
-        cases = feasible_residue_cases(solution)
-        assert [c.free_residues for c in cases] == [(f,) for f in range(60)]
-        assert cases == _filtered_cases(solution)
-
-    def test_elimination_tests_only_the_emitted_cases(self, monkeypatch):
-        calls = []
-        checked = elim.residue_case_feasible
-
-        def counting(solution, case):
-            calls.append(case)
-            return checked(solution, case)
-
-        monkeypatch.setattr(elim, "residue_case_feasible", counting)
-        rep = eliminate(half_line(400), "y").report.components[0]
-        assert (rep.residue_cases, rep.feasible_cases) == (160_000, 400)
-        assert len(calls) == 400
+    def test_half_line_period_is_the_denominator(self):
+        plan = elim.plan_component(half_line(60).components[0], coordinate_names(2))
+        assert (plan.solution.denom, plan.coset_period, plan.branches) == (60, 60, 0)
 
 
 class TestPermutationBranches:
@@ -422,8 +390,7 @@ class TestEliminateSimpleStructure:
         assert rep.upper_rows == (2, 3)
         assert rep.lower_rows == (1,)
         assert rep.sign_rows == ()
-        assert rep.residue_cases == 8
-        assert rep.feasible_cases == 4
+        assert rep.coset_period == 2
         assert rep.branches == 2
         assert contains_counting(result.formula) is False
         assert free_vars(result.formula) <= {"x1", "x2", "x3", "y"}
@@ -627,7 +594,7 @@ class TestEliminateUnion:
         "components, actual",
         [
             ([((0, 5, 4), ((3, 0, 1), (2, 2, 0)))], 44),
-            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 489),
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 76),
         ],
     )
     def test_estimate_not_below_single_witness_sizes(self, components, actual):
@@ -650,27 +617,35 @@ def _fixture_or_d8_m2(name):
 
 
 class TestBinders:
-    """The only binders are the progression counts of the two-sided cores'
-    branches, plus one part count per component of a union."""
+    """Each branch of a two-sided core binds its first witness t0, and the
+    window witness t1 of its zero case; with several branches each also
+    binds its count.  A one-sided core binds one coset witness when D' > 1,
+    and a union one part count per component."""
 
     @staticmethod
     def _exists_nodes(formula):
         return sum(isinstance(g, Exists) for g in traverse(formula)[0])
 
     @staticmethod
-    def _branch_counts(result):
+    def _binders(result):
         reports = result.report.components
-        parts = len(reports) if len(reports) > 1 else 0
-        return parts + sum(r.feasible_cases * r.branches for r in reports)
+        total = len(reports) if len(reports) > 1 else 0
+        for r in reports:
+            if not r.branches:
+                total += r.coset_period > 1
+            else:
+                # t0, t1 and, with several branches, u
+                total += r.branches * (2 + (r.branches > 1))
+        return total
 
     @pytest.mark.parametrize("name", ["three_periods", "natural", "d8_m2"])
     def test_two_sided_fixtures(self, name):
         result = eliminate(_fixture_or_d8_m2(name), "y")
-        assert self._exists_nodes(result.formula) == self._branch_counts(result) > 0
+        assert self._exists_nodes(result.formula) == self._binders(result) > 0
 
     @pytest.mark.parametrize("denom", [2, 100])
-    def test_half_line_has_none(self, denom):
-        assert self._exists_nodes(eliminate(half_line(denom), "y").formula) == 0
+    def test_half_line_has_one(self, denom):
+        assert self._exists_nodes(eliminate(half_line(denom), "y").formula) == 1
 
     def test_seeded_interval_cores(self):
         rng = random.Random(17)
@@ -682,25 +657,26 @@ class TestBinders:
             reports = result.report.components
             if any(r.case == "single-witness" for r in reports):
                 continue  # E x_n . membership: a witness binder, not a count
-            assert self._exists_nodes(result.formula) == self._branch_counts(result), s
+            assert self._exists_nodes(result.formula) == self._binders(result), s
             for r in reports:
                 seen["two-sided" if r.branches else "one-sided"] += 1
             seen["union"] += len(reports) > 1
 
 
 class TestOutputSize:
-    # Node ceilings: the sizes measured with the lower-endpoint split of the
-    # progression count, rounded up by less than 5 %.  The step**2 split of
-    # both endpoints measured 8,918, 813 and 139,075 nodes here; summing the
-    # branch counts straight into the component's count took the sizes to
-    # 1,406, 237 and 14,787 (TestBinders pins that shape).
+    # Node ceilings: the sizes measured with one first-witness binder per
+    # branch, rounded up by less than 5 %.
     @pytest.mark.parametrize(
-        "name, ceiling", [("three_periods", 1_500), ("natural", 265), ("d8_m2", 15_900)]
+        "name, ceiling", [("three_periods", 150), ("natural", 48), ("d8_m2", 72)]
     )
-    def test_two_sided_cores_stay_linear_in_the_step(self, name, ceiling):
+    def test_two_sided_cores_stay_small(self, name, ceiling):
         s = _fixture_or_d8_m2(name)
         result = eliminate(s, "y")
         (core,) = result.report.components
         assert core.upper_rows and core.lower_rows
         assert result.report.nodes <= ceiling
         assert estimate_result_nodes(s) >= result.report.nodes
+
+    def test_half_line_size_does_not_depend_on_the_denominator(self):
+        sizes = {eliminate(half_line(denom), "y").report.nodes for denom in (100, 400, 1200)}
+        assert len(sizes) == 1

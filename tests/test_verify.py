@@ -86,9 +86,11 @@ def brute_count(presentation, assignment, lo=-200, hi=200):
 # --- the evaluator this module's differential test compares against ----------
 #
 # The search-based evaluator that decided eliminated formulas before
-# PinnedProgram, kept verbatim: formula_count_values folded the assignment
-# in with simplify on every trial, then tried the forced values of each
-# binder in turn and sent atoms-only blocks to solve_unique.
+# PinnedProgram: formula_count_values folded the assignment in with simplify
+# on every trial, then tried the forced values of each binder in turn and
+# sent atoms-only blocks to solve_unique.  For first-witness binders and
+# floor pairs it also tries, one by one, every point of a window that the
+# order atoms of a conjunction bound on both sides; it solves no congruence.
 
 
 def _reference_candidate_values(var: str, f: Formula, env: Mapping[str, int]) -> set:
@@ -105,6 +107,35 @@ def _reference_candidate_values(var: str, f: Formula, env: Mapping[str, int]) ->
             total = combined.constant + sum(combined.coeffs[n] * env[n] for n in others)
             if total % c == 0:
                 out.add(-(total // c))
+    return out
+
+
+def _reference_window_values(var: str, f: Formula, env: Mapping[str, int]) -> set:
+    """Every point of each window that the order atoms of a conjunction of
+    ``f`` outside a binder of ``var`` leave it, the other variables' values
+    given in ``env``."""
+    out = set()
+    for g, scope in zip(*fm.traverse(f)):
+        if not isinstance(g, And) or var in fm.bound_names(scope):
+            continue
+        lo = hi = None
+        for atom in g.parts:
+            if not isinstance(atom, (Le, Lt)):
+                continue
+            combined = atom.lhs - atom.rhs
+            c = combined.coeffs.get(var)
+            others = [name for name in combined.coeffs if name != var]
+            if not c or any(name not in env for name in others):
+                continue
+            # c*var <= bound
+            bound = -combined.constant - sum(combined.coeffs[n] * env[n] for n in others)
+            bound -= isinstance(atom, Lt)
+            if c > 0:
+                hi = bound // c if hi is None else min(hi, bound // c)
+            else:
+                lo = -(bound // -c) if lo is None else max(lo, -(bound // -c))
+        if lo is not None and hi is not None:
+            out.update(range(lo, hi + 1))
     return out
 
 
@@ -208,9 +239,11 @@ def _reference_eval_pinned(f: Formula, env: dict, domain, vacuous: set) -> bool:
             chain.append(inner.var)
             inner = inner.body
         atoms = _reference_atoms_only(inner)
-        if atoms is not None and any(v not in env for v in chain):
+        equations = atoms is not None and any(isinstance(atom, Eq) for atom in atoms)
+        if equations and any(v not in env for v in chain):
             return _reference_solve_linear_block(chain, atoms, env, domain)
         candidates = _reference_candidate_values(f.var, f.body, env)
+        candidates |= _reference_window_values(f.var, f.body, env)
         candidates.add(0)
         for value in sorted(candidates):
             if domain is DomainTag.N and value < 0:
@@ -224,29 +257,6 @@ def _reference_eval_pinned(f: Formula, env: dict, domain, vacuous: set) -> bool:
     if tf is Forall or tf is CountEq:
         raise PinnedEvaluationError(f"unsupported quantifier in pinned evaluation: {tf.__name__}")
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _reference_progression_count_formula(coeff, residue, modulus, lo, hi, count_var):
-    """The progression count that elimination emitted before the floor pair,
-    which the reference evaluator decides: both endpoints are case-split by
-    their residues, lo = i and hi = j (mod step), and each of the step**2
-    cases is the one equation ``step*u = hi - lo + c(i, j)``."""
-    step = coeff * modulus
-    target = (coeff * residue) % step
-    u = variable(count_var)
-    empty = conj([Lt(hi, lo), Eq(u, constant(0))])
-    if step == 1:
-        return disj([empty, conj([Le(lo, hi), Eq(u, hi - lo + 1)])])
-    by_lo_residue = []
-    for i in range(step):
-        start_floor = 0 if i > target else -1  # floor((i - 1 - target) / step)
-        cases = []
-        for j in range(step):
-            end_floor = 0 if j >= target else -1  # floor((j - target) / step)
-            c = i - j + step * (end_floor - start_floor)
-            cases.append(conj([Cong(hi, j, step), Eq(step * u, hi - lo + c)]))
-        by_lo_residue.append(conj([Cong(lo, i, step), disj(cases)]))
-    return disj([empty, conj([Le(lo, hi), disj(by_lo_residue)])])
 
 
 def _reference_estimate_result_nodes(presentation):
@@ -464,12 +474,7 @@ def _kind(report):
 
 class TestAgainstReferenceEvaluator:
     def test_same_count_values_on_seeded_eliminations(self, monkeypatch):
-        # The reference evaluator cannot decide a floor pair, so both sides
-        # decide formulas built with the step**2 progression count, on the
-        # corpus that count's own estimate draws.
-        monkeypatch.setattr(
-            countqe.elim, "progression_count_formula", _reference_progression_count_formula
-        )
+        # The corpus is drawn with the estimate of the step**2 count.
         monkeypatch.setattr(helpers, "estimate_result_nodes", _reference_estimate_result_nodes)
         rng = random.Random(5)
         kinds = {}
@@ -498,6 +503,53 @@ class TestAgainstReferenceEvaluator:
         assert all("random" in labels for labels in kinds.values()), kinds
 
 
+def _permuted(presentation, order, perm):
+    """The components in ``order``, the non-counted coordinates permuted:
+    new coordinate j is old coordinate ``perm[j]``; the counted one stays
+    last."""
+
+    def move(vec):
+        return tuple(vec[i] for i in perm) + (vec[-1],)
+
+    components = tuple(
+        LinearSetPresentation(move(c.base), tuple(move(p) for p in c.periods), c.domain)
+        for c in (presentation.components[i] for i in order)
+    )
+    return SemilinearPresentation(components, asserted_disjoint=True, asserted_simple=True)
+
+
+class TestMetamorphic:
+    def test_reordering_and_renaming_keep_the_count_values(self):
+        rng = random.Random(67)
+        corpus = [parse_presentation(path.read_text(encoding="utf-8")) for path in sorted(FIXTURES.glob("*.sl"))]
+        for domain in (DomainTag.Z, DomainTag.N):
+            corpus += [random_disjoint_presentation(rng, domain, max_dimension=4) for _ in range(40)]
+        moved = hits = 0
+        for presentation in corpus:
+            try:
+                result = eliminate(presentation, "y")
+            except UnsupportedPresentationError:
+                continue  # nonsimple.sl
+            n, k = presentation.dimension, len(presentation.components)
+            order, perm = list(range(k))[::-1], rng.sample(range(n - 1), n - 1)
+            other = eliminate(_permuted(presentation, order, perm), "y")
+            moved += k > 1 or perm != sorted(perm)
+            names = coordinate_names(n)
+            for _ in range(5):
+                assignment = verify.random_assignment(rng, names[:-1], 20, presentation.domain)
+                renamed = {names[j]: assignment[names[i]] for j, i in enumerate(perm)}
+                tested = range(12)
+                got = formula_count_values(result, assignment, tested, presentation.domain)
+                assert formula_count_values(other, renamed, tested, presentation.domain) == got, (
+                    presentation,
+                    order,
+                    perm,
+                    assignment,
+                )
+                hits += bool(got) and got != [0]
+        assert moved >= 40 and hits >= 40, (moved, hits)
+
+
 def _chosen(name, g):
     """``E name . ((g | false) & name <= y & y <= name)``: the chain chooses
     ``name`` from the values that ``g`` alone allows, as the eliminator's
@@ -512,42 +564,40 @@ class TestFloorPairPin:
         rng = random.Random(53)
         shapes = {"step>=40": 0, "empty": 0, "one point": 0, "negative": 0}
         for draw in range(240):
-            coeff, modulus = (1, 40) if draw % 12 == 0 else (rng.randint(1, 5), rng.randint(1, 10))
-            residue = rng.randrange(modulus)
+            step = 40 if draw % 12 == 0 else rng.randint(1, 50)
             lo = rng.randint(-60, 60)
             hi = lo + rng.choice((-rng.randint(1, 5), 0, rng.randint(1, 120)))
-            f = progression_count_formula(coeff, residue, modulus, variable("a"), variable("b"), "u")
-            expected = count_in_progression(lo, hi, coeff * residue, coeff * modulus)
+            f = progression_count_formula(variable("a"), variable("b"), step, "u")
+            expected = count_in_progression(lo, hi, lo, step)
             got = PinnedProgram(_chosen("u", f)).count_values({"a": lo, "b": hi}, "y", range(-2, expected + 4))
-            assert got == [expected], (coeff, residue, modulus, lo, hi)
-            shapes["step>=40"] += coeff * modulus >= 40
+            assert got == [expected], (step, lo, hi)
+            shapes["step>=40"] += step >= 40
             shapes["empty"] += hi < lo
             shapes["one point"] += hi == lo
             shapes["negative"] += hi < 0
         assert min(shapes.values()) >= 10, shapes
 
     def test_progression_counts_over_n(self):
+        # From y1 - y2 to z2 - z1, normalised: the first term may be negative.
         rng = random.Random(59)
-        shapes = {"step>=40": 0, "empty": 0, "one point": 0, "clamped": 0}
+        shapes = {"step>=40": 0, "empty": 0, "one point": 0, "negative first": 0}
         for draw in range(240):
-            coeff, modulus = (4, 10) if draw % 12 == 0 else (rng.randint(1, 5), rng.randint(1, 10))
-            residue = rng.randrange(modulus)
+            step = 40 if draw % 12 == 0 else rng.randint(1, 50)
             y1, y2, z1 = (rng.randint(0, 60) for _ in range(3))
-            lo = max(0, y1 - y2)
-            z2 = z1 + lo + rng.choice((-rng.randint(1, 5), 0, rng.randint(1, 120)))
+            first = y1 - y2
+            z2 = z1 + first + rng.choice((-rng.randint(1, 5), 0, rng.randint(1, 120)))
             if z2 < 0:
                 z1, z2 = z1 - z2, 0
-            f = progression_count_formula_nat(
-                coeff, residue, modulus, *map(variable, ("y1", "y2", "z1", "z2")), "u"
-            )
-            expected = count_in_progression(lo, z2 - z1, coeff * residue, coeff * modulus)
+            y1v, y2v, z1v, z2v = map(variable, ("y1", "y2", "z1", "z2"))
+            f = progression_count_formula_nat(y1v - y2v, z2v - z1v, step, "u")
+            expected = count_in_progression(first, z2 - z1, first, step)
             program = PinnedProgram(_chosen("u", f), DomainTag.N)
             got = program.count_values({"y1": y1, "y2": y2, "z1": z1, "z2": z2}, "y", range(expected + 4))
-            assert got == [expected], (coeff, residue, modulus, y1, y2, z1, z2)
-            shapes["step>=40"] += coeff * modulus >= 40
-            shapes["empty"] += z2 - z1 < lo
-            shapes["one point"] += z2 - z1 == lo
-            shapes["clamped"] += y1 < y2
+            assert got == [expected], (step, y1, y2, z1, z2)
+            shapes["step>=40"] += step >= 40
+            shapes["empty"] += z2 - z1 < first
+            shapes["one point"] += z2 - z1 == first
+            shapes["negative first"] += first < 0
         assert min(shapes.values()) >= 10, shapes
 
     def test_floor_pair_pins_and_empty_window_fails(self):
@@ -571,6 +621,40 @@ class TestFloorPairPin:
         below = And((Le(x, 2 * u), Cong(x, 0, 2)))
         with pytest.raises(PinnedEvaluationError):
             evaluate_pinned(_chosen("u", below), {"x": 4, "y": 2})
+
+    def test_floor_pair_in_a_chain_body(self):
+        # The chain body's order atoms bound u on both sides: a window step
+        # pins u = floor(x/2) + 1, which y <= u <= y then checks.
+        x, u, y = variable("x"), variable("u"), variable("y")
+        f = Exists("u", And((Le(2 * u, x + 2), Lt(x, 2 * u), Le(u, y), Le(y, u))))
+        program = PinnedProgram(f)
+        for value in range(-3, 5):
+            assert program.count_values({"x": value}, "y", range(-5, 8)) == [value // 2 + 1]
+
+    def test_window_merges_congruences(self):
+        # 0 <= t < w with t = 1 (mod 4) and 2t = 4 (mod 6): t = 5 (mod 12) by
+        # the Chinese remainder theorem; t = 0 (mod 6) contradicts t = 1
+        # (mod 4).  Twelve values hold the coset once, eighteen hold 5 and 17.
+        t, y = variable("t"), variable("y")
+
+        def coset(*atoms):
+            return Exists("t", And((Le(constant(0), t), Lt(t, variable("w"))) + atoms))
+
+        congruences = (Cong(t, 1, 4), Cong(2 * t, 4, 6))
+        pinned = coset(*congruences, Le(y, t), Le(t, y))
+        assert PinnedProgram(pinned).count_values({"w": 12}, "y", range(-12, 24)) == [5]
+        assert evaluate_pinned(coset(*congruences), {"w": 12}) is True
+        assert evaluate_pinned(coset(Cong(t, 1, 4), Cong(t, 0, 6)), {"w": 12}) is False
+        with pytest.raises(PinnedEvaluationError):
+            evaluate_pinned(coset(*congruences), {"w": 18})
+
+    def test_window_below_zero_fails_over_n(self):
+        t = variable("t")
+        first = Exists("t", And((Le(variable("x") - 7, 2 * t), Lt(2 * t, variable("x") - 1), Cong(t, 0, 3))))
+        # t in [x/2 - 3.5, x/2 - 0.5) with t = 0 (mod 3): -3 for x = 0, 0 for x = 2
+        assert evaluate_pinned(first, {"x": 0}) is True
+        assert evaluate_pinned(first, {"x": 0}, DomainTag.N) is False
+        assert evaluate_pinned(first, {"x": 2}, DomainTag.N) is True
 
     def test_equation_takes_precedence_over_a_window(self):
         # The order atoms leave u two values; the equation pins it first.
@@ -657,11 +741,10 @@ class TestRunCheck:
     def test_detects_corrupted_count_formula(self, monkeypatch):
         healthy = countqe.elim.progression_count_formula
 
-        def corrupted(coeff, residue, modulus, lo, hi, count_var):
-            # widen the interval by one full progression step: every
-            # nonempty count comes out one too large
-            step = coeff * modulus
-            return healthy(coeff, residue, modulus, lo - step, hi, count_var)
+        def corrupted(first, hi, step, count_var):
+            # start the progression one step early: every nonempty count
+            # comes out one too large
+            return healthy(first - step, hi, step, count_var)
 
         monkeypatch.setattr(countqe.elim, "progression_count_formula", corrupted)
         comp = LinearSetPresentation(base=(0, 0), periods=((1, 0), (1, 2)))
@@ -673,8 +756,8 @@ class TestRunCheck:
 
     def test_half_line_blocks(self):
         # Periods (1, 1) and (0, 100): for x1 < 0 the slice is empty and the
-        # formula is decided by a 100-unknown pinned block; for x1 >= 0 it is
-        # infinite and the oracle reports an unstable point.
+        # sign atom 0 <= 100*x1 fails; for x1 >= 0 the coset witness exists,
+        # the slice is infinite and the oracle reports an unstable point.
         s = union(LinearSetPresentation(base=(0, 0), periods=((1, 1), (0, 100))))
         result = eliminate(s, "y")
         decided = []
@@ -687,13 +770,15 @@ class TestRunCheck:
 
     def test_vacuous_case_binders(self):
         # D = 32 one-sided core whose dropped row reads x3 = -2: off that
-        # plane the count is 0, on it the 1,024 cases' guards decide.  (The
-        # cases once bound a variable each, vacuous off the plane.)
+        # plane the count is 0, on it one coset witness of period 16
+        # decides.  (The 1,024 residue cases it once split into each bound
+        # a variable, vacuous off the plane.)
         comp = LinearSetPresentation(
             base=(-2, 0, -2, 3), periods=((0, -2, 0, -2), (-3, 1, 0, 0), (1, 3, 0, -2))
         )
         result = eliminate(union(comp), "y")
-        assert result.report.components[0].feasible_cases == 1024
+        report = result.report.components[0]
+        assert (report.denom, report.coset_period) == (32, 16)
         outcome = run_check(union(comp), result=result, trials=5, box_radius=50, seed=4)
         assert outcome.mismatches == 0 and outcome.ok(strict=True)
         on_plane = {"x1": -3, "x2": 0, "x3": -2}  # empty slice
