@@ -130,8 +130,11 @@ def _format_report(result, estimated: int) -> str:
     lines = [f"# count variable: {result.count_var}"]
     for comp in result.report.components:
         fields = [f"component {comp.index}:", f"case={comp.case}"]
-        if comp.case == "interval-count":
+        if comp.denom is not None:
             fields.append(f"D={comp.denom}")
+        if comp.case == "single-witness" and comp.selected_rows:
+            fields.append("rows=" + ",".join(map(str, comp.selected_rows)))
+        elif comp.case == "interval-count":
             fields.append(f"m={comp.multiplier}")
             fields.append("core-rows=" + ",".join(map(str, comp.selected_rows)))
             dropped = ",".join(map(str, comp.dropped_rows)) or "-"

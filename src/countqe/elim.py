@@ -6,13 +6,18 @@ quantifier-logic formula over the remaining coordinates plus one count
 variable that holds exactly when the count variable equals the number of
 values the counted coordinate can take inside the set.
 
-The construction works per component.  When some full-rank row subsystem of
-the period matrix avoids the counted row, the counted coordinate is a
-function of the others and the witness count is 0 or 1.  Otherwise the
-component reduces to a square core: Cramer data expresses the period
-coefficients as integer linear forms N_i over the coordinates divided by the
-determinant's absolute value D.  Nonnegativity becomes interval bounds on
-the counted coordinate t, and integrality the congruences N_i = 0 (mod D).
+The construction works per component, from the Cramer data of selected rows
+S: the period coefficients are integer linear forms N_i over the coordinates
+of S divided by the determinant's absolute value D, and each other
+non-counted row j reads ``D*x_j = D*b_j + sum_i P_ji*N_i`` (b the base, P the
+period matrix; :func:`_row_equations`).  When some full-rank S avoids the
+counted row, the counted coordinate is a function of the others and the
+witness count is 0 or 1, with no binder: 1 exactly where every ``0 <= N_i``,
+every ``N_i = 0 (mod D)`` and every row equation hold (without periods,
+``x_j = b_j``).  Otherwise the component reduces to a square core, S the
+least row basis of the other rows plus the counted row.  Nonnegativity
+becomes interval bounds on the counted coordinate t, and integrality the
+congruences N_i = 0 (mod D).
 For fixed free coordinates these congruences leave t no value or one coset
 of D'Z, where D' = lcm_i D/gcd(D, lam_i) and lam is the counted column (the
 paper's split into residue classes modulo D, merged by the Chinese remainder
@@ -71,20 +76,18 @@ from .formula import (
 )
 from .linalg import (
     CramerSolution,
-    IntMatrix,
     cramer_solve,
     find_full_rank_submatrix,
     greedy_row_basis,
     positive_lcm,
-    solve_unique,
 )
+from .linalg import solve_unique  # noqa: F401 -- unused; perfbench/layers.py patches this name
 from .sets import (
     DomainTag,
     LinearSetPresentation,
     SemilinearPresentation,
     check_simple,
     coordinate_names,
-    membership_formula,
 )
 from .textio import is_identifier
 
@@ -221,7 +224,7 @@ def residue_case_feasible(solution: CramerSolution, case: ResidueCase) -> bool:
 
 
 def _congruence_rows(solution: CramerSolution) -> list[tuple]:
-    """The distinct integrality conditions ``N_i = 0 (mod D)`` of the core
+    """The distinct integrality conditions ``N_i = 0 (mod D)`` of the Cramer
     rows, as (coefficients reduced mod D, residue of the constant part).
 
     A row whose coefficients all vanish mod D holds everywhere (its constant
@@ -238,12 +241,45 @@ def _congruence_rows(solution: CramerSolution) -> list[tuple]:
     return list(rows)
 
 
-def _congruences(rows: Sequence[tuple], denom: int, free_names: Sequence[str], witness: Term) -> list:
-    """The atoms of :func:`_congruence_rows`, the counted value ``witness``."""
+def _congruences(rows: Sequence[tuple], denom: int, names: Sequence[str], last: Term) -> list:
+    """The atoms of :func:`_congruence_rows`: ``names`` read the columns but
+    the last, which reads ``last`` (of a core, the counted value)."""
     return [
-        Cong(Term(0, dict(zip(free_names, coeffs))) + coeffs[-1] * witness, residue, denom)
+        Cong(Term(0, dict(zip(names, coeffs))) + coeffs[-1] * last, residue, denom)
         for coeffs, residue in rows
     ]
+
+
+def _row_equations(
+    component: LinearSetPresentation,
+    rows: Sequence[int],
+    solution: CramerSolution,
+    names: Sequence[str],
+) -> list:
+    """The equation of each non-counted row j outside ``rows``.
+
+    Row j reads ``x_j = b_j + sum_i P_ji*z_i``, and the Cramer data of
+    ``rows`` gives ``D*z_i = N_i``; so ``D*x_j = D*b_j + sum_i P_ji*N_i``,
+    here divided by the gcd of its coefficients.  It holds on the component
+    and, where every N_i is a multiple of D, forces x_j.  The counted
+    coordinate cancels: row j lies in the span of the selected non-counted
+    rows.
+    """
+    n, d = component.dimension, solution.denom
+    equations = []
+    for j in range(n - 1):
+        if j in rows:
+            continue
+        entries = [period[j] for period in component.periods]
+        weights = [
+            sum(e * row[k] for e, row in zip(entries, solution.matrix)) for k in range(len(rows))
+        ]
+        assert n - 1 not in rows or weights[rows.index(n - 1)] == 0, "the counted coordinate must cancel"
+        offset = d * component.base[j] + sum(e * g for e, g in zip(entries, solution.offset))
+        g = gcd(d, *weights)
+        rhs = Term(offset // g, {names[r]: w // g for r, w in zip(rows, weights)})
+        equations.append(Eq(d // g * variable(names[j]), rhs))
+    return equations
 
 
 # --- permutation branches -----------------------------------------------------
@@ -358,8 +394,10 @@ def is_subtraction_free(f: Formula) -> bool:
 @dataclass(frozen=True)
 class ComponentReport:
     """Trace of one component's elimination.  Row and coefficient indices
-    are reported 1-based.  A single-witness component has no square core,
-    so the core fields keep their defaults."""
+    are reported 1-based.  A single-witness component reports its
+    determinant and its selected and dropped rows (a component without
+    periods none of them); it has no square core, so the other core fields
+    keep their defaults."""
 
     index: int
     case: str  # "single-witness" or "interval-count"
@@ -397,49 +435,54 @@ class EliminationResult:
 class ComponentPlan:
     """How one component is eliminated, decided before anything is built.
 
-    A single-witness component has no core rows, ``solution`` or ``bounds``.
-    Otherwise the core is ``free_rows`` plus the counted (last) row, the
-    other rows are dropped (all 0-based), ``congruences`` are the core's
-    distinct integrality conditions (see :func:`_congruence_rows`), whose
-    solutions in the counted value form one coset of ``coset_period``, and
-    ``branches`` counts the permutation branches (0 when a bound family is
-    empty).  ``conjunctive`` tells whether the component's body is a
-    conjunction, which a union's conjunction absorbs.
+    ``solution`` is the Cramer data of the selected ``rows`` (all 0-based):
+    a single-witness component's p rows that avoid the counted (last) row
+    (no rows and D = 1 without periods), or an interval core's least row
+    basis of the other rows followed by the counted row.  The other
+    non-counted rows are dropped, and ``relations`` are their row equations
+    (:func:`_row_equations`).  ``congruences`` are the distinct integrality
+    conditions of the Cramer rows (see :func:`_congruence_rows`).  A
+    single-witness component has no ``bounds``.  For an interval core, the
+    congruences' solutions in the counted value form one coset of
+    ``coset_period``, and ``branches`` counts the permutation branches (0
+    when a bound family is empty).  ``conjunctive`` tells whether the
+    component's body is a conjunction, which a union's conjunction absorbs.
     """
 
     component: LinearSetPresentation
     case: str  # "single-witness" or "interval-count"
     estimated_nodes: int
-    free_rows: tuple[int, ...] = ()
-    dropped_rows: tuple[int, ...] = ()
-    solution: Optional[CramerSolution] = None
+    rows: tuple[int, ...]
+    dropped_rows: tuple[int, ...]
+    solution: CramerSolution
+    relations: tuple[Formula, ...]
+    congruences: tuple
     bounds: Optional[BoundClassification] = None
-    congruences: tuple = ()
     coset_period: int = 1
     branches: int = 0
     conjunctive: bool = False
 
     def report(self, index: int, count_var: str, nodes: int) -> ComponentReport:
         """The report of this component, built with ``nodes`` nodes."""
-        if self.solution is None:
-            return ComponentReport(index=index, case=self.case, count_var=count_var, nodes=nodes)
-        bc = self.bounds
         one_based = lambda rows: tuple(i + 1 for i in rows)
-        return ComponentReport(
-            index=index,
-            case=self.case,
-            count_var=count_var,
-            nodes=nodes,
-            denom=self.solution.denom,
-            multiplier=bc.multiplier,
-            selected_rows=one_based(self.free_rows + (self.component.dimension - 1,)),
-            dropped_rows=one_based(self.dropped_rows),
-            upper_rows=one_based(bc.upper_rows),
-            lower_rows=one_based(bc.lower_rows),
-            sign_rows=one_based(bc.sign_rows),
-            coset_period=self.coset_period,
-            branches=self.branches,
-        )
+        fields = {}
+        if self.rows:
+            fields.update(
+                denom=self.solution.denom,
+                selected_rows=one_based(self.rows),
+                dropped_rows=one_based(self.dropped_rows),
+            )
+        if self.bounds is not None:
+            bc = self.bounds
+            fields.update(
+                multiplier=bc.multiplier,
+                upper_rows=one_based(bc.upper_rows),
+                lower_rows=one_based(bc.lower_rows),
+                sign_rows=one_based(bc.sign_rows),
+                coset_period=self.coset_period,
+                branches=self.branches,
+            )
+        return ComponentReport(index=index, case=self.case, count_var=count_var, nodes=nodes, **fields)
 
 
 def _atom_nodes(*terms: Term) -> int:
@@ -452,19 +495,27 @@ def _conj_nodes(atom_nodes: Sequence[int]) -> int:
     return sum(atom_nodes) + (len(atom_nodes) >= 2)
 
 
+def _numerators(solution: CramerSolution, names: Sequence[str]) -> list[Term]:
+    """The Cramer numerators N_i as terms, the columns read by ``names``."""
+    return [
+        Term(offset, dict(zip(names, row))) for row, offset in zip(solution.matrix, solution.offset)
+    ]
+
+
 def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> ComponentPlan:
     """Decide how ``component`` is eliminated, its coordinates named ``names``.
 
     A component is single-witness when it has no periods or some full-rank
-    row subsystem avoids the counted (last) row.  Otherwise its core is the
-    least row basis of the other rows plus the counted row, planned with the
-    core's Cramer data, bound classification and congruences.
+    row subsystem avoids the counted (last) row; its rows are the least such
+    subsystem.  Otherwise its core is the least row basis of the other rows
+    plus the counted row, planned with the core's Cramer data, bound
+    classification and congruences.
 
     The estimate counts the output atom by atom from the row terms, in
-    closed form: nothing in it grows with D.  It is exact for a
-    single-witness component and, over Z, for a core without dropped rows
-    (each dropped-row relation counts all p-1 free names); over N it is an
-    upper bound (normalising a guard atom can merge its two sides).
+    closed form: nothing in it grows with D.  It is exact over Z and, for a
+    single-witness component, over N too; over N an interval core's
+    estimate is an upper bound (normalising a guard atom can merge its two
+    sides).
     """
     if not check_simple(component):
         raise UnsupportedPresentationError(
@@ -472,27 +523,32 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
         )
     matrix = component.period_matrix()
     n = component.dimension
-    p = component.num_periods
-    if matrix is None or find_full_rank_submatrix(matrix, forbidden_row=n - 1) is not None:
-        # E x_n . membership_formula, asserted and negated: p binders,
-        # p atoms "0 <= z", n equations reading x_j and the nonzero
-        # period entries, one And when there are two or more atoms; then
-        # the disjunction around it (8 nodes).
-        nonzero = sum(1 for period in component.periods for v in period if v)
-        member = 3 * p + (n + p >= 2) + 2 * n + nonzero
-        return ComponentPlan(component, "single-witness", 2 * (1 + member) + 8)
-    free_rows = greedy_row_basis(matrix, n - 1)
-    assert len(free_rows) == matrix.cols - 1, "core reduction expects row rank p-1"
-    core_rows = free_rows + [n - 1]
-    solution = cramer_solve(
-        matrix.select_rows(core_rows), [component.base[i] for i in core_rows]
-    )
-    bc = classify_bounds(solution, [names[i] for i in free_rows])
-    dropped = tuple(j for j in range(n - 1) if j not in free_rows)
-    denom = solution.denom
+    rows = () if matrix is None else find_full_rank_submatrix(matrix, forbidden_row=n - 1)
+    single = rows is not None
+    if not single:
+        free_rows = greedy_row_basis(matrix, n - 1)
+        assert len(free_rows) == matrix.cols - 1, "core reduction expects row rank p-1"
+        rows = tuple(free_rows) + (n - 1,)
+    base = [component.base[i] for i in rows]
+    solution = cramer_solve(matrix.select_rows(rows), base) if rows else CramerSolution(1, (), ())
+    relations = tuple(_row_equations(component, rows, solution, names))
+    dropped = tuple(j for j in range(n - 1) if j not in rows)
     congruences = tuple(_congruence_rows(solution))
-    period = lcm(*(denom // gcd(denom, coeffs[-1]) for coeffs, _ in congruences))
     congs = [1 + sum(1 for c in coeffs if c) for coeffs, _ in congruences]
+    rels = [_atom_nodes(*r.terms) for r in relations]
+    if single:
+        # "(M & y = 1) | (!M & y = 0)", M the conjunction of the sign atoms,
+        # the congruences and the relations, which the first And flattens;
+        # "y = 1" when M is empty.
+        signs = [_atom_nodes(t) for t in _numerators(solution, [names[i] for i in rows])]
+        member = signs + congs + rels
+        estimate = sum(member) + _conj_nodes(member) + 8 if member else 2
+        return ComponentPlan(
+            component, "single-witness", estimate, rows, dropped, solution, relations, congruences
+        )
+    bc = classify_bounds(solution, [names[i] for i in rows[:-1]])
+    denom = solution.denom
+    period = lcm(*(denom // gcd(denom, coeffs[-1]) for coeffs, _ in congruences))
     signs = [_atom_nodes(bc.row_terms[i]) for i in bc.sign_rows]
     branches = 0
     if not bc.upper_rows or not bc.lower_rows:
@@ -521,14 +577,16 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
         # conjunction.
         estimate += 1 if branches == 1 else 3 * branches + 3
         conjunctive = branches > 1
-    if dropped:
-        # "(relations & body) | (!relations & y = 0)", each relation an
-        # equation over at most one dropped and p-1 free coordinates.
-        estimate += 2 * len(dropped) * (p + 1) + (len(dropped) >= 2) + 6 - conjunctive
+    if rels and estimate == 1:
+        # A false body leaves "!relations & y = 0".
+        estimate, conjunctive = _conj_nodes(rels) + 4, True
+    elif rels:
+        # "(relations & body) | (!relations & y = 0)"
+        estimate += sum(rels) + _conj_nodes(rels) + 6 - conjunctive
         conjunctive = False
     return ComponentPlan(
-        component, "interval-count", estimate, tuple(free_rows), dropped, solution, bc,
-        congruences, period, branches, conjunctive,
+        component, "interval-count", estimate, rows, dropped, solution, relations, congruences,
+        bc, period, branches, conjunctive,
     )
 
 
@@ -575,46 +633,22 @@ def _close(prefix: Sequence[str], body: Formula) -> Formula:
     return body
 
 
-def _case_single(
-    presentation: LinearSetPresentation,
-    count_var: str,
-    names: Sequence[str],
-) -> Formula:
-    """Counted coordinate determined by the others: witness count is 0 or 1."""
-    member = membership_formula(presentation, names)
-    witness = Exists(names[-1], member)
-    y = variable(count_var)
-    return disj(
-        [
-            conj([witness, Eq(y, constant(1))]),
-            conj([negate(witness), Eq(y, constant(0))]),
-        ]
-    )
+def _case_single(plan: ComponentPlan, count_var: str, names: Sequence[str]) -> Formula:
+    """Counted coordinate determined by the others: witness count is 0 or 1.
 
-
-def _dropped_row_relation(
-    matrix: IntMatrix,
-    base: Sequence[int],
-    names: Sequence[str],
-    selected: Sequence[int],
-    dropped: int,
-) -> Formula:
-    """Exact linear relation forcing a dropped coordinate.
-
-    The dropped row of the period matrix is a rational combination of the
-    selected rows, so the dropped coordinate satisfies the same combination
-    of the selected coordinates (after shifting by the base); clearing
-    denominators gives an integer equation.
+    The count is 1 exactly where the membership conditions M of the selected
+    rows hold: ``0 <= N_i``, ``N_i = 0 (mod D)`` and the row equations of the
+    other non-counted rows.  No binder.
     """
-    system = [[matrix.row(s)[t] for s in selected] for t in range(matrix.cols)]
-    rhs = list(matrix.row(dropped))
-    combo = solve_unique(system, rhs)
-    assert combo is not None, "dropped row must lie in the selected row span"
-    den = lcm(1, *(c.denominator for c in combo))
-    weights = [int(c * den) for c in combo]
-    rhs_const = den * base[dropped] - sum(w * base[s] for w, s in zip(weights, selected))
-    rhs = Term(rhs_const, {names[s]: w for w, s in zip(weights, selected)})
-    return Eq(den * variable(names[dropped]), rhs)
+    piece = normalize_for_nat if plan.component.domain is DomainTag.N else lambda f: f
+    selected = [names[i] for i in plan.rows]
+    signs = [Le(constant(0), t) for t in _numerators(plan.solution, selected)]
+    congruences = []
+    if plan.congruences:  # D > 1, so some rows are selected
+        congruences = _congruences(plan.congruences, plan.solution.denom, selected[:-1], variable(selected[-1]))
+    member = piece(conj(signs + congruences + list(plan.relations)))
+    y = variable(count_var)
+    return disj([conj([member, Eq(y, constant(1))]), conj([negate(member), Eq(y, constant(0))])])
 
 
 def _case_interval(
@@ -633,17 +667,9 @@ def _case_interval(
     t . 0 <= t < D' & congruences) & 0 = count_var``.
     """
     presentation, solution, bc = plan.component, plan.solution, plan.bounds
-    matrix = presentation.period_matrix()
     piece = normalize_for_nat if presentation.domain is DomainTag.N else lambda f: f
-    relations = piece(
-        conj(
-            [
-                _dropped_row_relation(matrix, presentation.base, names, plan.free_rows, j)
-                for j in plan.dropped_rows
-            ]
-        )
-    )
-    free_names = [names[i] for i in plan.free_rows]
+    relations = piece(conj(plan.relations))
+    free_names = [names[i] for i in plan.rows[:-1]]
     if presentation.domain is DomainTag.N:
         # Nonnegative periods make an all-nonpositive counted column of the
         # inverse impossible, so lower bounds always exist over the naturals.
@@ -724,8 +750,8 @@ def eliminate(
     reports = []
     for index, comp_plan in enumerate(plan.components, start=1):
         part_count = count_var if single else fresh.fresh("y")
-        if comp_plan.solution is None:
-            comp_prefix, body = [], _case_single(comp_plan.component, part_count, names)
+        if comp_plan.bounds is None:
+            comp_prefix, body = [], _case_single(comp_plan, part_count, names)
         else:
             comp_prefix, body = _case_interval(comp_plan, part_count, names, fresh)
         reports.append(comp_plan.report(index, part_count, fm.node_count(body) + len(comp_prefix)))

@@ -6,9 +6,10 @@ The module provides just what the engine needs: ranks, determinants,
 full-rank row selections and Cramer-style inverse data for small dense
 systems.  Those matrices are tiny (the number of periods of a presentation),
 so the classic O(n^3)/O(n^5) dense algorithms are the right tool.  The one
-exception is :func:`solve_unique`, which also decides the existential blocks
-of eliminated formulas: hundreds of unknowns, nearly diagonal, so it
-eliminates sparsely.
+exception is :func:`solve_unique`, which eliminates sparsely for large,
+nearly diagonal systems; nothing in the package calls it any more (the
+eliminator's row equations come from Cramer data, and the pinned evaluator
+solves no joint system), but it stays public.
 """
 
 from __future__ import annotations

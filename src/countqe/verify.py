@@ -30,9 +30,7 @@ planned, tracking which chain names are still undefined:
   s*u`` pins ``u = floor(X/s) + 1``, a first witness ``L <= m*t < L + m*D'``
   the one member of a coset of period D', or none;
 * *split* on a disjunction that reads several undefined names, planning
-  each disjunct together with the remaining conjuncts when first reached;
-* *solve* the remaining equations jointly with
-  :func:`~countqe.linalg.solve_unique`.
+  each disjunct together with the remaining conjuncts when first reached.
 
 A chain name that no conjunct reads never becomes an unknown, and a choice
 with one candidate continues in the loop, so a long chain costs no
@@ -43,10 +41,10 @@ a formula that do not read the count variable are decided once per trial,
 not once per tested count.
 
 :class:`PinnedEvaluationError` is raised when evaluation reaches a chain
-whose remaining conjuncts no step applies to, an underdetermined system of
-equations, a window that leaves more than one integer, a conjunction with
-no equation or disjunction mentioning its name whose order atoms bound it
-on one side only, or a ``Forall`` or ``CountEq``.
+whose remaining conjuncts no step applies to (such as equations that each
+read several undefined names), a window that leaves more than one integer, a
+conjunction with no equation or disjunction mentioning its name whose order
+atoms bound it on one side only, or a ``Forall`` or ``CountEq``.
 
 The trial runner drives both routes over seeded random assignments and
 reports agreement; the command-line ``check`` command and the acceptance
@@ -62,7 +60,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import formula as fm
 from .elim import EliminationPlan, EliminationResult, eliminate, plan_elimination
-from .errors import CountQEError, DegenerateInputError, ParameterError, UnboundVariableError
+from .errors import CountQEError, ParameterError, UnboundVariableError
 from .formula import (
     And,
     Cong,
@@ -77,7 +75,7 @@ from .formula import (
     Or,
     Term,
 )
-from .linalg import solve_unique
+from .linalg import solve_unique  # noqa: F401 -- unused; perfbench/layers.py patches this name
 from .sets import (
     DomainTag,
     LinearSetPresentation,
@@ -93,7 +91,7 @@ class PinnedEvaluationError(CountQEError):
 
 # --- pinned evaluation ----------------------------------------------------------
 
-_CHECK, _DEFINE, _CHOOSE, _WINDOW, _SPLIT, _SOLVE, _STUCK = range(7)
+_CHECK, _DEFINE, _CHOOSE, _WINDOW, _SPLIT, _STUCK = range(6)
 _UNSET = object()
 
 
@@ -268,8 +266,6 @@ class PinnedProgram:
                 if self._split(step, env):
                     return True
                 ok = False
-            elif kind == _SOLVE:
-                ok = self._solve(step, env)
             else:
                 raise PinnedEvaluationError(step[1])
             if ok:
@@ -407,20 +403,6 @@ class PinnedProgram:
                 return True
         return False
 
-    def _solve(self, step: tuple, env: dict) -> bool:
-        _, names, rows, rests = step
-        try:
-            solution = solve_unique(rows, [-r.evaluate(env) for r in rests])
-        except DegenerateInputError as exc:
-            raise PinnedEvaluationError("existential block is underdetermined") from exc
-        if solution is None:
-            return False
-        for name, value in zip(names, solution):
-            if value.denominator != 1 or (self._nat and value < 0):
-                return False
-            env[name] = int(value)
-        return True
-
     # planning
 
     def _chain_plan(self, head: Exists) -> tuple:
@@ -479,32 +461,14 @@ class PinnedProgram:
                 choosing = False
                 continue
             split = next((g for g in pending if type(g) is Or), None)
-            if split is not None:
+            if split is None:
+                names = ", ".join(self._names(undefined))
+                steps.append((_STUCK, f"no step pins the existential variables {names}"))
+            else:
                 others = [g for g in pending if g is not split]
                 steps.append((_SPLIT, split.parts, others, undefined, [None] * len(split.parts)))
-                return steps
-            equations = [g for g in pending if type(g) is Eq]
-            if not equations:
-                names = ", ".join(self._names(undefined))
-                steps.append((_STUCK, f"no equation pins the existential variables {names}"))
-                return steps
-            unknown = 0
-            for g in equations:
-                unknown |= masks[id(g)] & undefined
-            names = self._names(unknown)
-            rows, rests = [], []
-            for g in equations:
-                combined = g.lhs - g.rhs
-                rows.append([combined.coeffs.get(name, 0) for name in names])
-                rests.append(
-                    Term(combined.constant, {n: c for n, c in combined.coeffs.items() if n not in names})
-                )
-            steps.append((_SOLVE, names, rows, rests))
-            undefined &= ~unknown
-            pending = [g for g in pending if type(g) is not Eq]
-            choosing = False
+            break
         return steps
-
 
     def _window_step(self, pending: list, undefined: int) -> Optional[tuple]:
         """A window step for the first name that the order atoms among

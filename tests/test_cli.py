@@ -180,7 +180,23 @@ class TestEliminateCommand:
     def test_singleton_report(self, capsys):
         code, out, _ = run(capsys, "eliminate", fixture("singleton.sl"), "--report")
         assert code == 0
-        assert "case=single-witness" in out
+        assert "case=single-witness count-var=y " in out
+
+    def test_single_witness_report(self, capsys, tmp_path):
+        # x1 = 1 + 2a and x2 = a + 3b: rows 1 and 2 give D = 6; row 3 is
+        # dropped and its row equation reads x3 = 2.
+        path = tmp_path / "single.sl"
+        path.write_text(
+            "domain Z\ndim 4\ndisjoint\nsimple\ncomponent\nbase 1 0 2 5\n"
+            "period 2 1 0 3\nperiod 0 3 0 1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "eliminate", str(path), "--report")
+        assert (code, err) == (0, "")
+        assert "Exists" not in out and "E " not in out
+        assert "x3 = 2" in out
+        assert "# component 1: case=single-witness D=6 rows=1,2 count-var=y nodes=33\n" in out
+        assert "# total nodes: 33 (estimated 33)\n" in out
 
     def test_non_simple_exit_2(self, capsys):
         code, _, err = run(capsys, "eliminate", fixture("nonsimple.sl"))
@@ -378,3 +394,67 @@ def test_each_command_plans_each_component_once(capsys, monkeypatch, tmp_path, n
     code, _, err = run(capsys, "check", path, "--trials", "3")
     assert (code, err) == (0, "")
     assert len(calls) == cores
+
+
+def _move_to_end(text, k):
+    """The presentation file ``text`` with coordinate ``k`` (0-based) moved
+    last on every base and period line."""
+    lines = []
+    for line in text.splitlines():
+        head, *entries = line.split()
+        if head in ("base", "period"):
+            entries = entries[:k] + entries[k + 1 :] + [entries[k]]
+            line = " ".join([head] + entries)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _check_rows(out):
+    """The trial rows of ``check`` output, each assignment by value only,
+    and the summary line."""
+    *rows, summary = out.splitlines()[1:]
+    parsed = []
+    for row in rows:
+        index, assignment, *rest = row.split(" | ")
+        parsed.append((index, [pair.split("=")[1] for pair in assignment.split()], rest))
+    return parsed, summary
+
+
+def test_counted_var_agrees_with_a_hand_permuted_file(capsys, tmp_path):
+    # Counting x_k of a file is counting the last coordinate of the same file
+    # with x_k moved last by hand: at matching assignments (the same values
+    # in the same order), check reports the same count values.
+    import random
+    from pathlib import Path
+
+    from helpers import random_disjoint_presentation
+    from countqe.sets import DomainTag
+    from countqe.textio import print_presentation
+
+    rng = random.Random(4099)
+    texts = [
+        Path(fixture(name)).read_text(encoding="utf-8")
+        for name in ("three_periods.sl", "natural.sl", "singleton.sl")
+    ]
+    texts += [
+        print_presentation(random_disjoint_presentation(rng, domain, max_dimension=4))
+        for domain in (DomainTag.Z, DomainTag.N) * 8
+    ]
+    compared = hits = 0
+    for number, text in enumerate(texts):
+        dim = int(next(line for line in text.splitlines() if line.startswith("dim")).split()[1])
+        for k in range(dim - 1):
+            original, moved = tmp_path / f"{number}.sl", tmp_path / f"{number}_{k}.sl"
+            original.write_text(text, encoding="utf-8")
+            moved.write_text(_move_to_end(text, k), encoding="utf-8")
+            options = ("--trials", "12", "--box-radius", "6", "--seed", str(number))
+            code, out, err = run(capsys, "check", str(original), "--counted-var", f"x{k + 1}", *options)
+            assert (code, err) == (0, ""), text
+            code, expected, err = run(capsys, "check", str(moved), *options)
+            assert (code, err) == (0, ""), text
+            rows, summary = _check_rows(out)
+            assert (rows, summary) == _check_rows(expected), (text, k)
+            assert " mismatches=0 " in summary
+            compared += 1
+            hits += sum(row[2][-2] not in ("-", "0") for row in rows)
+    assert compared >= 25 and hits >= 20, (compared, hits)

@@ -45,7 +45,7 @@ from countqe.sets import (
     SemilinearPresentation,
     coordinate_names,
 )
-from countqe.textio import parse_presentation
+from countqe.textio import parse_presentation, print_formula
 from helpers import random_disjoint_presentation, random_simple_component
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -542,7 +542,7 @@ class TestEliminateUnion:
 
     def test_estimate_bounds_one_sided_cores(self):
         # Presentations whose every component has a core with an empty bound
-        # family: the estimate is an upper bound there.
+        # family: the estimate is exact over Z and an upper bound over N.
         rng = random.Random(77)
         tried = 0
         while tried < 60:
@@ -550,31 +550,41 @@ class TestEliminateUnion:
             dim = rng.randint(1, 4)
             component = random_simple_component(rng, dim, rng.randint(1, dim), domain)
             plan = elim.plan_component(component, coordinate_names(dim))
-            if plan.solution is None or (plan.bounds.upper_rows and plan.bounds.lower_rows):
+            if plan.bounds is None or (plan.bounds.upper_rows and plan.bounds.lower_rows):
                 continue
             if plan.solution.denom ** (component.num_periods - 1) > 200:
                 continue
             s = SemilinearPresentation(
                 components=(component,), asserted_disjoint=True, asserted_simple=True
             )
-            assert estimate_result_nodes(s) >= eliminate(s, "y").report.nodes, component
+            estimate, actual = estimate_result_nodes(s), eliminate(s, "y").report.nodes
+            assert estimate == actual if domain is DomainTag.Z else estimate >= actual, component
             tried += 1
 
     def test_estimate_bounds_seeded_sample(self):
-        # An upper bound everywhere; exact over Z when no row is dropped (a
-        # dropped-row relation is counted with all of its p-1 free names).
+        # An upper bound everywhere; exact over Z, dropped-row relations (each
+        # counted from its terms) and false one-sided bodies included.
         rng = random.Random(3)
-        exact = 0
+        exact = dropped = 0
         for _ in range(60):
             domain = rng.choice([DomainTag.Z, DomainTag.N])
             s = random_disjoint_presentation(rng, domain, max_dimension=4)
             result = eliminate(s, "y")
             estimate = estimate_result_nodes(s)
             assert estimate >= result.report.nodes, s
-            if domain is DomainTag.Z and not any(c.dropped_rows for c in result.report.components):
+            if domain is DomainTag.Z:
                 assert estimate == result.report.nodes, s
                 exact += 1
-        assert exact >= 20
+                dropped += any(c.dropped_rows for c in result.report.components)
+        assert exact >= 20 and dropped >= 5, (exact, dropped)
+
+    def test_false_one_sided_body_under_relations(self):
+        # No sign atom and D' = 1: the core's body is false, and the dropped
+        # row's relation leaves "!x1 = 1 & y = 0".
+        s = union(LinearSetPresentation(base=(1, 0), periods=((0, 1),)))
+        result = eliminate(s, "y")
+        assert print_formula(result.formula) == "!x1 = 1 & y = 0"
+        assert estimate_result_nodes(s) == result.report.nodes == 6
 
     def test_estimate_is_exact_on_single_witness_components(self):
         # Single-witness components and the multi-component wrapper are
@@ -593,8 +603,8 @@ class TestEliminateUnion:
     @pytest.mark.parametrize(
         "components, actual",
         [
-            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0)))], 44),
-            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 76),
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0)))], 29),
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 61),
         ],
     )
     def test_estimate_not_below_single_witness_sizes(self, components, actual):
@@ -620,7 +630,8 @@ class TestBinders:
     """Each branch of a two-sided core binds its first witness t0, and the
     window witness t1 of its zero case; with several branches each also
     binds its count.  A one-sided core binds one coset witness when D' > 1,
-    and a union one part count per component."""
+    a single-witness component nothing, and a union one part count per
+    component."""
 
     @staticmethod
     def _exists_nodes(formula):
@@ -631,6 +642,8 @@ class TestBinders:
         reports = result.report.components
         total = len(reports) if len(reports) > 1 else 0
         for r in reports:
+            if r.case == "single-witness":
+                continue
             if not r.branches:
                 total += r.coset_period > 1
             else:
@@ -649,17 +662,16 @@ class TestBinders:
 
     def test_seeded_interval_cores(self):
         rng = random.Random(17)
-        seen = {"one-sided": 0, "two-sided": 0, "union": 0}
+        seen = {"one-sided": 0, "two-sided": 0, "single-witness": 0, "union": 0}
         while min(seen.values()) < 6:
             domain = rng.choice([DomainTag.Z, DomainTag.N])
             s = random_disjoint_presentation(rng, domain, max_dimension=4)
             result = eliminate(s, "y")
             reports = result.report.components
-            if any(r.case == "single-witness" for r in reports):
-                continue  # E x_n . membership: a witness binder, not a count
             assert self._exists_nodes(result.formula) == self._binders(result), s
             for r in reports:
-                seen["two-sided" if r.branches else "one-sided"] += 1
+                kind = r.case if r.case == "single-witness" else "two-sided" if r.branches else "one-sided"
+                seen[kind] += 1
             seen["union"] += len(reports) > 1
 
 

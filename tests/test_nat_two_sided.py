@@ -4,14 +4,16 @@ the integers.
 A seeded generator draws components whose square core has both an upper
 and a lower bound family on the counted coordinate.  Every eliminated
 formula must agree with the witness oracle, and over N be subtraction-free.
+A second sample reaches cores with three bounds in one family.
 """
 
 import random
 
-from countqe.elim import eliminate, estimate_result_nodes, is_subtraction_free
+from countqe.elim import eliminate, estimate_result_nodes, is_subtraction_free, plan_elimination
 from countqe.linalg import IntMatrix, rank_over_rationals
-from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation
-from countqe.verify import run_check
+from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
+from countqe import verify
+from countqe.verify import count_set_witnesses, formula_count_values, run_check
 
 MAX_DENOM = 12
 NODE_BUDGET = 30_000
@@ -28,33 +30,45 @@ def random_two_sided(rng: random.Random, domain: DomainTag = DomainTag.N):
     exceeds ``MAX_DENOM`` or whose estimated output exceeds ``NODE_BUDGET``
     are redrawn.
     """
-    low = 0 if domain is DomainTag.N else -3
     while True:
         n = rng.randint(2, 4)
         p = rng.choice((2, 3, 3)) if n > 2 else 2
-        basis = [[rng.randint(low, 3) for _ in range(p)] for _ in range(p - 1)]
-        rows = list(basis)
-        for _ in range(n - p):
-            weights = [rng.randint(0, 2) for _ in basis]
-            combo = [sum(w * row[j] for w, row in zip(weights, basis)) for j in range(p)]
-            rows.insert(rng.randint(0, len(rows)), combo)
-        rows.append([rng.randint(low, 3) for _ in range(p)])
-        periods = tuple(tuple(row[j] for row in rows) for j in range(p))
-        if rank_over_rationals(IntMatrix.from_columns(periods)) != p:
-            continue
-        base = tuple(rng.randint(low, 3) for _ in range(n))
-        presentation = SemilinearPresentation(
-            components=(LinearSetPresentation(base, periods, domain),),
-            asserted_disjoint=True,
-            asserted_simple=True,
-        )
-        if estimate_result_nodes(presentation) > NODE_BUDGET:
-            continue
-        result = eliminate(presentation, "y")
-        core = result.report.components[0]
-        if core.case == "interval-count" and core.upper_rows and core.lower_rows:
-            if core.denom <= MAX_DENOM:
-                return presentation, result
+        drawn = _draw_core(rng, domain, n, p)
+        if drawn is not None:
+            core = drawn[1].report.components[0]
+            if core.upper_rows and core.lower_rows:
+                return drawn
+
+
+def _draw_core(rng: random.Random, domain: DomainTag, n: int, p: int):
+    """One draw of :func:`random_two_sided`'s shape, n coordinates and p
+    periods: the presentation and its elimination, or None when the draw is
+    not simple, has no interval core, or exceeds a limit."""
+    low = 0 if domain is DomainTag.N else -3
+    basis = [[rng.randint(low, 3) for _ in range(p)] for _ in range(p - 1)]
+    rows = list(basis)
+    for _ in range(n - p):
+        weights = [rng.randint(0, 2) for _ in basis]
+        combo = [sum(w * row[j] for w, row in zip(weights, basis)) for j in range(p)]
+        rows.insert(rng.randint(0, len(rows)), combo)
+    rows.append([rng.randint(low, 3) for _ in range(p)])
+    periods = tuple(tuple(row[j] for row in rows) for j in range(p))
+    if rank_over_rationals(IntMatrix.from_columns(periods)) != p:
+        return None
+    base = tuple(rng.randint(low, 3) for _ in range(n))
+    presentation = SemilinearPresentation(
+        components=(LinearSetPresentation(base, periods, domain),),
+        asserted_disjoint=True,
+        asserted_simple=True,
+    )
+    plan = plan_elimination(presentation)
+    if estimate_result_nodes(plan) > NODE_BUDGET:
+        return None
+    result = eliminate(plan, "y")
+    core = result.report.components[0]
+    if core.case != "interval-count" or core.denom > MAX_DENOM:
+        return None
+    return presentation, result
 
 
 def _agree_with_oracle(domain, seed):
@@ -88,3 +102,39 @@ def test_int_two_sided_cores_agree_with_oracle():
     shapes, counted = _agree_with_oracle(DomainTag.Z, 4048)
     assert all(shapes.values()), shapes
     assert counted > 200
+
+
+def test_cores_with_three_bounds_in_one_family():
+    # Four periods in dims 4-5: two-sided cores with three upper or three
+    # lower bounds, whose permutation branches number 6 or more.  Random
+    # assignments rarely meet the set's projection, so each core is also
+    # checked where a point of the set lies, with a count of at least 1.
+    rng = random.Random(7331)
+    cores = counted = 0
+    while cores < 12:
+        domain = (DomainTag.Z, DomainTag.N)[cores % 2]
+        drawn = _draw_core(rng, domain, rng.randint(4, 5), 4)
+        if drawn is None:
+            continue
+        presentation, result = drawn
+        core = result.report.components[0]
+        if not (core.upper_rows and core.lower_rows):
+            continue
+        if max(len(core.upper_rows), len(core.lower_rows)) < 3:
+            continue
+        assert core.branches >= 6
+        if domain is DomainTag.N:
+            assert is_subtraction_free(result.formula), presentation
+        outcome = run_check(presentation, trials=15, box_radius=12, seed=cores, result=result)
+        assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
+        (component,) = presentation.components
+        names = coordinate_names(component.dimension)
+        for _ in range(10):
+            point = component.point_at([rng.randint(0, 3) for _ in component.periods])
+            assignment = dict(zip(names, point[:-1]))
+            oracle = count_set_witnesses(presentation, assignment)
+            got = formula_count_values(result, assignment, verify.tested_counts(rng, oracle.count), domain)
+            assert got == ([oracle.count] if oracle.stable else []), (presentation, assignment)
+            counted += oracle.stable
+        cores += 1
+    assert counted >= 60, counted
