@@ -143,7 +143,6 @@ def _format_report(result, estimated: int) -> str:
             fields.append("lowers=" + (",".join(map(str, comp.lower_rows)) or "-"))
             fields.append("signs=" + (",".join(map(str, comp.sign_rows)) or "-"))
             fields.append(f"coset-period={comp.coset_period}")
-            fields.append(f"branches={comp.branches}")
         fields.append(f"count-var={comp.count_var}")
         fields.append(f"nodes={comp.nodes}")
         lines.append("# " + " ".join(fields))

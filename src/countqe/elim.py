@@ -21,16 +21,16 @@ congruences N_i = 0 (mod D).
 For fixed free coordinates these congruences leave t no value or one coset
 of D'Z, where D' = lcm_i D/gcd(D, lam_i) and lam is the counted column (the
 paper's split into residue classes modulo D, merged by the Chinese remainder
-theorem).  So each permutation branch with tightest bounds ``lo <= m*t <=
-hi`` binds a first witness t0, the coset's one member in ``lo <= m*t0 < lo +
-m*D'``, and counts the members t0, t0 + D', ... with ``m*t <= hi`` by one
-floor quotient pinned by a pair of order atoms
-(:func:`progression_count_formula`).  Where the branch guard fails, or no
-value fills the window, the branch count is 0.  The branch counts sum
-straight into the component's count.  A core with an empty bound family has
-no count where its sign atoms hold and the congruences have a solution, and
-count 0 elsewhere.  Components combine by summing per-component count
-variables.
+theorem).  So a core with bounds ``l_i <= m*t <= h_j`` binds a first witness
+t0, the coset's one member in ``max_i l_i <= m*t0 < max_i l_i + m*D'``
+(:func:`_first_witness_window`), and counts the members t0, t0 + D', ... up
+to ``min_j h_j`` by the least of the floor quotients, each pinned by a pair
+of order atoms (:func:`progression_count_formula`).  The maximum and minimum
+are atoms over the bound terms, not binders: a bound term can be negative at
+natural points.  Where a sign atom fails, or no value fills the window, the
+count is 0.  A core with an empty bound family has no count where its sign
+atoms hold and the congruences have a solution, and count 0 elsewhere.
+Components combine by summing per-component count variables.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
 data, bound families and size estimate), then built from that plan.
@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import formula as fm
 from .errors import (
@@ -105,27 +105,54 @@ def count_in_progression(lo: int, hi: int, residue: int, modulus: int) -> int:
     return (hi - r) // modulus - (lo - 1 - r) // modulus
 
 
-def progression_count_formula(first: Term, hi: Term, step: int, count_var: str) -> Formula:
+def progression_count_formula(
+    first: Term, his: Sequence[Term], step: int, count_var: str
+) -> Formula:
     """Formula binding ``count_var`` to the number of terms of the progression
-    ``first, first + step, ...`` that are at most ``hi``.
+    ``first, first + step, ...`` that are at most every term of ``his``.
 
-    The count is 0 when ``hi < first`` and ``floor((hi - first)/step) + 1``
-    otherwise, which the floor pair ``step*u <= hi - first + step`` and ``hi -
-    first < step*u`` pins (one equation when ``step`` is 1).  No binder.
+    The count is 0 when some ``hi < first``, else the least ``floor((hi -
+    first)/step) + 1``: at most each (``step*u <= hi - first + step``, left
+    out for one term) and equal to one, which the floor pair ``step*u <= hi -
+    first + step`` and ``hi - first < step*u`` pins (one equation when
+    ``step`` is 1).  No binder.
     """
-    if step < 1:
-        raise ParameterError("progression step must be positive")
+    if step < 1 or not his:
+        raise ParameterError("a progression count needs a positive step and an upper term")
     u = variable(count_var)
-    gap = hi - first
-    pin = [Eq(u, gap + 1)] if step == 1 else [Le(step * u, gap + step), Lt(gap, step * u)]
-    return disj([conj([Lt(hi, first), Eq(u, constant(0))]), conj([Le(first, hi)] + pin)])
+    gaps = [hi - first for hi in his]
+    pins = [
+        Eq(u, g + 1) if step == 1 else conj([Le(step * u, g + step), Lt(g, step * u)]) for g in gaps
+    ]
+    at_most = [Le(step * u, g + step) for g in gaps] if len(his) > 1 else []
+    return disj([
+        conj([disj([Lt(hi, first) for hi in his]), Eq(u, constant(0))]),
+        conj([Le(first, hi) for hi in his] + at_most + [disj(pins)]),
+    ])
 
 
-def progression_count_formula_nat(first: Term, hi: Term, step: int, count_var: str) -> Formula:
+def progression_count_formula_nat(
+    first: Term, his: Sequence[Term], step: int, count_var: str
+) -> Formula:
     """:func:`progression_count_formula` with every atom subtraction-free,
     equivalent over the naturals.  The eliminator does not call it: it
     normalises each quantifier-free piece of its body."""
-    return normalize_for_nat(progression_count_formula(first, hi, step, count_var))
+    return normalize_for_nat(progression_count_formula(first, his, step, count_var))
+
+
+def _first_witness_window(
+    lows: Sequence[Term], first: Term, width: int, congruences: list
+) -> Formula:
+    """``max(lows) <= first < max(lows) + width`` and the ``congruences``:
+    ``lo <= first`` for each lower term, and for one of them the window ``lo
+    <= first < lo + width`` with the congruences, which the evaluator decides
+    by one window step (one lower term gives its window alone).  Where the
+    congruences leave ``first`` one coset of period ``width``, at most one
+    value satisfies it."""
+    windows = [conj([Le(lo, first), Lt(first, lo + width)] + congruences) for lo in lows]
+    if len(windows) == 1:
+        return windows[0]
+    return conj([Le(lo, first) for lo in lows] + [disj(windows)])
 
 
 # --- classification of the Cramer rows ---------------------------------------
@@ -291,15 +318,12 @@ class PermutationBranch:
 
     The guard pins the order of the bound values (ties broken by row index,
     so the guards of all branches partition every valuation); under it the
-    first entries carry the tightest bounds.
+    first row of each order carries the tightest bound.
     """
 
     upper_order: tuple[int, ...]
     lower_order: tuple[int, ...]
     guard: Formula
-    tightest_upper: Term
-    tightest_lower: Term
-    count_var: str
 
 
 def _chain_atom(earlier: Term, later: Term, tie_ok: bool) -> Formula:
@@ -308,22 +332,17 @@ def _chain_atom(earlier: Term, later: Term, tie_ok: bool) -> Formula:
     return Le(earlier, later) if tie_ok else Lt(earlier, later)
 
 
-def build_permutation_branches(
-    classification: BoundClassification,
-    namer: Optional[Callable[[], str]] = None,
-) -> list[PermutationBranch]:
+def build_permutation_branches(classification: BoundClassification) -> list[PermutationBranch]:
     """All orderings of the bound families with tie-broken strict chains.
 
     Upper bounds are chained increasingly from the tightest, lower bounds
-    decreasingly from the tightest.  Requires both families nonempty; the
-    empty cases are handled by convention in the eliminator.
+    decreasingly from the tightest.  Requires both families nonempty.  The
+    eliminator builds no branches: its window and count formulas read every
+    bound of a family at once.
     """
     bc = classification
     if not bc.upper_rows or not bc.lower_rows:
         raise ConventionError("bound classification with an empty family")
-    if namer is None:
-        counter = itertools.count(1)
-        namer = lambda: f"u{next(counter)}"
     branches = []
     for sigma in itertools.permutations(sorted(bc.upper_rows)):
         upper_chain = [
@@ -335,16 +354,7 @@ def build_permutation_branches(
                 _chain_atom(bc.bound_term(b), bc.bound_term(a), tie_ok=b < a)
                 for a, b in zip(tau, tau[1:])
             ]
-            branches.append(
-                PermutationBranch(
-                    upper_order=sigma,
-                    lower_order=tau,
-                    guard=conj(upper_chain + lower_chain),
-                    tightest_upper=bc.bound_term(sigma[0]),
-                    tightest_lower=bc.bound_term(tau[0]),
-                    count_var=namer(),
-                )
-            )
+            branches.append(PermutationBranch(sigma, tau, conj(upper_chain + lower_chain)))
     return branches
 
 
@@ -411,7 +421,6 @@ class ComponentReport:
     lower_rows: tuple[int, ...] = ()
     sign_rows: tuple[int, ...] = ()
     coset_period: Optional[int] = None
-    branches: int = 0
 
 
 @dataclass(frozen=True)
@@ -444,9 +453,9 @@ class ComponentPlan:
     conditions of the Cramer rows (see :func:`_congruence_rows`).  A
     single-witness component has no ``bounds``.  For an interval core, the
     congruences' solutions in the counted value form one coset of
-    ``coset_period``, and ``branches`` counts the permutation branches (0
-    when a bound family is empty).  ``conjunctive`` tells whether the
-    component's body is a conjunction, which a union's conjunction absorbs.
+    ``coset_period``.  ``conjunctive`` tells whether the component's body is
+    a conjunction, which a union's conjunction absorbs: a one-sided core's
+    is, a two-sided core's (a disjunction) is not.
     """
 
     component: LinearSetPresentation
@@ -459,7 +468,6 @@ class ComponentPlan:
     congruences: tuple
     bounds: Optional[BoundClassification] = None
     coset_period: int = 1
-    branches: int = 0
     conjunctive: bool = False
 
     def report(self, index: int, count_var: str, nodes: int) -> ComponentReport:
@@ -480,7 +488,6 @@ class ComponentPlan:
                 lower_rows=one_based(bc.lower_rows),
                 sign_rows=one_based(bc.sign_rows),
                 coset_period=self.coset_period,
-                branches=self.branches,
             )
         return ComponentReport(index=index, case=self.case, count_var=count_var, nodes=nodes, **fields)
 
@@ -512,10 +519,9 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
     classification and congruences.
 
     The estimate counts the output atom by atom from the row terms, in
-    closed form: nothing in it grows with D.  It is exact over Z and, for a
-    single-witness component, over N too; over N an interval core's
-    estimate is an upper bound (normalising a guard atom can merge its two
-    sides).
+    closed form: nothing in it grows with D, and it grows linearly in the
+    sizes of the bound families.  It is exact over Z and N: no atom reads a
+    name on both sides, so normalising over N keeps every coefficient.
     """
     if not check_simple(component):
         raise UnsupportedPresentationError(
@@ -550,7 +556,6 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
     denom = solution.denom
     period = lcm(*(denom // gcd(denom, coeffs[-1]) for coeffs, _ in congruences))
     signs = [_atom_nodes(bc.row_terms[i]) for i in bc.sign_rows]
-    branches = 0
     if not bc.upper_rows or not bc.lower_rows:
         # "!(signs & E t . 0 <= t & t < D' & congruences) & 0 = y", without
         # the binder when D' is 1; false when nothing is negated.
@@ -558,25 +563,24 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
         estimate = 4 + _conj_nodes(negated) if negated else 1
         conjunctive = True
     else:
-        step, bound = bc.multiplier * period, bc.bound_term
-        estimate = 0
-        for sigma in itertools.permutations(bc.upper_rows):
-            for tau in itertools.permutations(bc.lower_rows):
-                pairs = [*zip(sigma, sigma[1:]), *zip(tau, tau[1:])]
-                guard = signs + [_atom_nodes(bound(a), bound(b)) for a, b in pairs]
-                # "lo <= m*t & m*t < lo + m*D'" and the congruences
-                window = 4 + 2 * len(bound(tau[0]).coeffs) + sum(congs)
-                hi = len(bound(sigma[0]).coeffs)
-                count = 12 + 3 * hi if step == 1 else 15 + 4 * hi
-                # "(guard & window(t0) & count) | ((!guard | !E t1 . window(t1)) & u = 0)"
-                missing = (2 + _conj_nodes(guard) if guard else 0) + 3 + window
-                estimate += sum(guard) + window + count + 5 + missing
-                branches += 1
-        # One branch counts into the component's count and binds t0 only;
-        # several bind u and t0 each and add "u_1 + ... = y" to their
-        # conjunction.
-        estimate += 1 if branches == 1 else 3 * branches + 3
-        conjunctive = branches > 1
+        step = bc.multiplier * period
+        lows = [len(bc.bound_term(i).coeffs) for i in bc.lower_rows]
+        highs = [len(bc.bound_term(j).coeffs) for j in bc.upper_rows]
+        # W(t): "l <= m*t & m*t < l + s" and the congruences for each lower
+        # term l; several are an Or of these conjunctions beside "l <= m*t".
+        windows = [4 + 2 * c + sum(congs) for c in lows]
+        window = windows[0] if len(lows) == 1 else sum(windows) + 3 * len(lows) + sum(lows) + 1
+        # C(t, y): "h < f & y = 0 | f <= h & pin" for one upper term h, the
+        # pin "y = h - f + 1" when s is 1, else a floor pair.  Several add
+        # "s*y <= h - f + s" for each h and two Ors (each floor pair an And).
+        pins = [3 + c if step == 1 else 6 + 2 * c for c in highs]
+        count = 5 + sum(4 + 2 * c + pin for c, pin in zip(highs, pins))
+        if len(highs) > 1:
+            count += 2 + sum(3 + c + (step > 1) for c in highs)
+        # "E t0 . (signs & W(t0) & C) | ((!signs | !E t1 . W(t1)) & y = 0)"
+        missing = (2 + _conj_nodes(signs) if signs else 0) + 3 + window
+        estimate = sum(signs) + window + count + 6 + missing
+        conjunctive = False
     if rels and estimate == 1:
         # A false body leaves "!relations & y = 0".
         estimate, conjunctive = _conj_nodes(rels) + 4, True
@@ -586,7 +590,7 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
         conjunctive = False
     return ComponentPlan(
         component, "interval-count", estimate, rows, dropped, solution, relations, congruences,
-        bc, period, branches, conjunctive,
+        bc, period, conjunctive,
     )
 
 
@@ -652,19 +656,17 @@ def _case_single(plan: ComponentPlan, count_var: str, names: Sequence[str]) -> F
 
 
 def _case_interval(
-    plan: ComponentPlan,
-    count_var: str,
-    names: Sequence[str],
-    fresh: FreshNames,
+    plan: ComponentPlan, count_var: str, names: Sequence[str], fresh: FreshNames
 ) -> tuple[list, Formula]:
     """The square-core construction for a component whose every full-rank
     row subsystem uses the counted row: its binders and its body.
 
-    A two-sided core binds per branch its first witness ``t0`` and, when
-    there are several branches, its count ``u`` with ``sum u = count_var``;
-    each branch's zero case reads ``!E t1`` over the same window.  A
-    one-sided core adds no binder to the prefix: its body is ``!(signs & E
-    t . 0 <= t < D' & congruences) & 0 = count_var``.
+    A two-sided core binds its first witness t0: ``E t0 . (signs & W(t0) &
+    C) | ((!signs | !E t1 . W(t1)) & count_var = 0)``, W the window of its
+    lower terms (:func:`_first_witness_window`) and C the count up to its
+    upper terms (:func:`progression_count_formula`).  A one-sided core adds
+    no binder to the prefix: its body is ``!(signs & E t . W(t)) & 0 =
+    count_var``, W the window of the one lower term 0 on t.
     """
     presentation, solution, bc = plan.component, plan.solution, plan.bounds
     piece = normalize_for_nat if presentation.domain is DomainTag.N else lambda f: f
@@ -679,41 +681,32 @@ def _case_interval(
     def congruences(witness: Term) -> list:
         return _congruences(plan.congruences, solution.denom, free_names, witness)
 
-    def window(witness: str, lo: Term, scale: int) -> Formula:
-        # The congruences' coset has one member in it, or none.
+    def window(witness: str, lows: Sequence[Term], m: int) -> Formula:
         t = variable(witness)
-        return piece(conj([Le(lo, scale * t), Lt(scale * t, lo + scale * period)] + congruences(t)))
+        return piece(_first_witness_window(lows, m * t, m * period, congruences(t)))
 
-    def has_witness(lo: Term, scale: int) -> Formula:
+    def has_witness(lows: Sequence[Term], m: int) -> Formula:
         t = fresh.fresh("t")
-        return Exists(t, window(t, lo, scale))
+        return Exists(t, window(t, lows, m))
 
-    signs = [Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]
+    signs = piece(conj([Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]))
     y = variable(count_var)
-    prefix: list[str] = []
     if not bc.upper_rows or not bc.lower_rows:
         # One bound family is empty: wherever the sign atoms hold and the
         # congruences have a solution the witness set is infinite, so no
         # count value may satisfy it; elsewhere it is empty.
         # When D' is 1 no congruence reads the counted value: no binder.
-        solvable = conj(congruences(constant(0))) if period == 1 else has_witness(constant(0), 1)
-        body = conj([negate(conj([piece(conj(signs)), solvable])), Eq(constant(0), y)])
+        solvable = conj(congruences(constant(0))) if period == 1 else has_witness([constant(0)], 1)
+        prefix, body = [], conj([negate(conj([signs, solvable])), Eq(constant(0), y)])
     else:
         m = bc.multiplier
-        namer = (lambda: count_var) if plan.branches == 1 else (lambda: fresh.fresh("u"))
-        parts, branches = [], build_permutation_branches(bc, namer=namer)
-        for branch in branches:
-            t0, u = fresh.fresh("t"), branch.count_var
-            guard = piece(conj(signs + [branch.guard]))
-            lo, hi = branch.tightest_lower, branch.tightest_upper
-            count = piece(progression_count_formula(m * variable(t0), hi, m * period, u))
-            found = conj([guard, window(t0, lo, m), count])
-            missing = disj([negate(guard), negate(has_witness(lo, m))])
-            parts.append(disj([found, conj([missing, Eq(variable(u), constant(0))])]))
-            prefix += [t0] if plan.branches == 1 else [t0, u]
-        if plan.branches > 1:
-            parts.append(Eq(Term(0, {b.count_var: 1 for b in branches}), y))
-        body = conj(parts)
+        lows = [bc.bound_term(i) for i in bc.lower_rows]
+        highs = [bc.bound_term(j) for j in bc.upper_rows]
+        t0 = fresh.fresh("t")
+        count = piece(progression_count_formula(m * variable(t0), highs, m * period, count_var))
+        found = conj([signs, window(t0, lows, m), count])
+        missing = disj([negate(signs), negate(has_witness(lows, m))])
+        prefix, body = [t0], disj([found, conj([missing, Eq(y, constant(0))])])
     if not isinstance(relations, fm.TrueF):
         body = disj([conj([relations, body]), conj([negate(relations), Eq(y, constant(0))])])
     return prefix, body
@@ -780,8 +773,9 @@ def estimate_result_nodes(presentation: Union[SemilinearPresentation, Eliminatio
 
     Used by the command-line interface to warn before a blow-up; it sums the
     components' planned estimates (see :func:`plan_component`), and accepts
-    a plan in place of the presentation.  It never reads below the output.
-    The multi-component wrapper is counted exactly.
+    a plan in place of the presentation.  It equals the output's
+    :func:`countqe.formula.node_count`; the multi-component wrapper is
+    counted exactly too.
     """
     plan = plan_elimination(presentation)
     total = sum(c.estimated_nodes for c in plan.components)

@@ -155,18 +155,18 @@ class TestEliminateCommand:
         assert "case=interval-count" in out
         assert "D=2" in out
         assert "m=6" in out
-        assert "coset-period=2 branches=2 " in out
+        assert "coset-period=2 count-var=y " in out
 
     @pytest.mark.parametrize("denom", [100, 400, 1200])
     def test_half_line_without_budget_warning(self, capsys, tmp_path, denom):
         code, out, err = run(capsys, "eliminate", half_line(tmp_path, denom), "--report")
         assert (code, err) == (0, "")
         # One coset witness, whatever the denominator: 16 nodes.
-        assert f"coset-period={denom} branches=0 count-var=y nodes=16\n" in out
+        assert f"coset-period={denom} count-var=y nodes=16\n" in out
 
     def test_d8_m2_without_budget_warning(self, capsys, tmp_path):
-        # A two-sided core with D = 8 and m = 2: one branch, whose first
-        # witness has coset period 8.
+        # A two-sided core with D = 8 and m = 2, whose first witness has
+        # coset period 8.
         path = tmp_path / "d8_m2.sl"
         path.write_text(
             "domain Z\ndim 3\ndisjoint\nsimple\ncomponent\nbase 2 3 0\n"
@@ -175,7 +175,7 @@ class TestEliminateCommand:
         )
         code, out, err = run(capsys, "eliminate", str(path), "--report")
         assert (code, err) == (0, "")
-        assert "coset-period=8 branches=1 " in out
+        assert "coset-period=8 count-var=y " in out
 
     def test_singleton_report(self, capsys):
         code, out, _ = run(capsys, "eliminate", fixture("singleton.sl"), "--report")

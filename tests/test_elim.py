@@ -110,7 +110,7 @@ def _progression_count(first, hi, step):
 
 class TestProgressionCountFormula:
     def _check(self, first, hi, step):
-        f = progression_count_formula(variable("lo"), variable("hi"), step, "u")
+        f = progression_count_formula(variable("lo"), [variable("hi")], step, "u")
         expected = count_in_progression(first, hi, first, step)
         assert expected == _progression_count(first, hi, step)
         asg = {"lo": first, "hi": hi}
@@ -134,12 +134,37 @@ class TestProgressionCountFormula:
         for _ in range(400):
             self._check(rng.randint(-25, 25), rng.randint(-25, 25), rng.randint(1, 12))
 
+    def test_family_of_upper_terms_counts_up_to_the_least(self):
+        # The count up to min(h1, h2, h3) from a family of two or three upper
+        # terms, over Z and, normalised, over N.
+        rng = random.Random(39)
+        seen = {"empty": 0, "tie": 0, "three": 0}
+        for _ in range(300):
+            step = rng.randint(1, 6)
+            his = [variable(f"h{j}") for j in range(rng.randint(2, 3))]
+            first = rng.randint(0, 20)
+            asg = {f"h{j}": rng.randint(0, 40) for j in range(len(his))} | {"lo": first}
+            expected = _progression_count(first, min(asg[f"h{j}"] for j in range(len(his))), step)
+            for f, domain in (
+                (progression_count_formula(variable("lo"), his, step, "u"), "Z"),
+                (progression_count_formula_nat(variable("lo"), his, step, "u"), "N"),
+            ):
+                assert evaluate(f, asg | {"u": expected}, domain=domain) is True
+                for wrong in (expected - 1, expected + 1, expected + step):
+                    assert evaluate(f, asg | {"u": wrong}, domain=domain) is False
+            seen["empty"] += expected == 0
+            seen["tie"] += len(set(asg[f"h{j}"] for j in range(len(his)))) < len(his)
+            seen["three"] += len(his) == 3
+        assert min(seen.values()) >= 10, seen
+
     def test_no_quantifiers_and_parameter_errors(self):
-        f = progression_count_formula(variable("lo"), variable("hi"), 6, "u")
+        f = progression_count_formula(variable("lo"), [variable("hi")], 6, "u")
         assert contains_counting(f) is False
         assert free_vars(f) == {"lo", "hi", "u"}
         with pytest.raises(ParameterError):
-            progression_count_formula(variable("lo"), variable("hi"), 0, "u")
+            progression_count_formula(variable("lo"), [variable("hi")], 0, "u")
+        with pytest.raises(ParameterError):
+            progression_count_formula(variable("lo"), [], 6, "u")
 
 
 class TestProgressionCountFormulaNat:
@@ -147,7 +172,7 @@ class TestProgressionCountFormulaNat:
 
     def _check(self, step, a, b, c, d):
         first, hi = variable("a") - variable("b"), variable("c") - variable("d")
-        f = progression_count_formula_nat(first, hi, step, "u")
+        f = progression_count_formula_nat(first, [hi], step, "u")
         expected = _progression_count(a - b, c - d, step)
         asg = {"a": a, "b": b, "c": c, "d": d}
         assert evaluate(f, asg | {"u": expected}, domain="N") is True
@@ -164,7 +189,7 @@ class TestProgressionCountFormulaNat:
         self._check(1, 10, 0, 4, 0)
 
     def test_subtraction_free(self):
-        f = progression_count_formula_nat(variable("a") - variable("b"), variable("c") - 3, 6, "u")
+        f = progression_count_formula_nat(variable("a") - variable("b"), [variable("c") - 3], 6, "u")
         assert is_subtraction_free(f) is True
 
     def test_randomised_against_enumeration(self):
@@ -286,9 +311,34 @@ class TestFirstWitnessWindow:
         assert sizes == {1, 2, 3, 4}
         assert min(seen.values()) >= 50, seen
 
+    def test_several_lower_terms_take_the_greatest(self):
+        # W(t) with two or three lower terms holds only at the least t in the
+        # coset with m*t >= max(lows), and the pinned evaluator chooses it.
+        rng = random.Random(2025)
+        seen = {"three": 0, "tie": 0}
+        for _ in range(300):
+            lows = [variable(f"l{i}") for i in range(rng.randint(2, 3))]
+            m, period = rng.randint(1, 4), rng.randint(1, 6)
+            residue = rng.randrange(period)
+            cong = [Cong(variable("t"), residue, period)] if period > 1 else []
+            window = elim._first_witness_window(lows, m * variable("t"), m * period, cong)
+            asg = {f"l{i}": rng.randint(-20, 20) for i in range(len(lows))}
+            top = max(asg.values())
+            span = range(-30, 30)
+            expected = [t for t in span if m * t >= top and t % period == residue][:1]
+            holds = [t for t in span if evaluate(window, asg | {"t": t})]
+            assert holds == expected, (asg, m, period, residue)
+            t, y = variable("t"), variable("y")
+            chosen = PinnedProgram(Exists("t", conj([window, Le(t, y), Le(y, t)])))
+            assert chosen.count_values(asg, "y", span) == expected
+            seen["three"] += len(lows) == 3
+            seen["tie"] += len(set(asg.values())) < len(asg)
+        assert min(seen.values()) >= 10, seen
+
     def test_half_line_period_is_the_denominator(self):
         plan = elim.plan_component(half_line(60).components[0], coordinate_names(2))
-        assert (plan.solution.denom, plan.coset_period, plan.branches) == (60, 60, 0)
+        assert (plan.solution.denom, plan.coset_period, plan.conjunctive) == (60, 60, True)
+        assert not (plan.bounds.upper_rows and plan.bounds.lower_rows)
 
 
 class TestPermutationBranches:
@@ -391,7 +441,8 @@ class TestEliminateSimpleStructure:
         assert rep.lower_rows == (1,)
         assert rep.sign_rows == ()
         assert rep.coset_period == 2
-        assert rep.branches == 2
+        # Two upper terms, one branch: the estimate counts it exactly.
+        assert rep.nodes == estimate_result_nodes(union(THREE_PERIOD_SET))
         assert contains_counting(result.formula) is False
         assert free_vars(result.formula) <= {"x1", "x2", "x3", "y"}
 
@@ -578,6 +629,24 @@ class TestEliminateUnion:
                 dropped += any(c.dropped_rows for c in result.report.components)
         assert exact >= 20 and dropped >= 5, (exact, dropped)
 
+    def test_estimate_is_exact_over_both_domains(self):
+        # No output atom reads a name on both sides, so normalising over N
+        # keeps every coefficient: the estimate is exact there too, cores
+        # with two or more bounds in a family included.
+        rng = random.Random(2027)
+        seen = {"N": 0, "N, family>=2": 0, "Z, family>=2": 0}
+        for _ in range(300):
+            domain = rng.choice([DomainTag.Z, DomainTag.N])
+            s = random_disjoint_presentation(rng, domain, max_dimension=5)
+            result = eliminate(s, "y")
+            assert estimate_result_nodes(s) == result.report.nodes, s
+            seen["N"] += domain is DomainTag.N
+            seen[f"{domain.value}, family>=2"] += any(
+                r.upper_rows and r.lower_rows and len(r.upper_rows + r.lower_rows) >= 3
+                for r in result.report.components
+            )
+        assert min(seen.values()) >= 10, seen
+
     def test_false_one_sided_body_under_relations(self):
         # No sign atom and D' = 1: the core's body is false, and the dropped
         # row's relation leaves "!x1 = 1 & y = 0".
@@ -627,11 +696,10 @@ def _fixture_or_d8_m2(name):
 
 
 class TestBinders:
-    """Each branch of a two-sided core binds its first witness t0, and the
-    window witness t1 of its zero case; with several branches each also
-    binds its count.  A one-sided core binds one coset witness when D' > 1,
-    a single-witness component nothing, and a union one part count per
-    component."""
+    """A two-sided core binds its first witness t0 and the window witness t1
+    of its zero case, whatever the sizes of its bound families.  A one-sided
+    core binds one coset witness when D' > 1, a single-witness component
+    nothing, and a union one part count per component."""
 
     @staticmethod
     def _exists_nodes(formula):
@@ -644,11 +712,7 @@ class TestBinders:
         for r in reports:
             if r.case == "single-witness":
                 continue
-            if not r.branches:
-                total += r.coset_period > 1
-            else:
-                # t0, t1 and, with several branches, u
-                total += r.branches * (2 + (r.branches > 1))
+            total += 2 if r.upper_rows and r.lower_rows else r.coset_period > 1
         return total
 
     @pytest.mark.parametrize("name", ["three_periods", "natural", "d8_m2"])
@@ -662,7 +726,7 @@ class TestBinders:
 
     def test_seeded_interval_cores(self):
         rng = random.Random(17)
-        seen = {"one-sided": 0, "two-sided": 0, "single-witness": 0, "union": 0}
+        seen = {"one-sided": 0, "two-sided": 0, "single-witness": 0, "union": 0, "family>=2": 0}
         while min(seen.values()) < 6:
             domain = rng.choice([DomainTag.Z, DomainTag.N])
             s = random_disjoint_presentation(rng, domain, max_dimension=4)
@@ -670,16 +734,18 @@ class TestBinders:
             reports = result.report.components
             assert self._exists_nodes(result.formula) == self._binders(result), s
             for r in reports:
-                kind = r.case if r.case == "single-witness" else "two-sided" if r.branches else "one-sided"
+                two_sided = r.upper_rows and r.lower_rows
+                kind = r.case if r.case == "single-witness" else "two-sided" if two_sided else "one-sided"
                 seen[kind] += 1
+                seen["family>=2"] += bool(two_sided) and max(len(r.upper_rows), len(r.lower_rows)) >= 2
             seen["union"] += len(reports) > 1
 
 
 class TestOutputSize:
     # Node ceilings: the sizes measured with one first-witness binder per
-    # branch, rounded up by less than 5 %.
+    # core, rounded up by less than 5 %.
     @pytest.mark.parametrize(
-        "name, ceiling", [("three_periods", 150), ("natural", 48), ("d8_m2", 72)]
+        "name, ceiling", [("three_periods", 99), ("natural", 48), ("d8_m2", 72)]
     )
     def test_two_sided_cores_stay_small(self, name, ceiling):
         s = _fixture_or_d8_m2(name)

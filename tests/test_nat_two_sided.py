@@ -4,12 +4,15 @@ the integers.
 A seeded generator draws components whose square core has both an upper
 and a lower bound family on the counted coordinate.  Every eliminated
 formula must agree with the witness oracle, and over N be subtraction-free.
-A second sample reaches cores with three bounds in one family.
+A second sample reaches cores with three bounds in one family, and a
+third splits cores with two or more bounds in a family into two-component
+unions, whose part counts the evaluator pins from the count's disjunction.
 """
 
 import random
 
 from countqe.elim import eliminate, estimate_result_nodes, is_subtraction_free, plan_elimination
+from countqe.formula import Exists, traverse
 from countqe.linalg import IntMatrix, rank_over_rationals
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe import verify
@@ -104,11 +107,27 @@ def test_int_two_sided_cores_agree_with_oracle():
     assert counted > 200
 
 
+def _agree_at_points(presentation, result, component, rng, points):
+    """Check the formula against the oracle where ``points`` random points
+    of ``component`` lie; returns how many of them were stable."""
+    names = coordinate_names(component.dimension)
+    stable = 0
+    for _ in range(points):
+        point = component.point_at([rng.randint(0, 3) for _ in component.periods])
+        assignment = dict(zip(names, point[:-1]))
+        oracle = count_set_witnesses(presentation, assignment)
+        tested = verify.tested_counts(rng, oracle.count)
+        got = formula_count_values(result, assignment, tested, presentation.domain)
+        assert got == ([oracle.count] if oracle.stable else []), (presentation, assignment)
+        stable += oracle.stable
+    return stable
+
+
 def test_cores_with_three_bounds_in_one_family():
     # Four periods in dims 4-5: two-sided cores with three upper or three
-    # lower bounds, whose permutation branches number 6 or more.  Random
-    # assignments rarely meet the set's projection, so each core is also
-    # checked where a point of the set lies, with a count of at least 1.
+    # lower bounds, each still one branch with the two binders t0 and t1.
+    # Random assignments rarely meet the set's projection, so each core is
+    # also checked where a point of the set lies, with a count of at least 1.
     rng = random.Random(7331)
     cores = counted = 0
     while cores < 12:
@@ -122,19 +141,56 @@ def test_cores_with_three_bounds_in_one_family():
             continue
         if max(len(core.upper_rows), len(core.lower_rows)) < 3:
             continue
-        assert core.branches >= 6
+        binders = [g.var for g in traverse(result.formula)[0] if isinstance(g, Exists)]
+        assert len(binders) == 2 and not any(v.startswith("_u") for v in binders), binders
         if domain is DomainTag.N:
             assert is_subtraction_free(result.formula), presentation
         outcome = run_check(presentation, trials=15, box_radius=12, seed=cores, result=result)
         assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
         (component,) = presentation.components
-        names = coordinate_names(component.dimension)
-        for _ in range(10):
-            point = component.point_at([rng.randint(0, 3) for _ in component.periods])
-            assignment = dict(zip(names, point[:-1]))
-            oracle = count_set_witnesses(presentation, assignment)
-            got = formula_count_values(result, assignment, verify.tested_counts(rng, oracle.count), domain)
-            assert got == ([oracle.count] if oracle.stable else []), (presentation, assignment)
-            counted += oracle.stable
+        counted += _agree_at_points(presentation, result, component, rng, 10)
         cores += 1
+    assert counted >= 60, counted
+
+
+def _parity_split(component: LinearSetPresentation) -> SemilinearPresentation:
+    """Two disjoint components: the first period's coefficient even or odd."""
+    first, *rest = component.periods
+    doubled = (tuple(2 * v for v in first), *rest)
+    shifted = tuple(b + v for b, v in zip(component.base, first))
+    parts = (LinearSetPresentation(base, doubled, component.domain) for base in (component.base, shifted))
+    return SemilinearPresentation(components=tuple(parts), asserted_disjoint=True, asserted_simple=True)
+
+
+def test_parity_split_unions_of_multi_bound_cores():
+    # A union binds each part count, so the evaluator chooses it from the
+    # count's disjunction over the upper terms (and the first witness from
+    # the window's over the lower terms), not from a given count value.
+    rng = random.Random(4099)
+    shapes = {"upper>=2": 0, "lower>=2": 0, "N": 0}
+    unions = counted = 0
+    while unions < 16:
+        domain = (DomainTag.Z, DomainTag.N)[unions % 2]
+        p = rng.choice((3, 4))
+        drawn = _draw_core(rng, domain, rng.randint(p, 5), p)
+        if drawn is None:
+            continue
+        core = drawn[1].report.components[0]
+        if not (core.upper_rows and core.lower_rows):
+            continue
+        if max(len(core.upper_rows), len(core.lower_rows)) < 2:
+            continue
+        (component,) = drawn[0].components
+        presentation = _parity_split(component)
+        result = eliminate(presentation, "y")
+        if domain is DomainTag.N:
+            assert is_subtraction_free(result.formula), presentation
+        outcome = run_check(presentation, trials=8, box_radius=12, seed=unions, result=result)
+        assert (outcome.mismatches, outcome.unstable_bad, outcome.overlaps) == (0, 0, 0), presentation
+        counted += _agree_at_points(presentation, result, component, rng, 6)
+        shapes["upper>=2"] += len(core.upper_rows) >= 2
+        shapes["lower>=2"] += len(core.lower_rows) >= 2
+        shapes["N"] += domain is DomainTag.N
+        unions += 1
+    assert min(shapes.values()) >= 4, shapes
     assert counted >= 60, counted

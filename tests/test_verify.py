@@ -1,5 +1,6 @@
 import random
 import sys
+from math import factorial
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -262,15 +263,18 @@ def _reference_eval_pinned(f: Formula, env: dict, domain, vacuous: set) -> bool:
 def _reference_estimate_result_nodes(presentation):
     """The node estimate that sized the step**2 count, and so drew the random
     part of the differential corpus: a two-sided core counted all denom**p
-    residue cases and ``8*step**2 + 6*step + 16`` nodes per progression."""
+    residue cases, each with one branch per ordering of each bound family,
+    and ``8*step**2 + 6*step + 16`` nodes per progression."""
     plan = plan_elimination(presentation)
     total = estimate_result_nodes(plan)
     for c in plan.components:
-        if c.branches:  # a two-sided core
+        bc = c.bounds
+        if bc is not None and bc.upper_rows and bc.lower_rows:  # a two-sided core
+            branches = factorial(len(bc.upper_rows)) * factorial(len(bc.lower_rows))
             denom, p = c.solution.denom, c.solution.size
-            step = c.bounds.multiplier * denom
+            step = bc.multiplier * denom
             branch = 8 * step * step + 6 * step + 16 + 4 * p + 8
-            total += denom**p * (c.branches * branch + 12) - c.estimated_nodes
+            total += denom**p * (branches * branch + 12) - c.estimated_nodes
     return total
 
 
@@ -570,7 +574,7 @@ class TestFloorPairPin:
             step = 40 if draw % 12 == 0 else rng.randint(1, 50)
             lo = rng.randint(-60, 60)
             hi = lo + rng.choice((-rng.randint(1, 5), 0, rng.randint(1, 120)))
-            f = progression_count_formula(variable("a"), variable("b"), step, "u")
+            f = progression_count_formula(variable("a"), [variable("b")], step, "u")
             expected = count_in_progression(lo, hi, lo, step)
             got = PinnedProgram(_chosen("u", f)).count_values({"a": lo, "b": hi}, "y", range(-2, expected + 4))
             assert got == [expected], (step, lo, hi)
@@ -592,7 +596,7 @@ class TestFloorPairPin:
             if z2 < 0:
                 z1, z2 = z1 - z2, 0
             y1v, y2v, z1v, z2v = map(variable, ("y1", "y2", "z1", "z2"))
-            f = progression_count_formula_nat(y1v - y2v, z2v - z1v, step, "u")
+            f = progression_count_formula_nat(y1v - y2v, [z2v - z1v], step, "u")
             expected = count_in_progression(first, z2 - z1, first, step)
             program = PinnedProgram(_chosen("u", f), DomainTag.N)
             got = program.count_values({"y1": y1, "y2": y2, "z1": z1, "z2": z2}, "y", range(expected + 4))
