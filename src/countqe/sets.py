@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from . import formula as fm
@@ -147,6 +148,13 @@ class MembershipTester:
     Picks a full-rank row subsystem once, keeps its Cramer data, and answers
     point queries by checking integrality and nonnegativity of the solved
     coefficients plus the leftover rows.
+
+    Along a line that fixes every coordinate but the last, the Cramer
+    numerators ``denom * z_i`` are affine in the last coordinate v, and so
+    are the leftover rows scaled by ``denom``.  :meth:`line` gives their
+    values at v = 0 and their steps per unit of v; :meth:`members_on_line`
+    tests every point of a range of v with them, O(p) integer operations a
+    point instead of a matrix-vector product.
     """
 
     def __init__(self, presentation: LinearSetPresentation):
@@ -170,7 +178,33 @@ class MembershipTester:
             self.rest_rows = tuple(
                 i for i in range(presentation.dimension) if i not in chosen
             )
-        self._matrix = matrix
+        # Every membership condition is an affine form in the point x: the
+        # numerators denom * z_i and, for each leftover row r, the residual
+        # denom * (base_r - x_r) + sum_i period_i[r] * denom * z_i.  Each is
+        # kept as (constant, coefficients of x_1..x_{n-1}, coefficient of x_n).
+        n = presentation.dimension
+        d = self.denom = self.cramer.denom if self.cramer is not None else 1
+        numerators = []
+        if self.cramer is not None:
+            column = {k: pos for pos, k in enumerate(self.selection)}
+            numerators = [
+                (gamma, [row[column[k]] if k in column else 0 for k in range(n)])
+                for row, gamma in zip(self.cramer.matrix, self.cramer.offset)
+            ]
+        residuals = []
+        for r in self.rest_rows:
+            weights = [period[r] for period in presentation.periods]
+            constant = d * presentation.base[r] + sum(
+                w * gamma for w, (gamma, _) in zip(weights, numerators)
+            )
+            coeffs = [
+                sum(w * num[k] for w, (_, num) in zip(weights, numerators))
+                for k in range(n)
+            ]
+            coeffs[r] -= d
+            residuals.append((constant, coeffs))
+        self._numerator_forms = [(c, coeffs[:-1], coeffs[-1]) for c, coeffs in numerators]
+        self._residual_forms = [(c, coeffs[:-1], coeffs[-1]) for c, coeffs in residuals]
 
     def coefficients_for(self, point: Sequence[int]) -> Optional[tuple[int, ...]]:
         """The unique coefficient vector placing ``point`` in the set, or None."""
@@ -197,6 +231,48 @@ class MembershipTester:
     def contains(self, point: Sequence[int]) -> bool:
         return self.coefficients_for(point) is not None
 
+    def line(
+        self, prefix: Sequence[int]
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The affine data of the points ``prefix + [v]``, as two lists of
+        ``(value at v = 0, step per unit of v)`` pairs.
+
+        The first holds the numerators ``denom * z_i`` in selection order;
+        the point is a member exactly when each of them is a nonnegative
+        multiple of ``denom`` and each of the second, the residuals
+        ``denom * (base_r + sum_i period_i[r] * z_i - x_r)`` of the leftover
+        rows r in ``rest_rows`` order, is 0.
+        """
+        if len(prefix) + 1 != self.presentation.dimension:
+            raise DimensionError("line prefix length does not match dimension")
+        def at_zero(forms):
+            return [(c + sum(map(mul, coeffs, prefix)), step) for c, coeffs, step in forms]
+
+        return at_zero(self._numerator_forms), at_zero(self._residual_forms)
+
+    def members_on_line(self, prefix: Sequence[int], lo: int, hi: int) -> list[int]:
+        """The values v in ``lo..hi``, ascending, with ``prefix + [v]`` in the set.
+
+        Tests every v by the affine data of :meth:`line`: each numerator in
+        turn for sign and divisibility, stopping at the first failure, then
+        each residual for zero.
+        """
+        numerators, residuals = self.line(prefix)
+        d = self.denom
+        found = []
+        for v in range(lo, hi + 1):
+            for num, step in numerators:
+                num += step * v
+                if num < 0 or num % d:
+                    break
+            else:
+                for res, step in residuals:
+                    if res + step * v:
+                        break
+                else:
+                    found.append(v)
+        return found
+
 
 def membership(presentation: LinearSetPresentation, point: Sequence[int]) -> bool:
     """Exact membership in a simple linear set.
@@ -208,35 +284,46 @@ def membership(presentation: LinearSetPresentation, point: Sequence[int]) -> boo
     return MembershipTester(presentation).contains(point)
 
 
+def _box_testers(presentation: SemilinearPresentation, box: IntBox) -> list[MembershipTester]:
+    if box.dimension != presentation.dimension:
+        raise DimensionError("box dimension does not match presentation")
+    return [MembershipTester(c) for c in presentation.components]
+
+
+def _box_lines(testers: Sequence[MembershipTester], box: IntBox):
+    """For each line of the box along its last coordinate, in lexicographic
+    order, its prefix and each tester's members on it."""
+    lo, hi = box.lower[-1], box.upper[-1]
+    prefixes = itertools.product(
+        *(range(a, b + 1) for a, b in zip(box.lower[:-1], box.upper[:-1]))
+    )
+    for prefix in prefixes:
+        yield prefix, [t.members_on_line(prefix, lo, hi) for t in testers]
+
+
 def enumerate_in_box(presentation: SemilinearPresentation, box: IntBox) -> list[tuple[int, ...]]:
     """All points of the union inside the box, once each, lexicographically.
 
-    Scans the box and filters by membership; this is the desk-scale oracle
-    path, so the box volume is expected to stay small.
+    Scans the box one line along the last coordinate at a time, testing every
+    point of the line; this is the desk-scale oracle path, so the box volume
+    is expected to stay small.
     """
-    if box.dimension != presentation.dimension:
-        raise DimensionError("box dimension does not match presentation")
-    testers = [MembershipTester(c) for c in presentation.components]
     return [
-        point for point in box.points() if any(t.contains(point) for t in testers)
+        prefix + (v,)
+        for prefix, lines in _box_lines(_box_testers(presentation, box), box)
+        for v in sorted(set().union(*lines))
     ]
 
 
 def check_disjoint_in_box(presentation: SemilinearPresentation, box: IntBox) -> bool:
     """True when no box point belongs to two distinct components."""
-    if box.dimension != presentation.dimension:
-        raise DimensionError("box dimension does not match presentation")
-    testers = [MembershipTester(c) for c in presentation.components]
+    testers = _box_testers(presentation, box)
     if len(testers) < 2:
         return True
-    for point in box.points():
-        hits = 0
-        for t in testers:
-            if t.contains(point):
-                hits += 1
-                if hits > 1:
-                    return False
-    return True
+    return all(
+        sum(map(len, lines)) == len(set().union(*lines))
+        for _, lines in _box_lines(testers, box)
+    )
 
 
 def membership_formula(

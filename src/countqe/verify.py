@@ -3,11 +3,15 @@
 Two independent routes meet here.  The oracle route enumerates candidate
 values of the counted coordinate over a window sized from the presentation's
 own bound structure and tests each point by exact set membership, flagging
-the count unstable when witnesses crowd a truncating window edge.  The
-formula route decides the eliminated formula at candidate count values with
-a :class:`PinnedProgram`, compiled once per formula: every existential
-variable the eliminator binds is pinned by the atoms of its chain, so no
-quantifier range is ever scanned.
+the count unstable when witnesses crowd a truncating window edge.  For fixed
+free coordinates the membership conditions of a component (its Cramer
+numerators and leftover rows) are affine in the counted value, so each point
+is tested with O(p) integer operations on their values and steps
+(:meth:`MembershipTester.members_on_line`); nothing is counted in closed
+form.  The formula route decides the eliminated formula at candidate count
+values with a :class:`PinnedProgram`, compiled once per formula: every
+existential variable the eliminator binds is pinned by the atoms of its
+chain, so no quantifier range is ever scanned.
 
 Compiling reads the free names of every node into an int bitmask.  The
 first time an existential chain is evaluated, the conjuncts of its body are
@@ -530,43 +534,29 @@ def _component_profile(
 ) -> _ComponentProfile:
     """Bounds on where this component's witnesses can live for fixed free
     coordinates, from nonnegativity of the solved coefficients."""
-    n = comp.dimension
-    counted = n - 1
-    if tester.cramer is None:
-        matches = tuple(values) == comp.base[:-1]
-        v = comp.base[-1]
-        return _ComponentProfile(tester, not matches, v if matches else None, v if matches else None)
-    if counted not in tester.selection:
-        point = [values[i] for i in tester.selection]
-        nums = tester.cramer.numerators(point)
-        d = tester.cramer.denom
-        if any(num % d != 0 or num < 0 for num in nums):
-            return _ComponentProfile(tester, True, None, None)
-        coeffs = [num // d for num in nums]
-        forced = comp.base[counted] + sum(
-            period[counted] * c for period, c in zip(comp.periods, coeffs)
-        )
-        return _ComponentProfile(tester, False, forced, forced)
-    d = tester.cramer.denom
-    pos = tester.selection.index(counted)
+    numerators, residuals = tester.line(values)
+    d = tester.denom
     lo: Optional[int] = None
     hi: Optional[int] = None
-    for row, gamma in zip(tester.cramer.matrix, tester.cramer.offset):
-        lam = row[pos]
-        part = gamma
-        for k, sel in enumerate(tester.selection):
-            if sel == counted:
-                continue
-            part += row[k] * values[sel]
-        if lam == 0:
-            if part < 0 or part % d != 0:
+    for num, step in numerators:
+        if step == 0:
+            if num < 0 or num % d != 0:
                 return _ComponentProfile(tester, True, None, None)
-        elif lam > 0:
-            bound = _ceil_div(-part, lam)
+        elif step > 0:
+            bound = _ceil_div(-num, step)
             lo = bound if lo is None else max(lo, bound)
         else:
-            bound = part // (-lam)
+            bound = num // (-step)
             hi = bound if hi is None else min(hi, bound)
+    if comp.dimension - 1 in tester.rest_rows:
+        # The counted coordinate is a leftover row, whose residual steps by
+        # -denom: the solved coefficients force its value.  A component
+        # without periods is a single point, which the line misses unless
+        # the prefix matches.
+        if not numerators and any(res for res, _ in residuals[:-1]):
+            return _ComponentProfile(tester, True, None, None)
+        forced = residuals[-1][0] // d
+        return _ComponentProfile(tester, False, forced, forced)
     if lo is not None and hi is not None and lo > hi:
         return _ComponentProfile(tester, True, None, None)
     return _ComponentProfile(tester, False, lo, hi)
@@ -592,9 +582,11 @@ def count_set_witnesses(
     """Count the values of the last coordinate placing a point in the union.
 
     Enumerates a window derived from each component's bound structure and
-    tests membership point by point; the margin-based stability flag turns
-    false when witnesses reach the window edges, which happens exactly when
-    some component is unbounded in the counted direction.
+    tests every point of it for membership in each component that can meet
+    the line, by that component's affine Cramer numerators and leftover
+    rows; the margin-based stability flag turns false when witnesses reach
+    the window edges, which happens exactly when some component is unbounded
+    in the counted direction.
     """
     n = presentation.dimension
     names = list(var_names) if var_names is not None else coordinate_names(n)
@@ -631,18 +623,13 @@ def count_set_witnesses(
         hi = lo
     per_component = []
     union: set = set()
-    point = values + [0]
     for profile in profiles:
         if profile.empty:
             per_component.append(0)
             continue
-        mine = 0
-        for v in range(lo, hi + 1):
-            point[-1] = v
-            if profile.tester.contains(point):
-                mine += 1
-                union.add(v)
-        per_component.append(mine)
+        members = profile.tester.members_on_line(values, lo, hi)
+        per_component.append(len(members))
+        union.update(members)
     stable = True
     for v in union:
         if hi - v < margin or (lower_truncates and v - lo < margin):

@@ -19,6 +19,7 @@ from countqe.sets import (
     membership,
     membership_formula,
 )
+from helpers import random_simple_component
 
 THREE_PERIOD_SET = LinearSetPresentation(
     base=(0, 0, 0, 0),
@@ -126,6 +127,57 @@ class TestMembership:
         for _ in range(100):
             point = [rng.randint(-4, 4) for _ in range(4)]
             assert membership(THREE_PERIOD_SET, point) == membership(permuted, point)
+
+
+def _line_corpus():
+    """Seeded (tester, prefix, lo, hi) cases over Z and N, dims 1-5.
+
+    Half of the prefixes are taken from a member point, so that many lines
+    meet the set; the ranges run over both signs and include empty ones.
+    """
+    rng = random.Random(41)
+    for _ in range(600):
+        domain = rng.choice([DomainTag.Z, DomainTag.N])
+        n = rng.randint(1, 5)
+        comp = random_simple_component(rng, n, rng.randint(0, n), domain)
+        tester = MembershipTester(comp)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                point = comp.point_at([rng.randint(0, 4) for _ in range(comp.num_periods)])
+            else:
+                point = [rng.randint(-12, 12) for _ in range(n)]
+            lo = rng.randint(-30, 10)
+            yield tester, list(point[:-1]), lo, lo + rng.randint(-1, 50)
+
+
+class TestMembersOnLine:
+    def test_matches_contains_on_seeded_corpus(self):
+        seen = dict(no_periods=0, rest_rows=0, counted_is_rest=0, denom=0, hits=0)
+        for tester, prefix, lo, hi in _line_corpus():
+            expected = [v for v in range(lo, hi + 1) if tester.contains(prefix + [v])]
+            assert tester.members_on_line(prefix, lo, hi) == expected, (
+                tester.presentation, prefix, lo, hi
+            )
+            n = tester.presentation.dimension
+            seen["no_periods"] += tester.cramer is None
+            seen["rest_rows"] += tester.cramer is not None and bool(tester.rest_rows)
+            seen["counted_is_rest"] += tester.cramer is not None and n - 1 in tester.rest_rows
+            seen["denom"] += tester.denom >= 2
+            seen["hits"] += bool(expected)
+        assert all(count >= 50 for count in seen.values()), seen
+
+    def test_worked_example_line(self):
+        tester = MembershipTester(THREE_PERIOD_SET)
+        # (3, 6, 3, 2) = p1 + p2 and (3, 6, 3, 0) = 3*p2 + 3*p3.
+        assert tester.members_on_line([3, 6, 3], -9, 9) == [0, 2]
+        assert tester.members_on_line([3, 5, 3], -9, 9) == []
+
+    def test_empty_range_and_prefix_length(self):
+        tester = MembershipTester(line((0,), (2,)))
+        assert tester.members_on_line([], 3, 2) == []
+        assert tester.members_on_line([], -3, 3) == [0, 2]
+        with pytest.raises(DimensionError):
+            tester.members_on_line([0], 0, 5)
 
 
 class TestEnumeration:

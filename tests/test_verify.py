@@ -40,7 +40,13 @@ from countqe.formula import (
     variable,
 )
 from countqe.linalg import solve_unique
-from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
+from countqe.sets import (
+    DomainTag,
+    LinearSetPresentation,
+    MembershipTester,
+    SemilinearPresentation,
+    coordinate_names,
+)
 from countqe.textio import parse_presentation
 import helpers
 from helpers import random_ast, random_disjoint_presentation
@@ -670,7 +676,146 @@ class TestFloorPairPin:
         assert PinnedProgram(_chosen("u", pinned)).count_values({"x": 4}, "y", range(8)) == [5]
 
 
+# --- the oracle scan this module's differential test compares against --------
+#
+# count_set_witnesses as it was before MembershipTester.members_on_line: the
+# profile solved the Cramer rows by hand and the scan asked contains() for
+# every point of the window, one full matrix-vector product each.
+
+
+def _reference_component_profile(comp, tester, values):
+    n = comp.dimension
+    counted = n - 1
+    if tester.cramer is None:
+        matches = tuple(values) == comp.base[:-1]
+        v = comp.base[-1]
+        return (not matches, v if matches else None, v if matches else None)
+    if counted not in tester.selection:
+        point = [values[i] for i in tester.selection]
+        nums = tester.cramer.numerators(point)
+        d = tester.cramer.denom
+        if any(num % d != 0 or num < 0 for num in nums):
+            return (True, None, None)
+        coeffs = [num // d for num in nums]
+        forced = comp.base[counted] + sum(
+            period[counted] * c for period, c in zip(comp.periods, coeffs)
+        )
+        return (False, forced, forced)
+    d = tester.cramer.denom
+    pos = tester.selection.index(counted)
+    lo = hi = None
+    for row, gamma in zip(tester.cramer.matrix, tester.cramer.offset):
+        lam = row[pos]
+        part = gamma
+        for k, sel in enumerate(tester.selection):
+            if sel == counted:
+                continue
+            part += row[k] * values[sel]
+        if lam == 0:
+            if part < 0 or part % d != 0:
+                return (True, None, None)
+        elif lam > 0:
+            bound = -(part // lam)
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            bound = part // (-lam)
+            hi = bound if hi is None else min(hi, bound)
+    if lo is not None and hi is not None and lo > hi:
+        return (True, None, None)
+    return (False, lo, hi)
+
+
+def _reference_count_set_witnesses(presentation, assignment):
+    n = presentation.dimension
+    names = coordinate_names(n)
+    values = [assignment[name] for name in names[:-1]]
+    testers = [MembershipTester(c) for c in presentation.components]
+    profiles = [
+        _reference_component_profile(comp, tester, values)
+        for comp, tester in zip(presentation.components, testers)
+    ]
+    margin = 2 * (max((t.cramer.denom for t in testers if t.cramer is not None), default=1) + 1)
+    live = [(lo, hi) for empty, lo, hi in profiles if not empty]
+    finite = [b for bounds in live for b in bounds if b is not None]
+    if not live:
+        return verify.WitnessCount(0, True, False, (0, 0), (0,) * len(profiles))
+    anchor_lo = min(finite) if finite else 0
+    anchor_hi = max(finite) if finite else 0
+    lo = anchor_lo - (3 * margin if any(b[0] is None for b in live) else 2 * margin)
+    hi = anchor_hi + (3 * margin if any(b[1] is None for b in live) else 2 * margin)
+    lower_truncates = True
+    if presentation.domain is DomainTag.N and lo <= 0:
+        lo = 0
+        lower_truncates = False
+    if hi < lo:
+        hi = lo
+    per_component = []
+    witnesses = set()
+    point = values + [0]
+    for (empty, _, _), tester in zip(profiles, testers):
+        mine = 0
+        if not empty:
+            for v in range(lo, hi + 1):
+                point[-1] = v
+                if tester.contains(point):
+                    mine += 1
+                    witnesses.add(v)
+        per_component.append(mine)
+    stable = all(
+        hi - v >= margin and not (lower_truncates and v - lo < margin) for v in witnesses
+    )
+    return verify.WitnessCount(
+        len(witnesses),
+        stable,
+        sum(per_component) != len(witnesses),
+        (lo, hi),
+        tuple(per_component),
+    )
+
+
+def _oracle_corpus(radius):
+    """Seeded (presentation, assignment) pairs: single components over Z and
+    N in dims 1-5, disjoint pairs, and the fixtures other than nonsimple."""
+    rng = random.Random(radius)
+    presentations = [
+        parse_presentation(path.read_text(encoding="utf-8"))
+        for path in sorted(FIXTURES.glob("*.sl"))
+        if path.stem != "nonsimple"
+    ]
+    for _ in range(200):
+        domain = rng.choice([DomainTag.Z, DomainTag.N])
+        n = rng.randint(1, 5)
+        comp = helpers.random_simple_component(rng, n, rng.randint(0, n), domain)
+        presentations.append(union(comp))
+    for _ in range(40):
+        presentations.append(random_disjoint_presentation(rng, rng.choice([DomainTag.Z, DomainTag.N])))
+    for pres in presentations:
+        lo = 0 if pres.domain is DomainTag.N else -radius
+        names = coordinate_names(pres.dimension)[:-1]
+        for _ in range(5):
+            yield pres, {name: rng.randint(lo, radius) for name in names}
+
+
 class TestCountSetWitnesses:
+    @pytest.mark.parametrize("radius", [5, 100])
+    def test_matches_reference_per_point_scan(self, radius):
+        positive = 0
+        for pres, assignment in _oracle_corpus(radius):
+            oracle = count_set_witnesses(pres, assignment)
+            assert oracle == _reference_count_set_witnesses(pres, assignment), (pres, assignment)
+            positive += oracle.count > 0
+        assert positive >= 100
+
+    def test_scans_without_point_queries(self, monkeypatch):
+        corpus = list(_oracle_corpus(5))[:60]  # the fixtures come first
+        expected = [count_set_witnesses(pres, assignment) for pres, assignment in corpus]
+
+        def refuse(self, point):
+            raise AssertionError("the oracle asked for a single point")
+
+        monkeypatch.setattr(verify.MembershipTester, "coefficients_for", refuse)
+        assert [count_set_witnesses(p, a) for p, a in corpus] == expected
+
     def test_bounded_component(self):
         # x2 even in [0, 2*x1]
         comp = LinearSetPresentation(base=(0, 0), periods=((1, 0), (1, 2)))
