@@ -1,15 +1,17 @@
 """Exact integer linear algebra for the elimination engine.
 
-Everything here is computed over arbitrary-precision integers (rationals only
-appear in intermediate eliminations), so results are exact at any magnitude.
-The module provides just what the engine needs: ranks, determinants,
-full-rank row selections and Cramer-style inverse data for small dense
-systems.  Those matrices are tiny (the number of periods of a presentation),
-so the classic O(n^3)/O(n^5) dense algorithms are the right tool.  The one
-exception is :func:`solve_unique`, which eliminates sparsely for large,
-nearly diagonal systems; nothing in the package calls it any more (the
-eliminator's row equations come from Cramer data, and the pinned evaluator
-solves no joint system), but it stays public.
+Everything here is computed over arbitrary-precision integers, so results
+are exact at any magnitude.  The module provides just what the engine
+needs: ranks, determinants, full-rank row selections and Cramer-style
+inverse data for small dense systems.  Those matrices are tiny (the number
+of periods of a presentation), so dense fraction-free elimination is the
+right tool: rank and row selection reduce against an integer echelon basis,
+and one Bareiss Gauss-Jordan pass gives a determinant and its adjugate in
+O(n^3).  The one exception is :func:`solve_unique`, which eliminates
+sparsely over the rationals for large, nearly diagonal systems; nothing in
+the package calls it any more (the eliminator's row equations come from
+Cramer data, and the pinned evaluator solves no joint system), but it stays
+public.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, SingularMatrixError
@@ -97,42 +99,31 @@ class CramerSolution:
         )
 
 
-def _reduce_against_basis(
-    basis: list[list[Fraction]], vector: Sequence[int]
-) -> Optional[list[Fraction]]:
-    """Reduce ``vector`` against a row basis kept in echelon form.
-
-    Returns the residual (normalised to leading coefficient 1) if it is
-    nonzero, i.e. the vector is independent of the basis; None otherwise.
-    The basis rows each have a unique leading (first nonzero) position.
-    """
-    work = [Fraction(v) for v in vector]
-    for row in basis:
-        lead = next(i for i, v in enumerate(row) if v)
-        if work[lead]:
-            factor = work[lead]
-            for i in range(lead, len(work)):
-                work[i] -= factor * row[i]
-    for i, v in enumerate(work):
-        if v:
-            inv = Fraction(1) / v
-            return [x * inv for x in work]
-    return None
-
-
 def _independent_rows(m: IntMatrix, candidates: Iterable[int]) -> list[int]:
     """The candidate rows, in order, that enlarge the span of those before.
 
     By the matroid exchange property this greedy choice is the
     lexicographically least row basis of the candidates.  It stops at
-    ``m.cols`` rows, when no further row can be independent.
+    ``m.cols`` rows, when no further row can be independent.  The basis is
+    kept in integers: each row has a lead position where the rows after it
+    are zero, and a candidate is reduced against it by cross-multiplying,
+    then divided by the gcd of its entries.
     """
-    basis: list[list[Fraction]] = []
+    basis: list[tuple[list[int], int]] = []  # (row, its lead position)
     chosen: list[int] = []
     for i in candidates:
-        residual = _reduce_against_basis(basis, m.row(i))
-        if residual is not None:
-            basis.append(residual)
+        work = list(m.row(i))
+        for row, lead in basis:
+            w = work[lead]
+            if w:
+                p = row[lead]
+                work = [p * a - w * b for a, b in zip(work, row)]
+                g = gcd(*work)
+                if g > 1:
+                    work = [a // g for a in work]
+        lead = next((j for j, v in enumerate(work) if v), None)
+        if lead is not None:
+            basis.append((work, lead))
             chosen.append(i)
             if len(chosen) == m.cols:
                 break
@@ -144,28 +135,36 @@ def rank_over_rationals(m: IntMatrix) -> int:
     return len(_independent_rows(m, range(m.rows)))
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination."""
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
+def _fraction_free_inverse(entries: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """``(det M, adj M)`` from one fraction-free (Bareiss) Gauss-Jordan pass
+    over ``[M | I]``.  Every division is exact; the left block ends as
+    ``d*I`` and the right one as ``d*M^-1``, where ``d = +-det M`` (the sign
+    of the row swaps).  A singular M gives ``(0, [])``."""
+    n = len(entries)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(entries)]
+    sign = prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0, []
+        if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss step: the division by the previous pivot is exact.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        top = a[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * v - f * w) // prev for v, w in zip(a[i], top)]
+        prev = p
+    return sign * prev, [[sign * v for v in row[n:]] for row in a]
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant, by fraction-free elimination."""
+    if m.rows != m.cols:
+        raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
+    return _fraction_free_inverse(m.entries)[0]
 
 
 def find_full_rank_submatrix(
@@ -187,25 +186,6 @@ def greedy_row_basis(m: IntMatrix, limit: int) -> list[int]:
     return _independent_rows(m, range(limit))
 
 
-def _adjugate(entries: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(entries)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [entries[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = determinant(IntMatrix.from_rows(minor))
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof  # transpose of the cofactor matrix
-    return adj
-
-
 def cramer_solve(m: IntMatrix, offset_vector: Sequence[int]) -> CramerSolution:
     """Inverse data ``denom * z = matrix * x + offset`` for ``M z = x - a``.
 
@@ -217,11 +197,10 @@ def cramer_solve(m: IntMatrix, offset_vector: Sequence[int]) -> CramerSolution:
         raise DimensionError("cramer_solve needs a square matrix")
     if len(offset_vector) != m.rows:
         raise DimensionError("offset vector length does not match matrix size")
-    det = determinant(m)
+    det, adj = _fraction_free_inverse(m.entries)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
     sign = 1 if det > 0 else -1
-    adj = _adjugate(m.entries)
     coeffs = tuple(tuple(sign * v for v in row) for row in adj)
     gamma = tuple(
         -sum(c * a for c, a in zip(row, offset_vector)) for row in coeffs

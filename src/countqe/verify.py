@@ -97,6 +97,8 @@ class PinnedEvaluationError(CountQEError):
 
 _CHECK, _DEFINE, _CHOOSE, _WINDOW, _SPLIT, _STUCK = range(6)
 _UNSET = object()
+_NONE = frozenset()
+_ONE = frozenset((0,))  # the candidates of an evaluation that reads no count
 
 
 def _congruence_coset(coeff: int, rhs: int, modulus: int):
@@ -127,8 +129,10 @@ class PinnedProgram:
         self._masks: dict[int, int] = {}
         self._mask_names: dict[int, tuple] = {}
         self._pins: dict = {}  # (id(atom), name) -> (coefficient, rest of the term)
+        self._offers: dict = {}  # (id(conjunction), name) -> how it offers the name's values
         self._plans: dict = {}  # id(chain head) -> (steps, names it writes, key names)
         self._memo: dict = {}
+        self._count, self._y = None, 0  # the count variable and its bit (0: none is read)
         bits, bit, masks = self._bits, self._bit, self._masks
         for g in reversed(fm.traverse(formula)[0]):  # children before parents
             m = 0
@@ -166,24 +170,23 @@ class PinnedProgram:
         return frozenset(self._names(self._masks[id(node)]))
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        self._memo = {}
+        self._memo, self._count, self._y = {}, None, 0
         return self._eval(self.formula, dict(assignment))
 
     def count_values(
         self, assignment: Mapping[str, int], count_var: str, candidates: Sequence[int]
     ) -> list[int]:
-        """The candidates for ``count_var`` at which the formula holds, under
-        one memo: parts that do not read the count are decided once."""
-        self._memo = {}
+        """The candidates for ``count_var`` at which the formula holds, in
+        their order and with their repeats; over N a negative one never
+        holds.  One evaluation decides them all: ``count_var`` ranges over
+        the set of candidates, and a part that does not read it is decided
+        once."""
+        self._memo, self._count, self._y = {}, count_var, self._bits.get(count_var, 0)
         env = dict(assignment)
-        hits = []
-        for k in candidates:
-            if self._nat and k < 0:
-                continue
-            env[count_var] = k
-            if self._eval(self.formula, env):
-                hits.append(k)
-        return hits
+        env.pop(count_var, None)
+        cands = frozenset(k for k in candidates if k >= 0 or not self._nat)
+        hits = self._sat(self.formula, env, cands) if cands else _NONE
+        return [k for k in candidates if k in hits]
 
     # evaluation
 
@@ -213,22 +216,74 @@ class PinnedProgram:
             raise PinnedEvaluationError(f"unsupported quantifier in pinned evaluation: {tf.__name__}")
         raise TypeError(f"not a formula: {f!r}")
 
-    def _key(self, head: tuple, names: tuple, env: dict) -> tuple:
+    def _sat(self, f: Formula, env: dict, cands: frozenset) -> frozenset:
+        """The count's candidates among ``cands`` at which ``f`` holds.  A
+        node that does not read the count is decided once, by :meth:`_eval`;
+        an atom that reads it is tested at each candidate."""
+        if self._masks[id(f)] & self._y:
+            tf = type(f)
+            if tf is And:
+                for p in f.parts:
+                    cands = self._sat(p, env, cands)
+                    if not cands:
+                        break
+                return cands
+            if tf is Or:
+                hits = _NONE
+                for p in f.parts:
+                    hits |= self._sat(p, env, cands - hits)
+                    if len(hits) == len(cands):
+                        break
+                return hits
+            if tf is Not:
+                negated = False
+                while type(f) is Not:
+                    negated = not negated
+                    f = f.body
+                hits = self._sat(f, env, cands)
+                return cands - hits if negated else hits
+            if tf is Exists:
+                return self._exists(f, env, cands)
+            if not f.children:
+                count, hits = self._count, []
+                for k in cands:
+                    env[count] = k
+                    if fm.evaluate_atom(f, env):
+                        hits.append(k)
+                del env[count]
+                return frozenset(hits)
+        return cands if self._eval(f, env) else _NONE
+
+    def _key(self, head: tuple, names: tuple, env: dict, cands: Optional[frozenset] = None) -> tuple:
+        """A memo key: ``head`` and the values of ``names``, where the count's
+        candidates ``cands``, when given, stand for the count's value."""
         try:
-            return head + tuple([env[name] for name in names])
+            if cands is None:
+                return head + tuple([env[name] for name in names])
+            count = self._count
+            return head + tuple([env[name] for name in names if name != count]) + (cands,)
         except KeyError as exc:
             raise UnboundVariableError(f"no value for variable {exc.args[0]!r}") from None
 
-    def _exists(self, f: Exists, env: dict) -> bool:
+    def _exists(self, f: Exists, env: dict, cands: Optional[frozenset] = None):
+        """A chain's verdict; with ``cands`` (the chain reads the count), the
+        candidates among them at which it holds."""
         plan = self._plans.get(id(f))
         if plan is None:
             plan = self._plans[id(f)] = self._chain_plan(f)
         steps, written, key_names = plan
-        key = self._key((id(f),), key_names, env)
+        key = self._key((id(f),), key_names, env, cands)
         verdict = self._memo.get(key)
         if verdict is None:
             saved = [(name, env.get(name, _UNSET)) for name in written]
-            verdict = self._memo[key] = self._run(steps, env)
+            if cands is None:
+                # The chain reads no count; a name it binds is its own.
+                y, self._y = self._y, 0
+                verdict = bool(self._run(steps, env, _ONE))
+                self._y = y
+            else:
+                verdict = self._run(steps, env, cands)
+            self._memo[key] = verdict
             for name, value in saved:
                 if value is _UNSET:
                     env.pop(name, None)
@@ -236,124 +291,185 @@ class PinnedProgram:
                     env[name] = value
         return verdict
 
-    def _run(self, steps: list, env: dict) -> bool:
-        """Execute a plan; a choice with several candidates leaves a
-        backtracking point on an explicit stack."""
-        nat = self._nat
+    def _run(self, steps: list, env: dict, cands: frozenset) -> frozenset:
+        """The candidates among ``cands`` at which a plan succeeds.  A step
+        binding several values (each with the candidates it holds for)
+        leaves a backtracking point on an explicit stack; a later branch
+        tries only the candidates that no earlier one found."""
+        total, found = len(cands), _NONE
         i, n = 0, len(steps)
-        choices = []  # (step index, name, iterator over the other candidates)
-        while i < n:
-            step = steps[i]
-            kind = step[0]
-            if kind == _CHECK:
-                ok = self._eval(step[1], env)
-            elif kind == _DEFINE:
-                _, name, coef, rest = step
-                total = rest.evaluate(env)
-                ok = total % coef == 0
-                if ok:
-                    value = env[name] = -(total // coef)
-                    ok = value >= 0 or not nat
-            elif kind == _CHOOSE:
-                values = self._choices(step, env)
-                ok = bool(values)
-                if ok:
-                    env[step[1]] = values[0]
-                    if len(values) > 1:
-                        choices.append((i, step[1], iter(values[1:])))
-            elif kind == _WINDOW:
-                values = self._window(step[2], step[1], env)
-                ok = bool(values) and (values[0] >= 0 or not nat)
-                if ok:
-                    env[step[1]] = values[0]
-            elif kind == _SPLIT:
-                if self._split(step, env):
-                    return True
-                ok = False
+        choices = []  # (step index, name, iterator over the other (value, candidates) pairs)
+        while True:
+            if i < n:
+                step = steps[i]
+                kind = step[0]
+                if kind == _CHECK:
+                    cands = self._sat(step[1], env, cands)
+                elif kind == _SPLIT:
+                    found |= self._split(step, env, cands)
+                    cands = _NONE
+                elif kind == _STUCK:
+                    raise PinnedEvaluationError(step[1])
+                else:
+                    pairs = self._bind(step, env, cands)
+                    cands = _NONE
+                    if pairs:
+                        env[step[1]], cands = pairs[0]
+                        if len(pairs) > 1:
+                            choices.append((i, step[1], iter(pairs[1:])))
+                if cands:
+                    i += 1
+                    continue
             else:
-                raise PinnedEvaluationError(step[1])
-            if ok:
-                i += 1
-                continue
+                found |= cands
+            if len(found) == total:
+                return found
             while choices:
                 j, name, others = choices[-1]
-                value = next(others, None)
-                if value is not None:
-                    env[name] = value
-                    i = j + 1
-                    break
-                choices.pop()
+                for value, cands in others:
+                    cands -= found
+                    if cands:
+                        break
+                else:
+                    choices.pop()
+                    continue
+                env[name] = value
+                i = j + 1
+                break
             else:
-                return False
-        return True
+                return found
 
-    def _choices(self, step: tuple, env: dict) -> list:
+    def _bind(self, step: tuple, env: dict, cands: frozenset) -> list:
+        """The values a define, window or choice step binds, in increasing
+        order, each with the candidates at which it is bound; over N only
+        the nonnegative ones."""
+        kind, name = step[0], step[1]
+        if kind == _CHOOSE:
+            return self._choices(step, env, cands)
+        if kind == _DEFINE:
+            _, _, coef, rest, mask = step
+            offers = self._by_count(env, cands, mask, lambda: self._solve(coef, rest, env))
+        else:
+            _, _, atoms, mask = step
+            offers = self._by_count(env, cands, mask, lambda: self._window(atoms, name, env))
+        return self._in_domain(offers)
+
+    def _in_domain(self, offers: dict) -> list:
+        return sorted(item for item in offers.items() if item[0] >= 0 or not self._nat)
+
+    def _by_count(self, env: dict, cands: frozenset, mask: int, values) -> dict:
+        """The values of ``values()``, each with the candidates at which it is
+        given: once for all of ``cands`` when ``mask`` does not read the
+        count, else at each candidate in turn."""
+        if not mask & self._y:
+            return dict.fromkeys(values(), cands)
+        count, offers = self._count, {}
+        for k in cands:
+            env[count] = k
+            for value in values():
+                offers.setdefault(value, []).append(k)
+        del env[count]
+        return {value: frozenset(ks) for value, ks in offers.items()}
+
+    def _choices(self, step: tuple, env: dict, cands: frozenset) -> list:
         _, name, g, key_names = step
-        key = self._key((id(g), name), key_names, env)
-        values = self._memo.get(key)
-        if values is None:
-            found = self._candidates(g, name, self._bits[name], env)
-            values = sorted(v for v in found if v >= 0 or not self._nat)
-            self._memo[key] = values
-        return values
+        reads = self._masks[id(g)] & self._y
+        key = self._key((id(g), name), key_names, env, cands if reads else None)
+        pairs = self._memo.get(key)
+        if pairs is None:
+            offers = self._candidates(g, name, self._bits[name], env, cands)
+            pairs = self._memo[key] = self._in_domain(offers)
+        return pairs if reads else [(value, cands) for value, _ in pairs]
 
-    def _candidates(self, g: Formula, name: str, bit: int, env: dict) -> set:
+    def _candidates(self, g: Formula, name: str, bit: int, env: dict, cands: frozenset) -> dict:
         """The values of ``name`` that satisfy ``g`` alone, the other names
-        fixed by ``env``; a disjunct that does not mention the name stands
-        for any value, and contributes 0.  A conjunction takes its values
-        from an equation, else its window, else a disjunction."""
-        if not self._masks[id(g)] & bit:
-            return {0} if self._eval(g, env) else set()
+        fixed by ``env``, each with the candidates of the count at which it
+        does; a disjunct that does not mention the name stands for any
+        value, and contributes 0.  A conjunction takes its values from an
+        equation, else its window, else a disjunction, and narrows each
+        value's candidates by its other parts that mention the name."""
+        masks = self._masks
+        if not masks[id(g)] & bit:
+            hits = self._sat(g, env, cands)
+            return {0: hits} if hits else {}
         tg = type(g)
         if tg is Eq:
-            value = self._pinned_value(g, name, env)
-            return set() if value is None else {value}
+            pin = self._pin(g, name)
+            if pin is None:
+                raise PinnedEvaluationError(f"{name!r} cancels out of an equation")
+            return self._by_count(env, cands, masks[id(g)], lambda: self._solve(*pin, env))
         if tg is Or:
-            out = set()
+            out: dict = {}
             for d in g.parts:
-                out |= self._candidates(d, name, bit, env)
+                for value, hits in self._candidates(d, name, bit, env, cands).items():
+                    out[value] = out.get(value, _NONE) | hits
             return out
         if tg is And:
-            mentioning = []
-            for p in g.parts:
-                if self._masks[id(p)] & bit:
-                    mentioning.append(p)
-                elif not self._eval(p, env):
-                    return set()
-            pin = next((p for p in mentioning if type(p) is Eq), None)
-            if pin is not None:
-                values = self._candidates(pin, name, bit, env)
+            others, source, rest = self._offer(g, name, bit)
+            for p in others:
+                cands = self._sat(p, env, cands)
+                if not cands:
+                    return {}
+            if source is None:
+                raise PinnedEvaluationError(f"no equation, window or disjunction pins {name!r}")
+            if type(source) is tuple:
+                atoms, mask = source
+                offers = self._by_count(env, cands, mask, lambda: self._window(atoms, name, env))
             else:
-                values = self._window(mentioning, name, env)
-                if values is None:
-                    pin = next((p for p in mentioning if type(p) is Or), None)
-                    if pin is None:
-                        raise PinnedEvaluationError(f"no equation, window or disjunction pins {name!r}")
-                    values = self._candidates(pin, name, bit, env)
-            out = set()
-            for value in values:
+                offers = self._candidates(source, name, bit, env, cands)
+            out = {}
+            for value, hits in offers.items():
                 env[name] = value
-                if all(self._eval(p, env) for p in mentioning if p is not pin):
-                    out.add(value)
+                for p in rest:
+                    hits = self._sat(p, env, hits)
+                    if not hits:
+                        break
+                if hits:
+                    out[value] = hits
             return out
         raise PinnedEvaluationError(f"no equation pins {name!r} in {tg.__name__}")
 
-    def _window(self, parts: list, name: str, env: dict) -> Optional[list]:
-        """The value of ``name`` that the order atoms among ``parts`` leave in
-        the coset of its congruence atoms among them, or none; None when the
-        order atoms do not bound it on both sides.  Raises when the window
-        holds more than one value."""
+    def _offer(self, g: And, name: str, bit: int) -> tuple:
+        """How the conjunction ``g`` offers values of ``name``: its parts that
+        do not mention the name (checked first), the source of the values
+        (an equation, the window's atoms and mask, a disjunction or None)
+        and the parts left to check at each value."""
+        key = (id(g), name)
+        offer = self._offers.get(key)
+        if offer is None:
+            masks = self._masks
+            others = [p for p in g.parts if not masks[id(p)] & bit]
+            mentioning = [p for p in g.parts if masks[id(p)] & bit]
+            source = next((p for p in mentioning if type(p) is Eq), None)
+            used = [source]
+            if source is None:
+                atoms = [p for p in mentioning if type(p) in (Le, Lt, Cong) and self._pin(p, name)]
+                if {self._pin(p, name)[0] > 0 for p in atoms if type(p) is not Cong} == {True, False}:
+                    source, used = self._window_source(atoms), atoms
+                else:
+                    source = next((p for p in mentioning if type(p) is Or), None)
+                    used = [source]
+            rest = [p for p in mentioning if all(p is not u for u in used)]
+            offer = self._offers[key] = (others, source, rest)
+        return offer
+
+    def _window_source(self, atoms: list) -> tuple:
+        mask = 0
+        for p in atoms:
+            mask |= self._masks[id(p)]
+        return atoms, mask
+
+    def _window(self, atoms: list, name: str, env: dict) -> list:
+        """The value of ``name`` that the order atoms among ``atoms``, which
+        bound it on both sides, leave in the coset of its congruence atoms
+        among them, or none.  Raises when the window holds more than one
+        value."""
         lo = hi = None
         start, step = 0, 1  # name = start (mod step)
-        for p in parts:
-            tp = type(p)
-            if tp is not Le and tp is not Lt and tp is not Cong:
-                continue
-            pin = self._pin(p, name)
-            if pin is None:
-                continue
+        for p in atoms:
             # coef*name + rest <= 0 (< 0, that is <= -1), or = residue (mod modulus)
-            coef, rest = pin
+            coef, rest = self._pin(p, name)
+            tp = type(p)
             if tp is Cong:
                 if step:
                     # start + step*k solves it when coef*step*k = rhs (mod modulus)
@@ -368,8 +484,6 @@ class PinnedProgram:
             else:
                 bottom = -(bound // -coef)
                 lo = bottom if lo is None else max(lo, bottom)
-        if lo is None or hi is None:
-            return None
         if not step:  # the congruences have no common solution
             return []
         value = lo + (start - lo) % step
@@ -389,23 +503,23 @@ class PinnedProgram:
             self._pins[key] = None if coef is None else (coef, Term(combined.constant, rest))
         return self._pins[key]
 
-    def _pinned_value(self, eq: Eq, name: str, env: dict) -> Optional[int]:
-        pin = self._pin(eq, name)
-        if pin is None:
-            raise PinnedEvaluationError(f"{name!r} cancels out of an equation")
-        coef, rest = pin
+    @staticmethod
+    def _solve(coef: int, rest: Term, env: dict) -> list:
+        """The integer value of ``coef*name + rest = 0``, if there is one."""
         total = rest.evaluate(env)
-        return None if total % coef else -(total // coef)
+        return [] if total % coef else [-(total // coef)]
 
-    def _split(self, step: tuple, env: dict) -> bool:
+    def _split(self, step: tuple, env: dict, cands: frozenset) -> frozenset:
         _, disjuncts, rest, undefined, plans = step
+        found = _NONE
         for k, d in enumerate(disjuncts):
             if plans[k] is None:
                 parts = list(d.parts) if type(d) is And else [d]
                 plans[k] = self._plan(parts + rest, undefined)
-            if self._run(plans[k], env):
-                return True
-        return False
+            found |= self._run(plans[k], env, cands - found)
+            if len(found) == len(cands):
+                break
+        return found
 
     # planning
 
@@ -444,7 +558,7 @@ class PinnedProgram:
                     name = self._by_bit[m.bit_length() - 1]
                     pin = self._pin(g, name) if type(g) is Eq else None
                     if pin is not None:
-                        steps.append((_DEFINE, name) + pin)
+                        steps.append((_DEFINE, name) + pin + (masks[id(g)],))
                         undefined &= ~m
                         continue
                     if choosing and g.children:
@@ -487,8 +601,12 @@ class PinnedProgram:
         bit = next((m for m, signs in sides.items() if signs >= {True, False}), None)
         if bit is None:
             return None
-        atoms = [g for g in pending if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit]
-        return (_WINDOW, self._by_bit[bit.bit_length() - 1], atoms)
+        name = self._by_bit[bit.bit_length() - 1]
+        atoms = [
+            g for g in pending
+            if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit and self._pin(g, name)
+        ]
+        return (_WINDOW, name) + self._window_source(atoms)
 
 
 def evaluate_pinned(

@@ -163,6 +163,102 @@ class TestCramerSolve:
             done += 1
 
 
+# --- the rational reduction and cofactor adjugate linalg used before ----------
+#
+# Row selection reduced each candidate against an echelon basis of Fraction
+# rows normalised to a leading 1; cramer_solve took det M and n^2 cofactor
+# minors.  The integer versions must select the same rows and give the same
+# CramerSolution.
+
+
+def _reference_independent_rows(rows, candidates, cols):
+    basis, chosen = [], []
+    for i in candidates:
+        work = [Fraction(v) for v in rows[i]]
+        for row in basis:
+            lead = next(j for j, v in enumerate(row) if v)
+            if work[lead]:
+                factor = work[lead]
+                work = [a - factor * b for a, b in zip(work, row)]
+        lead = next((j for j, v in enumerate(work) if v), None)
+        if lead is not None:
+            basis.append([v / work[lead] for v in work])
+            chosen.append(i)
+            if len(chosen) == cols:
+                break
+    return chosen
+
+
+def _reference_cramer_solve(rows, offset):
+    n = len(rows)
+    det = _cofactor_determinant(rows)
+    if det == 0:
+        return None
+    sign = 1 if det > 0 else -1
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = _cofactor_determinant(minor) if minor else 1
+            adj[j][i] = sign * (-cof if (i + j) % 2 else cof)
+    gamma = tuple(-sum(c * a for c, a in zip(row, offset)) for row in adj)
+    return abs(det), tuple(map(tuple, adj)), gamma
+
+
+def _random_matrix(rng, rows, cols):
+    """Entries in a small, a large or a huge range; some rows are combinations
+    of earlier ones, so the matrix may be rank deficient or singular."""
+    bound = rng.choice((3, 10**3, 10**12))
+    entries = []
+    for _ in range(rows):
+        if entries and rng.random() < 0.3:
+            weights = [rng.randint(-3, 3) for _ in entries]
+            entries.append([sum(w * row[j] for w, row in zip(weights, entries)) for j in range(cols)])
+        else:
+            entries.append([rng.randint(-bound, bound) for _ in range(cols)])
+    return entries
+
+
+class TestAgainstRationalReference:
+    def test_row_selections(self):
+        rng = random.Random(97)
+        deficient = 0
+        for _ in range(600):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            entries = _random_matrix(rng, rows, cols)
+            m = IntMatrix.from_rows(entries)
+            forbidden = rng.choice([None] + list(range(rows)))
+            allowed = [i for i in range(rows) if i != forbidden]
+            expected = _reference_independent_rows(entries, allowed, cols)
+            got = find_full_rank_submatrix(m, forbidden_row=forbidden)
+            assert got == (tuple(expected) if len(expected) == cols else None), entries
+            limit = rng.randint(1, rows)
+            assert greedy_row_basis(m, limit) == _reference_independent_rows(entries, range(limit), cols)
+            rank = len(_reference_independent_rows(entries, range(rows), cols))
+            assert rank_over_rationals(m) == rank
+            deficient += rank < min(rows, cols)
+        assert deficient >= 50
+
+    def test_cramer_solutions(self):
+        rng = random.Random(101)
+        singular = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            entries = _random_matrix(rng, n, n)
+            offset = [rng.randint(-50, 50) for _ in range(n)]
+            m = IntMatrix.from_rows(entries)
+            expected = _reference_cramer_solve(entries, offset)
+            assert determinant(m) == _cofactor_determinant(entries)
+            if expected is None:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    cramer_solve(m, offset)
+                continue
+            sol = cramer_solve(m, offset)
+            assert (sol.denom, sol.matrix, sol.offset) == expected, entries
+        assert singular >= 40
+
+
 class TestPositiveLcm:
     def test_worked_coefficients(self):
         assert positive_lcm((1, -2, -3)) == 6
