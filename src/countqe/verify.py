@@ -668,10 +668,10 @@ def _component_profile(
             hi = bound if hi is None else min(hi, bound)
     if comp.dimension - 1 in tester.rest_rows:
         # The counted coordinate is a leftover row, whose residual steps by
-        # -denom: the solved coefficients force its value.  A component
-        # without periods is a single point, which the line misses unless
-        # the prefix matches.
-        if not numerators and any(res for res, _ in residuals[:-1]):
+        # -denom: the solved coefficients force its value.  No numerator
+        # reads it, so every other leftover row's residual is constant along
+        # the line, and one that is not 0 leaves the component empty there.
+        if any(res for res, _ in residuals[:-1]):
             return _ComponentProfile(tester, True, None, None)
         forced = residuals[-1][0] // d
         return _ComponentProfile(tester, False, forced, forced)

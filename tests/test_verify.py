@@ -680,7 +680,9 @@ class TestFloorPairPin:
 #
 # count_set_witnesses as it was before MembershipTester.members_on_line: the
 # profile solved the Cramer rows by hand and the scan asked contains() for
-# every point of the window, one full matrix-vector product each.
+# every point of the window, one full matrix-vector product each.  Its
+# profile has the later rule that a component whose counted coordinate is a
+# leftover row is empty when another leftover row misses the line.
 
 
 def _reference_component_profile(comp, tester, values):
@@ -697,10 +699,14 @@ def _reference_component_profile(comp, tester, values):
         if any(num % d != 0 or num < 0 for num in nums):
             return (True, None, None)
         coeffs = [num // d for num in nums]
-        forced = comp.base[counted] + sum(
-            period[counted] * c for period, c in zip(comp.periods, coeffs)
-        )
-        return (False, forced, forced)
+        forced = [
+            comp.base[r] + sum(period[r] * c for period, c in zip(comp.periods, coeffs))
+            for r in range(n)
+        ]
+        # Another leftover row off the line: the component cannot meet it.
+        if any(forced[r] != values[r] for r in tester.rest_rows if r != counted):
+            return (True, None, None)
+        return (False, forced[counted], forced[counted])
     d = tester.cramer.denom
     pos = tester.selection.index(counted)
     lo = hi = None
@@ -805,6 +811,17 @@ class TestCountSetWitnesses:
             assert oracle == _reference_count_set_witnesses(pres, assignment), (pres, assignment)
             positive += oracle.count > 0
         assert positive >= 100
+
+    def test_leftover_row_off_the_line_leaves_the_component_empty(self):
+        # The counted coordinate and x2 are leftover rows of both components;
+        # x2 = 5 is neither base's, so no point of the line is a member and
+        # no window is scanned.
+        first = LinearSetPresentation(base=(0, 0, 0), periods=((1, 0, 0),))
+        second = LinearSetPresentation(base=(0, 0, 40), periods=((1, 0, 0),))
+        oracle = count_set_witnesses(union(first, second), {"x1": 2, "x2": 5})
+        assert oracle == verify.WitnessCount(0, True, False, (0, 0), (0, 0))
+        on_line = count_set_witnesses(union(first, second), {"x1": 2, "x2": 0})
+        assert (on_line.count, on_line.per_component) == (2, (1, 1))
 
     def test_scans_without_point_queries(self, monkeypatch):
         corpus = list(_oracle_corpus(5))[:60]  # the fixtures come first
