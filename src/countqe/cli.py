@@ -10,8 +10,9 @@ Subcommands:
 * ``check``     eliminate, then cross-check against the counting oracle on
                 seeded random assignments
 
-``eliminate`` and ``check`` plan first; a size estimate from the plan above
-``--node-budget`` only warns on stderr and leaves the exit code unchanged.
+``eliminate`` and ``check`` plan first; when the plan's size estimate
+exceeds ``--node-budget`` (default 10**6) they refuse with exit 2 and a
+one-line error, before building anything.
 
 Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation
 (including an out-of-range numeric option such as a negative ``--box-radius``,
@@ -200,8 +201,8 @@ def cmd_count(args) -> int:
 
 
 def _plan_input(args):
-    """Load, put the counted coordinate last, plan, and warn when the
-    estimate exceeds ``--node-budget``; returns the plan and the estimate."""
+    """Load, put the counted coordinate last and plan; returns the plan and
+    its estimate, or refuses when the estimate exceeds ``--node-budget``."""
     if args.node_budget < 0:
         raise ParameterError(f"--node-budget must be nonnegative, got {args.node_budget}")
     radius = getattr(args, "disjoint_radius", 0)
@@ -219,10 +220,8 @@ def _plan_input(args):
     plan = plan_elimination(permuted, names)
     estimated = estimate_result_nodes(plan)
     if estimated > args.node_budget:
-        print(
-            f"warning: estimated output size {estimated} exceeds node budget "
-            f"{args.node_budget}",
-            file=sys.stderr,
+        raise ContractError(
+            f"estimated output size {estimated} exceeds node budget {args.node_budget}"
         )
     return plan, estimated
 

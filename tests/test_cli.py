@@ -263,6 +263,18 @@ class TestEliminateCommand:
         assert (code, out) == (2, "")
         assert "parameter error: --node-budget" in err
 
+    def test_over_budget_refused_before_building(self, capsys, monkeypatch):
+        # natural.sl's estimate is 46 nodes: a budget of 45 refuses, 46 builds.
+        def refuse(*args, **kwargs):
+            raise AssertionError("eliminate ran over budget")
+
+        monkeypatch.setattr(cli, "eliminate", refuse)
+        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "45")
+        assert (code, out, err) == (2, "", "error: estimated output size 46 exceeds node budget 45\n")
+        monkeypatch.undo()
+        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "46")
+        assert (code, err) == (0, "")
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "eliminate", fixture("three_periods.sl"))
         code2, out2, _ = run(capsys, "eliminate", fixture("three_periods.sl"))
@@ -309,6 +321,16 @@ class TestCheckCommand:
         code, out, err = run(capsys, "check", fixture("natural.sl"), *option)
         assert (code, out) == (2, "")
         assert f"parameter error: {option[-2]}" in err
+
+    def test_over_budget_refused_before_building(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check ran over budget")
+
+        monkeypatch.setattr(cli, "run_check", refuse)
+        code, out, err = run(capsys, "check", fixture("three_periods.sl"), "--node-budget", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: estimated output size ") and err.endswith(" exceeds node budget 10\n")
+        assert err.count("\n") == 1
 
     def test_count_var_must_be_an_identifier(self, capsys):
         code, out, err = run(capsys, "check", fixture("natural.sl"), "--count-var", "y+1")
