@@ -7,16 +7,21 @@ formula must agree with the witness oracle, and over N be subtraction-free.
 A second sample reaches cores with three bounds in one family, and a
 third splits cores with two or more bounds in a family into two-component
 unions, whose part counts the evaluator pins from the count's disjunction.
+A Hypothesis strategy draws the same shape of core, so that a failing one
+shrinks.
 """
 
 import random
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from countqe.elim import eliminate, estimate_result_nodes, is_subtraction_free, plan_elimination
 from countqe.formula import Exists, traverse
 from countqe.linalg import IntMatrix, rank_over_rationals
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe import verify
-from countqe.verify import count_set_witnesses, formula_count_values, run_check
+from countqe.verify import PinnedProgram, count_set_witnesses, formula_count_values, run_check
 
 MAX_DENOM = 12
 NODE_BUDGET = 30_000
@@ -105,6 +110,57 @@ def test_int_two_sided_cores_agree_with_oracle():
     shapes, counted = _agree_with_oracle(DomainTag.Z, 4048)
     assert all(shapes.values()), shapes
     assert counted > 200
+
+
+class _Draws:
+    """The one method of ``random.Random`` that :func:`_draw_core` calls,
+    answered by Hypothesis."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def randint(self, lo, hi):
+        return self.draw(st.integers(lo, hi))
+
+
+@st.composite
+def two_sided_cores(draw, domain):
+    """:func:`random_two_sided`'s shape over ``domain``: dims 2-4, D <= 12."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.sampled_from((2, 3))) if n > 2 else 2
+    drawn = _draw_core(_Draws(draw), domain, n, p)
+    assume(drawn is not None)
+    core = drawn[1].report.components[0]
+    assume(core.upper_rows and core.lower_rows)
+    return drawn
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@pytest.mark.parametrize("domain", [DomainTag.Z, DomainTag.N])
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_drawn_two_sided_cores(domain, data, seed):
+    # The oracle agrees, at random assignments and at points of the set,
+    # and one evaluation over all tested counts decides as one per count.
+    presentation, result = data.draw(two_sided_cores(domain))
+    if domain is DomainTag.N:
+        assert is_subtraction_free(result.formula)
+    outcome = run_check(presentation, trials=8, box_radius=12, seed=seed, result=result)
+    assert (outcome.mismatches, outcome.unstable_bad) == (0, 0)
+    _agree_at_points(presentation, result, presentation.components[0], random.Random(seed), 4)
+    program = PinnedProgram(result.formula, domain)
+    for record in outcome.records:
+        candidates = list(reversed(record.tested)) + [record.tested[-1], -2]
+        expected = [
+            k for k in candidates
+            if (k >= 0 or domain is DomainTag.Z) and program.evaluate({**record.assignment, "y": k})
+        ]
+        assert program.count_values(record.assignment, "y", candidates) == expected
 
 
 def _agree_at_points(presentation, result, component, rng, points):
