@@ -8,7 +8,7 @@ free coordinates the membership conditions of a component (its Cramer
 numerators and leftover rows) are affine in the counted value, so each point
 is tested with O(p) integer operations on their values and steps
 (:meth:`MembershipTester.members_on_line`); nothing is counted in closed
-form.  The formula route decides the eliminated formula at candidate count
+form.  The formula route decides the eliminated formula at the tested count
 values with a :class:`PinnedProgram`, compiled once per formula: every
 existential variable the eliminator binds is pinned by the atoms of its
 chain, so no quantifier range is ever scanned.
@@ -36,13 +36,27 @@ planned, tracking which chain names are still undefined:
 * *split* on a disjunction that reads several undefined names, planning
   each disjunct together with the remaining conjuncts when first reached.
 
-A chain name that no conjunct reads never becomes an unknown, and a choice
-with one candidate continues in the loop, so a long chain costs no
-recursion.  Binder values are restored when a chain's evaluation ends.  A
-memo that lives for one evaluation call holds each chain's verdict and each
-candidate list, keyed by the values of the names they read, so the parts of
-a formula that do not read the count variable are decided once per trial,
-not once per tested count.
+:meth:`PinnedProgram.count_values` decides all the tested counts of a trial
+in one evaluation: the count variable ranges over the set of candidates.
+A node that does not read it is decided once, as a boolean; ``And``, ``Or``
+and ``Not`` combine candidate subsets, and an atom that reads it is tested
+at each candidate.  A chain runs its plan once: a check narrows the
+candidate set, and a define, window or choice step binds each of its values
+together with the candidates it holds for.  Such a value is computed once
+unless the step's source reads the count (a definition, a window, or the
+equation or window a choice takes its values from); then it is computed at
+each candidate, and candidates that bind the same value share one branch.
+Deciding a formula for one assignment (:meth:`PinnedProgram.evaluate`) is
+the same plan run with one candidate.
+
+A chain name that no conjunct reads never becomes an unknown, and a step
+with several values leaves a backtracking point on an explicit stack, so a
+long chain costs no recursion; a later branch tries only the candidates
+that no earlier one satisfied.  Binder values are restored when a chain's
+evaluation ends.  A memo that lives for one evaluation call holds each
+chain's verdict and each choice's values, keyed by the values of the names
+they read (and, for one that reads the count, by its candidate set), so a
+chain that does not read the count is decided once per trial.
 
 :class:`PinnedEvaluationError` is raised when evaluation reaches a chain
 whose remaining conjuncts no step applies to (such as equations that each
