@@ -357,33 +357,35 @@ class PinnedProgram:
         """The values a define, window or choice step binds, in increasing
         order, each with the candidates at which it is bound; over N only
         the nonnegative ones."""
-        kind, name = step[0], step[1]
-        if kind == _CHOOSE:
+        if step[0] == _CHOOSE:
             return self._choices(step, env, cands)
-        if kind == _DEFINE:
-            _, _, coef, rest, mask = step
-            offers = self._by_count(env, cands, mask, lambda: self._solve(coef, rest, env))
-        else:
-            _, _, atoms, mask = step
-            offers = self._by_count(env, cands, mask, lambda: self._window(atoms, name, env))
-        return self._in_domain(offers)
+        return self._in_domain(self._pinned(step[2], step[1], env, cands))
 
     def _in_domain(self, offers: dict) -> list:
         return sorted(item for item in offers.items() if item[0] >= 0 or not self._nat)
 
-    def _by_count(self, env: dict, cands: frozenset, mask: int, values) -> dict:
-        """The values of ``values()``, each with the candidates at which it is
-        given: once for all of ``cands`` when ``mask`` does not read the
-        count, else at each candidate in turn."""
+    def _pinned(self, source, name: str, env: dict, cands: frozenset) -> dict:
+        """The value of ``name`` that ``source`` (an equation, or a window's
+        atoms and the names they read) pins, if any, with the candidates at
+        which it does: computed once for all of ``cands`` when the source
+        does not read the count, else at each candidate in turn."""
+        mask = source[1] if type(source) is tuple else self._masks[id(source)]
         if not mask & self._y:
-            return dict.fromkeys(values(), cands)
+            return dict.fromkeys(self._values(source, name, env), cands)
         count, offers = self._count, {}
         for k in cands:
             env[count] = k
-            for value in values():
+            for value in self._values(source, name, env):
                 offers.setdefault(value, []).append(k)
         del env[count]
         return {value: frozenset(ks) for value, ks in offers.items()}
+
+    def _values(self, source, name: str, env: dict) -> list:
+        if type(source) is tuple:
+            return self._window(source[0], name, env)
+        coef, rest = self._pin(source, name)
+        total = rest.evaluate(env)
+        return [] if total % coef else [-(total // coef)]
 
     def _choices(self, step: tuple, env: dict, cands: frozenset) -> list:
         _, name, g, key_names = step
@@ -408,10 +410,9 @@ class PinnedProgram:
             return {0: hits} if hits else {}
         tg = type(g)
         if tg is Eq:
-            pin = self._pin(g, name)
-            if pin is None:
+            if self._pin(g, name) is None:
                 raise PinnedEvaluationError(f"{name!r} cancels out of an equation")
-            return self._by_count(env, cands, masks[id(g)], lambda: self._solve(*pin, env))
+            return self._pinned(g, name, env, cands)
         if tg is Or:
             out: dict = {}
             for d in g.parts:
@@ -426,11 +427,10 @@ class PinnedProgram:
                     return {}
             if source is None:
                 raise PinnedEvaluationError(f"no equation, window or disjunction pins {name!r}")
-            if type(source) is tuple:
-                atoms, mask = source
-                offers = self._by_count(env, cands, mask, lambda: self._window(atoms, name, env))
-            else:
+            if type(source) is Or:
                 offers = self._candidates(source, name, bit, env, cands)
+            else:
+                offers = self._pinned(source, name, env, cands)
             out = {}
             for value, hits in offers.items():
                 env[name] = value
@@ -455,19 +455,19 @@ class PinnedProgram:
             others = [p for p in g.parts if not masks[id(p)] & bit]
             mentioning = [p for p in g.parts if masks[id(p)] & bit]
             source = next((p for p in mentioning if type(p) is Eq), None)
-            used = [source]
             if source is None:
                 atoms = [p for p in mentioning if type(p) in (Le, Lt, Cong) and self._pin(p, name)]
                 if {self._pin(p, name)[0] > 0 for p in atoms if type(p) is not Cong} == {True, False}:
-                    source, used = self._window_source(atoms), atoms
+                    source = self._window_source(atoms)
                 else:
                     source = next((p for p in mentioning if type(p) is Or), None)
-                    used = [source]
+            used = source[0] if type(source) is tuple else [source]
             rest = [p for p in mentioning if all(p is not u for u in used)]
             offer = self._offers[key] = (others, source, rest)
         return offer
 
     def _window_source(self, atoms: list) -> tuple:
+        """A window's atoms and the names they read."""
         mask = 0
         for p in atoms:
             mask |= self._masks[id(p)]
@@ -517,12 +517,6 @@ class PinnedProgram:
             self._pins[key] = None if coef is None else (coef, Term(combined.constant, rest))
         return self._pins[key]
 
-    @staticmethod
-    def _solve(coef: int, rest: Term, env: dict) -> list:
-        """The integer value of ``coef*name + rest = 0``, if there is one."""
-        total = rest.evaluate(env)
-        return [] if total % coef else [-(total // coef)]
-
     def _split(self, step: tuple, env: dict, cands: frozenset) -> frozenset:
         _, disjuncts, rest, undefined, plans = step
         found = _NONE
@@ -570,9 +564,8 @@ class PinnedProgram:
                     continue
                 if not m & (m - 1):
                     name = self._by_bit[m.bit_length() - 1]
-                    pin = self._pin(g, name) if type(g) is Eq else None
-                    if pin is not None:
-                        steps.append((_DEFINE, name) + pin + (masks[id(g)],))
+                    if type(g) is Eq and self._pin(g, name) is not None:
+                        steps.append((_DEFINE, name, g))
                         undefined &= ~m
                         continue
                     if choosing and g.children:
@@ -588,7 +581,7 @@ class PinnedProgram:
             window = self._window_step(pending, undefined)
             if window is not None:
                 steps.append(window)
-                pending = [g for g in pending if all(g is not w for w in window[2])]
+                pending = [g for g in pending if all(g is not w for w in window[2][0])]
                 undefined &= ~self._bits[window[1]]
                 choosing = False
                 continue
@@ -620,7 +613,7 @@ class PinnedProgram:
             g for g in pending
             if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit and self._pin(g, name)
         ]
-        return (_WINDOW, name) + self._window_source(atoms)
+        return (_WINDOW, name, self._window_source(atoms))
 
 
 def evaluate_pinned(
