@@ -644,6 +644,13 @@ class TestFloorPairPin:
         for value in range(-3, 5):
             assert program.count_values({"x": value}, "y", range(-5, 8)) == [value // 2 + 1]
 
+    def test_atom_where_the_windowed_name_cancels_is_checked(self):
+        # u + x <= u + 3 reads u but does not bound it: it is left out of the
+        # window and checked once u is pinned, so it still requires x <= 3.
+        x, u = variable("x"), variable("u")
+        f = Exists("u", And((Le(x, 2 * u), Le(2 * u, x + 1), Le(u + x, u + constant(3)))))
+        assert [evaluate_pinned(f, {"x": value}) for value in (2, 3, 4, 5)] == [True, True, False, False]
+
     def test_window_merges_congruences(self):
         # 0 <= t < w with t = 1 (mod 4) and 2t = 4 (mod 6): t = 5 (mod 12) by
         # the Chinese remainder theorem; t = 0 (mod 6) contradicts t = 1
