@@ -17,7 +17,6 @@ from .elim import (
     ResidueCase,
     build_permutation_branches,
     classify_bounds,
-    count_in_progression,
     eliminate,
     estimate_result_nodes,
     is_subtraction_free,
@@ -85,7 +84,6 @@ from .sets import (
     check_simple,
     enumerate_in_box,
     membership,
-    membership_formula,
 )
 from .textio import (
     ParseError,
@@ -102,7 +100,6 @@ from .verify import (
     WitnessCount,
     count_set_witnesses,
     evaluate_pinned,
-    formula_count_values,
     run_check,
 )
 

@@ -18,18 +18,22 @@ every ``N_i = 0 (mod D)`` and every row equation hold (without periods,
 least row basis of the other rows plus the counted row.  Nonnegativity
 becomes interval bounds on the counted coordinate t, and integrality the
 congruences N_i = 0 (mod D).
-For fixed free coordinates these congruences leave t no value or one coset
-of D'Z, where D' = lcm_i D/gcd(D, lam_i) and lam is the counted column (the
-paper's split into residue classes modulo D, merged by the Chinese remainder
-theorem).  So a core with bounds ``l_i <= m*t <= h_j`` binds a first witness
-t0, the coset's one member in ``max_i l_i <= m*t0 < max_i l_i + m*D'``
+For fixed free coordinates these congruences, ``lam_i*t = c_i (mod D)`` with
+lam the counted column, leave t no value or one coset of D'Z, where D' =
+lcm_i D/gcd(D, lam_i) (the paper's split into residue classes modulo D,
+merged by the Chinese remainder theorem).  Whether they leave a coset at all
+is itself a congruence condition on the free coordinates (the generalised
+Chinese remainder theorem, Ore 1952; :func:`_solvability`), so no binder asks
+it.  A core with bounds ``l_i <= m*t <= h_j`` binds a first witness t0, the
+coset's one member in ``max_i l_i <= m*t0 < max_i l_i + m*D'``
 (:func:`_first_witness_window`), and counts the members t0, t0 + D', ... up
 to ``min_j h_j`` by the least of the floor quotients, each pinned by a pair
 of order atoms (:func:`progression_count_formula`).  The maximum and minimum
 are atoms over the bound terms, not binders: a bound term can be negative at
-natural points.  Where a sign atom fails, or no value fills the window, the
-count is 0.  A core with an empty bound family has no count where its sign
-atoms hold and the congruences have a solution, and count 0 elsewhere.
+natural points.  Where a sign atom fails, or the congruences have no
+solution, the count is 0.  A core with an empty bound family has no count
+where its sign atoms hold and the congruences have a solution, and count 0
+elsewhere.
 Components combine by summing per-component count variables.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
@@ -42,7 +46,12 @@ Over the naturals the same integer body is built, and :func:`normalize_for_nat`
 makes each quantifier-free piece subtraction-free before it is bound.  No
 clamp at 0 is needed: each counted value is a point of the component, whose
 base and periods are nonnegative, so a first witness below 0 (which no
-natural binder reaches) means the counted range is empty.
+natural binder reaches) means the counted range is empty.  That is exactly
+where some upper term is negative, so over N the zero case of a two-sided
+core also holds there (:func:`_negative_upper_terms`).  Every order atom is
+divided by the gcd of its coefficients as it is built (:func:`_divided`);
+that keeps its integer solutions and its node count, and it commutes with
+the normalisation, since no atom reads a name on both sides.
 """
 
 from __future__ import annotations
@@ -95,14 +104,21 @@ from .textio import is_identifier
 # --- progression counts --------------------------------------------------------
 
 
-def count_in_progression(lo: int, hi: int, residue: int, modulus: int) -> int:
-    """Number of integers t in [lo, hi] with t = residue (mod modulus)."""
-    if modulus < 1:
-        raise ParameterError("modulus must be positive")
-    if hi < lo:
-        return 0
-    r = residue % modulus
-    return (hi - r) // modulus - (lo - 1 - r) // modulus
+def _divided(atom: Formula) -> Formula:
+    """An order atom divided by the gcd of its coefficients, each side
+    keeping its names and the constant moved to the side where it is
+    nonnegative: ``L + a <= R + b`` becomes ``L/g <= R/g + floor((b - a)/g)``,
+    and ``<`` rounds up instead.  It has the same integer solutions and node
+    count; normalised over N, it is the normalised atom so divided."""
+    lhs, rhs = atom.lhs, atom.rhs
+    g = gcd(*lhs.coeffs.values(), *rhs.coeffs.values())
+    if g < 2:
+        return atom
+    gap = rhs.constant - lhs.constant
+    k = gap // g if type(atom) is Le else -(-gap // g)
+    left = Term(max(-k, 0), {n: c // g for n, c in lhs.coeffs.items()})
+    right = Term(max(k, 0), {n: c // g for n, c in rhs.coeffs.items()})
+    return type(atom)(left, right)
 
 
 def progression_count_formula(
@@ -115,19 +131,19 @@ def progression_count_formula(
     first)/step) + 1``: at most each (``step*u <= hi - first + step``, left
     out for one term) and equal to one, which the floor pair ``step*u <= hi -
     first + step`` and ``hi - first < step*u`` pins (one equation when
-    ``step`` is 1).  No binder.
+    ``step`` is 1).  No binder; each order atom is :func:`_divided`.
     """
     if step < 1 or not his:
         raise ParameterError("a progression count needs a positive step and an upper term")
     u = variable(count_var)
     gaps = [hi - first for hi in his]
+    at_most = [_divided(Le(step * u, g + step)) for g in gaps]
     pins = [
-        Eq(u, g + 1) if step == 1 else conj([Le(step * u, g + step), Lt(g, step * u)]) for g in gaps
+        Eq(u, g + 1) if step == 1 else conj([le, _divided(Lt(g, step * u))]) for g, le in zip(gaps, at_most)
     ]
-    at_most = [Le(step * u, g + step) for g in gaps] if len(his) > 1 else []
     return disj([
-        conj([disj([Lt(hi, first) for hi in his]), Eq(u, constant(0))]),
-        conj([Le(first, hi) for hi in his] + at_most + [disj(pins)]),
+        conj([disj([_divided(Lt(hi, first)) for hi in his]), Eq(u, constant(0))]),
+        conj([_divided(Le(first, hi)) for hi in his] + (at_most if len(his) > 1 else []) + [disj(pins)]),
     ])
 
 
@@ -148,11 +164,12 @@ def _first_witness_window(
     <= first < lo + width`` with the congruences, which the evaluator decides
     by one window step (one lower term gives its window alone).  Where the
     congruences leave ``first`` one coset of period ``width``, at most one
-    value satisfies it."""
-    windows = [conj([Le(lo, first), Lt(first, lo + width)] + congruences) for lo in lows]
+    value satisfies it.  Each order atom is :func:`_divided`."""
+    above = [_divided(Le(lo, first)) for lo in lows]
+    windows = [conj([le, _divided(Lt(first, lo + width))] + congruences) for lo, le in zip(lows, above)]
     if len(windows) == 1:
         return windows[0]
-    return conj([Le(lo, first) for lo in lows] + [disj(windows)])
+    return conj(above + [disj(windows)])
 
 
 # --- classification of the Cramer rows ---------------------------------------
@@ -275,6 +292,66 @@ def _congruences(rows: Sequence[tuple], denom: int, names: Sequence[str], last: 
         Cong(Term(0, dict(zip(names, coeffs))) + coeffs[-1] * last, residue, denom)
         for coeffs, residue in rows
     ]
+
+
+def _coset_conditions(rows: Sequence[tuple], denom: int) -> list[tuple]:
+    """The congruences ``sum_i w_i*c_i = 0 (mod modulus)``, as (weights by
+    row index, modulus), that hold exactly where the rows of
+    :func:`_congruence_rows`, read as ``lam_i*t = c_i (mod D)``, have a common
+    solution t (the generalised Chinese remainder theorem, Ore 1952).
+
+    With ``g_i = gcd(lam_i, D)``, ``M_i = D/g_i`` and ``u_i`` the inverse of
+    ``lam_i/g_i`` mod ``M_i``, row i is solvable iff ``g_i | c_i``, and then
+    ``t = (c_i/g_i)*u_i (mod M_i)``.  Two such cosets meet iff they agree mod
+    ``G = gcd(M_i, M_j)``; multiplied by ``g_i*g_j``, that is ``g_j*u_i*c_i -
+    g_i*u_j*c_j = 0 (mod g_i*g_j*G)``, needed only when G > 1.  Pairwise
+    agreement suffices for the whole system.
+    """
+    solved = []
+    for coeffs, _ in rows:
+        g = gcd(coeffs[-1], denom)
+        solved.append((g, denom // g, pow(coeffs[-1] // g, -1, denom // g)))
+    conditions = [({i: 1}, g) for i, (g, _, _) in enumerate(solved)]
+    for (i, (gi, mi, ui)), (j, (gj, mj, uj)) in itertools.combinations(enumerate(solved), 2):
+        common = gcd(mi, mj)
+        if common > 1:
+            conditions.append(({i: gj * ui, j: -gi * uj}, gi * gj * common))
+    return conditions
+
+
+def _solvability(rows: Sequence[tuple], denom: int, names: Sequence[str]) -> list:
+    """The atoms of :func:`_coset_conditions` over the free coordinates named
+    ``names`` (the rows' columns but the last), each divided by the gcd of
+    its coefficients, residue and modulus, without repeats.  A congruence
+    whose coefficients all vanish is left out when it holds, and makes the
+    whole condition ``[FALSE]`` when it fails."""
+    atoms = {}
+    for weights, modulus in _coset_conditions(rows, denom):
+        # c_i = residue_i - coeffs_i . x, so the condition reads
+        # (sum_i w_i*coeffs_i) . x = sum_i w_i*residue_i (mod modulus).
+        coeffs = [sum(w * rows[i][0][k] for i, w in weights.items()) % modulus for k in range(len(names))]
+        residue = sum(w * rows[i][1] for i, w in weights.items()) % modulus
+        g = gcd(modulus, residue, *coeffs)
+        term = Term(0, {name: c // g for name, c in zip(names, coeffs)})
+        if not term.coeffs:
+            if residue:
+                return [fm.FALSE]
+            continue
+        atoms[Cong(term, residue // g, modulus // g)] = None
+    return list(atoms)
+
+
+def _negative_upper_terms(highs: Sequence[Term]) -> list:
+    """Over N, ``h < 0`` for each upper term h that reads a name.
+
+    Where a two-sided core's sign atoms hold and its congruences are
+    solvable, the window's coset member is below 0 exactly where one of
+    these holds: every witness is a natural point of the component, so a
+    negative member is no witness and lies above some upper term; and a
+    negative upper term leaves no natural witness.  A constant upper term is
+    at least 0, since the base point is a witness.
+    """
+    return [_divided(Lt(h, constant(0))) for h in highs if h.coeffs]
 
 
 def _row_equations(
@@ -453,9 +530,10 @@ class ComponentPlan:
     conditions of the Cramer rows (see :func:`_congruence_rows`).  A
     single-witness component has no ``bounds``.  For an interval core, the
     congruences' solutions in the counted value form one coset of
-    ``coset_period``.  ``conjunctive`` tells whether the component's body is
-    a conjunction, which a union's conjunction absorbs: a one-sided core's
-    is, a two-sided core's (a disjunction) is not.
+    ``coset_period`` exactly where the atoms ``solvable`` hold
+    (:func:`_solvability`).  ``conjunctive`` tells whether the component's
+    body is a conjunction, which a union's conjunction absorbs: a one-sided
+    core's is, and so is a two-sided core's without a zero case.
     """
 
     component: LinearSetPresentation
@@ -468,7 +546,15 @@ class ComponentPlan:
     congruences: tuple
     bounds: Optional[BoundClassification] = None
     coset_period: int = 1
+    solvable: tuple = ()
     conjunctive: bool = False
+
+    @property
+    def binders(self) -> int:
+        """How many binders the component adds to the prefix: one first
+        witness for a two-sided core, none otherwise."""
+        bc = self.bounds
+        return int(bc is not None and bool(bc.upper_rows) and bool(bc.lower_rows))
 
     def report(self, index: int, count_var: str, nodes: int) -> ComponentReport:
         """The report of this component, built with ``nodes`` nodes."""
@@ -552,20 +638,24 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
         return ComponentPlan(
             component, "single-witness", estimate, rows, dropped, solution, relations, congruences
         )
-    bc = classify_bounds(solution, [names[i] for i in rows[:-1]])
+    free_names = [names[i] for i in rows[:-1]]
+    bc = classify_bounds(solution, free_names)
     denom = solution.denom
     period = lcm(*(denom // gcd(denom, coeffs[-1]) for coeffs, _ in congruences))
+    solvable = tuple(_solvability(congruences, denom, free_names))
+    assert fm.FALSE not in solvable, "the base point solves the congruences"
+    solv = [_atom_nodes(a.term) for a in solvable]
     signs = [_atom_nodes(bc.row_terms[i]) for i in bc.sign_rows]
     if not bc.upper_rows or not bc.lower_rows:
-        # "!(signs & E t . 0 <= t & t < D' & congruences) & 0 = y", without
-        # the binder when D' is 1; false when nothing is negated.
-        negated = signs + (congs if period == 1 else [6 + sum(congs)])
+        # "!(signs & solvable) & 0 = y"; false when nothing is negated.
+        negated = signs + solv
         estimate = 4 + _conj_nodes(negated) if negated else 1
         conjunctive = True
     else:
         step = bc.multiplier * period
         lows = [len(bc.bound_term(i).coeffs) for i in bc.lower_rows]
-        highs = [len(bc.bound_term(j).coeffs) for j in bc.upper_rows]
+        upper_terms = [bc.bound_term(j) for j in bc.upper_rows]
+        highs = [len(h.coeffs) for h in upper_terms]
         # W(t): "l <= m*t & m*t < l + s" and the congruences for each lower
         # term l; several are an Or of these conjunctions beside "l <= m*t".
         windows = [4 + 2 * c + sum(congs) for c in lows]
@@ -577,10 +667,16 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
         count = 5 + sum(4 + 2 * c + pin for c, pin in zip(highs, pins))
         if len(highs) > 1:
             count += 2 + sum(3 + c + (step > 1) for c in highs)
-        # "E t0 . (signs & W(t0) & C) | ((!signs | !E t1 . W(t1)) & y = 0)"
-        missing = (2 + _conj_nodes(signs) if signs else 0) + 3 + window
-        estimate = sum(signs) + window + count + 6 + missing
-        conjunctive = False
+        # "E t0 . (signs & W(t0) & C) | (Z & y = 0)", the zero case Z an Or
+        # of "!signs", "!solvable" and, over N, the atoms "h < 0"; without
+        # disjuncts, "E t0 . signs & W(t0) & C".
+        zero = [1 + _conj_nodes(xs) for xs in (signs, solv) if xs]
+        if component.domain is DomainTag.N:
+            zero += [_atom_nodes(*a.terms) for a in _negative_upper_terms(upper_terms)]
+        estimate = 2 + sum(signs) + window + count
+        if zero:
+            estimate += 4 + _conj_nodes(zero)
+        conjunctive = not zero
     if rels and estimate == 1:
         # A false body leaves "!relations & y = 0".
         estimate, conjunctive = _conj_nodes(rels) + 4, True
@@ -590,7 +686,7 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
         conjunctive = False
     return ComponentPlan(
         component, "interval-count", estimate, rows, dropped, solution, relations, congruences,
-        bc, period, conjunctive,
+        bc, period, solvable, conjunctive,
     )
 
 
@@ -646,7 +742,7 @@ def _case_single(plan: ComponentPlan, count_var: str, names: Sequence[str]) -> F
     """
     piece = normalize_for_nat if plan.component.domain is DomainTag.N else lambda f: f
     selected = [names[i] for i in plan.rows]
-    signs = [Le(constant(0), t) for t in _numerators(plan.solution, selected)]
+    signs = [_divided(Le(constant(0), t)) for t in _numerators(plan.solution, selected)]
     congruences = []
     if plan.congruences:  # D > 1, so some rows are selected
         congruences = _congruences(plan.congruences, plan.solution.denom, selected[:-1], variable(selected[-1]))
@@ -662,51 +758,47 @@ def _case_interval(
     row subsystem uses the counted row: its binders and its body.
 
     A two-sided core binds its first witness t0: ``E t0 . (signs & W(t0) &
-    C) | ((!signs | !E t1 . W(t1)) & count_var = 0)``, W the window of its
-    lower terms (:func:`_first_witness_window`) and C the count up to its
-    upper terms (:func:`progression_count_formula`).  A one-sided core adds
-    no binder to the prefix: its body is ``!(signs & E t . W(t)) & 0 =
-    count_var``, W the window of the one lower term 0 on t.
+    C) | (Z & count_var = 0)``, W the window of its lower terms
+    (:func:`_first_witness_window`), C the count up to its upper terms
+    (:func:`progression_count_formula`) and the zero case Z the disjunction
+    of ``!signs``, ``!S`` (S the quantifier-free solvability condition of
+    the congruences, :func:`_solvability`) and, over N,
+    :func:`_negative_upper_terms`.  Where Z has no disjunct (over Z, without
+    sign atoms and with congruences that always have a solution) the body is
+    ``signs & W(t0) & C``.  A one-sided core adds no binder to the prefix:
+    its body is ``!(signs & S) & 0 = count_var``.
     """
     presentation, solution, bc = plan.component, plan.solution, plan.bounds
-    piece = normalize_for_nat if presentation.domain is DomainTag.N else lambda f: f
+    nat = presentation.domain is DomainTag.N
+    piece = normalize_for_nat if nat else lambda f: f
     relations = piece(conj(plan.relations))
     free_names = [names[i] for i in plan.rows[:-1]]
-    if presentation.domain is DomainTag.N:
+    if nat:
         # Nonnegative periods make an all-nonpositive counted column of the
         # inverse impossible, so lower bounds always exist over the naturals.
         assert bc.lower_rows, "natural-domain core without lower bounds"
-    period = plan.coset_period
-
-    def congruences(witness: Term) -> list:
-        return _congruences(plan.congruences, solution.denom, free_names, witness)
-
-    def window(witness: str, lows: Sequence[Term], m: int) -> Formula:
-        t = variable(witness)
-        return piece(_first_witness_window(lows, m * t, m * period, congruences(t)))
-
-    def has_witness(lows: Sequence[Term], m: int) -> Formula:
-        t = fresh.fresh("t")
-        return Exists(t, window(t, lows, m))
-
-    signs = piece(conj([Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]))
+    signs = piece(conj([_divided(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows]))
+    solvable = conj(plan.solvable)
     y = variable(count_var)
     if not bc.upper_rows or not bc.lower_rows:
         # One bound family is empty: wherever the sign atoms hold and the
         # congruences have a solution the witness set is infinite, so no
         # count value may satisfy it; elsewhere it is empty.
-        # When D' is 1 no congruence reads the counted value: no binder.
-        solvable = conj(congruences(constant(0))) if period == 1 else has_witness([constant(0)], 1)
         prefix, body = [], conj([negate(conj([signs, solvable])), Eq(constant(0), y)])
     else:
         m = bc.multiplier
         lows = [bc.bound_term(i) for i in bc.lower_rows]
         highs = [bc.bound_term(j) for j in bc.upper_rows]
         t0 = fresh.fresh("t")
-        count = piece(progression_count_formula(m * variable(t0), highs, m * period, count_var))
-        found = conj([signs, window(t0, lows, m), count])
-        missing = disj([negate(signs), negate(has_witness(lows, m))])
-        prefix, body = [t0], disj([found, conj([missing, Eq(y, constant(0))])])
+        t = variable(t0)
+        congruences = _congruences(plan.congruences, solution.denom, free_names, t)
+        window = piece(_first_witness_window(lows, m * t, m * plan.coset_period, congruences))
+        count = piece(progression_count_formula(m * t, highs, m * plan.coset_period, count_var))
+        found = conj([signs, window, count])
+        zero = [negate(signs), negate(solvable)]
+        if nat:
+            zero += [piece(a) for a in _negative_upper_terms(highs)]
+        prefix, body = [t0], disj([found, conj([disj(zero), Eq(y, constant(0))])])
     if not isinstance(relations, fm.TrueF):
         body = disj([conj([relations, body]), conj([negate(relations), Eq(y, constant(0))])])
     return prefix, body
@@ -784,8 +876,8 @@ def estimate_result_nodes(presentation: Union[SemilinearPresentation, Eliminatio
         return total
     if any(c.estimated_nodes == 1 for c in plan.components):
         # A one-node component body is false, and so is the conjunction of
-        # them all: k count binders over false.
-        return k + 1
+        # them all: k count binders and the first witnesses over false.
+        return k + 1 + sum(c.binders for c in plan.components)
     # k count binders, "0 <= y_i" for each, "y_1 + ... + y_k = y" and the
     # conjunction of it all, into which a conjunctive body merges.
     return total + 4 * k + 3 - sum(c.conjunctive for c in plan.components)

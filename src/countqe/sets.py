@@ -325,38 +325,3 @@ def check_disjoint_in_box(presentation: SemilinearPresentation, box: IntBox) -> 
         for _, lines in _box_lines(testers, box)
     )
 
-
-def membership_formula(
-    presentation: LinearSetPresentation,
-    var_names: Optional[Sequence[str]] = None,
-) -> fm.Formula:
-    """The defining existential formula of a linear set.
-
-    Quantifies one nonnegative coefficient per period and equates each
-    coordinate with base plus the period combination.  Free variables are
-    the coordinate names in order.
-    """
-    n = presentation.dimension
-    names = list(var_names) if var_names is not None else coordinate_names(n)
-    if len(names) != n:
-        raise DimensionError("variable name list does not match dimension")
-    taken = set(names)
-    bound = []
-    for i in range(presentation.num_periods):
-        candidate = f"z{i + 1}"
-        while candidate in taken:
-            candidate = "_" + candidate
-        taken.add(candidate)
-        bound.append(candidate)
-    zero = fm.constant(0)
-    parts = [fm.Le(zero, fm.variable(zv)) for zv in bound]
-    for j in range(n):
-        rhs = fm.constant(presentation.base[j])
-        for period, zv in zip(presentation.periods, bound):
-            if period[j]:
-                rhs = rhs + period[j] * fm.variable(zv)
-        parts.append(fm.Eq(fm.variable(names[j]), rhs))
-    body = fm.conj(parts)
-    for zv in reversed(bound):
-        body = fm.Exists(zv, body)
-    return body

@@ -21,33 +21,41 @@ planned, tracking which chain names are still undefined:
 * *define* a name from an equation with exactly one undefined name, by
   exact division (a non-integral value, or a negative one over N, makes
   the branch false);
+* *window* a name that the order atoms reading no other undefined name
+  bound on both sides: its value is the one integer of that range in the
+  coset its congruence atoms leave, merged by the Chinese remainder
+  theorem.  A *floor pair* ``s*u <= X + s`` and ``X < s*u`` pins ``u =
+  floor(X/s) + 1``, a first witness ``L <= m*t < L + m*D'`` the one member
+  of a coset of period D', or none.  Once no check or definition applies, a
+  window is taken first if its atoms alone prove that it leaves at most one
+  value: a lower and an upper atom whose difference is constant bound the
+  name to at most as many integers as the period of the coset its
+  congruences leave (both windows above do).  Any other window is taken
+  only when no choice applies;
 * *choose* a name from a compound conjunct that reads no other undefined
   name, trying the values that satisfy that conjunct alone (a disjunct
-  that does not mention the name offers 0), once no check or definition
-  applies.  Within the conjunct, a conjunction offers the value an equation
-  pins, else the value its window leaves (below), else the values of a
-  disjunction;
-* *window* a name that the order atoms reading no other undefined name
-  bound on both sides, once no choice applies: its value is the one integer
-  of that range in the coset its congruence atoms leave, merged by the
-  Chinese remainder theorem.  A *floor pair* ``s*u <= X + s`` and ``X <
-  s*u`` pins ``u = floor(X/s) + 1``, a first witness ``L <= m*t < L + m*D'``
-  the one member of a coset of period D', or none;
+  that does not mention the name offers 0), once no check, definition or
+  single-value window applies.  Within the conjunct, a conjunction offers
+  the value an equation pins, else the value its window leaves, else the
+  values of a disjunction.  So a two-sided core without a zero case, whose
+  chain body is ``W(t0) & C`` with the count C a disjunction that bounds
+  t0 on one side only, takes t0 from its window W;
 * *split* on a disjunction that reads several undefined names, planning
   each disjunct together with the remaining conjuncts when first reached.
 
 :meth:`PinnedProgram.count_values` decides all the tested counts of a trial
 in one evaluation: the count variable ranges over the set of candidates.
 A node that does not read it is decided once, as a boolean; ``And``, ``Or``
-and ``Not`` combine candidate subsets, and an atom that reads it is tested
-at each candidate.  A chain runs its plan once: a check narrows the
-candidate set, and a define, window or choice step binds each of its values
-together with the candidates it holds for.  Such a value is computed once
-unless the step's source reads the count (a definition, a window, or the
-equation or window a choice takes its values from); then it is computed at
-each candidate, and candidates that bind the same value share one branch.
-Deciding a formula for one assignment (:meth:`PinnedProgram.evaluate`) is
-the same plan run with one candidate.
+and ``Not`` combine candidate subsets, and an atom that reads it is solved
+for the count once (its coefficient and the value of the rest) and tested
+at each candidate by integer arithmetic.  A chain runs its plan once: a
+check narrows the candidate set, and a define, window or choice step binds
+each of its values together with the candidates it holds for.  Such a value
+is computed once unless the step's source reads the count (a definition, a
+window, or the equation or window a choice takes its values from); then it
+is computed at each candidate, and candidates that bind the same value
+share one branch.  Deciding a formula for one assignment
+(:meth:`PinnedProgram.evaluate`) is the same plan run with one candidate.
 
 A chain name that no conjunct reads never becomes an unknown, and a step
 with several values leaves a backtracking point on an explicit stack, so a
@@ -73,7 +81,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from . import formula as fm
@@ -259,14 +267,31 @@ class PinnedProgram:
             if tf is Exists:
                 return self._exists(f, env, cands)
             if not f.children:
-                count, hits = self._count, []
-                for k in cands:
-                    env[count] = k
-                    if fm.evaluate_atom(f, env):
-                        hits.append(k)
-                del env[count]
-                return frozenset(hits)
+                return self._atom_hits(f, env, cands)
         return cands if self._eval(f, env) else _NONE
+
+    def _atom_hits(self, atom: Formula, env: dict, cands: frozenset) -> frozenset:
+        """The candidates at which an atom that reads the count holds: the
+        atom is solved for the count once, its rest evaluated once and each
+        candidate tested by integer arithmetic."""
+        count = self._count
+        pin = self._pin(atom, count)
+        if pin is None:  # the count cancels out
+            env[count] = next(iter(cands))
+            holds = fm.evaluate_atom(atom, env)
+            del env[count]
+            return cands if holds else _NONE
+        coef, rest = pin
+        r = rest.evaluate(env)
+        ta = type(atom)
+        if ta is Le:
+            return frozenset([k for k in cands if coef * k + r <= 0])
+        if ta is Lt:
+            return frozenset([k for k in cands if coef * k + r < 0])
+        if ta is Eq:
+            return frozenset([k for k in cands if coef * k + r == 0])
+        modulus, residue = atom.modulus, atom.residue
+        return frozenset([k for k in cands if (coef * k + r) % modulus == residue])
 
     def _key(self, head: tuple, names: tuple, env: dict, cands: Optional[frozenset] = None) -> tuple:
         """A memo key: ``head`` and the values of ``names``, where the count's
@@ -549,8 +574,9 @@ class PinnedProgram:
     def _plan(self, parts: list, undefined: int) -> list:
         """Steps deciding the conjunction of ``parts`` whose ``undefined``
         names are bound by the chain being planned.  Checks and definitions
-        come first; choices are taken only when neither applies, and a
-        window only when no choice does."""
+        come first; when neither applies, a window whose atoms prove it
+        leaves at most one value, then choices, and any other window only
+        when no choice applies."""
         masks = self._masks
         steps: list = []
         pending = parts
@@ -575,10 +601,13 @@ class PinnedProgram:
                 rest.append(g)
             progress = len(rest) < len(pending)
             pending = rest
-            if progress or not choosing:
-                choosing = not progress
+            if progress:
+                choosing = False
                 continue
-            window = self._window_step(pending, undefined)
+            window = self._window_step(pending, undefined, single=not choosing)
+            if window is None and not choosing:
+                choosing = True
+                continue
             if window is not None:
                 steps.append(window)
                 pending = [g for g in pending if all(g is not w for w in window[2][0])]
@@ -595,25 +624,48 @@ class PinnedProgram:
             break
         return steps
 
-    def _window_step(self, pending: list, undefined: int) -> Optional[tuple]:
+    def _window_step(self, pending: list, undefined: int, single: bool = False) -> Optional[tuple]:
         """A window step for the first name that the order atoms among
         ``pending`` reading no other undefined name bound on both sides,
-        taking those atoms and the congruences on that name alone."""
+        taking those atoms and the congruences on that name alone; with
+        ``single``, the first whose atoms prove it at most one value."""
         masks, sides = self._masks, {}
         for g in pending:
             m = masks[id(g)] & undefined
             if type(g) in (Le, Lt) and m and not m & (m - 1):
                 pin = self._pin(g, self._by_bit[m.bit_length() - 1])
                 sides.setdefault(m, set()).add(pin and pin[0] > 0)
-        bit = next((m for m, signs in sides.items() if signs >= {True, False}), None)
-        if bit is None:
-            return None
-        name = self._by_bit[bit.bit_length() - 1]
-        atoms = [
-            g for g in pending
-            if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit and self._pin(g, name)
-        ]
-        return (_WINDOW, name, self._window_source(atoms))
+        for bit, signs in sides.items():
+            if signs >= {True, False}:
+                name = self._by_bit[bit.bit_length() - 1]
+                atoms = [
+                    g for g in pending
+                    if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit and self._pin(g, name)
+                ]
+                if not single or self._at_most_one(atoms, name):
+                    return (_WINDOW, name, self._window_source(atoms))
+        return None
+
+    def _at_most_one(self, atoms: list, name: str) -> bool:
+        """Whether the window of ``atoms`` leaves ``name`` at most one value
+        whatever the other names are: some lower and upper atom, ``a*u + r
+        <= 0`` (a < 0) and ``b*u + s <= 0`` (b > 0, a strict atom's rest one
+        more), bound u to a range of constant width ``(a*s - b*r)/(-a*b)``,
+        holding at most ``floor(width) + 1`` integers, and that many are at
+        most the period of the coset its congruences leave."""
+        period, lows, highs = 1, [], []
+        for p in atoms:
+            coef, rest = self._pin(p, name)
+            if type(p) is Cong:
+                period = lcm(period, p.modulus // gcd(coef, p.modulus))
+            else:
+                (highs if coef > 0 else lows).append((coef, rest + (type(p) is Lt)))
+        for a, r in lows:
+            for b, s in highs:
+                width = a * s - b * r
+                if not width.coeffs and width.constant // (-a * b) + 1 <= period:
+                    return True
+        return False
 
 
 def evaluate_pinned(
@@ -626,17 +678,6 @@ def evaluate_pinned(
     :class:`PinnedEvaluationError` rather than guessing.
     """
     return PinnedProgram(f, domain).evaluate(assignment)
-
-
-def formula_count_values(
-    result: EliminationResult,
-    assignment: Mapping[str, int],
-    candidates: Sequence[int],
-    domain: DomainTag | str = DomainTag.Z,
-) -> list[int]:
-    """The candidate count values satisfying the eliminated formula."""
-    program = PinnedProgram(result.formula, domain)
-    return program.count_values(assignment, result.count_var, candidates)
 
 
 # --- witness-count oracle -------------------------------------------------------

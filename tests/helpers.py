@@ -3,6 +3,7 @@
 import random
 
 from countqe.elim import estimate_result_nodes
+from countqe.errors import ParameterError
 from countqe.formula import (
     And,
     Cong,
@@ -22,6 +23,17 @@ from countqe.linalg import IntMatrix, rank_over_rationals
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation
 
 AST_NAMES = ["x", "y", "z1", "w_2", "E"]
+
+
+def count_in_progression(lo: int, hi: int, residue: int, modulus: int) -> int:
+    """Number of integers t in [lo, hi] with t = residue (mod modulus): the
+    closed form that progression count formulas are checked against."""
+    if modulus < 1:
+        raise ParameterError("modulus must be positive")
+    if hi < lo:
+        return 0
+    r = residue % modulus
+    return (hi - r) // modulus - (lo - 1 - r) // modulus
 
 
 def random_term(rng: random.Random, names=AST_NAMES) -> Term:

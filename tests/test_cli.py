@@ -161,8 +161,8 @@ class TestEliminateCommand:
     def test_half_line_without_budget_warning(self, capsys, tmp_path, denom):
         code, out, err = run(capsys, "eliminate", half_line(tmp_path, denom), "--report")
         assert (code, err) == (0, "")
-        # One coset witness, whatever the denominator: 16 nodes.
-        assert f"coset-period={denom} count-var=y nodes=16\n" in out
+        # No binder, whatever the denominator: 6 nodes.
+        assert f"coset-period={denom} count-var=y nodes=6\n" in out
 
     def test_d8_m2_without_budget_warning(self, capsys, tmp_path):
         # A two-sided core with D = 8 and m = 2, whose first witness has
@@ -264,15 +264,15 @@ class TestEliminateCommand:
         assert "parameter error: --node-budget" in err
 
     def test_over_budget_refused_before_building(self, capsys, monkeypatch):
-        # natural.sl's estimate is 46 nodes: a budget of 45 refuses, 46 builds.
+        # natural.sl's estimate is 36 nodes: a budget of 35 refuses, 36 builds.
         def refuse(*args, **kwargs):
             raise AssertionError("eliminate ran over budget")
 
         monkeypatch.setattr(cli, "eliminate", refuse)
-        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "45")
-        assert (code, out, err) == (2, "", "error: estimated output size 46 exceeds node budget 45\n")
+        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "35")
+        assert (code, out, err) == (2, "", "error: estimated output size 36 exceeds node budget 35\n")
         monkeypatch.undo()
-        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "46")
+        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "36")
         assert (code, err) == (0, "")
 
     def test_deterministic_output(self, capsys):

@@ -121,6 +121,12 @@ SPLIT_POINTS = {
         "u",
         And((Or((And((Eq(u, x), Le(y, constant(3)))), Eq(u, x + 2))), Le(u, y), Le(y - 2, u))),
     ),
+    # Atoms solved for the count once: y cancels out of the first, the
+    # others test 2y < u + 9, y = u (mod 2) and 3y = u + 6 at each candidate.
+    "atoms solved for y": Exists(
+        "u",
+        And((Eq(u, x), Le(y + u, y + constant(3)), Lt(2 * y, u + 9), Or((Cong(y - u, 0, 2), Eq(3 * y, u + 6))))),
+    ),
     # The inner chain reads the count and w, not u: at u = 0 and u = 1 it is
     # reached with the same value of w and different candidate sets.
     "chain under two choices": Exists(

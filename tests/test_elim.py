@@ -10,7 +10,6 @@ from countqe.elim import (
     ResidueCase,
     build_permutation_branches,
     classify_bounds,
-    count_in_progression,
     eliminate,
     estimate_result_nodes,
     is_subtraction_free,
@@ -46,7 +45,7 @@ from countqe.sets import (
     coordinate_names,
 )
 from countqe.textio import parse_presentation, print_formula
-from helpers import random_disjoint_presentation, random_simple_component
+from helpers import count_in_progression, random_disjoint_presentation, random_simple_component
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -428,6 +427,58 @@ class TestNormalizeForNat:
             assert evaluate(fixed, asg, domain="N") == evaluate(atom, asg, domain="N")
 
 
+class TestDividedOrderAtoms:
+    def test_example(self):
+        x1, x3, t0 = variable("x1"), variable("x3"), variable("_t0")
+        assert elim._divided(Le(6 * x1 - 6 * x3, 6 * t0)) == Le(x1 - x3, t0)
+        # 2t <= 2x + 5 floors to t <= x + 2; 2t < 2x + 5 rounds up to t < x + 3
+        t, x = variable("t"), variable("x")
+        assert elim._divided(Le(2 * t, 2 * x + 5)) == Le(t, x + 2)
+        assert elim._divided(Lt(2 * t, 2 * x + 5)) == Lt(t, x + 3)
+        assert elim._divided(Le(4 * t + 7, 2 * x)) == Le(2 * t + 4, x)
+        for atom in (Le(2 * t, 3 * x), Lt(t, 2 * x), Le(constant(2), constant(4))):
+            assert elim._divided(atom) is atom
+
+    def test_keeps_integer_solutions_and_sides(self):
+        rng = random.Random(43)
+        names = ("a", "b", "c")
+        for _ in range(400):
+            g = rng.randint(2, 6)
+
+            def side():
+                coeffs = {n: g * rng.randint(-3, 3) for n in rng.sample(names, rng.randint(0, 2))}
+                return Term(rng.randint(-20, 20), coeffs)
+
+            lhs, rhs = side(), side()
+            if not (lhs.coeffs or rhs.coeffs):
+                continue
+            atom = rng.choice((Le, Lt))(lhs, rhs)
+            divided = elim._divided(atom)
+            assert set(divided.lhs.coeffs) == set(lhs.coeffs) and set(divided.rhs.coeffs) == set(rhs.coeffs)
+            assert divided.lhs.constant >= 0 and divided.rhs.constant >= 0
+            for _ in range(10):
+                asg = {n: rng.randint(-9, 9) for n in names}
+                assert evaluate(divided, asg) == evaluate(atom, asg), (atom, divided)
+            if is_subtraction_free(atom):
+                assert is_subtraction_free(divided)
+
+    def test_eliminated_order_atoms_have_no_common_factor(self):
+        rng = random.Random(5)
+        divided = 0
+        for _ in range(80):
+            domain = rng.choice([DomainTag.Z, DomainTag.N])
+            s = random_disjoint_presentation(rng, domain, max_dimension=4)
+            with_factor = eliminate(s, "y").formula
+            for g in traverse(with_factor)[0]:
+                if type(g) in (Le, Lt):
+                    assert gcd(*g.lhs.coeffs.values(), *g.rhs.coeffs.values()) == 1, (s, g)
+            if domain is DomainTag.N:
+                assert is_subtraction_free(with_factor), s
+        # The first witness window of three_periods read 6*x1 - 6*x3 <= 6*_t0.
+        printed = print_formula(eliminate(union(THREE_PERIOD_SET), "y").formula)
+        assert "x1 - x3 <= _t0 & _t0 < x1 - x3 + 2" in printed, printed
+
+
 class TestEliminateSimpleStructure:
     def test_worked_example_report(self):
         result = eliminate(union(THREE_PERIOD_SET), "y")
@@ -669,11 +720,23 @@ class TestEliminateUnion:
             assert estimate_result_nodes(s) == result.report.nodes, s
             seen[len(s.components)] += 1
 
+    def test_false_component_beside_a_two_sided_core(self):
+        # The one-sided first component's body is false (no sign atom, and
+        # its congruences always have a solution): the union is its count
+        # binders and the two-sided core's first witness over false.
+        s = union(
+            LinearSetPresentation(base=(-5, 0), periods=((3, -2), (-2, -2))),
+            LinearSetPresentation(base=(2, -1), periods=((-1, 2), (-2, 2))),
+        )
+        result = eliminate(s, "y")
+        assert print_formula(result.formula) == "E _y0 . E _t2 . E _y1 . false"
+        assert estimate_result_nodes(s) == result.report.nodes == 4
+
     @pytest.mark.parametrize(
         "components, actual",
         [
             ([((0, 5, 4), ((3, 0, 1), (2, 2, 0)))], 29),
-            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 61),
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 52),
         ],
     )
     def test_estimate_not_below_single_witness_sizes(self, components, actual):
@@ -696,33 +759,32 @@ def _fixture_or_d8_m2(name):
 
 
 class TestBinders:
-    """A two-sided core binds its first witness t0 and the window witness t1
-    of its zero case, whatever the sizes of its bound families.  A one-sided
-    core binds one coset witness when D' > 1, a single-witness component
-    nothing, and a union one part count per component."""
+    """The only binders are each two-sided core's first witness t0, whatever
+    the sizes of its bound families, and a union's part count per component.
+    The zero case and a one-sided core ask whether the congruences have a
+    solution without a binder; a single-witness component binds nothing."""
 
     @staticmethod
-    def _exists_nodes(formula):
-        return sum(isinstance(g, Exists) for g in traverse(formula)[0])
+    def _binders(formula):
+        """The binders' kinds, sorted: "t" for a first witness ``_t<k>``,
+        "y" for a part count ``_y<k>``."""
+        return sorted(g.var[:2] for g in traverse(formula)[0] if isinstance(g, Exists))
 
     @staticmethod
-    def _binders(result):
+    def _expected(result):
+        """One "_t" per two-sided core, and one "_y" per component of a union."""
         reports = result.report.components
-        total = len(reports) if len(reports) > 1 else 0
-        for r in reports:
-            if r.case == "single-witness":
-                continue
-            total += 2 if r.upper_rows and r.lower_rows else r.coset_period > 1
-        return total
+        kinds = ["_y"] * len(reports) if len(reports) > 1 else []
+        return sorted(kinds + ["_t" for r in reports if r.upper_rows and r.lower_rows])
 
     @pytest.mark.parametrize("name", ["three_periods", "natural", "d8_m2"])
     def test_two_sided_fixtures(self, name):
         result = eliminate(_fixture_or_d8_m2(name), "y")
-        assert self._exists_nodes(result.formula) == self._binders(result) > 0
+        assert self._binders(result.formula) == self._expected(result) == ["_t"]
 
     @pytest.mark.parametrize("denom", [2, 100])
-    def test_half_line_has_one(self, denom):
-        assert self._exists_nodes(eliminate(half_line(denom), "y").formula) == 1
+    def test_half_line_has_none(self, denom):
+        assert self._binders(eliminate(half_line(denom), "y").formula) == []
 
     def test_seeded_interval_cores(self):
         rng = random.Random(17)
@@ -732,7 +794,7 @@ class TestBinders:
             s = random_disjoint_presentation(rng, domain, max_dimension=4)
             result = eliminate(s, "y")
             reports = result.report.components
-            assert self._exists_nodes(result.formula) == self._binders(result), s
+            assert self._binders(result.formula) == self._expected(result), s
             for r in reports:
                 two_sided = r.upper_rows and r.lower_rows
                 kind = r.case if r.case == "single-witness" else "two-sided" if two_sided else "one-sided"
@@ -754,6 +816,10 @@ class TestOutputSize:
         assert core.upper_rows and core.lower_rows
         assert result.report.nodes <= ceiling
         assert estimate_result_nodes(s) >= result.report.nodes
+
+    @pytest.mark.parametrize("name, nodes", [("three_periods", 75), ("natural", 36), ("d8_m2", 50)])
+    def test_two_sided_sizes_without_a_zero_case_binder(self, name, nodes):
+        assert eliminate(_fixture_or_d8_m2(name), "y").report.nodes == nodes
 
     def test_half_line_size_does_not_depend_on_the_denominator(self):
         sizes = {eliminate(half_line(denom), "y").report.nodes for denom in (100, 400, 1200)}

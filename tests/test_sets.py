@@ -5,7 +5,6 @@ from typing import Optional
 import pytest
 
 from countqe.errors import DimensionError, ParameterError, UnsupportedPresentationError
-from countqe.formula import evaluate
 from countqe.sets import (
     DomainTag,
     IntBox,
@@ -14,10 +13,8 @@ from countqe.sets import (
     SemilinearPresentation,
     check_disjoint_in_box,
     check_simple,
-    coordinate_names,
     enumerate_in_box,
     membership,
-    membership_formula,
 )
 from helpers import random_simple_component
 
@@ -236,42 +233,3 @@ class TestDisjointness:
     def test_single_component(self):
         s = SemilinearPresentation(components=(line((0,), (1,)),))
         assert check_disjoint_in_box(s, IntBox((0,), (10,))) is True
-
-
-class TestMembershipFormula:
-    def test_singleton(self):
-        f = membership_formula(line((5,), None))
-        assert evaluate(f, {"x1": 5}) is True
-        assert evaluate(f, {"x1": 4}) is False
-
-    def test_natural_line(self):
-        f = membership_formula(
-            LinearSetPresentation(base=(0,), periods=((1,),), domain=DomainTag.N)
-        )
-        assert evaluate(f, {"x1": 3}, quant_bound=10) is True
-        assert evaluate(f, {"x1": -2}, quant_bound=10) is False
-
-    def test_matches_membership_on_small_box(self):
-        rng = random.Random(29)
-        for _ in range(40):
-            n = rng.randint(1, 2)
-            p = rng.randint(0, n)
-            while True:
-                comp = LinearSetPresentation(
-                    base=tuple(rng.randint(-2, 2) for _ in range(n)),
-                    periods=tuple(
-                        tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(p)
-                    ),
-                )
-                if check_simple(comp):
-                    break
-            f = membership_formula(comp)
-            names = coordinate_names(n)
-            for point in IntBox.cube(n, -3, 3).points():
-                asg = dict(zip(names, point))
-                assert evaluate(f, asg, quant_bound=30) == membership(comp, point)
-
-    def test_bound_names_avoid_clashes(self):
-        comp = LinearSetPresentation(base=(0,), periods=((1,),))
-        f = membership_formula(comp, var_names=["z1"])
-        assert evaluate(f, {"z1": 2}, quant_bound=5) is True

@@ -10,7 +10,6 @@ import countqe.elim
 import countqe.formula as fm
 from countqe import verify
 from countqe.elim import (
-    count_in_progression,
     eliminate,
     estimate_result_nodes,
     plan_elimination,
@@ -49,19 +48,19 @@ from countqe.sets import (
 )
 from countqe.textio import parse_presentation
 import helpers
-from helpers import random_ast, random_disjoint_presentation
+from helpers import count_in_progression, random_ast, random_disjoint_presentation
 from countqe.verify import (
     PinnedEvaluationError,
     PinnedProgram,
     count_set_witnesses,
     evaluate_pinned,
-    formula_count_values,
     run_check,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
+from test_nat_two_sided import random_two_sided  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -506,7 +505,7 @@ class TestAgainstReferenceEvaluator:
                 assignment = verify.random_assignment(rng, names[:-1], 40, domain)
                 oracle = count_set_witnesses(presentation, assignment, names)
                 tested = verify.tested_counts(rng, oracle.count)
-                got = formula_count_values(result, assignment, tested, domain)
+                got = PinnedProgram(result.formula, domain).count_values(assignment, "y", tested)
                 expected = _reference_count_values(result, assignment, tested, domain)
                 assert got == expected, (label, presentation, assignment)
                 compared += 1
@@ -552,8 +551,9 @@ class TestMetamorphic:
                 assignment = verify.random_assignment(rng, names[:-1], 20, presentation.domain)
                 renamed = {names[j]: assignment[names[i]] for j, i in enumerate(perm)}
                 tested = range(12)
-                got = formula_count_values(result, assignment, tested, presentation.domain)
-                assert formula_count_values(other, renamed, tested, presentation.domain) == got, (
+                domain = presentation.domain
+                got = PinnedProgram(result.formula, domain).count_values(assignment, "y", tested)
+                assert PinnedProgram(other.formula, domain).count_values(renamed, "y", tested) == got, (
                     presentation,
                     order,
                     perm,
@@ -564,12 +564,14 @@ class TestMetamorphic:
 
 
 def _chosen(name, g):
-    """``E name . ((g | false) & name <= y & y <= name)``: the chain chooses
-    ``name`` from the values that ``g`` alone allows, as the eliminator's
-    branch counts are chosen.  The disjunction keeps a conjunction ``g``
-    from being flattened into the chain."""
+    """``E name . ((g | false) & (name <= y & y <= name | false))``: the
+    chain chooses ``name`` from the values that ``g`` alone allows, as the
+    eliminator's branch counts are chosen.  The disjunctions keep a
+    conjunction ``g`` from being flattened into the chain, and keep the
+    chain from taking ``name`` from the window ``name <= y & y <= name``,
+    which leaves one value, before the choice."""
     v, y = variable(name), variable("y")
-    return Exists(name, And((Or((g, FALSE)), Le(v, y), Le(y, v))))
+    return Exists(name, And((Or((g, FALSE)), Or((And((Le(v, y), Le(y, v))), FALSE)))))
 
 
 class TestFloorPairPin:
@@ -681,6 +683,71 @@ class TestFloorPairPin:
         x, u = variable("x"), variable("u")
         pinned = And((Eq(u, x + 1), Le(x, u), Le(u, x + 1)))
         assert PinnedProgram(_chosen("u", pinned)).count_values({"x": 4}, "y", range(8)) == [5]
+
+
+class TestSingleValueWindowFirst:
+    """A window whose atoms prove it leaves at most one value is taken
+    before a choice; any other window only when no choice applies."""
+
+    @staticmethod
+    def _first_witness(m, period, lo):
+        # lo <= m*t < lo + m*period with t = x (mod period)
+        t = variable("t")
+        return [Le(lo, m * t), Lt(m * t, lo + m * period), Cong(t - variable("x"), 0, period)]
+
+    @staticmethod
+    def _single(atoms):
+        # The program's pins are keyed by node, so the atoms are its own.
+        return PinnedProgram(Exists("t", And(tuple(atoms))))._at_most_one(atoms, "t")
+
+    def test_first_witness_window_is_single(self):
+        x, z = variable("x"), variable("z")
+        for m in range(1, 5):
+            for period in range(1, 6):
+                for lo in (x, 3 * x - 2 * z + 1, constant(7)):
+                    atoms = self._first_witness(m, period, lo)
+                    assert self._single(atoms), (m, period, lo)
+                    wider = [atoms[0], Lt(atoms[1].lhs, atoms[1].rhs + m), atoms[2]]
+                    assert not self._single(wider), (m, period, lo)
+
+    def test_windows_without_a_constant_width_are_not_single(self):
+        t, x, y = variable("t"), variable("x"), variable("y")
+        assert not self._single([Le(x, t), Le(t, y)])
+        assert not self._single([Le(x, 2 * t), Le(t, x)])
+        assert not self._single([Le(y - 2, t), Le(t, y)])  # three values
+        assert self._single([Le(y - 2, t), Le(t, y), Cong(t, 1, 3)])
+        assert self._single([Le(2 * t, x + 2), Lt(x, 2 * t)])  # a floor pair
+
+    def test_window_before_the_count_disjunction(self):
+        # The chain body of a two-sided core without a zero case: the count
+        # disjunction bounds t on one side only, so t comes from the window.
+        t, x, y = variable("t"), variable("x"), variable("y")
+        count = progression_count_formula(2 * t, [x + 9], 6, "y")
+        f = Exists("t", And(tuple(self._first_witness(2, 3, x)) + (count,)))
+        program = PinnedProgram(f)
+        steps = program._chain_plan(f)[0]
+        assert steps[0][:2] == (verify._WINDOW, "t")
+        for value in range(-6, 9):
+            # t = value (mod 3) in [value/2, value/2 + 3): members t, t + 3,
+            # ... with 2*t <= value + 9.
+            first = next(k for k in range(-10, 20) if value <= 2 * k < value + 6 and (k - value) % 3 == 0)
+            expected = count_in_progression(2 * first, value + 9, 2 * first, 6)
+            assert program.count_values({"x": value}, "y", range(-2, 8)) == [expected], value
+
+    def test_eliminated_cores_without_a_zero_case(self):
+        # Over Z, a core without sign atoms whose congruences always have a
+        # solution has no zero case: "E t0 . W(t0) & C".
+        rng = random.Random(131)
+        folded = 0
+        while folded < 12:
+            presentation, result = random_two_sided(rng, DomainTag.Z)
+            (plan,) = plan_elimination(presentation).components
+            if not plan.conjunctive:
+                continue
+            assert not any(type(g) is Not for g in traverse(result.formula)[0]), presentation
+            outcome = run_check(presentation, trials=10, box_radius=12, seed=folded, result=result)
+            assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
+            folded += 1
 
 
 # --- the oracle scan this module's differential test compares against --------
@@ -958,15 +1025,15 @@ class TestRunCheck:
         outcome = run_check(union(comp), result=result, trials=5, box_radius=50, seed=4)
         assert outcome.mismatches == 0 and outcome.ok(strict=True)
         on_plane = {"x1": -3, "x2": 0, "x3": -2}  # empty slice
-        assert formula_count_values(result, on_plane, range(4)) == [0]
+        assert PinnedProgram(result.formula).count_values(on_plane, result.count_var, range(4)) == [0]
         on_plane["x1"] = 0  # infinite slice: no count holds
-        assert formula_count_values(result, on_plane, range(16)) == []
+        assert PinnedProgram(result.formula).count_values(on_plane, result.count_var, range(16)) == []
 
     def test_formula_count_values_scan(self):
         result = eliminate(union(THREE_PERIOD_SET), "y")
         oracle = count_set_witnesses(union(THREE_PERIOD_SET), {"x1": 4, "x2": 8, "x3": 5})
-        hits = formula_count_values(
-            result, {"x1": 4, "x2": 8, "x3": 5}, list(range(0, 12))
+        hits = PinnedProgram(result.formula).count_values(
+            {"x1": 4, "x2": 8, "x3": 5}, result.count_var, list(range(0, 12))
         )
         assert oracle.stable
         assert hits == [oracle.count]
