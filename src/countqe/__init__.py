@@ -82,7 +82,6 @@ from .sets import (
     SemilinearPresentation,
     check_disjoint_in_box,
     check_simple,
-    enumerate_in_box,
     membership,
 )
 from .textio import (
@@ -91,7 +90,6 @@ from .textio import (
     parse_formula,
     parse_presentation,
     print_formula,
-    print_presentation,
 )
 from .verify import (
     CheckOutcome,

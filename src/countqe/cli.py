@@ -10,9 +10,9 @@ Subcommands:
 * ``check``     eliminate, then cross-check against the counting oracle on
                 seeded random assignments
 
-``eliminate`` and ``check`` plan first; when the plan's size estimate
-exceeds ``--node-budget`` (default 10**6) they refuse with exit 2 and a
-one-line error, before building anything.
+``eliminate`` and ``check`` plan first, which builds the formula once; when
+its node count exceeds ``--node-budget`` (default 10**6) they refuse with
+exit 2 and a one-line error, before printing or checking anything.
 
 Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation
 (including an out-of-range numeric option such as a negative ``--box-radius``,
@@ -201,8 +201,9 @@ def cmd_count(args) -> int:
 
 
 def _plan_input(args):
-    """Load, put the counted coordinate last and plan; returns the plan and
-    its estimate, or refuses when the estimate exceeds ``--node-budget``."""
+    """Load, put the counted coordinate last and plan for ``--count-var``;
+    returns the plan and the size of the formula it built, or refuses when
+    that size exceeds ``--node-budget``."""
     if args.node_budget < 0:
         raise ParameterError(f"--node-budget must be nonnegative, got {args.node_budget}")
     radius = getattr(args, "disjoint_radius", 0)
@@ -217,7 +218,7 @@ def _plan_input(args):
             raise ContractError(
                 f"components overlap inside the radius-{args.disjoint_radius} box"
             )
-    plan = plan_elimination(permuted, names)
+    plan = plan_elimination(permuted, names, args.count_var)
     estimated = estimate_result_nodes(plan)
     if estimated > args.node_budget:
         raise ContractError(

@@ -37,10 +37,11 @@ elsewhere.
 Components combine by summing per-component count variables.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
-data, bound families and size estimate), then built from that plan.
-:func:`eliminate`, :func:`estimate_result_nodes` and
-:func:`countqe.verify.run_check` accept the :class:`EliminationPlan` of
-:func:`plan_elimination` wherever they accept a presentation.
+data and bound families), and :func:`plan_elimination` builds the formula
+from the plans at once: the :class:`EliminationPlan` holds the result, and
+its size is the node count of what was built.  :func:`eliminate`,
+:func:`estimate_result_nodes` and :func:`countqe.verify.run_check` accept
+the plan wherever they accept a presentation, and read that result.
 
 Over the naturals the same integer body is built, and :func:`normalize_for_nat`
 makes each quantifier-free piece subtraction-free before it is bound.  No
@@ -531,14 +532,11 @@ class ComponentPlan:
     single-witness component has no ``bounds``.  For an interval core, the
     congruences' solutions in the counted value form one coset of
     ``coset_period`` exactly where the atoms ``solvable`` hold
-    (:func:`_solvability`).  ``conjunctive`` tells whether the component's
-    body is a conjunction, which a union's conjunction absorbs: a one-sided
-    core's is, and so is a two-sided core's without a zero case.
+    (:func:`_solvability`).
     """
 
     component: LinearSetPresentation
     case: str  # "single-witness" or "interval-count"
-    estimated_nodes: int
     rows: tuple[int, ...]
     dropped_rows: tuple[int, ...]
     solution: CramerSolution
@@ -547,14 +545,6 @@ class ComponentPlan:
     bounds: Optional[BoundClassification] = None
     coset_period: int = 1
     solvable: tuple = ()
-    conjunctive: bool = False
-
-    @property
-    def binders(self) -> int:
-        """How many binders the component adds to the prefix: one first
-        witness for a two-sided core, none otherwise."""
-        bc = self.bounds
-        return int(bc is not None and bool(bc.upper_rows) and bool(bc.lower_rows))
 
     def report(self, index: int, count_var: str, nodes: int) -> ComponentReport:
         """The report of this component, built with ``nodes`` nodes."""
@@ -578,23 +568,6 @@ class ComponentPlan:
         return ComponentReport(index=index, case=self.case, count_var=count_var, nodes=nodes, **fields)
 
 
-def _atom_nodes(*terms: Term) -> int:
-    """Size of an atom over ``terms``: one node plus one per coefficient."""
-    return 1 + sum(len(t.coeffs) for t in terms)
-
-
-def _conj_nodes(atom_nodes: Sequence[int]) -> int:
-    """Size of the conjunction of one or more atoms of these sizes."""
-    return sum(atom_nodes) + (len(atom_nodes) >= 2)
-
-
-def _numerators(solution: CramerSolution, names: Sequence[str]) -> list[Term]:
-    """The Cramer numerators N_i as terms, the columns read by ``names``."""
-    return [
-        Term(offset, dict(zip(names, row))) for row, offset in zip(solution.matrix, solution.offset)
-    ]
-
-
 def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> ComponentPlan:
     """Decide how ``component`` is eliminated, its coordinates named ``names``.
 
@@ -603,11 +576,6 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
     subsystem.  Otherwise its core is the least row basis of the other rows
     plus the counted row, planned with the core's Cramer data, bound
     classification and congruences.
-
-    The estimate counts the output atom by atom from the row terms, in
-    closed form: nothing in it grows with D, and it grows linearly in the
-    sizes of the bound families.  It is exact over Z and N: no atom reads a
-    name on both sides, so normalising over N keeps every coefficient.
     """
     if not check_simple(component):
         raise UnsupportedPresentationError(
@@ -626,101 +594,70 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
     relations = tuple(_row_equations(component, rows, solution, names))
     dropped = tuple(j for j in range(n - 1) if j not in rows)
     congruences = tuple(_congruence_rows(solution))
-    congs = [1 + sum(1 for c in coeffs if c) for coeffs, _ in congruences]
-    rels = [_atom_nodes(*r.terms) for r in relations]
     if single:
-        # "(M & y = 1) | (!M & y = 0)", M the conjunction of the sign atoms,
-        # the congruences and the relations, which the first And flattens;
-        # "y = 1" when M is empty.
-        signs = [_atom_nodes(t) for t in _numerators(solution, [names[i] for i in rows])]
-        member = signs + congs + rels
-        estimate = sum(member) + _conj_nodes(member) + 8 if member else 2
-        return ComponentPlan(
-            component, "single-witness", estimate, rows, dropped, solution, relations, congruences
-        )
+        return ComponentPlan(component, "single-witness", rows, dropped, solution, relations, congruences)
     free_names = [names[i] for i in rows[:-1]]
-    bc = classify_bounds(solution, free_names)
     denom = solution.denom
     period = lcm(*(denom // gcd(denom, coeffs[-1]) for coeffs, _ in congruences))
     solvable = tuple(_solvability(congruences, denom, free_names))
     assert fm.FALSE not in solvable, "the base point solves the congruences"
-    solv = [_atom_nodes(a.term) for a in solvable]
-    signs = [_atom_nodes(bc.row_terms[i]) for i in bc.sign_rows]
-    if not bc.upper_rows or not bc.lower_rows:
-        # "!(signs & solvable) & 0 = y"; false when nothing is negated.
-        negated = signs + solv
-        estimate = 4 + _conj_nodes(negated) if negated else 1
-        conjunctive = True
-    else:
-        step = bc.multiplier * period
-        lows = [len(bc.bound_term(i).coeffs) for i in bc.lower_rows]
-        upper_terms = [bc.bound_term(j) for j in bc.upper_rows]
-        highs = [len(h.coeffs) for h in upper_terms]
-        # W(t): "l <= m*t & m*t < l + s" and the congruences for each lower
-        # term l; several are an Or of these conjunctions beside "l <= m*t".
-        windows = [4 + 2 * c + sum(congs) for c in lows]
-        window = windows[0] if len(lows) == 1 else sum(windows) + 3 * len(lows) + sum(lows) + 1
-        # C(t, y): "h < f & y = 0 | f <= h & pin" for one upper term h, the
-        # pin "y = h - f + 1" when s is 1, else a floor pair.  Several add
-        # "s*y <= h - f + s" for each h and two Ors (each floor pair an And).
-        pins = [3 + c if step == 1 else 6 + 2 * c for c in highs]
-        count = 5 + sum(4 + 2 * c + pin for c, pin in zip(highs, pins))
-        if len(highs) > 1:
-            count += 2 + sum(3 + c + (step > 1) for c in highs)
-        # "E t0 . (signs & W(t0) & C) | (Z & y = 0)", the zero case Z an Or
-        # of "!signs", "!solvable" and, over N, the atoms "h < 0"; without
-        # disjuncts, "E t0 . signs & W(t0) & C".
-        zero = [1 + _conj_nodes(xs) for xs in (signs, solv) if xs]
-        if component.domain is DomainTag.N:
-            zero += [_atom_nodes(*a.terms) for a in _negative_upper_terms(upper_terms)]
-        estimate = 2 + sum(signs) + window + count
-        if zero:
-            estimate += 4 + _conj_nodes(zero)
-        conjunctive = not zero
-    if rels and estimate == 1:
-        # A false body leaves "!relations & y = 0".
-        estimate, conjunctive = _conj_nodes(rels) + 4, True
-    elif rels:
-        # "(relations & body) | (!relations & y = 0)"
-        estimate += sum(rels) + _conj_nodes(rels) + 6 - conjunctive
-        conjunctive = False
     return ComponentPlan(
-        component, "interval-count", estimate, rows, dropped, solution, relations, congruences,
-        bc, period, solvable, conjunctive,
+        component, "interval-count", rows, dropped, solution, relations, congruences,
+        classify_bounds(solution, free_names), period, solvable,
     )
 
 
 @dataclass(frozen=True)
 class EliminationPlan:
     """The component plans of a presentation whose coordinates are named
-    ``names``, the counted one last."""
+    ``names``, the counted one last, and the ``result`` built from them."""
 
     presentation: SemilinearPresentation
     names: tuple[str, ...]
     components: tuple[ComponentPlan, ...]
+    result: EliminationResult
 
 
 def plan_elimination(
     presentation: Union[SemilinearPresentation, EliminationPlan],
     var_names: Optional[Sequence[str]] = None,
+    count_var: Optional[str] = None,
 ) -> EliminationPlan:
-    """Plan every component; a plan is returned unchanged.
+    """Plan every component and build the formula from the plans; a plan is
+    returned unchanged.
 
-    The coordinates are named ``var_names``, by default x1..xn.  Raises
-    :class:`UnsupportedPresentationError` when a component's periods are
-    dependent.
+    The coordinates are named ``var_names``, by default x1..xn, and the count
+    variable ``count_var``, by default ``y`` (given a plan, ``None`` takes
+    the plan's own names).  Raises :class:`UnsupportedPresentationError`
+    when a component's periods are dependent, and :class:`ContractError`
+    when the presentation is not asserted disjoint and simple, when the
+    count variable is no identifier or clashes with a coordinate name, and
+    when given names differ from a plan's.
     """
     if isinstance(presentation, EliminationPlan):
         if var_names is not None and tuple(var_names) != presentation.names:
             raise ContractError("variable name list does not match the plan's")
+        made_for = presentation.result.count_var
+        if count_var is not None and count_var != made_for:
+            raise ContractError(f"count variable {count_var!r} does not match the plan's {made_for!r}")
         return presentation
     if var_names is None:
         var_names = coordinate_names(presentation.dimension)
     names = tuple(var_names)
     if len(names) != presentation.dimension:
         raise ContractError("variable name list does not match dimension")
+    if count_var is None:
+        count_var = "y"
+    components = tuple(plan_component(c, names) for c in presentation.components)
+    # Planning checked every component's simplicity; only the flags are left.
+    if not (presentation.asserted_disjoint and presentation.asserted_simple):
+        raise ContractError("presentation must be asserted disjoint and simple for elimination")
+    if not is_identifier(count_var):
+        raise ContractError(f"count variable {count_var!r} is not an identifier")
+    if count_var in names:
+        raise ContractError("count variable clashes with a coordinate name")
     return EliminationPlan(
-        presentation, names, tuple(plan_component(c, names) for c in presentation.components)
+        presentation, names, components, _build(components, names, count_var)
     )
 
 
@@ -731,6 +668,13 @@ def _close(prefix: Sequence[str], body: Formula) -> Formula:
     for var in reversed(prefix):
         body = Exists(var, body)
     return body
+
+
+def _numerators(solution: CramerSolution, names: Sequence[str]) -> list[Term]:
+    """The Cramer numerators N_i as terms, the columns read by ``names``."""
+    return [
+        Term(offset, dict(zip(names, row))) for row, offset in zip(solution.matrix, solution.offset)
+    ]
 
 
 def _case_single(plan: ComponentPlan, count_var: str, names: Sequence[str]) -> Formula:
@@ -804,51 +748,31 @@ def _case_interval(
     return prefix, body
 
 
-def eliminate(
-    presentation: Union[SemilinearPresentation, EliminationPlan],
-    count_var: str,
-    var_names: Optional[Sequence[str]] = None,
-) -> EliminationResult:
-    """Eliminate the counting quantifier over a disjoint simple union, given
-    as a presentation or as its :class:`EliminationPlan`.
-
-    The counted coordinate is the last one; the result holds exactly when
-    ``count_var`` equals the number of values of the counted coordinate
-    placing the point in the set (no count value satisfies it when that set
-    is infinite).  Each of several components gets a fresh count variable,
-    and these sum to ``count_var``.  Disjointness is the caller's asserted
-    precondition: on overlapping inputs the sum over-counts shared witnesses.
-    """
-    plan = plan_elimination(presentation, var_names)
-    # Planning checked every component's simplicity; only the flags are left.
-    if not (plan.presentation.asserted_disjoint and plan.presentation.asserted_simple):
-        raise ContractError("presentation must be asserted disjoint and simple for elimination")
-    names = plan.names
-    if not is_identifier(count_var):
-        raise ContractError(f"count variable {count_var!r} is not an identifier")
-    if count_var in names:
-        raise ContractError("count variable clashes with a coordinate name")
+def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var: str) -> EliminationResult:
+    """The formula of the planned ``components`` (see :func:`eliminate`),
+    with its report: each component's size is the node count of its body
+    closed by its binders, and the total that of the formula."""
     fresh = FreshNames(set(names) | {count_var})
-    single = len(plan.components) == 1
+    single = len(components) == 1
     prefix: list[str] = []
     bodies: list[Formula] = []
     reports = []
-    for index, comp_plan in enumerate(plan.components, start=1):
+    for index, comp_plan in enumerate(components, start=1):
         part_count = count_var if single else fresh.fresh("y")
         if comp_plan.bounds is None:
             comp_prefix, body = [], _case_single(comp_plan, part_count, names)
         else:
             comp_prefix, body = _case_interval(comp_plan, part_count, names, fresh)
-        reports.append(comp_plan.report(index, part_count, fm.node_count(body) + len(comp_prefix)))
+        closed = _close(comp_prefix, body)
+        reports.append(comp_plan.report(index, part_count, fm.node_count(closed)))
         prefix.extend(comp_prefix)
         if not single:
             prefix.append(part_count)
             body = conj([Le(constant(0), variable(part_count)), body])
         bodies.append(body)
     if single:
-        # node_count(Exists v . g) = 1 + node_count(g): the component's count
-        # already covers the closed formula.
-        formula, nodes = _close(prefix, bodies[0]), reports[0].nodes
+        # The one component, closed, is the formula: its count is the total.
+        formula, nodes = closed, reports[0].nodes
     else:
         component_sum = Term(0, {report.count_var: 1 for report in reports})
         formula = _close(prefix, conj(bodies + [Eq(component_sum, variable(count_var))]))
@@ -860,24 +784,31 @@ def eliminate(
     )
 
 
-def estimate_result_nodes(presentation: Union[SemilinearPresentation, EliminationPlan]) -> int:
-    """The size of the eliminated formula, predicted from the plan.
+def eliminate(
+    presentation: Union[SemilinearPresentation, EliminationPlan],
+    count_var: str,
+    var_names: Optional[Sequence[str]] = None,
+) -> EliminationResult:
+    """Eliminate the counting quantifier over a disjoint simple union, given
+    as a presentation or as its :class:`EliminationPlan` (whose built result
+    is returned; a plan made for another count variable is refused).
 
-    Used by the command-line interface to warn before a blow-up; it sums the
-    components' planned estimates (see :func:`plan_component`), and accepts
-    a plan in place of the presentation.  It equals the output's
-    :func:`countqe.formula.node_count`; the multi-component wrapper is
-    counted exactly too.
+    The counted coordinate is the last one; the result holds exactly when
+    ``count_var`` equals the number of values of the counted coordinate
+    placing the point in the set (no count value satisfies it when that set
+    is infinite).  Each of several components gets a fresh count variable,
+    and these sum to ``count_var``.  Disjointness is the caller's asserted
+    precondition: on overlapping inputs the sum over-counts shared witnesses.
     """
-    plan = plan_elimination(presentation)
-    total = sum(c.estimated_nodes for c in plan.components)
-    k = len(plan.components)
-    if k == 1:
-        return total
-    if any(c.estimated_nodes == 1 for c in plan.components):
-        # A one-node component body is false, and so is the conjunction of
-        # them all: k count binders and the first witnesses over false.
-        return k + 1 + sum(c.binders for c in plan.components)
-    # k count binders, "0 <= y_i" for each, "y_1 + ... + y_k = y" and the
-    # conjunction of it all, into which a conjunctive body merges.
-    return total + 4 * k + 3 - sum(c.conjunctive for c in plan.components)
+    return plan_elimination(presentation, var_names, count_var).result
+
+
+def estimate_result_nodes(presentation: Union[SemilinearPresentation, EliminationPlan]) -> int:
+    """The size of the eliminated formula: the
+    :func:`countqe.formula.node_count` of the formula that planning built
+    (for the count variable ``y`` when given a presentation).
+
+    The command-line interface reads it to refuse an input over its node
+    budget before printing or checking anything.
+    """
+    return plan_elimination(presentation).result.report.nodes

@@ -301,20 +301,6 @@ def _box_lines(testers: Sequence[MembershipTester], box: IntBox):
         yield prefix, [t.members_on_line(prefix, lo, hi) for t in testers]
 
 
-def enumerate_in_box(presentation: SemilinearPresentation, box: IntBox) -> list[tuple[int, ...]]:
-    """All points of the union inside the box, once each, lexicographically.
-
-    Scans the box one line along the last coordinate at a time, testing every
-    point of the line; this is the desk-scale oracle path, so the box volume
-    is expected to stay small.
-    """
-    return [
-        prefix + (v,)
-        for prefix, lines in _box_lines(_box_testers(presentation, box), box)
-        for v in sorted(set().union(*lines))
-    ]
-
-
 def check_disjoint_in_box(presentation: SemilinearPresentation, box: IntBox) -> bool:
     """True when no box point belongs to two distinct components."""
     testers = _box_testers(presentation, box)

@@ -483,21 +483,3 @@ def parse_presentation(text: str) -> SemilinearPresentation:
         asserted_disjoint=disjoint,
         asserted_simple=simple,
     )
-
-
-def print_presentation(presentation: SemilinearPresentation) -> str:
-    """Render a presentation; roundtrips through :func:`parse_presentation`."""
-    lines = [
-        f"domain {presentation.domain.value}",
-        f"dim {presentation.dimension}",
-    ]
-    if presentation.asserted_disjoint:
-        lines.append("disjoint")
-    if presentation.asserted_simple:
-        lines.append("simple")
-    for comp in presentation.components:
-        lines.append("component")
-        lines.append("base " + " ".join(str(v) for v in comp.base))
-        for period in comp.periods:
-            lines.append("period " + " ".join(str(v) for v in period))
-    return "\n".join(lines) + "\n"

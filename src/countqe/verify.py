@@ -150,8 +150,9 @@ class PinnedProgram:
         self._by_bit: list[str] = []
         self._masks: dict[int, int] = {}
         self._mask_names: dict[int, tuple] = {}
-        self._pins: dict = {}  # (id(atom), name) -> (coefficient, rest of the term)
-        self._offers: dict = {}  # (id(conjunction), name) -> how it offers the name's values
+        # Keyed by id, each entry holds its node, so no other node takes that id.
+        self._pins: dict = {}  # (id(atom), name) -> (atom, (coefficient, rest of the term))
+        self._offers: dict = {}  # (id(conjunction), name) -> (it, how it offers the name's values)
         self._plans: dict = {}  # id(chain head) -> (steps, names it writes, key names)
         self._memo: dict = {}
         self._count, self._y = None, 0  # the count variable and its bit (0: none is read)
@@ -474,8 +475,8 @@ class PinnedProgram:
         (an equation, the window's atoms and mask, a disjunction or None)
         and the parts left to check at each value."""
         key = (id(g), name)
-        offer = self._offers.get(key)
-        if offer is None:
+        entry = self._offers.get(key)
+        if entry is None:
             masks = self._masks
             others = [p for p in g.parts if not masks[id(p)] & bit]
             mentioning = [p for p in g.parts if masks[id(p)] & bit]
@@ -488,8 +489,8 @@ class PinnedProgram:
                     source = next((p for p in mentioning if type(p) is Or), None)
             used = source[0] if type(source) is tuple else [source]
             rest = [p for p in mentioning if all(p is not u for u in used)]
-            offer = self._offers[key] = (others, source, rest)
-        return offer
+            entry = self._offers[key] = (g, (others, source, rest))
+        return entry[1]
 
     def _window_source(self, atoms: list) -> tuple:
         """A window's atoms and the names they read."""
@@ -535,12 +536,13 @@ class PinnedProgram:
         coefficient and the rest of the term ``lhs - rhs`` (of a congruence,
         its term)."""
         key = (id(atom), name)
-        if key not in self._pins:
+        entry = self._pins.get(key)
+        if entry is None:
             combined = atom.term if type(atom) is Cong else atom.lhs - atom.rhs
             rest = {other: c for other, c in combined.coeffs.items() if other != name}
             coef = combined.coeffs.get(name)  # None when the name cancels out
-            self._pins[key] = None if coef is None else (coef, Term(combined.constant, rest))
-        return self._pins[key]
+            entry = self._pins[key] = (atom, None if coef is None else (coef, Term(combined.constant, rest)))
+        return entry[1]
 
     def _split(self, step: tuple, env: dict, cands: frozenset) -> frozenset:
         _, disjuncts, rest, undefined, plans = step
@@ -869,13 +871,14 @@ def run_check(
     hold at the oracle count and nowhere else among the tested values, at
     unstable points it must hold nowhere.  Overlapping components detected
     on a tested slice are recorded as contract violations.  The presentation
-    may be given as its elimination plan, which is then not planned again.
+    may be given as its elimination plan, made for ``count_var``, which is
+    then neither planned nor built again.
     """
     if trials < 0:
         raise ParameterError(f"trial count must be nonnegative, got {trials}")
     if box_radius < 0:
         raise ParameterError(f"box radius must be nonnegative, got {box_radius}")
-    plan = plan_elimination(presentation, var_names)
+    plan = plan_elimination(presentation, var_names, count_var)
     if result is None:
         result = eliminate(plan, count_var)
     presentation, names = plan.presentation, plan.names

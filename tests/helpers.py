@@ -25,6 +25,25 @@ from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentatio
 AST_NAMES = ["x", "y", "z1", "w_2", "E"]
 
 
+def print_presentation(presentation: SemilinearPresentation) -> str:
+    """Render a presentation in the syntax of
+    :func:`countqe.textio.parse_presentation`, which reads it back."""
+    lines = [
+        f"domain {presentation.domain.value}",
+        f"dim {presentation.dimension}",
+    ]
+    if presentation.asserted_disjoint:
+        lines.append("disjoint")
+    if presentation.asserted_simple:
+        lines.append("simple")
+    for comp in presentation.components:
+        lines.append("component")
+        lines.append("base " + " ".join(str(v) for v in comp.base))
+        for period in comp.periods:
+            lines.append("period " + " ".join(str(v) for v in period))
+    return "\n".join(lines) + "\n"
+
+
 def count_in_progression(lo: int, hi: int, residue: int, modulus: int) -> int:
     """Number of integers t in [lo, hi] with t = residue (mod modulus): the
     closed form that progression count formulas are checked against."""

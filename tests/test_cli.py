@@ -264,7 +264,8 @@ class TestEliminateCommand:
         assert "parameter error: --node-budget" in err
 
     def test_over_budget_refused_before_building(self, capsys, monkeypatch):
-        # natural.sl's estimate is 36 nodes: a budget of 35 refuses, 36 builds.
+        # natural.sl's formula has 36 nodes: a budget of 35 refuses before
+        # anything is printed, 36 prints it.
         def refuse(*args, **kwargs):
             raise AssertionError("eliminate ran over budget")
 
@@ -418,6 +419,52 @@ def test_each_command_plans_each_component_once(capsys, monkeypatch, tmp_path, n
     assert len(calls) == cores
 
 
+# A singleton beside a core, outside it (its second coordinate is negative).
+CORE_AND_POINT = (
+    "domain Z\ndim 2\ndisjoint\nsimple\n"
+    "component\nbase 0 0\nperiod 1 1\nperiod 0 2\n"
+    "component\nbase 5 -1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name, components",
+    [("singleton.sl", 1), ("three_periods.sl", 1), ("two_cores.sl", 2), ("core_and_point.sl", 2)],
+)
+def test_each_command_builds_each_component_once(capsys, monkeypatch, tmp_path, name, components):
+    # Planning builds the formula; the size check, the elimination and the
+    # check read what it built.
+    (tmp_path / "two_cores.sl").write_text(TWO_CORES, encoding="utf-8")
+    (tmp_path / "core_and_point.sl").write_text(CORE_AND_POINT, encoding="utf-8")
+    path = fixture(name) if os.path.exists(fixture(name)) else str(tmp_path / name)
+    built = []
+    for builder in ("_case_single", "_case_interval"):
+        def counting(plan, *args, build=getattr(elim, builder)):
+            built.append(plan)
+            return build(plan, *args)
+
+        monkeypatch.setattr(elim, builder, counting)
+    for argv in (["eliminate", path, "--report"], ["check", path, "--trials", "3"]):
+        built.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(built) == len({id(plan) for plan in built}) == components
+
+
+@pytest.mark.parametrize("command", ["eliminate", "check"])
+def test_planning_refuses_before_printing(capsys, tmp_path, command):
+    # The assertion flags and the count variable are checked while planning,
+    # with the messages they had when the elimination checked them.
+    path = tmp_path / "plain.sl"
+    path.write_text("domain Z\ndim 1\ncomponent\nbase 0\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: presentation must be asserted disjoint and simple for elimination\n"
+    code, out, err = run(capsys, command, fixture("natural.sl"), "--count-var", "x1")
+    assert (code, out) == (2, "")
+    assert err == "error: count variable clashes with a coordinate name\n"
+
+
 def _move_to_end(text, k):
     """The presentation file ``text`` with coordinate ``k`` (0-based) moved
     last on every base and period line."""
@@ -449,9 +496,8 @@ def test_counted_var_agrees_with_a_hand_permuted_file(capsys, tmp_path):
     import random
     from pathlib import Path
 
-    from helpers import random_disjoint_presentation
+    from helpers import print_presentation, random_disjoint_presentation
     from countqe.sets import DomainTag
-    from countqe.textio import print_presentation
 
     rng = random.Random(4099)
     texts = [

@@ -21,6 +21,7 @@ from countqe.elim import (
 )
 from countqe.errors import ContractError, ConventionError, ParameterError, UnsupportedPresentationError
 from countqe.formula import (
+    And,
     Cong,
     Eq,
     Exists,
@@ -36,8 +37,9 @@ from countqe.formula import (
     variable,
 )
 from countqe import elim, sets
+from countqe import formula as fm
 from countqe.linalg import IntMatrix, cramer_solve, determinant
-from countqe.verify import PinnedProgram
+from countqe.verify import PinnedProgram, run_check
 from countqe.sets import (
     DomainTag,
     LinearSetPresentation,
@@ -336,8 +338,9 @@ class TestFirstWitnessWindow:
 
     def test_half_line_period_is_the_denominator(self):
         plan = elim.plan_component(half_line(60).components[0], coordinate_names(2))
-        assert (plan.solution.denom, plan.coset_period, plan.conjunctive) == (60, 60, True)
+        assert (plan.solution.denom, plan.coset_period) == (60, 60)
         assert not (plan.bounds.upper_rows and plan.bounds.lower_rows)
+        assert type(eliminate(half_line(60), "y").formula) is And
 
 
 class TestPermutationBranches:
@@ -631,6 +634,17 @@ class TestEliminateUnion:
             assert eliminate(plan, "y") == eliminate(s, "y")
             assert estimate_result_nodes(plan) == estimate_result_nodes(s)
 
+    def test_plan_for_another_count_variable_is_refused(self):
+        plan = plan_elimination(union(THREE_PERIOD_SET), count_var="y")
+        assert eliminate(plan, "y") is plan.result
+        assert run_check(plan, "y", trials=2).mismatches == 0
+        with pytest.raises(ContractError, match="count variable 'z' does not match the plan's 'y'"):
+            eliminate(plan, "z")
+        with pytest.raises(ContractError, match="count variable 'z' does not match the plan's 'y'"):
+            run_check(plan, "z", trials=2)
+        z_plan = plan_elimination(union(THREE_PERIOD_SET), count_var="z")
+        assert estimate_result_nodes(z_plan) == fm.node_count(eliminate(z_plan, "z").formula)
+
     def test_estimate_is_positive(self):
         s = SemilinearPresentation(
             components=(THREE_PERIOD_SET,), asserted_disjoint=True, asserted_simple=True
@@ -639,12 +653,12 @@ class TestEliminateUnion:
 
     @pytest.mark.parametrize("denom", [100, 400, 1200])
     def test_estimate_of_half_lines_is_close_above(self, denom):
-        actual = eliminate(half_line(denom), "y").report.nodes
-        assert actual <= estimate_result_nodes(half_line(denom)) <= 2 * actual
+        actual = fm.node_count(eliminate(half_line(denom), "y").formula)
+        assert estimate_result_nodes(half_line(denom)) == actual
 
     def test_estimate_bounds_one_sided_cores(self):
         # Presentations whose every component has a core with an empty bound
-        # family: the estimate is exact over Z and an upper bound over N.
+        # family: the estimate is exact over Z and N.
         rng = random.Random(77)
         tried = 0
         while tried < 60:
@@ -659,23 +673,21 @@ class TestEliminateUnion:
             s = SemilinearPresentation(
                 components=(component,), asserted_disjoint=True, asserted_simple=True
             )
-            estimate, actual = estimate_result_nodes(s), eliminate(s, "y").report.nodes
-            assert estimate == actual if domain is DomainTag.Z else estimate >= actual, component
+            estimate, actual = estimate_result_nodes(s), fm.node_count(eliminate(s, "y").formula)
+            assert estimate == actual, component
             tried += 1
 
     def test_estimate_bounds_seeded_sample(self):
-        # An upper bound everywhere; exact over Z, dropped-row relations (each
-        # counted from its terms) and false one-sided bodies included.
+        # Exact over Z and N, dropped-row relations and false one-sided
+        # bodies included.
         rng = random.Random(3)
         exact = dropped = 0
         for _ in range(60):
             domain = rng.choice([DomainTag.Z, DomainTag.N])
             s = random_disjoint_presentation(rng, domain, max_dimension=4)
             result = eliminate(s, "y")
-            estimate = estimate_result_nodes(s)
-            assert estimate >= result.report.nodes, s
+            assert estimate_result_nodes(s) == fm.node_count(result.formula), s
             if domain is DomainTag.Z:
-                assert estimate == result.report.nodes, s
                 exact += 1
                 dropped += any(c.dropped_rows for c in result.report.components)
         assert exact >= 20 and dropped >= 5, (exact, dropped)
@@ -690,7 +702,7 @@ class TestEliminateUnion:
             domain = rng.choice([DomainTag.Z, DomainTag.N])
             s = random_disjoint_presentation(rng, domain, max_dimension=5)
             result = eliminate(s, "y")
-            assert estimate_result_nodes(s) == result.report.nodes, s
+            assert estimate_result_nodes(s) == fm.node_count(result.formula), s
             seen["N"] += domain is DomainTag.N
             seen[f"{domain.value}, family>=2"] += any(
                 r.upper_rows and r.lower_rows and len(r.upper_rows + r.lower_rows) >= 3
@@ -704,7 +716,7 @@ class TestEliminateUnion:
         s = union(LinearSetPresentation(base=(1, 0), periods=((0, 1),)))
         result = eliminate(s, "y")
         assert print_formula(result.formula) == "!x1 = 1 & y = 0"
-        assert estimate_result_nodes(s) == result.report.nodes == 6
+        assert estimate_result_nodes(s) == fm.node_count(result.formula) == 6
 
     def test_estimate_is_exact_on_single_witness_components(self):
         # Single-witness components and the multi-component wrapper are
@@ -717,7 +729,7 @@ class TestEliminateUnion:
             result = eliminate(s, "y")
             if any(r.case != "single-witness" for r in result.report.components):
                 continue
-            assert estimate_result_nodes(s) == result.report.nodes, s
+            assert estimate_result_nodes(s) == fm.node_count(result.formula), s
             seen[len(s.components)] += 1
 
     def test_false_component_beside_a_two_sided_core(self):
@@ -730,7 +742,7 @@ class TestEliminateUnion:
         )
         result = eliminate(s, "y")
         assert print_formula(result.formula) == "E _y0 . E _t2 . E _y1 . false"
-        assert estimate_result_nodes(s) == result.report.nodes == 4
+        assert estimate_result_nodes(s) == fm.node_count(result.formula) == 4
 
     @pytest.mark.parametrize(
         "components, actual",
@@ -748,8 +760,8 @@ class TestEliminateUnion:
             asserted_disjoint=True,
             asserted_simple=True,
         )
-        assert eliminate(s, "y").report.nodes == actual
-        assert estimate_result_nodes(s) >= actual
+        assert fm.node_count(eliminate(s, "y").formula) == actual
+        assert estimate_result_nodes(s) == actual
 
 
 def _fixture_or_d8_m2(name):
@@ -815,7 +827,7 @@ class TestOutputSize:
         (core,) = result.report.components
         assert core.upper_rows and core.lower_rows
         assert result.report.nodes <= ceiling
-        assert estimate_result_nodes(s) >= result.report.nodes
+        assert estimate_result_nodes(s) == fm.node_count(result.formula)
 
     @pytest.mark.parametrize("name, nodes", [("three_periods", 75), ("natural", 36), ("d8_m2", 50)])
     def test_two_sided_sizes_without_a_zero_case_binder(self, name, nodes):

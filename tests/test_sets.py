@@ -13,9 +13,9 @@ from countqe.sets import (
     SemilinearPresentation,
     check_disjoint_in_box,
     check_simple,
-    enumerate_in_box,
     membership,
 )
+from countqe import sets
 from helpers import random_simple_component
 
 THREE_PERIOD_SET = LinearSetPresentation(
@@ -44,6 +44,17 @@ def _coefficient_bounds(tester: MembershipTester, box: IntBox) -> Optional[int]:
             return None  # that coefficient is negative everywhere in the box
         bound = max(bound, hi // d)
     return bound
+
+
+def enumerate_in_box(presentation: SemilinearPresentation, box: IntBox) -> list[tuple[int, ...]]:
+    """All points of the union inside the box, once each, lexicographically:
+    the members that the box scan of :func:`check_disjoint_in_box` finds on
+    each line along the last coordinate."""
+    return [
+        prefix + (v,)
+        for prefix, lines in sets._box_lines(sets._box_testers(presentation, box), box)
+        for v in sorted(set().union(*lines))
+    ]
 
 
 def enumerate_in_box_by_coefficients(

@@ -25,7 +25,6 @@ from countqe.elim import (
     eliminate,
     is_subtraction_free,
     normalize_for_nat,
-    plan_elimination,
     progression_count_formula,
 )
 from countqe.formula import (
@@ -178,11 +177,10 @@ def _assignments(rng, presentation, count):
 def test_same_count_values_as_the_binder_encoding(monkeypatch):
     compared = hits = binders_before = binders_after = 0
     for rng, presentation in _cross_encoding_corpus():
-        plan = plan_elimination(presentation)
-        result = eliminate(plan, "y")
+        result = eliminate(presentation, "y")
         with monkeypatch.context() as patched:
             patched.setattr(elim, "_case_interval", _t1_encoding)
-            reference = eliminate(plan, "y")
+            reference = eliminate(presentation, "y")
         binders_before += sum(isinstance(g, Exists) for g in fm.traverse(reference.formula)[0])
         binders_after += sum(isinstance(g, Exists) for g in fm.traverse(result.formula)[0])
         domain = presentation.domain

@@ -33,9 +33,8 @@ from countqe.textio import (
     parse_formula,
     parse_presentation,
     print_formula,
-    print_presentation,
 )
-from helpers import random_ast, random_presentation
+from helpers import print_presentation, random_ast, random_presentation
 
 x, y, z = variable("x"), variable("y"), variable("z")
 

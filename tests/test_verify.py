@@ -272,14 +272,14 @@ def _reference_estimate_result_nodes(presentation):
     and ``8*step**2 + 6*step + 16`` nodes per progression."""
     plan = plan_elimination(presentation)
     total = estimate_result_nodes(plan)
-    for c in plan.components:
+    for c, report in zip(plan.components, plan.result.report.components):
         bc = c.bounds
         if bc is not None and bc.upper_rows and bc.lower_rows:  # a two-sided core
             branches = factorial(len(bc.upper_rows)) * factorial(len(bc.lower_rows))
             denom, p = c.solution.denom, c.solution.size
             step = bc.multiplier * denom
             branch = 8 * step * step + 6 * step + 16 + 4 * p + 8
-            total += denom**p * (branches * branch + 12) - c.estimated_nodes
+            total += denom**p * (branches * branch + 12) - report.nodes
     return total
 
 
@@ -718,6 +718,15 @@ class TestSingleValueWindowFirst:
         assert self._single([Le(y - 2, t), Le(t, y), Cong(t, 1, 3)])
         assert self._single([Le(2 * t, x + 2), Lt(x, 2 * t)])  # a floor pair
 
+    def test_pins_of_freed_atoms_are_not_read(self):
+        # Pins are cached by the atom's id: unless the cache holds the atom,
+        # a new atom at a freed atom's address reads that atom's pin.
+        t, y = variable("t"), variable("y")
+        program = PinnedProgram(Exists("t", And((Le(y, t), Le(t, y)))))
+        for _ in range(2000):
+            assert program._at_most_one([Le(y, t), Le(t, y)], "t")  # one value
+            assert not program._at_most_one([Le(y - 2, t), Le(t, y)], "t")  # three values
+
     def test_window_before_the_count_disjunction(self):
         # The chain body of a two-sided core without a zero case: the count
         # disjunction bounds t on one side only, so t comes from the window.
@@ -735,14 +744,14 @@ class TestSingleValueWindowFirst:
             assert program.count_values({"x": value}, "y", range(-2, 8)) == [expected], value
 
     def test_eliminated_cores_without_a_zero_case(self):
-        # Over Z, a core without sign atoms whose congruences always have a
-        # solution has no zero case: "E t0 . W(t0) & C".
+        # Over Z, a core without sign atoms or dropped rows whose congruences
+        # always have a solution has no zero case: "E t0 . W(t0) & C".
         rng = random.Random(131)
         folded = 0
         while folded < 12:
             presentation, result = random_two_sided(rng, DomainTag.Z)
             (plan,) = plan_elimination(presentation).components
-            if not plan.conjunctive:
+            if plan.bounds.sign_rows or plan.solvable or plan.relations:
                 continue
             assert not any(type(g) is Not for g in traverse(result.formula)[0]), presentation
             outcome = run_check(presentation, trials=10, box_radius=12, seed=folded, result=result)
