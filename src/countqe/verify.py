@@ -20,7 +20,10 @@ planned, tracking which chain names are still undefined:
 * *check* a conjunct once it reads no undefined name;
 * *define* a name from an equation with exactly one undefined name, by
   exact division (a non-integral value, or a negative one over N, makes
-  the branch false);
+  the branch false).  While a disjunction reads an undefined name, an
+  equation that reads the count defines nothing: a union's part counts
+  then come from their own disjunctions, and the equation summing them
+  into the count is checked once they are known;
 * *window* a name that the order atoms reading no other undefined name
   bound on both sides: its value is the one integer of that range in the
   coset its congruence atoms leave, merged by the Chinese remainder
@@ -30,18 +33,18 @@ planned, tracking which chain names are still undefined:
   window is taken first if its atoms alone prove that it leaves at most one
   value: a lower and an upper atom whose difference is constant bound the
   name to at most as many integers as the period of the coset its
-  congruences leave (both windows above do).  Any other window is taken
-  only when no choice applies;
-* *choose* a name from a compound conjunct that reads no other undefined
-  name, trying the values that satisfy that conjunct alone (a disjunct
-  that does not mention the name offers 0), once no check, definition or
-  single-value window applies.  Within the conjunct, a conjunction offers
-  the value an equation pins, else the value its window leaves, else the
-  values of a disjunction.  So a two-sided core without a zero case, whose
-  chain body is ``W(t0) & C`` with the count C a disjunction that bounds
-  t0 on one side only, takes t0 from its window W;
-* *split* on a disjunction that reads several undefined names, planning
-  each disjunct together with the remaining conjuncts when first reached.
+  congruences leave (both windows above do).  So a two-sided core without
+  a zero case, whose chain body is ``W(t0) & C`` with the count C a
+  disjunction, takes t0 from its window W.  Any other window is taken only
+  when no split applies;
+* *split* on a disjunction that reads an undefined name: each disjunct is
+  planned, together with the conjuncts left beside the disjunction, when
+  it is first reached.
+
+A chain whose remaining conjuncts no step applies to is stuck.  A deferred
+definition only waits behind splits, which apply while it waits, so the
+deferral changes the cost of an evaluation, never its answer; a plan made
+for one count, or for none, is kept whatever count a later call asks for.
 
 :meth:`PinnedProgram.count_values` decides all the tested counts of a trial
 in one evaluation: the count variable ranges over the set of candidates.
@@ -49,28 +52,27 @@ A node that does not read it is decided once, as a boolean; ``And``, ``Or``
 and ``Not`` combine candidate subsets, and an atom that reads it is solved
 for the count once (its coefficient and the value of the rest) and tested
 at each candidate by integer arithmetic.  A chain runs its plan once: a
-check narrows the candidate set, and a define, window or choice step binds
-each of its values together with the candidates it holds for.  Such a value
-is computed once unless the step's source reads the count (a definition, a
-window, or the equation or window a choice takes its values from); then it
-is computed at each candidate, and candidates that bind the same value
-share one branch.  Deciding a formula for one assignment
+check narrows the candidate set, a define or window step binds each of its
+values together with the candidates it holds for, and a split tries each
+disjunct with the candidates that no earlier disjunct satisfied.  A bound
+value is computed once unless the step's equation or window reads the
+count; then it is computed at each candidate, and candidates that bind the
+same value share one branch.  Deciding a formula for one assignment
 (:meth:`PinnedProgram.evaluate`) is the same plan run with one candidate.
 
-A chain name that no conjunct reads never becomes an unknown, and a step
-with several values leaves a backtracking point on an explicit stack, so a
-long chain costs no recursion; a later branch tries only the candidates
-that no earlier one satisfied.  Binder values are restored when a chain's
-evaluation ends.  A memo that lives for one evaluation call holds each
-chain's verdict and each choice's values, keyed by the values of the names
-they read (and, for one that reads the count, by its candidate set), so a
-chain that does not read the count is decided once per trial.
+A chain name that no conjunct reads never becomes an unknown.  A step with
+several values and a split each leave a backtracking point on one explicit
+stack, so neither a long chain nor nested splits cost recursion; a later
+branch tries only the candidates that no earlier one satisfied.  Binder
+values are restored when a chain's evaluation ends.  A memo that lives for
+one evaluation call holds each chain's verdict, keyed by the values of the
+names it reads (and, for one that reads the count, by its candidate set),
+so a chain that does not read the count is decided once per trial.
 
-:class:`PinnedEvaluationError` is raised when evaluation reaches a chain
-whose remaining conjuncts no step applies to (such as equations that each
-read several undefined names), a window that leaves more than one integer, a
-conjunction with no equation or disjunction mentioning its name whose order
-atoms bound it on one side only, or a ``Forall`` or ``CountEq``.
+:class:`PinnedEvaluationError` is raised when evaluation reaches a stuck
+step (such as equations that each read several undefined names, or a name
+that order atoms bound on one side only), a window that leaves more than one
+integer, or a ``Forall`` or ``CountEq``.
 
 The trial runner drives both routes over seeded random assignments and
 reports agreement; the command-line ``check`` command and the acceptance
@@ -117,7 +119,7 @@ class PinnedEvaluationError(CountQEError):
 
 # --- pinned evaluation ----------------------------------------------------------
 
-_CHECK, _DEFINE, _CHOOSE, _WINDOW, _SPLIT, _STUCK = range(6)
+_CHECK, _DEFINE, _WINDOW, _SPLIT, _STUCK = range(5)
 _UNSET = object()
 _NONE = frozenset()
 _ONE = frozenset((0,))  # the candidates of an evaluation that reads no count
@@ -139,7 +141,7 @@ class PinnedProgram:
     Construction reads every node's free names into an int bitmask (one bit
     per name, keyed by the node's id).  The plan of each existential chain
     is built the first time the chain is evaluated and kept; the memo of
-    verdicts and candidate lists lives for one call of :meth:`evaluate` or
+    chain verdicts lives for one call of :meth:`evaluate` or
     :meth:`count_values`.
     """
 
@@ -152,8 +154,7 @@ class PinnedProgram:
         self._mask_names: dict[int, tuple] = {}
         # Keyed by id, each entry holds its node, so no other node takes that id.
         self._pins: dict = {}  # (id(atom), name) -> (atom, (coefficient, rest of the term))
-        self._offers: dict = {}  # (id(conjunction), name) -> (it, how it offers the name's values)
-        self._plans: dict = {}  # id(chain head) -> (steps, names it writes, key names)
+        self._plans: dict = {}  # id(chain head) -> (steps, names it writes)
         self._memo: dict = {}
         self._count, self._y = None, 0  # the count variable and its bit (0: none is read)
         bits, bit, masks = self._bits, self._bit, self._masks
@@ -308,22 +309,23 @@ class PinnedProgram:
     def _exists(self, f: Exists, env: dict, cands: Optional[frozenset] = None):
         """A chain's verdict; with ``cands`` (the chain reads the count), the
         candidates among them at which it holds."""
-        plan = self._plans.get(id(f))
-        if plan is None:
-            plan = self._plans[id(f)] = self._chain_plan(f)
-        steps, written, key_names = plan
-        key = self._key((id(f),), key_names, env, cands)
+        key = self._key((id(f),), self._names(self._masks[id(f)]), env, cands)
         verdict = self._memo.get(key)
         if verdict is None:
+            y = self._y
+            if cands is None:
+                self._y = 0  # the chain reads no count; a name it binds is its own
+            plan = self._plans.get(id(f))
+            if plan is None:
+                plan = self._plans[id(f)] = self._chain_plan(f)
+            steps, written = plan
             saved = [(name, env.get(name, _UNSET)) for name in written]
             if cands is None:
-                # The chain reads no count; a name it binds is its own.
-                y, self._y = self._y, 0
                 verdict = bool(self._run(steps, env, _ONE))
-                self._y = y
             else:
                 verdict = self._run(steps, env, cands)
             self._memo[key] = verdict
+            self._y = y
             for name, value in saved:
                 if value is _UNSET:
                     env.pop(name, None)
@@ -333,20 +335,23 @@ class PinnedProgram:
 
     def _run(self, steps: list, env: dict, cands: frozenset) -> frozenset:
         """The candidates among ``cands`` at which a plan succeeds.  A step
-        binding several values (each with the candidates it holds for)
-        leaves a backtracking point on an explicit stack; a later branch
-        tries only the candidates that no earlier one found."""
+        binding several values (each with the candidates it holds for) and a
+        split leave a backtracking point on one explicit stack, so neither
+        recurses; a later branch tries only the candidates that no earlier
+        one found."""
         total, found = len(cands), _NONE
-        i, n = 0, len(steps)
-        choices = []  # (step index, name, iterator over the other (value, candidates) pairs)
+        i = 0
+        # (name, steps, index after the step, iterator over (value, candidates)),
+        # where a split has no name and its values are its disjuncts' plans
+        stack = []
         while True:
-            if i < n:
+            if i < len(steps):
                 step = steps[i]
                 kind = step[0]
                 if kind == _CHECK:
                     cands = self._sat(step[1], env, cands)
                 elif kind == _SPLIT:
-                    found |= self._split(step, env, cands)
+                    stack.append((None, None, 0, self._branches(step, cands)))
                     cands = _NONE
                 elif kind == _STUCK:
                     raise PinnedEvaluationError(step[1])
@@ -356,7 +361,7 @@ class PinnedProgram:
                     if pairs:
                         env[step[1]], cands = pairs[0]
                         if len(pairs) > 1:
-                            choices.append((i, step[1], iter(pairs[1:])))
+                            stack.append((step[1], steps, i + 1, iter(pairs[1:])))
                 if cands:
                     i += 1
                     continue
@@ -364,47 +369,43 @@ class PinnedProgram:
                 found |= cands
             if len(found) == total:
                 return found
-            while choices:
-                j, name, others = choices[-1]
+            while stack:
+                name, resume, j, others = stack[-1]
                 for value, cands in others:
                     cands -= found
                     if cands:
                         break
                 else:
-                    choices.pop()
+                    stack.pop()
                     continue
-                env[name] = value
-                i = j + 1
+                if name is None:
+                    steps, i = value, 0
+                else:
+                    env[name] = value
+                    steps, i = resume, j
                 break
             else:
                 return found
 
     def _bind(self, step: tuple, env: dict, cands: frozenset) -> list:
-        """The values a define, window or choice step binds, in increasing
-        order, each with the candidates at which it is bound; over N only
-        the nonnegative ones."""
-        if step[0] == _CHOOSE:
-            return self._choices(step, env, cands)
-        return self._in_domain(self._pinned(step[2], step[1], env, cands))
-
-    def _in_domain(self, offers: dict) -> list:
-        return sorted(item for item in offers.items() if item[0] >= 0 or not self._nat)
-
-    def _pinned(self, source, name: str, env: dict, cands: frozenset) -> dict:
-        """The value of ``name`` that ``source`` (an equation, or a window's
-        atoms and the names they read) pins, if any, with the candidates at
-        which it does: computed once for all of ``cands`` when the source
-        does not read the count, else at each candidate in turn."""
+        """The values a define or window step binds, in increasing order,
+        each with the candidates at which it is bound; over N only the
+        nonnegative ones.  The step's source (an equation, or a window's
+        atoms and the names they read) is solved once for all of ``cands``
+        when it does not read the count, else at each candidate in turn."""
+        _, name, source = step
         mask = source[1] if type(source) is tuple else self._masks[id(source)]
         if not mask & self._y:
-            return dict.fromkeys(self._values(source, name, env), cands)
-        count, offers = self._count, {}
-        for k in cands:
-            env[count] = k
-            for value in self._values(source, name, env):
-                offers.setdefault(value, []).append(k)
-        del env[count]
-        return {value: frozenset(ks) for value, ks in offers.items()}
+            pinned = dict.fromkeys(self._values(source, name, env), cands)
+        else:
+            count, by_value = self._count, {}
+            for k in cands:
+                env[count] = k
+                for value in self._values(source, name, env):
+                    by_value.setdefault(value, []).append(k)
+            del env[count]
+            pinned = {value: frozenset(ks) for value, ks in by_value.items()}
+        return sorted(item for item in pinned.items() if item[0] >= 0 or not self._nat)
 
     def _values(self, source, name: str, env: dict) -> list:
         if type(source) is tuple:
@@ -412,92 +413,6 @@ class PinnedProgram:
         coef, rest = self._pin(source, name)
         total = rest.evaluate(env)
         return [] if total % coef else [-(total // coef)]
-
-    def _choices(self, step: tuple, env: dict, cands: frozenset) -> list:
-        _, name, g, key_names = step
-        reads = self._masks[id(g)] & self._y
-        key = self._key((id(g), name), key_names, env, cands if reads else None)
-        pairs = self._memo.get(key)
-        if pairs is None:
-            offers = self._candidates(g, name, self._bits[name], env, cands)
-            pairs = self._memo[key] = self._in_domain(offers)
-        return pairs if reads else [(value, cands) for value, _ in pairs]
-
-    def _candidates(self, g: Formula, name: str, bit: int, env: dict, cands: frozenset) -> dict:
-        """The values of ``name`` that satisfy ``g`` alone, the other names
-        fixed by ``env``, each with the candidates of the count at which it
-        does; a disjunct that does not mention the name stands for any
-        value, and contributes 0.  A conjunction takes its values from an
-        equation, else its window, else a disjunction, and narrows each
-        value's candidates by its other parts that mention the name."""
-        masks = self._masks
-        if not masks[id(g)] & bit:
-            hits = self._sat(g, env, cands)
-            return {0: hits} if hits else {}
-        tg = type(g)
-        if tg is Eq:
-            if self._pin(g, name) is None:
-                raise PinnedEvaluationError(f"{name!r} cancels out of an equation")
-            return self._pinned(g, name, env, cands)
-        if tg is Or:
-            out: dict = {}
-            for d in g.parts:
-                for value, hits in self._candidates(d, name, bit, env, cands).items():
-                    out[value] = out.get(value, _NONE) | hits
-            return out
-        if tg is And:
-            others, source, rest = self._offer(g, name, bit)
-            for p in others:
-                cands = self._sat(p, env, cands)
-                if not cands:
-                    return {}
-            if source is None:
-                raise PinnedEvaluationError(f"no equation, window or disjunction pins {name!r}")
-            if type(source) is Or:
-                offers = self._candidates(source, name, bit, env, cands)
-            else:
-                offers = self._pinned(source, name, env, cands)
-            out = {}
-            for value, hits in offers.items():
-                env[name] = value
-                for p in rest:
-                    hits = self._sat(p, env, hits)
-                    if not hits:
-                        break
-                if hits:
-                    out[value] = hits
-            return out
-        raise PinnedEvaluationError(f"no equation pins {name!r} in {tg.__name__}")
-
-    def _offer(self, g: And, name: str, bit: int) -> tuple:
-        """How the conjunction ``g`` offers values of ``name``: its parts that
-        do not mention the name (checked first), the source of the values
-        (an equation, the window's atoms and mask, a disjunction or None)
-        and the parts left to check at each value."""
-        key = (id(g), name)
-        entry = self._offers.get(key)
-        if entry is None:
-            masks = self._masks
-            others = [p for p in g.parts if not masks[id(p)] & bit]
-            mentioning = [p for p in g.parts if masks[id(p)] & bit]
-            source = next((p for p in mentioning if type(p) is Eq), None)
-            if source is None:
-                atoms = [p for p in mentioning if type(p) in (Le, Lt, Cong) and self._pin(p, name)]
-                if {self._pin(p, name)[0] > 0 for p in atoms if type(p) is not Cong} == {True, False}:
-                    source = self._window_source(atoms)
-                else:
-                    source = next((p for p in mentioning if type(p) is Or), None)
-            used = source[0] if type(source) is tuple else [source]
-            rest = [p for p in mentioning if all(p is not u for u in used)]
-            entry = self._offers[key] = (g, (others, source, rest))
-        return entry[1]
-
-    def _window_source(self, atoms: list) -> tuple:
-        """A window's atoms and the names they read."""
-        mask = 0
-        for p in atoms:
-            mask |= self._masks[id(p)]
-        return atoms, mask
 
     def _window(self, atoms: list, name: str, env: dict) -> list:
         """The value of ``name`` that the order atoms among ``atoms``, which
@@ -544,17 +459,16 @@ class PinnedProgram:
             entry = self._pins[key] = (atom, None if coef is None else (coef, Term(combined.constant, rest)))
         return entry[1]
 
-    def _split(self, step: tuple, env: dict, cands: frozenset) -> frozenset:
+    def _branches(self, step: tuple, cands: frozenset):
+        """The plans of a split's disjuncts, each with the candidates the
+        split was reached with; a disjunct is planned, together with the
+        conjuncts left beside the disjunction, when first reached."""
         _, disjuncts, rest, undefined, plans = step
-        found = _NONE
         for k, d in enumerate(disjuncts):
             if plans[k] is None:
                 parts = list(d.parts) if type(d) is And else [d]
                 plans[k] = self._plan(parts + rest, undefined)
-            found |= self._run(plans[k], env, cands - found)
-            if len(found) == len(cands):
-                break
-        return found
+            yield plans[k], cands
 
     # planning
 
@@ -567,22 +481,19 @@ class PinnedProgram:
         mask = self._masks[id(body)]
         parts = list(body.parts) if type(body) is And else [body]
         undefined = mask & chain
-        return (
-            self._plan(parts, undefined),
-            self._names(undefined),
-            self._names(self._masks[id(head)]),
-        )
+        return self._plan(parts, undefined), self._names(undefined)
 
     def _plan(self, parts: list, undefined: int) -> list:
         """Steps deciding the conjunction of ``parts`` whose ``undefined``
         names are bound by the chain being planned.  Checks and definitions
-        come first; when neither applies, a window whose atoms prove it
-        leaves at most one value, then choices, and any other window only
-        when no choice applies."""
-        masks = self._masks
+        come first, but while a disjunction reads an undefined name, an
+        equation that reads the count defines nothing.  When neither
+        applies, a window whose atoms prove it leaves at most one value,
+        then a split on a disjunction, then any other window; else the plan
+        is stuck."""
+        masks, y = self._masks, self._y
         steps: list = []
         pending = parts
-        choosing = False
         while pending:
             rest = []
             for g in pending:
@@ -590,47 +501,41 @@ class PinnedProgram:
                 if not m:
                     steps.append((_CHECK, g))
                     continue
-                if not m & (m - 1):
+                if not m & (m - 1) and type(g) is Eq:
                     name = self._by_bit[m.bit_length() - 1]
-                    if type(g) is Eq and self._pin(g, name) is not None:
+                    deferred = masks[id(g)] & y and any(type(p) is Or and masks[id(p)] & undefined for p in pending)
+                    if self._pin(g, name) is not None and not deferred:
                         steps.append((_DEFINE, name, g))
-                        undefined &= ~m
-                        continue
-                    if choosing and g.children:
-                        steps.append((_CHOOSE, name, g, self._names(masks[id(g)] & ~m)))
                         undefined &= ~m
                         continue
                 rest.append(g)
             progress = len(rest) < len(pending)
             pending = rest
             if progress:
-                choosing = False
                 continue
-            window = self._window_step(pending, undefined, single=not choosing)
-            if window is None and not choosing:
-                choosing = True
-                continue
-            if window is not None:
-                steps.append(window)
-                pending = [g for g in pending if all(g is not w for w in window[2][0])]
-                undefined &= ~self._bits[window[1]]
-                choosing = False
-                continue
-            split = next((g for g in pending if type(g) is Or), None)
-            if split is None:
+            window = self._window_step(pending, undefined, single=True)
+            if window is None:
+                split = next((g for g in pending if type(g) is Or), None)
+                if split is not None:
+                    others = [g for g in pending if g is not split]
+                    steps.append((_SPLIT, split.parts, others, undefined, [None] * len(split.parts)))
+                    break
+                window = self._window_step(pending, undefined)
+            if window is None:
                 names = ", ".join(self._names(undefined))
                 steps.append((_STUCK, f"no step pins the existential variables {names}"))
-            else:
-                others = [g for g in pending if g is not split]
-                steps.append((_SPLIT, split.parts, others, undefined, [None] * len(split.parts)))
-            break
+                break
+            steps.append(window)
+            pending = [g for g in pending if all(g is not w for w in window[2][0])]
+            undefined &= ~self._bits[window[1]]
         return steps
 
     def _window_step(self, pending: list, undefined: int, single: bool = False) -> Optional[tuple]:
         """A window step for the first name that the order atoms among
         ``pending`` reading no other undefined name bound on both sides,
-        taking those atoms and the congruences on that name alone; with
-        ``single``, the first whose atoms prove it at most one value."""
+        taking those atoms and the congruences on that name alone, with the
+        names they read; with ``single``, the first whose atoms prove it at
+        most one value."""
         masks, sides = self._masks, {}
         for g in pending:
             m = masks[id(g)] & undefined
@@ -645,7 +550,10 @@ class PinnedProgram:
                     if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit and self._pin(g, name)
                 ]
                 if not single or self._at_most_one(atoms, name):
-                    return (_WINDOW, name, self._window_source(atoms))
+                    mask = 0
+                    for g in atoms:
+                        mask |= masks[id(g)]
+                    return (_WINDOW, name, (atoms, mask))
         return None
 
     def _at_most_one(self, atoms: list, name: str) -> bool:

@@ -98,7 +98,7 @@ def test_same_values_as_one_evaluation_per_count(corrupt):
 
 
 def _chosen(g):
-    """``E u . (g & u <= 9)``: a choice of u from the compound conjunct g."""
+    """``E u . (g & u <= 9)``: u is taken from a split on the disjunction g."""
     return Exists("u", And((g, Le(u, constant(9)))))
 
 
@@ -169,7 +169,7 @@ def test_count_var_also_bound_inside():
 
 
 def test_1000_two_valued_choices():
-    # Each u_i is 0 or 1: every choice leaves a backtracking point, and the
+    # Each u_i is 0 or 1: every split leaves a backtracking point, and the
     # counts 0..3 are the sums of the first assignments in search order.
     n = 1000
     names = [f"u{i}" for i in range(n)]
@@ -184,3 +184,54 @@ def test_1000_two_valued_choices():
         candidates = [3, 0, 2, 2, 1, 3] + ([-1] if nat else [])
         assert program.count_values({}, "y", candidates) == [3, 0, 2, 2, 1, 3]
         assert per_candidate(program, {}, candidates, nat) == [3, 0, 2, 2, 1, 3]
+
+
+def _decisions(program_for, assignment, other):
+    """Per-candidate evaluations of y, then y's and then ``other``'s count
+    values, each from ``program_for()``; an evaluation that raises gives
+    None."""
+
+    def attempt(decide):
+        try:
+            return decide(program_for())
+        except PinnedEvaluationError:
+            return None
+
+    at_y = {**assignment, "y": 2}
+    del at_y[other]
+    return (
+        attempt(lambda p: per_candidate(p, assignment, range(-1, 6))),
+        attempt(lambda p: p.count_values(assignment, "y", range(-1, 6))),
+        attempt(lambda p: p.count_values(at_y, other, range(-3, 6))),
+    )
+
+
+def _first_steps(program):
+    return {head: [step[:2] for step in plan[0]] for head, plan in program._plans.items()}
+
+
+def test_plans_are_reused_across_count_names():
+    # A chain is planned when first reached, for the count of that call, and
+    # kept: a plan made by evaluate (no count) or for y serves every count.
+    # The two-component unions have a chain with a disjunction per part
+    # count and an equation that reads y; it is ordered differently when
+    # planned for y, whose definition waits for the disjunctions.
+    rng = random.Random(227)
+    cases = [(f, DomainTag.Z, "x") for f in SPLIT_POINTS.values()]
+    for presentation, formula in _seeded_eliminations():
+        if len(presentation.components) == 2 and presentation.dimension >= 2:
+            cases.append((formula, presentation.domain, "x1"))
+    compared = reordered = 0
+    for formula, domain, other in cases:
+        names = sorted(PinnedProgram(formula).free_names(formula) | {other, "y"})
+        program = PinnedProgram(formula, domain)
+        for _ in range(3):
+            assignment = verify.random_assignment(rng, names, 4, domain)
+            reused = _decisions(lambda: program, assignment, other)
+            assert reused == _decisions(lambda: PinnedProgram(formula, domain), assignment, other), formula
+            compared += 1
+        planned_for_y = PinnedProgram(formula, domain)
+        planned_for_y.count_values(dict.fromkeys(names, 0), "y", [0])
+        fresh = _first_steps(planned_for_y)
+        reordered += any(steps != fresh.get(head, steps) for head, steps in _first_steps(program).items())
+    assert compared >= 60 and reordered >= 5, (compared, reordered)

@@ -314,7 +314,7 @@ class TestFirstWitnessWindow:
 
     def test_several_lower_terms_take_the_greatest(self):
         # W(t) with two or three lower terms holds only at the least t in the
-        # coset with m*t >= max(lows), and the pinned evaluator chooses it.
+        # coset with m*t >= max(lows), and the pinned evaluator's window pins it.
         rng = random.Random(2025)
         seen = {"three": 0, "tie": 0}
         for _ in range(300):

@@ -219,9 +219,9 @@ def _parity_split(component: LinearSetPresentation) -> SemilinearPresentation:
 
 
 def test_parity_split_unions_of_multi_bound_cores():
-    # A union binds each part count, so the evaluator chooses it from the
-    # count's disjunction over the upper terms (and the first witness from
-    # the window's over the lower terms), not from a given count value.
+    # A union binds each part count, so the evaluator takes it from a split
+    # on the count's disjunction over the upper terms (and the first witness
+    # from the window over the lower terms), not from a given count value.
     rng = random.Random(4099)
     shapes = {"upper>=2": 0, "lower>=2": 0, "N": 0}
     unions = counted = 0

@@ -46,7 +46,7 @@ from countqe.sets import (
     SemilinearPresentation,
     coordinate_names,
 )
-from countqe.textio import parse_presentation
+from countqe.textio import parse_formula, parse_presentation
 import helpers
 from helpers import count_in_progression, random_ast, random_disjoint_presentation
 from countqe.verify import (
@@ -390,7 +390,7 @@ class TestEvaluatePinned:
 
     def test_2000_auxiliaries_pinned_by_choices(self):
         # Each auxiliary u_i is pinned by its own (g_i & u_i = k_i) | (!g_i &
-        # u_i = 0): a choice with one candidate, which must not recurse.
+        # u_i = 0): 2000 nested splits, which must not recurse.
         n = 2000
         names = [f"u{i}" for i in range(n)]
         parts = []
@@ -410,9 +410,9 @@ class TestEvaluatePinned:
         assert program.count_values({"x": x}, "y", [total - 1, total, total + 1]) == [total]
 
     def test_memo_is_keyed_by_the_values_read(self):
-        # The candidate list of u and the verdict of the inner chain both
-        # depend on the count y; a memo that ignored the values they read
-        # would reuse the first count's.
+        # The value of u depends on the count y, and the verdict of the inner
+        # chain on u; a memo that ignored the values the chain reads would
+        # reuse the first count's.
         x, y, u, w = map(variable, "xyuw")
         choice = Or((And((Le(x, y), Eq(u, y))), And((Lt(y, x), Eq(u, constant(0))))))
         inner = Exists("w", And((Eq(w, u + 1), Le(w, constant(3)))))
@@ -420,8 +420,8 @@ class TestEvaluatePinned:
         assert PinnedProgram(f).count_values({"x": 1}, "y", range(6)) == [0, 1, 2]
 
     def test_equation_defines_before_a_choice(self):
-        # The disjunction alone offers u = 0 (x = 1 holds for any u) or 5;
-        # the equation pins u = 3 and is used first.
+        # The equation pins u = 3 before the disjunction is split; then only
+        # its disjunct x = 1 can hold.
         u = variable("u")
         either = Or((Eq(variable("x"), constant(1)), Eq(u, constant(5))))
         f = Exists("u", And((either, Eq(u, constant(3)))))
@@ -565,11 +565,12 @@ class TestMetamorphic:
 
 def _chosen(name, g):
     """``E name . ((g | false) & (name <= y & y <= name | false))``: the
-    chain chooses ``name`` from the values that ``g`` alone allows, as the
-    eliminator's branch counts are chosen.  The disjunctions keep a
-    conjunction ``g`` from being flattened into the chain, and keep the
-    chain from taking ``name`` from the window ``name <= y & y <= name``,
-    which leaves one value, before the choice."""
+    chain splits on both disjunctions, as it splits on the eliminator's
+    branch counts.  The disjunctions keep a conjunction ``g`` from being
+    flattened into the chain, and keep the window ``name <= y & y <= name``,
+    which leaves one value, out of the chain's first plan: ``g`` is planned
+    first, and the second disjunction pins ``name`` only where ``g`` leaves
+    no equation and no single-value window."""
     v, y = variable(name), variable("y")
     return Exists(name, And((Or((g, FALSE)), Or((And((Le(v, y), Le(y, v))), FALSE)))))
 
@@ -629,13 +630,18 @@ class TestFloorPairPin:
         x, u = variable("x"), variable("u")
         wide = Or((And((Le(x, 2 * u), Le(2 * u, x + 3))), And((Lt(x, constant(0)), Eq(u, constant(0))))))
         with pytest.raises(PinnedEvaluationError):
-            evaluate_pinned(_chosen("u", wide), {"x": 4, "y": 2})
+            evaluate_pinned(Exists("u", wide), {"x": 4})
+        # Beside u <= y & y <= u, which pins u = y, the formula decides.
+        assert evaluate_pinned(_chosen("u", wide), {"x": 4, "y": 2}) is True
+        assert evaluate(_chosen("u", wide), {"x": 4, "y": 2}, quant_bound=8) is True
 
     def test_one_sided_bound_is_rejected(self):
         x, u = variable("x"), variable("u")
         below = And((Le(x, 2 * u), Cong(x, 0, 2)))
         with pytest.raises(PinnedEvaluationError):
-            evaluate_pinned(_chosen("u", below), {"x": 4, "y": 2})
+            evaluate_pinned(Exists("u", below), {"x": 4})
+        assert evaluate_pinned(_chosen("u", below), {"x": 4, "y": 2}) is True
+        assert evaluate(_chosen("u", below), {"x": 4, "y": 2}, quant_bound=8) is True
 
     def test_floor_pair_in_a_chain_body(self):
         # The chain body's order atoms bound u on both sides: a window step
@@ -687,7 +693,7 @@ class TestFloorPairPin:
 
 class TestSingleValueWindowFirst:
     """A window whose atoms prove it leaves at most one value is taken
-    before a choice; any other window only when no choice applies."""
+    before a split; any other window only when no split applies."""
 
     @staticmethod
     def _first_witness(m, period, lo):
@@ -757,6 +763,90 @@ class TestSingleValueWindowFirst:
             outcome = run_check(presentation, trials=10, box_radius=12, seed=folded, result=result)
             assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
             folded += 1
+
+
+class TestSplit:
+    """A disjunction that reads an undefined chain name is split: each
+    disjunct is planned together with the conjuncts beside it."""
+
+    def test_disjunct_without_the_name_pins_nothing(self):
+        # At x = 0 the disjunct x = 0 holds for every t, and t = 5 (t = 7 in
+        # the third) satisfies the rest; at x = 1 no t does.
+        for text in (
+            "E t . ((t = 3 | x = 0) & t >= 5)",
+            "E t . ((t = 3 | x = 0) & 5 <= t & t <= 9)",
+            "E t . ((2*t = x | x = 0) & 0 <= t - 7)",
+        ):
+            f = parse_formula(text)
+            assert evaluate(f, {"x": 0}) is True and evaluate(f, {"x": 1}) is False
+            program = PinnedProgram(f)
+            assert program.evaluate({"x": 1}) is False
+            assert program.count_values({}, "x", [1]) == []
+            for decide in (lambda: program.evaluate({"x": 0}), lambda: program.count_values({}, "x", [0, 1]) == [0]):
+                try:
+                    assert decide() is True, text
+                except PinnedEvaluationError:
+                    pass
+
+    def test_600_nested_two_name_disjunctions(self):
+        # Each (u_i = 0 & v_i = 0) | (u_i = 1 & v_i = 1) reads two undefined
+        # names, so the chain splits 600 times, each split nested in the last.
+        n = 600
+        parts = []
+        for i in range(n):
+            u, v = variable(f"u{i}"), variable(f"v{i}")
+            parts.append(Or((And((Eq(u, constant(0)), Eq(v, constant(0)))), And((Eq(u, constant(1)), Eq(v, constant(1)))))))
+        parts.append(Eq(sum((variable(f"u{i}") for i in range(n)), constant(0)), variable("y")))
+        body = And(tuple(parts))
+        for i in reversed(range(n)):
+            body = Exists(f"u{i}", Exists(f"v{i}", body))
+        assert PinnedProgram(body).count_values({}, "y", [0, 1, 2]) == [0, 1, 2]
+
+    @staticmethod
+    def _split_shapes(rng):
+        """``E t . ((a*t = x + c | G) & L)``: G an atom that does not read t,
+        L one or two order atoms on t."""
+        t, x = variable("t"), variable("x")
+        while True:
+            guard = helpers.random_atom(rng, ["x", "z"])
+            bounds = tuple(
+                rng.choice((Le, Lt))(*rng.sample((rng.randint(1, 3) * t, helpers.random_term(rng, ["x", "z"])), 2))
+                for _ in range(rng.randint(1, 2))
+            )
+            yield Exists("t", And((Or((Eq(rng.randint(1, 3) * t, x + rng.randint(-4, 4)), guard)),) + bounds))
+
+    @staticmethod
+    def _random_asts(rng):
+        """``random_ast`` draws without ``Forall`` or ``CountEq`` and with one
+        or two binders."""
+        while True:
+            f = random_ast(rng, rng.randint(1, 4))
+            kinds = [type(g) for g in traverse(f)[0]]
+            if Forall not in kinds and CountEq not in kinds and 1 <= kinds.count(Exists) <= 2:
+                yield f
+
+    @pytest.mark.parametrize("domain", [DomainTag.Z, DomainTag.N])
+    def test_agrees_with_the_bounded_evaluator(self, domain):
+        # Free values lie in [-4, 4] (over N, [0, 4]) and constants and
+        # coefficients are small: a bound of 60 covers every value that an
+        # equation or window pins in these draws.
+        rng = random.Random(307 + (domain is DomainTag.N))
+        low = 0 if domain is DomainTag.N else -4
+        outcomes = {"true": 0, "false": 0, "raised": 0}
+        for source, draws in ((self._split_shapes(rng), 150), (self._random_asts(rng), 150)):
+            for _ in range(draws):
+                f = next(source)
+                program = PinnedProgram(f, domain)
+                for _ in range(3):
+                    assignment = {name: rng.randint(low, 4) for name in helpers.AST_NAMES + ["z"]}
+                    try:
+                        got = program.evaluate(assignment)
+                    except PinnedEvaluationError:
+                        outcomes["raised"] += 1
+                        continue
+                    assert got == evaluate(f, assignment, domain, quant_bound=60), (f, assignment)
+                    outcomes[str(got).lower()] += 1
+        assert min(outcomes.values()) >= 100, outcomes
 
 
 # --- the oracle scan this module's differential test compares against --------
