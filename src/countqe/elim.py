@@ -44,7 +44,7 @@ its size is the node count of what was built.  :func:`eliminate`,
 the plan wherever they accept a presentation, and read that result.
 
 Over the naturals the same integer body is built, and :func:`normalize_for_nat`
-makes each quantifier-free piece subtraction-free before it is bound.  No
+makes each component's body subtraction-free before it is bound.  No
 clamp at 0 is needed: each counted value is a point of the component, whose
 base and periods are nonnegative, so a first witness below 0 (which no
 natural binder reaches) means the counted range is empty.  That is exactly
@@ -153,7 +153,7 @@ def progression_count_formula_nat(
 ) -> Formula:
     """:func:`progression_count_formula` with every atom subtraction-free,
     equivalent over the naturals.  The eliminator does not call it: it
-    normalises each quantifier-free piece of its body."""
+    normalises each component's body once, when it is built."""
     return normalize_for_nat(progression_count_formula(first, his, step, count_var))
 
 
@@ -449,17 +449,18 @@ def _nat_atom(atom: Formula) -> Formula:
 
 
 def normalize_for_nat(f: Formula) -> Formula:
-    """Rewrite a quantifier-free formula so every atom is subtraction-free.
+    """Rewrite a formula so every atom is subtraction-free.
 
     Each comparison moves its negative contributions to the other side, and
-    congruence terms take their coefficients modulo the modulus; the result
-    is equivalent over the naturals (and over the integers).
+    congruence terms take their coefficients modulo the modulus; each atom
+    is equivalent to its rewrite over the naturals (and over the integers),
+    so the formula is too, binders and all.
     """
     nodes = fm.traverse(f)[0]
-    if any(g.binds for g in nodes):
-        raise ParameterError("normalisation applies to quantifier-free formulas only")
     done = {}  # id(node) -> its rewrite; descendants come first in reverse
     for g in reversed(nodes):
+        if id(g) in done:  # a shared subtree is rewritten once
+            continue
         if g.terms:
             done[id(g)] = _nat_atom(g)
         else:
@@ -684,13 +685,12 @@ def _case_single(plan: ComponentPlan, count_var: str, names: Sequence[str]) -> F
     rows hold: ``0 <= N_i``, ``N_i = 0 (mod D)`` and the row equations of the
     other non-counted rows.  No binder.
     """
-    piece = normalize_for_nat if plan.component.domain is DomainTag.N else lambda f: f
     selected = [names[i] for i in plan.rows]
     signs = [_divided(Le(constant(0), t)) for t in _numerators(plan.solution, selected)]
     congruences = []
     if plan.congruences:  # D > 1, so some rows are selected
         congruences = _congruences(plan.congruences, plan.solution.denom, selected[:-1], variable(selected[-1]))
-    member = piece(conj(signs + congruences + list(plan.relations)))
+    member = conj(signs + congruences + list(plan.relations))
     y = variable(count_var)
     return disj([conj([member, Eq(y, constant(1))]), conj([negate(member), Eq(y, constant(0))])])
 
@@ -714,14 +714,13 @@ def _case_interval(
     """
     presentation, solution, bc = plan.component, plan.solution, plan.bounds
     nat = presentation.domain is DomainTag.N
-    piece = normalize_for_nat if nat else lambda f: f
-    relations = piece(conj(plan.relations))
+    relations = conj(plan.relations)
     free_names = [names[i] for i in plan.rows[:-1]]
     if nat:
         # Nonnegative periods make an all-nonpositive counted column of the
         # inverse impossible, so lower bounds always exist over the naturals.
         assert bc.lower_rows, "natural-domain core without lower bounds"
-    signs = piece(conj([_divided(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows]))
+    signs = conj([_divided(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows])
     solvable = conj(plan.solvable)
     y = variable(count_var)
     if not bc.upper_rows or not bc.lower_rows:
@@ -736,12 +735,12 @@ def _case_interval(
         t0 = fresh.fresh("t")
         t = variable(t0)
         congruences = _congruences(plan.congruences, solution.denom, free_names, t)
-        window = piece(_first_witness_window(lows, m * t, m * plan.coset_period, congruences))
-        count = piece(progression_count_formula(m * t, highs, m * plan.coset_period, count_var))
+        window = _first_witness_window(lows, m * t, m * plan.coset_period, congruences)
+        count = progression_count_formula(m * t, highs, m * plan.coset_period, count_var)
         found = conj([signs, window, count])
         zero = [negate(signs), negate(solvable)]
         if nat:
-            zero += [piece(a) for a in _negative_upper_terms(highs)]
+            zero += _negative_upper_terms(highs)
         prefix, body = [t0], disj([found, conj([disj(zero), Eq(y, constant(0))])])
     if not isinstance(relations, fm.TrueF):
         body = disj([conj([relations, body]), conj([negate(relations), Eq(y, constant(0))])])
@@ -763,6 +762,8 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
             comp_prefix, body = [], _case_single(comp_plan, part_count, names)
         else:
             comp_prefix, body = _case_interval(comp_plan, part_count, names, fresh)
+        if comp_plan.component.domain is DomainTag.N:
+            body = normalize_for_nat(body)
         closed = _close(comp_prefix, body)
         reports.append(comp_plan.report(index, part_count, fm.node_count(closed)))
         prefix.extend(comp_prefix)

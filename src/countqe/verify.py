@@ -15,59 +15,52 @@ chain, so no quantifier range is ever scanned.
 
 Compiling reads the free names of every node into an int bitmask.  The
 first time an existential chain is evaluated, the conjuncts of its body are
-planned, tracking which chain names are still undefined:
+planned into steps of three kinds, tracking which chain names are still
+undefined:
 
 * *check* a conjunct once it reads no undefined name;
-* *define* a name from an equation with exactly one undefined name, by
-  exact division (a non-integral value, or a negative one over N, makes
-  the branch false).  While a disjunction reads an undefined name, an
-  equation that reads the count defines nothing: a union's part counts
-  then come from their own disjunctions, and the equation summing them
-  into the count is checked once they are known;
-* *window* a name that the order atoms reading no other undefined name
-  bound on both sides: its value is the one integer of that range in the
-  coset its congruence atoms leave, merged by the Chinese remainder
-  theorem.  A *floor pair* ``s*u <= X + s`` and ``X < s*u`` pins ``u =
-  floor(X/s) + 1``, a first witness ``L <= m*t < L + m*D'`` the one member
-  of a coset of period D', or none.  Once no check or definition applies, a
-  window is taken first if its atoms alone prove that it leaves at most one
-  value: a lower and an upper atom whose difference is constant bound the
-  name to at most as many integers as the period of the coset its
-  congruences leave (both windows above do).  So a two-sided core without
-  a zero case, whose chain body is ``W(t0) & C`` with the count C a
-  disjunction, takes t0 from its window W.  Any other window is taken only
-  when no split applies;
+* *bind* a name from atoms that read no other undefined name: an equation
+  gives its value by exact division, and a *window*, order atoms that bound
+  it on both sides, the one integer of their range in the coset its
+  congruence atoms leave, merged by the Chinese remainder theorem.  No
+  value (a non-integral quotient, an empty window, or a negative value over
+  N) makes the branch false.  A *floor pair* ``s*u <= X + s`` and ``X <
+  s*u`` pins ``u = floor(X/s) + 1``, a first witness ``L <= m*t < L +
+  m*D'`` the one member of a coset of period D', or none;
 * *split* on a disjunction that reads an undefined name: each disjunct is
   planned, together with the conjuncts left beside the disjunction, when
   it is first reached.
 
-A chain whose remaining conjuncts no step applies to is stuck.  A deferred
-definition only waits behind splits, which apply while it waits, so the
-deferral changes the cost of an evaluation, never its answer; a plan made
-for one count, or for none, is kept whatever count a later call asks for.
+Checks and equations come first, but while a disjunction reads an undefined
+name, an equation that reads the count binds nothing: a union's part counts
+then come from their own disjunctions, and the equation summing them into
+the count is checked once they are known.  Next comes a window whose atoms
+prove that it leaves at most one value: a lower and an upper atom whose
+difference is constant bound the name to at most as many integers as the
+period of its coset (both windows above do), so a two-sided core ``W(t0) &
+C``, C the count disjunction, takes t0 from W.  Then a split, and only then
+any other window; a chain that no step applies to is stuck, and a chain
+name that no conjunct reads is never undefined.  A deferred equation only
+waits behind splits, so the deferral changes the cost of an evaluation,
+never its answer, and a plan is kept whatever count a later call asks for.
 
+Every node is decided over a set of candidates for the count variable:
 :meth:`PinnedProgram.count_values` decides all the tested counts of a trial
-in one evaluation: the count variable ranges over the set of candidates.
-A node that does not read it is decided once, as a boolean; ``And``, ``Or``
-and ``Not`` combine candidate subsets, and an atom that reads it is solved
-for the count once (its coefficient and the value of the rest) and tested
-at each candidate by integer arithmetic.  A chain runs its plan once: a
-check narrows the candidate set, a define or window step binds each of its
-values together with the candidates it holds for, and a split tries each
-disjunct with the candidates that no earlier disjunct satisfied.  A bound
-value is computed once unless the step's equation or window reads the
-count; then it is computed at each candidate, and candidates that bind the
-same value share one branch.  Deciding a formula for one assignment
-(:meth:`PinnedProgram.evaluate`) is the same plan run with one candidate.
-
-A chain name that no conjunct reads never becomes an unknown.  A step with
-several values and a split each leave a backtracking point on one explicit
-stack, so neither a long chain nor nested splits cost recursion; a later
-branch tries only the candidates that no earlier one satisfied.  Binder
-values are restored when a chain's evaluation ends.  A memo that lives for
-one evaluation call holds each chain's verdict, keyed by the values of the
-names it reads (and, for one that reads the count, by its candidate set),
-so a chain that does not read the count is decided once per trial.
+in one evaluation, and :meth:`PinnedProgram.evaluate` is the same walk with
+no count and one candidate.  A node that does not read the count holds at
+all of its candidates or at none; ``And``, ``Or`` and ``Not`` combine
+candidate subsets, and an atom that reads the count is solved for it once
+and tested at each candidate by integer arithmetic.  In a chain, a check
+narrows the candidate set, a bind step binds each value with the
+candidates it holds for (computed once unless its atoms read the count; then
+at each candidate, and candidates that bind the same value share one), and a
+split tries each disjunct with the candidates no earlier one satisfied.
+Bind steps with several values and splits leave backtracking points on one
+explicit stack, so neither long chains nor nested splits cost recursion.
+Binder values are restored when a chain's evaluation ends.  A memo that
+lives for one evaluation call keys each chain's verdict by the values of
+the names it reads (and, for one that reads the count, by its candidate
+set), so a chain that does not read the count is decided once per trial.
 
 :class:`PinnedEvaluationError` is raised when evaluation reaches a stuck
 step (such as equations that each read several undefined names, or a name
@@ -87,7 +80,8 @@ from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from . import formula as fm
-from .elim import EliminationPlan, EliminationResult, eliminate, plan_elimination
+from .elim import EliminationPlan, plan_elimination
+from .elim import eliminate  # noqa: F401 -- unused; perfbench/layers.py patches this name
 from .errors import CountQEError, ParameterError, UnboundVariableError
 from .formula import (
     And,
@@ -119,7 +113,7 @@ class PinnedEvaluationError(CountQEError):
 
 # --- pinned evaluation ----------------------------------------------------------
 
-_CHECK, _DEFINE, _WINDOW, _SPLIT, _STUCK = range(5)
+_CHECK, _BIND, _SPLIT, _STUCK = range(4)
 _UNSET = object()
 _NONE = frozenset()
 _ONE = frozenset((0,))  # the candidates of an evaluation that reads no count
@@ -194,8 +188,8 @@ class PinnedProgram:
         return frozenset(self._names(self._masks[id(node)]))
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        self._memo, self._count, self._y = {}, None, 0
-        return self._eval(self.formula, dict(assignment))
+        """Whether the formula holds at ``assignment``: one candidate, no count."""
+        return bool(self._decide(assignment, None, _ONE))
 
     def count_values(
         self, assignment: Mapping[str, int], count_var: str, candidates: Sequence[int]
@@ -205,72 +199,57 @@ class PinnedProgram:
         holds.  One evaluation decides them all: ``count_var`` ranges over
         the set of candidates, and a part that does not read it is decided
         once."""
-        self._memo, self._count, self._y = {}, count_var, self._bits.get(count_var, 0)
-        env = dict(assignment)
-        env.pop(count_var, None)
         cands = frozenset(k for k in candidates if k >= 0 or not self._nat)
-        hits = self._sat(self.formula, env, cands) if cands else _NONE
+        hits = self._decide(assignment, count_var, cands)
         return [k for k in candidates if k in hits]
 
     # evaluation
 
-    def _eval(self, f: Formula, env: dict) -> bool:
+    def _decide(self, assignment: Mapping[str, int], count: Optional[str], cands: frozenset) -> frozenset:
+        """The candidates among ``cands`` for ``count`` (None: the formula
+        reads no count) at which the formula holds."""
+        self._memo, self._count, self._y = {}, count, self._bits.get(count, 0)
+        env = dict(assignment)
+        env.pop(count, None)
+        return self._sat(self.formula, env, cands) if cands else _NONE
+
+    def _sat(self, f: Formula, env: dict, cands: frozenset) -> frozenset:
+        """The count's candidates among ``cands`` (never empty) at which
+        ``f`` holds.  A node that does not read the count holds at all of
+        them or at none; an atom that reads it is tested at each candidate."""
         tf = type(f)
         if tf is And:
             for p in f.parts:
-                if not self._eval(p, env):
-                    return False
-            return True
+                cands = self._sat(p, env, cands)
+                if not cands:
+                    break
+            return cands
         if tf is Or:
+            hits, rest = _NONE, cands
             for p in f.parts:
-                if self._eval(p, env):
-                    return True
-            return False
+                got = self._sat(p, env, rest)
+                if len(got) == len(rest):
+                    return cands
+                if got:
+                    hits |= got
+                    rest = cands - hits
+            return hits
         if tf is Not:
             negated = False
             while type(f) is Not:
                 negated = not negated
                 f = f.body
-            return self._eval(f, env) is not negated
+            hits = self._sat(f, env, cands)
+            return (cands - hits if hits else cands) if negated else hits
         if tf is Exists:
-            return self._exists(f, env)
+            return self._exists(f, env, cands)
         if not f.children:
-            return fm.evaluate_atom(f, env)
+            if self._masks[id(f)] & self._y:
+                return self._atom_hits(f, env, cands)
+            return cands if fm.evaluate_atom(f, env) else _NONE
         if tf is Forall or tf is CountEq:
             raise PinnedEvaluationError(f"unsupported quantifier in pinned evaluation: {tf.__name__}")
         raise TypeError(f"not a formula: {f!r}")
-
-    def _sat(self, f: Formula, env: dict, cands: frozenset) -> frozenset:
-        """The count's candidates among ``cands`` at which ``f`` holds.  A
-        node that does not read the count is decided once, by :meth:`_eval`;
-        an atom that reads it is tested at each candidate."""
-        if self._masks[id(f)] & self._y:
-            tf = type(f)
-            if tf is And:
-                for p in f.parts:
-                    cands = self._sat(p, env, cands)
-                    if not cands:
-                        break
-                return cands
-            if tf is Or:
-                hits = _NONE
-                for p in f.parts:
-                    hits |= self._sat(p, env, cands - hits)
-                    if len(hits) == len(cands):
-                        break
-                return hits
-            if tf is Not:
-                negated = False
-                while type(f) is Not:
-                    negated = not negated
-                    f = f.body
-                hits = self._sat(f, env, cands)
-                return cands - hits if negated else hits
-            if tf is Exists:
-                return self._exists(f, env, cands)
-            if not f.children:
-                return self._atom_hits(f, env, cands)
-        return cands if self._eval(f, env) else _NONE
 
     def _atom_hits(self, atom: Formula, env: dict, cands: frozenset) -> frozenset:
         """The candidates at which an atom that reads the count holds: the
@@ -295,48 +274,39 @@ class PinnedProgram:
         modulus, residue = atom.modulus, atom.residue
         return frozenset([k for k in cands if (coef * k + r) % modulus == residue])
 
-    def _key(self, head: tuple, names: tuple, env: dict, cands: Optional[frozenset] = None) -> tuple:
-        """A memo key: ``head`` and the values of ``names``, where the count's
-        candidates ``cands``, when given, stand for the count's value."""
+    def _exists(self, f: Exists, env: dict, cands: frozenset) -> frozenset:
+        """The candidates among ``cands`` at which a chain holds.  The memo
+        keys its verdict by the values of the names it reads and, when it
+        reads the count, by ``cands``."""
+        y = self._y
+        mask = self._masks[id(f)]
+        reads = mask & y
         try:
-            if cands is None:
-                return head + tuple([env[name] for name in names])
-            count = self._count
-            return head + tuple([env[name] for name in names if name != count]) + (cands,)
+            key = (id(f), cands if reads else None, *[env[name] for name in self._names(mask & ~y)])
         except KeyError as exc:
             raise UnboundVariableError(f"no value for variable {exc.args[0]!r}") from None
-
-    def _exists(self, f: Exists, env: dict, cands: Optional[frozenset] = None):
-        """A chain's verdict; with ``cands`` (the chain reads the count), the
-        candidates among them at which it holds."""
-        key = self._key((id(f),), self._names(self._masks[id(f)]), env, cands)
         verdict = self._memo.get(key)
         if verdict is None:
-            y = self._y
-            if cands is None:
+            if not reads:
                 self._y = 0  # the chain reads no count; a name it binds is its own
             plan = self._plans.get(id(f))
             if plan is None:
                 plan = self._plans[id(f)] = self._chain_plan(f)
             steps, written = plan
             saved = [(name, env.get(name, _UNSET)) for name in written]
-            if cands is None:
-                verdict = bool(self._run(steps, env, _ONE))
-            else:
-                verdict = self._run(steps, env, cands)
-            self._memo[key] = verdict
+            verdict = self._memo[key] = self._run(steps, env, cands if reads else _ONE)
             self._y = y
             for name, value in saved:
                 if value is _UNSET:
                     env.pop(name, None)
                 else:
                     env[name] = value
-        return verdict
+        return verdict if reads else (cands if verdict else _NONE)
 
     def _run(self, steps: list, env: dict, cands: frozenset) -> frozenset:
-        """The candidates among ``cands`` at which a plan succeeds.  A step
-        binding several values (each with the candidates it holds for) and a
-        split leave a backtracking point on one explicit stack, so neither
+        """The candidates among ``cands`` at which a plan succeeds.  A bind
+        step with several values (each with the candidates it holds for) and
+        a split leave a backtracking point on one explicit stack, so neither
         recurses; a later branch tries only the candidates that no earlier
         one found."""
         total, found = len(cands), _NONE
@@ -350,18 +320,18 @@ class PinnedProgram:
                 kind = step[0]
                 if kind == _CHECK:
                     cands = self._sat(step[1], env, cands)
-                elif kind == _SPLIT:
-                    stack.append((None, None, 0, self._branches(step, cands)))
-                    cands = _NONE
-                elif kind == _STUCK:
-                    raise PinnedEvaluationError(step[1])
-                else:
+                elif kind == _BIND:
                     pairs = self._bind(step, env, cands)
                     cands = _NONE
                     if pairs:
                         env[step[1]], cands = pairs[0]
                         if len(pairs) > 1:
                             stack.append((step[1], steps, i + 1, iter(pairs[1:])))
+                elif kind == _SPLIT:
+                    stack.append((None, None, 0, self._branches(step, cands)))
+                    cands = _NONE
+                else:
+                    raise PinnedEvaluationError(step[1])
                 if cands:
                     i += 1
                     continue
@@ -388,41 +358,34 @@ class PinnedProgram:
                 return found
 
     def _bind(self, step: tuple, env: dict, cands: frozenset) -> list:
-        """The values a define or window step binds, in increasing order,
-        each with the candidates at which it is bound; over N only the
-        nonnegative ones.  The step's source (an equation, or a window's
-        atoms and the names they read) is solved once for all of ``cands``
-        when it does not read the count, else at each candidate in turn."""
-        _, name, source = step
-        mask = source[1] if type(source) is tuple else self._masks[id(source)]
+        """The values a bind step gives its name, in increasing order, each
+        with the candidates at which it is bound; over N only the
+        nonnegative ones.  The step's atoms are solved once for all of
+        ``cands`` when they do not read the count, else at each candidate in
+        turn."""
+        _, name, atoms, mask = step
         if not mask & self._y:
-            pinned = dict.fromkeys(self._values(source, name, env), cands)
+            pinned = dict.fromkeys(self._window(atoms, name, env), cands)
         else:
             count, by_value = self._count, {}
             for k in cands:
                 env[count] = k
-                for value in self._values(source, name, env):
+                for value in self._window(atoms, name, env):
                     by_value.setdefault(value, []).append(k)
             del env[count]
             pinned = {value: frozenset(ks) for value, ks in by_value.items()}
         return sorted(item for item in pinned.items() if item[0] >= 0 or not self._nat)
 
-    def _values(self, source, name: str, env: dict) -> list:
-        if type(source) is tuple:
-            return self._window(source[0], name, env)
-        coef, rest = self._pin(source, name)
-        total = rest.evaluate(env)
-        return [] if total % coef else [-(total // coef)]
-
     def _window(self, atoms: list, name: str, env: dict) -> list:
-        """The value of ``name`` that the order atoms among ``atoms``, which
-        bound it on both sides, leave in the coset of its congruence atoms
-        among them, or none.  Raises when the window holds more than one
-        value."""
+        """The value of ``name`` that ``atoms`` leave, or none: an equation,
+        its step's only atom, gives it by exact division; order atoms that
+        bound it on both sides leave the one integer of their range in the
+        coset of the congruence atoms among them.  Raises when the window
+        holds more than one value."""
         lo = hi = None
         start, step = 0, 1  # name = start (mod step)
         for p in atoms:
-            # coef*name + rest <= 0 (< 0, that is <= -1), or = residue (mod modulus)
+            # coef*name + rest <= 0 (< 0, that is <= -1), = 0, or = residue (mod modulus)
             coef, rest = self._pin(p, name)
             tp = type(p)
             if tp is Cong:
@@ -433,7 +396,11 @@ class PinnedProgram:
                     start, step = (start + step * coset[0], step * coset[1]) if coset else (0, 0)
                 continue
             bound = -rest.evaluate(env) - (tp is Lt)
-            if coef > 0:
+            if tp is Eq:
+                if bound % coef:
+                    return []
+                lo = hi = bound // coef
+            elif coef > 0:
                 top = bound // coef
                 hi = top if hi is None else min(hi, top)
             else:
@@ -485,12 +452,11 @@ class PinnedProgram:
 
     def _plan(self, parts: list, undefined: int) -> list:
         """Steps deciding the conjunction of ``parts`` whose ``undefined``
-        names are bound by the chain being planned.  Checks and definitions
+        names are bound by the chain being planned.  Checks and equations
         come first, but while a disjunction reads an undefined name, an
-        equation that reads the count defines nothing.  When neither
-        applies, a window whose atoms prove it leaves at most one value,
-        then a split on a disjunction, then any other window; else the plan
-        is stuck."""
+        equation that reads the count binds nothing.  When neither applies,
+        a window whose atoms prove it leaves at most one value, then a split
+        on a disjunction, then any other window; else the plan is stuck."""
         masks, y = self._masks, self._y
         steps: list = []
         pending = parts
@@ -505,7 +471,7 @@ class PinnedProgram:
                     name = self._by_bit[m.bit_length() - 1]
                     deferred = masks[id(g)] & y and any(type(p) is Or and masks[id(p)] & undefined for p in pending)
                     if self._pin(g, name) is not None and not deferred:
-                        steps.append((_DEFINE, name, g))
+                        steps.append((_BIND, name, [g], masks[id(g)]))
                         undefined &= ~m
                         continue
                 rest.append(g)
@@ -513,35 +479,34 @@ class PinnedProgram:
             pending = rest
             if progress:
                 continue
-            window = self._window_step(pending, undefined, single=True)
-            if window is None:
-                split = next((g for g in pending if type(g) is Or), None)
-                if split is not None:
-                    others = [g for g in pending if g is not split]
-                    steps.append((_SPLIT, split.parts, others, undefined, [None] * len(split.parts)))
-                    break
-                window = self._window_step(pending, undefined)
+            window, single = self._window_step(pending, undefined)
+            split = None if single else next((g for g in pending if type(g) is Or), None)
+            if split is not None:
+                others = [g for g in pending if g is not split]
+                steps.append((_SPLIT, split.parts, others, undefined, [None] * len(split.parts)))
+                break
             if window is None:
                 names = ", ".join(self._names(undefined))
                 steps.append((_STUCK, f"no step pins the existential variables {names}"))
                 break
             steps.append(window)
-            pending = [g for g in pending if all(g is not w for w in window[2][0])]
+            pending = [g for g in pending if all(g is not w for w in window[2])]
             undefined &= ~self._bits[window[1]]
         return steps
 
-    def _window_step(self, pending: list, undefined: int, single: bool = False) -> Optional[tuple]:
-        """A window step for the first name that the order atoms among
-        ``pending`` reading no other undefined name bound on both sides,
-        taking those atoms and the congruences on that name alone, with the
-        names they read; with ``single``, the first whose atoms prove it at
-        most one value."""
+    def _window_step(self, pending: list, undefined: int) -> tuple:
+        """A bind step for a name that the order atoms among ``pending``
+        reading no other undefined name bound on both sides, taking those
+        atoms and the congruences on that name alone, and whether its atoms
+        prove it at most one value: the first such window, else the first
+        window, else None."""
         masks, sides = self._masks, {}
         for g in pending:
             m = masks[id(g)] & undefined
             if type(g) in (Le, Lt) and m and not m & (m - 1):
                 pin = self._pin(g, self._by_bit[m.bit_length() - 1])
                 sides.setdefault(m, set()).add(pin and pin[0] > 0)
+        first = None
         for bit, signs in sides.items():
             if signs >= {True, False}:
                 name = self._by_bit[bit.bit_length() - 1]
@@ -549,12 +514,14 @@ class PinnedProgram:
                     g for g in pending
                     if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit and self._pin(g, name)
                 ]
-                if not single or self._at_most_one(atoms, name):
-                    mask = 0
-                    for g in atoms:
-                        mask |= masks[id(g)]
-                    return (_WINDOW, name, (atoms, mask))
-        return None
+                mask = 0
+                for g in atoms:
+                    mask |= masks[id(g)]
+                window = (_BIND, name, atoms, mask)
+                if self._at_most_one(atoms, name):
+                    return window, True
+                first = first or window
+        return first, False
 
     def _at_most_one(self, atoms: list, name: str) -> bool:
         """Whether the window of ``atoms`` leaves ``name`` at most one value
@@ -770,7 +737,6 @@ def run_check(
     trials: int = 100,
     box_radius: int = 100,
     seed: int = 0,
-    result: Optional[EliminationResult] = None,
     var_names: Optional[Sequence[str]] = None,
 ) -> CheckOutcome:
     """Compare the eliminated formula against the witness oracle.
@@ -787,9 +753,7 @@ def run_check(
     if box_radius < 0:
         raise ParameterError(f"box radius must be nonnegative, got {box_radius}")
     plan = plan_elimination(presentation, var_names, count_var)
-    if result is None:
-        result = eliminate(plan, count_var)
-    presentation, names = plan.presentation, plan.names
+    result, presentation, names = plan.result, plan.presentation, plan.names
     domain = presentation.domain
     testers = [MembershipTester(c) for c in presentation.components]
     program = PinnedProgram(result.formula, domain)

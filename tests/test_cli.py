@@ -282,6 +282,46 @@ class TestEliminateCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "name, argv, expected",
+        [
+            (
+                "three_periods.sl",
+                [],
+                "E _t0 . (x2 = 2*x1 & x1 - x3 <= _t0 & _t0 < x1 - x3 + 2 & _t0 + x1 + x3 == 0 mod 2"
+                " & ((x1 < _t0 | x1 + x3 < 3*_t0) & y = 0 | _t0 <= x1 & 3*_t0 <= x1 + x3"
+                " & 2*y <= -_t0 + x1 + 2 & 6*y <= -3*_t0 + x1 + x3 + 6"
+                " & (2*y <= -_t0 + x1 + 2 & -_t0 + x1 < 2*y"
+                " | 6*y <= -3*_t0 + x1 + x3 + 6 & -3*_t0 + x1 + x3 < 6*y)) | !x2 = 2*x1 & y = 0)",
+            ),
+            (
+                "three_periods.sl",
+                ["--counted-var", "x1"],
+                "0 <= -x2 + 2*x3 + 2*x4 & 0 <= x2 - 2*x4 & 0 <= x2 + 2*x3 - 6*x4"
+                " & 3*x2 + 2*x3 + 2*x4 == 0 mod 4 & 2*x2 == 0 mod 4 & x2 + 2*x3 + 2*x4 == 0 mod 4 & y = 1"
+                " | !(0 <= -x2 + 2*x3 + 2*x4 & 0 <= x2 - 2*x4 & 0 <= x2 + 2*x3 - 6*x4"
+                " & 3*x2 + 2*x3 + 2*x4 == 0 mod 4 & 2*x2 == 0 mod 4 & x2 + 2*x3 + 2*x4 == 0 mod 4) & y = 0",
+            ),
+            (
+                "natural.sl",
+                [],
+                "E _t0 . (x1 <= 2*_t0 & 2*_t0 < x1 + 6 & 2*_t0 + 2*x1 == 0 mod 3"
+                " & (2*x1 < _t0 & y = 0 | _t0 <= 2*x1 & _t0 + 3*y <= 2*x1 + 3 & 2*x1 < _t0 + 3*y)"
+                " | x1 < 0 & y = 0)",
+            ),
+            (
+                "natural.sl",
+                ["--counted-var", "x1"],
+                "E _t0 . (x2 <= 2*_t0 & 2*_t0 < x2 + 6 & 2*_t0 + 2*x2 == 0 mod 3"
+                " & (2*x2 < _t0 & y = 0 | _t0 <= 2*x2 & _t0 + 3*y <= 2*x2 + 3 & 2*x2 < _t0 + 3*y)"
+                " | x2 < 0 & y = 0)",
+            ),
+        ],
+    )
+    def test_exact_output(self, capsys, name, argv, expected):
+        code, out, err = run(capsys, "eliminate", fixture(name), *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+
 
 class TestCheckCommand:
     def test_worked_example_passes(self, capsys):

@@ -309,8 +309,9 @@ class TestMisc:
         assert bound_names(scopes[0]) == frozenset()
         for g in nodes:
             assert g.rebuild(g.children) == g
-        with pytest.raises(ParameterError):
-            normalize_for_nat(f)
+        normal = normalize_for_nat(f)
+        assert is_subtraction_free(normal)
+        assert [g.binds for g in traverse(normal)[0]] == [g.binds for g in nodes]
         assert normalize_for_nat(Not(Or((Le(x, 2 * y), Lt(-3 * x, y))))) == Not(
             Or((Le(x, 2 * y), Lt(constant(0), 3 * x + y)))
         )

@@ -94,7 +94,7 @@ def _agree_with_oracle(domain, seed):
         shapes["lower>=2"] += len(core.lower_rows) >= 2
         shapes["dropped"] += bool(core.dropped_rows)
         shapes["D>=5"] += core.denom >= 5
-        outcome = run_check(presentation, trials=15, box_radius=12, seed=index, result=result)
+        outcome = run_check(presentation, trials=15, box_radius=12, seed=index)
         assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
         counted += sum(r.oracle.stable and r.oracle.count > 0 for r in outcome.records)
     return shapes, counted
@@ -150,7 +150,7 @@ def test_drawn_two_sided_cores(domain, data, seed):
     presentation, result = data.draw(two_sided_cores(domain))
     if domain is DomainTag.N:
         assert is_subtraction_free(result.formula)
-    outcome = run_check(presentation, trials=8, box_radius=12, seed=seed, result=result)
+    outcome = run_check(presentation, trials=8, box_radius=12, seed=seed)
     assert (outcome.mismatches, outcome.unstable_bad) == (0, 0)
     _agree_at_points(presentation, result, presentation.components[0], random.Random(seed), 4)
     program = PinnedProgram(result.formula, domain)
@@ -201,7 +201,7 @@ def test_cores_with_three_bounds_in_one_family():
         assert binders == ["_t0"], binders
         if domain is DomainTag.N:
             assert is_subtraction_free(result.formula), presentation
-        outcome = run_check(presentation, trials=15, box_radius=12, seed=cores, result=result)
+        outcome = run_check(presentation, trials=15, box_radius=12, seed=cores)
         assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
         (component,) = presentation.components
         counted += _agree_at_points(presentation, result, component, rng, 10)
@@ -241,7 +241,7 @@ def test_parity_split_unions_of_multi_bound_cores():
         result = eliminate(presentation, "y")
         if domain is DomainTag.N:
             assert is_subtraction_free(result.formula), presentation
-        outcome = run_check(presentation, trials=8, box_radius=12, seed=unions, result=result)
+        outcome = run_check(presentation, trials=8, box_radius=12, seed=unions)
         assert (outcome.mismatches, outcome.unstable_bad, outcome.overlaps) == (0, 0, 0), presentation
         counted += _agree_at_points(presentation, result, component, rng, 6)
         shapes["upper>=2"] += len(core.upper_rows) >= 2

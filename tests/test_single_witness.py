@@ -61,7 +61,7 @@ def test_single_witness_components_agree_with_oracle():
             shapes["p=0"] += not c.rows
         shapes["union"] += len(plan.components) > 1
         for radius in (4, 100):
-            outcome = run_check(plan, trials=10, box_radius=radius, seed=index, result=result)
+            outcome = run_check(plan, trials=10, box_radius=radius, seed=index)
             assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), plan.presentation
             counted += sum(r.oracle.stable and r.oracle.count == 1 for r in outcome.records)
     assert min(shapes.values()) >= 10, shapes

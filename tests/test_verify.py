@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from math import factorial
@@ -443,6 +444,20 @@ class TestEvaluatePinned:
         with pytest.raises(PinnedEvaluationError):
             evaluate_pinned(CountEq("v", "y", atom), {"y": 1})
 
+    @pytest.mark.parametrize(
+        "quantified",
+        [
+            Forall("v", Le(variable("v"), variable("y"))),  # reads the count
+            Forall("v", Le(variable("v"), variable("x"))),
+            CountEq("v", "y", Le(variable("v"), constant(3))),  # reads the count
+            CountEq("v", "x", Le(variable("v"), constant(3))),
+        ],
+    )
+    def test_count_values_rejects_other_quantifiers(self, quantified):
+        f = And((Le(variable("y"), constant(3)), quantified))
+        with pytest.raises(PinnedEvaluationError):
+            PinnedProgram(f).count_values({"x": 1}, "y", range(3))
+
     def test_underdetermined_block(self):
         # Equations that each read several undefined names are not solved
         # jointly: determined or not, the chain raises, over Z and over N.
@@ -741,7 +756,7 @@ class TestSingleValueWindowFirst:
         f = Exists("t", And(tuple(self._first_witness(2, 3, x)) + (count,)))
         program = PinnedProgram(f)
         steps = program._chain_plan(f)[0]
-        assert steps[0][:2] == (verify._WINDOW, "t")
+        assert steps[0][:2] == (verify._BIND, "t")
         for value in range(-6, 9):
             # t = value (mod 3) in [value/2, value/2 + 3): members t, t + 3,
             # ... with 2*t <= value + 9.
@@ -760,7 +775,7 @@ class TestSingleValueWindowFirst:
             if plan.bounds.sign_rows or plan.solvable or plan.relations:
                 continue
             assert not any(type(g) is Not for g in traverse(result.formula)[0]), presentation
-            outcome = run_check(presentation, trials=10, box_radius=12, seed=folded, result=result)
+            outcome = run_check(presentation, trials=10, box_radius=12, seed=folded)
             assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
             folded += 1
 
@@ -1090,9 +1105,10 @@ class TestRunCheck:
 
         monkeypatch.setattr(countqe.elim, "progression_count_formula", corrupted)
         comp = LinearSetPresentation(base=(0, 0), periods=((1, 0), (1, 2)))
-        result = eliminate(union(comp), "y")
+        mutated = eliminate(union(comp), "y")
         monkeypatch.undo()
-        outcome = run_check(union(comp), result=result, trials=30, box_radius=20, seed=3)
+        plan = dataclasses.replace(plan_elimination(union(comp)), result=mutated)
+        outcome = run_check(plan, trials=30, box_radius=20, seed=3)
         assert outcome.mismatches > 0
         assert not outcome.ok()
 
@@ -1101,10 +1117,9 @@ class TestRunCheck:
         # sign atom 0 <= 100*x1 fails; for x1 >= 0 the coset witness exists,
         # the slice is infinite and the oracle reports an unstable point.
         s = union(LinearSetPresentation(base=(0, 0), periods=((1, 1), (0, 100))))
-        result = eliminate(s, "y")
         decided = []
         for seed in range(3):
-            outcome = run_check(s, result=result, trials=4, box_radius=100, seed=seed)
+            outcome = run_check(s, trials=4, box_radius=100, seed=seed)
             assert outcome.mismatches == 0
             assert outcome.ok(strict=True)
             decided += [r for r in outcome.records if r.verdict == "ok"]
@@ -1121,7 +1136,7 @@ class TestRunCheck:
         result = eliminate(union(comp), "y")
         report = result.report.components[0]
         assert (report.denom, report.coset_period) == (32, 16)
-        outcome = run_check(union(comp), result=result, trials=5, box_radius=50, seed=4)
+        outcome = run_check(union(comp), trials=5, box_radius=50, seed=4)
         assert outcome.mismatches == 0 and outcome.ok(strict=True)
         on_plane = {"x1": -3, "x2": 0, "x3": -2}  # empty slice
         assert PinnedProgram(result.formula).count_values(on_plane, result.count_var, range(4)) == [0]
