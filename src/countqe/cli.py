@@ -17,9 +17,11 @@ exit 2 and a one-line error, before printing or checking anything.
 Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation
 (including an out-of-range numeric option such as a negative ``--box-radius``,
 ``--trials``, ``--node-budget`` or ``--disjoint-radius``, a ``--count-var``
-that is not an identifier, and an ``--assign`` that names a variable twice),
-3 verification failure, 4 internal error (an input nested too deeply for the
-interpreter's recursion limit; reported on one line, without a traceback).
+that is not an identifier, an ``--assign`` that names a variable twice or
+assigns a name that is not an identifier, and a ``count`` ``--assign`` to its
+``--var``), 3 verification failure, 4 internal error (an input nested too
+deeply for the interpreter's recursion limit; reported on one line, without
+a traceback).
 Diagnostics go to stderr; stdout is deterministic for fixed inputs, flags and
 seed.
 """
@@ -41,7 +43,7 @@ from .sets import (
     check_disjoint_in_box,
     coordinate_names,
 )
-from .textio import ParseError, parse_formula, parse_presentation, print_formula
+from .textio import ParseError, is_identifier, parse_formula, parse_presentation, print_formula
 from .verify import run_check
 
 EXIT_OK = 0
@@ -81,6 +83,8 @@ def _parse_assignment(spec: str) -> dict:
         value = value.strip()
         if not name or not value:
             raise ContractError(f"malformed assignment entry {piece!r}")
+        if not is_identifier(name):
+            raise ContractError(f"assigned name {name!r} is not an identifier")
         if name in assignment:
             raise ContractError(f"variable {name!r} is assigned more than once")
         try:
@@ -182,6 +186,8 @@ def cmd_eval(args) -> int:
 def cmd_count(args) -> int:
     body = parse_formula(_read_input(args.input, args.file))
     assignment = _parse_assignment(args.assign)
+    if args.var in assignment:
+        raise ContractError(f"the counted variable {args.var!r} cannot be assigned")
     missing = free_vars(body) - set(assignment) - {args.var}
     if missing:
         raise ContractError(f"unassigned variable(s): {', '.join(sorted(missing))}")

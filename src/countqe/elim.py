@@ -60,6 +60,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import is_
 from typing import Optional, Sequence, Union
 
 from . import formula as fm
@@ -440,11 +441,19 @@ def build_permutation_branches(classification: BoundClassification) -> list[Perm
 
 
 def _nat_atom(atom: Formula) -> Formula:
+    """The subtraction-free rewrite of an atom; the atom itself when it is
+    its own rewrite."""
     if isinstance(atom, Cong):
-        m = atom.modulus
-        fixed = Term(atom.term.constant % m, {n: c % m for n, c in atom.term.coeffs.items()})
+        m, term = atom.modulus, atom.term
+        if all(0 <= c < m for c in (term.constant, *term.coeffs.values())):
+            return atom
+        fixed = Term(term.constant % m, {n: c % m for n, c in term.coeffs.items()})
         return Cong(fixed, atom.residue, m)
-    diff = atom.lhs - atom.rhs
+    lhs, rhs = atom.lhs, atom.rhs
+    positive = all(c > 0 for t in (lhs, rhs) for c in t.coeffs.values())
+    if positive and min(lhs.constant, rhs.constant) == 0 and lhs.coeffs.keys().isdisjoint(rhs.coeffs):
+        return atom
+    diff = lhs - rhs
     return type(atom)(diff.positive_part(), diff.negative_part())
 
 
@@ -454,7 +463,9 @@ def normalize_for_nat(f: Formula) -> Formula:
     Each comparison moves its negative contributions to the other side, and
     congruence terms take their coefficients modulo the modulus; each atom
     is equivalent to its rewrite over the naturals (and over the integers),
-    so the formula is too, binders and all.
+    so the formula is too, binders and all.  An atom that is its own rewrite,
+    and a node all of whose children come back as they are, come back as
+    they are.
     """
     nodes = fm.traverse(f)[0]
     done = {}  # id(node) -> its rewrite; descendants come first in reverse
@@ -464,7 +475,8 @@ def normalize_for_nat(f: Formula) -> Formula:
         if g.terms:
             done[id(g)] = _nat_atom(g)
         else:
-            done[id(g)] = g.rebuild([done[id(c)] for c in g.children])
+            kids = [done[id(c)] for c in g.children]
+            done[id(g)] = g if all(map(is_, kids, g.children)) else g.rebuild(kids)
     return done[id(f)]
 
 

@@ -128,11 +128,6 @@ class IntBox:
     def dimension(self) -> int:
         return len(self.lower)
 
-    def points(self):
-        """All integer points of the box in lexicographic order."""
-        ranges = [range(lo, hi + 1) for lo, hi in zip(self.lower, self.upper)]
-        return itertools.product(*ranges)
-
 
 def check_simple(presentation: LinearSetPresentation) -> bool:
     """True when the periods are linearly independent over the rationals."""
@@ -152,9 +147,10 @@ class MembershipTester:
     Along a line that fixes every coordinate but the last, the Cramer
     numerators ``denom * z_i`` are affine in the last coordinate v, and so
     are the leftover rows scaled by ``denom``.  :meth:`line` gives their
-    values at v = 0 and their steps per unit of v; :meth:`members_on_line`
-    tests every point of a range of v with them, O(p) integer operations a
-    point instead of a matrix-vector product.
+    values at v = 0 and their steps per unit of v.  :meth:`range_on_line`
+    reads from them the range of v that can hold members, and
+    :meth:`members_on_line` tests every point of a range of v with them,
+    O(p) integer operations a point instead of a matrix-vector product.
     """
 
     def __init__(self, presentation: LinearSetPresentation):
@@ -249,6 +245,41 @@ class MembershipTester:
             return [(c + sum(map(mul, coeffs, prefix)), step) for c, coeffs, step in forms]
 
         return at_zero(self._numerator_forms), at_zero(self._residual_forms)
+
+    def range_on_line(self, prefix: Sequence[int]) -> Optional[tuple[Optional[int], Optional[int]]]:
+        """The range ``(lo, hi)`` of v holding every member ``prefix + [v]``,
+        None for an unbounded side; None when :meth:`line` shows none.
+
+        A numerator with a step bounds v on one side; a constant one must be
+        a nonnegative multiple of ``denom``.  Every residual but the counted
+        row's own is constant along the line: the selection is the least row
+        basis, so a leftover row is spanned by selected rows before it, never
+        the last coordinate.  When v is a leftover row, no numerator reads it
+        and the residuals force it; otherwise :meth:`members_on_line` tests
+        them, and a range may hold no member.
+        """
+        numerators, residuals = self.line(prefix)
+        d = self.denom
+        lo = hi = None
+        for num, step in numerators:
+            if step == 0:
+                if num < 0 or num % d != 0:
+                    return None
+            elif step > 0:
+                bound = -(num // step)
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                bound = num // (-step)
+                hi = bound if hi is None else min(hi, bound)
+        if self.presentation.dimension - 1 in self.rest_rows:
+            # The counted row's residual steps by -denom and comes last.
+            if any(res for res, _ in residuals[:-1]):
+                return None
+            forced = residuals[-1][0] // d
+            return forced, forced
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        return lo, hi
 
     def members_on_line(self, prefix: Sequence[int], lo: int, hi: int) -> list[int]:
         """The values v in ``lo..hi``, ascending, with ``prefix + [v]`` in the set.

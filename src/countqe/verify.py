@@ -1,17 +1,19 @@
 """Cross-checking eliminated formulas against brute-force witness counts.
 
-Two independent routes meet here.  The oracle route enumerates candidate
-values of the counted coordinate over a window sized from the presentation's
-own bound structure and tests each point by exact set membership, flagging
-the count unstable when witnesses crowd a truncating window edge.  For fixed
-free coordinates the membership conditions of a component (its Cramer
-numerators and leftover rows) are affine in the counted value, so each point
-is tested with O(p) integer operations on their values and steps
-(:meth:`MembershipTester.members_on_line`); nothing is counted in closed
-form.  The formula route decides the eliminated formula at the tested count
-values with a :class:`PinnedProgram`, compiled once per formula: every
-existential variable the eliminator binds is pinned by the atoms of its
-chain, so no quantifier range is ever scanned.
+Two independent routes meet here.  The oracle route fixes the free
+coordinates and counts the values of the counted one that land in the set.
+Along that line the membership conditions of a component (its Cramer
+numerators and leftover rows) are affine in the counted value, and
+:class:`MembershipTester` holds the one model of the line: the range of
+values that can hold members (:meth:`MembershipTester.range_on_line`)
+places a window around every component that meets the line, and each point
+of the window is tested with O(p) integer operations on their values and
+steps (:meth:`MembershipTester.members_on_line`); nothing is counted in
+closed form.  The count is flagged unstable when witnesses crowd a
+truncating window edge.  The formula route decides the eliminated formula
+at the tested count values with a :class:`PinnedProgram`, compiled once per
+formula: every existential variable the eliminator binds is pinned by the
+atoms of its chain, so no quantifier range is ever scanned.
 
 Compiling reads the free names of every node into an int bitmask.  The
 first time an existential chain is evaluated, the conjuncts of its body are
@@ -98,13 +100,7 @@ from .formula import (
     Term,
 )
 from .linalg import solve_unique  # noqa: F401 -- unused; perfbench/layers.py patches this name
-from .sets import (
-    DomainTag,
-    LinearSetPresentation,
-    MembershipTester,
-    SemilinearPresentation,
-    coordinate_names,
-)
+from .sets import DomainTag, MembershipTester, SemilinearPresentation, coordinate_names
 
 
 class PinnedEvaluationError(CountQEError):
@@ -560,51 +556,6 @@ def evaluate_pinned(
 # --- witness-count oracle -------------------------------------------------------
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-@dataclass
-class _ComponentProfile:
-    tester: MembershipTester
-    empty: bool
-    lo: Optional[int]  # None: unbounded below
-    hi: Optional[int]  # None: unbounded above
-
-
-def _component_profile(
-    comp: LinearSetPresentation, tester: MembershipTester, values: Sequence[int]
-) -> _ComponentProfile:
-    """Bounds on where this component's witnesses can live for fixed free
-    coordinates, from nonnegativity of the solved coefficients."""
-    numerators, residuals = tester.line(values)
-    d = tester.denom
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    for num, step in numerators:
-        if step == 0:
-            if num < 0 or num % d != 0:
-                return _ComponentProfile(tester, True, None, None)
-        elif step > 0:
-            bound = _ceil_div(-num, step)
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            bound = num // (-step)
-            hi = bound if hi is None else min(hi, bound)
-    if comp.dimension - 1 in tester.rest_rows:
-        # The counted coordinate is a leftover row, whose residual steps by
-        # -denom: the solved coefficients force its value.  No numerator
-        # reads it, so every other leftover row's residual is constant along
-        # the line, and one that is not 0 leaves the component empty there.
-        if any(res for res, _ in residuals[:-1]):
-            return _ComponentProfile(tester, True, None, None)
-        forced = residuals[-1][0] // d
-        return _ComponentProfile(tester, False, forced, forced)
-    if lo is not None and hi is not None and lo > hi:
-        return _ComponentProfile(tester, True, None, None)
-    return _ComponentProfile(tester, False, lo, hi)
-
-
 @dataclass(frozen=True)
 class WitnessCount:
     """Oracle verdict for one assignment."""
@@ -624,68 +575,40 @@ def count_set_witnesses(
 ) -> WitnessCount:
     """Count the values of the last coordinate placing a point in the union.
 
-    Enumerates a window derived from each component's bound structure and
-    tests every point of it for membership in each component that can meet
-    the line, by that component's affine Cramer numerators and leftover
-    rows; the margin-based stability flag turns false when witnesses reach
-    the window edges, which happens exactly when some component is unbounded
-    in the counted direction.
+    Enumerates a window reaching two margins (three on an unbounded side)
+    past the ends of the components' ranges on the line
+    (:meth:`MembershipTester.range_on_line`), a margin being twice the
+    largest denominator plus 2, and tests every point of it for membership
+    in each component that meets the line; the stability flag turns false
+    when a witness lies within a margin of a truncating window edge, which
+    happens exactly when some component is unbounded in the counted
+    direction.
     """
-    n = presentation.dimension
-    names = list(var_names) if var_names is not None else coordinate_names(n)
+    names = list(var_names) if var_names is not None else coordinate_names(presentation.dimension)
     values = [assignment[name] for name in names[:-1]]
     if testers is None:
         testers = [MembershipTester(c) for c in presentation.components]
-    profiles = [
-        _component_profile(comp, tester, values)
-        for comp, tester in zip(presentation.components, testers)
-    ]
-    nat = presentation.domain is DomainTag.N
-    margin = 2 * (
-        max(
-            (t.cramer.denom for t in testers if t.cramer is not None),
-            default=1,
-        )
-        + 1
-    )
-    finite = [b for p in profiles if not p.empty for b in (p.lo, p.hi) if b is not None]
-    live = [p for p in profiles if not p.empty]
+    ranges = [t.range_on_line(values) for t in testers]
+    live = [r for r in ranges if r is not None]
     if not live:
-        return WitnessCount(0, True, False, (0, 0), (0,) * len(profiles))
-    anchor_lo = min(finite) if finite else 0
-    anchor_hi = max(finite) if finite else 0
-    low_infinite = any(p.lo is None for p in live)
-    high_infinite = any(p.hi is None for p in live)
-    lo = anchor_lo - (3 * margin if low_infinite else 2 * margin)
-    hi = anchor_hi + (3 * margin if high_infinite else 2 * margin)
-    lower_truncates = True
-    if nat and lo <= 0:
+        return WitnessCount(0, True, False, (0, 0), (0,) * len(ranges))
+    margin = 2 * (max(t.denom for t in testers) + 1)
+    finite = [b for r in live for b in r if b is not None]
+    lo = min(finite, default=0) - (3 * margin if any(r[0] is None for r in live) else 2 * margin)
+    hi = max(finite, default=0) + (3 * margin if any(r[1] is None for r in live) else 2 * margin)
+    lower_truncates = presentation.domain is not DomainTag.N or lo > 0
+    if not lower_truncates:
         lo = 0
-        lower_truncates = False
-    if hi < lo:
-        hi = lo
+    hi = max(hi, lo)
     per_component = []
     union: set = set()
-    for profile in profiles:
-        if profile.empty:
-            per_component.append(0)
-            continue
-        members = profile.tester.members_on_line(values, lo, hi)
+    for t, r in zip(testers, ranges):
+        members = [] if r is None else t.members_on_line(values, lo, hi)
         per_component.append(len(members))
         union.update(members)
-    stable = True
-    for v in union:
-        if hi - v < margin or (lower_truncates and v - lo < margin):
-            stable = False
-            break
+    stable = all(hi - v >= margin and not (lower_truncates and v - lo < margin) for v in union)
     overlap = sum(per_component) != len(union)
-    return WitnessCount(
-        count=len(union),
-        stable=stable,
-        overlap=overlap,
-        window=(lo, hi),
-        per_component=tuple(per_component),
-    )
+    return WitnessCount(len(union), stable, overlap, (lo, hi), tuple(per_component))
 
 
 # --- trial harness ----------------------------------------------------------------
@@ -703,11 +626,28 @@ class TrialRecord:
 
 @dataclass
 class CheckOutcome:
+    """The records of a check; the tallies count their verdicts."""
+
     records: list
-    mismatches: int
-    overlaps: int
-    unstable: int
-    unstable_bad: int
+
+    def _tally(self, *verdicts: str) -> int:
+        return sum(r.verdict in verdicts for r in self.records)
+
+    @property
+    def mismatches(self) -> int:
+        return self._tally("mismatch")
+
+    @property
+    def overlaps(self) -> int:
+        return self._tally("overlap")
+
+    @property
+    def unstable(self) -> int:
+        return self._tally("unstable-ok", "unstable-bad")
+
+    @property
+    def unstable_bad(self) -> int:
+        return self._tally("unstable-bad")
 
     def ok(self, strict: bool = False) -> bool:
         if self.mismatches or self.overlaps:
@@ -759,7 +699,6 @@ def run_check(
     program = PinnedProgram(result.formula, domain)
     rng = random.Random(seed)
     records = []
-    mismatches = overlaps = unstable = unstable_bad = 0
     for index in range(trials):
         assignment = random_assignment(rng, names[:-1], box_radius, domain)
         oracle = count_set_witnesses(presentation, assignment, names, testers)
@@ -767,30 +706,9 @@ def run_check(
         satisfied = tuple(program.count_values(assignment, result.count_var, tested))
         if oracle.overlap:
             verdict = "overlap"
-            overlaps += 1
         elif oracle.stable:
             verdict = "ok" if satisfied == (oracle.count,) else "mismatch"
-            if verdict == "mismatch":
-                mismatches += 1
         else:
-            unstable += 1
-            verdict = "unstable-ok" if not satisfied else "unstable-bad"
-            if verdict == "unstable-bad":
-                unstable_bad += 1
-        records.append(
-            TrialRecord(
-                index=index,
-                assignment=assignment,
-                oracle=oracle,
-                tested=tested,
-                satisfied=satisfied,
-                verdict=verdict,
-            )
-        )
-    return CheckOutcome(
-        records=records,
-        mismatches=mismatches,
-        overlaps=overlaps,
-        unstable=unstable,
-        unstable_bad=unstable_bad,
-    )
+            verdict = "unstable-bad" if satisfied else "unstable-ok"
+        records.append(TrialRecord(index, assignment, oracle, tested, satisfied, verdict))
+    return CheckOutcome(records)

@@ -124,6 +124,20 @@ class TestCountCommand:
         assert (code, out) == (2, "")
         assert "more than once" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eval", "x = 1", "--assign", "x=1,1x=2"), "'1x' is not an identifier"),
+            (("eval", "x = 1", "--assign", "x=1,mod=2"), "'mod' is not an identifier"),
+            (("count", "x <= w", "--var", "x", "--assign", "w=3,a b=1"), "'a b' is not an identifier"),
+            (("count", "x = y", "--var", "x", "--assign", "y=3,x=5"), "'x' cannot be assigned"),
+        ],
+    )
+    def test_malformed_assignment_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_negative_box_radius_exit_2(self, capsys):
         # The window (4, -4) is empty: counting in it would report "0 stable".
         code, out, err = run(capsys, "count", "x = 1", "--var", "x", "--box-radius", "-4")

@@ -426,8 +426,37 @@ class TestNormalizeForNat:
             )
             fixed = normalize_for_nat(atom)
             assert is_subtraction_free(fixed)
+            assert (fixed is atom) == (fixed == atom), atom
             asg = {n: rng.randint(0, 10) for n in names}
             assert evaluate(fixed, asg, domain="N") == evaluate(atom, asg, domain="N")
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            Le(variable("x") + 2, variable("y")),
+            Lt(constant(0), 3 * variable("x")),
+            Eq(variable("x"), variable("y") + 4),
+            Cong(variable("x") + 2 * variable("y") + 1, 0, 3),
+        ],
+    )
+    def test_subtraction_free_atom_comes_back_as_is(self, atom):
+        assert normalize_for_nat(atom) is atom
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            Le(variable("x") + 2, variable("y") + 1),
+            Le(variable("x") + variable("y"), variable("y")),
+            Cong(variable("x") + 3, 0, 3),
+        ],
+    )
+    def test_rewritten_atom_is_new(self, atom):
+        fixed = normalize_for_nat(atom)
+        assert fixed is not atom and fixed != atom and is_subtraction_free(fixed)
+
+    def test_eliminated_natural_comes_back_as_is(self):
+        f = eliminate(_fixture_or_d8_m2("natural"), "y").formula
+        assert normalize_for_nat(f) is f
 
 
 class TestDividedOrderAtoms:

@@ -17,7 +17,7 @@ from countqe.elim import (
     progression_count_formula,
     progression_count_formula_nat,
 )
-from countqe.errors import DegenerateInputError, UnboundVariableError, UnsupportedPresentationError
+from countqe.errors import DegenerateInputError, DimensionError, UnboundVariableError, UnsupportedPresentationError
 from countqe.formula import (
     FALSE,
     And,
@@ -917,6 +917,68 @@ def _reference_component_profile(comp, tester, values):
     if lo is not None and hi is not None and lo > hi:
         return (True, None, None)
     return (False, lo, hi)
+
+
+def _range_corpus():
+    """Seeded (component, tester, prefix) lines over Z and N, dims 1-5; half
+    of the prefixes are taken from a member point, so that many lines meet
+    the set."""
+    rng = random.Random(43)
+    for _ in range(600):
+        domain = rng.choice([DomainTag.Z, DomainTag.N])
+        n = rng.randint(1, 5)
+        comp = helpers.random_simple_component(rng, n, rng.randint(0, n), domain)
+        tester = MembershipTester(comp)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                point = comp.point_at([rng.randint(0, 4) for _ in range(comp.num_periods)])
+            else:
+                point = [rng.randint(-12, 12) for _ in range(n)]
+            yield comp, tester, list(point[:-1])
+
+
+class TestRangeOnLine:
+    def test_matches_reference_profile_and_holds_every_member(self):
+        seen = dict(empty=0, bounded=0, one_side=0, forced=0, members=0)
+        for comp, tester, prefix in _range_corpus():
+            empty, ref_lo, ref_hi = _reference_component_profile(comp, tester, prefix)
+            got = tester.range_on_line(prefix)
+            assert got == (None if empty else (ref_lo, ref_hi)), (comp, prefix)
+            # A window reaching well past both ends of the range, or around 0
+            # on an unbounded side.
+            finite = [b for b in got or () if b is not None]
+            reach = 10 * (tester.denom + 1) + 40
+            window = (min(finite, default=0) - reach, max(finite, default=0) + reach)
+            members = tester.members_on_line(prefix, *window)
+            seen["members"] += bool(members)
+            if got is None:
+                assert members == [], (comp, prefix)
+                seen["empty"] += 1
+                continue
+            lo, hi = got
+            assert all((lo is None or lo <= v) and (hi is None or v <= hi) for v in members), (comp, prefix)
+            if comp.dimension - 1 in tester.rest_rows:
+                assert lo == hi
+                seen["forced"] += 1
+            elif lo is not None and hi is not None:
+                seen["bounded"] += 1
+            elif (lo is None) != (hi is None):
+                seen["one_side"] += 1
+        assert all(count >= 50 for count in seen.values()), seen
+
+    def test_worked_examples(self):
+        # v = 2k: unbounded above from 0; v = 5 forced by a leftover row.
+        assert MembershipTester(LinearSetPresentation((0,), ((2,),))).range_on_line([]) == (0, None)
+        forced = MembershipTester(LinearSetPresentation((0, 5), ((1, 0),)))
+        assert forced.range_on_line([3]) == (5, 5)
+        # (x, v) = (k1 + k2, k1 - k2): v runs from -x to x; off the base parity
+        # the range stays, the per-point test finds no member.
+        box = MembershipTester(LinearSetPresentation((0, 0), ((1, 1), (1, -1))))
+        assert box.range_on_line([4]) == (-4, 4)
+        assert box.members_on_line([4], -9, 9) == [-4, -2, 0, 2, 4]
+        assert box.range_on_line([-1]) is None
+        with pytest.raises(DimensionError):
+            forced.range_on_line([])
 
 
 def _reference_count_set_witnesses(presentation, assignment):
