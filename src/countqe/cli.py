@@ -16,10 +16,10 @@ exit 2 and a one-line error, before printing or checking anything.
 
 Exit codes: 0 success, 1 syntax error, 2 contract/precondition violation
 (including an out-of-range numeric option such as a negative ``--box-radius``,
-``--trials``, ``--node-budget`` or ``--disjoint-radius``, a ``--count-var``
-that is not an identifier, an ``--assign`` that names a variable twice or
-assigns a name that is not an identifier, and a ``count`` ``--assign`` to its
-``--var``), 3 verification failure, 4 internal error (an input nested too
+``--trials``, ``--node-budget`` or ``--disjoint-radius`` or a ``--quant-bound``
+below 1, a ``--count-var`` that is not an identifier, an ``--assign`` that
+names a variable twice or assigns a name that is not an identifier, and a
+``count`` ``--assign`` to its ``--var``), 3 verification failure, 4 internal error (an input nested too
 deeply for the interpreter's recursion limit; reported on one line, without
 a traceback).
 Diagnostics go to stderr; stdout is deterministic for fixed inputs, flags and

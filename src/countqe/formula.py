@@ -467,8 +467,11 @@ def evaluate(
     ``[0, quant_bound]`` over the naturals); a counting quantifier holds when
     the bounded witness count over that window is stable and equals the
     value of the count variable.  This approximates the unbounded semantics;
-    callers choose bounds large enough for their formulas.
+    callers choose bounds large enough for their formulas.  A bound below 1
+    is a parameter error.
     """
+    if quant_bound < 1:
+        raise ParameterError(f"quantifier bound must be positive, got {quant_bound}")
     env = dict(assignment)
     missing = free_vars(f) - set(env)
     if missing:
@@ -507,8 +510,6 @@ def _eval(f, env, domain, bound, margin) -> bool:
         saved = env.get(var)
         had = var in env
         hit = tf is Forall
-        if bound < 1:
-            raise ParameterError("quantifier bound must be positive")
         for value in range(0 if domain is DomainTag.N else -bound, bound + 1):
             env[var] = value
             result = _eval(f.body, env, domain, bound, margin)
@@ -557,8 +558,11 @@ def count_witnesses(
     truncating window edge.  Over the naturals the window is clamped at zero
     and a lower edge at zero is not truncating (the domain really ends
     there), so witnesses at small naturals do not by themselves make the
-    count unstable.  An empty window (lo > hi) is a parameter error.
+    count unstable.  An empty window (lo > hi) and a quantifier bound below
+    1 are parameter errors.
     """
+    if quant_bound < 1:
+        raise ParameterError(f"quantifier bound must be positive, got {quant_bound}")
     env = dict(assignment)
     missing = free_vars(body) - set(env) - {counted_var}
     if missing:

@@ -3,15 +3,16 @@
 Everything here is computed over arbitrary-precision integers, so results
 are exact at any magnitude.  The module provides just what the engine
 needs: ranks, determinants, full-rank row selections and Cramer-style
-inverse data for small dense systems.  Those matrices are tiny (the number
-of periods of a presentation), so dense fraction-free elimination is the
-right tool: rank and row selection reduce against an integer echelon basis,
-and one Bareiss Gauss-Jordan pass gives a determinant and its adjugate in
-O(n^3).  The one exception is :func:`solve_unique`, which eliminates
-sparsely over the rationals for large, nearly diagonal systems; nothing in
-the package calls it any more (the eliminator's row equations come from
-Cramer data, and the pinned evaluator solves no joint system), but it stays
-public.
+inverse data for small dense systems, and the solution coset of one linear
+congruence, by which congruences merge (Chinese remainder theorem, Ore
+1952).  Those matrices are tiny (the number of periods of a presentation),
+so dense fraction-free elimination is the right tool: rank and row
+selection reduce against an integer echelon basis, and one Bareiss
+Gauss-Jordan pass gives a determinant and its adjugate in O(n^3).  The one
+exception is :func:`solve_unique`, which eliminates sparsely over the
+rationals for large, nearly diagonal systems; nothing in the package calls
+it any more (the eliminator's row equations come from Cramer data, and the
+pinned evaluator solves no joint system), but it stays public.
 """
 
 from __future__ import annotations
@@ -214,6 +215,18 @@ def positive_lcm(values: Sequence[int]) -> int:
     if not nonzero:
         raise DegenerateInputError("positive_lcm of all-zero values")
     return lcm(*nonzero)
+
+
+def congruence_coset(coeff: int, rhs: int, modulus: int) -> Optional[tuple[int, int]]:
+    """The solutions of ``coeff*k = rhs (mod modulus)`` as ``(k0, step)``,
+    the coset k0 + step*Z with 0 <= k0 < step; None when there are none.
+    The members ``start + period*k`` of a coset that solve ``a*v = b (mod
+    m)`` are those of ``congruence_coset(a*period, b - a*start, m)``."""
+    g = gcd(coeff, modulus)
+    if rhs % g:
+        return None
+    step = modulus // g
+    return rhs // g * pow(coeff // g, -1, step) % step, step
 
 
 def solve_unique(

@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import formula as fm
 from .errors import DimensionError, ParameterError, UnsupportedPresentationError
 from .formula import DomainTag
-from .linalg import CramerSolution, IntMatrix, cramer_solve, find_full_rank_submatrix, rank_over_rationals
+from .linalg import CramerSolution, IntMatrix, congruence_coset, cramer_solve
+from .linalg import find_full_rank_submatrix, rank_over_rationals
 
 
 def coordinate_names(dimension: int) -> list[str]:
@@ -144,13 +145,11 @@ class MembershipTester:
     point queries by checking integrality and nonnegativity of the solved
     coefficients plus the leftover rows.
 
-    Along a line that fixes every coordinate but the last, the Cramer
-    numerators ``denom * z_i`` are affine in the last coordinate v, and so
-    are the leftover rows scaled by ``denom``.  :meth:`line` gives their
-    values at v = 0 and their steps per unit of v.  :meth:`range_on_line`
-    reads from them the range of v that can hold members, and
-    :meth:`members_on_line` tests every point of a range of v with them,
-    O(p) integer operations a point instead of a matrix-vector product.
+    Along a line that fixes every coordinate but the last, v, the Cramer
+    numerators ``denom * z_i`` and the leftover rows scaled by ``denom`` are
+    affine in v (:meth:`line`), so the members of the line form one
+    arithmetic progression of v (:meth:`progression_on_line`), open on one
+    side when the component is unbounded along the line.
     """
 
     def __init__(self, presentation: LinearSetPresentation):
@@ -174,33 +173,16 @@ class MembershipTester:
             self.rest_rows = tuple(
                 i for i in range(presentation.dimension) if i not in chosen
             )
-        # Every membership condition is an affine form in the point x: the
-        # numerators denom * z_i and, for each leftover row r, the residual
-        # denom * (base_r - x_r) + sum_i period_i[r] * denom * z_i.  Each is
-        # kept as (constant, coefficients of x_1..x_{n-1}, coefficient of x_n).
+        self.denom = self.cramer.denom if self.cramer is not None else 1
+        # Each condition of line() is affine in the point: kept as its value
+        # at the origin and its differences along the coordinates.
         n = presentation.dimension
-        d = self.denom = self.cramer.denom if self.cramer is not None else 1
-        numerators = []
-        if self.cramer is not None:
-            column = {k: pos for pos, k in enumerate(self.selection)}
-            numerators = [
-                (gamma, [row[column[k]] if k in column else 0 for k in range(n)])
-                for row, gamma in zip(self.cramer.matrix, self.cramer.offset)
-            ]
-        residuals = []
-        for r in self.rest_rows:
-            weights = [period[r] for period in presentation.periods]
-            constant = d * presentation.base[r] + sum(
-                w * gamma for w, (gamma, _) in zip(weights, numerators)
-            )
-            coeffs = [
-                sum(w * num[k] for w, (_, num) in zip(weights, numerators))
-                for k in range(n)
-            ]
-            coeffs[r] -= d
-            residuals.append((constant, coeffs))
-        self._numerator_forms = [(c, coeffs[:-1], coeffs[-1]) for c, coeffs in numerators]
-        self._residual_forms = [(c, coeffs[:-1], coeffs[-1]) for c, coeffs in residuals]
+        origin = self._conditions([0] * n)
+        units = [self._conditions([int(i == k) for i in range(n)]) for k in range(n)]
+        self._forms = [
+            [(c, [unit[part][i] - c for unit in units]) for i, c in enumerate(origin[part])]
+            for part in (0, 1)
+        ]
 
     def coefficients_for(self, point: Sequence[int]) -> Optional[tuple[int, ...]]:
         """The unique coefficient vector placing ``point`` in the set, or None."""
@@ -227,9 +209,7 @@ class MembershipTester:
     def contains(self, point: Sequence[int]) -> bool:
         return self.coefficients_for(point) is not None
 
-    def line(
-        self, prefix: Sequence[int]
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    def line(self, prefix: Sequence[int]) -> tuple[list, list]:
         """The affine data of the points ``prefix + [v]``, as two lists of
         ``(value at v = 0, step per unit of v)`` pairs.
 
@@ -241,68 +221,86 @@ class MembershipTester:
         """
         if len(prefix) + 1 != self.presentation.dimension:
             raise DimensionError("line prefix length does not match dimension")
-        def at_zero(forms):
-            return [(c + sum(map(mul, coeffs, prefix)), step) for c, coeffs, step in forms]
+        return tuple(
+            [(c + sum(map(mul, diffs, prefix)), diffs[-1]) for c, diffs in forms]
+            for forms in self._forms
+        )
 
-        return at_zero(self._numerator_forms), at_zero(self._residual_forms)
+    def _conditions(self, point: Sequence[int]) -> tuple[Sequence[int], list[int]]:
+        """The numerators and the residuals of :meth:`line` at ``point``."""
+        pres = self.presentation
+        nums = self.cramer.numerators([point[i] for i in self.selection]) if self.cramer else ()
+        residuals = [
+            self.denom * (pres.base[r] - point[r])
+            + sum(period[r] * num for period, num in zip(pres.periods, nums))
+            for r in self.rest_rows
+        ]
+        return nums, residuals
 
-    def range_on_line(self, prefix: Sequence[int]) -> Optional[tuple[Optional[int], Optional[int]]]:
-        """The range ``(lo, hi)`` of v holding every member ``prefix + [v]``,
-        None for an unbounded side; None when :meth:`line` shows none.
+    def progression_on_line(self, prefix: Sequence[int]) -> Optional["Progression"]:
+        """The members ``prefix + [v]`` as one :class:`Progression` of v, or
+        None when the line holds none.
 
-        A numerator with a step bounds v on one side; a constant one must be
-        a nonnegative multiple of ``denom``.  Every residual but the counted
-        row's own is constant along the line: the selection is the least row
-        basis, so a leftover row is spanned by selected rows before it, never
-        the last coordinate.  When v is a leftover row, no numerator reads it
-        and the residuals force it; otherwise :meth:`members_on_line` tests
-        them, and a range may hold no member.
+        Each condition of :meth:`line` is an affine form ``value + step*v``.
+        A numerator must be at least 0, which bounds v on one side when it
+        has a step, and ``step*v = -value (mod denom)``; these congruences
+        merge into one coset of v by the Chinese remainder theorem.  A
+        residual must be at least 0 and at most 0, which forces v by exact
+        division when it has a step.
         """
         numerators, residuals = self.line(prefix)
-        d = self.denom
-        lo = hi = None
-        for num, step in numerators:
-            if step == 0:
-                if num < 0 or num % d != 0:
-                    return None
-            elif step > 0:
-                bound = -(num // step)
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                bound = num // (-step)
-                hi = bound if hi is None else min(hi, bound)
-        if self.presentation.dimension - 1 in self.rest_rows:
-            # The counted row's residual steps by -denom and comes last.
-            if any(res for res, _ in residuals[:-1]):
-                return None
-            forced = residuals[-1][0] // d
-            return forced, forced
-        if lo is not None and hi is not None and lo > hi:
+        forms = numerators + residuals + [(-value, -step) for value, step in residuals]
+        if any(value < 0 for value, step in forms if step == 0):
             return None
-        return lo, hi
+        start, period = 0, 1  # v = start (mod period)
+        for value, step in numerators:
+            coset = congruence_coset(step * period, -value - step * start, self.denom)
+            if coset is None:
+                return None
+            start, period = start + period * coset[0], period * coset[1]
+        lows = [-(value // step) for value, step in forms if step > 0]
+        highs = [value // -step for value, step in forms if step < 0]
+        return Progression.of(lows, highs, start, period)
 
-    def members_on_line(self, prefix: Sequence[int], lo: int, hi: int) -> list[int]:
-        """The values v in ``lo..hi``, ascending, with ``prefix + [v]`` in the set.
 
-        Tests every v by the affine data of :meth:`line`: each numerator in
-        turn for sign and divisibility, stopping at the first failure, then
-        each residual for zero.
-        """
-        numerators, residuals = self.line(prefix)
-        d = self.denom
-        found = []
-        for v in range(lo, hi + 1):
-            for num, step in numerators:
-                num += step * v
-                if num < 0 or num % d:
-                    break
-            else:
-                for res, step in residuals:
-                    if res + step * v:
-                        break
-                else:
-                    found.append(v)
-        return found
+class Progression(NamedTuple):
+    """The integers ``v = start (mod step)`` with ``lo <= v <= hi``, None
+    for an open side; a finite end is itself a member, and ``0 <= start <
+    step``."""
+
+    lo: Optional[int]
+    hi: Optional[int]
+    start: int
+    step: int
+
+    @classmethod
+    def of(cls, lows: list, highs: list, start: int, step: int) -> Optional["Progression"]:
+        """The members of ``start + step*Z`` at least every bound in
+        ``lows`` and at most every one in ``highs``, or None when there are
+        none."""
+        start %= step
+        lo = max(lows) + (start - max(lows)) % step if lows else None
+        hi = min(highs) - (min(highs) - start) % step if highs else None
+        if lows and highs and lo > hi:
+            return None
+        return cls(lo, hi, start, step)
+
+    @property
+    def bounded(self) -> bool:
+        return self.lo is not None and self.hi is not None
+
+    def size(self) -> int:
+        """The number of members of a bounded progression."""
+        return (self.hi - self.lo) // self.step + 1
+
+    def meet(self, other: "Progression") -> Optional["Progression"]:
+        """The common members, merged by the Chinese remainder theorem, or
+        None when there are none."""
+        coset = congruence_coset(self.step, other.start - self.start, other.step)
+        if coset is None:
+            return None
+        lows, highs = ([v for v in ends if v is not None] for ends in zip(self[:2], other[:2]))
+        return Progression.of(lows, highs, self.start + self.step * coset[0], self.step * coset[1])
 
 
 def membership(presentation: LinearSetPresentation, point: Sequence[int]) -> bool:
@@ -315,30 +313,21 @@ def membership(presentation: LinearSetPresentation, point: Sequence[int]) -> boo
     return MembershipTester(presentation).contains(point)
 
 
-def _box_testers(presentation: SemilinearPresentation, box: IntBox) -> list[MembershipTester]:
+def check_disjoint_in_box(presentation: SemilinearPresentation, box: IntBox) -> bool:
+    """True when no box point belongs to two distinct components: on each
+    line of the box along its last coordinate, no two components'
+    progressions meet inside the box."""
     if box.dimension != presentation.dimension:
         raise DimensionError("box dimension does not match presentation")
-    return [MembershipTester(c) for c in presentation.components]
-
-
-def _box_lines(testers: Sequence[MembershipTester], box: IntBox):
-    """For each line of the box along its last coordinate, in lexicographic
-    order, its prefix and each tester's members on it."""
-    lo, hi = box.lower[-1], box.upper[-1]
-    prefixes = itertools.product(
-        *(range(a, b + 1) for a, b in zip(box.lower[:-1], box.upper[:-1]))
-    )
-    for prefix in prefixes:
-        yield prefix, [t.members_on_line(prefix, lo, hi) for t in testers]
-
-
-def check_disjoint_in_box(presentation: SemilinearPresentation, box: IntBox) -> bool:
-    """True when no box point belongs to two distinct components."""
-    testers = _box_testers(presentation, box)
+    testers = [MembershipTester(c) for c in presentation.components]
     if len(testers) < 2:
         return True
-    return all(
-        sum(map(len, lines)) == len(set().union(*lines))
-        for _, lines in _box_lines(testers, box)
-    )
-
+    window = Progression(box.lower[-1], box.upper[-1], 0, 1)
+    for prefix in itertools.product(
+        *(range(a, b + 1) for a, b in zip(box.lower[:-1], box.upper[:-1]))
+    ):
+        lines = [t.progression_on_line(prefix) for t in testers]
+        pieces = [p.meet(window) for p in lines if p is not None]
+        if any(a and b and a.meet(b) for a, b in itertools.combinations(pieces, 2)):
+            return False
+    return True

@@ -1,17 +1,17 @@
-"""Cross-checking eliminated formulas against brute-force witness counts.
+"""Cross-checking eliminated formulas against exact witness counts.
 
 Two independent routes meet here.  The oracle route fixes the free
 coordinates and counts the values of the counted one that land in the set.
-Along that line the membership conditions of a component (its Cramer
-numerators and leftover rows) are affine in the counted value, and
-:class:`MembershipTester` holds the one model of the line: the range of
-values that can hold members (:meth:`MembershipTester.range_on_line`)
-places a window around every component that meets the line, and each point
-of the window is tested with O(p) integer operations on their values and
-steps (:meth:`MembershipTester.members_on_line`); nothing is counted in
-closed form.  The count is flagged unstable when witnesses crowd a
-truncating window edge.  The formula route decides the eliminated formula
-at the tested count values with a :class:`PinnedProgram`, compiled once per
+Along that line the membership conditions of a component are affine in the
+counted value, so its members form one arithmetic progression on an
+interval (:meth:`MembershipTester.progression_on_line`, which merges their
+congruences by the Chinese remainder theorem).  A bounded progression is
+counted by its length, and components overlap when their progressions meet.
+A progression open on one side is an infinite witness set, which satisfies
+no count (Schweikardt 2005), so the count is flagged unstable.  Nothing is
+scanned: the cost grows neither with the periods nor with the distance
+between components.  The formula route decides the eliminated formula at
+the tested count values with a :class:`PinnedProgram`, compiled once per
 formula: every existential variable the eliminator binds is pinned by the
 atoms of its chain, so no quantifier range is ever scanned.
 
@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
@@ -99,8 +100,9 @@ from .formula import (
     Or,
     Term,
 )
+from .linalg import congruence_coset
 from .linalg import solve_unique  # noqa: F401 -- unused; perfbench/layers.py patches this name
-from .sets import DomainTag, MembershipTester, SemilinearPresentation, coordinate_names
+from .sets import DomainTag, MembershipTester, Progression, SemilinearPresentation, coordinate_names
 
 
 class PinnedEvaluationError(CountQEError):
@@ -113,16 +115,6 @@ _CHECK, _BIND, _SPLIT, _STUCK = range(4)
 _UNSET = object()
 _NONE = frozenset()
 _ONE = frozenset((0,))  # the candidates of an evaluation that reads no count
-
-
-def _congruence_coset(coeff: int, rhs: int, modulus: int):
-    """The solutions of ``coeff*k = rhs (mod modulus)`` as ``(k0, step)``,
-    the coset k0 + step*Z with 0 <= k0 < step; None when there are none."""
-    g = gcd(coeff, modulus)
-    if rhs % g:
-        return None
-    step = modulus // g
-    return rhs // g * pow(coeff // g, -1, step) % step, step
 
 
 class PinnedProgram:
@@ -373,41 +365,36 @@ class PinnedProgram:
         return sorted(item for item in pinned.items() if item[0] >= 0 or not self._nat)
 
     def _window(self, atoms: list, name: str, env: dict) -> list:
-        """The value of ``name`` that ``atoms`` leave, or none: an equation,
-        its step's only atom, gives it by exact division; order atoms that
-        bound it on both sides leave the one integer of their range in the
-        coset of the congruence atoms among them.  Raises when the window
-        holds more than one value."""
-        lo = hi = None
+        """The value of ``name`` that ``atoms`` leave, or none: the one
+        member of the :class:`Progression` that the order atoms bound on
+        both sides (an equation bounds it twice, so it divides exactly) in
+        the coset of the congruence atoms.  Raises when the window holds
+        more than one value."""
+        lows, highs = [], []
         start, step = 0, 1  # name = start (mod step)
         for p in atoms:
             # coef*name + rest <= 0 (< 0, that is <= -1), = 0, or = residue (mod modulus)
             coef, rest = self._pin(p, name)
             tp = type(p)
             if tp is Cong:
-                if step:
-                    # start + step*k solves it when coef*step*k = rhs (mod modulus)
-                    rhs = p.residue - rest.evaluate(env) - coef * start
-                    coset = _congruence_coset(coef * step, rhs, p.modulus)
-                    start, step = (start + step * coset[0], step * coset[1]) if coset else (0, 0)
+                # start + step*k solves it when coef*step*k = rhs (mod modulus)
+                rhs = p.residue - rest.evaluate(env) - coef * start
+                coset = congruence_coset(coef * step, rhs, p.modulus)
+                if coset is None:
+                    return []
+                start, step = start + step * coset[0], step * coset[1]
                 continue
             bound = -rest.evaluate(env) - (tp is Lt)
-            if tp is Eq:
-                if bound % coef:
-                    return []
-                lo = hi = bound // coef
-            elif coef > 0:
-                top = bound // coef
-                hi = top if hi is None else min(hi, top)
-            else:
-                bottom = -(bound // -coef)
-                lo = bottom if lo is None else max(lo, bottom)
-        if not step:  # the congruences have no common solution
-            return []
-        value = lo + (start - lo) % step
-        if value + step <= hi:
+            # An equation is coef*name <= bound and -coef*name <= -bound.
+            for c, b in ((coef, bound), (-coef, -bound)) if tp is Eq else ((coef, bound),):
+                if c > 0:
+                    highs.append(b // c)
+                else:
+                    lows.append(-(b // -c))
+        found = Progression.of(lows, highs, start, step)
+        if found is not None and found.lo != found.hi:
             raise PinnedEvaluationError(f"the window leaves {name!r} more than one value")
-        return [value] if value <= hi else []
+        return [] if found is None else [found.lo]
 
     def _pin(self, atom: Formula, name: str) -> tuple:
         """``atom`` (a comparison or congruence) solved for ``name``: its
@@ -558,7 +545,16 @@ def evaluate_pinned(
 
 @dataclass(frozen=True)
 class WitnessCount:
-    """Oracle verdict for one assignment."""
+    """Oracle verdict for one assignment.
+
+    ``count`` is the number of distinct members of the components bounded
+    along the counted line, and ``per_component`` each one's members (0 for
+    a component unbounded along the line).  ``stable`` is false exactly when
+    some component is unbounded along it: the true count is infinite, and
+    no count value holds.  ``overlap`` is true when two components share a
+    member anywhere on the line.  ``window`` is the least range holding
+    every finite end of the progressions, ``(0, 0)`` when none meets it.
+    """
 
     count: int
     stable: bool
@@ -573,42 +569,36 @@ def count_set_witnesses(
     var_names: Optional[Sequence[str]] = None,
     testers: Optional[Sequence[MembershipTester]] = None,
 ) -> WitnessCount:
-    """Count the values of the last coordinate placing a point in the union.
-
-    Enumerates a window reaching two margins (three on an unbounded side)
-    past the ends of the components' ranges on the line
-    (:meth:`MembershipTester.range_on_line`), a margin being twice the
-    largest denominator plus 2, and tests every point of it for membership
-    in each component that meets the line; the stability flag turns false
-    when a witness lies within a margin of a truncating window edge, which
-    happens exactly when some component is unbounded in the counted
-    direction.
-    """
+    """Count the values of the last coordinate placing a point in the union,
+    in closed form from each component's progression on the line; a
+    component unbounded along it makes the count unstable (see
+    :class:`WitnessCount`)."""
     names = list(var_names) if var_names is not None else coordinate_names(presentation.dimension)
     values = [assignment[name] for name in names[:-1]]
     if testers is None:
         testers = [MembershipTester(c) for c in presentation.components]
-    ranges = [t.range_on_line(values) for t in testers]
-    live = [r for r in ranges if r is not None]
-    if not live:
-        return WitnessCount(0, True, False, (0, 0), (0,) * len(ranges))
-    margin = 2 * (max(t.denom for t in testers) + 1)
-    finite = [b for r in live for b in r if b is not None]
-    lo = min(finite, default=0) - (3 * margin if any(r[0] is None for r in live) else 2 * margin)
-    hi = max(finite, default=0) + (3 * margin if any(r[1] is None for r in live) else 2 * margin)
-    lower_truncates = presentation.domain is not DomainTag.N or lo > 0
-    if not lower_truncates:
-        lo = 0
-    hi = max(hi, lo)
-    per_component = []
-    union: set = set()
-    for t, r in zip(testers, ranges):
-        members = [] if r is None else t.members_on_line(values, lo, hi)
-        per_component.append(len(members))
-        union.update(members)
-    stable = all(hi - v >= margin and not (lower_truncates and v - lo < margin) for v in union)
-    overlap = sum(per_component) != len(union)
-    return WitnessCount(len(union), stable, overlap, (lo, hi), tuple(per_component))
+    lines = [t.progression_on_line(values) for t in testers]
+    live = [p for p in lines if p is not None]
+    bounded = [p for p in live if p.bounded]
+    ends = [end for p in live for end in (p.lo, p.hi) if end is not None]
+    return WitnessCount(
+        _union_size(bounded),
+        len(bounded) == len(live),
+        any(a.meet(b) is not None for a, b in combinations(live, 2)),
+        (min(ends, default=0), max(ends, default=0)),
+        tuple(p.size() if p is not None and p.bounded else 0 for p in lines),
+    )
+
+
+def _union_size(progressions: Sequence) -> int:
+    """The number of distinct members of bounded progressions, by inclusion-
+    exclusion over the nonempty intersections: k^2 meets if none meet."""
+    total, todo = 0, [(i, p, 1) for i, p in enumerate(progressions)]
+    while todo:
+        i, p, sign = todo.pop()
+        total += sign * p.size()
+        todo += [(j, q, -sign) for j in range(i + 1, len(progressions)) if (q := p.meet(progressions[j]))]
+    return total
 
 
 # --- trial harness ----------------------------------------------------------------

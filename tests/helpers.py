@@ -55,6 +55,36 @@ def count_in_progression(lo: int, hi: int, residue: int, modulus: int) -> int:
     return (hi - r) // modulus - (lo - 1 - r) // modulus
 
 
+def members_in(progression, lo: int, hi: int) -> list[int]:
+    """The members of a :class:`countqe.sets.Progression` (or None) in
+    ``lo..hi``, ascending."""
+    if progression is None:
+        return []
+    first = lo if progression.lo is None else max(lo, progression.lo)
+    last = hi if progression.hi is None else min(hi, progression.hi)
+    first += (progression.start - first) % progression.step
+    return list(range(first, last + 1, progression.step))
+
+
+def check_progression_on_line(tester, prefix: list, lo: int, hi: int):
+    """Check ``tester.progression_on_line(prefix)`` against
+    ``tester.contains``: its members in ``lo..hi`` are the points found
+    there, each finite end is a member, and an open side has a member
+    ``10**6`` steps past the window.  Returns the progression."""
+    found = tester.progression_on_line(prefix)
+    expected = [v for v in range(lo, hi + 1) if tester.contains(prefix + [v])]
+    assert members_in(found, lo, hi) == expected, (tester.presentation, prefix, found)
+    if found is None:
+        return None
+    far = 10**6 * found.step
+    ends = [
+        lo - far - (lo - found.start) % found.step if found.lo is None else found.lo,
+        hi + far + (found.start - hi) % found.step if found.hi is None else found.hi,
+    ]
+    assert all(tester.contains(prefix + [v]) for v in ends), (tester.presentation, prefix, found)
+    return found
+
+
 def random_term(rng: random.Random, names=AST_NAMES) -> Term:
     coeffs = {}
     for name in rng.sample(names, rng.randint(0, min(3, len(names)))):

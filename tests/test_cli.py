@@ -1,9 +1,15 @@
+import hashlib
 import os
+import random
+from pathlib import Path
 
 import pytest
 
 from countqe import cli, elim
 from countqe.cli import main
+from countqe.sets import DomainTag
+from countqe.textio import parse_presentation, print_formula
+from helpers import random_disjoint_presentation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -137,6 +143,20 @@ class TestCountCommand:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "C x = y . (0 <= x & x <= 3)", "--assign", "y=4", "--quant-bound", "-5"),
+            ("eval", "x = 1", "--assign", "x=1", "--quant-bound", "0"),
+            ("count", "x <= 3 & 0 <= x", "--var", "x", "--quant-bound", "0"),
+        ],
+    )
+    def test_quant_bound_below_1_exit_2(self, capsys, argv):
+        # Refused even where no E or A is evaluated under the bound.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "quantifier bound must be positive" in err
 
     def test_negative_box_radius_exit_2(self, capsys):
         # The window (4, -4) is empty: counting in it would report "0 stable".
@@ -580,3 +600,30 @@ def test_counted_var_agrees_with_a_hand_permuted_file(capsys, tmp_path):
             compared += 1
             hits += sum(row[2][-2] not in ("-", "0") for row in rows)
     assert compared >= 25 and hits >= 20, (compared, hits)
+
+
+def test_output_hashes_are_pinned(capsys):
+    # Changes to the oracle or the pinned evaluator must leave these bytes
+    # as they are: the eliminated formulas of the fixtures and of 300 seeded
+    # draws (Z and N alternating), and the check tables of three fixtures
+    # on which every trial is stable.
+    presentations = [
+        parse_presentation(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(FIXTURES).glob("*.sl"))
+        if path.stem != "nonsimple"
+    ]
+    rng = random.Random(11)
+    presentations += [
+        random_disjoint_presentation(rng, (DomainTag.Z, DomainTag.N)[i % 2]) for i in range(300)
+    ]
+    printed = "".join(print_formula(elim.plan_elimination(p).result.formula) + "\n" for p in presentations)
+    assert hashlib.sha256(printed.encode()).hexdigest() == (
+        "e396e6943d250c8c6379e33935d799e68796bedfa0fe0b4cff822c92ce01f284"
+    )
+    for name in ("three_periods", "natural", "singleton"):
+        assert main(["check", fixture(f"{name}.sl"), "--trials", "100"]) == 0
+    tables = capsys.readouterr().out
+    assert tables.count("| ok\n") == 300
+    assert hashlib.sha256(tables.encode()).hexdigest() == (
+        "c3c23835ef5e8c0d431c0e4f932c7f5e825cf8bc61fa18827e67b7cbcb178958"
+    )

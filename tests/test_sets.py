@@ -16,7 +16,7 @@ from countqe.sets import (
     membership,
 )
 from countqe import sets
-from helpers import random_simple_component
+from helpers import check_progression_on_line, members_in, random_simple_component
 
 THREE_PERIOD_SET = LinearSetPresentation(
     base=(0, 0, 0, 0),
@@ -48,12 +48,17 @@ def _coefficient_bounds(tester: MembershipTester, box: IntBox) -> Optional[int]:
 
 def enumerate_in_box(presentation: SemilinearPresentation, box: IntBox) -> list[tuple[int, ...]]:
     """All points of the union inside the box, once each, lexicographically:
-    the members that the box scan of :func:`check_disjoint_in_box` finds on
-    each line along the last coordinate."""
+    the members of each component's progression on each line of the box
+    along its last coordinate."""
+    testers = [MembershipTester(c) for c in presentation.components]
+    lo, hi = box.lower[-1], box.upper[-1]
+    prefixes = itertools.product(
+        *(range(a, b + 1) for a, b in zip(box.lower[:-1], box.upper[:-1]))
+    )
     return [
         prefix + (v,)
-        for prefix, lines in sets._box_lines(sets._box_testers(presentation, box), box)
-        for v in sorted(set().union(*lines))
+        for prefix in prefixes
+        for v in sorted({v for t in testers for v in members_in(t.progression_on_line(prefix), lo, hi)})
     ]
 
 
@@ -158,34 +163,38 @@ def _line_corpus():
             yield tester, list(point[:-1]), lo, lo + rng.randint(-1, 50)
 
 
-class TestMembersOnLine:
+class TestProgressionOnLine:
     def test_matches_contains_on_seeded_corpus(self):
-        seen = dict(no_periods=0, rest_rows=0, counted_is_rest=0, denom=0, hits=0)
+        seen = dict(no_periods=0, rest_rows=0, counted_is_rest=0, denom=0, hits=0, open=0)
         for tester, prefix, lo, hi in _line_corpus():
-            expected = [v for v in range(lo, hi + 1) if tester.contains(prefix + [v])]
-            assert tester.members_on_line(prefix, lo, hi) == expected, (
-                tester.presentation, prefix, lo, hi
-            )
+            found = check_progression_on_line(tester, prefix, lo, hi)
             n = tester.presentation.dimension
             seen["no_periods"] += tester.cramer is None
             seen["rest_rows"] += tester.cramer is not None and bool(tester.rest_rows)
             seen["counted_is_rest"] += tester.cramer is not None and n - 1 in tester.rest_rows
             seen["denom"] += tester.denom >= 2
-            seen["hits"] += bool(expected)
+            seen["hits"] += bool(members_in(found, lo, hi))
+            seen["open"] += found is not None and not found.bounded
         assert all(count >= 50 for count in seen.values()), seen
 
     def test_worked_example_line(self):
         tester = MembershipTester(THREE_PERIOD_SET)
         # (3, 6, 3, 2) = p1 + p2 and (3, 6, 3, 0) = 3*p2 + 3*p3.
-        assert tester.members_on_line([3, 6, 3], -9, 9) == [0, 2]
-        assert tester.members_on_line([3, 5, 3], -9, 9) == []
+        assert tester.progression_on_line([3, 6, 3]) == (0, 2, 0, 2)
+        assert tester.progression_on_line([3, 5, 3]) is None
 
-    def test_empty_range_and_prefix_length(self):
+    def test_open_side_and_prefix_length(self):
         tester = MembershipTester(line((0,), (2,)))
-        assert tester.members_on_line([], 3, 2) == []
-        assert tester.members_on_line([], -3, 3) == [0, 2]
+        assert tester.progression_on_line([]) == (0, None, 0, 2)
+        assert not tester.progression_on_line([]).bounded
         with pytest.raises(DimensionError):
-            tester.members_on_line([0], 0, 5)
+            tester.progression_on_line([0])
+
+    def test_meet_merges_cosets(self):
+        evens = sets.Progression(0, None, 0, 2)
+        assert evens.meet(sets.Progression(None, 20, 1, 3)) == (4, 16, 4, 6)
+        assert evens.meet(sets.Progression(1, 9, 1, 2)) is None
+        assert evens.meet(sets.Progression(-7, -1, 0, 1)) is None
 
 
 class TestEnumeration:
@@ -240,6 +249,15 @@ class TestDisjointness:
     def test_overlap_at_zero(self):
         s = SemilinearPresentation(components=(line((0,), (1,)), line((0,), (2,))))
         assert check_disjoint_in_box(s, IntBox((0,), (10,))) is False
+
+    def test_million_radius_box(self):
+        # 2 + 3k meets 999_998 + 6k at 999_998, inside the box, and
+        # 1_000_001 + 6k only outside it.
+        inside = SemilinearPresentation(components=(line((2,), (3,)), line((999_998,), (6,))))
+        outside = SemilinearPresentation(components=(line((2,), (3,)), line((1_000_001,), (6,))))
+        box = IntBox((-10**6,), (10**6,))
+        assert check_disjoint_in_box(inside, box) is False
+        assert check_disjoint_in_box(outside, box) is True
 
     def test_single_component(self):
         s = SemilinearPresentation(components=(line((0,), (1,)),))

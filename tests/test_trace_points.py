@@ -13,6 +13,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
+from countqe import cli  # noqa: E402
+
+THREE_PERIODS = Path(__file__).resolve().parent / "fixtures" / "three_periods.sl"
+
 MODULES = [
     importlib.import_module(f"countqe.{name}")
     for name in ("cli", "elim", "formula", "sets", "verify")
@@ -35,3 +39,16 @@ def test_every_trace_point_patches_and_restores():
         tracer.restore()
     for module, saved in zip(MODULES, before):
         assert all(vars(module)[attr] is value for attr, value in saved.items())
+
+
+def test_traced_check_reads_the_oracle(capsys):
+    # The oracle hook reads WitnessCount's window, per_component and stable.
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        code = cli.main(["check", str(THREE_PERIODS), "--trials", "3"])
+        metrics = layers.layer_metrics(tracer.new_round())
+    finally:
+        tracer.restore()
+    assert code == 0, capsys.readouterr().err
+    assert metrics["verify.oracle.calls"][0] > 0

@@ -866,11 +866,12 @@ class TestSplit:
 
 # --- the oracle scan this module's differential test compares against --------
 #
-# count_set_witnesses as it was before MembershipTester.members_on_line: the
-# profile solved the Cramer rows by hand and the scan asked contains() for
-# every point of the window, one full matrix-vector product each.  Its
-# profile has the later rule that a component whose counted coordinate is a
-# leftover row is empty when another leftover row misses the line.
+# count_set_witnesses as it was before the closed-form count: the profile
+# solved the Cramer rows by hand, the scan asked contains() for every point
+# of a window widened by margins of 2*(D + 1), and a witness within a margin
+# of a truncating edge made the count unstable.  Its profile has the later
+# rule that a component whose counted coordinate is a leftover row is empty
+# when another leftover row misses the line.
 
 
 def _reference_component_profile(comp, tester, values):
@@ -937,48 +938,53 @@ def _range_corpus():
             yield comp, tester, list(point[:-1])
 
 
-class TestRangeOnLine:
-    def test_matches_reference_profile_and_holds_every_member(self):
-        seen = dict(empty=0, bounded=0, one_side=0, forced=0, members=0)
+class TestProgressionOnLine:
+    def test_matches_contains_and_reference_profile(self):
+        seen = dict(empty=0, bounded=0, one_side=0, forced=0, members=0, residual_off=0)
         for comp, tester, prefix in _range_corpus():
             empty, ref_lo, ref_hi = _reference_component_profile(comp, tester, prefix)
-            got = tester.range_on_line(prefix)
-            assert got == (None if empty else (ref_lo, ref_hi)), (comp, prefix)
-            # A window reaching well past both ends of the range, or around 0
-            # on an unbounded side.
-            finite = [b for b in got or () if b is not None]
-            reach = 10 * (tester.denom + 1) + 40
-            window = (min(finite, default=0) - reach, max(finite, default=0) + reach)
-            members = tester.members_on_line(prefix, *window)
-            seen["members"] += bool(members)
-            if got is None:
-                assert members == [], (comp, prefix)
+            # The reference range holds every member, so a window reaching
+            # past its finite ends holds every member on a bounded line; an
+            # open side is checked far out.
+            finite = [] if empty else [b for b in (ref_lo, ref_hi) if b is not None]
+            lo, hi = min(finite, default=0) - 24, max(finite, default=0) + 24
+            found = helpers.check_progression_on_line(tester, prefix, lo, hi)
+            seen["members"] += bool(helpers.members_in(found, lo, hi))
+            residuals = tester.line(prefix)[1]
+            if not empty and comp.dimension - 1 not in tester.rest_rows and any(v for v, _ in residuals):
+                # A leftover row that misses the line, read as a range by the
+                # reference.
+                assert found is None, (comp, prefix)
+                seen["residual_off"] += 1
+                continue
+            # The reference range may also hold no member of the coset.
+            assert found is None or not empty, (comp, prefix)
+            if found is None:
                 seen["empty"] += 1
                 continue
-            lo, hi = got
-            assert all((lo is None or lo <= v) and (hi is None or v <= hi) for v in members), (comp, prefix)
+            assert (found.lo is None, found.hi is None) == (ref_lo is None, ref_hi is None)
             if comp.dimension - 1 in tester.rest_rows:
-                assert lo == hi
+                assert found.lo == found.hi == ref_lo == ref_hi
                 seen["forced"] += 1
-            elif lo is not None and hi is not None:
+            elif found.bounded:
                 seen["bounded"] += 1
-            elif (lo is None) != (hi is None):
+            else:
                 seen["one_side"] += 1
+        assert seen.pop("residual_off") == 16
         assert all(count >= 50 for count in seen.values()), seen
 
     def test_worked_examples(self):
-        # v = 2k: unbounded above from 0; v = 5 forced by a leftover row.
-        assert MembershipTester(LinearSetPresentation((0,), ((2,),))).range_on_line([]) == (0, None)
+        # v = 2k: open above from 0; v = 5 forced by a leftover row.
+        half = MembershipTester(LinearSetPresentation((0,), ((2,),)))
+        assert half.progression_on_line([]) == (0, None, 0, 2)
         forced = MembershipTester(LinearSetPresentation((0, 5), ((1, 0),)))
-        assert forced.range_on_line([3]) == (5, 5)
-        # (x, v) = (k1 + k2, k1 - k2): v runs from -x to x; off the base parity
-        # the range stays, the per-point test finds no member.
+        assert forced.progression_on_line([3]) == (5, 5, 0, 1)
+        # (x, v) = (k1 + k2, k1 - k2): v runs from -x to x in steps of 2.
         box = MembershipTester(LinearSetPresentation((0, 0), ((1, 1), (1, -1))))
-        assert box.range_on_line([4]) == (-4, 4)
-        assert box.members_on_line([4], -9, 9) == [-4, -2, 0, 2, 4]
-        assert box.range_on_line([-1]) is None
+        assert box.progression_on_line([4]) == (-4, 4, 0, 2)
+        assert box.progression_on_line([-1]) is None
         with pytest.raises(DimensionError):
-            forced.range_on_line([])
+            forced.progression_on_line([])
 
 
 def _reference_count_set_witnesses(presentation, assignment):
@@ -1055,17 +1061,25 @@ def _oracle_corpus(radius):
 class TestCountSetWitnesses:
     @pytest.mark.parametrize("radius", [5, 100])
     def test_matches_reference_per_point_scan(self, radius):
-        positive = 0
+        # The scan sees only its window, so its count stands for the exact
+        # one only where it is stable.
+        seen = dict(positive=0, unstable=0, overlap=0)
         for pres, assignment in _oracle_corpus(radius):
             oracle = count_set_witnesses(pres, assignment)
-            assert oracle == _reference_count_set_witnesses(pres, assignment), (pres, assignment)
-            positive += oracle.count > 0
-        assert positive >= 100
+            scan = _reference_count_set_witnesses(pres, assignment)
+            assert (oracle.stable, oracle.overlap) == (scan.stable, scan.overlap), (pres, assignment)
+            if scan.stable:
+                assert (oracle.count, oracle.per_component) == (scan.count, scan.per_component), (
+                    pres, assignment
+                )
+            seen["positive"] += oracle.count > 0
+            seen["unstable"] += not oracle.stable
+            seen["overlap"] += oracle.overlap
+        assert seen["positive"] >= 100 and seen["unstable"] >= 50 and seen["overlap"] >= 1, seen
 
     def test_leftover_row_off_the_line_leaves_the_component_empty(self):
         # The counted coordinate and x2 are leftover rows of both components;
-        # x2 = 5 is neither base's, so no point of the line is a member and
-        # no window is scanned.
+        # x2 = 5 is neither base's, so no point of the line is a member.
         first = LinearSetPresentation(base=(0, 0, 0), periods=((1, 0, 0),))
         second = LinearSetPresentation(base=(0, 0, 40), periods=((1, 0, 0),))
         oracle = count_set_witnesses(union(first, second), {"x1": 2, "x2": 5})
@@ -1186,6 +1200,25 @@ class TestRunCheck:
             assert outcome.ok(strict=True)
             decided += [r for r in outcome.records if r.verdict == "ok"]
         assert decided and all(r.assignment["x1"] < 0 for r in decided)
+
+    def test_half_line_at_a_large_period(self):
+        # Periods (1, 1) and (0, 10**7): a trial reads one progression, whose
+        # cost does not depend on the period.
+        s = union(LinearSetPresentation(base=(0, 0), periods=((1, 1), (0, 10**7))))
+        outcome = run_check(s, trials=20, box_radius=30, seed=0)
+        assert outcome.ok(strict=True)
+        assert {r.verdict for r in outcome.records} == {"ok", "unstable-ok"}
+
+    def test_points_far_apart(self):
+        s = union(
+            LinearSetPresentation(base=(2,), periods=(), domain=DomainTag.N),
+            LinearSetPresentation(base=(10**7,), periods=(), domain=DomainTag.N),
+        )
+        outcome = run_check(s, trials=20, box_radius=30, seed=0)
+        assert outcome.ok(strict=True)
+        assert {r.oracle for r in outcome.records} == {
+            verify.WitnessCount(2, True, False, (2, 10**7), (1, 1))
+        }
 
     def test_vacuous_case_binders(self):
         # D = 32 one-sided core whose dropped row reads x3 = -2: off that
