@@ -10,10 +10,10 @@ counted by its length, and components overlap when their progressions meet.
 A progression open on one side is an infinite witness set, which satisfies
 no count (Schweikardt 2005), so the count is flagged unstable.  Nothing is
 scanned: the cost grows neither with the periods nor with the distance
-between components.  The formula route decides the eliminated formula at
-the tested count values with a :class:`PinnedProgram`, compiled once per
-formula: every existential variable the eliminator binds is pinned by the
-atoms of its chain, so no quantifier range is ever scanned.
+between components.  The formula route reads the count off the eliminated
+formula with a :class:`PinnedProgram`, compiled once per formula: every
+existential variable the eliminator binds, and the count itself, is pinned
+by the atoms of its chain, so no quantifier range is ever scanned.
 
 Compiling reads the free names of every node into an int bitmask.  The
 first time an existential chain is evaluated, the conjuncts of its body are
@@ -33,36 +33,33 @@ undefined:
   planned, together with the conjuncts left beside the disjunction, when
   it is first reached.
 
-Checks and equations come first, but while a disjunction reads an undefined
-name, an equation that reads the count binds nothing: a union's part counts
-then come from their own disjunctions, and the equation summing them into
-the count is checked once they are known.  Next comes a window whose atoms
-prove that it leaves at most one value: a lower and an upper atom whose
+Checks and equations come first.  Next comes a window whose atoms prove
+that it leaves at most one value: a lower and an upper atom whose
 difference is constant bound the name to at most as many integers as the
 period of its coset (both windows above do), so a two-sided core ``W(t0) &
 C``, C the count disjunction, takes t0 from W.  Then a split, and only then
 any other window; a chain that no step applies to is stuck, and a chain
-name that no conjunct reads is never undefined.  A deferred equation only
-waits behind splits, so the deferral changes the cost of an evaluation,
-never its answer, and a plan is kept whatever count a later call asks for.
+name that no conjunct reads is never undefined.  A plan depends on its
+chain alone, so it is kept for every later call.
 
-Every node is decided over a set of candidates for the count variable:
-:meth:`PinnedProgram.count_values` decides all the tested counts of a trial
-in one evaluation, and :meth:`PinnedProgram.evaluate` is the same walk with
-no count and one candidate.  A node that does not read the count holds at
-all of its candidates or at none; ``And``, ``Or`` and ``Not`` combine
-candidate subsets, and an atom that reads the count is solved for it once
-and tested at each candidate by integer arithmetic.  In a chain, a check
-narrows the candidate set, a bind step binds each value with the
-candidates it holds for (computed once unless its atoms read the count; then
-at each candidate, and candidates that bind the same value share one), and a
-split tries each disjunct with the candidates no earlier one satisfied.
-Bind steps with several values and splits leave backtracking points on one
-explicit stack, so neither long chains nor nested splits cost recursion.
-Binder values are restored when a chain's evaluation ends.  A memo that
-lives for one evaluation call keys each chain's verdict by the values of
-the names it reads (and, for one that reads the count, by its candidate
-set), so a chain that does not read the count is decided once per trial.
+A check passes or fails, and a bind step gives at most one value, so the
+one explicit stack of a run holds only splits: a failed branch resumes at
+the next disjunct of the latest split, and neither long chains nor nested
+splits cost recursion.  Binder values are restored when a chain's
+evaluation ends, and a memo that lives for one evaluation call keys each
+chain's verdict by the values of the names it reads.
+
+:meth:`PinnedProgram.evaluate` decides the formula at an assignment.
+:meth:`PinnedProgram.count_values` reads the count off it instead.  The
+eliminator defines the count branch by branch (``y = 0``, ``y = 1``, a floor
+pair, ``y = y1 + ... + yk``), so the formula is closed by ``E y`` and planned
+as one chain, with y one more name that the chain binds.  That plan runs
+trying every branch: a successful one holds at the value it bound y to, or
+at every value when it never bound y.  At each split y gets back the value
+it had there, so no branch reads a value bound by an earlier one, and the
+run stops once every tested count is found.  A formula that does not read
+the count free is decided once.  Where the run raises (y bounded on one
+side only, say), each tested count is decided by ``evaluate`` instead.
 
 :class:`PinnedEvaluationError` is raised when evaluation reaches a stuck
 step (such as equations that each read several undefined names, or a name
@@ -113,18 +110,23 @@ class PinnedEvaluationError(CountQEError):
 
 _CHECK, _BIND, _SPLIT, _STUCK = range(4)
 _UNSET = object()
-_NONE = frozenset()
-_ONE = frozenset((0,))  # the candidates of an evaluation that reads no count
+
+
+def _restore(env: dict, name: str, value) -> None:
+    if value is _UNSET:
+        env.pop(name, None)
+    else:
+        env[name] = value
 
 
 class PinnedProgram:
     """A formula compiled once for repeated exact evaluation.
 
     Construction reads every node's free names into an int bitmask (one bit
-    per name, keyed by the node's id).  The plan of each existential chain
-    is built the first time the chain is evaluated and kept; the memo of
-    chain verdicts lives for one call of :meth:`evaluate` or
-    :meth:`count_values`.
+    per name, keyed by the node's id).  The plan of each existential chain,
+    and of the formula closed by a count name, is built the first time it is
+    run and kept; the memo of chain verdicts lives for one call of
+    :meth:`evaluate` or :meth:`count_values`.
     """
 
     def __init__(self, formula: Formula, domain: DomainTag | str = DomainTag.Z):
@@ -137,8 +139,8 @@ class PinnedProgram:
         # Keyed by id, each entry holds its node, so no other node takes that id.
         self._pins: dict = {}  # (id(atom), name) -> (atom, (coefficient, rest of the term))
         self._plans: dict = {}  # id(chain head) -> (steps, names it writes)
+        self._heads: dict = {}  # count name -> E count . formula
         self._memo: dict = {}
-        self._count, self._y = None, 0  # the count variable and its bit (0: none is read)
         bits, bit, masks = self._bits, self._bit, self._masks
         for g in reversed(fm.traverse(formula)[0]):  # children before parents
             m = 0
@@ -176,200 +178,135 @@ class PinnedProgram:
         return frozenset(self._names(self._masks[id(node)]))
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
-        """Whether the formula holds at ``assignment``: one candidate, no count."""
-        return bool(self._decide(assignment, None, _ONE))
+        """Whether the formula holds at ``assignment``."""
+        self._memo = {}
+        return self._sat(self.formula, dict(assignment))
 
     def count_values(
         self, assignment: Mapping[str, int], count_var: str, candidates: Sequence[int]
     ) -> list[int]:
         """The candidates for ``count_var`` at which the formula holds, in
         their order and with their repeats; over N a negative one never
-        holds.  One evaluation decides them all: ``count_var`` ranges over
-        the set of candidates, and a part that does not read it is decided
-        once."""
-        cands = frozenset(k for k in candidates if k >= 0 or not self._nat)
-        hits = self._decide(assignment, count_var, cands)
-        return [k for k in candidates if k in hits]
+        holds.  They are read off one run of the formula closed by ``E
+        count_var`` that tries every branch; where that run raises, each is
+        decided by :meth:`evaluate` (see the module docstring)."""
+        wanted = {k for k in candidates if k >= 0 or not self._nat}
+        env = dict(assignment)
+        env.pop(count_var, None)
+        if not wanted or not self._masks[id(self.formula)] & self._bits.get(count_var, 0):
+            missing = set() if wanted and self.evaluate(env) else wanted
+        else:
+            head = self._heads.get(count_var)
+            if head is None:
+                head = self._heads[count_var] = Exists(count_var, self.formula)
+                self._masks[id(head)] = self._masks[id(self.formula)] & ~self._bits[count_var]
+            missing, self._memo = set(wanted), {}
+            try:
+                self._run(self._chain_plan(head)[0], env, count_var, missing)
+            except PinnedEvaluationError:
+                missing = {k for k in wanted if not self.evaluate({**env, count_var: k})}
+        return [k for k in candidates if k in wanted and k not in missing]
 
     # evaluation
 
-    def _decide(self, assignment: Mapping[str, int], count: Optional[str], cands: frozenset) -> frozenset:
-        """The candidates among ``cands`` for ``count`` (None: the formula
-        reads no count) at which the formula holds."""
-        self._memo, self._count, self._y = {}, count, self._bits.get(count, 0)
-        env = dict(assignment)
-        env.pop(count, None)
-        return self._sat(self.formula, env, cands) if cands else _NONE
-
-    def _sat(self, f: Formula, env: dict, cands: frozenset) -> frozenset:
-        """The count's candidates among ``cands`` (never empty) at which
-        ``f`` holds.  A node that does not read the count holds at all of
-        them or at none; an atom that reads it is tested at each candidate."""
+    def _sat(self, f: Formula, env: dict) -> bool:
+        """Whether ``f`` holds at ``env``."""
         tf = type(f)
         if tf is And:
             for p in f.parts:
-                cands = self._sat(p, env, cands)
-                if not cands:
-                    break
-            return cands
+                if not self._sat(p, env):
+                    return False
+            return True
         if tf is Or:
-            hits, rest = _NONE, cands
             for p in f.parts:
-                got = self._sat(p, env, rest)
-                if len(got) == len(rest):
-                    return cands
-                if got:
-                    hits |= got
-                    rest = cands - hits
-            return hits
+                if self._sat(p, env):
+                    return True
+            return False
         if tf is Not:
             negated = False
             while type(f) is Not:
                 negated = not negated
                 f = f.body
-            hits = self._sat(f, env, cands)
-            return (cands - hits if hits else cands) if negated else hits
+            return self._sat(f, env) != negated
         if tf is Exists:
-            return self._exists(f, env, cands)
+            return self._exists(f, env)
         if not f.children:
-            if self._masks[id(f)] & self._y:
-                return self._atom_hits(f, env, cands)
-            return cands if fm.evaluate_atom(f, env) else _NONE
+            return fm.evaluate_atom(f, env)
         if tf is Forall or tf is CountEq:
             raise PinnedEvaluationError(f"unsupported quantifier in pinned evaluation: {tf.__name__}")
         raise TypeError(f"not a formula: {f!r}")
 
-    def _atom_hits(self, atom: Formula, env: dict, cands: frozenset) -> frozenset:
-        """The candidates at which an atom that reads the count holds: the
-        atom is solved for the count once, its rest evaluated once and each
-        candidate tested by integer arithmetic."""
-        count = self._count
-        pin = self._pin(atom, count)
-        if pin is None:  # the count cancels out
-            env[count] = next(iter(cands))
-            holds = fm.evaluate_atom(atom, env)
-            del env[count]
-            return cands if holds else _NONE
-        coef, rest = pin
-        r = rest.evaluate(env)
-        ta = type(atom)
-        if ta is Le:
-            return frozenset([k for k in cands if coef * k + r <= 0])
-        if ta is Lt:
-            return frozenset([k for k in cands if coef * k + r < 0])
-        if ta is Eq:
-            return frozenset([k for k in cands if coef * k + r == 0])
-        modulus, residue = atom.modulus, atom.residue
-        return frozenset([k for k in cands if (coef * k + r) % modulus == residue])
-
-    def _exists(self, f: Exists, env: dict, cands: frozenset) -> frozenset:
-        """The candidates among ``cands`` at which a chain holds.  The memo
-        keys its verdict by the values of the names it reads and, when it
-        reads the count, by ``cands``."""
-        y = self._y
-        mask = self._masks[id(f)]
-        reads = mask & y
+    def _exists(self, f: Exists, env: dict) -> bool:
+        """Whether a chain holds; the memo keys its verdict by the values of
+        the names it reads."""
         try:
-            key = (id(f), cands if reads else None, *[env[name] for name in self._names(mask & ~y)])
+            key = (id(f), *[env[name] for name in self._names(self._masks[id(f)])])
         except KeyError as exc:
             raise UnboundVariableError(f"no value for variable {exc.args[0]!r}") from None
         verdict = self._memo.get(key)
         if verdict is None:
-            if not reads:
-                self._y = 0  # the chain reads no count; a name it binds is its own
-            plan = self._plans.get(id(f))
-            if plan is None:
-                plan = self._plans[id(f)] = self._chain_plan(f)
-            steps, written = plan
+            steps, written = self._chain_plan(f)
             saved = [(name, env.get(name, _UNSET)) for name in written]
-            verdict = self._memo[key] = self._run(steps, env, cands if reads else _ONE)
-            self._y = y
+            verdict = self._memo[key] = self._run(steps, env)
             for name, value in saved:
-                if value is _UNSET:
-                    env.pop(name, None)
-                else:
-                    env[name] = value
-        return verdict if reads else (cands if verdict else _NONE)
+                _restore(env, name, value)
+        return verdict
 
-    def _run(self, steps: list, env: dict, cands: frozenset) -> frozenset:
-        """The candidates among ``cands`` at which a plan succeeds.  A bind
-        step with several values (each with the candidates it holds for) and
-        a split leave a backtracking point on one explicit stack, so neither
-        recurses; a later branch tries only the candidates that no earlier
-        one found."""
-        total, found = len(cands), _NONE
+    def _run(self, steps: list, env: dict, count: Optional[str] = None, missing: Optional[set] = None) -> bool:
+        """Whether some branch of a plan succeeds.  A split leaves a
+        backtracking point on one explicit stack, so nested splits do not
+        recurse.  Given the ``count`` name and the set of its ``missing``
+        values, every branch is tried instead: a successful one removes the
+        value it bound the count to from ``missing``, or every value when it
+        left the count unbound, and the run stops once none is missing."""
         i = 0
-        # (name, steps, index after the step, iterator over (value, candidates)),
-        # where a split has no name and its values are its disjuncts' plans
-        stack = []
+        stack = []  # (the disjuncts' plans of a split, the count's value there)
         while True:
             if i < len(steps):
                 step = steps[i]
                 kind = step[0]
                 if kind == _CHECK:
-                    cands = self._sat(step[1], env, cands)
+                    holds = self._sat(step[1], env)
                 elif kind == _BIND:
-                    pairs = self._bind(step, env, cands)
-                    cands = _NONE
-                    if pairs:
-                        env[step[1]], cands = pairs[0]
-                        if len(pairs) > 1:
-                            stack.append((step[1], steps, i + 1, iter(pairs[1:])))
+                    value = self._window(step[2], step[1], env)
+                    holds = value is not None
+                    if holds:
+                        env[step[1]] = value
                 elif kind == _SPLIT:
-                    stack.append((None, None, 0, self._branches(step, cands)))
-                    cands = _NONE
+                    stack.append((self._branches(step), env.get(count, _UNSET)))
+                    holds = False
                 else:
                     raise PinnedEvaluationError(step[1])
-                if cands:
+                if holds:
                     i += 1
                     continue
+            elif count is None:
+                return True
             else:
-                found |= cands
-            if len(found) == total:
-                return found
+                value = env.get(count, _UNSET)
+                if value is _UNSET:
+                    missing.clear()
+                else:
+                    missing.discard(value)
+                if not missing:
+                    return True
             while stack:
-                name, resume, j, others = stack[-1]
-                for value, cands in others:
-                    cands -= found
-                    if cands:
-                        break
-                else:
-                    stack.pop()
-                    continue
-                if name is None:
-                    steps, i = value, 0
-                else:
-                    env[name] = value
-                    steps, i = resume, j
-                break
+                branches, value = stack[-1]
+                steps = next(branches, None)
+                if steps is not None:
+                    i = 0
+                    _restore(env, count, value)  # without a count, a no-op
+                    break
+                stack.pop()
             else:
-                return found
+                return False
 
-    def _bind(self, step: tuple, env: dict, cands: frozenset) -> list:
-        """The values a bind step gives its name, in increasing order, each
-        with the candidates at which it is bound; over N only the
-        nonnegative ones.  The step's atoms are solved once for all of
-        ``cands`` when they do not read the count, else at each candidate in
-        turn."""
-        _, name, atoms, mask = step
-        if not mask & self._y:
-            pinned = dict.fromkeys(self._window(atoms, name, env), cands)
-        else:
-            count, by_value = self._count, {}
-            for k in cands:
-                env[count] = k
-                for value in self._window(atoms, name, env):
-                    by_value.setdefault(value, []).append(k)
-            del env[count]
-            pinned = {value: frozenset(ks) for value, ks in by_value.items()}
-        return sorted(item for item in pinned.items() if item[0] >= 0 or not self._nat)
-
-    def _window(self, atoms: list, name: str, env: dict) -> list:
-        """The value of ``name`` that ``atoms`` leave, or none: the one
+    def _window(self, atoms: list, name: str, env: dict) -> Optional[int]:
+        """The value of ``name`` that ``atoms`` leave, or None: the one
         member of the :class:`Progression` that the order atoms bound on
         both sides (an equation bounds it twice, so it divides exactly) in
-        the coset of the congruence atoms.  Raises when the window holds
-        more than one value."""
+        the coset of the congruence atoms, over N only a nonnegative one.
+        Raises when the window holds more than one value."""
         lows, highs = [], []
         start, step = 0, 1  # name = start (mod step)
         for p in atoms:
@@ -381,7 +318,7 @@ class PinnedProgram:
                 rhs = p.residue - rest.evaluate(env) - coef * start
                 coset = congruence_coset(coef * step, rhs, p.modulus)
                 if coset is None:
-                    return []
+                    return None
                 start, step = start + step * coset[0], step * coset[1]
                 continue
             bound = -rest.evaluate(env) - (tp is Lt)
@@ -392,9 +329,11 @@ class PinnedProgram:
                 else:
                     lows.append(-(b // -c))
         found = Progression.of(lows, highs, start, step)
-        if found is not None and found.lo != found.hi:
+        if found is None:
+            return None
+        if found.lo != found.hi:
             raise PinnedEvaluationError(f"the window leaves {name!r} more than one value")
-        return [] if found is None else [found.lo]
+        return found.lo if found.lo >= 0 or not self._nat else None
 
     def _pin(self, atom: Formula, name: str) -> tuple:
         """``atom`` (a comparison or congruence) solved for ``name``: its
@@ -409,38 +348,40 @@ class PinnedProgram:
             entry = self._pins[key] = (atom, None if coef is None else (coef, Term(combined.constant, rest)))
         return entry[1]
 
-    def _branches(self, step: tuple, cands: frozenset):
-        """The plans of a split's disjuncts, each with the candidates the
-        split was reached with; a disjunct is planned, together with the
-        conjuncts left beside the disjunction, when first reached."""
+    def _branches(self, step: tuple):
+        """The plans of a split's disjuncts; a disjunct is planned, together
+        with the conjuncts left beside the disjunction, when first reached."""
         _, disjuncts, rest, undefined, plans = step
         for k, d in enumerate(disjuncts):
             if plans[k] is None:
                 parts = list(d.parts) if type(d) is And else [d]
                 plans[k] = self._plan(parts + rest, undefined)
-            yield plans[k], cands
+            yield plans[k]
 
     # planning
 
     def _chain_plan(self, head: Exists) -> tuple:
-        chain = 0
-        body = head
-        while type(body) is Exists:
-            chain |= self._bits.get(body.var, 0)
-            body = body.body
-        mask = self._masks[id(body)]
-        parts = list(body.parts) if type(body) is And else [body]
-        undefined = mask & chain
-        return self._plan(parts, undefined), self._names(undefined)
+        """The steps of a chain and the chain names its body reads, planned
+        when first asked for."""
+        plan = self._plans.get(id(head))
+        if plan is None:
+            chain = 0
+            body = head
+            while type(body) is Exists:
+                chain |= self._bits.get(body.var, 0)
+                body = body.body
+            parts = list(body.parts) if type(body) is And else [body]
+            undefined = self._masks[id(body)] & chain
+            plan = self._plans[id(head)] = (self._plan(parts, undefined), self._names(undefined))
+        return plan
 
     def _plan(self, parts: list, undefined: int) -> list:
         """Steps deciding the conjunction of ``parts`` whose ``undefined``
-        names are bound by the chain being planned.  Checks and equations
-        come first, but while a disjunction reads an undefined name, an
-        equation that reads the count binds nothing.  When neither applies,
-        a window whose atoms prove it leaves at most one value, then a split
-        on a disjunction, then any other window; else the plan is stuck."""
-        masks, y = self._masks, self._y
+        names are bound by the chain being planned: checks and equations
+        first, then a window whose atoms prove it leaves at most one value,
+        then a split on a disjunction, then any other window; else the plan
+        is stuck."""
+        masks = self._masks
         steps: list = []
         pending = parts
         while pending:
@@ -452,9 +393,8 @@ class PinnedProgram:
                     continue
                 if not m & (m - 1) and type(g) is Eq:
                     name = self._by_bit[m.bit_length() - 1]
-                    deferred = masks[id(g)] & y and any(type(p) is Or and masks[id(p)] & undefined for p in pending)
-                    if self._pin(g, name) is not None and not deferred:
-                        steps.append((_BIND, name, [g], masks[id(g)]))
+                    if self._pin(g, name) is not None:
+                        steps.append((_BIND, name, [g]))
                         undefined &= ~m
                         continue
                 rest.append(g)
@@ -497,10 +437,7 @@ class PinnedProgram:
                     g for g in pending
                     if type(g) in (Le, Lt, Cong) and masks[id(g)] & undefined == bit and self._pin(g, name)
                 ]
-                mask = 0
-                for g in atoms:
-                    mask |= masks[id(g)]
-                window = (_BIND, name, atoms, mask)
+                window = (_BIND, name, atoms)
                 if self._at_most_one(atoms, name):
                     return window, True
                 first = first or window
@@ -592,13 +529,18 @@ def count_set_witnesses(
 
 def _union_size(progressions: Sequence) -> int:
     """The number of distinct members of bounded progressions, by inclusion-
-    exclusion over the nonempty intersections: k^2 meets if none meet."""
-    total, todo = 0, [(i, p, 1) for i, p in enumerate(progressions)]
-    while todo:
-        i, p, sign = todo.pop()
-        total += sign * p.size()
-        todo += [(j, q, -sign) for j in range(i + 1, len(progressions)) if (q := p.meet(progressions[j]))]
-    return total
+    exclusion: each distinct intersection keeps the signed count of the
+    subsets of progressions meeting in it, so identical or nested
+    progressions add no new terms."""
+    signed: dict = {}
+    for p in progressions:
+        added = {p: 1}
+        for q, c in signed.items():
+            if (common := q.meet(p)) is not None:
+                added[common] = added.get(common, 0) - c
+        for q, c in added.items():
+            signed[q] = signed.get(q, 0) + c
+    return sum(c * q.size() for q, c in signed.items())
 
 
 # --- trial harness ----------------------------------------------------------------

@@ -1,22 +1,30 @@
-"""PinnedProgram.count_values decides all tested counts in one evaluation.
+"""PinnedProgram.count_values reads the count off the formula.
 
-The count variable ranges over the set of candidates, and the steps that
-bind a name from it are taken at each candidate.  Every test here compares
-that against deciding the formula once per candidate, with the count in the
-assignment (:meth:`PinnedProgram.evaluate`).
+The formula closed by ``E y`` is run as one chain that tries every branch
+and gathers the values it binds y to; where that run raises, each candidate
+is decided by itself.  The tests compare count_values against deciding the
+formula once per candidate, with the count in the assignment
+(:meth:`PinnedProgram.evaluate`), and check that the count of an
+eliminated formula, or of a formula that pins it, is read without that
+fallback.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from countqe import verify
 from countqe.elim import eliminate
+from countqe.errors import UnsupportedPresentationError
 from countqe.formula import And, Cong, Eq, Exists, Le, Lt, Or, constant, variable
 from countqe.sets import DomainTag, coordinate_names
+from countqe.textio import parse_presentation
 from countqe.verify import PinnedEvaluationError, PinnedProgram, count_set_witnesses
 from helpers import random_disjoint_presentation
 from test_nat_two_sided import random_two_sided
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 x, y, u, v, w, t = map(variable, ("x", "y", "u", "v", "w", "t"))
 
@@ -54,6 +62,27 @@ def _corrupted(f, rng):
     if type(f) in (Le, Lt, Eq) and rng.random() < 0.25:
         return type(f)(f.lhs + rng.choice((-1, 1)), f.rhs)
     return f
+
+
+def _refuse_fallback(monkeypatch):
+    """Make :meth:`PinnedProgram.evaluate` fail when the count is assigned,
+    as it is only when count_values decides candidates one by one."""
+    evaluate = PinnedProgram.evaluate
+
+    def refuse(self, assignment):
+        assert "y" not in assignment, "count_values decided the counts one by one"
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(PinnedProgram, "evaluate", refuse)
+
+
+def _fixture_eliminations():
+    for path in sorted(FIXTURES.glob("*.sl")):
+        presentation = parse_presentation(path.read_text(encoding="utf-8"))
+        try:
+            yield presentation, eliminate(presentation, "y").formula
+        except UnsupportedPresentationError:  # nonsimple.sl
+            pass
 
 
 def _seeded_eliminations():
@@ -103,9 +132,9 @@ def _chosen(g):
 
 
 SPLIT_POINTS = {
-    # 2u = y: u is defined from the count, at each candidate.
+    # 2u = y: u and the count each wait for the other, so nothing pins them.
     "definition from y": Exists("u", And((Eq(2 * u, y), Le(u, x)))),
-    # y <= 2t < y + 2 with t = x (mod 3): a window bounded by the count.
+    # y <= 2t < y + 2 with t = x (mod 3): a window that reads the count.
     "window bounded by y": Exists("t", And((Le(y, 2 * t), Lt(2 * t, y + 2), Cong(t - x, 0, 3)))),
     # The generator u = y - 1 reads the count; so does the guard of u = 0.
     "choice from an equation reading y": _chosen(
@@ -121,14 +150,14 @@ SPLIT_POINTS = {
         "u",
         And((Or((And((Eq(u, x), Le(y, constant(3)))), Eq(u, x + 2))), Le(u, y), Le(y - 2, u))),
     ),
-    # Atoms solved for the count once: y cancels out of the first, the
-    # others test 2y < u + 9, y = u (mod 2) and 3y = u + 6 at each candidate.
+    # y cancels out of the second atom; the others bound the count by 2y <
+    # u + 9, y = u (mod 2) or 3y = u + 6.
     "atoms solved for y": Exists(
         "u",
         And((Eq(u, x), Le(y + u, y + constant(3)), Lt(2 * y, u + 9), Or((Cong(y - u, 0, 2), Eq(3 * y, u + 6))))),
     ),
     # The inner chain reads the count and w, not u: at u = 0 and u = 1 it is
-    # reached with the same value of w and different candidate sets.
+    # reached with the same value of w, and its memo keys the count too.
     "chain under two choices": Exists(
         "u",
         Exists(
@@ -160,12 +189,73 @@ def test_each_split_point(name, domain):
     assert len(held) >= 2, held
 
 
+PINNED_COUNTS = {
+    # At x = 1 the first disjunct binds y = 1 and fails; the second holds
+    # without binding y, so the formula holds at every count.
+    "branch leaving the count unbound": Or((And((Eq(y, constant(1)), Eq(x, constant(0)))), Eq(x, constant(1)))),
+    # y = u + w, the sum of two part counts, each from its own disjunction.
+    "sum of part counts": Exists(
+        "u",
+        Exists(
+            "w",
+            And((
+                Or((And((Le(x, constant(0)), Eq(u, constant(0)))), And((Lt(constant(0), x), Eq(u, x))))),
+                Or((And((Cong(x, 0, 2), Eq(w, constant(1)))), And((Cong(x, 1, 2), Eq(w, constant(0)))))),
+                Eq(y, u + w),
+            )),
+        ),
+    ),
+    # 3y <= x + 3 and x < 3y pin y = floor(x/3) + 1.
+    "floor pair on the count": And((Le(3 * y, x + 3), Lt(x, 3 * y))),
+    # The inner E y binds its own y; after it the count bound before it is back.
+    "count bound again inside": And((Eq(y, x + 1), Exists("y", And((Eq(y, 2 * x), Le(y, constant(4))))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+@pytest.mark.parametrize("domain", [DomainTag.Z, DomainTag.N])
+def test_each_pinned_count(name, domain, monkeypatch):
+    program = PinnedProgram(PINNED_COUNTS[name], domain)
+    nat = domain is DomainTag.N
+    candidates = [*range(8, -4, -1), 2]
+    expected = {
+        value: per_candidate(program, {"x": value}, candidates, nat) for value in range(-4 * (not nat), 7)
+    }
+    _refuse_fallback(monkeypatch)
+    held = set()
+    for value, want in expected.items():
+        assert program.count_values({"x": value}, "y", candidates) == want, value
+        held.update(want)
+    assert len(held) >= 2, held
+
+
 def test_count_var_also_bound_inside():
-    # The inner E y binds its own y, which the set path leaves to the chain.
+    # The inner E y binds its own y.  Outside it, x <= y bounds the count on
+    # one side only, so each count is decided by itself.
     f = And((Le(x, y), Exists("y", And((Eq(y, x + 1), Le(y, constant(3)))))))
     program = PinnedProgram(f)
     for value in range(-2, 5):
         assert_same_values(program, {"x": value}, [5, 0, 3, 3, -1, 4])
+
+
+def test_eliminated_formulas_pin_their_count(monkeypatch):
+    # The fixtures and the seeded corpus, over Z and N: count_values reads
+    # the count off each formula without deciding a count by itself.
+    _refuse_fallback(monkeypatch)
+    rng = random.Random(229)
+    read = {DomainTag.Z: 0, DomainTag.N: 0}
+    for presentation, formula in [*_fixture_eliminations(), *_seeded_eliminations()]:
+        domain = presentation.domain
+        program = PinnedProgram(formula, domain)
+        names = coordinate_names(presentation.dimension)
+        for _ in range(4):
+            assignment = verify.random_assignment(rng, names[:-1], 12, domain)
+            oracle = count_set_witnesses(presentation, assignment, names)
+            got = program.count_values(assignment, "y", _candidates(rng, verify.tested_counts(rng, oracle.count)))
+            if not oracle.overlap:
+                assert sorted(set(got)) == ([oracle.count] if oracle.stable else []), (presentation, assignment)
+            read[domain] += bool(got)
+    assert min(read.values()) > 50, read
 
 
 def test_1000_two_valued_choices():
@@ -211,11 +301,10 @@ def _first_steps(program):
 
 
 def test_plans_are_reused_across_count_names():
-    # A chain is planned when first reached, for the count of that call, and
-    # kept: a plan made by evaluate (no count) or for y serves every count.
-    # The two-component unions have a chain with a disjunction per part
-    # count and an equation that reads y; it is ordered differently when
-    # planned for y, whose definition waits for the disjunctions.
+    # A chain is planned when first reached and kept: a plan made by
+    # evaluate (no count) or for y serves every count, and is the same
+    # whichever call made it.  The two-component unions have a chain with a
+    # disjunction per part count and an equation that reads y.
     rng = random.Random(227)
     cases = [(f, DomainTag.Z, "x") for f in SPLIT_POINTS.values()]
     for presentation, formula in _seeded_eliminations():
@@ -234,4 +323,4 @@ def test_plans_are_reused_across_count_names():
         planned_for_y.count_values(dict.fromkeys(names, 0), "y", [0])
         fresh = _first_steps(planned_for_y)
         reordered += any(steps != fresh.get(head, steps) for head, steps in _first_steps(program).items())
-    assert compared >= 60 and reordered >= 5, (compared, reordered)
+    assert compared >= 60 and reordered == 0, (compared, reordered)

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import sys
+import time
 from math import factorial
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -44,6 +45,7 @@ from countqe.sets import (
     DomainTag,
     LinearSetPresentation,
     MembershipTester,
+    Progression,
     SemilinearPresentation,
     coordinate_names,
 )
@@ -1122,6 +1124,34 @@ class TestCountSetWitnesses:
         b = LinearSetPresentation(base=(5,), periods=((1,),))
         oracle = count_set_witnesses(union(a, b), {})
         assert oracle.overlap is True
+
+    def test_40_identical_components(self):
+        # Each distinct intersection is counted once with its signed number
+        # of subsets, so 40 copies of a two-sided component cost about 40
+        # meets, not one per subset of the copies.
+        comp = LinearSetPresentation(base=(0, 0), periods=((1, 1), (1, -1)))
+        one = count_set_witnesses(union(comp), {"x1": 6})
+        start = time.perf_counter()
+        many = count_set_witnesses(union(*[comp] * 40), {"x1": 6})
+        assert time.perf_counter() - start < 1.0
+        assert one.count == 7 and not one.overlap
+        assert (many.count, many.overlap, many.per_component) == (7, True, (7,) * 40)
+
+    def test_union_size_matches_a_scan(self):
+        # Bounded progressions drawn with repeats, shared ends and nested
+        # ranges, against the members listed one by one.
+        rng = random.Random(53)
+        for _ in range(300):
+            drawn = []
+            for _ in range(rng.randint(1, 7)):
+                if drawn and rng.random() < 0.3:
+                    drawn.append(rng.choice(drawn))
+                    continue
+                lo, step = rng.randint(-20, 20), rng.randint(1, 6)
+                drawn.append(Progression.of([lo], [lo + rng.randint(0, 30)], rng.randint(0, step - 1), step))
+            drawn = [p for p in drawn if p is not None]
+            members = {v for p in drawn for v in range(p.lo, p.hi + 1, p.step)}
+            assert verify._union_size(drawn) == len(members), drawn
 
     def test_matches_brute_force_randomised(self):
         rng = random.Random(7)
