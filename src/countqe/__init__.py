@@ -2,8 +2,9 @@
 
 The library turns formulas of the form "the number of values of x satisfying
 a semilinear membership condition equals y" into ordinary quantifier logic
-over the remaining variables, and ships a bounded brute-force counting
-oracle to verify every elimination.
+over the remaining variables, and ships an exact counting oracle, which
+counts the witnesses on each line in closed form, to verify every
+elimination.
 """
 
 from .elim import (
@@ -13,9 +14,6 @@ from .elim import (
     EliminationPlan,
     EliminationReport,
     EliminationResult,
-    PermutationBranch,
-    ResidueCase,
-    build_permutation_branches,
     classify_bounds,
     eliminate,
     estimate_result_nodes,
@@ -24,12 +22,9 @@ from .elim import (
     plan_component,
     plan_elimination,
     progression_count_formula,
-    progression_count_formula_nat,
-    residue_case_feasible,
 )
 from .errors import (
     ContractError,
-    ConventionError,
     CountQEError,
     DegenerateInputError,
     DimensionError,
@@ -63,7 +58,6 @@ from .formula import (
     free_vars,
     implies,
     node_count,
-    simplify,
     variable,
 )
 from .linalg import (
@@ -97,7 +91,6 @@ from .verify import (
     TrialRecord,
     WitnessCount,
     count_set_witnesses,
-    evaluate_pinned,
     run_check,
 )
 

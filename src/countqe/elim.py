@@ -64,12 +64,7 @@ from operator import is_
 from typing import Optional, Sequence, Union
 
 from . import formula as fm
-from .errors import (
-    ContractError,
-    ConventionError,
-    ParameterError,
-    UnsupportedPresentationError,
-)
+from .errors import ContractError, ParameterError, UnsupportedPresentationError
 from .formula import (
     Cong,
     Eq,
@@ -92,7 +87,6 @@ from .linalg import (
     greedy_row_basis,
     positive_lcm,
 )
-from .linalg import solve_unique  # noqa: F401 -- unused; perfbench/layers.py patches this name
 from .sets import (
     DomainTag,
     LinearSetPresentation,
@@ -101,6 +95,9 @@ from .sets import (
     coordinate_names,
 )
 from .textio import is_identifier
+
+# perfbench/layers.py still patches these names; they leave with those patches.
+solve_unique = residue_case_feasible = build_permutation_branches = progression_count_formula_nat = None
 
 
 # --- progression counts --------------------------------------------------------
@@ -147,15 +144,6 @@ def progression_count_formula(
         conj([disj([_divided(Lt(hi, first)) for hi in his]), Eq(u, constant(0))]),
         conj([_divided(Le(first, hi)) for hi in his] + (at_most if len(his) > 1 else []) + [disj(pins)]),
     ])
-
-
-def progression_count_formula_nat(
-    first: Term, his: Sequence[Term], step: int, count_var: str
-) -> Formula:
-    """:func:`progression_count_formula` with every atom subtraction-free,
-    equivalent over the naturals.  The eliminator does not call it: it
-    normalises each component's body once, when it is built."""
-    return normalize_for_nat(progression_count_formula(first, his, step, count_var))
 
 
 def _first_witness_window(
@@ -243,30 +231,7 @@ def classify_bounds(
     )
 
 
-# --- residue cases ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidueCase:
-    """A residue assignment: one class per free coordinate plus one for the
-    counted coordinate, all modulo the core determinant."""
-
-    free_residues: tuple[int, ...]
-    counted_residue: int
-
-
-def residue_case_feasible(solution: CramerSolution, case: ResidueCase) -> bool:
-    """True when every solved coefficient is integral on this residue class.
-
-    The eliminator does not enumerate residue cases; this is the reference
-    that the congruences of :func:`_congruence_rows` are tested against.
-    """
-    p = solution.size
-    if len(case.free_residues) != p - 1:
-        raise ParameterError("residue case does not match system size")
-    d = solution.denom
-    point = list(case.free_residues) + [case.counted_residue]
-    return all(num % d == 0 for num in solution.numerators(point))
+# --- congruences ---------------------------------------------------------------
 
 
 def _congruence_rows(solution: CramerSolution) -> list[tuple]:
@@ -386,55 +351,6 @@ def _row_equations(
         rhs = Term(offset // g, {names[r]: w // g for r, w in zip(rows, weights)})
         equations.append(Eq(d // g * variable(names[j]), rhs))
     return equations
-
-
-# --- permutation branches -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PermutationBranch:
-    """One ordering of the upper and lower bound families.
-
-    The guard pins the order of the bound values (ties broken by row index,
-    so the guards of all branches partition every valuation); under it the
-    first row of each order carries the tightest bound.
-    """
-
-    upper_order: tuple[int, ...]
-    lower_order: tuple[int, ...]
-    guard: Formula
-
-
-def _chain_atom(earlier: Term, later: Term, tie_ok: bool) -> Formula:
-    # "earlier < later, ties broken by index" collapses to <= when the index
-    # order already agrees.
-    return Le(earlier, later) if tie_ok else Lt(earlier, later)
-
-
-def build_permutation_branches(classification: BoundClassification) -> list[PermutationBranch]:
-    """All orderings of the bound families with tie-broken strict chains.
-
-    Upper bounds are chained increasingly from the tightest, lower bounds
-    decreasingly from the tightest.  Requires both families nonempty.  The
-    eliminator builds no branches: its window and count formulas read every
-    bound of a family at once.
-    """
-    bc = classification
-    if not bc.upper_rows or not bc.lower_rows:
-        raise ConventionError("bound classification with an empty family")
-    branches = []
-    for sigma in itertools.permutations(sorted(bc.upper_rows)):
-        upper_chain = [
-            _chain_atom(bc.bound_term(a), bc.bound_term(b), tie_ok=a < b)
-            for a, b in zip(sigma, sigma[1:])
-        ]
-        for tau in itertools.permutations(sorted(bc.lower_rows)):
-            lower_chain = [
-                _chain_atom(bc.bound_term(b), bc.bound_term(a), tie_ok=b < a)
-                for a, b in zip(tau, tau[1:])
-            ]
-            branches.append(PermutationBranch(sigma, tau, conj(upper_chain + lower_chain)))
-    return branches
 
 
 # --- subtraction-free normalisation -------------------------------------------

@@ -39,7 +39,3 @@ class ContractError(CountQEError):
     """A caller-level contract was violated (missing assertion flags,
     domain mismatch, clashing variable names, ...)."""
 
-
-class ConventionError(CountQEError):
-    """An operation was invoked in a configuration the construction handles
-    by convention elsewhere (empty bound classes)."""

@@ -20,10 +20,8 @@ quantifier's count variable) and ``rebuild`` (the node over new children).
 :func:`traverse` lists a tree's nodes by a loop over an explicit stack, so
 the walkers built on it (:func:`free_vars`, :func:`node_count`,
 :func:`max_abs_coefficient`, :func:`contains_counting`) work at any binder
-depth.  Hand dispatch on the node type stays where each type does something
-different: :func:`simplify` (folding atoms and collapsing connectives as it
-rebuilds; ``check`` no longer calls it, since its compiled evaluator reads
-the assignment directly) and the evaluators.
+depth.  Hand dispatch on the node type stays only in the evaluators, where
+each type does something different.
 """
 
 from __future__ import annotations
@@ -34,6 +32,9 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import ParameterError, UnboundVariableError
+
+# perfbench/layers.py still patches this name; it leaves with that patch.
+simplify = None
 
 
 class DomainTag(Enum):
@@ -600,76 +601,6 @@ def _count(body, counted_var, env, domain, window, margin, bound) -> CountResult
     else:
         env.pop(counted_var, None)
     return CountResult(count=count, stable=stable)
-
-
-# --- partial evaluation -----------------------------------------------------
-
-
-def simplify(f: Formula, assignment: Mapping[str, int]) -> Formula:
-    """Fold a partial assignment into the formula.
-
-    Variables present in the assignment are replaced by their values; atoms
-    that become ground are decided, and connectives collapse accordingly.
-    Bound variables shadow the assignment, mirroring :func:`evaluate`.  The
-    result is logically equivalent to the original under any extension of
-    the assignment (bounded semantics included, since no quantifier
-    structure is touched).
-    """
-
-    def fold_term(t: Term, shadowed: frozenset) -> Term:
-        if not t.coeffs:
-            return t
-        const = t.constant
-        coeffs = {}
-        for name, c in t.coeffs.items():
-            if name in assignment and name not in shadowed:
-                const += c * assignment[name]
-            else:
-                coeffs[name] = c
-        return Term(const, coeffs)
-
-    def walk(g: Formula, shadowed: frozenset) -> Formula:
-        tg = type(g)
-        if tg in (TrueF, FalseF):
-            return g
-        if tg in (Le, Lt, Eq):
-            lhs, rhs = fold_term(g.lhs, shadowed), fold_term(g.rhs, shadowed)
-            if lhs.is_constant() and rhs.is_constant():
-                a, b = lhs.constant, rhs.constant
-                verdict = a <= b if tg is Le else a < b if tg is Lt else a == b
-                return TRUE if verdict else FALSE
-            return tg(lhs, rhs)
-        if tg is Cong:
-            t = fold_term(g.term, shadowed)
-            if t.is_constant():
-                return TRUE if t.constant % g.modulus == g.residue else FALSE
-            return Cong(t, g.residue, g.modulus)
-        if tg is And:
-            return conj([walk(p, shadowed) for p in g.parts])
-        if tg is Or:
-            return disj([walk(p, shadowed) for p in g.parts])
-        if isinstance(g, _WithBody):
-            # A run of unary heads is collected in a loop and rebuilt inside
-            # out, so a binder chain of any depth costs one Python frame.
-            heads = []
-            names = []
-            while isinstance(g, _WithBody):
-                heads.append(g)
-                names.extend(g.binds)
-                g = g.body
-            body = walk(g, shadowed.union(names))
-            for h in reversed(heads):
-                th = type(h)
-                if th is Not:
-                    body = negate(body)
-                elif th is CountEq:
-                    body = CountEq(h.counted_var, h.count_var, body)
-                elif not isinstance(body, (TrueF, FalseF)):
-                    body = th(h.var, body)
-            return body
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, frozenset())
 
 
 def node_count(f: Formula) -> int:

@@ -8,19 +8,12 @@ congruence, by which congruences merge (Chinese remainder theorem, Ore
 1952).  Those matrices are tiny (the number of periods of a presentation),
 so dense fraction-free elimination is the right tool: rank and row
 selection reduce against an integer echelon basis, and one Bareiss
-Gauss-Jordan pass gives a determinant and its adjugate in O(n^3).  The one
-exception is :func:`solve_unique`, which eliminates sparsely over the
-rationals for large, nearly diagonal systems; nothing in the package calls
-it any more (the eliminator's row equations come from Cramer data, and the
-pinned evaluator solves no joint system), but it stays public.
+Gauss-Jordan pass gives a determinant and its adjugate in O(n^3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -227,82 +220,3 @@ def congruence_coset(coeff: int, rhs: int, modulus: int) -> Optional[tuple[int, 
         return None
     step = modulus // g
     return rhs // g * pow(coeff // g, -1, step) % step, step
-
-
-def solve_unique(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> Optional[tuple[Fraction, ...]]:
-    """Solve ``rows * c = rhs`` exactly when the solution is unique.
-
-    Sparse Gauss elimination over the rationals.  Each row is held as a map
-    from column to nonzero coefficient.  Every step pivots on an active row
-    with the fewest nonzeros (ties: lowest row index), in its column shared
-    by the fewest active rows (ties: lowest column), and updates only the
-    active rows containing that column; back-substitution then reads the
-    pivot rows in reverse order.  A row with a single unknown therefore pins
-    it at once, so the nearly diagonal blocks of eliminated formulas cost
-    time linear in their nonzeros.  All arithmetic is exact.
-
-    Three outcomes:
-
-    * the unique solution, as a tuple of :class:`~fractions.Fraction`;
-    * None if the system is inconsistent (some combination of rows reads
-      ``0 = b`` with ``b != 0``), even when it is also rank deficient;
-    * :class:`DegenerateInputError` if it is consistent but underdetermined.
-    """
-    if not rows:
-        raise DimensionError("empty system")
-    width = len(rows[0])
-    coeffs: list[dict[int, Fraction]] = []
-    consts: list[Fraction] = []
-    holders: dict[int, set[int]] = {}  # column -> active rows containing it
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        entries = {j: Fraction(row[j]) for j in compress(range(width), row)}
-        coeffs.append(entries)
-        consts.append(Fraction(b))
-        for j in entries:
-            holders.setdefault(j, set()).add(i)
-    heap = [(len(entries), i) for i, entries in enumerate(coeffs)]
-    heapify(heap)
-    active = set(range(len(coeffs)))
-    order: list[tuple[int, int]] = []  # (pivot row, pivot column)
-    while heap:
-        size, i = heappop(heap)
-        if i not in active or size != len(coeffs[i]):
-            continue  # stale entry: the row was pivoted or has changed
-        active.discard(i)
-        pivot_row = coeffs[i]
-        if not pivot_row:
-            if consts[i]:
-                return None
-            continue
-        col = min(pivot_row, key=lambda j: (len(holders[j]), j))
-        for j in pivot_row:
-            holders[j].discard(i)
-        inv = 1 / pivot_row[col]
-        for k in list(holders[col]):
-            target = coeffs[k]
-            factor = target[col] * inv
-            for j, v in pivot_row.items():
-                value = target.get(j, 0) - factor * v
-                if value:
-                    if j not in target:
-                        holders[j].add(k)
-                    target[j] = value
-                else:
-                    del target[j]
-                    holders[j].discard(k)
-            consts[k] -= factor * consts[i]
-            heappush(heap, (len(target), k))
-        order.append((i, col))
-    if len(order) < width:
-        raise DegenerateInputError("system is underdetermined")
-    solution = [Fraction(0)] * width
-    for i, col in reversed(order):
-        pivot_row = coeffs[i]
-        total = consts[i]
-        for j, v in pivot_row.items():
-            if j != col:
-                total -= v * solution[j]
-        solution[col] = total / pivot_row[col]
-    return tuple(solution)

@@ -81,7 +81,6 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import formula as fm
 from .elim import EliminationPlan, plan_elimination
-from .elim import eliminate  # noqa: F401 -- unused; perfbench/layers.py patches this name
 from .errors import CountQEError, ParameterError, UnboundVariableError
 from .formula import (
     And,
@@ -98,8 +97,10 @@ from .formula import (
     Term,
 )
 from .linalg import congruence_coset
-from .linalg import solve_unique  # noqa: F401 -- unused; perfbench/layers.py patches this name
 from .sets import DomainTag, MembershipTester, Progression, SemilinearPresentation, coordinate_names
+
+# perfbench/layers.py still patches these names; they leave with those patches.
+eliminate = solve_unique = evaluate_pinned = None
 
 
 class PinnedEvaluationError(CountQEError):
@@ -463,18 +464,6 @@ class PinnedProgram:
                 if not width.coeffs and width.constant // (-a * b) + 1 <= period:
                     return True
         return False
-
-
-def evaluate_pinned(
-    f: Formula, assignment: Mapping[str, int], domain: DomainTag | str = DomainTag.Z
-) -> bool:
-    """Exact evaluation for formulas whose bound variables are pinned.
-
-    Every existential variable must be defined by the atoms of its chain
-    (see the module docstring).  Unsupported shapes raise
-    :class:`PinnedEvaluationError` rather than guessing.
-    """
-    return PinnedProgram(f, domain).evaluate(assignment)
 
 
 # --- witness-count oracle -------------------------------------------------------

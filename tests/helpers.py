@@ -1,9 +1,15 @@
-"""Shared generators for randomised and acceptance tests."""
+"""Shared generators for randomised and acceptance tests, and references
+that the tests compare the package against."""
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
+from typing import Mapping, Optional, Sequence
 
 from countqe.elim import estimate_result_nodes
-from countqe.errors import ParameterError
+from countqe.errors import DegenerateInputError, DimensionError, ParameterError
 from countqe.formula import (
     And,
     Cong,
@@ -11,15 +17,21 @@ from countqe.formula import (
     Eq,
     Exists,
     FALSE,
+    FalseF,
     Forall,
+    Formula,
     Le,
     Lt,
     Not,
     Or,
     TRUE,
     Term,
+    TrueF,
+    conj,
+    disj,
+    negate,
 )
-from countqe.linalg import IntMatrix, rank_over_rationals
+from countqe.linalg import CramerSolution, IntMatrix, rank_over_rationals
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation
 
 AST_NAMES = ["x", "y", "z1", "w_2", "E"]
@@ -233,3 +245,178 @@ def random_presentation(rng: random.Random, max_dimension: int = 4) -> Semilinea
         asserted_disjoint=rng.random() < 0.5,
         asserted_simple=rng.random() < 0.5,
     )
+
+
+# --- references the tests compare the package against ----------------------
+
+
+@dataclass(frozen=True)
+class ResidueCase:
+    """A residue assignment: one class per free coordinate plus one for the
+    counted coordinate, all modulo the core determinant."""
+
+    free_residues: tuple[int, ...]
+    counted_residue: int
+
+
+def residue_case_feasible(solution: CramerSolution, case: ResidueCase) -> bool:
+    """True when every solved coefficient is integral on this residue class.
+
+    The reference that the congruences of
+    :func:`countqe.elim._congruence_rows` are tested against.
+    """
+    p = solution.size
+    if len(case.free_residues) != p - 1:
+        raise ParameterError("residue case does not match system size")
+    d = solution.denom
+    point = list(case.free_residues) + [case.counted_residue]
+    return all(num % d == 0 for num in solution.numerators(point))
+
+
+def solve_unique(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> Optional[tuple[Fraction, ...]]:
+    """Solve ``rows * c = rhs`` exactly when the solution is unique.
+
+    Sparse Gauss elimination over the rationals.  Each row is held as a map
+    from column to nonzero coefficient.  Every step pivots on an active row
+    with the fewest nonzeros (ties: lowest row index), in its column shared
+    by the fewest active rows (ties: lowest column), and updates only the
+    active rows containing that column; back-substitution then reads the
+    pivot rows in reverse order.  A row with a single unknown therefore pins
+    it at once, so the nearly diagonal blocks of eliminated formulas cost
+    time linear in their nonzeros.  All arithmetic is exact.
+
+    Three outcomes:
+
+    * the unique solution, as a tuple of :class:`~fractions.Fraction`;
+    * None if the system is inconsistent (some combination of rows reads
+      ``0 = b`` with ``b != 0``), even when it is also rank deficient;
+    * :class:`DegenerateInputError` if it is consistent but underdetermined.
+    """
+    if not rows:
+        raise DimensionError("empty system")
+    width = len(rows[0])
+    coeffs: list[dict[int, Fraction]] = []
+    consts: list[Fraction] = []
+    holders: dict[int, set[int]] = {}  # column -> active rows containing it
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        entries = {j: Fraction(row[j]) for j in compress(range(width), row)}
+        coeffs.append(entries)
+        consts.append(Fraction(b))
+        for j in entries:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(entries), i) for i, entries in enumerate(coeffs)]
+    heapify(heap)
+    active = set(range(len(coeffs)))
+    order: list[tuple[int, int]] = []  # (pivot row, pivot column)
+    while heap:
+        size, i = heappop(heap)
+        if i not in active or size != len(coeffs[i]):
+            continue  # stale entry: the row was pivoted or has changed
+        active.discard(i)
+        pivot_row = coeffs[i]
+        if not pivot_row:
+            if consts[i]:
+                return None
+            continue
+        col = min(pivot_row, key=lambda j: (len(holders[j]), j))
+        for j in pivot_row:
+            holders[j].discard(i)
+        inv = 1 / pivot_row[col]
+        for k in list(holders[col]):
+            target = coeffs[k]
+            factor = target[col] * inv
+            for j, v in pivot_row.items():
+                value = target.get(j, 0) - factor * v
+                if value:
+                    if j not in target:
+                        holders[j].add(k)
+                    target[j] = value
+                else:
+                    del target[j]
+                    holders[j].discard(k)
+            consts[k] -= factor * consts[i]
+            heappush(heap, (len(target), k))
+        order.append((i, col))
+    if len(order) < width:
+        raise DegenerateInputError("system is underdetermined")
+    solution = [Fraction(0)] * width
+    for i, col in reversed(order):
+        pivot_row = coeffs[i]
+        total = consts[i]
+        for j, v in pivot_row.items():
+            if j != col:
+                total -= v * solution[j]
+        solution[col] = total / pivot_row[col]
+    return tuple(solution)
+
+
+_UNARY = (Not, Exists, Forall, CountEq)
+
+
+def simplify(f: Formula, assignment: Mapping[str, int]) -> Formula:
+    """Fold a partial assignment into the formula.
+
+    Variables present in the assignment are replaced by their values; atoms
+    that become ground are decided, and connectives collapse accordingly.
+    Bound variables shadow the assignment, mirroring
+    :func:`countqe.formula.evaluate`.  The result is logically equivalent
+    to the original under any extension of the assignment (bounded
+    semantics included, since no quantifier structure is touched).
+    """
+
+    def fold_term(t: Term, shadowed: frozenset) -> Term:
+        if not t.coeffs:
+            return t
+        const = t.constant
+        coeffs = {}
+        for name, c in t.coeffs.items():
+            if name in assignment and name not in shadowed:
+                const += c * assignment[name]
+            else:
+                coeffs[name] = c
+        return Term(const, coeffs)
+
+    def walk(g: Formula, shadowed: frozenset) -> Formula:
+        tg = type(g)
+        if tg in (TrueF, FalseF):
+            return g
+        if tg in (Le, Lt, Eq):
+            lhs, rhs = fold_term(g.lhs, shadowed), fold_term(g.rhs, shadowed)
+            if lhs.is_constant() and rhs.is_constant():
+                a, b = lhs.constant, rhs.constant
+                verdict = a <= b if tg is Le else a < b if tg is Lt else a == b
+                return TRUE if verdict else FALSE
+            return tg(lhs, rhs)
+        if tg is Cong:
+            t = fold_term(g.term, shadowed)
+            if t.is_constant():
+                return TRUE if t.constant % g.modulus == g.residue else FALSE
+            return Cong(t, g.residue, g.modulus)
+        if tg is And:
+            return conj([walk(p, shadowed) for p in g.parts])
+        if tg is Or:
+            return disj([walk(p, shadowed) for p in g.parts])
+        if isinstance(g, _UNARY):
+            # A run of unary heads is collected in a loop and rebuilt inside
+            # out, so a binder chain of any depth costs one Python frame.
+            heads = []
+            names = []
+            while isinstance(g, _UNARY):
+                heads.append(g)
+                names.extend(g.binds)
+                g = g.body
+            body = walk(g, shadowed.union(names))
+            for h in reversed(heads):
+                th = type(h)
+                if th is Not:
+                    body = negate(body)
+                elif th is CountEq:
+                    body = CountEq(h.counted_var, h.count_var, body)
+                elif not isinstance(body, (TrueF, FalseF)):
+                    body = th(h.var, body)
+            return body
+        raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f, frozenset())

@@ -238,6 +238,26 @@ def test_count_var_also_bound_inside():
         assert_same_values(program, {"x": value}, [5, 0, 3, 3, -1, 4])
 
 
+COUNT_NOT_FREE = {
+    # y is bound inside, so the formula reads no count: it holds at every
+    # count or at none, and one evaluation decides it.
+    "holds": Exists("y", Eq(y, x)),
+    "fails": Exists("y", And((Eq(y, x), Lt(x, constant(0))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_NOT_FREE))
+@pytest.mark.parametrize("domain", [DomainTag.Z, DomainTag.N])
+def test_formula_without_a_free_count(name, domain):
+    program = PinnedProgram(COUNT_NOT_FREE[name], domain)
+    nat = domain is DomainTag.N
+    candidates = [0, 1, 2, 3, 4, 3, -1]
+    for value in (3, 0) if nat else (3, -2):
+        expected = per_candidate(program, {"x": value}, candidates, nat)
+        assert program.count_values({"x": value}, "y", candidates) == expected, value
+        assert expected in ([], [k for k in candidates if k >= 0 or not nat])
+
+
 def test_eliminated_formulas_pin_their_count(monkeypatch):
     # The fixtures and the seeded corpus, over Z and N: count_values reads
     # the count off each formula without deciding a count by itself.

@@ -6,9 +6,6 @@ from pathlib import Path
 import pytest
 
 from countqe.elim import (
-    BoundClassification,
-    ResidueCase,
-    build_permutation_branches,
     classify_bounds,
     eliminate,
     estimate_result_nodes,
@@ -16,10 +13,8 @@ from countqe.elim import (
     normalize_for_nat,
     plan_elimination,
     progression_count_formula,
-    progression_count_formula_nat,
-    residue_case_feasible,
 )
-from countqe.errors import ContractError, ConventionError, ParameterError, UnsupportedPresentationError
+from countqe.errors import ContractError, ParameterError, UnsupportedPresentationError
 from countqe.formula import (
     And,
     Cong,
@@ -47,7 +42,13 @@ from countqe.sets import (
     coordinate_names,
 )
 from countqe.textio import parse_presentation, print_formula
-from helpers import count_in_progression, random_disjoint_presentation, random_simple_component
+from helpers import (
+    ResidueCase,
+    count_in_progression,
+    random_disjoint_presentation,
+    random_simple_component,
+    residue_case_feasible,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -148,7 +149,7 @@ class TestProgressionCountFormula:
             expected = _progression_count(first, min(asg[f"h{j}"] for j in range(len(his))), step)
             for f, domain in (
                 (progression_count_formula(variable("lo"), his, step, "u"), "Z"),
-                (progression_count_formula_nat(variable("lo"), his, step, "u"), "N"),
+                (normalize_for_nat(progression_count_formula(variable("lo"), his, step, "u")), "N"),
             ):
                 assert evaluate(f, asg | {"u": expected}, domain=domain) is True
                 for wrong in (expected - 1, expected + 1, expected + step):
@@ -169,11 +170,12 @@ class TestProgressionCountFormula:
 
 
 class TestProgressionCountFormulaNat:
-    """The count from ``first = a - b`` to ``hi = c - d``, normalised."""
+    """The count from ``first = a - b`` to ``hi = c - d``, normalised by
+    :func:`normalize_for_nat`."""
 
     def _check(self, step, a, b, c, d):
         first, hi = variable("a") - variable("b"), variable("c") - variable("d")
-        f = progression_count_formula_nat(first, [hi], step, "u")
+        f = normalize_for_nat(progression_count_formula(first, [hi], step, "u"))
         expected = _progression_count(a - b, c - d, step)
         asg = {"a": a, "b": b, "c": c, "d": d}
         assert evaluate(f, asg | {"u": expected}, domain="N") is True
@@ -190,7 +192,7 @@ class TestProgressionCountFormulaNat:
         self._check(1, 10, 0, 4, 0)
 
     def test_subtraction_free(self):
-        f = progression_count_formula_nat(variable("a") - variable("b"), [variable("c") - 3], 6, "u")
+        f = normalize_for_nat(progression_count_formula(variable("a") - variable("b"), [variable("c") - 3], 6, "u"))
         assert is_subtraction_free(f) is True
 
     def test_randomised_against_enumeration(self):
@@ -259,7 +261,8 @@ def _all_residue_cases(denom, size):
 class TestFirstWitnessWindow:
     """The congruences of a core leave the counted value one coset of the
     coset period D', so each window of D' consecutive values holds exactly
-    the one value that :func:`residue_case_feasible` accepts, or none."""
+    the one value that :func:`helpers.residue_case_feasible` accepts, or
+    none."""
 
     @staticmethod
     def _window_values(solution, free, lo, scale):
@@ -341,52 +344,6 @@ class TestFirstWitnessWindow:
         assert (plan.solution.denom, plan.coset_period) == (60, 60)
         assert not (plan.bounds.upper_rows and plan.bounds.lower_rows)
         assert type(eliminate(half_line(60), "y").formula) is And
-
-
-class TestPermutationBranches:
-    def _classification(self, uppers, lowers):
-        terms = []
-        scale = {}
-        for idx in range(uppers + lowers):
-            terms.append(variable(f"s{idx}"))
-            scale[idx] = 1 if idx < uppers else -1
-        return BoundClassification(
-            multiplier=1,
-            row_terms=tuple(terms),
-            scale=scale,
-            upper_rows=tuple(range(uppers)),
-            lower_rows=tuple(range(uppers, uppers + lowers)),
-            sign_rows=(),
-        )
-
-    def test_counts(self):
-        assert len(build_permutation_branches(self._classification(2, 1))) == 2
-        assert len(build_permutation_branches(self._classification(1, 1))) == 1
-        assert len(build_permutation_branches(self._classification(2, 2))) == 4
-
-    def test_single_branch_has_empty_guard(self):
-        (branch,) = build_permutation_branches(self._classification(1, 1))
-        assert free_vars(branch.guard) == set()
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ConventionError):
-            build_permutation_branches(self._classification(0, 2))
-
-    def test_guards_partition(self):
-        rng = random.Random(43)
-        for uppers in (1, 2, 3):
-            for lowers in (1, 2, 3):
-                bc = self._classification(uppers, lowers)
-                branches = build_permutation_branches(bc)
-                for _ in range(300):
-                    asg = {
-                        f"s{idx}": rng.randint(-2, 2)
-                        for idx in range(uppers + lowers)
-                    }
-                    hits = [
-                        b for b in branches if evaluate(b.guard, asg, quant_bound=4)
-                    ]
-                    assert len(hits) == 1
 
 
 class TestNormalizeForNat:
@@ -865,3 +822,41 @@ class TestOutputSize:
     def test_half_line_size_does_not_depend_on_the_denominator(self):
         sizes = {eliminate(half_line(denom), "y").report.nodes for denom in (100, 400, 1200)}
         assert len(sizes) == 1
+
+
+def _one(base, periods, domain=DomainTag.Z):
+    return union(LinearSetPresentation(base=base, periods=periods, domain=domain))
+
+
+# Per construction case, a family of presentations with one parameter k
+# that enters the periods or the base: (builder, case, two-sided, dropped rows).
+SCALED_FAMILIES = {
+    "half-line": (lambda k: _one((0, 0), ((1, 1), (0, k))), "interval-count", False, 0),
+    "one-sided, a dropped row": (lambda k: _one((0, 0, 0), ((1, 1, 1), (0, 0, k))), "interval-count", False, 1),
+    "single-witness": (lambda k: _one((0, 0), ((k, 1),)), "single-witness", False, 0),
+    "single-witness, a relation": (lambda k: _one((0, 0, 0), ((1, 2, 1), (0, k, k))), "single-witness", False, 0),
+    "single-witness, a dropped row": (lambda k: _one((0, 0, 0), ((k, 1, 1),)), "single-witness", False, 1),
+    "two-sided": (lambda k: _one((0, 0), ((1, 1), (1, -k))), "interval-count", True, 0),
+    "two-sided, a dropped row": (lambda k: _one((0, 0, 0), ((1, 1, 1), (1, 1, -k))), "interval-count", True, 1),
+    "two-sided over N": (lambda k: _one((0, 0), ((1, 2 * k), (2 * k, 1)), DomainTag.N), "interval-count", True, 0),
+    "three_periods, base scaled": (
+        lambda k: _one((k, 2 * k, 3 * k, 4 * k), THREE_PERIOD_SET.periods), "interval-count", True, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_FAMILIES))
+def test_size_does_not_grow_with_scale(name):
+    # The construction's size depends on the shape of a component, not on
+    # its entries: the same node count at k = 10**3 and k = 10**6.  (Small
+    # k can differ: the N family reads 36 nodes at k = 1, 39 above.)
+    build, case, two_sided, dropped = SCALED_FAMILIES[name]
+    sizes = []
+    for k in (10**3, 10**6):
+        report = eliminate(build(k), "y").report
+        (component,) = report.components
+        assert component.case == case
+        assert bool(component.upper_rows and component.lower_rows) is two_sided
+        assert len(component.dropped_rows) == dropped
+        sizes.append(report.nodes)
+    assert sizes[0] == sizes[1], sizes

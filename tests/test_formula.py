@@ -38,12 +38,11 @@ from countqe.formula import (
     max_abs_coefficient,
     negate,
     node_count,
-    simplify,
     traverse,
     variable,
 )
 
-from helpers import random_ast
+from helpers import random_ast, simplify
 
 x, y, z = variable("x"), variable("y"), variable("z")
 

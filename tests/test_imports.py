@@ -1,9 +1,5 @@
 """Every name a module of the package imports at top level is read by it,
-and so is every private name it defines at top level or as a method.
-
-The benchmark patches a few names in the modules it traces; such an import
-stays, marked by a ``noqa`` comment that names perfbench.
-"""
+and so is every private name it defines at top level or as a method."""
 
 import ast
 from pathlib import Path
@@ -29,18 +25,13 @@ def _reads(tree: ast.AST) -> set:
 
 
 def unread_imports(source: str) -> list[str]:
-    """The names imported at the top level of ``source`` that it never reads,
-    except those whose import line has a ``noqa`` comment naming perfbench."""
+    """The names imported at the top level of ``source`` that it never reads."""
     tree = ast.parse(source)
-    lines = source.splitlines()
     imported = {}
     for node in tree.body:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        text = " ".join(lines[node.lineno - 1 : node.end_lineno])
-        if "noqa" in text and "perfbench" in text:
             continue
         for alias in node.names:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -87,7 +78,7 @@ def test_catches_an_unread_import():
         "def f(d: DomainTag):\n"
         "    return d\n"
     )
-    assert unread_imports(source) == ["LinearSetPresentation (line 1)"]
+    assert unread_imports(source) == ["LinearSetPresentation (line 1)", "solve_unique (line 2)"]
 
 
 def test_catches_an_unread_private_name():

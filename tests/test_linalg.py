@@ -13,8 +13,8 @@ from countqe.linalg import (
     greedy_row_basis,
     positive_lcm,
     rank_over_rationals,
-    solve_unique,
 )
+from helpers import solve_unique
 
 # The 4x3 period matrix of the worked three-period example: columns are
 # (1,2,2,1), (2,4,1,1) and (-1,-2,0,-1).

@@ -14,9 +14,9 @@ from countqe import verify
 from countqe.elim import (
     eliminate,
     estimate_result_nodes,
+    normalize_for_nat,
     plan_elimination,
     progression_count_formula,
-    progression_count_formula_nat,
 )
 from countqe.errors import DegenerateInputError, DimensionError, UnboundVariableError, UnsupportedPresentationError
 from countqe.formula import (
@@ -40,7 +40,6 @@ from countqe.formula import (
     traverse,
     variable,
 )
-from countqe.linalg import solve_unique
 from countqe.sets import (
     DomainTag,
     LinearSetPresentation,
@@ -51,12 +50,11 @@ from countqe.sets import (
 )
 from countqe.textio import parse_formula, parse_presentation
 import helpers
-from helpers import count_in_progression, random_ast, random_disjoint_presentation
+from helpers import count_in_progression, random_ast, random_disjoint_presentation, solve_unique
 from countqe.verify import (
     PinnedEvaluationError,
     PinnedProgram,
     count_set_witnesses,
-    evaluate_pinned,
     run_check,
 )
 
@@ -95,11 +93,12 @@ def brute_count(presentation, assignment, lo=-200, hi=200):
 # --- the evaluator this module's differential test compares against ----------
 #
 # The search-based evaluator that decided eliminated formulas before
-# PinnedProgram: formula_count_values folded the assignment in with simplify
-# on every trial, then tried the forced values of each binder in turn and
-# sent atoms-only blocks to solve_unique.  For first-witness binders and
-# floor pairs it also tries, one by one, every point of a window that the
-# order atoms of a conjunction bound on both sides; it solves no congruence.
+# PinnedProgram: formula_count_values folded the assignment in with
+# helpers.simplify on every trial, then tried the forced values of each
+# binder in turn and sent atoms-only blocks to helpers.solve_unique.  For
+# first-witness binders and floor pairs it also tries, one by one, every
+# point of a window that the order atoms of a conjunction bound on both
+# sides; it solves no congruence.
 
 
 def _reference_candidate_values(var: str, f: Formula, env: Mapping[str, int]) -> set:
@@ -287,7 +286,7 @@ def _reference_estimate_result_nodes(presentation):
 
 
 def _reference_count_values(result, assignment, candidates, domain):
-    residual = fm.simplify(result.formula, assignment)
+    residual = helpers.simplify(result.formula, assignment)
     vacuous = _reference_vacuous_binders(residual)
     hits = []
     for k in candidates:
@@ -325,7 +324,7 @@ class TestEvaluatePinned:
                     naive = evaluate(
                         result.formula, asg | {"y": k}, quant_bound=7
                     )
-                    pinned = evaluate_pinned(result.formula, asg | {"y": k})
+                    pinned = PinnedProgram(result.formula).evaluate(asg | {"y": k})
                     assert naive == pinned, (comp, asg, k)
 
     def test_solves_membership_blocks(self):
@@ -333,16 +332,16 @@ class TestEvaluatePinned:
             union(LinearSetPresentation(base=(1, 4), periods=((1, 2),))), "y"
         )
         # the one-witness case: x2 = 4 + 2*(x1 - 1) when x1 >= 1
-        assert evaluate_pinned(result.formula, {"x1": 3, "y": 1}) is True
-        assert evaluate_pinned(result.formula, {"x1": 3, "y": 0}) is False
-        assert evaluate_pinned(result.formula, {"x1": 0, "y": 0}) is True
+        assert PinnedProgram(result.formula).evaluate({"x1": 3, "y": 1}) is True
+        assert PinnedProgram(result.formula).evaluate({"x1": 3, "y": 0}) is False
+        assert PinnedProgram(result.formula).evaluate({"x1": 0, "y": 0}) is True
 
     def test_rejects_unpinned_shapes(self):
         from countqe.formula import Exists, Le
 
         loose = Exists("v", Le(variable("v"), constant(3)))
         with pytest.raises(PinnedEvaluationError):
-            evaluate_pinned(loose, {})
+            PinnedProgram(loose).evaluate({})
 
     def test_large_pinned_block(self):
         # The shape of a half-line elimination once the free coordinates are
@@ -363,14 +362,14 @@ class TestEvaluatePinned:
 
         pins = [Eq(c, constant(v)) for c, v in zip(unknowns, values)]
         pinned = block(pins)
-        assert evaluate_pinned(pinned, {"y": sum(values)}) is True
-        assert evaluate_pinned(pinned, {"y": sum(values) + 1}) is False
+        assert PinnedProgram(pinned).evaluate({"y": sum(values)}) is True
+        assert PinnedProgram(pinned).evaluate({"y": sum(values) + 1}) is False
         # Pin _c5 to 7/2 and _c6 to 1/2: the sum stays integral, so at this
         # count the block has a unique rational solution, but no integer one.
         pins[5] = Eq(2 * unknowns[5], constant(7))
         pins[6] = Eq(2 * unknowns[6], constant(1))
         rest = sum(values) - values[5] - values[6]
-        assert evaluate_pinned(block(pins), {"y": rest + 4}) is False
+        assert PinnedProgram(block(pins)).evaluate({"y": rest + 4}) is False
 
     def test_free_name_masks_match_free_vars(self):
         rng = random.Random(23)
@@ -388,8 +387,8 @@ class TestEvaluatePinned:
         body = Eq(variable("y"), constant(0))
         for i in range(5000):
             body = Exists(f"_c{i}", body)
-        assert evaluate_pinned(body, {"y": 0}) is True
-        assert evaluate_pinned(body, {"y": 1}) is False
+        assert PinnedProgram(body).evaluate({"y": 0}) is True
+        assert PinnedProgram(body).evaluate({"y": 1}) is False
 
     def test_2000_auxiliaries_pinned_by_choices(self):
         # Each auxiliary u_i is pinned by its own (g_i & u_i = k_i) | (!g_i &
@@ -428,23 +427,23 @@ class TestEvaluatePinned:
         u = variable("u")
         either = Or((Eq(variable("x"), constant(1)), Eq(u, constant(5))))
         f = Exists("u", And((either, Eq(u, constant(3)))))
-        assert evaluate_pinned(f, {"x": 1}) is True
-        assert evaluate_pinned(f, {"x": 2}) is False
+        assert PinnedProgram(f).evaluate({"x": 1}) is True
+        assert PinnedProgram(f).evaluate({"x": 2}) is False
 
     def test_binder_over_an_assigned_name(self):
         # E x shadows the assigned x; after the chain the outer value is back.
         f = And((Exists("x", Eq(variable("x"), constant(5))), Eq(variable("x"), constant(3))))
         assignment = {"x": 3}
-        assert evaluate_pinned(f, assignment) is True
-        assert evaluate_pinned(f, {"x": 5}) is False
+        assert PinnedProgram(f).evaluate(assignment) is True
+        assert PinnedProgram(f).evaluate({"x": 5}) is False
         assert assignment == {"x": 3}
 
     def test_rejects_other_quantifiers(self):
         atom = Le(variable("v"), constant(3))
         with pytest.raises(PinnedEvaluationError):
-            evaluate_pinned(Forall("v", atom), {})
+            PinnedProgram(Forall("v", atom)).evaluate({})
         with pytest.raises(PinnedEvaluationError):
-            evaluate_pinned(CountEq("v", "y", atom), {"y": 1})
+            PinnedProgram(CountEq("v", "y", atom)).evaluate({"y": 1})
 
     @pytest.mark.parametrize(
         "quantified",
@@ -470,15 +469,15 @@ class TestEvaluatePinned:
             f = Exists("u", Exists("w", And(equations)))
             for domain in (DomainTag.Z, DomainTag.N):
                 with pytest.raises(PinnedEvaluationError, match="no step pins"):
-                    evaluate_pinned(f, {}, domain)
+                    PinnedProgram(f, domain).evaluate({})
         # One equation pinning u first leaves a definition for w.
         staged = Exists("u", Exists("w", And((Eq(u, constant(2)), Eq(u - w, constant(1))))))
-        assert evaluate_pinned(staged, {}) is True
+        assert PinnedProgram(staged).evaluate({}) is True
 
     def test_natural_domain_respects_nonnegativity(self):
         comp = LinearSetPresentation(base=(2,), periods=(), domain=DomainTag.N)
         result = eliminate(union(comp), "y")
-        assert evaluate_pinned(result.formula, {"y": 1}, DomainTag.N) is True
+        assert PinnedProgram(result.formula, DomainTag.N).evaluate({"y": 1}) is True
 
 
 def _differential_corpus():
@@ -622,7 +621,7 @@ class TestFloorPairPin:
             if z2 < 0:
                 z1, z2 = z1 - z2, 0
             y1v, y2v, z1v, z2v = map(variable, ("y1", "y2", "z1", "z2"))
-            f = progression_count_formula_nat(y1v - y2v, [z2v - z1v], step, "u")
+            f = normalize_for_nat(progression_count_formula(y1v - y2v, [z2v - z1v], step, "u"))
             expected = count_in_progression(first, z2 - z1, first, step)
             program = PinnedProgram(_chosen("u", f), DomainTag.N)
             got = program.count_values({"y1": y1, "y2": y2, "z1": z1, "z2": z2}, "y", range(expected + 4))
@@ -640,24 +639,24 @@ class TestFloorPairPin:
         assert PinnedProgram(_chosen("u", pair)).count_values({"x": 5}, "y", range(-4, 8)) == [3]
         # x - 1 < 2u <= x leaves no integer when x is odd
         odd = And((Le(2 * u, x), Lt(x - 1, 2 * u)))
-        assert evaluate_pinned(_chosen("u", odd), {"x": 5, "y": 2}) is False
-        assert evaluate_pinned(_chosen("u", odd), {"x": 6, "y": 3}) is True
+        assert PinnedProgram(_chosen("u", odd)).evaluate({"x": 5, "y": 2}) is False
+        assert PinnedProgram(_chosen("u", odd)).evaluate({"x": 6, "y": 3}) is True
 
     def test_window_of_two_integers_is_rejected(self):
         x, u = variable("x"), variable("u")
         wide = Or((And((Le(x, 2 * u), Le(2 * u, x + 3))), And((Lt(x, constant(0)), Eq(u, constant(0))))))
         with pytest.raises(PinnedEvaluationError):
-            evaluate_pinned(Exists("u", wide), {"x": 4})
+            PinnedProgram(Exists("u", wide)).evaluate({"x": 4})
         # Beside u <= y & y <= u, which pins u = y, the formula decides.
-        assert evaluate_pinned(_chosen("u", wide), {"x": 4, "y": 2}) is True
+        assert PinnedProgram(_chosen("u", wide)).evaluate({"x": 4, "y": 2}) is True
         assert evaluate(_chosen("u", wide), {"x": 4, "y": 2}, quant_bound=8) is True
 
     def test_one_sided_bound_is_rejected(self):
         x, u = variable("x"), variable("u")
         below = And((Le(x, 2 * u), Cong(x, 0, 2)))
         with pytest.raises(PinnedEvaluationError):
-            evaluate_pinned(Exists("u", below), {"x": 4})
-        assert evaluate_pinned(_chosen("u", below), {"x": 4, "y": 2}) is True
+            PinnedProgram(Exists("u", below)).evaluate({"x": 4})
+        assert PinnedProgram(_chosen("u", below)).evaluate({"x": 4, "y": 2}) is True
         assert evaluate(_chosen("u", below), {"x": 4, "y": 2}, quant_bound=8) is True
 
     def test_floor_pair_in_a_chain_body(self):
@@ -674,7 +673,7 @@ class TestFloorPairPin:
         # window and checked once u is pinned, so it still requires x <= 3.
         x, u = variable("x"), variable("u")
         f = Exists("u", And((Le(x, 2 * u), Le(2 * u, x + 1), Le(u + x, u + constant(3)))))
-        assert [evaluate_pinned(f, {"x": value}) for value in (2, 3, 4, 5)] == [True, True, False, False]
+        assert [PinnedProgram(f).evaluate({"x": value}) for value in (2, 3, 4, 5)] == [True, True, False, False]
 
     def test_window_merges_congruences(self):
         # 0 <= t < w with t = 1 (mod 4) and 2t = 4 (mod 6): t = 5 (mod 12) by
@@ -688,18 +687,18 @@ class TestFloorPairPin:
         congruences = (Cong(t, 1, 4), Cong(2 * t, 4, 6))
         pinned = coset(*congruences, Le(y, t), Le(t, y))
         assert PinnedProgram(pinned).count_values({"w": 12}, "y", range(-12, 24)) == [5]
-        assert evaluate_pinned(coset(*congruences), {"w": 12}) is True
-        assert evaluate_pinned(coset(Cong(t, 1, 4), Cong(t, 0, 6)), {"w": 12}) is False
+        assert PinnedProgram(coset(*congruences)).evaluate({"w": 12}) is True
+        assert PinnedProgram(coset(Cong(t, 1, 4), Cong(t, 0, 6))).evaluate({"w": 12}) is False
         with pytest.raises(PinnedEvaluationError):
-            evaluate_pinned(coset(*congruences), {"w": 18})
+            PinnedProgram(coset(*congruences)).evaluate({"w": 18})
 
     def test_window_below_zero_fails_over_n(self):
         t = variable("t")
         first = Exists("t", And((Le(variable("x") - 7, 2 * t), Lt(2 * t, variable("x") - 1), Cong(t, 0, 3))))
         # t in [x/2 - 3.5, x/2 - 0.5) with t = 0 (mod 3): -3 for x = 0, 0 for x = 2
-        assert evaluate_pinned(first, {"x": 0}) is True
-        assert evaluate_pinned(first, {"x": 0}, DomainTag.N) is False
-        assert evaluate_pinned(first, {"x": 2}, DomainTag.N) is True
+        assert PinnedProgram(first).evaluate({"x": 0}) is True
+        assert PinnedProgram(first, DomainTag.N).evaluate({"x": 0}) is False
+        assert PinnedProgram(first, DomainTag.N).evaluate({"x": 2}) is True
 
     def test_equation_takes_precedence_over_a_window(self):
         # The order atoms leave u two values; the equation pins it first.
