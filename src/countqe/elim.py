@@ -30,11 +30,20 @@ coset's one member in ``max_i l_i <= m*t0 < max_i l_i + m*D'``
 to ``min_j h_j`` by the least of the floor quotients, each pinned by a pair
 of order atoms (:func:`progression_count_formula`).  The maximum and minimum
 are atoms over the bound terms, not binders: a bound term can be negative at
-natural points.  Where a sign atom fails, or the congruences have no
-solution, the count is 0.  A core with an empty bound family has no count
-where its sign atoms hold and the congruences have a solution, and count 0
-elsewhere.
-Components combine by summing per-component count variables.
+natural points.  Where a row equation or a sign atom fails, or the
+congruences have no solution, the count is 0.  A core with an empty bound
+family has no count where its row equations and sign atoms hold and the
+congruences have a solution, and count 0 elsewhere.
+Components combine by summing per-component count variables.  Each body
+sets its count to 0, to 1 or to a floor quotient plus 1 that is at least 1,
+so no ``0 <= y_i`` stands beside it.
+
+Atoms that the atoms beside them imply are left out: a core's row
+equations stand once in its count case and their negation once in its zero
+case; a floor pair whose at-most atom already stands keeps only its strict
+atom; the window's congruences stand once beside its disjunction of upper
+ends.  A negated order atom is the flipped atom
+(:func:`countqe.formula.negate`), and a constant body gets no binders.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
 data and bound families), and :func:`plan_elimination` builds the formula
@@ -127,22 +136,24 @@ def progression_count_formula(
     ``first, first + step, ...`` that are at most every term of ``his``.
 
     The count is 0 when some ``hi < first``, else the least ``floor((hi -
-    first)/step) + 1``: at most each (``step*u <= hi - first + step``, left
-    out for one term) and equal to one, which the floor pair ``step*u <= hi -
-    first + step`` and ``hi - first < step*u`` pins (one equation when
-    ``step`` is 1).  No binder; each order atom is :func:`_divided`.
+    first)/step) + 1``: at most each (``step*u <= hi - first + step``) and
+    above one of them (``hi - first < step*u``), so that the two atoms of
+    that term, a floor pair, pin it.  When ``step`` is 1 the equation ``u =
+    hi - first + 1`` takes the strict atom's place, and for one term stands
+    without the at-most atom it implies.  No binder; each order atom is
+    :func:`_divided`.
     """
     if step < 1 or not his:
         raise ParameterError("a progression count needs a positive step and an upper term")
     u = variable(count_var)
     gaps = [hi - first for hi in his]
     at_most = [_divided(Le(step * u, g + step)) for g in gaps]
-    pins = [
-        Eq(u, g + 1) if step == 1 else conj([le, _divided(Lt(g, step * u))]) for g, le in zip(gaps, at_most)
-    ]
+    pins = [Eq(u, g + 1) if step == 1 else _divided(Lt(g, step * u)) for g in gaps]
+    if step == 1 and len(his) == 1:
+        at_most = []
     return disj([
         conj([disj([_divided(Lt(hi, first)) for hi in his]), Eq(u, constant(0))]),
-        conj([_divided(Le(first, hi)) for hi in his] + (at_most if len(his) > 1 else []) + [disj(pins)]),
+        conj([_divided(Le(first, hi)) for hi in his] + at_most + [disj(pins)]),
     ])
 
 
@@ -150,16 +161,15 @@ def _first_witness_window(
     lows: Sequence[Term], first: Term, width: int, congruences: list
 ) -> Formula:
     """``max(lows) <= first < max(lows) + width`` and the ``congruences``:
-    ``lo <= first`` for each lower term, and for one of them the window ``lo
-    <= first < lo + width`` with the congruences, which the evaluator decides
-    by one window step (one lower term gives its window alone).  Where the
-    congruences leave ``first`` one coset of period ``width``, at most one
-    value satisfies it.  Each order atom is :func:`_divided`."""
+    ``lo <= first`` for each lower term, ``first < lo + width`` for one of
+    them (a disjunction over several), and the congruences once.  The
+    evaluator splits on the disjunction and decides each branch by one
+    window step.  Where the congruences leave ``first`` one coset of period
+    ``width``, at most one value satisfies it.  Each order atom is
+    :func:`_divided`."""
     above = [_divided(Le(lo, first)) for lo in lows]
-    windows = [conj([le, _divided(Lt(first, lo + width))] + congruences) for lo, le in zip(lows, above)]
-    if len(windows) == 1:
-        return windows[0]
-    return conj(above + [disj(windows)])
+    below = [_divided(Lt(first, lo + width)) for lo in lows]
+    return conj(above + [disj(below)] + congruences)
 
 
 # --- classification of the Cramer rows ---------------------------------------
@@ -309,16 +319,21 @@ def _solvability(rows: Sequence[tuple], denom: int, names: Sequence[str]) -> lis
 
 
 def _negative_upper_terms(highs: Sequence[Term]) -> list:
-    """Over N, ``h < 0`` for each upper term h that reads a name.
+    """Over N, ``h < 0`` for each upper term h with a negative coefficient or
+    constant.
 
     Where a two-sided core's sign atoms hold and its congruences are
-    solvable, the window's coset member is below 0 exactly where one of
-    these holds: every witness is a natural point of the component, so a
+    solvable, the window's coset member is below 0 exactly where some upper
+    term is: every witness is a natural point of the component, so a
     negative member is no witness and lies above some upper term; and a
-    negative upper term leaves no natural witness.  A constant upper term is
-    at least 0, since the base point is a witness.
+    negative upper term leaves no natural witness.  A term without a
+    negative coefficient or constant is at least 0 at every natural point,
+    so its atom never holds and is left out.  (A constant upper term is one
+    of them: the base point is a witness.)
     """
-    return [_divided(Lt(h, constant(0))) for h in highs if h.coeffs]
+    return [
+        _divided(Lt(h, constant(0))) for h in highs if h.constant < 0 or any(c < 0 for c in h.coeffs.values())
+    ]
 
 
 def _row_equations(
@@ -594,6 +609,10 @@ def plan_elimination(
 
 
 def _close(prefix: Sequence[str], body: Formula) -> Formula:
+    """``body`` under the binders ``prefix``, outermost first; a body that is
+    a constant reads none of them, and stays as it is."""
+    if type(body) in (fm.TrueF, fm.FalseF):
+        return body
     for var in reversed(prefix):
         body = Exists(var, body)
     return body
@@ -629,56 +648,55 @@ def _case_interval(
     """The square-core construction for a component whose every full-rank
     row subsystem uses the counted row: its binders and its body.
 
-    A two-sided core binds its first witness t0: ``E t0 . (signs & W(t0) &
+    With R the equations of the dropped rows (:func:`_row_equations`), a
+    two-sided core binds its first witness t0: ``E t0 . (R & signs & W(t0) &
     C) | (Z & count_var = 0)``, W the window of its lower terms
     (:func:`_first_witness_window`), C the count up to its upper terms
     (:func:`progression_count_formula`) and the zero case Z the disjunction
-    of ``!signs``, ``!S`` (S the quantifier-free solvability condition of
-    the congruences, :func:`_solvability`) and, over N,
+    of ``!R``, ``!signs``, ``!S`` (S the quantifier-free solvability
+    condition of the congruences, :func:`_solvability`) and, over N,
     :func:`_negative_upper_terms`.  Where Z has no disjunct (over Z, without
-    sign atoms and with congruences that always have a solution) the body is
-    ``signs & W(t0) & C``.  A one-sided core adds no binder to the prefix:
-    its body is ``!(signs & S) & 0 = count_var``.
+    dropped rows or sign atoms and with congruences that always have a
+    solution) the body is ``signs & W(t0) & C``.  A one-sided core adds no
+    binder to the prefix: its body is ``!(R & signs & S) & 0 = count_var``.
+    So R stands once in each case.
     """
     presentation, solution, bc = plan.component, plan.solution, plan.bounds
     nat = presentation.domain is DomainTag.N
-    relations = conj(plan.relations)
     free_names = [names[i] for i in plan.rows[:-1]]
     if nat:
         # Nonnegative periods make an all-nonpositive counted column of the
         # inverse impossible, so lower bounds always exist over the naturals.
         assert bc.lower_rows, "natural-domain core without lower bounds"
+    relations = conj(plan.relations)
     signs = conj([_divided(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows])
     solvable = conj(plan.solvable)
     y = variable(count_var)
     if not bc.upper_rows or not bc.lower_rows:
-        # One bound family is empty: wherever the sign atoms hold and the
-        # congruences have a solution the witness set is infinite, so no
-        # count value may satisfy it; elsewhere it is empty.
-        prefix, body = [], conj([negate(conj([signs, solvable])), Eq(constant(0), y)])
-    else:
-        m = bc.multiplier
-        lows = [bc.bound_term(i) for i in bc.lower_rows]
-        highs = [bc.bound_term(j) for j in bc.upper_rows]
-        t0 = fresh.fresh("t")
-        t = variable(t0)
-        congruences = _congruences(plan.congruences, solution.denom, free_names, t)
-        window = _first_witness_window(lows, m * t, m * plan.coset_period, congruences)
-        count = progression_count_formula(m * t, highs, m * plan.coset_period, count_var)
-        found = conj([signs, window, count])
-        zero = [negate(signs), negate(solvable)]
-        if nat:
-            zero += _negative_upper_terms(highs)
-        prefix, body = [t0], disj([found, conj([disj(zero), Eq(y, constant(0))])])
-    if not isinstance(relations, fm.TrueF):
-        body = disj([conj([relations, body]), conj([negate(relations), Eq(y, constant(0))])])
-    return prefix, body
+        # One bound family is empty: wherever the relations and sign atoms
+        # hold and the congruences have a solution the witness set is
+        # infinite, so no count value may satisfy it; elsewhere it is empty.
+        return [], conj([negate(conj([relations, signs, solvable])), Eq(constant(0), y)])
+    m = bc.multiplier
+    lows = [bc.bound_term(i) for i in bc.lower_rows]
+    highs = [bc.bound_term(j) for j in bc.upper_rows]
+    t0 = fresh.fresh("t")
+    t = variable(t0)
+    congruences = _congruences(plan.congruences, solution.denom, free_names, t)
+    window = _first_witness_window(lows, m * t, m * plan.coset_period, congruences)
+    count = progression_count_formula(m * t, highs, m * plan.coset_period, count_var)
+    found = conj([relations, signs, window, count])
+    zero = [negate(relations), negate(signs), negate(solvable)]
+    if nat:
+        zero += _negative_upper_terms(highs)
+    return [t0], disj([found, conj([disj(zero), Eq(y, constant(0))])])
 
 
 def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var: str) -> EliminationResult:
     """The formula of the planned ``components`` (see :func:`eliminate`),
     with its report: each component's size is the node count of its body
-    closed by its binders, and the total that of the formula."""
+    closed by its binders, and the total that of the formula.  A union binds
+    a part count per component, which its body sets to a natural number."""
     fresh = FreshNames(set(names) | {count_var})
     single = len(components) == 1
     prefix: list[str] = []
@@ -697,7 +715,6 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
         prefix.extend(comp_prefix)
         if not single:
             prefix.append(part_count)
-            body = conj([Le(constant(0), variable(part_count)), body])
         bodies.append(body)
     if single:
         # The one component, closed, is the formula: its count is the total.

@@ -368,11 +368,20 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 
 def negate(f: Formula) -> Formula:
-    if isinstance(f, TrueF):
+    """The negation of ``f``, one node smaller where an atom allows: the
+    order on the integers is total, so ``!(a <= b)`` is ``b < a`` and ``!(a
+    < b)`` is ``b <= a``; a ``Not`` loses its head, the constants swap, and
+    anything else is wrapped in a ``Not``."""
+    tf = type(f)
+    if tf is Le:
+        return Lt(f.rhs, f.lhs)
+    if tf is Lt:
+        return Le(f.rhs, f.lhs)
+    if tf is TrueF:
         return FALSE
-    if isinstance(f, FalseF):
+    if tf is FalseF:
         return TRUE
-    if isinstance(f, Not):
+    if tf is Not:
         return f.body
     return Not(f)
 

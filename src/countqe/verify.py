@@ -583,8 +583,14 @@ def random_assignment(
     return {name: rng.randint(lo, radius) for name in names}
 
 
-def tested_counts(rng: random.Random, oracle_count: int) -> tuple[int, ...]:
+def tested_counts(rng: random.Random, oracle_count: int, domain: DomainTag) -> tuple[int, ...]:
+    """The count values a trial decides, sorted: the oracle's count and its
+    neighbours, 0 to 3, five seeded draws from 0 to the count plus 12, and
+    over Z also -1.  No count is negative, but a formula that bounds a count
+    from above only holds at -1.  The draws do not depend on the domain."""
     base = {oracle_count, oracle_count + 1, oracle_count + 2, 0, 1, 2, 3}
+    if domain is DomainTag.Z:
+        base.add(-1)
     if oracle_count > 0:
         base.add(oracle_count - 1)
     for _ in range(5):
@@ -623,7 +629,7 @@ def run_check(
     for index in range(trials):
         assignment = random_assignment(rng, names[:-1], box_radius, domain)
         oracle = count_set_witnesses(presentation, assignment, names, testers)
-        tested = tested_counts(rng, oracle.count)
+        tested = tested_counts(rng, oracle.count, domain)
         satisfied = tuple(program.count_values(assignment, result.count_var, tested))
         if oracle.overlap:
             verdict = "overlap"

@@ -110,7 +110,7 @@ def test_same_values_as_one_evaluation_per_count(corrupt):
         for _ in range(4):
             assignment = verify.random_assignment(rng, names[:-1], 12, domain)
             oracle = count_set_witnesses(presentation, assignment, names)
-            tested = verify.tested_counts(rng, oracle.count)
+            tested = verify.tested_counts(rng, oracle.count, domain)
             got = assert_same_values(program, assignment, _candidates(rng, tested), nat)
             compared += 1
             if got is None:
@@ -271,7 +271,7 @@ def test_eliminated_formulas_pin_their_count(monkeypatch):
         for _ in range(4):
             assignment = verify.random_assignment(rng, names[:-1], 12, domain)
             oracle = count_set_witnesses(presentation, assignment, names)
-            got = program.count_values(assignment, "y", _candidates(rng, verify.tested_counts(rng, oracle.count)))
+            got = program.count_values(assignment, "y", _candidates(rng, verify.tested_counts(rng, oracle.count, domain)))
             if not oracle.overlap:
                 assert sorted(set(got)) == ([oracle.count] if oracle.stable else []), (presentation, assignment)
             read[domain] += bool(got)

@@ -22,6 +22,7 @@ from countqe.formula import (
     Exists,
     Le,
     Lt,
+    Or,
     Term,
     conj,
     constant,
@@ -167,6 +168,15 @@ class TestProgressionCountFormula:
             progression_count_formula(variable("lo"), [variable("hi")], 0, "u")
         with pytest.raises(ParameterError):
             progression_count_formula(variable("lo"), [], 6, "u")
+
+    def test_several_terms_pin_by_strict_atoms_alone(self):
+        # Each at-most atom stands once, beside the pins; a pin is its
+        # strict atom.
+        f = progression_count_formula(variable("lo"), [variable("h0"), variable("h1")], 6, "u")
+        reading_u = [g for g in traverse(f)[0] if any("u" in t.coeffs for t in g.terms)]
+        assert sorted(type(g).__name__ for g in reading_u) == ["Eq", "Le", "Le", "Lt", "Lt"]
+        (pins,) = [g for g in f.parts[1].parts if isinstance(g, Or)]
+        assert all(isinstance(pin, Lt) for pin in pins.parts)
 
 
 class TestProgressionCountFormulaNat:
@@ -339,11 +349,30 @@ class TestFirstWitnessWindow:
             seen["tie"] += len(set(asg.values())) < len(asg)
         assert min(seen.values()) >= 10, seen
 
+    def test_several_lower_terms_write_the_congruences_once(self):
+        lows = [variable("l0"), variable("l1"), variable("l2")]
+        cong = [Cong(variable("t"), 1, 3)]
+        window = elim._first_witness_window(lows, 2 * variable("t"), 6, cong)
+        assert [g for g in traverse(window)[0] if isinstance(g, Cong)] == cong
+        assert sum(isinstance(g, Le) for g in traverse(window)[0]) == 3
+        (below,) = [g for g in window.parts if isinstance(g, Or)]
+        assert [type(g) for g in below.parts] == [Lt, Lt, Lt]
+
     def test_half_line_period_is_the_denominator(self):
         plan = elim.plan_component(half_line(60).components[0], coordinate_names(2))
         assert (plan.solution.denom, plan.coset_period) == (60, 60)
         assert not (plan.bounds.upper_rows and plan.bounds.lower_rows)
         assert type(eliminate(half_line(60), "y").formula) is And
+
+
+def test_upper_terms_never_negative_get_no_atom():
+    # Over N only a term with a negative coefficient or constant can be
+    # negative; natural.sl's upper term 2*x1 is not.
+    x1, x2 = variable("x1"), variable("x2")
+    highs = [2 * x1, x1 + 3, x1 - 1, x1 - x2, constant(4)]
+    assert elim._negative_upper_terms(highs) == [Lt(x1 - 1, constant(0)), Lt(x1 - x2, constant(0))]
+    natural = parse_presentation((FIXTURES / "natural.sl").read_text(encoding="utf-8"))
+    assert "< 0" not in print_formula(eliminate(natural, "y").formula)
 
 
 class TestNormalizeForNat:
@@ -697,11 +726,11 @@ class TestEliminateUnion:
         assert min(seen.values()) >= 10, seen
 
     def test_false_one_sided_body_under_relations(self):
-        # No sign atom and D' = 1: the core's body is false, and the dropped
-        # row's relation leaves "!x1 = 1 & y = 0".
+        # No sign atom and D' = 1: the one-sided core's "!(R & signs & S)"
+        # keeps only the dropped row's relation R, "!x1 = 1 & 0 = y".
         s = union(LinearSetPresentation(base=(1, 0), periods=((0, 1),)))
         result = eliminate(s, "y")
-        assert print_formula(result.formula) == "!x1 = 1 & y = 0"
+        assert print_formula(result.formula) == "!x1 = 1 & 0 = y"
         assert estimate_result_nodes(s) == fm.node_count(result.formula) == 6
 
     def test_estimate_is_exact_on_single_witness_components(self):
@@ -720,21 +749,21 @@ class TestEliminateUnion:
 
     def test_false_component_beside_a_two_sided_core(self):
         # The one-sided first component's body is false (no sign atom, and
-        # its congruences always have a solution): the union is its count
-        # binders and the two-sided core's first witness over false.
+        # its congruences always have a solution): so is the union, and a
+        # false body gets no binders.
         s = union(
             LinearSetPresentation(base=(-5, 0), periods=((3, -2), (-2, -2))),
             LinearSetPresentation(base=(2, -1), periods=((-1, 2), (-2, 2))),
         )
         result = eliminate(s, "y")
-        assert print_formula(result.formula) == "E _y0 . E _t2 . E _y1 . false"
-        assert estimate_result_nodes(s) == fm.node_count(result.formula) == 4
+        assert print_formula(result.formula) == "false"
+        assert estimate_result_nodes(s) == fm.node_count(result.formula) == 1
 
     @pytest.mark.parametrize(
         "components, actual",
         [
             ([((0, 5, 4), ((3, 0, 1), (2, 2, 0)))], 29),
-            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 52),
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 48),
         ],
     )
     def test_estimate_not_below_single_witness_sizes(self, components, actual):
@@ -770,7 +799,10 @@ class TestBinders:
 
     @staticmethod
     def _expected(result):
-        """One "_t" per two-sided core, and one "_y" per component of a union."""
+        """One "_t" per two-sided core, and one "_y" per component of a
+        union; none when the formula is a constant."""
+        if isinstance(result.formula, (fm.TrueF, fm.FalseF)):
+            return []
         reports = result.report.components
         kinds = ["_y"] * len(reports) if len(reports) > 1 else []
         return sorted(kinds + ["_t" for r in reports if r.upper_rows and r.lower_rows])
@@ -815,7 +847,7 @@ class TestOutputSize:
         assert result.report.nodes <= ceiling
         assert estimate_result_nodes(s) == fm.node_count(result.formula)
 
-    @pytest.mark.parametrize("name, nodes", [("three_periods", 75), ("natural", 36), ("d8_m2", 50)])
+    @pytest.mark.parametrize("name, nodes", [("three_periods", 64), ("natural", 30), ("d8_m2", 49)])
     def test_two_sided_sizes_without_a_zero_case_binder(self, name, nodes):
         assert eliminate(_fixture_or_d8_m2(name), "y").report.nodes == nodes
 
@@ -828,19 +860,31 @@ def _one(base, periods, domain=DomainTag.Z):
     return union(LinearSetPresentation(base=base, periods=periods, domain=domain))
 
 
-# Per construction case, a family of presentations with one parameter k
-# that enters the periods or the base: (builder, case, two-sided, dropped rows).
+# Per construction case, a family of presentations with one parameter k that
+# enters the periods (or, for three_periods, the base) and a factor s on the
+# base: (builder, case, two-sided, dropped rows, nodes).
 SCALED_FAMILIES = {
-    "half-line": (lambda k: _one((0, 0), ((1, 1), (0, k))), "interval-count", False, 0),
-    "one-sided, a dropped row": (lambda k: _one((0, 0, 0), ((1, 1, 1), (0, 0, k))), "interval-count", False, 1),
-    "single-witness": (lambda k: _one((0, 0), ((k, 1),)), "single-witness", False, 0),
-    "single-witness, a relation": (lambda k: _one((0, 0, 0), ((1, 2, 1), (0, k, k))), "single-witness", False, 0),
-    "single-witness, a dropped row": (lambda k: _one((0, 0, 0), ((k, 1, 1),)), "single-witness", False, 1),
-    "two-sided": (lambda k: _one((0, 0), ((1, 1), (1, -k))), "interval-count", True, 0),
-    "two-sided, a dropped row": (lambda k: _one((0, 0, 0), ((1, 1, 1), (1, 1, -k))), "interval-count", True, 1),
-    "two-sided over N": (lambda k: _one((0, 0), ((1, 2 * k), (2 * k, 1)), DomainTag.N), "interval-count", True, 0),
+    "half-line": (lambda k, s: _one((s, 2 * s), ((1, 1), (0, k))), "interval-count", False, 0, 5),
+    "one-sided, a dropped row": (
+        lambda k, s: _one((s, s, 2 * s), ((1, 1, 1), (0, 0, k))), "interval-count", False, 1, 10
+    ),
+    "single-witness": (lambda k, s: _one((s, 2 * s), ((k, 1),)), "single-witness", False, 0, 17),
+    "single-witness, a relation": (
+        lambda k, s: _one((s, 2 * s, 3 * s), ((1, 2, 1), (0, k, k))), "single-witness", False, 0, 25
+    ),
+    "single-witness, a dropped row": (
+        lambda k, s: _one((s, 2 * s, 3 * s), ((k, 1, 1),)), "single-witness", False, 1, 23
+    ),
+    "two-sided": (lambda k, s: _one((s, 2 * s), ((1, 1), (1, -k))), "interval-count", True, 0, 33),
+    "two-sided, a dropped row": (
+        lambda k, s: _one((s, 3 * s, 2 * s), ((1, 1, 1), (1, 1, -k))), "interval-count", True, 1, 44
+    ),
+    "two-sided over N": (
+        lambda k, s: _one((s, 2 * s), ((1, 2 * k), (2 * k, 1)), DomainTag.N), "interval-count", True, 0, 39
+    ),
     "three_periods, base scaled": (
-        lambda k: _one((k, 2 * k, 3 * k, 4 * k), THREE_PERIOD_SET.periods), "interval-count", True, 1
+        lambda k, s: _one((k * s, 2 * k * s, 3 * k * s, 4 * k * s), THREE_PERIOD_SET.periods),
+        "interval-count", True, 1, 64,
     ),
 }
 
@@ -848,15 +892,14 @@ SCALED_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(SCALED_FAMILIES))
 def test_size_does_not_grow_with_scale(name):
     # The construction's size depends on the shape of a component, not on
-    # its entries: the same node count at k = 10**3 and k = 10**6.  (Small
-    # k can differ: the N family reads 36 nodes at k = 1, 39 above.)
-    build, case, two_sided, dropped = SCALED_FAMILIES[name]
-    sizes = []
-    for k in (10**3, 10**6):
-        report = eliminate(build(k), "y").report
-        (component,) = report.components
-        assert component.case == case
-        assert bool(component.upper_rows and component.lower_rows) is two_sided
-        assert len(component.dropped_rows) == dropped
-        sizes.append(report.nodes)
-    assert sizes[0] == sizes[1], sizes
+    # its entries: the same node count at k = 7, 10**3 + 1 and 10**6 + 3
+    # (so D up to 10**6 and more), with the base as it is and times 10**6.
+    build, case, two_sided, dropped, nodes = SCALED_FAMILIES[name]
+    for k in (7, 10**3 + 1, 10**6 + 3):
+        for scale in (1, 10**6):
+            report = eliminate(build(k, scale), "y").report
+            (component,) = report.components
+            assert component.case == case
+            assert bool(component.upper_rows and component.lower_rows) is two_sided
+            assert len(component.dropped_rows) == dropped
+            assert report.nodes == nodes, (k, scale)

@@ -90,7 +90,14 @@ class TestConstruction:
 
     def test_implies_desugars(self):
         a, b = Le(x, y), Le(y, z)
-        assert implies(a, b) == Or((Not(a), b))
+        assert implies(a, b) == Or((Lt(y, x), b))
+        assert implies(Eq(x, y), b) == Or((Not(Eq(x, y)), b))
+
+    def test_negate_flips_order_atoms(self):
+        assert negate(Le(x, y)) == Lt(y, x)
+        assert negate(Lt(x, y)) == Le(y, x)
+        assert negate(negate(Le(x, y))) == Le(x, y)
+        assert negate(Not(Eq(x, y))) == Eq(x, y)
 
     def test_cong_normalises_residue(self):
         assert Cong(x, -1, 3) == Cong(x, 2, 3)

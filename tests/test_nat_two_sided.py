@@ -172,7 +172,7 @@ def _agree_at_points(presentation, result, component, rng, points):
         point = component.point_at([rng.randint(0, 3) for _ in component.periods])
         assignment = dict(zip(names, point[:-1]))
         oracle = count_set_witnesses(presentation, assignment)
-        tested = verify.tested_counts(rng, oracle.count)
+        tested = verify.tested_counts(rng, oracle.count, presentation.domain)
         got = PinnedProgram(result.formula, presentation.domain).count_values(assignment, "y", tested)
         assert got == ([oracle.count] if oracle.stable else []), (presentation, assignment)
         stable += oracle.stable

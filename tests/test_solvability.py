@@ -28,11 +28,14 @@ from countqe.elim import (
     progression_count_formula,
 )
 from countqe.formula import (
+    And,
     Eq,
     Exists,
     Formula,
     FreshNames,
     Le,
+    Lt,
+    Or,
     conj,
     constant,
     disj,
@@ -41,7 +44,7 @@ from countqe.formula import (
 )
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe.textio import parse_presentation
-from countqe.verify import PinnedProgram, count_set_witnesses, run_check
+from countqe.verify import PinnedEvaluationError, PinnedProgram, count_set_witnesses, run_check
 from helpers import random_disjoint_presentation
 from test_nat_two_sided import random_two_sided
 
@@ -188,7 +191,7 @@ def test_same_count_values_as_the_binder_encoding(monkeypatch):
         names = coordinate_names(presentation.dimension)
         for assignment in _assignments(rng, presentation, 6):
             oracle = count_set_witnesses(presentation, assignment, names)
-            tested = verify.tested_counts(rng, oracle.count)
+            tested = verify.tested_counts(rng, oracle.count, domain)
             got = program.count_values(assignment, "y", tested)
             assert got == reference_program.count_values(assignment, "y", tested), (presentation, assignment)
             for k in (oracle.count, oracle.count + 1):
@@ -263,12 +266,48 @@ def _window_one_step_wide(original):
     return mutated
 
 
+def _rewrite_atoms(f: Formula, rewrite) -> Formula:
+    """``f``, a tree of conjunctions and disjunctions over atoms, with each
+    atom replaced by ``rewrite(atom)``."""
+    if type(f) in (And, Or):
+        return (conj if type(f) is And else disj)([_rewrite_atoms(p, rewrite) for p in f.parts])
+    return rewrite(f)
+
+
+def _count_at_most_zero(original):
+    """The zero count ``u = 0`` weakened to ``u <= 0``, which also holds at
+    negative counts."""
+    def mutated(first, his, step, count_var):
+        u = variable(count_var)
+        zero = Eq(u, constant(0))
+        return _rewrite_atoms(
+            original(first, his, step, count_var), lambda a: Le(u, constant(0)) if a == zero else a
+        )
+
+    return mutated
+
+
+def _pins_without_strict_atom(original):
+    """Each floor pair without its strict atom ``hi - first < step*u``, the
+    only atom reading the count ``u`` on its greater side."""
+    def mutated(first, his, step, count_var):
+        return _rewrite_atoms(
+            original(first, his, step, count_var),
+            lambda a: fm.TRUE if type(a) is Lt and count_var in a.rhs.coeffs else a,
+        )
+
+    return mutated
+
+
 MUTATIONS = {
     "drop one pair condition": ("_coset_conditions", _drop_first_pair),
     "pair modulus g_i*g_j without G": ("_coset_conditions", _pair_modulus_without_gcd),
     "drop the row conditions": ("_coset_conditions", _drop_row_conditions),
     "drop the N disjunct h < 0": ("_negative_upper_terms", lambda original: lambda highs: []),
     "window one step wide": ("_first_witness_window", _window_one_step_wide),
+    "count u <= 0 for u = 0": ("progression_count_formula", _count_at_most_zero),
+    "pins without their strict atom": ("progression_count_formula", _pins_without_strict_atom),
+    "no row relations": ("_row_equations", lambda original: lambda *args: []),
 }
 
 
@@ -281,6 +320,16 @@ def test_mutation_is_caught_by_the_oracle(monkeypatch, name):
         outcome = run_check(presentation, trials=15, box_radius=12, seed=index)
         mismatches += outcome.mismatches + outcome.unstable_bad
     assert mismatches > 0, name
+
+
+def test_window_without_congruences_is_caught(monkeypatch):
+    # Without its congruences a window of width m*D' > m leaves the first
+    # witness several values, which the pinned evaluator refuses to pick.
+    window = elim._first_witness_window
+    monkeypatch.setattr(elim, "_first_witness_window", lambda lows, first, width, _: window(lows, first, width, []))
+    with pytest.raises(PinnedEvaluationError):
+        for index, presentation in enumerate(_mutation_corpus()):
+            run_check(presentation, trials=15, box_radius=12, seed=index)
 
 
 def test_unmutated_corpus_passes():

@@ -520,7 +520,7 @@ class TestAgainstReferenceEvaluator:
             for _ in range(trials):
                 assignment = verify.random_assignment(rng, names[:-1], 40, domain)
                 oracle = count_set_witnesses(presentation, assignment, names)
-                tested = verify.tested_counts(rng, oracle.count)
+                tested = verify.tested_counts(rng, oracle.count, domain)
                 got = PinnedProgram(result.formula, domain).count_values(assignment, "y", tested)
                 expected = _reference_count_values(result, assignment, tested, domain)
                 assert got == expected, (label, presentation, assignment)
