@@ -10,6 +10,14 @@ Subcommands:
 * ``check``     eliminate, then cross-check against the counting oracle on
                 seeded random assignments
 
+``eliminate --report`` appends one comment line per component and the total
+node count.  Its ``count-var=`` names the component's part count: a fresh
+``_y<k>`` bound for it, the count variable itself for the last component
+with a count (built with the count variable less the constant counts and
+the other parts), or ``-`` for a component whose count is one constant
+wherever it is finite (a one-sided core, 0; a point in dimension 1, 1),
+which has no part count.
+
 ``eliminate`` and ``check`` plan first, which builds the formula once; when
 its node count exceeds ``--node-budget`` (default 10**6) they refuse with
 exit 2 and a one-line error, before printing or checking anything.
@@ -148,7 +156,7 @@ def _format_report(result, estimated: int) -> str:
             fields.append("lowers=" + (",".join(map(str, comp.lower_rows)) or "-"))
             fields.append("signs=" + (",".join(map(str, comp.sign_rows)) or "-"))
             fields.append(f"coset-period={comp.coset_period}")
-        fields.append(f"count-var={comp.count_var}")
+        fields.append(f"count-var={comp.count_var or '-'}")
         fields.append(f"nodes={comp.nodes}")
         lines.append("# " + " ".join(fields))
     lines.append(f"# total nodes: {result.report.nodes} (estimated {estimated})")

@@ -34,16 +34,24 @@ natural points.  Where a row equation or a sign atom fails, or the
 congruences have no solution, the count is 0.  A core with an empty bound
 family has no count where its row equations and sign atoms hold and the
 congruences have a solution, and count 0 elsewhere.
-Components combine by summing per-component count variables.  Each body
-sets its count to 0, to 1 or to a floor quotient plus 1 that is at least 1,
-so no ``0 <= y_i`` stands beside it.
+Components combine by summing their counts.  A component whose count is one
+constant wherever it is finite (a one-sided core, 0; a point in dimension
+1, 1; :func:`_constant_count`) adds its guard, where that count is finite,
+and its constant to an offset.  Each other component but the last binds a
+part count, and the last is built with the count term ``y - offset - (the
+other parts)``, so no equation sums the parts; without such components the
+formula is the guards and ``y = offset``.  Each body sets its count to 0,
+to 1 or to a floor quotient plus 1 that is at least 1, so no ``0 <= y_i``
+stands beside it.
 
 Atoms that the atoms beside them imply are left out: a core's row
 equations stand once in its count case and their negation once in its zero
 case; a floor pair whose at-most atom already stands keeps only its strict
 atom; the window's congruences stand once beside its disjunction of upper
-ends.  A negated order atom is the flipped atom
-(:func:`countqe.formula.negate`), and a constant body gets no binders.
+ends; an integrality row that is k times another row mod D, residue
+included, is dropped (:func:`_congruence_rows`).  A negated order atom is
+the flipped atom (:func:`countqe.formula.negate`), and a constant body gets
+no binders.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
 data and bound families), and :func:`plan_elimination` builds the formula
@@ -91,6 +99,7 @@ from .formula import (
 )
 from .linalg import (
     CramerSolution,
+    congruence_coset,
     cramer_solve,
     find_full_rank_submatrix,
     greedy_row_basis,
@@ -130,10 +139,11 @@ def _divided(atom: Formula) -> Formula:
 
 
 def progression_count_formula(
-    first: Term, his: Sequence[Term], step: int, count_var: str
+    first: Term, his: Sequence[Term], step: int, count: Term
 ) -> Formula:
-    """Formula binding ``count_var`` to the number of terms of the progression
-    ``first, first + step, ...`` that are at most every term of ``his``.
+    """Formula setting the term ``count`` to the number of terms of the
+    progression ``first, first + step, ...`` that are at most every term of
+    ``his``.
 
     The count is 0 when some ``hi < first``, else the least ``floor((hi -
     first)/step) + 1``: at most each (``step*u <= hi - first + step``) and
@@ -145,7 +155,7 @@ def progression_count_formula(
     """
     if step < 1 or not his:
         raise ParameterError("a progression count needs a positive step and an upper term")
-    u = variable(count_var)
+    u = count
     gaps = [hi - first for hi in his]
     at_most = [_divided(Le(step * u, g + step)) for g in gaps]
     pins = [Eq(u, g + 1) if step == 1 else _divided(Lt(g, step * u)) for g in gaps]
@@ -244,22 +254,52 @@ def classify_bounds(
 # --- congruences ---------------------------------------------------------------
 
 
+def _multiple_of(row: tuple, other: tuple, denom: int) -> bool:
+    """Whether ``row`` is k times ``other`` mod ``denom``, residue included,
+    for some integer k.  Each entry confines k to one coset
+    (:func:`countqe.linalg.congruence_coset`), and these are merged by the
+    Chinese remainder theorem; no loop runs over ``denom``."""
+    start, step = 0, 1  # k = start (mod step)
+    for b, a in zip((*row[0], row[1]), (*other[0], other[1])):
+        coset = congruence_coset(a * step, b - a * start, denom)
+        if coset is None:
+            return False
+        start, step = start + step * coset[0], step * coset[1]
+    return True
+
+
+def _without_multiples(rows: Sequence[tuple], denom: int) -> list[tuple]:
+    """``rows`` (coefficients, residue), read as congruences mod ``denom``,
+    without each row that is a multiple of another kept row
+    (:func:`_multiple_of`): a row that a kept row implies is left out, and
+    a new row drops the kept rows it implies.  The kept rows have the same
+    common solutions as ``rows``."""
+    kept: list[tuple] = []
+    for row in rows:
+        if not any(_multiple_of(row, other, denom) for other in kept):
+            kept = [other for other in kept if not _multiple_of(other, row, denom)] + [row]
+    return kept
+
+
 def _congruence_rows(solution: CramerSolution) -> list[tuple]:
-    """The distinct integrality conditions ``N_i = 0 (mod D)`` of the Cramer
-    rows, as (coefficients reduced mod D, residue of the constant part).
+    """The integrality conditions ``N_i = 0 (mod D)`` of the Cramer rows, as
+    (coefficients reduced mod D, residue of the constant part), none of
+    them a multiple of another (:func:`_without_multiples`).
 
     A row whose coefficients all vanish mod D holds everywhere (its constant
     is 0 mod D, since every N_i vanishes at the base) and is left out; so is
-    every row when D is 1.
+    every row when D is 1.  Leaving out a row that another row implies keeps
+    the rows' common solutions, so the coset period (an lcm over the rows)
+    and the solvability condition stay the same.
     """
     d = solution.denom
-    rows = {}
+    rows = []
     for row, offset in zip(solution.matrix, solution.offset):
         coeffs = tuple(c % d for c in row)
         assert any(coeffs) or offset % d == 0, "a constant row must vanish mod D"
         if any(coeffs):
-            rows[coeffs, -offset % d] = None
-    return list(rows)
+            rows.append((coeffs, -offset % d))
+    return _without_multiples(rows, d)
 
 
 def _congruences(rows: Sequence[tuple], denom: int, names: Sequence[str], last: Term) -> list:
@@ -433,7 +473,7 @@ class ComponentReport:
 
     index: int
     case: str  # "single-witness" or "interval-count"
-    count_var: str
+    count_var: Optional[str]  # None for a component of constant count
     nodes: int
     denom: Optional[int] = None
     multiplier: Optional[int] = None
@@ -471,8 +511,9 @@ class ComponentPlan:
     (no rows and D = 1 without periods), or an interval core's least row
     basis of the other rows followed by the counted row.  The other
     non-counted rows are dropped, and ``relations`` are their row equations
-    (:func:`_row_equations`).  ``congruences`` are the distinct integrality
-    conditions of the Cramer rows (see :func:`_congruence_rows`).  A
+    (:func:`_row_equations`).  ``congruences`` are the integrality conditions
+    of the Cramer rows, none a multiple of another (see
+    :func:`_congruence_rows`).  A
     single-witness component has no ``bounds``.  For an interval core, the
     congruences' solutions in the counted value form one coset of
     ``coset_period`` exactly where the atoms ``solvable`` hold
@@ -490,7 +531,7 @@ class ComponentPlan:
     coset_period: int = 1
     solvable: tuple = ()
 
-    def report(self, index: int, count_var: str, nodes: int) -> ComponentReport:
+    def report(self, index: int, count_var: Optional[str], nodes: int) -> ComponentReport:
         """The report of this component, built with ``nodes`` nodes."""
         one_based = lambda rows: tuple(i + 1 for i in rows)
         fields = {}
@@ -625,12 +666,12 @@ def _numerators(solution: CramerSolution, names: Sequence[str]) -> list[Term]:
     ]
 
 
-def _case_single(plan: ComponentPlan, count_var: str, names: Sequence[str]) -> Formula:
+def _case_single(plan: ComponentPlan, count: Term, names: Sequence[str]) -> Formula:
     """Counted coordinate determined by the others: witness count is 0 or 1.
 
-    The count is 1 exactly where the membership conditions M of the selected
-    rows hold: ``0 <= N_i``, ``N_i = 0 (mod D)`` and the row equations of the
-    other non-counted rows.  No binder.
+    The term ``count`` is 1 exactly where the membership conditions M of the
+    selected rows hold: ``0 <= N_i``, ``N_i = 0 (mod D)`` and the row
+    equations of the other non-counted rows.  No binder.
     """
     selected = [names[i] for i in plan.rows]
     signs = [_divided(Le(constant(0), t)) for t in _numerators(plan.solution, selected)]
@@ -638,45 +679,63 @@ def _case_single(plan: ComponentPlan, count_var: str, names: Sequence[str]) -> F
     if plan.congruences:  # D > 1, so some rows are selected
         congruences = _congruences(plan.congruences, plan.solution.denom, selected[:-1], variable(selected[-1]))
     member = conj(signs + congruences + list(plan.relations))
-    y = variable(count_var)
-    return disj([conj([member, Eq(y, constant(1))]), conj([negate(member), Eq(y, constant(0))])])
+    return disj([conj([member, Eq(count, constant(1))]), conj([negate(member), Eq(count, constant(0))])])
+
+
+def _signs(bc: BoundClassification) -> Formula:
+    """The sign atoms ``0 <= N_i`` of a core's rows without a counted
+    coefficient."""
+    return conj([_divided(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows])
+
+
+def _constant_count(plan: ComponentPlan) -> Optional[int]:
+    """The count of a component that is one constant wherever it is finite,
+    else None: 0 for a one-sided core (its witness set is empty or
+    infinite), and 1 for a component without periods in dimension 1 (its
+    one point)."""
+    if plan.bounds is not None:
+        return None if plan.bounds.upper_rows and plan.bounds.lower_rows else 0
+    if not plan.component.periods and plan.component.dimension == 1:
+        return 1
+    return None
+
+
+def _guard(plan: ComponentPlan) -> Formula:
+    """Where the count of a component of :func:`_constant_count` is finite:
+    for a one-sided core ``!(R & signs & S)``, R the equations of the
+    dropped rows (:func:`_row_equations`) and S the quantifier-free
+    solvability condition of the congruences (:func:`_solvability`), since
+    wherever R and the sign atoms hold and the congruences have a solution
+    the witness set is infinite and no count value may satisfy it; for a
+    point, true."""
+    if plan.bounds is None:
+        return fm.TRUE
+    return negate(conj([conj(plan.relations), _signs(plan.bounds), conj(plan.solvable)]))
 
 
 def _case_interval(
-    plan: ComponentPlan, count_var: str, names: Sequence[str], fresh: FreshNames
+    plan: ComponentPlan, count: Term, names: Sequence[str], fresh: FreshNames
 ) -> tuple[list, Formula]:
-    """The square-core construction for a component whose every full-rank
-    row subsystem uses the counted row: its binders and its body.
+    """The square-core construction for a two-sided core (both bound
+    families nonempty), counted by the term ``count``: its binders and its
+    body.
 
-    With R the equations of the dropped rows (:func:`_row_equations`), a
-    two-sided core binds its first witness t0: ``E t0 . (R & signs & W(t0) &
-    C) | (Z & count_var = 0)``, W the window of its lower terms
+    With R the equations of the dropped rows (:func:`_row_equations`), it
+    binds its first witness t0: ``E t0 . (R & signs & W(t0) & C) | (Z &
+    count = 0)``, W the window of its lower terms
     (:func:`_first_witness_window`), C the count up to its upper terms
     (:func:`progression_count_formula`) and the zero case Z the disjunction
     of ``!R``, ``!signs``, ``!S`` (S the quantifier-free solvability
     condition of the congruences, :func:`_solvability`) and, over N,
     :func:`_negative_upper_terms`.  Where Z has no disjunct (over Z, without
     dropped rows or sign atoms and with congruences that always have a
-    solution) the body is ``signs & W(t0) & C``.  A one-sided core adds no
-    binder to the prefix: its body is ``!(R & signs & S) & 0 = count_var``.
-    So R stands once in each case.
+    solution) the body is ``signs & W(t0) & C``.  So R stands once in each
+    case.
     """
-    presentation, solution, bc = plan.component, plan.solution, plan.bounds
-    nat = presentation.domain is DomainTag.N
+    solution, bc = plan.solution, plan.bounds
+    assert bc.upper_rows and bc.lower_rows, "a one-sided core has a constant count"
     free_names = [names[i] for i in plan.rows[:-1]]
-    if nat:
-        # Nonnegative periods make an all-nonpositive counted column of the
-        # inverse impossible, so lower bounds always exist over the naturals.
-        assert bc.lower_rows, "natural-domain core without lower bounds"
-    relations = conj(plan.relations)
-    signs = conj([_divided(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows])
-    solvable = conj(plan.solvable)
-    y = variable(count_var)
-    if not bc.upper_rows or not bc.lower_rows:
-        # One bound family is empty: wherever the relations and sign atoms
-        # hold and the congruences have a solution the witness set is
-        # infinite, so no count value may satisfy it; elsewhere it is empty.
-        return [], conj([negate(conj([relations, signs, solvable])), Eq(constant(0), y)])
+    relations, signs = conj(plan.relations), _signs(bc)
     m = bc.multiplier
     lows = [bc.bound_term(i) for i in bc.lower_rows]
     highs = [bc.bound_term(j) for j in bc.upper_rows]
@@ -684,49 +743,66 @@ def _case_interval(
     t = variable(t0)
     congruences = _congruences(plan.congruences, solution.denom, free_names, t)
     window = _first_witness_window(lows, m * t, m * plan.coset_period, congruences)
-    count = progression_count_formula(m * t, highs, m * plan.coset_period, count_var)
-    found = conj([relations, signs, window, count])
-    zero = [negate(relations), negate(signs), negate(solvable)]
-    if nat:
+    progression = progression_count_formula(m * t, highs, m * plan.coset_period, count)
+    found = conj([relations, signs, window, progression])
+    zero = [negate(relations), negate(signs), negate(conj(plan.solvable))]
+    if plan.component.domain is DomainTag.N:
         zero += _negative_upper_terms(highs)
-    return [t0], disj([found, conj([disj(zero), Eq(y, constant(0))])])
+    return [t0], disj([found, conj([disj(zero), Eq(count, constant(0))])])
 
 
 def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var: str) -> EliminationResult:
     """The formula of the planned ``components`` (see :func:`eliminate`),
     with its report: each component's size is the node count of its body
-    closed by its binders, and the total that of the formula.  A union binds
-    a part count per component, which its body sets to a natural number."""
+    closed by its binders, and the total that of the formula.
+
+    A component of constant count (:func:`_constant_count`) gets no part
+    count: its :func:`_guard` joins the conjunction and its constant an
+    offset.  Every other component but the last binds a part count, which
+    its body sets to a natural number, and the last is built with the count
+    term ``count_var - offset - (the other parts)``, so no equation sums the
+    parts.  Where no component has a count, the formula is ``guards &
+    count_var = offset``.  A component's report names its part count,
+    ``count_var`` for the last, and none for a constant one.
+    """
     fresh = FreshNames(set(names) | {count_var})
-    single = len(components) == 1
+    constants = [_constant_count(comp_plan) for comp_plan in components]
+    counted = [index for index, k in enumerate(constants) if k is None]
+    offset = sum(k for k in constants if k is not None)
+    rest = variable(count_var) - offset
     prefix: list[str] = []
     bodies: list[Formula] = []
     reports = []
-    for index, comp_plan in enumerate(components, start=1):
-        part_count = count_var if single else fresh.fresh("y")
-        if comp_plan.bounds is None:
-            comp_prefix, body = [], _case_single(comp_plan, part_count, names)
+    for index, comp_plan in enumerate(components):
+        comp_prefix: list[str] = []
+        if constants[index] is not None:
+            part_count, body = None, _guard(comp_plan)
         else:
-            comp_prefix, body = _case_interval(comp_plan, part_count, names, fresh)
+            if index == counted[-1]:
+                part_count, count = count_var, rest
+            else:
+                part_count = fresh.fresh("y")
+                count = variable(part_count)
+                rest -= count
+            if comp_plan.bounds is None:
+                body = _case_single(comp_plan, count, names)
+            else:
+                comp_prefix, body = _case_interval(comp_plan, count, names, fresh)
         if comp_plan.component.domain is DomainTag.N:
             body = normalize_for_nat(body)
-        closed = _close(comp_prefix, body)
-        reports.append(comp_plan.report(index, part_count, fm.node_count(closed)))
+        nodes = fm.node_count(_close(comp_prefix, body))
+        reports.append(comp_plan.report(index + 1, part_count, nodes))
         prefix.extend(comp_prefix)
-        if not single:
+        if part_count not in (None, count_var):
             prefix.append(part_count)
         bodies.append(body)
-    if single:
-        # The one component, closed, is the formula: its count is the total.
-        formula, nodes = closed, reports[0].nodes
-    else:
-        component_sum = Term(0, {report.count_var: 1 for report in reports})
-        formula = _close(prefix, conj(bodies + [Eq(component_sum, variable(count_var))]))
-        nodes = fm.node_count(formula)
+    if not counted:
+        bodies.append(Eq(variable(count_var), constant(offset)))
+    formula = _close(prefix, conj(bodies))
     return EliminationResult(
         formula=formula,
         count_var=count_var,
-        report=EliminationReport(count_var=count_var, components=tuple(reports), nodes=nodes),
+        report=EliminationReport(count_var=count_var, components=tuple(reports), nodes=fm.node_count(formula)),
     )
 
 
@@ -742,9 +818,9 @@ def eliminate(
     The counted coordinate is the last one; the result holds exactly when
     ``count_var`` equals the number of values of the counted coordinate
     placing the point in the set (no count value satisfies it when that set
-    is infinite).  Each of several components gets a fresh count variable,
-    and these sum to ``count_var``.  Disjointness is the caller's asserted
-    precondition: on overlapping inputs the sum over-counts shared witnesses.
+    is infinite).  The components' counts sum to ``count_var`` (see
+    :func:`_build`).  Disjointness is the caller's asserted precondition:
+    on overlapping inputs the sum over-counts shared witnesses.
     """
     return plan_elimination(presentation, var_names, count_var).result
 

@@ -52,14 +52,15 @@ chain's verdict by the values of the names it reads.
 :meth:`PinnedProgram.evaluate` decides the formula at an assignment.
 :meth:`PinnedProgram.count_values` reads the count off it instead.  The
 eliminator defines the count branch by branch (``y = 0``, ``y = 1``, a floor
-pair, ``y = y1 + ... + yk``), so the formula is closed by ``E y`` and planned
-as one chain, with y one more name that the chain binds.  That plan runs
-trying every branch: a successful one holds at the value it bound y to, or
-at every value when it never bound y.  At each split y gets back the value
-it had there, so no branch reads a value bound by an earlier one, and the
-run stops once every tested count is found.  A formula that does not read
-the count free is decided once.  Where the run raises (y bounded on one
-side only, say), each tested count is decided by ``evaluate`` instead.
+pair, in a union each over ``y`` less the other parts), so the formula is
+closed by ``E y`` and planned as one chain, with y one more name that the
+chain binds.  That plan runs trying every branch: a successful one holds at
+the value it bound y to, or at every value when it never bound y.  At each
+split y gets back the value it had there, so no branch reads a value bound
+by an earlier one, and the run stops once every tested count is found.  A
+formula that does not read the count free is decided once.  Where the run
+raises (y bounded on one side only, say), each tested count is decided by
+``evaluate`` instead.
 
 :class:`PinnedEvaluationError` is raised when evaluation reaches a stuck
 step (such as equations that each read several undefined names, or a name

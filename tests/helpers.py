@@ -8,6 +8,7 @@ from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Mapping, Optional, Sequence
 
+from countqe import elim
 from countqe.elim import estimate_result_nodes
 from countqe.errors import DegenerateInputError, DimensionError, ParameterError
 from countqe.formula import (
@@ -145,14 +146,15 @@ def random_simple_component(
     dimension: int,
     num_periods: int,
     domain: DomainTag,
-    even_coordinate=None,
-    base_parity=0,
+    split_coordinate=None,
+    residue=0,
+    modulus=2,
 ) -> LinearSetPresentation:
-    """A random simple component; optionally pins one coordinate's parity.
+    """A random simple component; optionally pins one coordinate's residue.
 
-    With ``even_coordinate`` set, every period is even there and the base
-    carries ``base_parity``, so two components with opposite parities are
-    disjoint by construction.
+    With ``split_coordinate`` set, every period is a multiple of
+    ``modulus`` there and the base is ``residue`` modulo it, so components
+    with distinct residues are disjoint by construction.
     """
     lo_entry = 0 if domain is DomainTag.N else -3
     lo_base = 0 if domain is DomainTag.N else -5
@@ -160,15 +162,18 @@ def random_simple_component(
         periods = []
         for _ in range(num_periods):
             vec = [rng.randint(lo_entry, 3) for _ in range(dimension)]
-            if even_coordinate is not None:
-                vec[even_coordinate] = rng.choice(
-                    [0, 2] if domain is DomainTag.N else [-2, 0, 2]
+            if split_coordinate is not None:
+                vec[split_coordinate] = rng.choice(
+                    [0, modulus] if domain is DomainTag.N else [-modulus, 0, modulus]
                 )
             periods.append(tuple(vec))
         base = [rng.randint(lo_base, 5) for _ in range(dimension)]
-        if even_coordinate is not None:
-            if base[even_coordinate] % 2 != base_parity:
-                base[even_coordinate] += 1 if domain is DomainTag.N else -1
+        if split_coordinate is not None:
+            # Over N upwards, so the base stays natural; over Z downwards.
+            if domain is DomainTag.N:
+                base[split_coordinate] += (residue - base[split_coordinate]) % modulus
+            else:
+                base[split_coordinate] -= (base[split_coordinate] - residue) % modulus
         candidate = LinearSetPresentation(
             base=tuple(base), periods=tuple(periods), domain=domain
         )
@@ -205,8 +210,8 @@ def random_disjoint_presentation(
                         dimension,
                         rng.randint(0, dimension),
                         domain,
-                        even_coordinate=coord,
-                        base_parity=parity,
+                        split_coordinate=coord,
+                        residue=parity,
                     )
                 )
         else:
@@ -219,6 +224,58 @@ def random_disjoint_presentation(
             components=tuple(components),
             asserted_disjoint=True,
             asserted_simple=True,
+        )
+        if estimate_result_nodes(candidate) <= node_budget:
+            return candidate
+
+
+# Which components of a split union have a constant count: first, in the
+# middle, last, all of them and none, in unions of three and four.
+SPLIT_PATTERNS = (
+    (True, False, False),
+    (False, True, False),
+    (False, False, True),
+    (True, True, True),
+    (False, True, True, False),
+    (True, False, False, True),
+    (True, True, True, True),
+    (False, False, False),
+)
+
+
+def random_split_union(
+    rng: random.Random,
+    domain: DomainTag,
+    constant: Sequence[bool],
+    max_dimension: int = 3,
+    node_budget: int = 20_000,
+) -> SemilinearPresentation:
+    """A random disjoint union of ``len(constant)`` simple components, split
+    on the residue of one coordinate modulo their number: component i is i
+    modulo it there (:func:`random_simple_component`).  Component i has a
+    count that is one constant wherever it is finite (a one-sided core, or
+    in dimension 1 a point) exactly where ``constant[i]`` holds; each is
+    drawn until it does.  Only a union of constant counts can have
+    dimension 1, and there its components are points.  Unions whose
+    eliminated formula exceeds the node budget are resampled.
+    """
+    modulus = len(constant)
+    while True:
+        dimension = rng.randint(1 if all(constant) else 2, max_dimension)
+        coordinate = rng.randrange(dimension)
+        names = tuple(f"x{i + 1}" for i in range(dimension))
+        components = []
+        for residue, wanted in enumerate(constant):
+            while True:
+                periods = 0 if dimension == 1 else rng.randint(0, dimension)
+                component = random_simple_component(
+                    rng, dimension, periods, domain, split_coordinate=coordinate, residue=residue, modulus=modulus
+                )
+                if (elim._constant_count(elim.plan_component(component, names)) is not None) == wanted:
+                    components.append(component)
+                    break
+        candidate = SemilinearPresentation(
+            components=tuple(components), asserted_disjoint=True, asserted_simple=True
         )
         if estimate_result_nodes(candidate) <= node_budget:
             return candidate

@@ -196,8 +196,11 @@ class TestEliminateCommand:
     def test_half_line_without_budget_warning(self, capsys, tmp_path, denom):
         code, out, err = run(capsys, "eliminate", half_line(tmp_path, denom), "--report")
         assert (code, err) == (0, "")
-        # No binder, whatever the denominator: 5 nodes.
-        assert f"coset-period={denom} count-var=y nodes=5\n" in out
+        # No binder, whatever the denominator: 5 nodes.  The count of a
+        # one-sided core is 0 wherever it is finite, so it has no part count:
+        # its guard "x1 < 0" stands beside "y = 0".
+        assert f"coset-period={denom} count-var=- nodes=2\n" in out
+        assert "# total nodes: 5 (estimated 5)\n" in out
 
     def test_d8_m2_without_budget_warning(self, capsys, tmp_path):
         # A two-sided core with D = 8 and m = 2, whose first witness has
@@ -219,7 +222,9 @@ class TestEliminateCommand:
 
     def test_single_witness_report(self, capsys, tmp_path):
         # x1 = 1 + 2a and x2 = a + 3b: rows 1 and 2 give D = 6; row 3 is
-        # dropped and its row equation reads x3 = 2.
+        # dropped and its row equation reads x3 = 2.  Of the congruences,
+        # "3*x1 == 3 mod 6" is 3 times "5*x1 + 2*x2 == 5 mod 6", so it is
+        # left out.
         path = tmp_path / "single.sl"
         path.write_text(
             "domain Z\ndim 4\ndisjoint\nsimple\ncomponent\nbase 1 0 2 5\n"
@@ -230,8 +235,41 @@ class TestEliminateCommand:
         assert (code, err) == (0, "")
         assert "Exists" not in out and "E " not in out
         assert "x3 = 2" in out
-        assert "# component 1: case=single-witness D=6 rows=1,2 count-var=y nodes=33\n" in out
-        assert "# total nodes: 33 (estimated 33)\n" in out
+        assert "5*x1 + 2*x2 == 5 mod 6" in out and "3*x1 == 3 mod 6" not in out
+        assert "# component 1: case=single-witness D=6 rows=1,2 count-var=y nodes=29\n" in out
+        assert "# total nodes: 29 (estimated 29)\n" in out
+
+    def test_union_report(self, capsys, tmp_path):
+        # Three components split on x1 mod 3: a two-sided core binds the part
+        # count _y0; a one-sided core counts 0 wherever it is finite, so it
+        # has no part count ("-") and only its guard stands; the last
+        # component with a count reads y less the other part, "-_y0 + y".
+        path = tmp_path / "mixed.sl"
+        path.write_text(
+            "domain Z\ndim 2\ndisjoint\nsimple\n"
+            "component\nbase 0 0\nperiod 3 1\nperiod 3 -7\n"
+            "component\nbase 1 0\nperiod 3 1\nperiod 0 7\n"
+            "component\nbase 2 0\nperiod 3 7\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "eliminate", str(path), "--report")
+        assert (code, err) == (0, "")
+        assert out == (
+            "E _t1 . E _y0 . ((-7*x1 <= 3*_t1 & 3*_t1 < -7*x1 + 24 & 3*_t1 + 7*x1 == 0 mod 24"
+            " & (x1 < 3*_t1 & _y0 = 0 | 3*_t1 <= x1 & 24*_y0 <= -3*_t1 + x1 + 24 & -3*_t1 + x1 < 24*_y0)"
+            " | !x1 == 0 mod 3 & _y0 = 0) & !(1 <= x1 & 2*x1 == 2 mod 3)"
+            " & (0 <= x1 - 2 & x1 == 2 mod 3 & -_y0 + y = 1 | !(0 <= x1 - 2 & x1 == 2 mod 3) & -_y0 + y = 0))\n"
+            "# count variable: y\n"
+            "# component 1: case=interval-count D=24 m=3 core-rows=1,2 dropped-rows=- uppers=2 lowers=1"
+            " signs=- coset-period=8 count-var=_y0 nodes=37\n"
+            "# component 2: case=interval-count D=21 m=3 core-rows=1,2 dropped-rows=- uppers=- lowers=2"
+            " signs=1 coset-period=7 count-var=- nodes=6\n"
+            "# component 3: case=single-witness D=3 rows=1 count-var=y nodes=19\n"
+            "# total nodes: 64 (estimated 64)\n"
+        )
+        code, out, err = run(capsys, "check", str(path), "--trials", "40")
+        assert (code, err) == (0, "")
+        assert " mismatches=0 " in out
 
     def test_non_simple_exit_2(self, capsys):
         code, _, err = run(capsys, "eliminate", fixture("nonsimple.sl"))
@@ -332,9 +370,9 @@ class TestEliminateCommand:
                 "three_periods.sl",
                 ["--counted-var", "x1"],
                 "0 <= -x2 + 2*x3 + 2*x4 & 0 <= x2 - 2*x4 & 0 <= x2 + 2*x3 - 6*x4"
-                " & 3*x2 + 2*x3 + 2*x4 == 0 mod 4 & 2*x2 == 0 mod 4 & x2 + 2*x3 + 2*x4 == 0 mod 4 & y = 1"
+                " & 3*x2 + 2*x3 + 2*x4 == 0 mod 4 & y = 1"
                 " | !(0 <= -x2 + 2*x3 + 2*x4 & 0 <= x2 - 2*x4 & 0 <= x2 + 2*x3 - 6*x4"
-                " & 3*x2 + 2*x3 + 2*x4 == 0 mod 4 & 2*x2 == 0 mod 4 & x2 + 2*x3 + 2*x4 == 0 mod 4) & y = 0",
+                " & 3*x2 + 2*x3 + 2*x4 == 0 mod 4) & y = 0",
             ),
             (
                 "natural.sl",
@@ -505,12 +543,13 @@ CORE_AND_POINT = (
 )
 def test_each_command_builds_each_component_once(capsys, monkeypatch, tmp_path, name, components):
     # Planning builds the formula; the size check, the elimination and the
-    # check read what it built.
+    # check read what it built.  A component of constant count is built as
+    # its guard, any other by its case's builder.
     (tmp_path / "two_cores.sl").write_text(TWO_CORES, encoding="utf-8")
     (tmp_path / "core_and_point.sl").write_text(CORE_AND_POINT, encoding="utf-8")
     path = fixture(name) if os.path.exists(fixture(name)) else str(tmp_path / name)
     built = []
-    for builder in ("_case_single", "_case_interval"):
+    for builder in ("_guard", "_case_single", "_case_interval"):
         def counting(plan, *args, build=getattr(elim, builder)):
             built.append(plan)
             return build(plan, *args)
@@ -617,10 +656,10 @@ def test_output_hashes_are_pinned(capsys):
         random_disjoint_presentation(rng, (DomainTag.Z, DomainTag.N)[i % 2]) for i in range(300)
     ]
     formulas = [elim.plan_elimination(p).result.formula for p in presentations]
-    assert sum(node_count(f) for f in formulas[fixtures:]) == 5983
+    assert sum(node_count(f) for f in formulas[fixtures:]) == 5376
     printed = "".join(print_formula(f) + "\n" for f in formulas)
     assert hashlib.sha256(printed.encode()).hexdigest() == (
-        "0668d5712a2d42e9677ab31023bc3bfe42d9f997565073b7a76ba0a0166cb4cf"
+        "097c2c4b4c47593fd8c9996faf21465873b1fe582ebdfeae0c51b3755d875da8"
     )
     for name in ("three_periods", "natural", "singleton"):
         assert main(["check", fixture(f"{name}.sl"), "--trials", "100"]) == 0

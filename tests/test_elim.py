@@ -44,10 +44,12 @@ from countqe.sets import (
 )
 from countqe.textio import parse_presentation, print_formula
 from helpers import (
+    SPLIT_PATTERNS,
     ResidueCase,
     count_in_progression,
     random_disjoint_presentation,
     random_simple_component,
+    random_split_union,
     residue_case_feasible,
 )
 
@@ -113,7 +115,7 @@ def _progression_count(first, hi, step):
 
 class TestProgressionCountFormula:
     def _check(self, first, hi, step):
-        f = progression_count_formula(variable("lo"), [variable("hi")], step, "u")
+        f = progression_count_formula(variable("lo"), [variable("hi")], step, variable("u"))
         expected = count_in_progression(first, hi, first, step)
         assert expected == _progression_count(first, hi, step)
         asg = {"lo": first, "hi": hi}
@@ -149,8 +151,8 @@ class TestProgressionCountFormula:
             asg = {f"h{j}": rng.randint(0, 40) for j in range(len(his))} | {"lo": first}
             expected = _progression_count(first, min(asg[f"h{j}"] for j in range(len(his))), step)
             for f, domain in (
-                (progression_count_formula(variable("lo"), his, step, "u"), "Z"),
-                (normalize_for_nat(progression_count_formula(variable("lo"), his, step, "u")), "N"),
+                (progression_count_formula(variable("lo"), his, step, variable("u")), "Z"),
+                (normalize_for_nat(progression_count_formula(variable("lo"), his, step, variable("u"))), "N"),
             ):
                 assert evaluate(f, asg | {"u": expected}, domain=domain) is True
                 for wrong in (expected - 1, expected + 1, expected + step):
@@ -161,18 +163,18 @@ class TestProgressionCountFormula:
         assert min(seen.values()) >= 10, seen
 
     def test_no_quantifiers_and_parameter_errors(self):
-        f = progression_count_formula(variable("lo"), [variable("hi")], 6, "u")
+        f = progression_count_formula(variable("lo"), [variable("hi")], 6, variable("u"))
         assert contains_counting(f) is False
         assert free_vars(f) == {"lo", "hi", "u"}
         with pytest.raises(ParameterError):
-            progression_count_formula(variable("lo"), [variable("hi")], 0, "u")
+            progression_count_formula(variable("lo"), [variable("hi")], 0, variable("u"))
         with pytest.raises(ParameterError):
-            progression_count_formula(variable("lo"), [], 6, "u")
+            progression_count_formula(variable("lo"), [], 6, variable("u"))
 
     def test_several_terms_pin_by_strict_atoms_alone(self):
         # Each at-most atom stands once, beside the pins; a pin is its
         # strict atom.
-        f = progression_count_formula(variable("lo"), [variable("h0"), variable("h1")], 6, "u")
+        f = progression_count_formula(variable("lo"), [variable("h0"), variable("h1")], 6, variable("u"))
         reading_u = [g for g in traverse(f)[0] if any("u" in t.coeffs for t in g.terms)]
         assert sorted(type(g).__name__ for g in reading_u) == ["Eq", "Le", "Le", "Lt", "Lt"]
         (pins,) = [g for g in f.parts[1].parts if isinstance(g, Or)]
@@ -185,7 +187,7 @@ class TestProgressionCountFormulaNat:
 
     def _check(self, step, a, b, c, d):
         first, hi = variable("a") - variable("b"), variable("c") - variable("d")
-        f = normalize_for_nat(progression_count_formula(first, [hi], step, "u"))
+        f = normalize_for_nat(progression_count_formula(first, [hi], step, variable("u")))
         expected = _progression_count(a - b, c - d, step)
         asg = {"a": a, "b": b, "c": c, "d": d}
         assert evaluate(f, asg | {"u": expected}, domain="N") is True
@@ -202,7 +204,7 @@ class TestProgressionCountFormulaNat:
         self._check(1, 10, 0, 4, 0)
 
     def test_subtraction_free(self):
-        f = normalize_for_nat(progression_count_formula(variable("a") - variable("b"), [variable("c") - 3], 6, "u"))
+        f = normalize_for_nat(progression_count_formula(variable("a") - variable("b"), [variable("c") - 3], 6, variable("u")))
         assert is_subtraction_free(f) is True
 
     def test_randomised_against_enumeration(self):
@@ -603,6 +605,39 @@ class TestEliminateUnion:
         result = eliminate(s, "y")
         for k in range(0, 5):
             assert evaluate(result.formula, {"y": k}, quant_bound=12) is (k == 2)
+        # A point in dimension 1 counts 1 wherever it is finite: no
+        # component has a part count.
+        assert print_formula(result.formula) == "y = 2"
+        assert [c.count_var for c in result.report.components] == [None, None]
+
+    def test_split_unions_agree_with_the_oracle(self, monkeypatch):
+        # Unions of three and four components with constant counts first, in
+        # the middle, last, throughout and nowhere: each agrees with the
+        # oracle, and count_values reads the count off the formula without
+        # falling back to deciding each tested count.  Each component with
+        # a count but the last binds a part count, and the last reads y.
+        evaluate_formula = PinnedProgram.evaluate
+
+        def without_fallback(program, assignment):
+            assert "y" not in program.free_names(program.formula), "count_values fell back to evaluate"
+            return evaluate_formula(program, assignment)
+
+        monkeypatch.setattr(PinnedProgram, "evaluate", without_fallback)
+        rng = random.Random(2510)
+        seen = {"dimension 1": 0, "N": 0, "positive counts": 0}
+        for index in range(300):
+            pattern = SPLIT_PATTERNS[index % len(SPLIT_PATTERNS)]
+            s = random_split_union(rng, (DomainTag.Z, DomainTag.N)[index % 2], pattern)
+            outcome = run_check(s, trials=15, box_radius=12, seed=index)
+            assert (outcome.mismatches, outcome.unstable_bad, outcome.overlaps) == (0, 0, 0), s
+            parts = [c.count_var for c in eliminate(s, "y").report.components]
+            counted = [part for part, fixed in zip(parts, pattern) if not fixed]
+            assert [part is None for part in parts] == list(pattern)
+            assert all(part.startswith("_y") for part in counted[:-1]) and counted[-1:] in ([], ["y"])
+            seen["dimension 1"] += s.dimension == 1
+            seen["N"] += s.domain is DomainTag.N
+            seen["positive counts"] += sum(r.verdict == "ok" and r.oracle.count > 0 for r in outcome.records)
+        assert seen["dimension 1"] >= 20 and seen["N"] == 150 and seen["positive counts"] >= 500, seen
 
     def test_one_simplicity_check_per_component(self, monkeypatch):
         # Planning checks each component once; eliminate reads only the
@@ -727,10 +762,10 @@ class TestEliminateUnion:
 
     def test_false_one_sided_body_under_relations(self):
         # No sign atom and D' = 1: the one-sided core's "!(R & signs & S)"
-        # keeps only the dropped row's relation R, "!x1 = 1 & 0 = y".
+        # keeps only the dropped row's relation R, "!x1 = 1 & y = 0".
         s = union(LinearSetPresentation(base=(1, 0), periods=((0, 1),)))
         result = eliminate(s, "y")
-        assert print_formula(result.formula) == "!x1 = 1 & 0 = y"
+        assert print_formula(result.formula) == "!x1 = 1 & y = 0"
         assert estimate_result_nodes(s) == fm.node_count(result.formula) == 6
 
     def test_estimate_is_exact_on_single_witness_components(self):
@@ -763,7 +798,7 @@ class TestEliminateUnion:
         "components, actual",
         [
             ([((0, 5, 4), ((3, 0, 1), (2, 2, 0)))], 29),
-            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 48),
+            ([((0, 5, 4), ((3, 0, 1), (2, 2, 0))), ((5, 2, 5), ((2, 2, 2), (1, 2, 2), (0, 0, 3)))], 40),
         ],
     )
     def test_estimate_not_below_single_witness_sizes(self, components, actual):
@@ -787,9 +822,10 @@ def _fixture_or_d8_m2(name):
 
 class TestBinders:
     """The only binders are each two-sided core's first witness t0, whatever
-    the sizes of its bound families, and a union's part count per component.
-    The zero case and a one-sided core ask whether the congruences have a
-    solution without a binder; a single-witness component binds nothing."""
+    the sizes of its bound families, and a part count for each component
+    with a count but the last.  The zero case and a one-sided core ask
+    whether the congruences have a solution without a binder; a
+    single-witness component binds nothing."""
 
     @staticmethod
     def _binders(formula):
@@ -798,19 +834,24 @@ class TestBinders:
         return sorted(g.var[:2] for g in traverse(formula)[0] if isinstance(g, Exists))
 
     @staticmethod
-    def _expected(result):
-        """One "_t" per two-sided core, and one "_y" per component of a
-        union; none when the formula is a constant."""
+    def _expected(presentation, result):
+        """One "_t" per two-sided core, and one "_y" per component with a
+        count but the last; none when the formula is a constant.  A
+        one-sided core and a point in dimension 1 have a constant count."""
         if isinstance(result.formula, (fm.TrueF, fm.FalseF)):
             return []
         reports = result.report.components
-        kinds = ["_y"] * len(reports) if len(reports) > 1 else []
-        return sorted(kinds + ["_t" for r in reports if r.upper_rows and r.lower_rows])
+        counted = [
+            r for r, c in zip(reports, presentation.components)
+            if (r.upper_rows and r.lower_rows) or (r.case == "single-witness" and (c.periods or c.dimension > 1))
+        ]
+        return sorted(["_y"] * (len(counted) - 1) + ["_t" for r in reports if r.upper_rows and r.lower_rows])
 
     @pytest.mark.parametrize("name", ["three_periods", "natural", "d8_m2"])
     def test_two_sided_fixtures(self, name):
-        result = eliminate(_fixture_or_d8_m2(name), "y")
-        assert self._binders(result.formula) == self._expected(result) == ["_t"]
+        s = _fixture_or_d8_m2(name)
+        result = eliminate(s, "y")
+        assert self._binders(result.formula) == self._expected(s, result) == ["_t"]
 
     @pytest.mark.parametrize("denom", [2, 100])
     def test_half_line_has_none(self, denom):
@@ -824,7 +865,7 @@ class TestBinders:
             s = random_disjoint_presentation(rng, domain, max_dimension=4)
             result = eliminate(s, "y")
             reports = result.report.components
-            assert self._binders(result.formula) == self._expected(result), s
+            assert self._binders(result.formula) == self._expected(s, result), s
             for r in reports:
                 two_sided = r.upper_rows and r.lower_rows
                 kind = r.case if r.case == "single-witness" else "two-sided" if two_sided else "one-sided"
@@ -847,7 +888,7 @@ class TestOutputSize:
         assert result.report.nodes <= ceiling
         assert estimate_result_nodes(s) == fm.node_count(result.formula)
 
-    @pytest.mark.parametrize("name, nodes", [("three_periods", 64), ("natural", 30), ("d8_m2", 49)])
+    @pytest.mark.parametrize("name, nodes", [("three_periods", 64), ("natural", 30), ("d8_m2", 45)])
     def test_two_sided_sizes_without_a_zero_case_binder(self, name, nodes):
         assert eliminate(_fixture_or_d8_m2(name), "y").report.nodes == nodes
 
@@ -860,31 +901,64 @@ def _one(base, periods, domain=DomainTag.Z):
     return union(LinearSetPresentation(base=base, periods=periods, domain=domain))
 
 
+def _split(components, domain=DomainTag.Z):
+    """A union of ``(base, periods)`` components, disjoint because each
+    base's first entry has another residue modulo their number, which
+    divides every period's first entry."""
+    return union(*(LinearSetPresentation(base=base, periods=periods, domain=domain) for base, periods in components))
+
+
 # Per construction case, a family of presentations with one parameter k that
 # enters the periods (or, for three_periods, the base) and a factor s on the
-# base: (builder, case, two-sided, dropped rows, nodes).
+# base: (builder, (kind, dropped rows) per component, nodes).  A kind is
+# "single-witness", "one-sided" or "two-sided".
 SCALED_FAMILIES = {
-    "half-line": (lambda k, s: _one((s, 2 * s), ((1, 1), (0, k))), "interval-count", False, 0, 5),
+    "half-line": (lambda k, s: _one((s, 2 * s), ((1, 1), (0, k))), [("one-sided", 0)], 5),
     "one-sided, a dropped row": (
-        lambda k, s: _one((s, s, 2 * s), ((1, 1, 1), (0, 0, k))), "interval-count", False, 1, 10
+        lambda k, s: _one((s, s, 2 * s), ((1, 1, 1), (0, 0, k))), [("one-sided", 1)], 10
     ),
-    "single-witness": (lambda k, s: _one((s, 2 * s), ((k, 1),)), "single-witness", False, 0, 17),
+    "single-witness": (lambda k, s: _one((s, 2 * s), ((k, 1),)), [("single-witness", 0)], 17),
     "single-witness, a relation": (
-        lambda k, s: _one((s, 2 * s, 3 * s), ((1, 2, 1), (0, k, k))), "single-witness", False, 0, 25
+        lambda k, s: _one((s, 2 * s, 3 * s), ((1, 2, 1), (0, k, k))), [("single-witness", 0)], 25
     ),
     "single-witness, a dropped row": (
-        lambda k, s: _one((s, 2 * s, 3 * s), ((k, 1, 1),)), "single-witness", False, 1, 23
+        lambda k, s: _one((s, 2 * s, 3 * s), ((k, 1, 1),)), [("single-witness", 1)], 23
     ),
-    "two-sided": (lambda k, s: _one((s, 2 * s), ((1, 1), (1, -k))), "interval-count", True, 0, 33),
+    "two-sided": (lambda k, s: _one((s, 2 * s), ((1, 1), (1, -k))), [("two-sided", 0)], 30),
     "two-sided, a dropped row": (
-        lambda k, s: _one((s, 3 * s, 2 * s), ((1, 1, 1), (1, 1, -k))), "interval-count", True, 1, 44
+        lambda k, s: _one((s, 3 * s, 2 * s), ((1, 1, 1), (1, 1, -k))), [("two-sided", 1)], 41
     ),
     "two-sided over N": (
-        lambda k, s: _one((s, 2 * s), ((1, 2 * k), (2 * k, 1)), DomainTag.N), "interval-count", True, 0, 39
+        lambda k, s: _one((s, 2 * s), ((1, 2 * k), (2 * k, 1)), DomainTag.N), [("two-sided", 0)], 36
     ),
     "three_periods, base scaled": (
         lambda k, s: _one((k * s, 2 * k * s, 3 * k * s, 4 * k * s), THREE_PERIOD_SET.periods),
-        "interval-count", True, 1, 64,
+        [("two-sided", 1)], 64,
+    ),
+    # Unions: a constant count (a one-sided core, a point in dimension 1)
+    # adds its guard and no part count, and the last count reads y.
+    "one-sided pair": (
+        lambda k, s: _split([((2 * s + r, 2 * s), ((2, 2), (0, k))) for r in (0, 1)]),
+        [("one-sided", 0)] * 2, 15,
+    ),
+    "single-witness pair": (
+        lambda k, s: _split([((2 * s + r, s), ((2, k),)) for r in (0, 1)]),
+        [("single-witness", 0)] * 2, 38,
+    ),
+    "two-sided pair": (
+        lambda k, s: _split([((2 * s + r, 2 * s), ((2, 1), (2, -k))) for r in (0, 1)]),
+        [("two-sided", 0)] * 2, 80,
+    ),
+    "mixed": (
+        lambda k, s: _split([
+            ((3 * s, 2 * s), ((3, 1), (3, -k))),
+            ((3 * s + 1, 2 * s), ((3, 1), (0, k))),
+            ((3 * s + 2, 2 * s), ((3, k),)),
+        ]),
+        [("two-sided", 0), ("one-sided", 0), ("single-witness", 0)], 64,
+    ),
+    "dim-1 points": (
+        lambda k, s: _split([((s,), ()), ((s + k,), ()), ((s + 2 * k,), ())]), [("single-witness", 0)] * 3, 2
     ),
 }
 
@@ -894,12 +968,13 @@ def test_size_does_not_grow_with_scale(name):
     # The construction's size depends on the shape of a component, not on
     # its entries: the same node count at k = 7, 10**3 + 1 and 10**6 + 3
     # (so D up to 10**6 and more), with the base as it is and times 10**6.
-    build, case, two_sided, dropped, nodes = SCALED_FAMILIES[name]
+    build, kinds, nodes = SCALED_FAMILIES[name]
     for k in (7, 10**3 + 1, 10**6 + 3):
         for scale in (1, 10**6):
             report = eliminate(build(k, scale), "y").report
-            (component,) = report.components
-            assert component.case == case
-            assert bool(component.upper_rows and component.lower_rows) is two_sided
-            assert len(component.dropped_rows) == dropped
+            assert [
+                (c.case if c.case == "single-witness" else "two-sided" if c.upper_rows and c.lower_rows else "one-sided",
+                 len(c.dropped_rows))
+                for c in report.components
+            ] == kinds
             assert report.nodes == nodes, (k, scale)

@@ -32,7 +32,7 @@ def random_single_witness(rng: random.Random, domain: DomainTag):
         even = rng.randrange(n) if parities[0] is not None else None
         components = tuple(
             random_simple_component(
-                rng, n, rng.randint(0, n - 1), domain, even_coordinate=even, base_parity=parity
+                rng, n, rng.randint(0, n - 1), domain, split_coordinate=even, residue=parity
             )
             for parity in parities
         )

@@ -2,14 +2,18 @@
 
 A core's congruences ``lam_i*t = c_i(x) (mod D)`` have a common solution t
 exactly where the atoms of :func:`countqe.elim._solvability` hold.  The
-tests here check that condition by brute force over t, check the eliminated
-formulas against the encoding that asked it with a binder (a window witness
-``t1`` in a two-sided core's zero case, a coset witness in a one-sided core),
+tests here check that condition by brute force over t, check that the rows
+kept when a row is a multiple of another have the solutions of all rows (by
+brute force over residue vectors), check the eliminated formulas against
+the encoding that asked it with a binder (a window witness ``t1`` in a
+two-sided core's zero case, a coset witness in a one-sided core's guard),
 and keep a fixed list of mutations of the construction that the oracle must
 catch.
 """
 
+import itertools
 import random
+import time
 from math import gcd
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +40,7 @@ from countqe.formula import (
     Le,
     Lt,
     Or,
+    Term,
     conj,
     constant,
     disj,
@@ -45,7 +50,7 @@ from countqe.formula import (
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe.textio import parse_presentation
 from countqe.verify import PinnedEvaluationError, PinnedProgram, count_set_witnesses, run_check
-from helpers import random_disjoint_presentation
+from helpers import SPLIT_PATTERNS, random_disjoint_presentation, random_split_union
 from test_nat_two_sided import random_two_sided
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -111,49 +116,154 @@ def test_condition_atoms_are_reduced_and_subtraction_free():
             assert is_subtraction_free(atom)
 
 
+# --- rows that another row implies ------------------------------------------------
+
+
+def _holds(rows, denom, point) -> bool:
+    return all((sum(c * v for c, v in zip(coeffs, point)) - residue) % denom == 0 for coeffs, residue in rows)
+
+
+def _multiple_by_search(row, other, denom) -> bool:
+    (b, s), (a, r) = row, other
+    return any(all((k * x - y) % denom == 0 for x, y in zip((*a, r), (*b, s))) for k in range(denom))
+
+
+def _small_row_systems():
+    """400 row systems with D <= 12 and up to 3 coordinates: random rows,
+    multiples of earlier rows, and multiples whose residue is off."""
+    rng = random.Random(2425)
+    for _ in range(400):
+        denom, width = rng.randint(1, 12), rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("random", "multiple", "off residue")) if rows else "random"
+            if kind == "random":
+                rows.append((tuple(rng.randrange(denom) for _ in range(width)), rng.randrange(denom)))
+                continue
+            (coeffs, residue), k = rng.choice(rows), rng.randrange(denom)
+            shift = rng.randrange(1, denom) if kind == "off residue" and denom > 1 else 0
+            rows.append((tuple(k * c % denom for c in coeffs), (k * residue + shift) % denom))
+        yield rows, denom, width
+
+
+def _systems_changed() -> int:
+    """How many small systems' kept rows have other solutions than all
+    their rows, over every residue vector."""
+    changed = 0
+    for rows, denom, width in _small_row_systems():
+        kept = elim._without_multiples(rows, denom)
+        points = itertools.product(range(denom), repeat=width)
+        changed += any(_holds(kept, denom, p) != _holds(rows, denom, p) for p in points)
+    return changed
+
+
+def test_kept_rows_have_the_solutions_of_all_rows():
+    # The kept rows solve the same residue vectors as all the rows, none of
+    # them is a multiple of another, and the multiple test agrees with a
+    # search over k.
+    assert _systems_changed() == 0
+    dropped = off_residue_kept = 0
+    for rows, denom, _ in _small_row_systems():
+        for row in rows:
+            for other in rows:
+                assert elim._multiple_of(row, other, denom) == _multiple_by_search(row, other, denom)
+        kept = elim._without_multiples(rows, denom)
+        assert all(row in rows for row in kept)
+        assert not any(_multiple_by_search(a, b, denom) for a, b in itertools.permutations(kept, 2))
+        dropped += len(set(rows)) - len(kept)
+        off_residue_kept += sum(
+            not _multiple_by_search(row, other, denom) and _multiple_by_search((row[0], 0), (other[0], 0), denom)
+            for row, other in itertools.permutations(kept, 2)
+        )
+    assert dropped > 100 and off_residue_kept > 50, (dropped, off_residue_kept)
+
+
+def test_residue_blind_multiple_test_is_caught(monkeypatch):
+    # The rows of a Cramer solution share the base point as a solution, so
+    # where their coefficients are multiples their residues are too, and the
+    # oracle cannot see this mutation; the comparison over residue vectors
+    # does.
+    multiple_of = elim._multiple_of
+    monkeypatch.setattr(elim, "_multiple_of", lambda row, other, d: multiple_of((row[0], 0), (other[0], 0), d))
+    assert _systems_changed() > 0
+
+
+def test_multiple_test_at_a_large_modulus():
+    # D = 10**6 + 3 (a prime) and 10**6: one congruence_coset per entry,
+    # never a loop over D.
+    rng = random.Random(1000003)
+    start = time.perf_counter()
+    for denom in (10**6 + 3, 10**6):
+        for _ in range(200):
+            a = (tuple(rng.randrange(denom) for _ in range(3)), rng.randrange(denom))
+            k = rng.randrange(2, denom)
+            b = (tuple(k * c % denom for c in a[0]), k * a[1] % denom)
+            off = (b[0], (b[1] + 1) % denom)
+            other = (tuple(rng.randrange(denom) for _ in range(3)), rng.randrange(denom))
+            assert elim._without_multiples([a, b, other], denom) == [a, other]
+            assert elim._multiple_of(b, a, denom) and not elim._multiple_of(off, a, denom)
+    assert time.perf_counter() - start < 2.0
+
+
 # --- the binder encoding, kept as the reference ----------------------------------
 
 
-def _t1_encoding(
-    plan: ComponentPlan, count_var: str, names: Sequence[str], fresh: FreshNames
-) -> tuple[list, Formula]:
-    """A core's construction as it asked for a solution with a binder: the
-    zero case ``!E t1 . W(t1)`` (no value fills the window) and the
-    one-sided ``E t . 0 <= t < D' & congruences``, where the eliminator now
-    emits the quantifier-free condition."""
-    presentation, solution, bc = plan.component, plan.solution, plan.bounds
-    piece = normalize_for_nat if presentation.domain is DomainTag.N else lambda f: f
-    relations = piece(conj(plan.relations))
+def _binder_pieces(plan: ComponentPlan, names: Sequence[str]):
+    """What both binder encodings of a core read: the normalisation of its
+    domain, its relations, its sign atoms, and its window over a witness
+    name."""
+    solution, bc = plan.solution, plan.bounds
+    piece = normalize_for_nat if plan.component.domain is DomainTag.N else lambda f: f
     free_names = [names[i] for i in plan.rows[:-1]]
-    period = plan.coset_period
 
     def window(witness: str, lows, m: int) -> Formula:
         t = variable(witness)
         congruences = _congruences(plan.congruences, solution.denom, free_names, t)
-        return piece(_first_witness_window(lows, m * t, m * period, congruences))
-
-    def has_witness(lows, m: int) -> Formula:
-        t = fresh.fresh("t")
-        return Exists(t, window(t, lows, m))
+        return piece(_first_witness_window(lows, m * t, m * plan.coset_period, congruences))
 
     signs = piece(conj([Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]))
-    y = variable(count_var)
-    if not bc.upper_rows or not bc.lower_rows:
-        congruences = conj(_congruences(plan.congruences, solution.denom, free_names, constant(0)))
-        solvable = congruences if period == 1 else has_witness([constant(0)], 1)
-        prefix, body = [], conj([negate(conj([signs, solvable])), Eq(constant(0), y)])
+    return piece, piece(conj(plan.relations)), signs, window
+
+
+def _t1_encoding(
+    plan: ComponentPlan, count: Term, names: Sequence[str], fresh: FreshNames
+) -> tuple[list, Formula]:
+    """A two-sided core's construction as it asked for a solution with a
+    binder: the zero case ``!E t1 . W(t1)`` (no value fills the window),
+    where the eliminator now emits the quantifier-free condition, and the
+    relations wrapped around the core."""
+    bc = plan.bounds
+    piece, relations, signs, window = _binder_pieces(plan, names)
+    m = bc.multiplier
+    lows = [bc.bound_term(i) for i in bc.lower_rows]
+    highs = [bc.bound_term(j) for j in bc.upper_rows]
+    t0, t1 = fresh.fresh("t"), fresh.fresh("t")
+    progression = piece(progression_count_formula(m * variable(t0), highs, m * plan.coset_period, count))
+    found = conj([signs, window(t0, lows, m), progression])
+    missing = disj([negate(signs), negate(Exists(t1, window(t1, lows, m)))])
+    body = disj([found, conj([missing, Eq(count, constant(0))])])
+    return [t0], disj([conj([relations, body]), conj([negate(relations), Eq(count, constant(0))])])
+
+
+_GUARD_WITNESSES = itertools.count()
+
+
+def _t1_guard(plan: ComponentPlan) -> Formula:
+    """A one-sided core's guard as it asked for a coset member with a
+    binder: ``!R | !(signs & E t . 0 <= t < D' & congruences)``, the
+    congruences at t = 0 when D' = 1.  A point's guard is true.  The
+    coordinates have their default names."""
+    if plan.bounds is None:
+        return fm.TRUE
+    names = coordinate_names(plan.component.dimension)
+    piece, relations, signs, window = _binder_pieces(plan, names)
+    if plan.coset_period == 1:
+        free_names = [names[i] for i in plan.rows[:-1]]
+        solvable = piece(conj(_congruences(plan.congruences, plan.solution.denom, free_names, constant(0))))
     else:
-        m = bc.multiplier
-        lows = [bc.bound_term(i) for i in bc.lower_rows]
-        highs = [bc.bound_term(j) for j in bc.upper_rows]
-        t0 = fresh.fresh("t")
-        count = piece(progression_count_formula(m * variable(t0), highs, m * period, count_var))
-        found = conj([signs, window(t0, lows, m), count])
-        missing = disj([negate(signs), negate(has_witness(lows, m))])
-        prefix, body = [t0], disj([found, conj([missing, Eq(y, constant(0))])])
-    if not isinstance(relations, fm.TrueF):
-        body = disj([conj([relations, body]), conj([negate(relations), Eq(y, constant(0))])])
-    return prefix, body
+        witness = f"_s{next(_GUARD_WITNESSES)}"  # elim binds no "_s" name
+        solvable = Exists(witness, window(witness, [constant(0)], 1))
+    return disj([negate(relations), negate(conj([signs, solvable]))])
 
 
 def _cross_encoding_corpus():
@@ -183,6 +293,7 @@ def test_same_count_values_as_the_binder_encoding(monkeypatch):
         result = eliminate(presentation, "y")
         with monkeypatch.context() as patched:
             patched.setattr(elim, "_case_interval", _t1_encoding)
+            patched.setattr(elim, "_guard", _t1_guard)
             reference = eliminate(presentation, "y")
         binders_before += sum(isinstance(g, Exists) for g in fm.traverse(reference.formula)[0])
         binders_after += sum(isinstance(g, Exists) for g in fm.traverse(result.formula)[0])
@@ -214,7 +325,8 @@ def _component(base, periods, domain=DomainTag.Z):
 
 def _mutation_corpus():
     """The fixtures, d8_m2, two cores whose first pair condition the row
-    conditions do not imply (in most cores they do) and seeded draws."""
+    conditions do not imply (in most cores they do), seeded draws and split
+    unions with constant counts in every position."""
     corpus = [
         parse_presentation((FIXTURES / name).read_text(encoding="utf-8"))
         for name in ("three_periods.sl", "natural.sl")
@@ -228,6 +340,8 @@ def _mutation_corpus():
     for domain in (DomainTag.Z, DomainTag.N):
         corpus += [random_two_sided(rng, domain)[0] for _ in range(12)]
         corpus += [random_disjoint_presentation(rng, domain, max_dimension=4) for _ in range(12)]
+    for domain in (DomainTag.Z, DomainTag.N):
+        corpus += [random_split_union(rng, domain, constant) for constant in SPLIT_PATTERNS]
     return corpus
 
 
@@ -277,11 +391,10 @@ def _rewrite_atoms(f: Formula, rewrite) -> Formula:
 def _count_at_most_zero(original):
     """The zero count ``u = 0`` weakened to ``u <= 0``, which also holds at
     negative counts."""
-    def mutated(first, his, step, count_var):
-        u = variable(count_var)
-        zero = Eq(u, constant(0))
+    def mutated(first, his, step, count):
+        zero = Eq(count, constant(0))
         return _rewrite_atoms(
-            original(first, his, step, count_var), lambda a: Le(u, constant(0)) if a == zero else a
+            original(first, his, step, count), lambda a: Le(count, constant(0)) if a == zero else a
         )
 
     return mutated
@@ -289,12 +402,21 @@ def _count_at_most_zero(original):
 
 def _pins_without_strict_atom(original):
     """Each floor pair without its strict atom ``hi - first < step*u``, the
-    only atom reading the count ``u`` on its greater side."""
-    def mutated(first, his, step, count_var):
+    only atom reading the count term ``u`` on its greater side."""
+    def mutated(first, his, step, count):
         return _rewrite_atoms(
-            original(first, his, step, count_var),
-            lambda a: fm.TRUE if type(a) is Lt and count_var in a.rhs.coeffs else a,
+            original(first, his, step, count),
+            lambda a: fm.TRUE if type(a) is Lt and a.rhs.coeffs.keys() & count.coeffs.keys() else a,
         )
+
+    return mutated
+
+
+def _last_count_without_the_parts(original):
+    """The last component with a count counted by y itself, not by y less
+    the constant counts and the other parts."""
+    def mutated(plan, count, *args):
+        return original(plan, variable("y") if "y" in count.coeffs else count, *args)
 
     return mutated
 
@@ -308,6 +430,12 @@ MUTATIONS = {
     "count u <= 0 for u = 0": ("progression_count_formula", _count_at_most_zero),
     "pins without their strict atom": ("progression_count_formula", _pins_without_strict_atom),
     "no row relations": ("_row_equations", lambda original: lambda *args: []),
+    "the last count is y without the other parts": ("_case_single", _last_count_without_the_parts),
+    "a constant component's guard is dropped": ("_guard", lambda original: lambda plan: fm.TRUE),
+    "a constant count's offset is off by one": (
+        "_constant_count", lambda original: lambda plan: None if original(plan) is None else original(plan) + 1
+    ),
+    "a row is dropped that no other row implies": ("_multiple_of", lambda original: lambda *args: True),
 }
 
 

@@ -599,7 +599,7 @@ class TestFloorPairPin:
             step = 40 if draw % 12 == 0 else rng.randint(1, 50)
             lo = rng.randint(-60, 60)
             hi = lo + rng.choice((-rng.randint(1, 5), 0, rng.randint(1, 120)))
-            f = progression_count_formula(variable("a"), [variable("b")], step, "u")
+            f = progression_count_formula(variable("a"), [variable("b")], step, variable("u"))
             expected = count_in_progression(lo, hi, lo, step)
             got = PinnedProgram(_chosen("u", f)).count_values({"a": lo, "b": hi}, "y", range(-2, expected + 4))
             assert got == [expected], (step, lo, hi)
@@ -621,7 +621,7 @@ class TestFloorPairPin:
             if z2 < 0:
                 z1, z2 = z1 - z2, 0
             y1v, y2v, z1v, z2v = map(variable, ("y1", "y2", "z1", "z2"))
-            f = normalize_for_nat(progression_count_formula(y1v - y2v, [z2v - z1v], step, "u"))
+            f = normalize_for_nat(progression_count_formula(y1v - y2v, [z2v - z1v], step, variable("u")))
             expected = count_in_progression(first, z2 - z1, first, step)
             program = PinnedProgram(_chosen("u", f), DomainTag.N)
             got = program.count_values({"y1": y1, "y2": y2, "z1": z1, "z2": z2}, "y", range(expected + 4))
@@ -753,7 +753,7 @@ class TestSingleValueWindowFirst:
         # The chain body of a two-sided core without a zero case: the count
         # disjunction bounds t on one side only, so t comes from the window.
         t, x, y = variable("t"), variable("x"), variable("y")
-        count = progression_count_formula(2 * t, [x + 9], 6, "y")
+        count = progression_count_formula(2 * t, [x + 9], 6, variable("y"))
         f = Exists("t", And(tuple(self._first_witness(2, 3, x)) + (count,)))
         program = PinnedProgram(f)
         steps = program._chain_plan(f)[0]
@@ -1203,10 +1203,10 @@ class TestRunCheck:
     def test_detects_corrupted_count_formula(self, monkeypatch):
         healthy = countqe.elim.progression_count_formula
 
-        def corrupted(first, hi, step, count_var):
+        def corrupted(first, hi, step, count):
             # start the progression one step early: every nonempty count
             # comes out one too large
-            return healthy(first - step, hi, step, count_var)
+            return healthy(first - step, hi, step, count)
 
         monkeypatch.setattr(countqe.elim, "progression_count_formula", corrupted)
         comp = LinearSetPresentation(base=(0, 0), periods=((1, 0), (1, 2)))
