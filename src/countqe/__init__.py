@@ -17,8 +17,6 @@ from .elim import (
     classify_bounds,
     eliminate,
     estimate_result_nodes,
-    is_subtraction_free,
-    normalize_for_nat,
     plan_component,
     plan_elimination,
     progression_count_formula,

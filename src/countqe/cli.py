@@ -10,6 +10,9 @@ Subcommands:
 * ``check``     eliminate, then cross-check against the counting oracle on
                 seeded random assignments
 
+Eliminated atoms print with each name on the side of its positive
+coefficient, in both domains, so none prints a subtraction.
+
 ``eliminate --report`` appends one comment line per component and the total
 node count.  Its ``count-var=`` names the component's part count: a fresh
 ``_y<k>`` bound for it, the count variable itself for the last component

@@ -60,16 +60,17 @@ its size is the node count of what was built.  :func:`eliminate`,
 :func:`estimate_result_nodes` and :func:`countqe.verify.run_check` accept
 the plan wherever they accept a presentation, and read that result.
 
-Over the naturals the same integer body is built, and :func:`normalize_for_nat`
-makes each component's body subtraction-free before it is bound.  No
-clamp at 0 is needed: each counted value is a point of the component, whose
-base and periods are nonnegative, so a first witness below 0 (which no
-natural binder reaches) means the counted range is empty.  That is exactly
-where some upper term is negative, so over N the zero case of a two-sided
-core also holds there (:func:`_negative_upper_terms`).  Every order atom is
-divided by the gcd of its coefficients as it is built (:func:`_divided`);
-that keeps its integer solutions and its node count, and it commutes with
-the normalisation, since no atom reads a name on both sides.
+Every comparison atom is built in one normal form, over Z and over N
+alike (:func:`_atom`): divided by the gcd of its coefficients, each name on
+the side of its positive coefficient and the constant on the side where it
+is nonnegative.  Congruences are built with coefficients in ``[0, m)``.  So
+no atom prints a subtraction, and each means the same over both domains.
+Over the naturals the same body is built.  No clamp at 0 is needed: each
+counted value is a point of the component, whose base and periods are
+nonnegative, so a first witness below 0 (which no natural binder reaches)
+means the counted range is empty.  That is exactly where some upper term is
+negative, so over N the zero case of a two-sided core also holds there
+(:func:`_negative_upper_terms`).
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import is_
 from typing import Optional, Sequence, Union
 
 from . import formula as fm
@@ -121,21 +121,23 @@ solve_unique = residue_case_feasible = build_permutation_branches = progression_
 # --- progression counts --------------------------------------------------------
 
 
-def _divided(atom: Formula) -> Formula:
-    """An order atom divided by the gcd of its coefficients, each side
-    keeping its names and the constant moved to the side where it is
-    nonnegative: ``L + a <= R + b`` becomes ``L/g <= R/g + floor((b - a)/g)``,
-    and ``<`` rounds up instead.  It has the same integer solutions and node
-    count; normalised over N, it is the normalised atom so divided."""
-    lhs, rhs = atom.lhs, atom.rhs
-    g = gcd(*lhs.coeffs.values(), *rhs.coeffs.values())
-    if g < 2:
-        return atom
-    gap = rhs.constant - lhs.constant
-    k = gap // g if type(atom) is Le else -(-gap // g)
-    left = Term(max(-k, 0), {n: c // g for n, c in lhs.coeffs.items()})
-    right = Term(max(k, 0), {n: c // g for n, c in rhs.coeffs.items()})
-    return type(atom)(left, right)
+def _atom(kind: type, lhs: Term, rhs: Term) -> Formula:
+    """The atom ``lhs kind rhs`` (``Le``, ``Lt`` or ``Eq``) in normal form.
+
+    ``diff = lhs - rhs`` is divided by the gcd g of its coefficients: ``diff
+    <= 0`` rounds the bound ``-constant/g`` down, ``diff < 0`` rounds it up,
+    and ``diff = 0`` divides exactly.  Each name then stands on the side of
+    its positive coefficient and the constant on the side where it is
+    nonnegative.  The atom has the same integer solutions, no more nodes, no
+    subtraction and no name on both sides, and it is its own normal form.
+    """
+    diff = lhs - rhs
+    g = gcd(*diff.coeffs.values())
+    if g > 1:
+        c = diff.constant
+        assert kind is not Eq or c % g == 0, "an equation's constant must divide exactly"
+        diff = Term(-(-c // g) if kind is Le else c // g, {n: v // g for n, v in diff.coeffs.items()})
+    return kind(diff.positive_part(), diff.negative_part())
 
 
 def progression_count_formula(
@@ -150,20 +152,20 @@ def progression_count_formula(
     above one of them (``hi - first < step*u``), so that the two atoms of
     that term, a floor pair, pin it.  When ``step`` is 1 the equation ``u =
     hi - first + 1`` takes the strict atom's place, and for one term stands
-    without the at-most atom it implies.  No binder; each order atom is
-    :func:`_divided`.
+    without the at-most atom it implies.  No binder; each atom is built in
+    normal form (:func:`_atom`).
     """
     if step < 1 or not his:
         raise ParameterError("a progression count needs a positive step and an upper term")
     u = count
     gaps = [hi - first for hi in his]
-    at_most = [_divided(Le(step * u, g + step)) for g in gaps]
-    pins = [Eq(u, g + 1) if step == 1 else _divided(Lt(g, step * u)) for g in gaps]
+    at_most = [_atom(Le, step * u, g + step) for g in gaps]
+    pins = [_atom(Eq, u, g + 1) if step == 1 else _atom(Lt, g, step * u) for g in gaps]
     if step == 1 and len(his) == 1:
         at_most = []
     return disj([
-        conj([disj([_divided(Lt(hi, first)) for hi in his]), Eq(u, constant(0))]),
-        conj([_divided(Le(first, hi)) for hi in his] + at_most + [disj(pins)]),
+        conj([disj([_atom(Lt, hi, first) for hi in his]), _atom(Eq, u, constant(0))]),
+        conj([_atom(Le, first, hi) for hi in his] + at_most + [disj(pins)]),
     ])
 
 
@@ -175,10 +177,10 @@ def _first_witness_window(
     them (a disjunction over several), and the congruences once.  The
     evaluator splits on the disjunction and decides each branch by one
     window step.  Where the congruences leave ``first`` one coset of period
-    ``width``, at most one value satisfies it.  Each order atom is
-    :func:`_divided`."""
-    above = [_divided(Le(lo, first)) for lo in lows]
-    below = [_divided(Lt(first, lo + width)) for lo in lows]
+    ``width``, at most one value satisfies it.  Each order atom is built in
+    normal form (:func:`_atom`)."""
+    above = [_atom(Le, lo, first) for lo in lows]
+    below = [_atom(Lt, first, lo + width) for lo in lows]
     return conj(above + [disj(below)] + congruences)
 
 
@@ -372,7 +374,7 @@ def _negative_upper_terms(highs: Sequence[Term]) -> list:
     of them: the base point is a witness.)
     """
     return [
-        _divided(Lt(h, constant(0))) for h in highs if h.constant < 0 or any(c < 0 for c in h.coeffs.values())
+        _atom(Lt, h, constant(0)) for h in highs if h.constant < 0 or any(c < 0 for c in h.coeffs.values())
     ]
 
 
@@ -386,7 +388,7 @@ def _row_equations(
 
     Row j reads ``x_j = b_j + sum_i P_ji*z_i``, and the Cramer data of
     ``rows`` gives ``D*z_i = N_i``; so ``D*x_j = D*b_j + sum_i P_ji*N_i``,
-    here divided by the gcd of its coefficients.  It holds on the component
+    built in normal form (:func:`_atom`).  It holds on the component
     and, where every N_i is a multiple of D, forces x_j.  The counted
     coordinate cancels: row j lies in the span of the selected non-counted
     rows.
@@ -402,62 +404,9 @@ def _row_equations(
         ]
         assert n - 1 not in rows or weights[rows.index(n - 1)] == 0, "the counted coordinate must cancel"
         offset = d * component.base[j] + sum(e * g for e, g in zip(entries, solution.offset))
-        g = gcd(d, *weights)
-        rhs = Term(offset // g, {names[r]: w // g for r, w in zip(rows, weights)})
-        equations.append(Eq(d // g * variable(names[j]), rhs))
+        rhs = Term(offset, {names[r]: w for r, w in zip(rows, weights)})
+        equations.append(_atom(Eq, d * variable(names[j]), rhs))
     return equations
-
-
-# --- subtraction-free normalisation -------------------------------------------
-
-
-def _nat_atom(atom: Formula) -> Formula:
-    """The subtraction-free rewrite of an atom; the atom itself when it is
-    its own rewrite."""
-    if isinstance(atom, Cong):
-        m, term = atom.modulus, atom.term
-        if all(0 <= c < m for c in (term.constant, *term.coeffs.values())):
-            return atom
-        fixed = Term(term.constant % m, {n: c % m for n, c in term.coeffs.items()})
-        return Cong(fixed, atom.residue, m)
-    lhs, rhs = atom.lhs, atom.rhs
-    positive = all(c > 0 for t in (lhs, rhs) for c in t.coeffs.values())
-    if positive and min(lhs.constant, rhs.constant) == 0 and lhs.coeffs.keys().isdisjoint(rhs.coeffs):
-        return atom
-    diff = lhs - rhs
-    return type(atom)(diff.positive_part(), diff.negative_part())
-
-
-def normalize_for_nat(f: Formula) -> Formula:
-    """Rewrite a formula so every atom is subtraction-free.
-
-    Each comparison moves its negative contributions to the other side, and
-    congruence terms take their coefficients modulo the modulus; each atom
-    is equivalent to its rewrite over the naturals (and over the integers),
-    so the formula is too, binders and all.  An atom that is its own rewrite,
-    and a node all of whose children come back as they are, come back as
-    they are.
-    """
-    nodes = fm.traverse(f)[0]
-    done = {}  # id(node) -> its rewrite; descendants come first in reverse
-    for g in reversed(nodes):
-        if id(g) in done:  # a shared subtree is rewritten once
-            continue
-        if g.terms:
-            done[id(g)] = _nat_atom(g)
-        else:
-            kids = [done[id(c)] for c in g.children]
-            done[id(g)] = g if all(map(is_, kids, g.children)) else g.rebuild(kids)
-    return done[id(f)]
-
-
-def is_subtraction_free(f: Formula) -> bool:
-    """Structural check: every atom has nonnegative coefficients/constants."""
-    return all(
-        t.constant >= 0 and all(c >= 0 for c in t.coeffs.values())
-        for g in fm.traverse(f)[0]
-        for t in g.terms
-    )
 
 
 # --- reports -------------------------------------------------------------------
@@ -674,18 +623,18 @@ def _case_single(plan: ComponentPlan, count: Term, names: Sequence[str]) -> Form
     equations of the other non-counted rows.  No binder.
     """
     selected = [names[i] for i in plan.rows]
-    signs = [_divided(Le(constant(0), t)) for t in _numerators(plan.solution, selected)]
+    signs = [_atom(Le, constant(0), t) for t in _numerators(plan.solution, selected)]
     congruences = []
     if plan.congruences:  # D > 1, so some rows are selected
         congruences = _congruences(plan.congruences, plan.solution.denom, selected[:-1], variable(selected[-1]))
     member = conj(signs + congruences + list(plan.relations))
-    return disj([conj([member, Eq(count, constant(1))]), conj([negate(member), Eq(count, constant(0))])])
+    return disj([conj([member, _atom(Eq, count, constant(1))]), conj([negate(member), _atom(Eq, count, constant(0))])])
 
 
 def _signs(bc: BoundClassification) -> Formula:
     """The sign atoms ``0 <= N_i`` of a core's rows without a counted
     coefficient."""
-    return conj([_divided(Le(constant(0), bc.row_terms[i])) for i in bc.sign_rows])
+    return conj([_atom(Le, constant(0), bc.row_terms[i]) for i in bc.sign_rows])
 
 
 def _constant_count(plan: ComponentPlan) -> Optional[int]:
@@ -748,7 +697,7 @@ def _case_interval(
     zero = [negate(relations), negate(signs), negate(conj(plan.solvable))]
     if plan.component.domain is DomainTag.N:
         zero += _negative_upper_terms(highs)
-    return [t0], disj([found, conj([disj(zero), Eq(count, constant(0))])])
+    return [t0], disj([found, conj([disj(zero), _atom(Eq, count, constant(0))])])
 
 
 def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var: str) -> EliminationResult:
@@ -788,8 +737,6 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
                 body = _case_single(comp_plan, count, names)
             else:
                 comp_prefix, body = _case_interval(comp_plan, count, names, fresh)
-        if comp_plan.component.domain is DomainTag.N:
-            body = normalize_for_nat(body)
         nodes = fm.node_count(_close(comp_prefix, body))
         reports.append(comp_plan.report(index + 1, part_count, nodes))
         prefix.extend(comp_prefix)
@@ -797,7 +744,7 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
             prefix.append(part_count)
         bodies.append(body)
     if not counted:
-        bodies.append(Eq(variable(count_var), constant(offset)))
+        bodies.append(_atom(Eq, variable(count_var), constant(offset)))
     formula = _close(prefix, conj(bodies))
     return EliminationResult(
         formula=formula,

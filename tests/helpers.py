@@ -31,11 +31,22 @@ from countqe.formula import (
     conj,
     disj,
     negate,
+    traverse,
 )
 from countqe.linalg import CramerSolution, IntMatrix, rank_over_rationals
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation
 
 AST_NAMES = ["x", "y", "z1", "w_2", "E"]
+
+
+def is_subtraction_free(f: Formula) -> bool:
+    """Structural check: every atom has nonnegative coefficients and
+    constants, so it prints without a subtraction."""
+    return all(
+        t.constant >= 0 and all(c >= 0 for c in t.coeffs.values())
+        for g in traverse(f)[0]
+        for t in g.terms
+    )
 
 
 def print_presentation(presentation: SemilinearPresentation) -> str:

@@ -10,7 +10,7 @@ from countqe.cli import main
 from countqe.formula import node_count
 from countqe.sets import DomainTag
 from countqe.textio import parse_presentation, print_formula
-from helpers import random_disjoint_presentation
+from helpers import is_subtraction_free, random_disjoint_presentation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -243,7 +243,7 @@ class TestEliminateCommand:
         # Three components split on x1 mod 3: a two-sided core binds the part
         # count _y0; a one-sided core counts 0 wherever it is finite, so it
         # has no part count ("-") and only its guard stands; the last
-        # component with a count reads y less the other part, "-_y0 + y".
+        # component with a count reads y less the other part, "y = _y0 + 1".
         path = tmp_path / "mixed.sl"
         path.write_text(
             "domain Z\ndim 2\ndisjoint\nsimple\n"
@@ -255,10 +255,10 @@ class TestEliminateCommand:
         code, out, err = run(capsys, "eliminate", str(path), "--report")
         assert (code, err) == (0, "")
         assert out == (
-            "E _t1 . E _y0 . ((-7*x1 <= 3*_t1 & 3*_t1 < -7*x1 + 24 & 3*_t1 + 7*x1 == 0 mod 24"
-            " & (x1 < 3*_t1 & _y0 = 0 | 3*_t1 <= x1 & 24*_y0 <= -3*_t1 + x1 + 24 & -3*_t1 + x1 < 24*_y0)"
+            "E _t1 . E _y0 . ((0 <= 3*_t1 + 7*x1 & 3*_t1 + 7*x1 < 24 & 3*_t1 + 7*x1 == 0 mod 24"
+            " & (x1 < 3*_t1 & _y0 = 0 | 3*_t1 <= x1 & 3*_t1 + 24*_y0 <= x1 + 24 & x1 < 3*_t1 + 24*_y0)"
             " | !x1 == 0 mod 3 & _y0 = 0) & !(1 <= x1 & 2*x1 == 2 mod 3)"
-            " & (0 <= x1 - 2 & x1 == 2 mod 3 & -_y0 + y = 1 | !(0 <= x1 - 2 & x1 == 2 mod 3) & -_y0 + y = 0))\n"
+            " & (2 <= x1 & x1 == 2 mod 3 & y = _y0 + 1 | !(2 <= x1 & x1 == 2 mod 3) & y = _y0))\n"
             "# count variable: y\n"
             "# component 1: case=interval-count D=24 m=3 core-rows=1,2 dropped-rows=- uppers=2 lowers=1"
             " signs=- coset-period=8 count-var=_y0 nodes=37\n"
@@ -361,17 +361,17 @@ class TestEliminateCommand:
             (
                 "three_periods.sl",
                 [],
-                "E _t0 . (x2 = 2*x1 & x1 - x3 <= _t0 & _t0 < x1 - x3 + 2 & _t0 + x1 + x3 == 0 mod 2"
+                "E _t0 . (x2 = 2*x1 & x1 <= _t0 + x3 & _t0 + x3 < x1 + 2 & _t0 + x1 + x3 == 0 mod 2"
                 " & ((x1 < _t0 | x1 + x3 < 3*_t0) & y = 0 | _t0 <= x1 & 3*_t0 <= x1 + x3"
-                " & 2*y <= -_t0 + x1 + 2 & 6*y <= -3*_t0 + x1 + x3 + 6"
-                " & (-_t0 + x1 < 2*y | -3*_t0 + x1 + x3 < 6*y)) | !x2 = 2*x1 & y = 0)",
+                " & _t0 + 2*y <= x1 + 2 & 3*_t0 + 6*y <= x1 + x3 + 6"
+                " & (x1 < _t0 + 2*y | x1 + x3 < 3*_t0 + 6*y)) | !x2 = 2*x1 & y = 0)",
             ),
             (
                 "three_periods.sl",
                 ["--counted-var", "x1"],
-                "0 <= -x2 + 2*x3 + 2*x4 & 0 <= x2 - 2*x4 & 0 <= x2 + 2*x3 - 6*x4"
+                "x2 <= 2*x3 + 2*x4 & 2*x4 <= x2 & 6*x4 <= x2 + 2*x3"
                 " & 3*x2 + 2*x3 + 2*x4 == 0 mod 4 & y = 1"
-                " | !(0 <= -x2 + 2*x3 + 2*x4 & 0 <= x2 - 2*x4 & 0 <= x2 + 2*x3 - 6*x4"
+                " | !(x2 <= 2*x3 + 2*x4 & 2*x4 <= x2 & 6*x4 <= x2 + 2*x3"
                 " & 3*x2 + 2*x3 + 2*x4 == 0 mod 4) & y = 0",
             ),
             (
@@ -642,9 +642,10 @@ def test_counted_var_agrees_with_a_hand_permuted_file(capsys, tmp_path):
 def test_output_hashes_are_pinned(capsys):
     # Changes to the oracle or the pinned evaluator must leave these bytes
     # as they are: the eliminated formulas of the fixtures and of 300 seeded
-    # draws (Z and N alternating), and the check tables of three fixtures
-    # on which every trial is stable.  The draws' node total is pinned too,
-    # so a change of size reads as a number.
+    # draws (Z and N alternating), hashed per domain, and the check tables
+    # of three fixtures on which every trial is stable.  The draws' node
+    # total is pinned too, so a change of size reads as a number.  Every
+    # formula is subtraction-free, over Z and over N.
     presentations = [
         parse_presentation(path.read_text(encoding="utf-8"))
         for path in sorted(Path(FIXTURES).glob("*.sl"))
@@ -657,10 +658,14 @@ def test_output_hashes_are_pinned(capsys):
     ]
     formulas = [elim.plan_elimination(p).result.formula for p in presentations]
     assert sum(node_count(f) for f in formulas[fixtures:]) == 5376
-    printed = "".join(print_formula(f) + "\n" for f in formulas)
-    assert hashlib.sha256(printed.encode()).hexdigest() == (
-        "097c2c4b4c47593fd8c9996faf21465873b1fe582ebdfeae0c51b3755d875da8"
-    )
+    assert all(is_subtraction_free(f) for f in formulas)
+    expected = {
+        DomainTag.Z: "8b9856df3b549821a4f8092e6236bc54a697bee8b39ec52e6df36d6493cdc3cc",
+        DomainTag.N: "d1d10212f69ba54ce23128cd11a03ac48189c47900cfa11b7f3f12e7720b0c97",
+    }
+    for domain, digest in expected.items():
+        printed = "".join(print_formula(f) + "\n" for p, f in zip(presentations, formulas) if p.domain is domain)
+        assert hashlib.sha256(printed.encode()).hexdigest() == digest, domain
     for name in ("three_periods", "natural", "singleton"):
         assert main(["check", fixture(f"{name}.sl"), "--trials", "100"]) == 0
     tables = capsys.readouterr().out

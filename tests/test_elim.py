@@ -9,8 +9,6 @@ from countqe.elim import (
     classify_bounds,
     eliminate,
     estimate_result_nodes,
-    is_subtraction_free,
-    normalize_for_nat,
     plan_elimination,
     progression_count_formula,
 )
@@ -47,6 +45,7 @@ from helpers import (
     SPLIT_PATTERNS,
     ResidueCase,
     count_in_progression,
+    is_subtraction_free,
     random_disjoint_presentation,
     random_simple_component,
     random_split_union,
@@ -141,7 +140,7 @@ class TestProgressionCountFormula:
 
     def test_family_of_upper_terms_counts_up_to_the_least(self):
         # The count up to min(h1, h2, h3) from a family of two or three upper
-        # terms, over Z and, normalised, over N.
+        # terms, over Z and over N.
         rng = random.Random(39)
         seen = {"empty": 0, "tie": 0, "three": 0}
         for _ in range(300):
@@ -150,10 +149,8 @@ class TestProgressionCountFormula:
             first = rng.randint(0, 20)
             asg = {f"h{j}": rng.randint(0, 40) for j in range(len(his))} | {"lo": first}
             expected = _progression_count(first, min(asg[f"h{j}"] for j in range(len(his))), step)
-            for f, domain in (
-                (progression_count_formula(variable("lo"), his, step, variable("u")), "Z"),
-                (normalize_for_nat(progression_count_formula(variable("lo"), his, step, variable("u"))), "N"),
-            ):
+            f = progression_count_formula(variable("lo"), his, step, variable("u"))
+            for domain in ("Z", "N"):
                 assert evaluate(f, asg | {"u": expected}, domain=domain) is True
                 for wrong in (expected - 1, expected + 1, expected + step):
                     assert evaluate(f, asg | {"u": wrong}, domain=domain) is False
@@ -182,12 +179,11 @@ class TestProgressionCountFormula:
 
 
 class TestProgressionCountFormulaNat:
-    """The count from ``first = a - b`` to ``hi = c - d``, normalised by
-    :func:`normalize_for_nat`."""
+    """The count from ``first = a - b`` to ``hi = c - d``, over N."""
 
     def _check(self, step, a, b, c, d):
         first, hi = variable("a") - variable("b"), variable("c") - variable("d")
-        f = normalize_for_nat(progression_count_formula(first, [hi], step, variable("u")))
+        f = progression_count_formula(first, [hi], step, variable("u"))
         expected = _progression_count(a - b, c - d, step)
         asg = {"a": a, "b": b, "c": c, "d": d}
         assert evaluate(f, asg | {"u": expected}, domain="N") is True
@@ -204,7 +200,7 @@ class TestProgressionCountFormulaNat:
         self._check(1, 10, 0, 4, 0)
 
     def test_subtraction_free(self):
-        f = normalize_for_nat(progression_count_formula(variable("a") - variable("b"), [variable("c") - 3], 6, variable("u")))
+        f = progression_count_formula(variable("a") - variable("b"), [variable("c") - 3], 6, variable("u"))
         assert is_subtraction_free(f) is True
 
     def test_randomised_against_enumeration(self):
@@ -372,131 +368,138 @@ def test_upper_terms_never_negative_get_no_atom():
     # negative; natural.sl's upper term 2*x1 is not.
     x1, x2 = variable("x1"), variable("x2")
     highs = [2 * x1, x1 + 3, x1 - 1, x1 - x2, constant(4)]
-    assert elim._negative_upper_terms(highs) == [Lt(x1 - 1, constant(0)), Lt(x1 - x2, constant(0))]
+    assert elim._negative_upper_terms(highs) == [Lt(x1, constant(1)), Lt(x1, x2)]
     natural = parse_presentation((FIXTURES / "natural.sl").read_text(encoding="utf-8"))
     assert "< 0" not in print_formula(eliminate(natural, "y").formula)
 
 
+def _random_atom_sides(seed, count):
+    """``count`` triples (kind, lhs, rhs) over a, b, c whose coefficients
+    share a random factor; an equation's ``lhs - rhs`` has a constant that
+    the gcd of its coefficients divides, so that it divides exactly."""
+    rng = random.Random(seed)
+    names = ("a", "b", "c")
+    while count:
+        g = rng.randint(1, 6)
+
+        def side():
+            coeffs = {n: g * rng.randint(-3, 3) for n in rng.sample(names, rng.randint(0, 3))}
+            return Term(rng.randint(-20, 20), coeffs)
+
+        kind, lhs, rhs = rng.choice((Le, Lt, Eq)), side(), side()
+        diff = lhs - rhs
+        if not diff.coeffs:
+            continue
+        if kind is Eq:
+            rhs += diff.constant % gcd(*diff.coeffs.values())
+        yield kind, lhs, rhs
+        count -= 1
+
+
+class TestDividedOrderAtoms:
+    """The gcd step of :func:`countqe.elim._atom`, the one constructor of
+    the eliminator's comparison atoms."""
+
+    def test_example(self):
+        x1, x3, t0 = variable("x1"), variable("x3"), variable("_t0")
+        assert elim._atom(Le, 6 * x1 - 6 * x3, 6 * t0) == Le(x1, x3 + t0)
+        # 2t <= 2x + 5 rounds down to t <= x + 2; 2t < 2x + 5 rounds up to t < x + 3
+        t, x = variable("t"), variable("x")
+        assert elim._atom(Le, 2 * t, 2 * x + 5) == Le(t, x + 2)
+        assert elim._atom(Lt, 2 * t, 2 * x + 5) == Lt(t, x + 3)
+        assert elim._atom(Le, 4 * t + 7, 2 * x) == Le(2 * t + 4, x)
+        assert elim._atom(Eq, 4 * t, 2 * x + 6) == Eq(2 * t, x + 3)
+        assert elim._atom(Le, constant(2), constant(4)) == Le(constant(0), constant(2))
+
+    def test_keeps_integer_solutions_and_sides(self):
+        # Same solutions as lhs kind rhs on a grid of Z^3; each name sits on
+        # the side of its coefficient's sign in lhs - rhs.
+        grid = [dict(zip("abc", p)) for p in itertools.product(range(-4, 5), repeat=3)]
+        for kind, lhs, rhs in _random_atom_sides(43, 300):
+            atom, normal = kind(lhs, rhs), elim._atom(kind, lhs, rhs)
+            assert type(normal) is kind
+            diff = lhs - rhs
+            assert set(normal.lhs.coeffs) == {n for n, c in diff.coeffs.items() if c > 0}, (atom, normal)
+            assert set(normal.rhs.coeffs) == {n for n, c in diff.coeffs.items() if c < 0}, (atom, normal)
+            for asg in grid:
+                assert fm.evaluate_atom(normal, asg) == fm.evaluate_atom(atom, asg), (atom, normal, asg)
+
+    def test_eliminated_order_atoms_have_no_common_factor(self):
+        # Every comparison atom of an output is its own normal form, negated
+        # order atoms included: no common factor, no name on both sides, no
+        # subtraction, over Z and over N.
+        rng = random.Random(5)
+        for _ in range(80):
+            domain = rng.choice([DomainTag.Z, DomainTag.N])
+            s = random_disjoint_presentation(rng, domain, max_dimension=4)
+            f = eliminate(s, "y").formula
+            for g in traverse(f)[0]:
+                if type(g) in (Le, Lt, Eq):
+                    assert gcd(*g.lhs.coeffs.values(), *g.rhs.coeffs.values()) == 1, (s, g)
+                    assert elim._atom(type(g), g.lhs, g.rhs) == g, (s, g)
+            assert is_subtraction_free(f), s
+        # The first witness window of three_periods read 6*x1 - 6*x3 <= 6*_t0.
+        printed = print_formula(eliminate(union(THREE_PERIOD_SET), "y").formula)
+        assert "x1 <= _t0 + x3 & _t0 + x3 < x1 + 2" in printed, printed
+
+
 class TestNormalizeForNat:
+    """The subtraction-free shape that :func:`countqe.elim._atom` gives
+    every atom, which the N outputs need and the Z outputs share."""
+
     def test_equation_example(self):
         x, y, z = variable("x"), variable("y"), variable("z")
-        atom = Eq(x - 3 * y, y - z)
-        assert normalize_for_nat(atom) == Eq(x + z, 4 * y)
+        assert elim._atom(Eq, x - 3 * y, y - z) == Eq(x + z, 4 * y)
 
     def test_already_nonnegative(self):
-        atom = Le(constant(0), variable("x"))
-        assert normalize_for_nat(atom) == atom
+        assert elim._atom(Le, constant(0), variable("x")) == Le(constant(0), variable("x"))
 
     def test_move_both_sides(self):
-        atom = Le(-1 * variable("x"), constant(-2))
-        assert normalize_for_nat(atom) == Le(constant(2), variable("x"))
-
-    def test_congruence_coefficients(self):
-        atom = Cong(variable("x") - variable("y"), 1, 3)
-        fixed = normalize_for_nat(atom)
-        assert fixed == Cong(variable("x") + 2 * variable("y"), 1, 3)
+        assert elim._atom(Le, -1 * variable("x"), constant(-2)) == Le(constant(2), variable("x"))
 
     def test_preserves_truth_over_naturals(self):
         rng = random.Random(47)
-        names = ["x", "y", "z"]
-        for _ in range(400):
-            t1 = Term(rng.randint(-4, 4), {n: rng.randint(-3, 3) for n in names})
-            t2 = Term(rng.randint(-4, 4), {n: rng.randint(-3, 3) for n in names})
-            kind = rng.randrange(4)
-            atom = (
-                Le(t1, t2)
-                if kind == 0
-                else Lt(t1, t2)
-                if kind == 1
-                else Eq(t1, t2)
-                if kind == 2
-                else Cong(t1, rng.randrange(3), rng.randint(1, 4))
-            )
-            fixed = normalize_for_nat(atom)
-            assert is_subtraction_free(fixed)
-            assert (fixed is atom) == (fixed == atom), atom
-            asg = {n: rng.randint(0, 10) for n in names}
-            assert evaluate(fixed, asg, domain="N") == evaluate(atom, asg, domain="N")
+        for kind, lhs, rhs in _random_atom_sides(47, 400):
+            atom, normal = kind(lhs, rhs), elim._atom(kind, lhs, rhs)
+            assert is_subtraction_free(normal), normal
+            assert normal.lhs.coeffs.keys().isdisjoint(normal.rhs.coeffs), normal
+            assert fm.node_count(normal) <= fm.node_count(atom), (atom, normal)
+            for _ in range(10):
+                asg = {n: rng.randint(0, 10) for n in "abc"}
+                assert evaluate(normal, asg, domain="N") == evaluate(atom, asg, domain="N"), (atom, normal)
 
     @pytest.mark.parametrize(
         "atom",
         [
             Le(variable("x") + 2, variable("y")),
-            Lt(constant(0), 3 * variable("x")),
+            Lt(constant(1), 3 * variable("x") + variable("y")),
             Eq(variable("x"), variable("y") + 4),
-            Cong(variable("x") + 2 * variable("y") + 1, 0, 3),
         ],
     )
     def test_subtraction_free_atom_comes_back_as_is(self, atom):
-        assert normalize_for_nat(atom) is atom
+        assert elim._atom(type(atom), atom.lhs, atom.rhs) == atom
+
+    def test_idempotent(self):
+        for kind, lhs, rhs in _random_atom_sides(53, 400):
+            normal = elim._atom(kind, lhs, rhs)
+            assert elim._atom(kind, normal.lhs, normal.rhs) == normal
 
     @pytest.mark.parametrize(
         "atom",
         [
             Le(variable("x") + 2, variable("y") + 1),
             Le(variable("x") + variable("y"), variable("y")),
-            Cong(variable("x") + 3, 0, 3),
         ],
     )
     def test_rewritten_atom_is_new(self, atom):
-        fixed = normalize_for_nat(atom)
-        assert fixed is not atom and fixed != atom and is_subtraction_free(fixed)
+        normal = elim._atom(type(atom), atom.lhs, atom.rhs)
+        assert normal != atom and is_subtraction_free(normal)
 
     def test_eliminated_natural_comes_back_as_is(self):
         f = eliminate(_fixture_or_d8_m2("natural"), "y").formula
-        assert normalize_for_nat(f) is f
-
-
-class TestDividedOrderAtoms:
-    def test_example(self):
-        x1, x3, t0 = variable("x1"), variable("x3"), variable("_t0")
-        assert elim._divided(Le(6 * x1 - 6 * x3, 6 * t0)) == Le(x1 - x3, t0)
-        # 2t <= 2x + 5 floors to t <= x + 2; 2t < 2x + 5 rounds up to t < x + 3
-        t, x = variable("t"), variable("x")
-        assert elim._divided(Le(2 * t, 2 * x + 5)) == Le(t, x + 2)
-        assert elim._divided(Lt(2 * t, 2 * x + 5)) == Lt(t, x + 3)
-        assert elim._divided(Le(4 * t + 7, 2 * x)) == Le(2 * t + 4, x)
-        for atom in (Le(2 * t, 3 * x), Lt(t, 2 * x), Le(constant(2), constant(4))):
-            assert elim._divided(atom) is atom
-
-    def test_keeps_integer_solutions_and_sides(self):
-        rng = random.Random(43)
-        names = ("a", "b", "c")
-        for _ in range(400):
-            g = rng.randint(2, 6)
-
-            def side():
-                coeffs = {n: g * rng.randint(-3, 3) for n in rng.sample(names, rng.randint(0, 2))}
-                return Term(rng.randint(-20, 20), coeffs)
-
-            lhs, rhs = side(), side()
-            if not (lhs.coeffs or rhs.coeffs):
-                continue
-            atom = rng.choice((Le, Lt))(lhs, rhs)
-            divided = elim._divided(atom)
-            assert set(divided.lhs.coeffs) == set(lhs.coeffs) and set(divided.rhs.coeffs) == set(rhs.coeffs)
-            assert divided.lhs.constant >= 0 and divided.rhs.constant >= 0
-            for _ in range(10):
-                asg = {n: rng.randint(-9, 9) for n in names}
-                assert evaluate(divided, asg) == evaluate(atom, asg), (atom, divided)
-            if is_subtraction_free(atom):
-                assert is_subtraction_free(divided)
-
-    def test_eliminated_order_atoms_have_no_common_factor(self):
-        rng = random.Random(5)
-        divided = 0
-        for _ in range(80):
-            domain = rng.choice([DomainTag.Z, DomainTag.N])
-            s = random_disjoint_presentation(rng, domain, max_dimension=4)
-            with_factor = eliminate(s, "y").formula
-            for g in traverse(with_factor)[0]:
-                if type(g) in (Le, Lt):
-                    assert gcd(*g.lhs.coeffs.values(), *g.rhs.coeffs.values()) == 1, (s, g)
-            if domain is DomainTag.N:
-                assert is_subtraction_free(with_factor), s
-        # The first witness window of three_periods read 6*x1 - 6*x3 <= 6*_t0.
-        printed = print_formula(eliminate(union(THREE_PERIOD_SET), "y").formula)
-        assert "x1 - x3 <= _t0 & _t0 < x1 - x3 + 2" in printed, printed
+        atoms = [g for g in traverse(f)[0] if type(g) in (Le, Lt, Eq)]
+        assert atoms and all(elim._atom(type(g), g.lhs, g.rhs) == g for g in atoms)
+        assert is_subtraction_free(f)
 
 
 class TestEliminateSimpleStructure:
@@ -743,9 +746,8 @@ class TestEliminateUnion:
         assert exact >= 20 and dropped >= 5, (exact, dropped)
 
     def test_estimate_is_exact_over_both_domains(self):
-        # No output atom reads a name on both sides, so normalising over N
-        # keeps every coefficient: the estimate is exact there too, cores
-        # with two or more bounds in a family included.
+        # Both domains build the same atoms, so the estimate is exact over N
+        # too, cores with two or more bounds in a family included.
         rng = random.Random(2027)
         seen = {"N": 0, "N, family>=2": 0, "Z, family>=2": 0}
         for _ in range(300):

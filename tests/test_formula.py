@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countqe.elim import is_subtraction_free, normalize_for_nat
 from countqe.errors import ParameterError, UnboundVariableError
 from countqe.formula import (
     FALSE,
@@ -42,7 +41,7 @@ from countqe.formula import (
     variable,
 )
 
-from helpers import random_ast, simplify
+from helpers import is_subtraction_free, random_ast, simplify
 
 x, y, z = variable("x"), variable("y"), variable("z")
 
@@ -315,12 +314,6 @@ class TestMisc:
         assert bound_names(scopes[0]) == frozenset()
         for g in nodes:
             assert g.rebuild(g.children) == g
-        normal = normalize_for_nat(f)
-        assert is_subtraction_free(normal)
-        assert [g.binds for g in traverse(normal)[0]] == [g.binds for g in nodes]
-        assert normalize_for_nat(Not(Or((Le(x, 2 * y), Lt(-3 * x, y))))) == Not(
-            Or((Le(x, 2 * y), Lt(constant(0), 3 * x + y)))
-        )
 
 
 class TestBinderChains:

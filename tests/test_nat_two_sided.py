@@ -3,7 +3,8 @@ the integers.
 
 A seeded generator draws components whose square core has both an upper
 and a lower bound family on the counted coordinate.  Every eliminated
-formula must agree with the witness oracle, and over N be subtraction-free.
+formula must agree with the witness oracle and be subtraction-free, over N
+and over Z alike.
 A second sample reaches cores with three bounds in one family, and a
 third splits cores with two or more bounds in a family into two-component
 unions, whose part counts the evaluator pins from the count's disjunction.
@@ -16,12 +17,13 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from countqe.elim import eliminate, estimate_result_nodes, is_subtraction_free, plan_elimination
+from countqe.elim import eliminate, estimate_result_nodes, plan_elimination
 from countqe.formula import Exists, traverse
 from countqe.linalg import IntMatrix, rank_over_rationals
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe import verify
 from countqe.verify import PinnedProgram, count_set_witnesses, run_check
+from helpers import is_subtraction_free
 
 MAX_DENOM = 12
 NODE_BUDGET = 30_000
@@ -87,8 +89,7 @@ def _agree_with_oracle(domain, seed):
     counted = 0  # stable trials with a positive oracle count
     for index in range(80):
         presentation, result = random_two_sided(rng, domain)
-        if domain is DomainTag.N:
-            assert is_subtraction_free(result.formula), presentation
+        assert is_subtraction_free(result.formula), presentation
         core = result.report.components[0]
         shapes["upper>=2"] += len(core.upper_rows) >= 2
         shapes["lower>=2"] += len(core.lower_rows) >= 2
@@ -148,8 +149,7 @@ def test_drawn_two_sided_cores(domain, data, seed):
     # The oracle agrees, at random assignments and at points of the set,
     # and one evaluation over all tested counts decides as one per count.
     presentation, result = data.draw(two_sided_cores(domain))
-    if domain is DomainTag.N:
-        assert is_subtraction_free(result.formula)
+    assert is_subtraction_free(result.formula)
     outcome = run_check(presentation, trials=8, box_radius=12, seed=seed)
     assert (outcome.mismatches, outcome.unstable_bad) == (0, 0)
     _agree_at_points(presentation, result, presentation.components[0], random.Random(seed), 4)
@@ -199,8 +199,7 @@ def test_cores_with_three_bounds_in_one_family():
             continue
         binders = [g.var for g in traverse(result.formula)[0] if isinstance(g, Exists)]
         assert binders == ["_t0"], binders
-        if domain is DomainTag.N:
-            assert is_subtraction_free(result.formula), presentation
+        assert is_subtraction_free(result.formula), presentation
         outcome = run_check(presentation, trials=15, box_radius=12, seed=cores)
         assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
         (component,) = presentation.components
@@ -239,8 +238,7 @@ def test_parity_split_unions_of_multi_bound_cores():
         (component,) = drawn[0].components
         presentation = _parity_split(component)
         result = eliminate(presentation, "y")
-        if domain is DomainTag.N:
-            assert is_subtraction_free(result.formula), presentation
+        assert is_subtraction_free(result.formula), presentation
         outcome = run_check(presentation, trials=8, box_radius=12, seed=unions)
         assert (outcome.mismatches, outcome.unstable_bad, outcome.overlaps) == (0, 0, 0), presentation
         counted += _agree_at_points(presentation, result, component, rng, 6)

@@ -27,8 +27,6 @@ from countqe.elim import (
     _congruences,
     _first_witness_window,
     eliminate,
-    is_subtraction_free,
-    normalize_for_nat,
     progression_count_formula,
 )
 from countqe.formula import (
@@ -50,7 +48,7 @@ from countqe.formula import (
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe.textio import parse_presentation
 from countqe.verify import PinnedEvaluationError, PinnedProgram, count_set_witnesses, run_check
-from helpers import SPLIT_PATTERNS, random_disjoint_presentation, random_split_union
+from helpers import SPLIT_PATTERNS, is_subtraction_free, random_disjoint_presentation, random_split_union
 from test_nat_two_sided import random_two_sided
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -209,20 +207,18 @@ def test_multiple_test_at_a_large_modulus():
 
 
 def _binder_pieces(plan: ComponentPlan, names: Sequence[str]):
-    """What both binder encodings of a core read: the normalisation of its
-    domain, its relations, its sign atoms, and its window over a witness
-    name."""
+    """What both binder encodings of a core read: its relations, its sign
+    atoms, and its window over a witness name."""
     solution, bc = plan.solution, plan.bounds
-    piece = normalize_for_nat if plan.component.domain is DomainTag.N else lambda f: f
     free_names = [names[i] for i in plan.rows[:-1]]
 
     def window(witness: str, lows, m: int) -> Formula:
         t = variable(witness)
         congruences = _congruences(plan.congruences, solution.denom, free_names, t)
-        return piece(_first_witness_window(lows, m * t, m * plan.coset_period, congruences))
+        return _first_witness_window(lows, m * t, m * plan.coset_period, congruences)
 
-    signs = piece(conj([Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows]))
-    return piece, piece(conj(plan.relations)), signs, window
+    signs = conj([Le(constant(0), bc.row_terms[i]) for i in bc.sign_rows])
+    return conj(plan.relations), signs, window
 
 
 def _t1_encoding(
@@ -233,12 +229,12 @@ def _t1_encoding(
     where the eliminator now emits the quantifier-free condition, and the
     relations wrapped around the core."""
     bc = plan.bounds
-    piece, relations, signs, window = _binder_pieces(plan, names)
+    relations, signs, window = _binder_pieces(plan, names)
     m = bc.multiplier
     lows = [bc.bound_term(i) for i in bc.lower_rows]
     highs = [bc.bound_term(j) for j in bc.upper_rows]
     t0, t1 = fresh.fresh("t"), fresh.fresh("t")
-    progression = piece(progression_count_formula(m * variable(t0), highs, m * plan.coset_period, count))
+    progression = progression_count_formula(m * variable(t0), highs, m * plan.coset_period, count)
     found = conj([signs, window(t0, lows, m), progression])
     missing = disj([negate(signs), negate(Exists(t1, window(t1, lows, m)))])
     body = disj([found, conj([missing, Eq(count, constant(0))])])
@@ -256,10 +252,10 @@ def _t1_guard(plan: ComponentPlan) -> Formula:
     if plan.bounds is None:
         return fm.TRUE
     names = coordinate_names(plan.component.dimension)
-    piece, relations, signs, window = _binder_pieces(plan, names)
+    relations, signs, window = _binder_pieces(plan, names)
     if plan.coset_period == 1:
         free_names = [names[i] for i in plan.rows[:-1]]
-        solvable = piece(conj(_congruences(plan.congruences, plan.solution.denom, free_names, constant(0))))
+        solvable = conj(_congruences(plan.congruences, plan.solution.denom, free_names, constant(0)))
     else:
         witness = f"_s{next(_GUARD_WITNESSES)}"  # elim binds no "_s" name
         solvable = Exists(witness, window(witness, [constant(0)], 1))
@@ -466,9 +462,25 @@ def test_unmutated_corpus_passes():
         assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
 
 
-def test_skipping_the_nat_normalisation_is_caught(monkeypatch):
-    # Normalising keeps every atom's truth value, so the oracle cannot see
-    # it skipped; the structural check over N does.
-    monkeypatch.setattr(elim, "normalize_for_nat", lambda f: f)
-    natural = [p for p in _mutation_corpus() if p.domain is DomainTag.N]
-    assert not all(is_subtraction_free(eliminate(p, "y").formula) for p in natural)
+def _divided_in_place(kind, lhs, rhs):
+    """``lhs kind rhs`` divided by the gcd of its coefficients, as
+    :func:`countqe.elim._atom` divides it, but with each side keeping its
+    names: ``L + a <= R + b`` becomes ``L/g <= R/g + floor((b - a)/g)``, and
+    ``<`` rounds up instead."""
+    g = gcd(*lhs.coeffs.values(), *rhs.coeffs.values())
+    if g < 2:
+        return kind(lhs, rhs)
+    gap = rhs.constant - lhs.constant
+    k = -(-gap // g) if kind is Lt else gap // g
+    left = Term(max(-k, 0), {n: c // g for n, c in lhs.coeffs.items()})
+    right = Term(max(k, 0), {n: c // g for n, c in rhs.coeffs.items()})
+    return kind(left, right)
+
+
+def test_skipping_the_normal_form_is_caught(monkeypatch):
+    # The normal form keeps every atom's truth value, so the oracle cannot
+    # see it skipped; the structural check does, over Z and over N.
+    monkeypatch.setattr(elim, "_atom", _divided_in_place)
+    for domain in (DomainTag.Z, DomainTag.N):
+        corpus = [p for p in _mutation_corpus() if p.domain is domain]
+        assert not all(is_subtraction_free(eliminate(p, "y").formula) for p in corpus), domain

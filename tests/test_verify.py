@@ -14,7 +14,6 @@ from countqe import verify
 from countqe.elim import (
     eliminate,
     estimate_result_nodes,
-    normalize_for_nat,
     plan_elimination,
     progression_count_formula,
 )
@@ -610,7 +609,7 @@ class TestFloorPairPin:
         assert min(shapes.values()) >= 10, shapes
 
     def test_progression_counts_over_n(self):
-        # From y1 - y2 to z2 - z1, normalised: the first term may be negative.
+        # From y1 - y2 to z2 - z1: the first term may be negative.
         rng = random.Random(59)
         shapes = {"step>=40": 0, "empty": 0, "one point": 0, "negative first": 0}
         for draw in range(240):
@@ -621,7 +620,7 @@ class TestFloorPairPin:
             if z2 < 0:
                 z1, z2 = z1 - z2, 0
             y1v, y2v, z1v, z2v = map(variable, ("y1", "y2", "z1", "z2"))
-            f = normalize_for_nat(progression_count_formula(y1v - y2v, [z2v - z1v], step, variable("u")))
+            f = progression_count_formula(y1v - y2v, [z2v - z1v], step, variable("u"))
             expected = count_in_progression(first, z2 - z1, first, step)
             program = PinnedProgram(_chosen("u", f), DomainTag.N)
             got = program.count_values({"y1": y1, "y2": y2, "z1": z1, "z2": z2}, "y", range(expected + 4))
