@@ -27,8 +27,10 @@ Chinese remainder theorem, Ore 1952; :func:`_solvability`), so no binder asks
 it.  A core with bounds ``l_i <= m*t <= h_j`` binds a first witness t0, the
 coset's one member in ``max_i l_i <= m*t0 < max_i l_i + m*D'``
 (:func:`_first_witness_window`), and counts the members t0, t0 + D', ... up
-to ``min_j h_j`` by the least of the floor quotients, each pinned by a pair
-of order atoms (:func:`progression_count_formula`).  The maximum and minimum
+to ``min_j h_j``: with ``g_j = h_j - m*t0`` and ``s = m*D'``, the count c
+is at least 0, above some ``g_j < s*c``, and 0 or at most every ``s*c <= g_j
++ s``, so that the strict and the at-most atom of one upper term, a floor
+pair, pin it (:func:`progression_count_formula`).  The maximum and minimum
 are atoms over the bound terms, not binders: a bound term can be negative at
 natural points.  Where a row equation or a sign atom fails, or the
 congruences have no solution, the count is 0.  A core with an empty bound
@@ -41,17 +43,17 @@ and its constant to an offset.  Each other component but the last binds a
 part count, and the last is built with the count term ``y - offset - (the
 other parts)``, so no equation sums the parts; without such components the
 formula is the guards and ``y = offset``.  Each body sets its count to 0,
-to 1 or to a floor quotient plus 1 that is at least 1, so no ``0 <= y_i``
-stands beside it.
+to 1 or to a progression count that states ``0 <= y_i`` itself, so no other
+``0 <= y_i`` stands beside it.
 
 Atoms that the atoms beside them imply are left out: a core's row
 equations stand once in its count case and their negation once in its zero
-case; a floor pair whose at-most atom already stands keeps only its strict
-atom; the window's congruences stand once beside its disjunction of upper
-ends; an integrality row that is k times another row mod D, residue
-included, is dropped (:func:`_congruence_rows`).  A negated order atom is
-the flipped atom (:func:`countqe.formula.negate`), and a constant body gets
-no binders.
+case; a progression count states ``0 <= c`` once, and not at all over N
+where c is one name; the window's congruences stand once beside its
+disjunction of upper ends; an integrality row that is k times another row
+mod D, residue included, is dropped (:func:`_congruence_rows`).  A negated
+order atom is the flipped atom (:func:`countqe.formula.negate`), and a
+constant body gets no binders.
 
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
 data and bound families), and :func:`plan_elimination` builds the formula
@@ -141,31 +143,31 @@ def _atom(kind: type, lhs: Term, rhs: Term) -> Formula:
 
 
 def progression_count_formula(
-    first: Term, his: Sequence[Term], step: int, count: Term
+    first: Term, his: Sequence[Term], step: int, count: Term, domain: DomainTag = DomainTag.Z
 ) -> Formula:
     """Formula setting the term ``count`` to the number of terms of the
     progression ``first, first + step, ...`` that are at most every term of
     ``his``.
 
-    The count is 0 when some ``hi < first``, else the least ``floor((hi -
-    first)/step) + 1``: at most each (``step*u <= hi - first + step``) and
-    above one of them (``hi - first < step*u``), so that the two atoms of
-    that term, a floor pair, pin it.  When ``step`` is 1 the equation ``u =
-    hi - first + 1`` takes the strict atom's place, and for one term stands
-    without the at-most atom it implies.  No binder; each atom is built in
-    normal form (:func:`_atom`).
+    With ``g_j = hi_j - first`` and ``q_j = floor(g_j/step) + 1``, the least
+    integer with ``g_j < step*q_j``, the count is ``max(0, min_j q_j)``.  It
+    is written ``0 <= u & (|_j g_j < step*u) & (u = 0 | &_j step*u <= g_j +
+    step)``: u is at least that maximum exactly when it is at least 0 and
+    some ``g_j < step*u``, and at most it exactly when ``u = 0`` or u is at
+    most every ``q_j``.  A strict atom and the at-most atom of the same
+    term, a floor pair, pin u.  Over N (``domain``) a count term without a
+    negative coefficient or constant, one name, is at least 0 already, and
+    ``0 <= u`` is left out.  No binder, and no atom compares ``first`` with
+    an upper term; each atom is built in normal form (:func:`_atom`).
     """
     if step < 1 or not his:
         raise ParameterError("a progression count needs a positive step and an upper term")
     u = count
     gaps = [hi - first for hi in his]
-    at_most = [_atom(Le, step * u, g + step) for g in gaps]
-    pins = [_atom(Eq, u, g + 1) if step == 1 else _atom(Lt, g, step * u) for g in gaps]
-    if step == 1 and len(his) == 1:
-        at_most = []
-    return disj([
-        conj([disj([_atom(Lt, hi, first) for hi in his]), _atom(Eq, u, constant(0))]),
-        conj([_atom(Le, first, hi) for hi in his] + at_most + [disj(pins)]),
+    nonnegative = [] if domain is DomainTag.N and u == u.positive_part() else [_atom(Le, constant(0), u)]
+    return conj(nonnegative + [
+        disj([_atom(Lt, g, step * u) for g in gaps]),
+        disj([_atom(Eq, u, constant(0)), conj([_atom(Le, step * u, g + step) for g in gaps])]),
     ])
 
 
@@ -673,13 +675,13 @@ def _case_interval(
     binds its first witness t0: ``E t0 . (R & signs & W(t0) & C) | (Z &
     count = 0)``, W the window of its lower terms
     (:func:`_first_witness_window`), C the count up to its upper terms
-    (:func:`progression_count_formula`) and the zero case Z the disjunction
-    of ``!R``, ``!signs``, ``!S`` (S the quantifier-free solvability
-    condition of the congruences, :func:`_solvability`) and, over N,
-    :func:`_negative_upper_terms`.  Where Z has no disjunct (over Z, without
-    dropped rows or sign atoms and with congruences that always have a
-    solution) the body is ``signs & W(t0) & C``.  So R stands once in each
-    case.
+    (:func:`progression_count_formula`, given the component's domain) and
+    the zero case Z the disjunction of ``!R``, ``!signs``, ``!S`` (S the
+    quantifier-free solvability condition of the congruences,
+    :func:`_solvability`) and, over N, :func:`_negative_upper_terms`.
+    Where Z has no disjunct (over Z, without dropped rows or sign atoms and
+    with congruences that always have a solution) the body is ``signs &
+    W(t0) & C``.  So R stands once in each case.
     """
     solution, bc = plan.solution, plan.bounds
     assert bc.upper_rows and bc.lower_rows, "a one-sided core has a constant count"
@@ -692,7 +694,7 @@ def _case_interval(
     t = variable(t0)
     congruences = _congruences(plan.congruences, solution.denom, free_names, t)
     window = _first_witness_window(lows, m * t, m * plan.coset_period, congruences)
-    progression = progression_count_formula(m * t, highs, m * plan.coset_period, count)
+    progression = progression_count_formula(m * t, highs, m * plan.coset_period, count, plan.component.domain)
     found = conj([relations, signs, window, progression])
     zero = [negate(relations), negate(signs), negate(conj(plan.solvable))]
     if plan.component.domain is DomainTag.N:

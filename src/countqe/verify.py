@@ -37,7 +37,7 @@ Checks and equations come first.  Next comes a window whose atoms prove
 that it leaves at most one value: a lower and an upper atom whose
 difference is constant bound the name to at most as many integers as the
 period of its coset (both windows above do), so a two-sided core ``W(t0) &
-C``, C the count disjunction, takes t0 from W.  Then a split, and only then
+C``, C the count atoms, takes t0 from W.  Then a split, and only then
 any other window; a chain that no step applies to is stuck, and a chain
 name that no conjunct reads is never undefined.  A plan depends on its
 chain alone, so it is kept for every later call.
@@ -51,14 +51,17 @@ chain's verdict by the values of the names it reads.
 
 :meth:`PinnedProgram.evaluate` decides the formula at an assignment.
 :meth:`PinnedProgram.count_values` reads the count off it instead.  The
-eliminator defines the count branch by branch (``y = 0``, ``y = 1``, a floor
-pair, in a union each over ``y`` less the other parts), so the formula is
-closed by ``E y`` and planned as one chain, with y one more name that the
-chain binds.  That plan runs trying every branch: a successful one holds at
-the value it bound y to, or at every value when it never bound y.  At each
-split y gets back the value it had there, so no branch reads a value bound
-by an earlier one, and the run stops once every tested count is found.  A
-formula that does not read the count free is decided once.  Where the run
+eliminator defines the count branch by branch (``y = 0``, ``y = 1``, in a
+union each over ``y`` less the other parts).  A two-sided core's count ``0
+<= y & (pins) & (y = 0 | at-most atoms)`` is split on its pins and then on
+``y = 0``: each branch binds y by that equation or by the floor pair of its
+pin and that pin's at-most atom.  So the formula is closed by ``E y`` and
+planned as one chain, with y one more name that the chain binds.  That plan
+runs trying every branch: a successful one holds at the value it bound y
+to, or at every value when it never bound y.  At each split y gets back
+the value it had there, so no branch reads a value bound by an earlier one,
+and the run stops once every tested count is found.  A formula that does
+not read the count free is decided once.  Where the run
 raises (y bounded on one side only, say), each tested count is decided by
 ``evaluate`` instead.
 

@@ -256,16 +256,16 @@ class TestEliminateCommand:
         assert (code, err) == (0, "")
         assert out == (
             "E _t1 . E _y0 . ((0 <= 3*_t1 + 7*x1 & 3*_t1 + 7*x1 < 24 & 3*_t1 + 7*x1 == 0 mod 24"
-            " & (x1 < 3*_t1 & _y0 = 0 | 3*_t1 <= x1 & 3*_t1 + 24*_y0 <= x1 + 24 & x1 < 3*_t1 + 24*_y0)"
+            " & 0 <= _y0 & x1 < 3*_t1 + 24*_y0 & (_y0 = 0 | 3*_t1 + 24*_y0 <= x1 + 24)"
             " | !x1 == 0 mod 3 & _y0 = 0) & !(1 <= x1 & 2*x1 == 2 mod 3)"
             " & (2 <= x1 & x1 == 2 mod 3 & y = _y0 + 1 | !(2 <= x1 & x1 == 2 mod 3) & y = _y0))\n"
             "# count variable: y\n"
             "# component 1: case=interval-count D=24 m=3 core-rows=1,2 dropped-rows=- uppers=2 lowers=1"
-            " signs=- coset-period=8 count-var=_y0 nodes=37\n"
+            " signs=- coset-period=8 count-var=_y0 nodes=31\n"
             "# component 2: case=interval-count D=21 m=3 core-rows=1,2 dropped-rows=- uppers=- lowers=2"
             " signs=1 coset-period=7 count-var=- nodes=6\n"
             "# component 3: case=single-witness D=3 rows=1 count-var=y nodes=19\n"
-            "# total nodes: 64 (estimated 64)\n"
+            "# total nodes: 58 (estimated 58)\n"
         )
         code, out, err = run(capsys, "check", str(path), "--trials", "40")
         assert (code, err) == (0, "")
@@ -337,16 +337,16 @@ class TestEliminateCommand:
         assert "parameter error: --node-budget" in err
 
     def test_over_budget_refused_before_building(self, capsys, monkeypatch):
-        # natural.sl's formula has 30 nodes: a budget of 29 refuses before
-        # anything is printed, 30 prints it.
+        # natural.sl's formula has 22 nodes: a budget of 21 refuses before
+        # anything is printed, 22 prints it.
         def refuse(*args, **kwargs):
             raise AssertionError("eliminate ran over budget")
 
         monkeypatch.setattr(cli, "eliminate", refuse)
-        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "29")
-        assert (code, out, err) == (2, "", "error: estimated output size 30 exceeds node budget 29\n")
+        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "21")
+        assert (code, out, err) == (2, "", "error: estimated output size 22 exceeds node budget 21\n")
         monkeypatch.undo()
-        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "30")
+        code, out, err = run(capsys, "eliminate", fixture("natural.sl"), "--node-budget", "22")
         assert (code, err) == (0, "")
 
     def test_deterministic_output(self, capsys):
@@ -362,9 +362,8 @@ class TestEliminateCommand:
                 "three_periods.sl",
                 [],
                 "E _t0 . (x2 = 2*x1 & x1 <= _t0 + x3 & _t0 + x3 < x1 + 2 & _t0 + x1 + x3 == 0 mod 2"
-                " & ((x1 < _t0 | x1 + x3 < 3*_t0) & y = 0 | _t0 <= x1 & 3*_t0 <= x1 + x3"
-                " & _t0 + 2*y <= x1 + 2 & 3*_t0 + 6*y <= x1 + x3 + 6"
-                " & (x1 < _t0 + 2*y | x1 + x3 < 3*_t0 + 6*y)) | !x2 = 2*x1 & y = 0)",
+                " & 0 <= y & (x1 < _t0 + 2*y | x1 + x3 < 3*_t0 + 6*y)"
+                " & (y = 0 | _t0 + 2*y <= x1 + 2 & 3*_t0 + 6*y <= x1 + x3 + 6) | !x2 = 2*x1 & y = 0)",
             ),
             (
                 "three_periods.sl",
@@ -378,13 +377,13 @@ class TestEliminateCommand:
                 "natural.sl",
                 [],
                 "E _t0 . (x1 <= 2*_t0 & 2*_t0 < x1 + 6 & 2*_t0 + 2*x1 == 0 mod 3"
-                " & (2*x1 < _t0 & y = 0 | _t0 <= 2*x1 & _t0 + 3*y <= 2*x1 + 3 & 2*x1 < _t0 + 3*y))",
+                " & 2*x1 < _t0 + 3*y & (y = 0 | _t0 + 3*y <= 2*x1 + 3))",
             ),
             (
                 "natural.sl",
                 ["--counted-var", "x1"],
                 "E _t0 . (x2 <= 2*_t0 & 2*_t0 < x2 + 6 & 2*_t0 + 2*x2 == 0 mod 3"
-                " & (2*x2 < _t0 & y = 0 | _t0 <= 2*x2 & _t0 + 3*y <= 2*x2 + 3 & 2*x2 < _t0 + 3*y))",
+                " & 2*x2 < _t0 + 3*y & (y = 0 | _t0 + 3*y <= 2*x2 + 3))",
             ),
         ],
     )
@@ -657,11 +656,11 @@ def test_output_hashes_are_pinned(capsys):
         random_disjoint_presentation(rng, (DomainTag.Z, DomainTag.N)[i % 2]) for i in range(300)
     ]
     formulas = [elim.plan_elimination(p).result.formula for p in presentations]
-    assert sum(node_count(f) for f in formulas[fixtures:]) == 5376
+    assert sum(node_count(f) for f in formulas[fixtures:]) == 5028
     assert all(is_subtraction_free(f) for f in formulas)
     expected = {
-        DomainTag.Z: "8b9856df3b549821a4f8092e6236bc54a697bee8b39ec52e6df36d6493cdc3cc",
-        DomainTag.N: "d1d10212f69ba54ce23128cd11a03ac48189c47900cfa11b7f3f12e7720b0c97",
+        DomainTag.Z: "e7d63ce4a04c92449708e473e5951302c490b20c09ae75f1e9a66631146d146a",
+        DomainTag.N: "9199ec054853338367945735e56fd03825253a087e6b47085478c57c250ae00d",
     }
     for domain, digest in expected.items():
         printed = "".join(print_formula(f) + "\n" for p, f in zip(presentations, formulas) if p.domain is domain)

@@ -169,13 +169,47 @@ class TestProgressionCountFormula:
             progression_count_formula(variable("lo"), [], 6, variable("u"))
 
     def test_several_terms_pin_by_strict_atoms_alone(self):
-        # Each at-most atom stands once, beside the pins; a pin is its
-        # strict atom.
-        f = progression_count_formula(variable("lo"), [variable("h0"), variable("h1")], 6, variable("u"))
-        reading_u = [g for g in traverse(f)[0] if any("u" in t.coeffs for t in g.terms)]
-        assert sorted(type(g).__name__ for g in reading_u) == ["Eq", "Le", "Le", "Lt", "Lt"]
-        (pins,) = [g for g in f.parts[1].parts if isinstance(g, Or)]
-        assert all(isinstance(pin, Lt) for pin in pins.parts)
+        # 0 <= u & (pins) & (u = 0 | at-most atoms): a pin is its strict
+        # atom, each at-most atom stands once, and every atom reads u, so
+        # none compares lo with an upper term.
+        u = variable("u")
+        f = progression_count_formula(variable("lo"), [variable("h0"), variable("h1")], 6, u)
+        nonnegative, pins, (zero, at_most) = f.parts[0], f.parts[1].parts, f.parts[2].parts
+        assert (nonnegative, zero) == (Le(constant(0), u), Eq(u, constant(0)))
+        assert [type(pin) for pin in pins] == [Lt, Lt]
+        assert [type(a) for a in at_most.parts] == [Le, Le]
+        atoms = [g for g in traverse(f)[0] if not g.children]
+        assert len(atoms) == 6 and all(any("u" in t.coeffs for t in g.terms) for g in atoms)
+
+    def test_one_shape_against_enumeration(self):
+        # Every step, one to three upper terms, gaps down to below -step
+        # (where only 0 <= c rules out a negative count), over Z and N, and
+        # the count terms c = u, u - 2 and u - v - 1 (a union's last count):
+        # evaluate and count_values agree with enumeration, and count_values
+        # never falls back on evaluate.
+        rng = random.Random(43)
+        u, v = variable("u"), variable("v")
+        below = 0
+        for domain, step, terms, (count, shift) in itertools.product(
+            (DomainTag.Z, DomainTag.N), range(1, 7), (1, 2, 3), ((u, 0), (u - 2, 2), (u - v - 1, 5))
+        ):
+            his = [variable(f"h{j}") for j in range(terms)]
+            f = progression_count_formula(variable("lo"), his, step, count, domain)
+            program = PinnedProgram(f, domain)
+            program.evaluate = lambda assignment: pytest.fail("count_values fell back on evaluate")
+            gaps = (-2 * step - 1, -step - 1, -step, -1, 0, 1, step - 1, step, 2 * step + 1, 5 * step + 2)
+            for first in (20, -7) if domain is DomainTag.Z else (20,):
+                for _ in range(12):
+                    his_at = [first + rng.choice(gaps) for _ in his]
+                    expected = _progression_count(first, min(his_at), step) + shift
+                    below += min(his_at) < first - step
+                    asg = {f"h{j}": h for j, h in enumerate(his_at)} | {"lo": first, "v": 4}
+                    candidates = range(expected - 5, expected + 4)
+                    assert program.count_values(asg, "u", candidates) == [expected], (domain, step, his_at)
+                    for k in candidates:
+                        if k >= 0 or domain is DomainTag.Z:
+                            assert evaluate(f, asg | {"u": k}, domain=domain) is (k == expected)
+        assert below >= 200, below
 
 
 class TestProgressionCountFormulaNat:
@@ -890,7 +924,7 @@ class TestOutputSize:
         assert result.report.nodes <= ceiling
         assert estimate_result_nodes(s) == fm.node_count(result.formula)
 
-    @pytest.mark.parametrize("name, nodes", [("three_periods", 64), ("natural", 30), ("d8_m2", 45)])
+    @pytest.mark.parametrize("name, nodes", [("three_periods", 50), ("natural", 22), ("d8_m2", 37)])
     def test_two_sided_sizes_without_a_zero_case_binder(self, name, nodes):
         assert eliminate(_fixture_or_d8_m2(name), "y").report.nodes == nodes
 
@@ -926,16 +960,16 @@ SCALED_FAMILIES = {
     "single-witness, a dropped row": (
         lambda k, s: _one((s, 2 * s, 3 * s), ((k, 1, 1),)), [("single-witness", 1)], 23
     ),
-    "two-sided": (lambda k, s: _one((s, 2 * s), ((1, 1), (1, -k))), [("two-sided", 0)], 30),
+    "two-sided": (lambda k, s: _one((s, 2 * s), ((1, 1), (1, -k))), [("two-sided", 0)], 24),
     "two-sided, a dropped row": (
-        lambda k, s: _one((s, 3 * s, 2 * s), ((1, 1, 1), (1, 1, -k))), [("two-sided", 1)], 41
+        lambda k, s: _one((s, 3 * s, 2 * s), ((1, 1, 1), (1, 1, -k))), [("two-sided", 1)], 35
     ),
     "two-sided over N": (
-        lambda k, s: _one((s, 2 * s), ((1, 2 * k), (2 * k, 1)), DomainTag.N), [("two-sided", 0)], 36
+        lambda k, s: _one((s, 2 * s), ((1, 2 * k), (2 * k, 1)), DomainTag.N), [("two-sided", 0)], 28
     ),
     "three_periods, base scaled": (
         lambda k, s: _one((k * s, 2 * k * s, 3 * k * s, 4 * k * s), THREE_PERIOD_SET.periods),
-        [("two-sided", 1)], 64,
+        [("two-sided", 1)], 50,
     ),
     # Unions: a constant count (a one-sided core, a point in dimension 1)
     # adds its guard and no part count, and the last count reads y.
@@ -949,7 +983,7 @@ SCALED_FAMILIES = {
     ),
     "two-sided pair": (
         lambda k, s: _split([((2 * s + r, 2 * s), ((2, 1), (2, -k))) for r in (0, 1)]),
-        [("two-sided", 0)] * 2, 80,
+        [("two-sided", 0)] * 2, 69,
     ),
     "mixed": (
         lambda k, s: _split([
@@ -957,7 +991,7 @@ SCALED_FAMILIES = {
             ((3 * s + 1, 2 * s), ((3, 1), (0, k))),
             ((3 * s + 2, 2 * s), ((3, k),)),
         ]),
-        [("two-sided", 0), ("one-sided", 0), ("single-witness", 0)], 64,
+        [("two-sided", 0), ("one-sided", 0), ("single-witness", 0)], 58,
     ),
     "dim-1 points": (
         lambda k, s: _split([((s,), ()), ((s + k,), ()), ((s + 2 * k,), ())]), [("single-witness", 0)] * 3, 2

@@ -384,24 +384,25 @@ def _rewrite_atoms(f: Formula, rewrite) -> Formula:
     return rewrite(f)
 
 
-def _count_at_most_zero(original):
-    """The zero count ``u = 0`` weakened to ``u <= 0``, which also holds at
-    negative counts."""
-    def mutated(first, his, step, count):
-        zero = Eq(count, constant(0))
-        return _rewrite_atoms(
-            original(first, his, step, count), lambda a: Le(count, constant(0)) if a == zero else a
-        )
+def _count_atom_becomes(atom_of, truth):
+    """The progression count with its atom ``atom_of(count)`` replaced by
+    ``truth``."""
+    def mutate(original):
+        def mutated(first, his, step, count, *rest):
+            atom = atom_of(count)
+            return _rewrite_atoms(original(first, his, step, count, *rest), lambda a: truth if a == atom else a)
 
-    return mutated
+        return mutated
+
+    return mutate
 
 
 def _pins_without_strict_atom(original):
     """Each floor pair without its strict atom ``hi - first < step*u``, the
     only atom reading the count term ``u`` on its greater side."""
-    def mutated(first, his, step, count):
+    def mutated(first, his, step, count, *rest):
         return _rewrite_atoms(
-            original(first, his, step, count),
+            original(first, his, step, count, *rest),
             lambda a: fm.TRUE if type(a) is Lt and a.rhs.coeffs.keys() & count.coeffs.keys() else a,
         )
 
@@ -423,7 +424,12 @@ MUTATIONS = {
     "drop the row conditions": ("_coset_conditions", _drop_row_conditions),
     "drop the N disjunct h < 0": ("_negative_upper_terms", lambda original: lambda highs: []),
     "window one step wide": ("_first_witness_window", _window_one_step_wide),
-    "count u <= 0 for u = 0": ("progression_count_formula", _count_at_most_zero),
+    "the count without 0 <= u": (
+        "progression_count_formula", _count_atom_becomes(lambda u: elim._atom(Le, constant(0), u), fm.TRUE)
+    ),
+    "no u = 0 disjunct": (
+        "progression_count_formula", _count_atom_becomes(lambda u: elim._atom(Eq, u, constant(0)), fm.FALSE)
+    ),
     "pins without their strict atom": ("progression_count_formula", _pins_without_strict_atom),
     "no row relations": ("_row_equations", lambda original: lambda *args: []),
     "the last count is y without the other parts": ("_case_single", _last_count_without_the_parts),

@@ -493,6 +493,19 @@ def _differential_corpus():
             yield "random", random_disjoint_presentation(rng, domain), 3
 
 
+def test_benchmark_output_nodes_are_pinned():
+    # The benchmark's output_nodes, sweep seed 1: each workload's node total
+    # of its eliminated formulas, so that a change of size shows here too.
+    totals = {
+        name: sum(
+            eliminate(parse_presentation(item.text), "y").report.nodes
+            for item in workloads.make_workload(name, 1).presentations
+        )
+        for name in workloads.WORKLOADS
+    }
+    assert totals == {"twosided": 109, "halfline": 10, "sweep": 1363}
+
+
 def _kind(report):
     if report.case == "single-witness":
         return "single-witness"
@@ -750,13 +763,17 @@ class TestSingleValueWindowFirst:
 
     def test_window_before_the_count_disjunction(self):
         # The chain body of a two-sided core without a zero case: the count
-        # disjunction bounds t on one side only, so t comes from the window.
+        # atoms bound t on one side only, so t comes from the window, before
+        # any split, whether y is given or bound by the chain as count_values
+        # binds it.
         t, x, y = variable("t"), variable("x"), variable("y")
         count = progression_count_formula(2 * t, [x + 9], 6, variable("y"))
         f = Exists("t", And(tuple(self._first_witness(2, 3, x)) + (count,)))
+        for head in (f, Exists("y", f)):
+            steps = [step[:2] for step in PinnedProgram(head)._chain_plan(head)[0]]
+            split = next((i for i, (kind, _) in enumerate(steps) if kind == verify._SPLIT), len(steps))
+            assert (verify._BIND, "t") in steps[:split], steps
         program = PinnedProgram(f)
-        steps = program._chain_plan(f)[0]
-        assert steps[0][:2] == (verify._BIND, "t")
         for value in range(-6, 9):
             # t = value (mod 3) in [value/2, value/2 + 3): members t, t + 3,
             # ... with 2*t <= value + 9.
@@ -1202,10 +1219,10 @@ class TestRunCheck:
     def test_detects_corrupted_count_formula(self, monkeypatch):
         healthy = countqe.elim.progression_count_formula
 
-        def corrupted(first, hi, step, count):
+        def corrupted(first, hi, step, *rest):
             # start the progression one step early: every nonempty count
             # comes out one too large
-            return healthy(first - step, hi, step, count)
+            return healthy(first - step, hi, step, *rest)
 
         monkeypatch.setattr(countqe.elim, "progression_count_formula", corrupted)
         comp = LinearSetPresentation(base=(0, 0), periods=((1, 0), (1, 2)))
