@@ -19,7 +19,10 @@ node count.  Its ``count-var=`` names the component's part count: a fresh
 with a count (built with the count variable less the constant counts and
 the other parts), or ``-`` for a component whose count is one constant
 wherever it is finite (a one-sided core, 0; a point in dimension 1, 1),
-which has no part count.
+which has no part count.  Single-witness components that exclude each
+other share one 0/1 count: each member of such a group shows the group's
+``count-var=``, and its ``nodes=`` is the node count of the whole group's
+body, the same on every member; other components report their own body.
 
 ``eliminate`` and ``check`` plan first, which builds the formula once; when
 its node count exceeds ``--node-budget`` (default 10**6) they refuse with

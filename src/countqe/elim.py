@@ -27,7 +27,11 @@ Chinese remainder theorem, Ore 1952; :func:`_solvability`), so no binder asks
 it.  A core with bounds ``l_i <= m*t <= h_j`` binds a first witness t0, the
 coset's one member in ``max_i l_i <= m*t0 < max_i l_i + m*D'``
 (:func:`_first_witness_window`), and counts the members t0, t0 + D', ... up
-to ``min_j h_j``: with ``g_j = h_j - m*t0`` and ``s = m*D'``, the count c
+to ``min_j h_j``.  Over Z, a core with one lower term ``l = m*L + c`` whose
+congruences, read at ``t = L + k``, no longer depend on the free
+coordinates has the first witness ``L + k`` for one constant k: no binder,
+window or congruence atom is written for it (:func:`_first_witness_term`).
+With ``g_j = h_j - m*t0`` and ``s = m*D'``, the count c
 is at least 0, above some ``g_j < s*c``, and 0 or at most every ``s*c <= g_j
 + s``, so that the strict and the at-most atom of one upper term, a floor
 pair, pin it (:func:`progression_count_formula`).  The maximum and minimum
@@ -39,9 +43,13 @@ congruences have a solution, and count 0 elsewhere.
 Components combine by summing their counts.  A component whose count is one
 constant wherever it is finite (a one-sided core, 0; a point in dimension
 1, 1; :func:`_constant_count`) adds its guard, where that count is finite,
-and its constant to an offset.  Each other component but the last binds a
-part count, and the last is built with the count term ``y - offset - (the
-other parts)``, so no equation sums the parts; without such components the
+and its constant to an offset.  Single-witness components whose membership
+conditions M_i exclude each other, told apart by one equation or
+congruence with different right-hand sides (:func:`_exclusive_groups`),
+share one 0/1 count: ``(M_1 | ... | M_g) & c = 1 | !M_1 & ... & !M_g & c =
+0``.  Each other group or component but the last binds a part count, and
+the last is built with the count term ``y - offset - (the other parts)``,
+made once, so no equation sums the parts; without such components the
 formula is the guards and ``y = offset``.  Each body sets its count to 0,
 to 1 or to a progression count that states ``0 <= y_i`` itself, so no other
 ``0 <= y_i`` stands beside it.
@@ -420,7 +428,9 @@ class ComponentReport:
     are reported 1-based.  A single-witness component reports its
     determinant and its selected and dropped rows (a component without
     periods none of them); it has no square core, so the other core fields
-    keep their defaults."""
+    keep their defaults.  The members of a group of single-witness
+    components that share one count (see :func:`_build`) each name that
+    count and report the node count of the group's body."""
 
     index: int
     case: str  # "single-witness" or "interval-count"
@@ -617,20 +627,84 @@ def _numerators(solution: CramerSolution, names: Sequence[str]) -> list[Term]:
     ]
 
 
-def _case_single(plan: ComponentPlan, count: Term, names: Sequence[str]) -> Formula:
-    """Counted coordinate determined by the others: witness count is 0 or 1.
-
-    The term ``count`` is 1 exactly where the membership conditions M of the
-    selected rows hold: ``0 <= N_i``, ``N_i = 0 (mod D)`` and the row
-    equations of the other non-counted rows.  No binder.
-    """
+def _member(plan: ComponentPlan, names: Sequence[str]) -> Formula:
+    """The membership conditions M of a single-witness component, where its
+    counted coordinate is determined by the others: ``0 <= N_i``, ``N_i = 0
+    (mod D)`` of the selected rows and the row equations of the other
+    non-counted rows."""
     selected = [names[i] for i in plan.rows]
     signs = [_atom(Le, constant(0), t) for t in _numerators(plan.solution, selected)]
     congruences = []
     if plan.congruences:  # D > 1, so some rows are selected
         congruences = _congruences(plan.congruences, plan.solution.denom, selected[:-1], variable(selected[-1]))
-    member = conj(signs + congruences + list(plan.relations))
-    return disj([conj([member, _atom(Eq, count, constant(1))]), conj([negate(member), _atom(Eq, count, constant(0))])])
+    return conj(signs + congruences + list(plan.relations))
+
+
+def _case_single(members: Sequence[Formula], count: Term) -> Formula:
+    """Single-witness components whose membership conditions ``members``
+    (:func:`_member`) exclude each other, counted by one term: ``count`` is 1
+    exactly where some M_i holds, ``(M_1 | ... | M_g) & count = 1 | !M_1 &
+    ... & !M_g & count = 0``.  No binder."""
+    return disj([
+        conj([disj(members), _atom(Eq, count, constant(1))]),
+        conj([negate(m) for m in members] + [_atom(Eq, count, constant(0))]),
+    ])
+
+
+def _labels(member: Formula) -> dict:
+    """The labels of the equations and congruences of a membership
+    condition: each ``f = v`` gives v under the key ``(f, None)``, each ``f
+    = r (mod q)`` gives r under ``(f, q)``.  An equation's form is divided
+    by its gcd already (:func:`_atom`); a congruence is divided by the gcd
+    of its coefficients, residue and modulus, and reduced mod q.  Of f and
+    -f the lesser is taken, its label negated with it, so that two atoms
+    with one key and different labels have no common solution."""
+    labels = {}
+    for atom in member.parts if type(member) is fm.And else (member,):
+        if type(atom) is Eq:
+            diff = atom.lhs - atom.rhs
+            q, form, value = None, diff.coeffs, -diff.constant
+        elif type(atom) is Cong:
+            g = gcd(atom.modulus, atom.residue, *atom.term.coeffs.values())
+            q, value = atom.modulus // g, atom.residue // g
+            form = {n: c // g % q for n, c in atom.term.coeffs.items() if c // g % q}
+        else:
+            continue
+        neg = (lambda v: -v) if q is None else (lambda v: -v % q)
+        items = sorted(form.items())
+        flipped = [(n, neg(c)) for n, c in items]
+        if flipped < items:
+            items, value = flipped, neg(value)
+        if items:
+            labels[(tuple(items), q)] = value
+    return labels
+
+
+def _exclusive_groups(members: dict) -> list[list[int]]:
+    """The single-witness components, ``members`` mapping each index to its
+    membership condition, in groups whose conditions exclude each other, in
+    the order of their first index.  A dict maps a key of :func:`_labels` to
+    the one group it founded; a component joins the group of the first key
+    it has whose label there is not yet taken, and founds a group under its
+    first key that no group holds otherwise.  No pair of conditions is
+    compared."""
+    groups: list[list[int]] = []
+    by_key: dict = {}  # key -> (the group, the labels taken there)
+    for index, member in members.items():
+        labels = _labels(member)
+        for key, label in labels.items():
+            held = by_key.get(key)
+            if held is not None and label not in held[1]:
+                held[0].append(index)
+                held[1].add(label)
+                break
+        else:
+            group = [index]
+            groups.append(group)
+            key = next((key for key in labels if key not in by_key), None)
+            if key is not None:
+                by_key[key] = (group, {labels[key]})
+    return groups
 
 
 def _signs(bc: BoundClassification) -> Formula:
@@ -681,25 +755,66 @@ def _case_interval(
     :func:`_solvability`) and, over N, :func:`_negative_upper_terms`.
     Where Z has no disjunct (over Z, without dropped rows or sign atoms and
     with congruences that always have a solution) the body is ``signs &
-    W(t0) & C``.  So R stands once in each case.
+    W(t0) & C``.  So R stands once in each case.  Where the first witness
+    is a term tau of the free coordinates (:func:`_first_witness_term`), W
+    and S hold identically: the body is ``R & signs & C(m*tau) | Z & count
+    = 0``, without a binder.
     """
     solution, bc = plan.solution, plan.bounds
     assert bc.upper_rows and bc.lower_rows, "a one-sided core has a constant count"
     free_names = [names[i] for i in plan.rows[:-1]]
     relations, signs = conj(plan.relations), _signs(bc)
     m = bc.multiplier
-    lows = [bc.bound_term(i) for i in bc.lower_rows]
     highs = [bc.bound_term(j) for j in bc.upper_rows]
-    t0 = fresh.fresh("t")
-    t = variable(t0)
-    congruences = _congruences(plan.congruences, solution.denom, free_names, t)
-    window = _first_witness_window(lows, m * t, m * plan.coset_period, congruences)
+    t = _first_witness_term(plan, free_names)
+    if t is None:
+        binders = [fresh.fresh("t")]
+        t = variable(binders[0])
+        congruences = _congruences(plan.congruences, solution.denom, free_names, t)
+        lows = [bc.bound_term(i) for i in bc.lower_rows]
+        window = _first_witness_window(lows, m * t, m * plan.coset_period, congruences)
+    else:
+        binders, window = [], fm.TRUE
     progression = progression_count_formula(m * t, highs, m * plan.coset_period, count, plan.component.domain)
     found = conj([relations, signs, window, progression])
     zero = [negate(relations), negate(signs), negate(conj(plan.solvable))]
     if plan.component.domain is DomainTag.N:
         zero += _negative_upper_terms(highs)
-    return [t0], disj([found, conj([disj(zero), _atom(Eq, count, constant(0))])])
+    return binders, disj([found, conj([disj(zero), _atom(Eq, count, constant(0))])])
+
+
+def _first_witness_term(plan: ComponentPlan, free_names: Sequence[str]) -> Optional[Term]:
+    """The first witness of a two-sided core over Z as a term of the free
+    coordinates ``free_names``, or None where it is not one.
+
+    It is one when the core has one lower term ``lo = m*L + c`` (m the
+    multiplier, L a term without constant) and every congruence row, read
+    at ``t = L + k``, has its name coefficients vanish mod D.  The rows then
+    read ``lam_i*k = r_i (mod D)`` and fix k mod D' (the coset period), by
+    the Chinese remainder theorem; the solvability condition holds
+    everywhere.  So the window's one member is ``L + k`` for the one such k
+    with ``c <= m*k < c + m*D'``.  Over N the binder stays, since it ranges
+    over the naturals.
+    """
+    bc = plan.bounds
+    if plan.component.domain is not DomainTag.Z or len(bc.lower_rows) != 1:
+        return None
+    m, lo = bc.multiplier, bc.bound_term(bc.lower_rows[0])
+    if any(c % m for c in lo.coeffs.values()):
+        return None
+    shift = {n: c // m for n, c in lo.coeffs.items()}
+    d = plan.solution.denom
+    start, step = 0, 1  # k = start (mod step)
+    for coeffs, residue in plan.congruences:
+        lam = coeffs[-1]
+        if any((a + lam * shift.get(n, 0)) % d for n, a in zip(free_names, coeffs)):
+            return None
+        coset = congruence_coset(lam * step, residue - lam * start, d)
+        assert coset is not None, "the base point solves the congruences"
+        start, step = start + step * coset[0], step * coset[1]
+    assert step == plan.coset_period, "the rows fix k mod the coset period"
+    least = -(-lo.constant // m)
+    return Term(least + (start - least) % step, shift)
 
 
 def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var: str) -> EliminationResult:
@@ -709,43 +824,61 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
 
     A component of constant count (:func:`_constant_count`) gets no part
     count: its :func:`_guard` joins the conjunction and its constant an
-    offset.  Every other component but the last binds a part count, which
-    its body sets to a natural number, and the last is built with the count
-    term ``count_var - offset - (the other parts)``, so no equation sums the
-    parts.  Where no component has a count, the formula is ``guards &
-    count_var = offset``.  A component's report names its part count,
-    ``count_var`` for the last, and none for a constant one.
+    offset.  Single-witness components whose membership conditions exclude
+    each other (:func:`_exclusive_groups`) share one 0/1 count, built at the
+    place of the group's first member (:func:`_case_single`).  Every other
+    group and two-sided core but the last binds a part count, which its body
+    sets to a natural number, and the last is built with the count term
+    ``count_var - offset - (the other parts)``, made once from one
+    coefficient map, so no equation sums the parts.  Where no component has
+    a count, the formula is ``guards & count_var = offset``.  A component's
+    report names its part count, ``count_var`` for the last, and none for a
+    constant one; the members of a group each name the group's count and
+    report the node count of the group's body.
     """
     fresh = FreshNames(set(names) | {count_var})
     constants = [_constant_count(comp_plan) for comp_plan in components]
-    counted = [index for index, k in enumerate(constants) if k is None]
     offset = sum(k for k in constants if k is not None)
-    rest = variable(count_var) - offset
+    members = {
+        index: _member(comp_plan, names)
+        for index, comp_plan in enumerate(components)
+        if constants[index] is None and comp_plan.bounds is None
+    }
+    # Each unit with a count, keyed by its first component: a group, or a two-sided core.
+    units = {group[0]: group for group in _exclusive_groups(members)}
+    units.update({i: [i] for i, plan in enumerate(components) if constants[i] is None and plan.bounds is not None})
+    last = max(units, default=None)
+    parts: list[str] = []
     prefix: list[str] = []
     bodies: list[Formula] = []
-    reports = []
+    reports = [None] * len(components)
     for index, comp_plan in enumerate(components):
         comp_prefix: list[str] = []
+        group = units.get(index, [index])
         if constants[index] is not None:
             part_count, body = None, _guard(comp_plan)
+        elif index not in units:
+            continue  # built with its group
         else:
-            if index == counted[-1]:
-                part_count, count = count_var, rest
+            if index == last:
+                part_count = count_var
+                count = Term(-offset, {count_var: 1, **{part: -1 for part in parts}})
             else:
                 part_count = fresh.fresh("y")
                 count = variable(part_count)
-                rest -= count
+                parts.append(part_count)
             if comp_plan.bounds is None:
-                body = _case_single(comp_plan, count, names)
+                body = _case_single([members[i] for i in group], count)
             else:
                 comp_prefix, body = _case_interval(comp_plan, count, names, fresh)
         nodes = fm.node_count(_close(comp_prefix, body))
-        reports.append(comp_plan.report(index + 1, part_count, nodes))
+        for i in group:
+            reports[i] = components[i].report(i + 1, part_count, nodes)
         prefix.extend(comp_prefix)
         if part_count not in (None, count_var):
             prefix.append(part_count)
         bodies.append(body)
-    if not counted:
+    if last is None:
         bodies.append(_atom(Eq, variable(count_var), constant(offset)))
     formula = _close(prefix, conj(bodies))
     return EliminationResult(

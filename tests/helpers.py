@@ -49,6 +49,25 @@ def is_subtraction_free(f: Formula) -> bool:
     )
 
 
+def first_witness_is_a_term(plan) -> bool:
+    """Whether a two-sided core, planned with the default names, binds no
+    first witness: over Z, with one lower term lo whose coefficients the
+    multiplier m divides, and at t = lo/m (its constant left out) every
+    Cramer row's coefficient of each free name a multiple of D."""
+    bounds = plan.bounds
+    if plan.component.domain is not DomainTag.Z or len(bounds.lower_rows) != 1:
+        return False
+    m, lo = bounds.multiplier, bounds.bound_term(bounds.lower_rows[0])
+    if any(c % m for c in lo.coeffs.values()):
+        return False
+    free = [f"x{i + 1}" for i in plan.rows[:-1]]
+    return all(
+        (row[j] + row[-1] * (lo.coeffs.get(name, 0) // m)) % plan.solution.denom == 0
+        for row in plan.solution.matrix
+        for j, name in enumerate(free)
+    )
+
+
 def print_presentation(presentation: SemilinearPresentation) -> str:
     """Render a presentation in the syntax of
     :func:`countqe.textio.parse_presentation`, which reads it back."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import gcd, lcm
 from pathlib import Path
 
@@ -30,10 +31,10 @@ from countqe.formula import (
     traverse,
     variable,
 )
-from countqe import elim, sets
+from countqe import elim, sets, verify
 from countqe import formula as fm
 from countqe.linalg import IntMatrix, cramer_solve, determinant
-from countqe.verify import PinnedProgram, run_check
+from countqe.verify import PinnedProgram, count_set_witnesses, run_check
 from countqe.sets import (
     DomainTag,
     LinearSetPresentation,
@@ -45,6 +46,7 @@ from helpers import (
     SPLIT_PATTERNS,
     ResidueCase,
     count_in_progression,
+    first_witness_is_a_term,
     is_subtraction_free,
     random_disjoint_presentation,
     random_simple_component,
@@ -472,9 +474,9 @@ class TestDividedOrderAtoms:
                     assert gcd(*g.lhs.coeffs.values(), *g.rhs.coeffs.values()) == 1, (s, g)
                     assert elim._atom(type(g), g.lhs, g.rhs) == g, (s, g)
             assert is_subtraction_free(f), s
-        # The first witness window of three_periods read 6*x1 - 6*x3 <= 6*_t0.
+        # A strict count atom of three_periods read 8*x3 - 4*x1 < 12*y.
         printed = print_formula(eliminate(union(THREE_PERIOD_SET), "y").formula)
-        assert "x1 <= _t0 + x3 & _t0 + x3 < x1 + 2" in printed, printed
+        assert "2*x3 < x1 + 3*y" in printed, printed
 
 
 class TestNormalizeForNat:
@@ -652,7 +654,8 @@ class TestEliminateUnion:
         # the middle, last, throughout and nowhere: each agrees with the
         # oracle, and count_values reads the count off the formula without
         # falling back to deciding each tested count.  Each component with
-        # a count but the last binds a part count, and the last reads y.
+        # a count but the last binds a part count, and the last reads y;
+        # single-witness components that exclude each other share one.
         evaluate_formula = PinnedProgram.evaluate
 
         def without_fallback(program, assignment):
@@ -661,20 +664,25 @@ class TestEliminateUnion:
 
         monkeypatch.setattr(PinnedProgram, "evaluate", without_fallback)
         rng = random.Random(2510)
-        seen = {"dimension 1": 0, "N": 0, "positive counts": 0}
+        seen = {"dimension 1": 0, "N": 0, "positive counts": 0, "shared counts": 0}
         for index in range(300):
             pattern = SPLIT_PATTERNS[index % len(SPLIT_PATTERNS)]
             s = random_split_union(rng, (DomainTag.Z, DomainTag.N)[index % 2], pattern)
             outcome = run_check(s, trials=15, box_radius=12, seed=index)
             assert (outcome.mismatches, outcome.unstable_bad, outcome.overlaps) == (0, 0, 0), s
-            parts = [c.count_var for c in eliminate(s, "y").report.components]
-            counted = [part for part, fixed in zip(parts, pattern) if not fixed]
+            reports = eliminate(s, "y").report.components
+            parts = [c.count_var for c in reports]
+            counts = list(dict.fromkeys(part for part in parts if part is not None))
             assert [part is None for part in parts] == list(pattern)
-            assert all(part.startswith("_y") for part in counted[:-1]) and counted[-1:] in ([], ["y"])
+            assert all(part.startswith("_y") for part in counts[:-1]) and counts[-1:] in ([], ["y"])
+            shared = [r for r in reports if r.count_var is not None and parts.count(r.count_var) > 1]
+            assert all(r.case == "single-witness" for r in shared), s
+            seen["shared counts"] += bool(shared)
             seen["dimension 1"] += s.dimension == 1
             seen["N"] += s.domain is DomainTag.N
             seen["positive counts"] += sum(r.verdict == "ok" and r.oracle.count > 0 for r in outcome.records)
         assert seen["dimension 1"] >= 20 and seen["N"] == 150 and seen["positive counts"] >= 500, seen
+        assert seen["shared counts"] >= 40, seen
 
     def test_one_simplicity_check_per_component(self, monkeypatch):
         # Planning checks each component once; eliminate reads only the
@@ -698,6 +706,38 @@ class TestEliminateUnion:
         calls.clear()
         eliminate(union(THREE_PERIOD_SET), "y")
         assert len(calls) == 1
+
+    def test_exclusive_single_witness_union_shares_one_count(self):
+        # 1,600 components base (r, 0), period (1600, 1): each reads x1 = r
+        # (mod 1600), so they exclude each other, share one 0/1 count and
+        # bind no part count.  Building and a five-trial check take well
+        # under a second (several seconds when each bound its own).
+        s = _residue_union(1600, (1600, 1))
+        start = time.perf_counter()
+        plan = plan_elimination(s)
+        outcome = run_check(plan, trials=5, box_radius=50, seed=0)
+        elapsed = time.perf_counter() - start
+        assert not any(isinstance(g, Exists) for g in traverse(plan.result.formula)[0])
+        assert {c.count_var for c in plan.result.report.components} == {"y"}
+        assert [r.verdict for r in outcome.records] == ["ok"] * 5
+        assert elapsed < 1.0, elapsed
+
+    def test_the_last_count_term_is_built_once(self):
+        # Components base (r, 0), period (1, K) each count 1 wherever x1 >= r,
+        # so none excludes another, and each but the last binds a part
+        # count.  The last one's count term y - (the other parts) is made
+        # from one coefficient map: planning twice as many components takes
+        # at most about 2.5 times as long (best of three, interleaved).
+        unions = {k: _residue_union(k, (1, k)) for k in (1600, 3200)}
+        times = {k: [] for k in unions}
+        for _ in range(3):
+            for k, s in unions.items():
+                start = time.perf_counter()
+                plan = plan_elimination(s)
+                times[k].append(time.perf_counter() - start)
+        assert sum(isinstance(g, Exists) for g in traverse(plan.result.formula)[0]) == 3199
+        small, large = min(times[1600]), min(times[3200])
+        assert large <= 2.5 * small, (small, large)
 
     def test_requires_assertions(self):
         s = SemilinearPresentation(components=(singleton(3),))
@@ -850,6 +890,12 @@ class TestEliminateUnion:
         assert estimate_result_nodes(s) == actual
 
 
+def _residue_union(k: int, period: tuple) -> SemilinearPresentation:
+    """k components ``base (r, 0)``, r < k, each with the one ``period``."""
+    components = tuple(LinearSetPresentation(base=(r, 0), periods=(period,)) for r in range(k))
+    return SemilinearPresentation(components=components, asserted_disjoint=True, asserted_simple=True)
+
+
 def _fixture_or_d8_m2(name):
     if name == "d8_m2":
         return union(D8_M2)
@@ -857,11 +903,13 @@ def _fixture_or_d8_m2(name):
 
 
 class TestBinders:
-    """The only binders are each two-sided core's first witness t0, whatever
-    the sizes of its bound families, and a part count for each component
-    with a count but the last.  The zero case and a one-sided core ask
-    whether the congruences have a solution without a binder; a
-    single-witness component binds nothing."""
+    """The only binders are the first witness t0 of each two-sided core
+    whose first witness is no term of the free coordinates, whatever the
+    sizes of its bound families, and a part count for each count but the
+    last; single-witness components that exclude each other share one
+    count.  The zero case and a one-sided core ask whether the congruences
+    have a solution without a binder; a single-witness component binds
+    nothing."""
 
     @staticmethod
     def _binders(formula):
@@ -871,23 +919,30 @@ class TestBinders:
 
     @staticmethod
     def _expected(presentation, result):
-        """One "_t" per two-sided core, and one "_y" per component with a
-        count but the last; none when the formula is a constant.  A
-        one-sided core and a point in dimension 1 have a constant count."""
+        """One "_t" per two-sided core whose first witness is no term
+        (:func:`helpers.first_witness_is_a_term`), and one "_y" per part
+        count the report names but y; none when the formula is a constant.
+        Only single-witness components share a count."""
         if isinstance(result.formula, (fm.TrueF, fm.FalseF)):
             return []
         reports = result.report.components
-        counted = [
-            r for r, c in zip(reports, presentation.components)
-            if (r.upper_rows and r.lower_rows) or (r.case == "single-witness" and (c.periods or c.dimension > 1))
+        plans = plan_elimination(presentation).components
+        names = [r.count_var for r in reports]
+        assert all(r.case == "single-witness" for r in reports if names.count(r.count_var) > 1 and r.count_var)
+        witnesses = [
+            "_t" for r, plan in zip(reports, plans)
+            if r.upper_rows and r.lower_rows and not first_witness_is_a_term(plan)
         ]
-        return sorted(["_y"] * (len(counted) - 1) + ["_t" for r in reports if r.upper_rows and r.lower_rows])
+        return sorted(["_y"] * len(set(names) - {None, "y"}) + witnesses)
 
     @pytest.mark.parametrize("name", ["three_periods", "natural", "d8_m2"])
     def test_two_sided_fixtures(self, name):
+        # Over Z both cores have one lower term whose first witness is a
+        # term; over N the binder stays.
         s = _fixture_or_d8_m2(name)
         result = eliminate(s, "y")
-        assert self._binders(result.formula) == self._expected(s, result) == ["_t"]
+        binders = ["_t"] if name == "natural" else []
+        assert self._binders(result.formula) == self._expected(s, result) == binders
 
     @pytest.mark.parametrize("denom", [2, 100])
     def test_half_line_has_none(self, denom):
@@ -924,7 +979,7 @@ class TestOutputSize:
         assert result.report.nodes <= ceiling
         assert estimate_result_nodes(s) == fm.node_count(result.formula)
 
-    @pytest.mark.parametrize("name, nodes", [("three_periods", 50), ("natural", 22), ("d8_m2", 37)])
+    @pytest.mark.parametrize("name, nodes", [("three_periods", 33), ("natural", 22), ("d8_m2", 22)])
     def test_two_sided_sizes_without_a_zero_case_binder(self, name, nodes):
         assert eliminate(_fixture_or_d8_m2(name), "y").report.nodes == nodes
 
@@ -960,16 +1015,16 @@ SCALED_FAMILIES = {
     "single-witness, a dropped row": (
         lambda k, s: _one((s, 2 * s, 3 * s), ((k, 1, 1),)), [("single-witness", 1)], 23
     ),
-    "two-sided": (lambda k, s: _one((s, 2 * s), ((1, 1), (1, -k))), [("two-sided", 0)], 24),
+    "two-sided": (lambda k, s: _one((s, 2 * s), ((1, 1), (1, -k))), [("two-sided", 0)], 12),
     "two-sided, a dropped row": (
-        lambda k, s: _one((s, 3 * s, 2 * s), ((1, 1, 1), (1, 1, -k))), [("two-sided", 1)], 35
+        lambda k, s: _one((s, 3 * s, 2 * s), ((1, 1, 1), (1, 1, -k))), [("two-sided", 1)], 23
     ),
     "two-sided over N": (
         lambda k, s: _one((s, 2 * s), ((1, 2 * k), (2 * k, 1)), DomainTag.N), [("two-sided", 0)], 28
     ),
     "three_periods, base scaled": (
         lambda k, s: _one((k * s, 2 * k * s, 3 * k * s, 4 * k * s), THREE_PERIOD_SET.periods),
-        [("two-sided", 1)], 50,
+        [("two-sided", 1)], 33,
     ),
     # Unions: a constant count (a one-sided core, a point in dimension 1)
     # adds its guard and no part count, and the last count reads y.
@@ -979,7 +1034,7 @@ SCALED_FAMILIES = {
     ),
     "single-witness pair": (
         lambda k, s: _split([((2 * s + r, s), ((2, k),)) for r in (0, 1)]),
-        [("single-witness", 0)] * 2, 38,
+        [("single-witness", 0)] * 2, 30,
     ),
     "two-sided pair": (
         lambda k, s: _split([((2 * s + r, 2 * s), ((2, 1), (2, -k))) for r in (0, 1)]),
@@ -1014,3 +1069,36 @@ def test_size_does_not_grow_with_scale(name):
                 for c in report.components
             ] == kinds
             assert report.nodes == nodes, (k, scale)
+
+
+@pytest.mark.parametrize(
+    "name", ["two-sided", "two-sided, a dropped row", "three_periods, base scaled", "single-witness pair"]
+)
+def test_scaled_families_agree_with_the_oracle(name):
+    # The families whose first witness is a term or whose single-witness
+    # components share one count, at the scales above: the formula agrees
+    # with the oracle at random assignments, and count_values with the
+    # oracle's count at members of each component (coefficients up to 10**6)
+    # and one step off them on the first coordinate.
+    build = SCALED_FAMILIES[name][0]
+    rng = random.Random(4243)
+    positive = 0
+    for k in (7, 10**3 + 1, 10**6 + 3):
+        for scale in (1, 10**6):
+            s = build(k, scale)
+            outcome = run_check(s, trials=5, box_radius=12, seed=k)
+            assert (outcome.mismatches, outcome.unstable_bad, outcome.overlaps) == (0, 0, 0), (k, scale)
+            program = PinnedProgram(eliminate(s, "y").formula, s.domain)
+            names = coordinate_names(s.dimension)[:-1]
+            for component in s.components:
+                for _ in range(3):
+                    point = component.point_at([rng.choice((0, 1, 3, 10**6)) for _ in component.periods])
+                    for step in (0, 1):
+                        assignment = dict(zip(names, point))
+                        assignment["x1"] += step
+                        oracle = count_set_witnesses(s, assignment)
+                        tested = verify.tested_counts(rng, oracle.count, s.domain)
+                        expected = [oracle.count] if oracle.stable else []
+                        assert program.count_values(assignment, "y", tested) == expected, (k, scale, assignment)
+                        positive += oracle.stable and oracle.count > 0
+    assert positive >= 18, positive

@@ -23,7 +23,7 @@ from countqe.linalg import IntMatrix, rank_over_rationals
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe import verify
 from countqe.verify import PinnedProgram, count_set_witnesses, run_check
-from helpers import is_subtraction_free
+from helpers import first_witness_is_a_term, is_subtraction_free
 
 MAX_DENOM = 12
 NODE_BUDGET = 30_000
@@ -181,11 +181,13 @@ def _agree_at_points(presentation, result, component, rng, points):
 
 def test_cores_with_three_bounds_in_one_family():
     # Four periods in dims 4-5: two-sided cores with three upper or three
-    # lower bounds, each still one branch with the one binder t0.
+    # lower bounds, each still one branch with at most the one binder t0,
+    # which a core over Z with one lower term whose first witness is a term
+    # does without.
     # Random assignments rarely meet the set's projection, so each core is
     # also checked where a point of the set lies, with a count of at least 1.
     rng = random.Random(7331)
-    cores = counted = 0
+    cores = counted = terms = 0
     while cores < 12:
         domain = (DomainTag.Z, DomainTag.N)[cores % 2]
         drawn = _draw_core(rng, domain, rng.randint(4, 5), 4)
@@ -198,14 +200,16 @@ def test_cores_with_three_bounds_in_one_family():
         if max(len(core.upper_rows), len(core.lower_rows)) < 3:
             continue
         binders = [g.var for g in traverse(result.formula)[0] if isinstance(g, Exists)]
-        assert binders == ["_t0"], binders
+        (plan,) = plan_elimination(presentation).components
+        assert binders == ([] if first_witness_is_a_term(plan) else ["_t0"]), binders
+        terms += first_witness_is_a_term(plan)
         assert is_subtraction_free(result.formula), presentation
         outcome = run_check(presentation, trials=15, box_radius=12, seed=cores)
         assert (outcome.mismatches, outcome.unstable_bad) == (0, 0), presentation
         (component,) = presentation.components
         counted += _agree_at_points(presentation, result, component, rng, 10)
         cores += 1
-    assert counted >= 60, counted
+    assert counted >= 60 and terms >= 1, (counted, terms)
 
 
 def _parity_split(component: LinearSetPresentation) -> SemilinearPresentation:

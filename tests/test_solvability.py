@@ -418,6 +418,28 @@ def _last_count_without_the_parts(original):
     return mutated
 
 
+def _zero_case_keeps_one_member(original):
+    """A group's zero case without the negation of its first member's
+    condition, so the count of the group may be 0 where that member holds."""
+    def mutated(members, count):
+        built = original(members, count)
+        if len(members) < 2:
+            return built
+        found, zero = built.parts
+        return fm.disj([found, fm.conj(zero.parts[1:])])
+
+    return mutated
+
+
+def _first_witness_one_period_later(original):
+    """The first witness term one coset period above the window's member."""
+    def mutated(plan, free_names):
+        first = original(plan, free_names)
+        return None if first is None else first + plan.coset_period
+
+    return mutated
+
+
 MUTATIONS = {
     "drop one pair condition": ("_coset_conditions", _drop_first_pair),
     "pair modulus g_i*g_j without G": ("_coset_conditions", _pair_modulus_without_gcd),
@@ -438,6 +460,8 @@ MUTATIONS = {
         "_constant_count", lambda original: lambda plan: None if original(plan) is None else original(plan) + 1
     ),
     "a row is dropped that no other row implies": ("_multiple_of", lambda original: lambda *args: True),
+    "a group's zero case keeps one member": ("_case_single", _zero_case_keeps_one_member),
+    "the first witness term one coset period late": ("_first_witness_term", _first_witness_one_period_later),
 }
 
 

@@ -503,7 +503,7 @@ def test_benchmark_output_nodes_are_pinned():
         )
         for name in workloads.WORKLOADS
     }
-    assert totals == {"twosided": 109, "halfline": 10, "sweep": 1363}
+    assert totals == {"twosided": 77, "halfline": 10, "sweep": 1155}
 
 
 def _kind(report):
