@@ -23,6 +23,10 @@ which has no part count.  Single-witness components that exclude each
 other share one 0/1 count: each member of such a group shows the group's
 ``count-var=``, and its ``nodes=`` is the node count of the whole group's
 body, the same on every member; other components report their own body.
+Components that are the residue classes of one simple linear set are
+eliminated as that set: each of them shows the merged component's fields
+and ``nodes=``, and ``merged=`` lists the 1-based indices of all of them;
+a component that stands alone prints no ``merged=``.
 
 ``eliminate`` and ``check`` plan first, which builds the formula once; when
 its node count exceeds ``--node-budget`` (default 10**6) they refuse with
@@ -164,6 +168,8 @@ def _format_report(result, estimated: int) -> str:
             fields.append(f"coset-period={comp.coset_period}")
         fields.append(f"count-var={comp.count_var or '-'}")
         fields.append(f"nodes={comp.nodes}")
+        if comp.merged:
+            fields.append("merged=" + ",".join(map(str, comp.merged)))
         lines.append("# " + " ".join(fields))
     lines.append(f"# total nodes: {result.report.nodes} (estimated {estimated})")
     return "\n".join(lines) + "\n"

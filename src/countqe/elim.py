@@ -63,6 +63,16 @@ mod D, residue included, is dropped (:func:`_congruence_rows`).  A negated
 order atom is the flipped atom (:func:`countqe.formula.negate`), and a
 constant body gets no binders.
 
+Before planning, residue splits are coalesced (:func:`_coalesce`): k
+components with the same periods but one, q, k a prime dividing every entry
+of q, and bases ``b + j*(q/k)`` for j < k, are the one simple linear set
+``(b, periods with q/k for q)``, and are eliminated as it.  The merged set
+stands at the place of its least input, with that input's period order, and
+merging repeats, so a split modulo a composite number merges prime by prime.
+Its count is the sum of the inputs' counts, so the formula means the same;
+a union where nothing merges is built as before.  The plan keeps the input
+presentation, which the check's oracle reads.
+
 Each component is planned once (:func:`plan_component`: its case, core, Cramer
 data and bound families), and :func:`plan_elimination` builds the formula
 from the plans at once: the :class:`EliminationPlan` holds the result, and
@@ -430,7 +440,10 @@ class ComponentReport:
     periods none of them); it has no square core, so the other core fields
     keep their defaults.  The members of a group of single-witness
     components that share one count (see :func:`_build`) each name that
-    count and report the node count of the group's body."""
+    count and report the node count of the group's body.  The inputs of a
+    coalesced component (:func:`_coalesce`) each report it, with their
+    indices in ``merged``; ``merged`` is empty for an input that stands
+    alone."""
 
     index: int
     case: str  # "single-witness" or "interval-count"
@@ -444,6 +457,7 @@ class ComponentReport:
     lower_rows: tuple[int, ...] = ()
     sign_rows: tuple[int, ...] = ()
     coset_period: Optional[int] = None
+    merged: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -492,10 +506,11 @@ class ComponentPlan:
     coset_period: int = 1
     solvable: tuple = ()
 
-    def report(self, index: int, count_var: Optional[str], nodes: int) -> ComponentReport:
-        """The report of this component, built with ``nodes`` nodes."""
+    def report(self, inputs: Sequence[int], count_var: Optional[str], nodes: int) -> list[ComponentReport]:
+        """The reports of this component, built with ``nodes`` nodes, one by
+        each of the input components ``inputs`` that it stands for."""
         one_based = lambda rows: tuple(i + 1 for i in rows)
-        fields = {}
+        fields = {"merged": one_based(inputs)} if len(inputs) > 1 else {}
         if self.rows:
             fields.update(
                 denom=self.solution.denom,
@@ -511,7 +526,9 @@ class ComponentPlan:
                 sign_rows=one_based(bc.sign_rows),
                 coset_period=self.coset_period,
             )
-        return ComponentReport(index=index, case=self.case, count_var=count_var, nodes=nodes, **fields)
+        return [
+            ComponentReport(index=i + 1, case=self.case, count_var=count_var, nodes=nodes, **fields) for i in inputs
+        ]
 
 
 def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> ComponentPlan:
@@ -553,10 +570,85 @@ def plan_component(component: LinearSetPresentation, names: Sequence[str]) -> Co
     )
 
 
+def _prime_factors(g: int, limit: int) -> list[int]:
+    """The primes up to ``limit`` that divide ``g``, by trial division; none
+    for ``g = 0``."""
+    primes, d = [], 2
+    while d <= limit and g > 1:
+        if g % d == 0:
+            primes.append(d)
+            while g % d == 0:
+                g //= d
+        d += 1
+    return primes
+
+
+def _chain(bases: dict, b: tuple, step: tuple, k: int) -> Optional[list]:
+    """The bases ``b + j*step``, j < k, where ``b`` starts a chain of them in
+    ``bases`` (base -> the components there): ``b - step`` is no base, and
+    each of them is the base of one component.  Else None."""
+    if tuple(x - s for x, s in zip(b, step)) in bases:
+        return None
+    chain = [tuple(x + j * s for x, s in zip(b, step)) for j in range(k)]
+    return chain if all(len(bases.get(c, ())) == 1 for c in chain) else None
+
+
+def _coalesce(components: Sequence[LinearSetPresentation]) -> list[tuple[LinearSetPresentation, tuple[int, ...]]]:
+    """``components`` with each residue split merged (see the module
+    docstring), as pairs of a component and the 0-based indices of the
+    inputs it stands for, in the order of their least index.
+
+    The k classes ``(b + j*(q/k), [q] + R)`` are ``(b, [q/k] + R)``: a
+    coefficient n of q/k is ``(n mod k)*(q/k) + (n div k)*q``, and no other
+    way, since the periods are independent.  A dict maps each key (the
+    sorted periods; a presentation has one domain) to its bases.  For each
+    period q of a key, only the primes k up to the key's number of bases
+    that divide q are tried, and a chain starts only at a base b without
+    ``b - q/k`` (:func:`_chain`): no pair of components is compared.  A key
+    that gains or loses a component is searched again, until nothing
+    merges.  A base that occurs twice under one key is never merged.
+    """
+    units = {i: (comp, (i,)) for i, comp in enumerate(components)}
+    keys: dict = {}  # sorted periods -> base -> the least indices of its units
+    pending: dict = {}  # the keys to search, in order
+
+    def add(index: int) -> None:
+        comp = units[index][0]
+        key = tuple(sorted(comp.periods))
+        keys.setdefault(key, {}).setdefault(comp.base, []).append(index)
+        pending[key] = None
+
+    for index in units:
+        add(index)
+    while pending:
+        key = next(iter(pending))
+        del pending[key]
+        bases = keys[key]
+        for q in key:
+            for k in _prime_factors(gcd(*q), len(bases)):
+                step = tuple(v // k for v in q)
+                for b in list(bases):
+                    chain = _chain(bases, b, step, k)
+                    if chain is None:
+                        continue
+                    members = [bases.pop(c)[0] for c in chain]
+                    least = min(members)
+                    comp = units[least][0]
+                    periods = list(comp.periods)
+                    periods[periods.index(q)] = step
+                    inputs = tuple(sorted(i for member in members for i in units.pop(member)[1]))
+                    units[least] = (LinearSetPresentation(b, tuple(periods), comp.domain), inputs)
+                    add(least)
+                    pending[key] = None  # a base it took may have barred a chain here
+    return [units[index] for index in sorted(units)]
+
+
 @dataclass(frozen=True)
 class EliminationPlan:
     """The component plans of a presentation whose coordinates are named
-    ``names``, the counted one last, and the ``result`` built from them."""
+    ``names``, the counted one last, and the ``result`` built from them.
+    The plans are those of the coalesced components (:func:`_coalesce`); the
+    report has one line by each input component."""
 
     presentation: SemilinearPresentation
     names: tuple[str, ...]
@@ -569,8 +661,8 @@ def plan_elimination(
     var_names: Optional[Sequence[str]] = None,
     count_var: Optional[str] = None,
 ) -> EliminationPlan:
-    """Plan every component and build the formula from the plans; a plan is
-    returned unchanged.
+    """Coalesce the residue splits (:func:`_coalesce`), plan every component
+    and build the formula from the plans; a plan is returned unchanged.
 
     The coordinates are named ``var_names``, by default x1..xn, and the count
     variable ``count_var``, by default ``y`` (given a plan, ``None`` takes
@@ -594,7 +686,8 @@ def plan_elimination(
         raise ContractError("variable name list does not match dimension")
     if count_var is None:
         count_var = "y"
-    components = tuple(plan_component(c, names) for c in presentation.components)
+    coalesced = _coalesce(presentation.components)
+    components = tuple(plan_component(c, names) for c, _ in coalesced)
     # Planning checked every component's simplicity; only the flags are left.
     if not (presentation.asserted_disjoint and presentation.asserted_simple):
         raise ContractError("presentation must be asserted disjoint and simple for elimination")
@@ -602,9 +695,8 @@ def plan_elimination(
         raise ContractError(f"count variable {count_var!r} is not an identifier")
     if count_var in names:
         raise ContractError("count variable clashes with a coordinate name")
-    return EliminationPlan(
-        presentation, names, components, _build(components, names, count_var)
-    )
+    inputs = [indices for _, indices in coalesced]
+    return EliminationPlan(presentation, names, components, _build(components, inputs, names, count_var))
 
 
 # --- the eliminator -------------------------------------------------------------
@@ -817,10 +909,13 @@ def _first_witness_term(plan: ComponentPlan, free_names: Sequence[str]) -> Optio
     return Term(least + (start - least) % step, shift)
 
 
-def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var: str) -> EliminationResult:
+def _build(
+    components: Sequence[ComponentPlan], inputs: Sequence[tuple[int, ...]], names: Sequence[str], count_var: str
+) -> EliminationResult:
     """The formula of the planned ``components`` (see :func:`eliminate`),
-    with its report: each component's size is the node count of its body
-    closed by its binders, and the total that of the formula.
+    with its report, one line by each input component (``inputs`` those of
+    each plan): each component's size is the node count of its body closed
+    by its binders, and the total that of the formula.
 
     A component of constant count (:func:`_constant_count`) gets no part
     count: its :func:`_guard` joins the conjunction and its constant an
@@ -834,7 +929,8 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
     a count, the formula is ``guards & count_var = offset``.  A component's
     report names its part count, ``count_var`` for the last, and none for a
     constant one; the members of a group each name the group's count and
-    report the node count of the group's body.
+    report the node count of the group's body; the inputs of a coalesced
+    component each report it (:meth:`ComponentPlan.report`).
     """
     fresh = FreshNames(set(names) | {count_var})
     constants = [_constant_count(comp_plan) for comp_plan in components]
@@ -851,7 +947,7 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
     parts: list[str] = []
     prefix: list[str] = []
     bodies: list[Formula] = []
-    reports = [None] * len(components)
+    reports = []
     for index, comp_plan in enumerate(components):
         comp_prefix: list[str] = []
         group = units.get(index, [index])
@@ -873,7 +969,7 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
                 comp_prefix, body = _case_interval(comp_plan, count, names, fresh)
         nodes = fm.node_count(_close(comp_prefix, body))
         for i in group:
-            reports[i] = components[i].report(i + 1, part_count, nodes)
+            reports += components[i].report(inputs[i], part_count, nodes)
         prefix.extend(comp_prefix)
         if part_count not in (None, count_var):
             prefix.append(part_count)
@@ -884,7 +980,11 @@ def _build(components: Sequence[ComponentPlan], names: Sequence[str], count_var:
     return EliminationResult(
         formula=formula,
         count_var=count_var,
-        report=EliminationReport(count_var=count_var, components=tuple(reports), nodes=fm.node_count(formula)),
+        report=EliminationReport(
+            count_var=count_var,
+            components=tuple(sorted(reports, key=lambda r: r.index)),
+            nodes=fm.node_count(formula),
+        ),
     )
 
 

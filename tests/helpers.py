@@ -311,6 +311,24 @@ def random_split_union(
             return candidate
 
 
+def plan_reports(plan) -> list:
+    """Each component plan of ``plan`` with the report of its least input:
+    the inputs of a coalesced component all report that component."""
+    reports = [r for r in plan.result.report.components if r.merged[:1] in ((), (r.index,))]
+    return list(zip(plan.components, reports, strict=True))
+
+
+def residue_classes(base, periods, k, which=0, domain=DomainTag.Z) -> list[LinearSetPresentation]:
+    """The k residue classes of ``(base, periods)`` modulo k in the period
+    ``periods[which]`` = p: the components ``(base + j*p, periods with k*p
+    for p)``, j < k, in that order."""
+    p = periods[which]
+    split = tuple(tuple(k * v for v in q) if i == which else q for i, q in enumerate(periods))
+    return [
+        LinearSetPresentation(tuple(b + j * v for b, v in zip(base, p)), split, domain) for j in range(k)
+    ]
+
+
 def random_presentation(rng: random.Random, max_dimension: int = 4) -> SemilinearPresentation:
     """Arbitrary (not necessarily simple or disjoint) presentation, for
     syntax roundtrips."""

@@ -307,6 +307,43 @@ class TestEliminateCommand:
         assert (code, err) == (0, "")
         assert " mismatches=0 " in out
 
+    def test_merged_report(self, capsys, tmp_path):
+        # Components 1 and 3 are the two classes of the period (6, 1) of one
+        # two-sided core, (3, 5) + N(6, 1) + N(6, -1), modulo 2: they are
+        # eliminated as that core.  Each shows its fields, its count _y0 and
+        # its 31 nodes, and both list merged=1,3; the point 2 stands alone.
+        core = "period 12 2\nperiod 6 -1\n"
+        split = tmp_path / "split.sl"
+        split.write_text(
+            "domain Z\ndim 2\ndisjoint\nsimple\n"
+            f"component\nbase 3 5\n{core}component\nbase -1 0\ncomponent\nbase 9 6\n{core}",
+            encoding="utf-8",
+        )
+        whole = tmp_path / "whole.sl"
+        whole.write_text(
+            "domain Z\ndim 2\ndisjoint\nsimple\n"
+            "component\nbase 3 5\nperiod 6 1\nperiod 6 -1\ncomponent\nbase -1 0\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "eliminate", str(split), "--report")
+        assert (code, err) == (0, "")
+        core_line = (
+            "case=interval-count D=12 m=6 core-rows=1,2 dropped-rows=- uppers=2 lowers=1"
+            " signs=- coset-period=2 count-var=_y0 nodes=31"
+        )
+        assert out.splitlines()[1:] == [
+            "# count variable: y",
+            f"# component 1: {core_line} merged=1,3",
+            "# component 2: case=single-witness count-var=y nodes=14",
+            f"# component 3: {core_line} merged=1,3",
+            "# total nodes: 47 (estimated 47)",
+        ]
+        _, unsplit, _ = run(capsys, "eliminate", str(whole))
+        assert out.splitlines()[0] == unsplit.rstrip("\n")
+        code, out, err = run(capsys, "check", str(split), "--trials", "40")
+        assert (code, err) == (0, "")
+        assert " mismatches=0 " in out
+
     def test_non_simple_exit_2(self, capsys):
         code, _, err = run(capsys, "eliminate", fixture("nonsimple.sl"))
         assert code == 2
@@ -532,11 +569,52 @@ class TestCheckCommand:
         assert code == 0
 
 
+# Two cores with the periods (1, 1), (0, 2): x2 - x1 even and at least 0, or
+# odd and at least 3.  They are no residue split of one set (the class of
+# base (0, 1) is missing), so each is planned.
 TWO_CORES = (
+    "domain Z\ndim 2\ndisjoint\nsimple\n"
+    "component\nbase 0 0\nperiod 1 1\nperiod 0 2\n"
+    "component\nbase 0 3\nperiod 1 1\nperiod 0 2\n"
+)
+
+# The two classes of (0, 0) + N(1, 1) + N(0, 1) modulo 2 in its second
+# period: one one-sided core.
+SPLIT_CORE = (
     "domain Z\ndim 2\ndisjoint\nsimple\n"
     "component\nbase 0 0\nperiod 1 1\nperiod 0 2\n"
     "component\nbase 0 1\nperiod 1 1\nperiod 0 2\n"
 )
+
+
+def test_a_split_core_is_planned_once(capsys, monkeypatch, tmp_path):
+    # The two components of SPLIT_CORE are planned and built as one core of
+    # constant count: one Cramer solution and one guard per command, and
+    # no part count.
+    path = tmp_path / "split_core.sl"
+    path.write_text(SPLIT_CORE, encoding="utf-8")
+    calls, built = [], []
+    solve, guard = elim.cramer_solve, elim._guard
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    def counting_guard(plan):
+        built.append(plan)
+        return guard(plan)
+
+    monkeypatch.setattr(elim, "cramer_solve", counting_solve)
+    monkeypatch.setattr(elim, "_guard", counting_guard)
+    code, out, err = run(capsys, "eliminate", str(path), "--report")
+    assert (code, err) == (0, "")
+    assert out.count("count-var=- nodes=2 merged=1,2") == 2
+    assert (len(calls), len(built)) == (1, 1)
+    calls.clear()
+    built.clear()
+    code, _, err = run(capsys, "check", str(path), "--trials", "3")
+    assert (code, err) == (0, "")
+    assert (len(calls), len(built)) == (1, 1)
 
 
 @pytest.mark.parametrize("name, cores", [("three_periods.sl", 1), ("two_cores.sl", 2)])

@@ -48,10 +48,12 @@ from helpers import (
     count_in_progression,
     first_witness_is_a_term,
     is_subtraction_free,
+    plan_reports,
     random_disjoint_presentation,
     random_simple_component,
     random_split_union,
     residue_case_feasible,
+    residue_classes,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -925,13 +927,11 @@ class TestBinders:
         Only single-witness components share a count."""
         if isinstance(result.formula, (fm.TrueF, fm.FalseF)):
             return []
-        reports = result.report.components
-        plans = plan_elimination(presentation).components
-        names = [r.count_var for r in reports]
-        assert all(r.case == "single-witness" for r in reports if names.count(r.count_var) > 1 and r.count_var)
+        planned = plan_reports(plan_elimination(presentation))
+        names = [r.count_var for _, r in planned]
+        assert all(r.case == "single-witness" for _, r in planned if names.count(r.count_var) > 1 and r.count_var)
         witnesses = [
-            "_t" for r, plan in zip(reports, plans)
-            if r.upper_rows and r.lower_rows and not first_witness_is_a_term(plan)
+            "_t" for plan, r in planned if r.upper_rows and r.lower_rows and not first_witness_is_a_term(plan)
         ]
         return sorted(["_y"] * len(set(names) - {None, "y"}) + witnesses)
 
@@ -1102,3 +1102,102 @@ def test_scaled_families_agree_with_the_oracle(name):
                         assert program.count_values(assignment, "y", tested) == expected, (k, scale, assignment)
                         positive += oracle.stable and oracle.count > 0
     assert positive >= 18, positive
+
+
+# One component per construction case and domain, the case first in its
+# name: (base, periods, domain).
+COALESCED_CASES = {
+    "single-witness": ((0, 1), ((1, 2),), DomainTag.Z),
+    "single-witness over N": ((0, 1), ((1, 2),), DomainTag.N),
+    "single-witness, a relation": ((1, 2, 3), ((1, 2, 1), (0, 3, 3)), DomainTag.Z),
+    "one-sided": ((1, 2), ((1, 1), (0, 3)), DomainTag.Z),
+    "one-sided over N": ((1, 2), ((1, 1), (0, 3)), DomainTag.N),
+    "two-sided": ((3, 5), ((6, 1), (6, -1)), DomainTag.Z),
+    "two-sided over N": ((0, 0), ((1, 2), (2, 1)), DomainTag.N),
+    "two-sided, three_periods": (THREE_PERIOD_SET.base, THREE_PERIOD_SET.periods, DomainTag.Z),
+}
+
+
+class TestCoalesce:
+    """The residue classes of one simple linear set modulo k in one period
+    are eliminated as that set: the same formula, one plan, and every
+    class reports it with ``merged`` listing them all."""
+
+    @staticmethod
+    def _printed(*components):
+        return print_formula(eliminate(union(*components), "y").formula)
+
+    @pytest.mark.parametrize("name", sorted(COALESCED_CASES))
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_two_classes_eliminate_as_the_set(self, name, which):
+        base, periods, domain = COALESCED_CASES[name]
+        whole = LinearSetPresentation(base, periods, domain)
+        classes = residue_classes(base, periods, 2, which % len(periods), domain)
+        plan = plan_elimination(union(*classes))
+        assert [c.component for c in plan.components] == [whole]
+        reports = plan.result.report.components
+        assert [r.merged for r in reports] == [(1, 2), (1, 2)]
+        kind = reports[0].case
+        if kind == "interval-count":
+            kind = "two-sided" if reports[0].upper_rows and reports[0].lower_rows else "one-sided"
+        assert name.startswith(kind)
+        assert self._printed(*classes) == self._printed(whole)
+
+    @pytest.mark.parametrize("k", [3, 4, 6, 12])
+    def test_composite_splits_cascade(self, k):
+        # k = 3 merges in one step, 4 as 2*2, 6 as 2*3 and 12 as 2*2*3, in
+        # any order of the classes and beside a component that stays.
+        base, periods, _ = COALESCED_CASES["two-sided"]
+        whole = LinearSetPresentation(base, periods)
+        classes = residue_classes(base, periods, k)
+        random.Random(k).shuffle(classes)
+        point = LinearSetPresentation((-1, 0), ())
+        s = union(classes[0], point, *classes[1:])
+        plan = plan_elimination(s)
+        assert [c.component for c in plan.components] == [whole, point]
+        merged = tuple(i for i in range(1, k + 2) if i != 2)
+        assert [r.merged for r in plan.result.report.components] == [merged, (), *[merged] * (k - 1)]
+        assert self._printed(*s.components) == self._printed(whole, point)
+        outcome = run_check(plan, trials=20, box_radius=40, seed=k)
+        assert (outcome.mismatches, outcome.unstable_bad, outcome.overlaps) == (0, 0, 0)
+
+    def test_the_least_input_gives_the_period_order(self):
+        base, periods, _ = COALESCED_CASES["two-sided"]
+        first, second = residue_classes(base, periods, 2)
+        second = LinearSetPresentation(second.base, second.periods[::-1])
+        plan = plan_elimination(union(second, first))
+        assert [c.component for c in plan.components] == [LinearSetPresentation(base, periods[::-1])]
+
+    def test_incomplete_or_repeated_classes_stay(self):
+        # A missing class, a class moved by a whole period, and a class given
+        # twice: nothing merges, and the check reports the repeat's overlap.
+        base, periods, _ = COALESCED_CASES["two-sided"]
+        classes = residue_classes(base, periods, 3)
+        q = classes[1].periods[0]
+        moved = LinearSetPresentation(tuple(b + v for b, v in zip(classes[1].base, q)), classes[1].periods)
+        repeated = [classes[0], classes[0], classes[1]]
+        for components in (classes[:2], [classes[0], moved, classes[2]], repeated):
+            plan = plan_elimination(union(*components))
+            assert [c.component for c in plan.components] == components
+            assert all(r.merged == () for r in plan.result.report.components)
+        outcome = run_check(union(*repeated), trials=20, box_radius=40, seed=0)
+        assert outcome.overlaps > 0
+
+    def test_a_complete_residue_system_merges_in_linear_time(self):
+        # K components base (j, 0), periods (K, 0), (0, 1) are the quadrant
+        # (0, 0) + N(1, 0) + N(0, 1): planning twice as many classes takes
+        # at most about 2.5 times as long (best of three, interleaved).
+        def system(k):
+            return union(*(LinearSetPresentation((j, 0), ((k, 0), (0, 1))) for j in range(k)))
+
+        unions = {k: system(k) for k in (1600, 3200)}
+        times = {k: [] for k in unions}
+        for _ in range(3):
+            for k, s in unions.items():
+                start = time.perf_counter()
+                plan = plan_elimination(s)
+                times[k].append(time.perf_counter() - start)
+        assert [c.component for c in plan.components] == [LinearSetPresentation((0, 0), ((1, 0), (0, 1)))]
+        assert plan.result.report.components[-1].merged == tuple(range(1, 3201))
+        small, large = min(times[1600]), min(times[3200])
+        assert large <= 2.5 * small, (small, large)

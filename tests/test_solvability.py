@@ -48,7 +48,13 @@ from countqe.formula import (
 from countqe.sets import DomainTag, LinearSetPresentation, SemilinearPresentation, coordinate_names
 from countqe.textio import parse_presentation
 from countqe.verify import PinnedEvaluationError, PinnedProgram, count_set_witnesses, run_check
-from helpers import SPLIT_PATTERNS, is_subtraction_free, random_disjoint_presentation, random_split_union
+from helpers import (
+    SPLIT_PATTERNS,
+    is_subtraction_free,
+    random_disjoint_presentation,
+    random_split_union,
+    residue_classes,
+)
 from test_nat_two_sided import random_two_sided
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -321,8 +327,9 @@ def _component(base, periods, domain=DomainTag.Z):
 
 def _mutation_corpus():
     """The fixtures, d8_m2, two cores whose first pair condition the row
-    conditions do not imply (in most cores they do), seeded draws and split
-    unions with constant counts in every position."""
+    conditions do not imply (in most cores they do), seeded draws, split
+    unions with constant counts in every position and residue splits of
+    the fixtures, which coalesce."""
     corpus = [
         parse_presentation((FIXTURES / name).read_text(encoding="utf-8"))
         for name in ("three_periods.sl", "natural.sl")
@@ -338,6 +345,10 @@ def _mutation_corpus():
         corpus += [random_disjoint_presentation(rng, domain, max_dimension=4) for _ in range(12)]
     for domain in (DomainTag.Z, DomainTag.N):
         corpus += [random_split_union(rng, domain, constant) for constant in SPLIT_PATTERNS]
+    for fixture, k, which in ((corpus[0], 2, 0), (corpus[1], 3, 1)):
+        whole = fixture.components[0]
+        classes = residue_classes(whole.base, whole.periods, k, which, whole.domain)
+        corpus.append(SemilinearPresentation(tuple(classes), asserted_disjoint=True, asserted_simple=True))
     return corpus
 
 
@@ -462,6 +473,9 @@ MUTATIONS = {
     "a row is dropped that no other row implies": ("_multiple_of", lambda original: lambda *args: True),
     "a group's zero case keeps one member": ("_case_single", _zero_case_keeps_one_member),
     "the first witness term one coset period late": ("_first_witness_term", _first_witness_one_period_later),
+    "a residue split merges without its last class": (
+        "_chain", lambda original: lambda bases, b, step, k: original(bases, b, step, k - 1)
+    ),
 }
 
 
