@@ -96,7 +96,6 @@ negative, so over N the zero case of a two-sided core also holds there
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -133,6 +132,7 @@ from .sets import (
     coordinate_names,
 )
 from .textio import is_identifier
+from .values import Value, set_field
 
 # perfbench/layers.py still patches these names; they leave with those patches.
 solve_unique = residue_case_feasible = build_permutation_branches = progression_count_formula_nat = None
@@ -207,8 +207,7 @@ def _first_witness_window(
 # --- classification of the Cramer rows ---------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundClassification:
+class BoundClassification(Value):
     """Partition of the Cramer rows by the sign of the counted coefficient.
 
     Rows whose counted-coordinate coefficient is negative yield upper bounds
@@ -218,12 +217,23 @@ class BoundClassification:
     multiplier.  Row indices are 0-based.
     """
 
-    multiplier: int
-    row_terms: tuple[Term, ...]
-    scale: dict
-    upper_rows: tuple[int, ...]
-    lower_rows: tuple[int, ...]
-    sign_rows: tuple[int, ...]
+    __slots__ = ("multiplier", "row_terms", "scale", "upper_rows", "lower_rows", "sign_rows")
+
+    def __init__(
+        self,
+        multiplier: int,
+        row_terms: tuple[Term, ...],
+        scale: dict,
+        upper_rows: tuple[int, ...],
+        lower_rows: tuple[int, ...],
+        sign_rows: tuple[int, ...],
+    ):
+        set_field(self, "multiplier", multiplier)
+        set_field(self, "row_terms", row_terms)
+        set_field(self, "scale", scale)
+        set_field(self, "upper_rows", upper_rows)
+        set_field(self, "lower_rows", lower_rows)
+        set_field(self, "sign_rows", sign_rows)
 
     def bound_term(self, row: int) -> Term:
         return self.scale[row] * self.row_terms[row]
@@ -432,8 +442,7 @@ def _row_equations(
 # --- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(Value):
     """Trace of one component's elimination.  Row and coefficient indices
     are reported 1-based.  A single-witness component reports its
     determinant and its selected and dropped rows (a component without
@@ -445,40 +454,68 @@ class ComponentReport:
     indices in ``merged``; ``merged`` is empty for an input that stands
     alone."""
 
-    index: int
-    case: str  # "single-witness" or "interval-count"
-    count_var: Optional[str]  # None for a component of constant count
-    nodes: int
-    denom: Optional[int] = None
-    multiplier: Optional[int] = None
-    selected_rows: tuple[int, ...] = ()
-    dropped_rows: tuple[int, ...] = ()
-    upper_rows: tuple[int, ...] = ()
-    lower_rows: tuple[int, ...] = ()
-    sign_rows: tuple[int, ...] = ()
-    coset_period: Optional[int] = None
-    merged: tuple[int, ...] = ()
+    __slots__ = (
+        "index", "case", "count_var", "nodes", "denom", "multiplier", "selected_rows",
+        "dropped_rows", "upper_rows", "lower_rows", "sign_rows", "coset_period", "merged",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        case: str,  # "single-witness" or "interval-count"
+        count_var: Optional[str],  # None for a component of constant count
+        nodes: int,
+        denom: Optional[int] = None,
+        multiplier: Optional[int] = None,
+        selected_rows: tuple[int, ...] = (),
+        dropped_rows: tuple[int, ...] = (),
+        upper_rows: tuple[int, ...] = (),
+        lower_rows: tuple[int, ...] = (),
+        sign_rows: tuple[int, ...] = (),
+        coset_period: Optional[int] = None,
+        merged: tuple[int, ...] = (),
+    ):
+        set_field(self, "index", index)
+        set_field(self, "case", case)
+        set_field(self, "count_var", count_var)
+        set_field(self, "nodes", nodes)
+        set_field(self, "denom", denom)
+        set_field(self, "multiplier", multiplier)
+        set_field(self, "selected_rows", selected_rows)
+        set_field(self, "dropped_rows", dropped_rows)
+        set_field(self, "upper_rows", upper_rows)
+        set_field(self, "lower_rows", lower_rows)
+        set_field(self, "sign_rows", sign_rows)
+        set_field(self, "coset_period", coset_period)
+        set_field(self, "merged", merged)
 
 
-@dataclass(frozen=True)
-class EliminationReport:
-    count_var: str
-    components: tuple[ComponentReport, ...]
-    nodes: int
+class EliminationReport(Value):
+    """The reports of the input components and the formula's node count."""
+
+    __slots__ = ("count_var", "components", "nodes")
+
+    def __init__(self, count_var: str, components: tuple[ComponentReport, ...], nodes: int):
+        set_field(self, "count_var", count_var)
+        set_field(self, "components", components)
+        set_field(self, "nodes", nodes)
 
 
-@dataclass(frozen=True)
-class EliminationResult:
-    formula: Formula
-    count_var: str
-    report: EliminationReport
+class EliminationResult(Value):
+    """The eliminated formula, its count variable and its report."""
+
+    __slots__ = ("formula", "count_var", "report")
+
+    def __init__(self, formula: Formula, count_var: str, report: EliminationReport):
+        set_field(self, "formula", formula)
+        set_field(self, "count_var", count_var)
+        set_field(self, "report", report)
 
 
 # --- plans ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentPlan:
+class ComponentPlan(Value):
     """How one component is eliminated, decided before anything is built.
 
     ``solution`` is the Cramer data of the selected ``rows`` (all 0-based):
@@ -495,16 +532,34 @@ class ComponentPlan:
     (:func:`_solvability`).
     """
 
-    component: LinearSetPresentation
-    case: str  # "single-witness" or "interval-count"
-    rows: tuple[int, ...]
-    dropped_rows: tuple[int, ...]
-    solution: CramerSolution
-    relations: tuple[Formula, ...]
-    congruences: tuple
-    bounds: Optional[BoundClassification] = None
-    coset_period: int = 1
-    solvable: tuple = ()
+    __slots__ = (
+        "component", "case", "rows", "dropped_rows", "solution",
+        "relations", "congruences", "bounds", "coset_period", "solvable",
+    )
+
+    def __init__(
+        self,
+        component: LinearSetPresentation,
+        case: str,  # "single-witness" or "interval-count"
+        rows: tuple[int, ...],
+        dropped_rows: tuple[int, ...],
+        solution: CramerSolution,
+        relations: tuple[Formula, ...],
+        congruences: tuple,
+        bounds: Optional[BoundClassification] = None,
+        coset_period: int = 1,
+        solvable: tuple = (),
+    ):
+        set_field(self, "component", component)
+        set_field(self, "case", case)
+        set_field(self, "rows", rows)
+        set_field(self, "dropped_rows", dropped_rows)
+        set_field(self, "solution", solution)
+        set_field(self, "relations", relations)
+        set_field(self, "congruences", congruences)
+        set_field(self, "bounds", bounds)
+        set_field(self, "coset_period", coset_period)
+        set_field(self, "solvable", solvable)
 
     def report(self, inputs: Sequence[int], count_var: Optional[str], nodes: int) -> list[ComponentReport]:
         """The reports of this component, built with ``nodes`` nodes, one by
@@ -643,17 +698,25 @@ def _coalesce(components: Sequence[LinearSetPresentation]) -> list[tuple[LinearS
     return [units[index] for index in sorted(units)]
 
 
-@dataclass(frozen=True)
-class EliminationPlan:
+class EliminationPlan(Value):
     """The component plans of a presentation whose coordinates are named
     ``names``, the counted one last, and the ``result`` built from them.
     The plans are those of the coalesced components (:func:`_coalesce`); the
     report has one line by each input component."""
 
-    presentation: SemilinearPresentation
-    names: tuple[str, ...]
-    components: tuple[ComponentPlan, ...]
-    result: EliminationResult
+    __slots__ = ("presentation", "names", "components", "result")
+
+    def __init__(
+        self,
+        presentation: SemilinearPresentation,
+        names: tuple[str, ...],
+        components: tuple[ComponentPlan, ...],
+        result: EliminationResult,
+    ):
+        set_field(self, "presentation", presentation)
+        set_field(self, "names", names)
+        set_field(self, "components", components)
+        set_field(self, "result", result)
 
 
 def plan_elimination(

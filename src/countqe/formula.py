@@ -22,16 +22,24 @@ the walkers built on it (:func:`free_vars`, :func:`node_count`,
 :func:`max_abs_coefficient`, :func:`contains_counting`) work at any binder
 depth.  Hand dispatch on the node type stays only in the evaluators, where
 each type does something different.
+
+Nodes are immutable values (:class:`countqe.values.Value`): each class
+lists its fields in ``__slots__`` and sets them once in ``__init__``, where
+the operands are normalised and checked; assigning a field raises
+``AttributeError``, and two nodes are equal when they have the same type
+and equal fields (``Le(a, b) != Lt(a, b)``).  Terms are not values: their
+arithmetic builds many of them, so they keep plain slots that no method
+assigns after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import ParameterError, UnboundVariableError
+from .values import Value, set_field
 
 # perfbench/layers.py still patches this name; it leaves with that patch.
 simplify = None
@@ -55,7 +63,11 @@ def as_domain(domain) -> DomainTag:
 class Term:
     """Integer-linear expression: a constant plus variables with coefficients.
 
-    Immutable by convention; zero coefficients are never stored.
+    Immutable by convention: the two slots are set in ``__init__`` and no
+    method assigns them later (arithmetic returns a new term), which keeps
+    construction cheap on the hot path.  Zero coefficients are never
+    stored, so two terms are equal, and hash equal, exactly when their
+    constants and coefficient maps are equal.
     """
 
     __slots__ = ("constant", "coeffs")
@@ -150,9 +162,12 @@ def _as_term(value: Union[Term, int, str]) -> Term:
     return constant(value)
 
 
-class Formula:
-    """Base class for all formula nodes.  Instances are immutable; the
-    traversal protocol's defaults describe a node without operands."""
+class Formula(Value):
+    """Base class for all formula nodes.  A node is a :class:`Value`: its
+    fields are slots set once by its constructor, assignment raises
+    ``AttributeError``, and equality and hashing need the same type and
+    equal fields.  The traversal protocol's defaults describe a node
+    without operands."""
 
     __slots__ = ()
     children: tuple = ()
@@ -164,14 +179,16 @@ class Formula:
         return self
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
+    __slots__ = ()
+
     def __repr__(self):
         return "TRUE"
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
+    __slots__ = ()
+
     def __repr__(self):
         return "FALSE"
 
@@ -180,14 +197,12 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
 class _Comparison(Formula):
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", _as_term(self.lhs))
-        object.__setattr__(self, "rhs", _as_term(self.rhs))
+    def __init__(self, lhs: Term, rhs: Term):
+        set_field(self, "lhs", _as_term(lhs))
+        set_field(self, "rhs", _as_term(rhs))
 
     terms = property(attrgetter("lhs", "rhs"))
 
@@ -195,28 +210,32 @@ class _Comparison(Formula):
 class Le(_Comparison):
     """lhs <= rhs"""
 
+    __slots__ = ()
+
 
 class Lt(_Comparison):
     """lhs < rhs"""
+
+    __slots__ = ()
 
 
 class Eq(_Comparison):
     """lhs = rhs"""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Cong(Formula):
     """term = residue (mod modulus); the residue is stored canonically."""
 
-    term: Term
-    residue: int
-    modulus: int
+    __slots__ = ("term", "residue", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "term", _as_term(self.term))
-        if self.modulus < 1:
-            raise ParameterError(f"congruence modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, term: Term, residue: int, modulus: int):
+        set_field(self, "term", _as_term(term))
+        if modulus < 1:
+            raise ParameterError(f"congruence modulus must be positive, got {modulus}")
+        set_field(self, "residue", residue % modulus)
+        set_field(self, "modulus", modulus)
 
     @property
     def terms(self):
@@ -228,8 +247,9 @@ class _WithBody(Formula):
 
     Equality and hashing walk a run of such heads (``!``, ``E``, ``A``,
     ``C``) in a loop, so a chain thousands of heads deep compares without
-    deep recursion.  A head's fields besides the body are its ``binds`` and
-    ``refs``.
+    deep recursion.  A head's fields are its ``binds``, then its ``refs``,
+    then the body, so :meth:`rebuild` passes them to the constructor in
+    that order.
     """
 
     __slots__ = ()
@@ -240,7 +260,7 @@ class _WithBody(Formula):
 
     def rebuild(self, children):
         (body,) = children
-        return replace(self, body=body)
+        return type(self)(*self.binds, *self.refs, body)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -261,25 +281,26 @@ class _WithBody(Formula):
         return hash((tuple(heads), f))
 
 
-@dataclass(frozen=True, eq=False)
 class Not(_WithBody):
-    body: Formula
+    __slots__ = ("body",)
+
+    def __init__(self, body: Formula):
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
 class _NaryConnective(Formula):
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts: Iterable[Formula]):
         flat = []
-        for part in self.parts:
+        for part in parts:
             if type(part) is type(self):
                 flat.extend(part.parts)
             else:
                 flat.append(part)
         if len(flat) < 2:
             raise ParameterError(f"{type(self).__name__} needs at least two parts")
-        object.__setattr__(self, "parts", tuple(flat))
+        set_field(self, "parts", tuple(flat))
 
     children = property(attrgetter("parts"))
 
@@ -290,17 +311,23 @@ class _NaryConnective(Formula):
 class And(_NaryConnective):
     """n-ary conjunction; nested conjunctions are flattened at construction."""
 
+    __slots__ = ()
+
 
 class Or(_NaryConnective):
     """n-ary disjunction; nested disjunctions are flattened at construction."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False)
+
 class _Quantifier(_WithBody):
     """A first-order quantifier binding ``var`` in ``body``."""
 
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
     @property
     def binds(self):
@@ -310,19 +337,25 @@ class _Quantifier(_WithBody):
 class Exists(_Quantifier):
     """E var . body"""
 
+    __slots__ = ()
+
 
 class Forall(_Quantifier):
     """A var . body"""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False)
+
 class CountEq(_WithBody):
     """Counting quantifier: the number of counted_var values satisfying the
     body equals the value of count_var (which is free in the construct)."""
 
-    counted_var: str
-    count_var: str
-    body: Formula
+    __slots__ = ("counted_var", "count_var", "body")
+
+    def __init__(self, counted_var: str, count_var: str, body: Formula):
+        set_field(self, "counted_var", counted_var)
+        set_field(self, "count_var", count_var)
+        set_field(self, "body", body)
 
     @property
     def binds(self):
@@ -333,16 +366,18 @@ class CountEq(_WithBody):
         return (self.count_var,)
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(Value):
     """Outcome of a bounded witness count.
 
     When ``stable`` is false the enumeration window may truncate the witness
     set and ``count`` is only a lower bound.
     """
 
-    count: int
-    stable: bool
+    __slots__ = ("count", "stable")
+
+    def __init__(self, count: int, stable: bool):
+        set_field(self, "count", count)
+        set_field(self, "stable", stable)
 
 
 def conj(parts: Iterable[Formula]) -> Formula:

@@ -13,29 +13,29 @@ Gauss-Jordan pass gives a determinant and its adjugate in O(n^3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, SingularMatrixError
+from .values import Value, set_field
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Dense integer matrix, row-major, with at least one row and column."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        if not entries or not entries[0]:
             raise DimensionError("matrix must have at least one row and one column")
-        width = len(self.entries[0])
-        for row in self.entries:
+        width = len(entries[0])
+        for row in entries:
             if len(row) != width:
                 raise DimensionError("ragged rows in matrix")
             for value in row:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise DimensionError(f"matrix entry {value!r} is not an int")
+        set_field(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -63,8 +63,7 @@ class IntMatrix:
         return IntMatrix.from_rows([self.entries[i] for i in indices])
 
 
-@dataclass(frozen=True)
-class CramerSolution:
+class CramerSolution(Value):
     """Exact inverse data for an invertible square system.
 
     For the system ``M z = x - offset_vector`` the solution satisfies, for
@@ -75,9 +74,12 @@ class CramerSolution:
     with ``denom`` the absolute value of ``det M`` and all entries integers.
     """
 
-    denom: int
-    matrix: tuple[tuple[int, ...], ...]
-    offset: tuple[int, ...]
+    __slots__ = ("denom", "matrix", "offset")
+
+    def __init__(self, denom: int, matrix: tuple[tuple[int, ...], ...], offset: tuple[int, ...]):
+        set_field(self, "denom", denom)
+        set_field(self, "matrix", matrix)
+        set_field(self, "offset", offset)
 
     @property
     def size(self) -> int:

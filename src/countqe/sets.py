@@ -15,7 +15,6 @@ decide.  Callers asserting ``disjoint`` own that claim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -24,6 +23,7 @@ from .errors import DimensionError, ParameterError, UnsupportedPresentationError
 from .formula import DomainTag
 from .linalg import CramerSolution, IntMatrix, congruence_coset, cramer_solve
 from .linalg import find_full_rank_submatrix, rank_over_rationals
+from .values import Value, set_field
 
 
 def coordinate_names(dimension: int) -> list[str]:
@@ -31,30 +31,32 @@ def coordinate_names(dimension: int) -> list[str]:
     return [f"x{i + 1}" for i in range(dimension)]
 
 
-@dataclass(frozen=True)
-class LinearSetPresentation:
+class LinearSetPresentation(Value):
     """base + N*periods[0] + ... + N*periods[p-1] inside Z^n or N^n."""
 
-    base: tuple[int, ...]
-    periods: tuple[tuple[int, ...], ...]
-    domain: DomainTag = DomainTag.Z
+    __slots__ = ("base", "periods", "domain")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(int(v) for v in self.base))
-        object.__setattr__(self, "domain", fm.as_domain(self.domain))
-        object.__setattr__(
-            self, "periods", tuple(tuple(int(v) for v in row) for row in self.periods)
-        )
-        n = len(self.base)
+    def __init__(
+        self,
+        base: Sequence[int],
+        periods: Sequence[Sequence[int]],
+        domain: DomainTag = DomainTag.Z,
+    ):
+        base = tuple(int(v) for v in base)
+        domain = fm.as_domain(domain)
+        periods = tuple(tuple(int(v) for v in row) for row in periods)
+        n = len(base)
         if n < 1:
             raise DimensionError("presentation dimension must be at least 1")
-        for period in self.periods:
+        for period in periods:
             if len(period) != n:
                 raise DimensionError("period length does not match dimension")
-        if self.domain is DomainTag.N:
-            vectors = (self.base,) + self.periods
-            if any(v < 0 for vec in vectors for v in vec):
+        if domain is DomainTag.N:
+            if any(v < 0 for vec in (base,) + periods for v in vec):
                 raise ParameterError("natural-domain presentation with negative entry")
+        set_field(self, "base", base)
+        set_field(self, "periods", periods)
+        set_field(self, "domain", domain)
 
     @property
     def dimension(self) -> int:
@@ -80,24 +82,29 @@ class LinearSetPresentation:
         return tuple(point)
 
 
-@dataclass(frozen=True)
-class SemilinearPresentation:
+class SemilinearPresentation(Value):
     """Finite union of linear components with caller assertions."""
 
-    components: tuple[LinearSetPresentation, ...]
-    asserted_disjoint: bool = False
-    asserted_simple: bool = False
+    __slots__ = ("components", "asserted_disjoint", "asserted_simple")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(
+        self,
+        components: Sequence[LinearSetPresentation],
+        asserted_disjoint: bool = False,
+        asserted_simple: bool = False,
+    ):
+        components = tuple(components)
+        if not components:
             raise DimensionError("a presentation needs at least one component")
-        first = self.components[0]
-        for comp in self.components[1:]:
+        first = components[0]
+        for comp in components[1:]:
             if comp.dimension != first.dimension:
                 raise DimensionError("components of mixed dimension")
             if comp.domain is not first.domain:
                 raise DimensionError("components of mixed domain")
+        set_field(self, "components", components)
+        set_field(self, "asserted_disjoint", asserted_disjoint)
+        set_field(self, "asserted_simple", asserted_simple)
 
     @property
     def dimension(self) -> int:
@@ -108,18 +115,18 @@ class SemilinearPresentation:
         return self.components[0].domain
 
 
-@dataclass(frozen=True)
-class IntBox:
+class IntBox(Value):
     """Axis-aligned box of integer points, inclusive on both ends."""
 
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
+    def __init__(self, lower: tuple[int, ...], upper: tuple[int, ...]):
+        if len(lower) != len(upper):
             raise DimensionError("box bounds of different length")
-        if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
+        if any(lo > hi for lo, hi in zip(lower, upper)):
             raise DimensionError("box with empty coordinate range")
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
 
     @classmethod
     def cube(cls, dimension: int, lo: int, hi: int) -> "IntBox":

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -51,14 +50,20 @@ from .formula import (
     implies,
 )
 from .sets import DomainTag, LinearSetPresentation, SemilinearPresentation
+from .values import Value, set_field
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    begin: int
-    end: int
-    line: int
-    column: int
+class SourceSpan(Value):
+    """Offsets ``begin`` and ``end`` into a text, and the 1-based line and
+    column where it begins."""
+
+    __slots__ = ("begin", "end", "line", "column")
+
+    def __init__(self, begin: int, end: int, line: int, column: int):
+        set_field(self, "begin", begin)
+        set_field(self, "end", end)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
 class ParseError(CountQEError):

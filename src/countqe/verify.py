@@ -78,7 +78,6 @@ suite are thin wrappers around it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
@@ -102,6 +101,7 @@ from .formula import (
 )
 from .linalg import congruence_coset
 from .sets import DomainTag, MembershipTester, Progression, SemilinearPresentation, coordinate_names
+from .values import Value, set_field
 
 # perfbench/layers.py still patches these names; they leave with those patches.
 eliminate = solve_unique = evaluate_pinned = None
@@ -473,8 +473,7 @@ class PinnedProgram:
 # --- witness-count oracle -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessCount:
+class WitnessCount(Value):
     """Oracle verdict for one assignment.
 
     ``count`` is the number of distinct members of the components bounded
@@ -486,11 +485,16 @@ class WitnessCount:
     every finite end of the progressions, ``(0, 0)`` when none meets it.
     """
 
-    count: int
-    stable: bool
-    overlap: bool
-    window: tuple[int, int]
-    per_component: tuple[int, ...]
+    __slots__ = ("count", "stable", "overlap", "window", "per_component")
+
+    def __init__(
+        self, count: int, stable: bool, overlap: bool, window: tuple[int, int], per_component: tuple[int, ...]
+    ):
+        set_field(self, "count", count)
+        set_field(self, "stable", stable)
+        set_field(self, "overlap", overlap)
+        set_field(self, "window", window)
+        set_field(self, "per_component", per_component)
 
 
 def count_set_witnesses(
@@ -539,21 +543,36 @@ def _union_size(progressions: Sequence) -> int:
 # --- trial harness ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    index: int
-    assignment: dict
-    oracle: WitnessCount
-    tested: tuple[int, ...]
-    satisfied: tuple[int, ...]
-    verdict: str  # ok | mismatch | unstable-ok | unstable-bad | overlap
+class TrialRecord(Value):
+    """One trial of a check: its assignment, the oracle's verdict, the
+    count values tested and those the formula satisfied there."""
+
+    __slots__ = ("index", "assignment", "oracle", "tested", "satisfied", "verdict")
+
+    def __init__(
+        self,
+        index: int,
+        assignment: dict,
+        oracle: WitnessCount,
+        tested: tuple[int, ...],
+        satisfied: tuple[int, ...],
+        verdict: str,  # ok | mismatch | unstable-ok | unstable-bad | overlap
+    ):
+        set_field(self, "index", index)
+        set_field(self, "assignment", assignment)
+        set_field(self, "oracle", oracle)
+        set_field(self, "tested", tested)
+        set_field(self, "satisfied", satisfied)
+        set_field(self, "verdict", verdict)
 
 
-@dataclass
-class CheckOutcome:
+class CheckOutcome(Value):
     """The records of a check; the tallies count their verdicts."""
 
-    records: list
+    __slots__ = ("records",)
+
+    def __init__(self, records: list):
+        set_field(self, "records", records)
 
     def _tally(self, *verdicts: str) -> int:
         return sum(r.verdict in verdicts for r in self.records)

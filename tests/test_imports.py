@@ -1,16 +1,19 @@
 """Every name a module of the package imports at top level is read by it,
-and so is every private name it defines at top level or as a method."""
+and so is every private name it defines at top level or as a method.  No
+module imports ``dataclasses``, so importing the CLI generates no code and
+loads neither ``dataclasses`` nor ``inspect``."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parent.parent / "src" / "countqe").glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "countqe"
+SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
 def _reads(tree: ast.AST) -> set:
@@ -69,6 +72,39 @@ def test_no_unread_import(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unread_private_name(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    """The modules that ``source`` imports anywhere, by their full names."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_catches_an_import_of_dataclasses():
+    source = "import json\ndef f():\n    from dataclasses import dataclass\n    return dataclass\n"
+    assert imported_modules(source) == {"json", "dataclasses"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import countqe.cli\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
 
 
 def test_catches_an_unread_import():
